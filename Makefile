@@ -2,7 +2,7 @@
 
 CARGO ?= cargo
 
-.PHONY: build test audit audit-baseline fmt-check clippy bench bench-fleet bench-hotpath bench-upcall bench-detect bench-policy bench-backends bench-fault bench-check bench-compare bench-summary trace-forensics example-fleet clean
+.PHONY: build test audit audit-baseline fmt-check clippy bench bench-fleet bench-hotpath bench-upcall bench-detect bench-policy bench-backends bench-fault bench-check bench-compare bench-summary benchmark benchmark-smoke benchmark-test trace-forensics example-fleet clean
 
 build:
 	$(CARGO) build --release
@@ -95,6 +95,22 @@ bench-compare:
 bench-summary:
 	$(CARGO) run --release -p pi_bench --bin bench_summary
 
+# The repo benchmark (`benchmark/README.md`, `BENCHMARK.json`): its own
+# package outside the workspace. `benchmark` is the full run (five
+# workloads, 4 interleaved rounds + a traced child each; ~2.5 min),
+# `benchmark-smoke` every workload once and short (never a baseline),
+# `benchmark-test` the harness's own unit tests.
+BENCHMARK = --release --offline --manifest-path benchmark/Cargo.toml
+
+benchmark:
+	$(CARGO) run $(BENCHMARK)
+
+benchmark-smoke:
+	$(CARGO) run $(BENCHMARK) -- --smoke
+
+benchmark-test:
+	$(CARGO) test $(BENCHMARK)
+
 # Traced policy-flap forensics: proves the causal chain (policy update
 # -> cache flush -> attributed rebuild storm -> PolicyChurn detection)
 # and writes results/trace_policy_flap.{json,prom}.
@@ -106,3 +122,4 @@ example-fleet:
 
 clean:
 	$(CARGO) clean
+	$(CARGO) clean --manifest-path benchmark/Cargo.toml

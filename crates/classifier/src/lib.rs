@@ -8,6 +8,9 @@
 //!   first — the tie-break the paper relies on in §2).
 //! * [`LinearClassifier`] — the reference slow-path lookup: scan every
 //!   rule. Always correct, O(n), used as ground truth everywhere.
+//! * [`RuleIndex`] — what the slow path executes instead: the same
+//!   answer from a compiled snapshot, rules grouped by mask and probed
+//!   by hash (the simulated cost stays the linear scan's).
 //! * [`TupleSpaceSearch`] — the fast-path structure under attack: one
 //!   hash table ("subtable") per distinct mask, probed **sequentially**.
 //!   Lookup cost is measured in subtables probed, which is exactly the
@@ -23,6 +26,7 @@
 
 pub mod action;
 pub mod flat;
+pub mod index;
 pub mod linear;
 pub mod rule;
 pub mod staged;
@@ -32,6 +36,7 @@ pub mod tss;
 
 pub use action::Action;
 pub use flat::FlatTable;
+pub use index::RuleIndex;
 pub use linear::LinearClassifier;
 pub use rule::{Rule, RuleId};
 pub use staged::StagedIndex;

@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use pi_core::{Field, FlowMask, MaskedKey, ALL_FIELDS};
+use pi_core::{Field, FlowMask, MaskedKey};
 
 use crate::action::Action;
 use crate::rule::{Rule, RuleId};
@@ -82,47 +82,46 @@ impl FlowTable {
         self.active_mask().touched_fields()
     }
 
-    /// Builds the per-field prefix tries the un-wildcarding algorithm
-    /// consults. A trie is built for each requested field; a rule
-    /// contributes a prefix iff its mask on the field is a contiguous
-    /// MSB-aligned prefix (CIDR shape). Rules with non-prefix masks on a
-    /// trie field are reported so the caller can fall back to exact
-    /// un-wildcarding for them.
-    pub fn build_tries(&self, fields: &[Field]) -> TrieSet {
-        let mut tries = Vec::new();
-        for &field in fields {
-            let mut trie = PrefixTrie::new(field);
-            let mut has_non_prefix = false;
-            for rule in self.rules.values() {
-                let mask = rule.matcher.mask().field(field);
-                if mask == 0 {
-                    continue; // field wildcarded: no constraint
-                }
-                match prefix_len_of_mask(field, mask) {
-                    Some(len) => {
-                        trie.insert(rule.matcher.key().field(field), len);
-                    }
-                    None => has_non_prefix = true,
-                }
+    /// Builds the prefix trie the un-wildcarding algorithm consults for
+    /// `field`. A rule contributes a prefix iff its mask on the field is
+    /// a contiguous MSB-aligned prefix (CIDR shape). Rules with
+    /// non-prefix masks on the field are reported so the caller can fall
+    /// back to exact un-wildcarding for them.
+    pub fn build_trie(&self, field: Field) -> FieldTrie {
+        let mut trie = PrefixTrie::new(field);
+        let mut has_non_prefix = false;
+        for rule in self.rules.values() {
+            let mask = rule.matcher.mask().field(field);
+            if mask == 0 {
+                continue; // field wildcarded: no constraint
             }
-            tries.push(FieldTrie {
-                field,
-                trie,
-                has_non_prefix,
-            });
+            match prefix_len_of_mask(field, mask) {
+                Some(len) => {
+                    trie.insert(rule.matcher.key().field(field), len);
+                }
+                None => has_non_prefix = true,
+            }
         }
-        TrieSet { tries }
+        FieldTrie {
+            field,
+            trie,
+            has_non_prefix,
+        }
+    }
+
+    /// [`FlowTable::build_trie`] for each of `fields`.
+    pub fn build_tries(&self, fields: &[Field]) -> TrieSet {
+        TrieSet {
+            tries: fields.iter().map(|&f| self.build_trie(f)).collect(),
+        }
     }
 }
 
 /// If `mask` is a contiguous, MSB-aligned prefix mask for `field`,
 /// returns its length; `None` otherwise (including the zero mask).
 pub fn prefix_len_of_mask(field: Field, mask: u64) -> Option<u8> {
-    if mask == 0 {
-        return None;
-    }
-    let w = field.width();
-    (1..=w).find(|&len| field.prefix_mask(len) == mask)
+    let len = mask.count_ones() as u8;
+    (mask != 0 && len <= field.width() && field.prefix_mask(len) == mask).then_some(len)
 }
 
 /// A trie plus bookkeeping for one field.
@@ -205,7 +204,7 @@ pub fn reachable_megaflow_mask_count(table: &FlowTable, trie_fields: &[Field]) -
 /// a coarse diagnostic, not the megaflow mask count.
 pub fn distinct_rule_masks(table: &FlowTable) -> usize {
     let mut masks: Vec<FlowMask> = table.iter().map(|r| *r.matcher.mask()).collect();
-    masks.sort_by_key(|m| ALL_FIELDS.iter().map(|f| m.field(*f)).collect::<Vec<u64>>());
+    masks.sort_unstable();
     masks.dedup();
     masks.len()
 }

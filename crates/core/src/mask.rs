@@ -18,7 +18,10 @@ use crate::key::FlowKey;
 /// Internally stores one right-aligned `u64` mask per field, accessed
 /// through the same [`Field`] reflection as keys. The default mask is
 /// all-wildcard (matches everything).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+///
+/// The derived ordering is an arbitrary total order for sorting and
+/// grouping by mask; the subset relation is [`FlowMask::is_subset_of`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct FlowMask {
     bits: [u64; ALL_FIELDS.len()],
 }

@@ -31,7 +31,10 @@ pub struct CostModel {
     pub per_stage_hash: u64,
     /// Fixed cost of an upcall (fast-path → slow-path round trip).
     pub upcall_fixed: u64,
-    /// Scanning one rule during slow-path linear classification.
+    /// Scanning one rule during slow-path classification — a modelled
+    /// linear scan, indexed execution: charged for every rule of the
+    /// destination's table on every upcall, whatever the host's
+    /// [`pi_classifier::RuleIndex`] actually touched.
     pub per_rule: u64,
     /// Installing a generated megaflow entry.
     pub mfc_install: u64,

@@ -7,8 +7,14 @@
 //! ([`crate::VSwitch::drain_upcalls`]) under
 //! [`crate::PipelineMode::Bounded`].
 //!
-//! This is where the paper's Fig. 2 happens. Classification itself is a
-//! linear scan (correct, slow — that's why it's cached). The interesting
+//! This is where the paper's Fig. 2 happens. Classification is a
+//! **modelled linear scan, indexed execution**: the simulation charges
+//! every upcall `CostModel::per_rule` × the table's rule count — full
+//! flow-table processing, correct and slow, which is why it is cached —
+//! while the host answers from a [`RuleIndex`] compiled once per ACL
+//! install, so a 513-rule whitelist costs the host about what a 2-rule
+//! ACL does. [`pi_classifier::LinearClassifier`] is the reference the
+//! index is tested against, not a second production path. The interesting
 //! part is **un-wildcarding**: after deciding a packet's fate, the slow
 //! path computes the *broadest* megaflow that still classifies every
 //! covered packet identically ("OVS … tries to wildcard as many bits as
@@ -23,20 +29,36 @@
 //! * otherwise the union of the rules' mask bits on that field is used
 //!   (always sound, never minimal).
 //!
+//! Which of the two applies to which field is decided once, in
+//! [`SlowPath::new`]; serving an upcall allocates nothing.
+//!
 //! Soundness (pinned by proptest in `tests/megaflow_soundness.rs`): two
 //! packets agreeing on every un-wildcarded bit satisfy exactly the same
 //! set of rule constraints, hence the same winning rule.
 
-use pi_classifier::{Action, FlowTable, LinearClassifier};
-use pi_core::{Field, FlowKey, FlowMask, MaskedKey};
+use pi_classifier::{Action, FlowTable, PrefixTrie, RuleIndex};
+use pi_core::{Field, FlowKey, FlowMask, MaskedKey, ALL_FIELDS};
+
+/// How [`SlowPath::unwildcard`] finds one field's megaflow bits.
+#[derive(Debug, Clone)]
+enum Unwildcard {
+    /// Per-value analysis: the field has a trie enabled and every rule
+    /// constrains it with a CIDR prefix.
+    Trie(PrefixTrie),
+    /// No trie for this field (or non-prefix constraints): the union of
+    /// rule bits — sound, broadest *safe* choice without per-value
+    /// analysis.
+    Bits(u64),
+}
 
 /// A compiled slow path for one virtual port: the ACL table plus the
-/// metadata megaflow generation needs.
+/// metadata classification and megaflow generation need.
 #[derive(Debug, Clone)]
 pub struct SlowPath {
     table: FlowTable,
-    tries: pi_classifier::table::TrieSet,
-    active: FlowMask,
+    index: RuleIndex,
+    /// One step per field some rule constrains, in canonical order.
+    plan: Vec<(Field, Unwildcard)>,
     /// Action when no rule matches (OpenFlow table-miss: drop).
     default_action: Action,
 }
@@ -46,12 +68,27 @@ impl SlowPath {
     /// fields with prefix tries enabled (from
     /// [`crate::DpConfig::trie_fields`]).
     pub fn new(table: FlowTable, trie_fields: &[Field], default_action: Action) -> Self {
-        let tries = table.build_tries(trie_fields);
         let active = table.active_mask();
+        let plan = ALL_FIELDS
+            .into_iter()
+            .filter(|&field| active.field(field) != 0)
+            .map(|field| {
+                let trie = trie_fields
+                    .contains(&field)
+                    .then(|| table.build_trie(field));
+                let step = match trie {
+                    Some(ft) if !ft.has_non_prefix && !ft.trie.is_empty() => {
+                        Unwildcard::Trie(ft.trie)
+                    }
+                    _ => Unwildcard::Bits(active.field(field)),
+                };
+                (field, step)
+            })
+            .collect();
         SlowPath {
+            index: RuleIndex::compile(&table),
             table,
-            tries,
-            active,
+            plan,
             default_action,
         }
     }
@@ -71,38 +108,37 @@ impl SlowPath {
         self.default_action
     }
 
-    /// Full classification: the verdict plus the number of rules
-    /// examined (the linear-scan cost the fast path exists to avoid).
+    /// Full classification: the verdict plus the number of rules the
+    /// modelled linear scan examines — always the whole table, however
+    /// few the index touched (the cost the fast path exists to avoid).
     pub fn classify(&self, packet: &FlowKey) -> (Action, usize) {
-        let (rule, examined) = LinearClassifier::new(&self.table).classify_counting(packet);
-        (
-            rule.map(|r| r.action).unwrap_or(self.default_action),
-            examined,
-        )
+        let action = self
+            .index
+            .classify(packet)
+            .map_or(self.default_action, |w| w.action);
+        (action, self.table.len())
     }
 
     /// Generates the megaflow mask for `packet` over this table's fields
     /// (the caller adds switch metadata such as the ingress port).
+    // audit: hotpath
     pub fn unwildcard(&self, packet: &FlowKey) -> FlowMask {
         let mut mask = FlowMask::WILDCARD;
-        for field in self.active.touched_fields() {
-            let bits = match self.tries.get(field) {
-                Some(ft) if !ft.has_non_prefix && !ft.trie.is_empty() => {
-                    let n = ft.trie.unwildcard_bits(packet.field(field));
-                    field.prefix_mask(n)
+        for (field, step) in &self.plan {
+            let bits = match step {
+                Unwildcard::Trie(trie) => {
+                    field.prefix_mask(trie.unwildcard_bits(packet.field(*field)))
                 }
-                // No trie for this field (or non-prefix constraints):
-                // fall back to the union of rule bits — sound, broadest
-                // *safe* choice without per-value analysis.
-                _ => self.active.field(field),
+                Unwildcard::Bits(bits) => *bits,
             };
-            mask.unwildcard(field, bits);
+            mask.unwildcard(*field, bits);
         }
         mask
     }
 
     /// The full slow-path service of one upcall: classify and produce
     /// the megaflow to cache.
+    // audit: hotpath
     pub fn process_upcall(&self, packet: &FlowKey) -> UpcallResult {
         let (action, rules_examined) = self.classify(packet);
         let mask = self.unwildcard(packet);
@@ -121,7 +157,9 @@ pub struct UpcallResult {
     pub action: Action,
     /// The generated cache entry: `packet & mask` with the minimal mask.
     pub megaflow: MaskedKey,
-    /// Rules examined during linear classification.
+    /// Rules the modelled linear scan examined — the table's size; what
+    /// [`crate::CostModel::per_rule`] is charged for. The host executes
+    /// an indexed lookup instead and touches far fewer.
     pub rules_examined: usize,
 }
 
@@ -129,7 +167,6 @@ pub struct UpcallResult {
 mod tests {
     use super::*;
     use pi_classifier::table::whitelist_with_default_deny;
-    use pi_core::ALL_FIELDS;
 
     /// The paper's Fig. 2 ACL on the real 32-bit field: allow
     /// 10.0.0.0/8, deny everything else.

@@ -509,10 +509,9 @@ impl VSwitch {
     }
 
     fn do_install_acl(&mut self, ip: u32, table: FlowTable) -> (bool, usize) {
-        let trie_fields = self.config.trie_fields.clone();
         let installed = match self.routes.get_mut(&ip) {
             Some(port) => {
-                port.slowpath = SlowPath::new(table, &trie_fields, Action::Deny);
+                port.slowpath = SlowPath::new(table, &self.config.trie_fields, Action::Deny);
                 true
             }
             None => false,
