@@ -2,7 +2,7 @@
 
 CARGO ?= cargo
 
-.PHONY: build test audit audit-baseline fmt-check clippy bench bench-fleet bench-hotpath bench-upcall bench-detect bench-policy bench-backends bench-fault bench-check bench-compare bench-summary benchmark benchmark-smoke benchmark-test trace-forensics example-fleet clean
+.PHONY: build test audit audit-baseline fmt-check clippy bench bench-fleet bench-hotpath bench-upcall bench-detect bench-policy bench-backends bench-fault bench-check bench-compare bench-summary benchmark benchmark-smoke benchmark-test benchmark-one trace-forensics example-fleet clean
 
 build:
 	$(CARGO) build --release
@@ -99,7 +99,9 @@ bench-summary:
 # package outside the workspace. `benchmark` is the full run (five
 # workloads, 4 interleaved rounds + a traced child each; ~2.5 min),
 # `benchmark-smoke` every workload once and short (never a baseline),
-# `benchmark-test` the harness's own unit tests.
+# `benchmark-test` the harness's own unit tests, and
+# `benchmark-one W=<workload>` exactly the command `BENCHMARK.json`
+# declares, for one workload — one line per side of a before/after pair.
 BENCHMARK = --release --offline --manifest-path benchmark/Cargo.toml
 
 benchmark:
@@ -110,6 +112,10 @@ benchmark-smoke:
 
 benchmark-test:
 	$(CARGO) test $(BENCHMARK)
+
+benchmark-one:
+	@test -n "$(W)" || { echo "usage: make benchmark-one W=<workload>"; exit 2; }
+	$(CARGO) run --quiet $(BENCHMARK) -- --workload $(W) --seed 2018 --seconds 15 --trace 0
 
 # Traced policy-flap forensics: proves the causal chain (policy update
 # -> cache flush -> attributed rebuild storm -> PolicyChurn detection)

@@ -6,9 +6,20 @@
 //! * each worker owns a disjoint shard set and merges that set's event
 //!   sources — pending cross-host deliveries, topology commands,
 //!   per-shard wake deadlines ([`HostShard::next_wake`]) and the
-//!   global sample grid — into one monotonic tick iterator; shards
-//!   with no event at a tick are skipped entirely, which is where the
-//!   idle-heavy speedup comes from;
+//!   global sample grid — into one monotonic tick iterator;
+//! * an executed tick steps a **due list**, not the shard set: the
+//!   shards named by the commands at the cursor, by the deliveries
+//!   filed for that tick (one ordered lookup) and by the wake deadlines
+//!   that have come due, in ascending shard order. Only a sample tick
+//!   visits every shard. What a shard emits is sparse — one parcel per
+//!   destination it addressed ([`ShardOutput`]) — and the parcel
+//!   buffers, the due list and the per-shard command/inbound scratch
+//!   all live on the worker, so a tick's host cost follows the shards
+//!   that ran and the destinations they addressed, never the fleet
+//!   size, and a steady-state tick allocates nothing. A source that
+//!   emits every tick pins its shard "always active": that shard's
+//!   `ticks_stepped` is physics, and only the cost of each such tick is
+//!   the harness's to shrink;
 //! * cross-host packets and delivery receipts produced during tick
 //!   `t` are exchanged through bounded channels and delivered at the
 //!   start of tick `t + 1`;
@@ -27,12 +38,14 @@
 //!   never depend on worker count or thread scheduling — the property
 //!   the determinism tests pin. The tick-stepped engine
 //!   ([`pi_sim::SimConfig::event_driven`] = false) keeps the original
-//!   one-tick-per-epoch barrier loop as the equivalence reference.
+//!   one-tick-per-epoch barrier loop as the equivalence reference; it
+//!   steps every shard every tick through the same
+//!   [`HostShard::tick`] and the same sparse exchange.
 
 use std::cmp::Reverse;
-// audit: allow(determinism) -- HashMap backs lookup-only tables here; every decl below is individually waived (never iterated) or uses the ordered BTreeMap
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::mpsc::{Receiver, SyncSender};
+use std::sync::Arc;
 use std::thread;
 
 use pi_classifier::FlowTable;
@@ -41,13 +54,16 @@ use pi_core::{Port, SimTime};
 use pi_datapath::{CostModel, DpConfig};
 use pi_detect::DefenseController;
 use pi_fault::{FaultSchedule, ReliabilityConfig, ReliableControlPlane};
-use pi_sim::{NodeCell, NodePacket};
+use pi_sim::NodeCell;
 use pi_trace::{CauseId, TraceConfig, TraceEvent, TraceEventKind, Tracer};
 use pi_traffic::TrafficSource;
 
 use crate::config::FleetConfig;
 use crate::report::{EngineProfile, FleetReport, FLUSH_LOG_CAP};
-use crate::shard::{FleetSlot, HostCmd, HostShard, Inbound, Receipt, ShardOutput, TickCtx};
+use crate::routes::RouteTable;
+use crate::shard::{
+    FleetSlot, HostCmd, HostShard, Parcel, ShardInput, ShardOutput, SourceHome, TickCtx,
+};
 
 /// A pod migration scheduled at build time.
 #[derive(Debug, Clone)]
@@ -192,8 +208,7 @@ impl FleetBuilder {
         let n = self.hosts.len();
         let cfg = self.cfg;
 
-        // audit: allow(determinism) -- per-packet ip→shard lookup on the hot path; only ever get()/clone(), never iterated
-        let mut routes: HashMap<u32, usize> = HashMap::new();
+        let mut routes = RouteTable::new();
         for &(host, ip, _) in &self.pods {
             assert!(
                 routes.insert(ip, host).is_none(),
@@ -214,7 +229,7 @@ impl FleetBuilder {
         }
         let mut acl_map: BTreeMap<u32, FlowTable> = BTreeMap::new();
         for (ip, table) in self.acls {
-            let host = *routes.get(&ip).expect("ACL target pod must be attached");
+            let host = routes.get(ip).expect("ACL target pod must be attached");
             let ok = nodes[host].backend_mut().install_acl(ip, table.clone());
             assert!(ok, "ACL install must succeed on the home switch");
             acl_map.insert(ip, table);
@@ -257,31 +272,36 @@ impl FleetBuilder {
             }
         }
 
-        let source_home: Vec<usize> = self.sources.iter().map(|(h, _)| *h).collect();
+        let mut source_homes: Vec<SourceHome> = Vec::with_capacity(self.sources.len());
         let mut per_host_slots: Vec<Vec<FleetSlot>> = (0..n).map(|_| Vec::new()).collect();
         for (global, (host, source)) in self.sources.into_iter().enumerate() {
+            source_homes.push(SourceHome {
+                shard: host,
+                slot: per_host_slots[host].len(),
+            });
             per_host_slots[host].push(FleetSlot::new(global, source));
         }
+        let source_homes: Arc<[SourceHome]> = source_homes.into();
 
         let shards: Vec<HostShard> = nodes
             .into_iter()
             .zip(per_host_slots)
             .enumerate()
             .map(|(id, (node, slots))| {
-                HostShard::new(id, node, routes.clone(), source_home.clone(), slots)
+                HostShard::new(id, node, routes.clone(), Arc::clone(&source_homes), slots)
             })
             .collect();
 
         // Resolve migrations into per-tick command batches.
         let tick_ns = cfg.sim.tick.as_nanos();
         let mut next_vport = self.next_vport;
-        let mut location = routes.clone();
+        let mut location = routes;
         let mut migrations = self.migrations;
         migrations.sort_by_key(|m| m.at);
         let mut commands: Vec<(u64, usize, HostCmd)> = Vec::new();
         for m in migrations {
             let tick = m.at.as_nanos() / tick_ns;
-            let from = *location.get(&m.ip).expect("migrating pod must be attached");
+            let from = location.get(m.ip).expect("migrating pod must be attached");
             if from == m.to_host {
                 continue;
             }
@@ -326,38 +346,32 @@ pub struct FleetSim {
     commands: Vec<(u64, usize, HostCmd)>,
 }
 
+/// A delivery in flight: `(destination shard, parcel naming its
+/// sender)`.
+type Delivery = (usize, Parcel);
+
+/// The stepped engine's per-tick messages. `work` (one entry per owned
+/// shard, in the worker's shard order) and `emitted` round-trip between
+/// coordinator and worker, so their buffers are reused every tick.
 enum ToWorker {
     Tick {
         tick: u64,
-        /// (shard, inbound, commands) for each shard this worker owns.
-        batches: Vec<(usize, Inbound, Vec<HostCmd>)>,
+        work: Vec<ShardInput>,
+        /// Empty; the worker fills it with the tick's emissions.
+        emitted: Vec<Delivery>,
     },
     Finish,
 }
 
-/// One cross-worker delivery: `(deliver_tick, from_shard, dst_shard,
-/// packets, receipts)` — everything `from_shard` emitted towards
-/// `dst_shard` during tick `deliver_tick − 1`.
-type FlushItem = (u64, usize, usize, Vec<NodePacket<usize>>, Vec<Receipt>);
-
-/// One sender's share of a `(tick, shard)` delivery slot:
-/// `(from_shard, packets, receipts)`.
-type Contribution = (usize, Vec<NodePacket<usize>>, Vec<Receipt>);
-
-/// One lookahead exchange between event-loop workers. With empty
-/// `items` this is a pure null message: it carries only the promise.
-struct Flush {
-    from: usize,
-    /// The sender promises to deliver nothing at ticks ≤ `safe` beyond
-    /// the items flushed so far — the receiver may execute through
-    /// `safe` without hearing from this sender again.
-    safe: u64,
-    items: Vec<FlushItem>,
-}
-
 enum FromWorker {
-    Ticked { outputs: Vec<(usize, ShardOutput)> },
-    Done { shards: Vec<HostShard> },
+    Ticked {
+        /// Consumed: every input left empty.
+        work: Vec<ShardInput>,
+        emitted: Vec<Delivery>,
+    },
+    Done {
+        shards: Vec<HostShard>,
+    },
 }
 
 fn worker_loop(
@@ -367,20 +381,21 @@ fn worker_loop(
     rx: Receiver<ToWorker>,
     tx: SyncSender<FromWorker>,
 ) {
+    let mut out = ShardOutput::new(ctx.shards);
     loop {
         match rx.recv().expect("coordinator hung up mid-run") {
-            ToWorker::Tick { tick, batches } => {
+            ToWorker::Tick {
+                tick,
+                mut work,
+                mut emitted,
+            } => {
                 let now = SimTime::from_nanos(tick * tick_ns);
                 let next = now + SimTime::from_nanos(tick_ns);
-                let mut outputs = Vec::with_capacity(batches.len());
-                for (shard_id, inbound, cmds) in batches {
-                    let shard = shards
-                        .iter_mut()
-                        .find(|s| s.id == shard_id)
-                        .expect("worker owns the shard it is asked to step");
-                    outputs.push((shard_id, shard.tick(tick, now, next, &ctx, inbound, &cmds)));
+                for (shard, input) in shards.iter_mut().zip(work.iter_mut()) {
+                    shard.tick(tick, now, next, &ctx, input, &mut out);
+                    emitted.extend(out.drain_from(shard.id));
                 }
-                tx.send(FromWorker::Ticked { outputs })
+                tx.send(FromWorker::Ticked { work, emitted })
                     .expect("coordinator hung up mid-run");
             }
             ToWorker::Finish => {
@@ -394,11 +409,69 @@ fn worker_loop(
     }
 }
 
+/// One lookahead exchange between event-loop workers. With empty
+/// `items` this is a pure null message: it carries only the promise.
+struct Flush {
+    from: usize,
+    /// The sender promises to deliver nothing at ticks ≤ `safe` beyond
+    /// the items flushed so far — the receiver may execute through
+    /// `safe` without hearing from this sender again.
+    safe: u64,
+    /// `(deliver_tick, delivery)`: what a shard emitted towards one of
+    /// the receiver's during tick `deliver_tick − 1`.
+    items: Vec<(u64, Delivery)>,
+}
+
+/// Deliveries filed for future ticks: deliver tick → `(local shard,
+/// parcel)` in arrival order (the consuming shard merges its parcels in
+/// sending-shard order). Emptied per-tick lists are kept for reuse, so
+/// filing allocates only while the window of ticks in flight grows.
+#[derive(Default)]
+struct Pending {
+    by_tick: BTreeMap<u64, Vec<Delivery>>,
+    spare: Vec<Vec<Delivery>>,
+}
+
+impl Pending {
+    /// Emptied lists kept; ticks with filed deliveries are at most a
+    /// lookahead window apart.
+    const SPARE_CAP: usize = 8;
+
+    fn first_tick(&self) -> Option<u64> {
+        self.by_tick.first_key_value().map(|(&t, _)| t)
+    }
+
+    #[inline]
+    fn file(&mut self, at: u64, local: usize, parcel: Parcel) {
+        let spare = &mut self.spare;
+        self.by_tick
+            .entry(at)
+            .or_insert_with(|| spare.pop().unwrap_or_default())
+            .push((local, parcel));
+    }
+
+    /// Moves everything filed for tick `e` into its shard's `inbound`,
+    /// naming each receiving shard in `due`.
+    fn deliver(&mut self, e: u64, work: &mut [ShardInput], due: &mut Vec<usize>) {
+        let Some(mut batch) = self.by_tick.remove(&e) else {
+            return;
+        };
+        for (li, parcel) in batch.drain(..) {
+            work[li].inbound.push(parcel);
+            due.push(li);
+        }
+        if self.spare.len() < Self::SPARE_CAP {
+            self.spare.push(batch);
+        }
+    }
+}
+
 /// The per-worker state of the event-driven engine: the shards this
 /// worker owns plus their merged event queue — pending deliveries
-/// keyed by `(tick, local shard)`, the tick-sorted command stream, and
-/// a wake heap lazily invalidated through `wake_at` (an entry is live
-/// only while it equals the shard's authoritative deadline).
+/// keyed by tick, the tick-sorted command stream, and a wake heap
+/// lazily invalidated through `wake_at` (an entry is live only while
+/// it equals the shard's authoritative deadline) — and the scratch an
+/// executed tick works in, kept across ticks so none is allocated.
 struct EventWorker {
     me: usize,
     ctx: TickCtx,
@@ -408,21 +481,23 @@ struct EventWorker {
     owner: Vec<usize>,
     /// Owned shards, ascending id.
     shards: Vec<HostShard>,
-    /// Shard id → index into `shards`.
-    // audit: allow(determinism) -- keyed get() only, never iterated
-    local_index: HashMap<usize, usize>,
+    /// Shard id → index into its owner's `shards`.
+    local_index: Vec<usize>,
     /// This worker's shards' commands, tick order.
     commands: Vec<(u64, usize, HostCmd)>,
     cmd_cursor: usize,
-    /// `(deliver_tick, local shard)` → per-sender contributions, each
-    /// tagged with the sending shard so consumption can merge them in
-    /// sending-shard order regardless of arrival order.
-    pending: BTreeMap<(u64, usize), Vec<Contribution>>,
+    pending: Pending,
     wake_at: Vec<u64>,
     heap: BinaryHeap<Reverse<(u64, usize)>>,
     /// Cross-worker emissions awaiting the next flush, by destination
     /// worker.
-    outbox: Vec<Vec<FlushItem>>,
+    outbox: Vec<Vec<(u64, Delivery)>>,
+    /// Local shards to step this tick, ascending.
+    due: Vec<usize>,
+    /// Per local shard: this tick's commands and inbound parcels.
+    /// Empty between ticks.
+    work: Vec<ShardInput>,
+    out: ShardOutput,
     /// Harness self-profiling for this worker (heap churn, null
     /// messages) — diagnostic only, never part of the simulated state.
     profile: EngineProfile,
@@ -433,13 +508,14 @@ impl EventWorker {
     /// the next sample boundary (global, mandatory), the next command,
     /// the earliest pending delivery, or the earliest live wake
     /// deadline. Stale heap entries are discarded on the way.
+    // audit: hotpath
     fn next_event(&mut self, t: u64) -> u64 {
         let every = self.ctx.sample_every_ticks;
         let mut e = t + (every - 1 - (t % every));
         if let Some((ct, _, _)) = self.commands.get(self.cmd_cursor) {
             e = e.min((*ct).max(t));
         }
-        if let Some((&(dt, _), _)) = self.pending.first_key_value() {
+        if let Some(dt) = self.pending.first_tick() {
             e = e.min(dt.max(t));
         }
         while let Some(&Reverse((wt, s))) = self.heap.peek() {
@@ -453,71 +529,71 @@ impl EventWorker {
         e
     }
 
-    /// Executes tick `e` across the owned shards that have work —
-    /// exactly the work the stepped engine would do, minus the shards
-    /// with provably nothing to observe.
+    /// Executes tick `e` across the owned shards that have an event at
+    /// it — exactly the work the stepped engine would do, minus the
+    /// shards with provably nothing to observe.
+    // audit: hotpath
     fn execute_tick(&mut self, e: u64) {
         let ctx = self.ctx;
         let now = SimTime::from_nanos(e * self.tick_ns);
         let next = SimTime::from_nanos((e + 1) * self.tick_ns);
-        let sample = (e + 1).is_multiple_of(ctx.sample_every_ticks);
-        let mut cmds_for: Vec<Vec<HostCmd>> = vec![Vec::new(); self.shards.len()];
+
+        // The due list: every shard one of the merged event sources
+        // names at `e`.
+        self.due.clear();
         while let Some((ct, sid, cmd)) = self.commands.get(self.cmd_cursor) {
             if *ct > e {
                 break;
             }
-            cmds_for[self.local_index[sid]].push(cmd.clone());
+            let li = self.local_index[*sid];
+            self.work[li].cmds.push(cmd.clone());
+            self.due.push(li);
             self.cmd_cursor += 1;
         }
-        for (li, cmds) in cmds_for.iter().enumerate() {
-            let inbound = self.pending.remove(&(e, li)).map(|mut contribs| {
-                contribs.sort_by_key(|(from, _, _)| *from);
-                let mut inb = Inbound::default();
-                for (_, pkts, rcpts) in contribs {
-                    inb.packets.extend(pkts);
-                    inb.receipts.extend(rcpts);
-                }
-                inb
-            });
-            let must = sample || inbound.is_some() || !cmds.is_empty() || self.wake_at[li] <= e;
-            if !must {
-                continue;
+        self.pending.deliver(e, &mut self.work, &mut self.due);
+        // Every deadline ≤ e leaves the heap here: the live ones run
+        // now and are re-scheduled past `e`, the rest were stale.
+        while let Some(&Reverse((wt, li))) = self.heap.peek() {
+            if wt > e {
+                break;
             }
-            let out = self.shards[li].tick(e, now, next, &ctx, inbound.unwrap_or_default(), cmds);
-            let sid = self.shards[li].id;
-            // Emissions from the final tick would deliver past the end
-            // of the run; the stepped engine drops them the same way.
-            if e + 1 < self.ticks {
-                for (dst, (pkts, rcpts)) in out.packets.into_iter().zip(out.receipts).enumerate() {
-                    if pkts.is_empty() && rcpts.is_empty() {
-                        continue;
-                    }
-                    let w = self.owner[dst];
-                    if w == self.me {
-                        self.pending
-                            .entry((e + 1, self.local_index[&dst]))
-                            .or_default()
-                            .push((sid, pkts, rcpts));
-                    } else {
-                        self.outbox[w].push((e + 1, sid, dst, pkts, rcpts));
-                    }
-                }
-            }
-            let w = self.shards[li].next_wake(e + 1, &ctx, self.tick_ns);
-            self.wake_at[li] = w;
-            if w != u64::MAX {
-                self.heap.push(Reverse((w, li)));
-                self.profile.wake_pushes += 1;
+            self.heap.pop();
+            self.profile.wake_stale_pops += 1;
+            if self.wake_at[li] == wt {
+                self.due.push(li);
             }
         }
-        // Every deadline ≤ e belonged to a shard that just ran (a live
-        // wake ≤ e forces `must`) and was re-scheduled past `e`.
-        while let Some(&Reverse((wt, _))) = self.heap.peek() {
-            if wt <= e {
-                self.heap.pop();
-                self.profile.wake_stale_pops += 1;
-            } else {
-                break;
+        if (e + 1).is_multiple_of(ctx.sample_every_ticks) {
+            self.due.clear();
+            self.due.extend(0..self.shards.len());
+        } else {
+            self.due.sort_unstable();
+            self.due.dedup();
+        }
+
+        // Emissions from the final tick would deliver past the end of
+        // the run; the stepped engine drops them the same way.
+        let deliverable = e + 1 < self.ticks;
+        for i in 0..self.due.len() {
+            let li = self.due[i];
+            self.shards[li].tick(e, now, next, &ctx, &mut self.work[li], &mut self.out);
+            let sid = self.shards[li].id;
+            for (dst, parcel) in self.out.drain_from(sid) {
+                if !deliverable {
+                    continue;
+                }
+                let owner = self.owner[dst];
+                if owner == self.me {
+                    self.pending.file(e + 1, self.local_index[dst], parcel);
+                } else {
+                    self.outbox[owner].push((e + 1, (dst, parcel)));
+                }
+            }
+            let wake = self.shards[li].next_wake(e + 1, &ctx, self.tick_ns);
+            self.wake_at[li] = wake;
+            if wake != u64::MAX {
+                self.heap.push(Reverse((wake, li)));
+                self.profile.wake_pushes += 1;
             }
         }
     }
@@ -550,21 +626,13 @@ impl EventWorker {
 
     /// Folds one peer flush in: advance that peer's promise, file its
     /// deliveries.
-    // audit: allow(determinism) -- frontier is only get_mut() here and min-folded by the caller; both order-independent
-    fn absorb(&mut self, frontier: &mut HashMap<usize, u64>, msg: Flush) {
-        let f = frontier
-            .get_mut(&msg.from)
-            .expect("flush from a known peer");
+    fn absorb(&mut self, frontier: &mut [u64], msg: Flush) {
+        let f = &mut frontier[msg.from];
         *f = (*f).max(msg.safe);
-        for (dt, from, dst, pkts, rcpts) in msg.items {
-            if dt >= self.ticks {
-                continue;
+        for (dt, (dst, parcel)) in msg.items {
+            if dt < self.ticks {
+                self.pending.file(dt, self.local_index[dst], parcel);
             }
-            let li = self.local_index[&dst];
-            self.pending
-                .entry((dt, li))
-                .or_default()
-                .push((from, pkts, rcpts));
         }
     }
 }
@@ -578,16 +646,14 @@ fn worker_event_loop(
     rx: Receiver<Flush>,
 ) -> (Vec<HostShard>, EngineProfile) {
     let ticks = w.ticks;
-    // audit: allow(determinism) -- consumed via a min() fold over values: commutative, order cannot reach the report
-    let mut frontier: HashMap<usize, u64> = peers.iter().map(|(p, _)| (*p, 0)).collect();
+    // Worker → the tick it has promised to deliver nothing at or
+    // before; this worker's own entry never constrains it.
+    let mut frontier: Vec<u64> = vec![0; w.outbox.len()];
+    frontier[w.me] = u64::MAX;
+    let horizon = |frontier: &[u64]| frontier.iter().copied().min().unwrap_or(u64::MAX);
     let mut t: u64 = 0;
     loop {
-        let h = frontier
-            .values()
-            .copied()
-            .min()
-            .unwrap_or(u64::MAX)
-            .min(ticks - 1);
+        let h = horizon(&frontier).min(ticks - 1);
         while t <= h {
             let e = w.next_event(t);
             if e > h {
@@ -621,7 +687,7 @@ fn worker_event_loop(
                 items,
             });
         }
-        while frontier.values().copied().min().unwrap_or(u64::MAX) <= h {
+        while horizon(&frontier) <= h {
             let msg = rx.recv().expect("peer worker hung up mid-run");
             w.absorb(&mut frontier, msg);
             while let Ok(m) = rx.try_recv() {
@@ -629,6 +695,25 @@ fn worker_event_loop(
             }
         }
     }
+}
+
+/// Round-robin ownership of `shards` (in id order): shard `i` belongs
+/// to worker `i % workers`. Returns each worker's shards (ascending
+/// id), shard id → owner, and shard id → index within its owner's part.
+fn partition(
+    shards: Vec<HostShard>,
+    workers: usize,
+) -> (Vec<Vec<HostShard>>, Vec<usize>, Vec<usize>) {
+    let mut parts: Vec<Vec<HostShard>> = (0..workers).map(|_| Vec::new()).collect();
+    let mut owner = Vec::with_capacity(shards.len());
+    let mut local_index = Vec::with_capacity(shards.len());
+    for shard in shards {
+        let w = shard.id % workers;
+        owner.push(w);
+        local_index.push(parts[w].len());
+        parts[w].push(shard);
+    }
+    (parts, owner, local_index)
 }
 
 impl FleetSim {
@@ -701,11 +786,7 @@ impl FleetSim {
             );
         }
 
-        let owner: Vec<usize> = (0..n).map(|i| i % workers).collect();
-        let mut parts: Vec<Vec<HostShard>> = (0..workers).map(|_| Vec::new()).collect();
-        for shard in shards {
-            parts[shard.id % workers].push(shard);
-        }
+        let (parts, owner, local_index) = partition(shards, workers);
         let mut part_cmds: Vec<Vec<(u64, usize, HostCmd)>> =
             (0..workers).map(|_| Vec::new()).collect();
         for (tick, shard, cmd) in commands {
@@ -729,9 +810,6 @@ impl FleetSim {
                 .filter(|p| *p != me)
                 .map(|p| (p, txs[p].clone()))
                 .collect();
-            // audit: allow(determinism) -- keyed get() only, never iterated
-            let local_index: HashMap<usize, usize> =
-                part.iter().enumerate().map(|(i, s)| (s.id, i)).collect();
             let wake_at: Vec<u64> = part.iter().map(|s| s.next_wake(0, &ctx, tick_ns)).collect();
             let heap: BinaryHeap<Reverse<(u64, usize)>> = wake_at
                 .iter()
@@ -745,14 +823,17 @@ impl FleetSim {
                 tick_ns,
                 ticks,
                 owner: owner.clone(),
+                work: part.iter().map(|_| ShardInput::default()).collect(),
                 shards: part,
-                local_index,
+                local_index: local_index.clone(),
                 commands: cmds,
                 cmd_cursor: 0,
-                pending: BTreeMap::new(),
+                pending: Pending::default(),
                 wake_at,
                 heap,
                 outbox: (0..workers).map(|_| Vec::new()).collect(),
+                due: Vec::new(),
+                out: ShardOutput::new(ctx.shards),
                 profile: EngineProfile {
                     worker: me,
                     ..EngineProfile::default()
@@ -809,13 +890,16 @@ impl FleetSim {
         let tick_ns = sim.tick.as_nanos();
         let ticks = sim.tick_count();
 
-        // Partition shards round-robin over workers; remember the owner
-        // of each shard id.
-        let owner: Vec<usize> = (0..n).map(|i| i % workers).collect();
-        let mut parts: Vec<Vec<HostShard>> = (0..workers).map(|_| Vec::new()).collect();
-        for shard in shards {
-            parts[shard.id % workers].push(shard);
-        }
+        let (parts, owner, local_index) = partition(shards, workers);
+
+        // Each worker's per-shard inputs and its emission list: filled
+        // here, consumed by the worker and handed back with the tick's
+        // result, so the same buffers serve every tick.
+        let mut work: Vec<Vec<ShardInput>> = parts
+            .iter()
+            .map(|part| part.iter().map(|_| ShardInput::default()).collect())
+            .collect();
+        let mut emitted: Vec<Vec<Delivery>> = (0..workers).map(|_| Vec::new()).collect();
 
         // Bounded channels: one in-flight epoch per worker keeps the
         // pipeline tight without unbounded buffering.
@@ -832,57 +916,48 @@ impl FleetSim {
             }));
         }
 
-        let mut inbounds: Vec<Inbound> = (0..n).map(|_| Inbound::default()).collect();
         let mut cmd_cursor = 0usize;
         for tick in 0..ticks {
             // Commands scheduled for this epoch, already in shard order
             // within the tick.
-            let mut tick_cmds: Vec<Vec<HostCmd>> = (0..n).map(|_| Vec::new()).collect();
-            while cmd_cursor < commands.len() && commands[cmd_cursor].0 <= tick {
-                let (_, shard, cmd) = commands[cmd_cursor].clone();
-                tick_cmds[shard].push(cmd);
+            while let Some((ct, shard, cmd)) = commands.get(cmd_cursor) {
+                if *ct > tick {
+                    break;
+                }
+                work[owner[*shard]][local_index[*shard]]
+                    .cmds
+                    .push(cmd.clone());
                 cmd_cursor += 1;
             }
 
             // Dispatch: hand every worker its shards' inbound + cmds.
-            let mut batches: Vec<Vec<(usize, Inbound, Vec<HostCmd>)>> =
-                (0..workers).map(|_| Vec::new()).collect();
-            for (shard_id, inbound) in inbounds.drain(..).enumerate() {
-                batches[owner[shard_id]].push((
-                    shard_id,
-                    inbound,
-                    std::mem::take(&mut tick_cmds[shard_id]),
-                ));
-            }
-            for (w, batch) in batches.into_iter().enumerate() {
-                to_workers[w]
-                    .send(ToWorker::Tick {
-                        tick,
-                        batches: batch,
-                    })
-                    .expect("worker died mid-run");
+            for (w, tx) in to_workers.iter().enumerate() {
+                tx.send(ToWorker::Tick {
+                    tick,
+                    work: std::mem::take(&mut work[w]),
+                    emitted: std::mem::take(&mut emitted[w]),
+                })
+                .expect("worker died mid-run");
             }
 
-            // Barrier: collect every shard's output, then merge for the
-            // next epoch in sending-shard order.
-            let mut outputs: Vec<Option<ShardOutput>> = (0..n).map(|_| None).collect();
-            for rx in &from_workers {
+            // Barrier: collect every worker's emissions, then file them
+            // as the next epoch's inbound (each shard merges its own in
+            // sending-shard order).
+            for (w, rx) in from_workers.iter().enumerate() {
                 match rx.recv().expect("worker died mid-run") {
-                    FromWorker::Ticked { outputs: outs } => {
-                        for (shard_id, out) in outs {
-                            outputs[shard_id] = Some(out);
-                        }
+                    FromWorker::Ticked {
+                        work: consumed,
+                        emitted: em,
+                    } => {
+                        work[w] = consumed;
+                        emitted[w] = em;
                     }
                     FromWorker::Done { .. } => unreachable!("workers only finish on request"),
                 }
             }
-            inbounds = (0..n).map(|_| Inbound::default()).collect();
-            for output in outputs.into_iter().map(|o| o.expect("every shard stepped")) {
-                for (dst, pkts) in output.packets.into_iter().enumerate() {
-                    inbounds[dst].packets.extend(pkts);
-                }
-                for (home, receipts) in output.receipts.into_iter().enumerate() {
-                    inbounds[home].receipts.extend(receipts);
+            for list in &mut emitted {
+                for (dst, parcel) in list.drain(..) {
+                    work[owner[dst]][local_index[dst]].inbound.push(parcel);
                 }
             }
         }

@@ -32,6 +32,7 @@ pub mod config;
 pub mod engine;
 pub mod placement;
 pub mod report;
+pub mod routes;
 pub mod scenario;
 mod shard;
 
@@ -40,6 +41,7 @@ pub use engine::{FleetBuilder, FleetSim};
 pub use pi_sim::{TraceConfig, TraceEvent, TraceEventKind, TraceReport};
 pub use placement::ClusterBuilder;
 pub use report::{BlastRadius, EngineProfile, EngineStats, FleetReport, FLUSH_LOG_CAP};
+pub use routes::RouteTable;
 pub use scenario::{
     fleet_colocation, fleet_migration, fleet_sparse, ColocationHandles, ColocationParams,
     MigrationHandles, MigrationParams, SparseHandles, SparseParams,

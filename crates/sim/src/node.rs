@@ -511,38 +511,42 @@ impl<T> NodeCell<T> {
                 rcp.reconcile(now, &installed);
             }
         }
-        let mut keys = [FlowKey::default(); BATCH_SIZE];
-        while !down && budget > 0 && !self.queue.is_empty() {
-            let n = self.queue.len().min(BATCH_SIZE);
-            for (slot, pkt) in keys.iter_mut().zip(self.queue.iter()) {
-                *slot = pkt.key;
-            }
-            // Split borrows: the backend runs the batch while the sink
-            // closure pops the matching packets off the queue.
-            let switch = &mut *self.backend;
-            let queue = &mut self.queue;
-            let window_cycles = &mut self.window_cycles;
-            let deferred = &mut self.deferred;
-            switch.process_batch(&keys[..n], now, &mut |_, outcome| {
-                let pkt = queue.pop_front().expect("batch mirrors the queue head");
-                budget -= outcome.cycles as i64;
-                *window_cycles += outcome.cycles;
-                match outcome.path {
-                    PathTaken::UpcallQueued { token, .. } => {
-                        deferred.insert(token, (pkt.bytes, pkt.source));
-                    }
-                    PathTaken::UpcallDropped { .. } => sink(pkt, Routing::UpcallDropped),
-                    _ => {
-                        let routing = match outcome.output.map(Port::from_raw) {
-                            Some(Port::Uplink) => Routing::Uplink,
-                            Some(Port::Local(vport)) => Routing::Local(vport),
-                            None => Routing::Denied,
-                        };
-                        sink(pkt, routing);
-                    }
+        // The batch scratch is only set up when there is a batch to run:
+        // most ticks of an idle host find the queue empty.
+        if !down && budget > 0 && !self.queue.is_empty() {
+            let mut keys = [FlowKey::default(); BATCH_SIZE];
+            while budget > 0 && !self.queue.is_empty() {
+                let n = self.queue.len().min(BATCH_SIZE);
+                for (slot, pkt) in keys.iter_mut().zip(self.queue.iter()) {
+                    *slot = pkt.key;
                 }
-                budget > 0
-            });
+                // Split borrows: the backend runs the batch while the sink
+                // closure pops the matching packets off the queue.
+                let switch = &mut *self.backend;
+                let queue = &mut self.queue;
+                let window_cycles = &mut self.window_cycles;
+                let deferred = &mut self.deferred;
+                switch.process_batch(&keys[..n], now, &mut |_, outcome| {
+                    let pkt = queue.pop_front().expect("batch mirrors the queue head");
+                    budget -= outcome.cycles as i64;
+                    *window_cycles += outcome.cycles;
+                    match outcome.path {
+                        PathTaken::UpcallQueued { token, .. } => {
+                            deferred.insert(token, (pkt.bytes, pkt.source));
+                        }
+                        PathTaken::UpcallDropped { .. } => sink(pkt, Routing::UpcallDropped),
+                        _ => {
+                            let routing = match outcome.output.map(Port::from_raw) {
+                                Some(Port::Uplink) => Routing::Uplink,
+                                Some(Port::Local(vport)) => Routing::Local(vport),
+                                None => Routing::Denied,
+                            };
+                            sink(pkt, routing);
+                        }
+                    }
+                    budget > 0
+                });
+            }
         }
         self.cycle_carry = budget.min(0);
         if down {
