@@ -1,40 +1,196 @@
 //! Flat open-addressing hash tables keyed by precomputed flow hashes.
 //!
-//! Every Tuple Space Search subtable (and every staged-lookup stage set)
-//! is a hash table from a canonical masked [`FlowKey`] to a payload. The
-//! std `HashMap` served there, but it costs a SipHash of the whole key
-//! per probe and scatters entries behind per-instance random state. The
-//! hot path wants the opposite: the hash is **already computed** (one
-//! pass per packet via [`pi_core::KeyWords`]), lookups should touch one
-//! contiguous slot run, and behaviour must be bit-reproducible.
+//! Every Tuple Space Search subtable, every staged-lookup stage set and
+//! the exact-match backends' flow tables are hash tables from a
+//! canonical masked [`FlowKey`] to a payload. The hash is **already
+//! computed** by the caller (one pass per packet via
+//! [`pi_core::KeyWords`]); the table itself never hashes, and behaviour
+//! is bit-reproducible.
 //!
-//! [`FlatTable`] is that store: power-of-two capacity, linear probing
-//! from `hash & (capacity - 1)`, and **tombstone-free** removal — a
-//! removal rebuilds the probe run after the hole (backward-shift
-//! deletion), so tables never accumulate deleted markers and lookup cost
-//! never degrades below what the live entries dictate. All operations
-//! take the entry hash from the caller; the table itself never hashes.
+//! **Layout: tags beside payloads.** A table is two parallel slices of
+//! one power-of-two capacity: `tags: [u64]` and `slots: [Option<(FlowKey,
+//! V)>]`. A tag is `0` for an empty slot and the entry's hash with the
+//! top bit set for an occupied one; an entry's probe run starts at
+//! `hash & (capacity - 1)` and advances linearly. A probe reads tags
+//! only — eight to a cache line — and touches a payload solely on a tag
+//! match, so a miss costs one tag. Removal is **tombstone-free**: the
+//! probe run behind the hole is shifted back (backward-shift deletion),
+//! so tables never accumulate deleted markers.
+//!
+//! The probing, placement and backshift logic exists once, as the
+//! slice-level functions below (`probe`, `place`, `take_at`, `rehash`,
+//! `retain_in_place`). [`FlatTable`] runs them over two
+//! `Vec`s it owns; [`crate::TupleSpaceSearch`] runs the same functions
+//! over per-subtable regions of its one tag arena, which is why the two
+//! place entries identically.
 
 use pi_core::FlowKey;
 
-/// One occupied slot.
-#[derive(Debug, Clone)]
-struct Slot<V> {
+/// Smallest capacity of a table (or arena region) that holds entries.
+pub(crate) const MIN_CAPACITY: usize = 8;
+
+/// Set in every occupied slot's tag, so that no entry's tag is 0.
+const OCCUPIED: u64 = 1 << 63;
+
+/// One payload slot; `Some` exactly where the parallel tag is non-zero.
+pub(crate) type Slot<V> = Option<(FlowKey, V)>;
+
+/// The tag an entry with `hash` is stored under (idempotent: a tag's
+/// tag is itself).
+#[inline(always)]
+pub(crate) fn tag_of(hash: u64) -> u64 {
+    hash | OCCUPIED
+}
+
+/// True when a table of `capacity` slots may not hold `len` entries
+/// (load above 7/8): the caller doubles before inserting.
+#[inline]
+pub(crate) fn overloaded(len: usize, capacity: usize) -> bool {
+    len * 8 > capacity * 7
+}
+
+/// Walks `hash`'s probe run over the tags alone: `Ok(i)` is the first
+/// slot with `hash`'s tag for which `is_match(i)` holds, `Err(i)` the
+/// empty slot that ends the run (where an absent key would be placed).
+/// Payloads are the caller's to read, and only on a tag match — see
+/// [`key_at`]. `tags` must be a non-empty power of two long and hold at
+/// least one empty slot.
+#[inline]
+// audit: hotpath
+pub(crate) fn probe(
+    tags: &[u64],
     hash: u64,
-    key: FlowKey,
-    value: V,
+    mut is_match: impl FnMut(usize) -> bool,
+) -> Result<usize, usize> {
+    debug_assert!(tags.len().is_power_of_two());
+    let mask = tags.len() - 1;
+    let tag = tag_of(hash);
+    let mut i = (hash as usize) & mask;
+    loop {
+        let t = tags[i];
+        if t == 0 {
+            return Err(i);
+        }
+        if t == tag && is_match(i) {
+            return Ok(i);
+        }
+        i = (i + 1) & mask;
+    }
+}
+
+/// The canonical key stored in slot `i`, for [`probe`]'s `is_match`:
+/// equality when the key is canonical too, a mask-aware comparison when
+/// the TSS walk probes with a *raw* packet (so no masked key is ever
+/// materialised).
+#[inline(always)]
+pub(crate) fn key_at<V>(slots: &[Slot<V>], i: usize) -> Option<&FlowKey> {
+    slots[i].as_ref().map(|(k, _)| k)
+}
+
+/// Writes an entry the caller knows to be absent into the first free
+/// slot of its probe run (`hash` may be the entry's hash or its tag);
+/// returns the slot.
+pub(crate) fn place<V>(
+    tags: &mut [u64],
+    slots: &mut [Slot<V>],
+    hash: u64,
+    entry: (FlowKey, V),
+) -> usize {
+    let mask = tags.len() - 1;
+    let tag = tag_of(hash);
+    let mut i = (tag as usize) & mask;
+    while tags[i] != 0 {
+        i = (i + 1) & mask;
+    }
+    tags[i] = tag;
+    slots[i] = Some(entry);
+    i
+}
+
+/// Empties slot `i` and rebuilds the probe run behind it (backward-shift
+/// deletion — no tombstones). `None` when the slot was already empty.
+#[inline]
+// audit: hotpath
+pub(crate) fn take_at<V>(
+    tags: &mut [u64],
+    slots: &mut [Slot<V>],
+    i: usize,
+) -> Option<(FlowKey, V)> {
+    let mask = tags.len() - 1;
+    let removed = slots[i].take();
+    tags[i] = 0;
+    // Close the hole: walk the cluster after `i`; any entry whose ideal
+    // position does not lie strictly inside (hole, j] slides back into
+    // the hole (its probe path passed through it).
+    let mut hole = i;
+    let mut j = i;
+    loop {
+        j = (j + 1) & mask;
+        let t = tags[j];
+        if t == 0 {
+            break;
+        }
+        let ideal = (t as usize) & mask;
+        if ((j.wrapping_sub(ideal)) & mask) >= ((j.wrapping_sub(hole)) & mask) {
+            tags[hole] = t;
+            tags[j] = 0;
+            slots[hole] = slots[j].take();
+            hole = j;
+        }
+    }
+    removed
+}
+
+/// Moves every entry of one table into another (empty, large enough) in
+/// slot order, leaving the source empty — how a table doubles.
+pub(crate) fn rehash<V>(
+    from_tags: &mut [u64],
+    from_slots: &mut [Slot<V>],
+    to_tags: &mut [u64],
+    to_slots: &mut [Slot<V>],
+) {
+    for (tag, slot) in from_tags.iter_mut().zip(from_slots.iter_mut()) {
+        if let Some(entry) = slot.take() {
+            place(to_tags, to_slots, *tag, entry);
+        }
+        *tag = 0;
+    }
+}
+
+/// Keeps only the entries for which `keep` returns true, rebuilding the
+/// table from the survivors in slot order (one rebuild instead of
+/// per-entry hole repairs); returns how many survive. `scratch` is
+/// drained before returning — callers sweeping many tables reuse it.
+pub(crate) fn retain_in_place<V>(
+    tags: &mut [u64],
+    slots: &mut [Slot<V>],
+    scratch: &mut Vec<(u64, (FlowKey, V))>,
+    mut keep: impl FnMut(&FlowKey, &mut V) -> bool,
+) -> usize {
+    for (tag, slot) in tags.iter_mut().zip(slots.iter_mut()) {
+        if let Some(entry) = slot.take() {
+            scratch.push((*tag, entry));
+        }
+        *tag = 0;
+    }
+    let mut kept = 0;
+    for (tag, mut entry) in scratch.drain(..) {
+        if keep(&entry.0, &mut entry.1) {
+            place(tags, slots, tag, entry);
+            kept += 1;
+        }
+    }
+    kept
 }
 
 /// A flat open-addressing map from (precomputed hash, canonical key) to
 /// `V`.
 #[derive(Debug, Clone)]
 pub struct FlatTable<V> {
-    slots: Vec<Option<Slot<V>>>,
+    tags: Vec<u64>,
+    slots: Vec<Slot<V>>,
     len: usize,
 }
-
-/// Smallest capacity allocated once a table holds entries.
-const MIN_CAPACITY: usize = 8;
 
 impl<V> Default for FlatTable<V> {
     fn default() -> Self {
@@ -46,6 +202,7 @@ impl<V> FlatTable<V> {
     /// An empty table (no allocation until the first insert).
     pub fn new() -> Self {
         FlatTable {
+            tags: Vec::new(),
             slots: Vec::new(),
             len: 0,
         }
@@ -63,39 +220,31 @@ impl<V> FlatTable<V> {
 
     /// Current slot capacity (a power of two, or 0 before first insert).
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.tags.len()
     }
 
-    #[inline(always)]
-    fn index_mask(&self) -> usize {
-        debug_assert!(self.slots.len().is_power_of_two());
-        self.slots.len() - 1
+    /// Replaces the storage with an empty one of `capacity` slots and
+    /// rehashes the entries into it.
+    fn grow(&mut self, capacity: usize) {
+        let mut tags = vec![0; capacity];
+        let mut slots = Vec::new();
+        slots.resize_with(capacity, || None);
+        rehash(&mut self.tags, &mut self.slots, &mut tags, &mut slots);
+        self.tags = tags;
+        self.slots = slots;
     }
 
-    /// Grows when the next insert would push load above 7/8.
-    fn reserve_one(&mut self) {
-        if self.slots.is_empty() {
-            self.slots = (0..MIN_CAPACITY).map(|_| None).collect();
-            return;
+    /// The slot holding the entry with `hash` whose stored canonical key
+    /// satisfies `eq`.
+    #[inline]
+    fn find(&self, hash: u64, mut eq: impl FnMut(&FlowKey) -> bool) -> Option<usize> {
+        if self.tags.is_empty() {
+            return None;
         }
-        if (self.len + 1) * 8 > self.slots.len() * 7 {
-            let new_cap = self.slots.len() * 2;
-            let old = std::mem::replace(&mut self.slots, (0..new_cap).map(|_| None).collect());
-            for slot in old.into_iter().flatten() {
-                self.place(slot);
-            }
-        }
-    }
-
-    /// Inserts into the first free slot of `slot.hash`'s probe run
-    /// (caller guarantees the key is absent).
-    fn place(&mut self, slot: Slot<V>) {
-        let mask = self.index_mask();
-        let mut i = (slot.hash as usize) & mask;
-        while self.slots[i].is_some() {
-            i = (i + 1) & mask;
-        }
-        self.slots[i] = Some(slot);
+        probe(&self.tags, hash, |i| {
+            key_at(&self.slots, i).is_some_and(&mut eq)
+        })
+        .ok()
     }
 
     /// Inserts `value` under `(hash, key)`; returns the previous value
@@ -103,51 +252,41 @@ impl<V> FlatTable<V> {
     /// (pre-masked) and `hash` must be its flow hash.
     // audit: hotpath -- growth is amortised in `grow`, outside this region by design
     pub fn insert(&mut self, hash: u64, key: FlowKey, value: V) -> Option<V> {
-        if !self.slots.is_empty() {
-            let mask = self.index_mask();
-            let mut i = (hash as usize) & mask;
-            loop {
-                match &mut self.slots[i] {
-                    Some(s) if s.hash == hash && s.key == key => {
-                        return Some(std::mem::replace(&mut s.value, value));
-                    }
-                    Some(_) => i = (i + 1) & mask,
-                    None => break,
+        let free = if self.tags.is_empty() {
+            None
+        } else {
+            match probe(&self.tags, hash, |i| key_at(&self.slots, i) == Some(&key)) {
+                Ok(i) => {
+                    let (_, stored) = self.slots[i].as_mut()?;
+                    return Some(std::mem::replace(stored, value));
                 }
+                Err(i) => Some(i),
             }
+        };
+        match free {
             // The presence scan already found the probe run's free slot;
-            // reuse it unless this insert crosses the load threshold.
-            if (self.len + 1) * 8 <= self.slots.len() * 7 {
-                self.slots[i] = Some(Slot { hash, key, value });
-                self.len += 1;
-                return None;
+            // it stands unless this insert crosses the load threshold.
+            Some(i) if !overloaded(self.len + 1, self.tags.len()) => {
+                self.tags[i] = tag_of(hash);
+                self.slots[i] = Some((key, value));
+            }
+            _ => {
+                self.grow((self.tags.len() * 2).max(MIN_CAPACITY));
+                place(&mut self.tags, &mut self.slots, hash, (key, value));
             }
         }
-        self.reserve_one();
-        self.place(Slot { hash, key, value });
         self.len += 1;
         None
     }
 
     /// Looks up by precomputed hash plus an equality predicate on the
-    /// stored canonical key — how the TSS walk probes with a *raw*
-    /// packet: the predicate is a mask-aware comparison, so no masked
-    /// key is ever materialised.
+    /// stored canonical key — how a *raw* packet probes: the predicate
+    /// is a mask-aware comparison, so no masked key is materialised.
     #[inline]
     // audit: hotpath
-    pub fn get_by_hash(&self, hash: u64, mut eq: impl FnMut(&FlowKey) -> bool) -> Option<&V> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        let mask = self.index_mask();
-        let mut i = (hash as usize) & mask;
-        while let Some(s) = &self.slots[i] {
-            if s.hash == hash && eq(&s.key) {
-                return Some(&s.value);
-            }
-            i = (i + 1) & mask;
-        }
-        None
+    pub fn get_by_hash(&self, hash: u64, eq: impl FnMut(&FlowKey) -> bool) -> Option<&V> {
+        let i = self.find(hash, eq)?;
+        self.slots[i].as_ref().map(|(_, v)| v)
     }
 
     /// Mutable variant of [`FlatTable::get_by_hash`].
@@ -156,21 +295,10 @@ impl<V> FlatTable<V> {
     pub fn get_mut_by_hash(
         &mut self,
         hash: u64,
-        mut eq: impl FnMut(&FlowKey) -> bool,
+        eq: impl FnMut(&FlowKey) -> bool,
     ) -> Option<&mut V> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        let mask = self.index_mask();
-        let mut i = (hash as usize) & mask;
-        loop {
-            match &self.slots[i] {
-                Some(s) if s.hash == hash && eq(&s.key) => break,
-                Some(_) => i = (i + 1) & mask,
-                None => return None,
-            }
-        }
-        self.slots[i].as_mut().map(|s| &mut s.value)
+        let i = self.find(hash, eq)?;
+        self.slots[i].as_mut().map(|(_, v)| v)
     }
 
     /// Exact-key lookup (key already canonical).
@@ -187,63 +315,32 @@ impl<V> FlatTable<V> {
     /// behind it (backward-shift deletion — no tombstones).
     // audit: hotpath
     pub fn remove(&mut self, hash: u64, key: &FlowKey) -> Option<V> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        let mask = self.index_mask();
-        let mut i = (hash as usize) & mask;
-        loop {
-            match &self.slots[i] {
-                Some(s) if s.hash == hash && s.key == *key => break,
-                Some(_) => i = (i + 1) & mask,
-                None => return None,
-            }
-        }
-        let removed = self.slots[i].take().expect("slot found above");
+        let i = self.find(hash, |k| k == key)?;
+        let (_, value) = take_at(&mut self.tags, &mut self.slots, i)?;
         self.len -= 1;
-        // Close the hole: walk the cluster after `i`; any entry whose
-        // ideal position does not lie strictly inside (hole, j] slides
-        // back into the hole (its probe path passed through it).
-        let mut hole = i;
-        let mut j = i;
-        loop {
-            j = (j + 1) & mask;
-            let Some(s) = &self.slots[j] else { break };
-            let ideal = (s.hash as usize) & mask;
-            if ((j.wrapping_sub(ideal)) & mask) >= ((j.wrapping_sub(hole)) & mask) {
-                self.slots[hole] = self.slots[j].take();
-                hole = j;
-            }
-        }
-        Some(removed.value)
+        Some(value)
     }
 
     /// Keeps only the entries for which `keep` returns true, rebuilding
-    /// the table from the survivors (the revalidator's sweep — one
-    /// rebuild instead of per-entry hole repairs).
-    pub fn retain(&mut self, mut keep: impl FnMut(&FlowKey, &mut V) -> bool) {
+    /// the table from the survivors in slot order (the revalidator's
+    /// sweep — one rebuild instead of per-entry hole repairs).
+    pub fn retain(&mut self, keep: impl FnMut(&FlowKey, &mut V) -> bool) {
         if self.len == 0 {
             return;
         }
-        let cap = self.slots.len();
-        let old = std::mem::replace(&mut self.slots, (0..cap).map(|_| None).collect());
-        self.len = 0;
-        for mut slot in old.into_iter().flatten() {
-            if keep(&slot.key, &mut slot.value) {
-                self.place(slot);
-                self.len += 1;
-            }
-        }
+        let mut scratch = Vec::with_capacity(self.len);
+        self.len = retain_in_place(&mut self.tags, &mut self.slots, &mut scratch, keep);
     }
 
     /// Iterates `(canonical key, value)` in slot order — deterministic
     /// for a given operation sequence (no random hash state).
     pub fn iter(&self) -> impl Iterator<Item = (&FlowKey, &V)> {
-        self.slots.iter().flatten().map(|s| (&s.key, &s.value))
+        self.slots.iter().flatten().map(|(k, v)| (k, v))
     }
 
     /// Removes every entry, keeping the allocation.
     pub fn clear(&mut self) {
+        self.tags.fill(0);
         self.slots.iter_mut().for_each(|s| *s = None);
         self.len = 0;
     }

@@ -20,11 +20,14 @@
 //!   correctness; the mechanism behind Fig. 2b's decomposition.
 //! * [`StagedIndex`] — OVS's staged-lookup optimisation (metadata → L2 →
 //!   L3 → L4) modelled for the mitigation ablation.
-//! * [`FlatTable`] — the flat open-addressing store behind subtables and
-//!   stage sets: keyed by precomputed deterministic flow hashes
-//!   ([`pi_core::KeyWords`]), linear probing, tombstone-free removal.
+//! * [`FlatTable`] — the flat open-addressing store behind stage sets
+//!   and the exact-match backends: keyed by precomputed deterministic
+//!   flow hashes ([`pi_core::KeyWords`]), a tag per slot beside the
+//!   payloads, linear probing, tombstone-free removal. The TSS runs the
+//!   same slice-level functions over regions of its one tag arena.
 
 pub mod action;
+mod arena;
 pub mod flat;
 pub mod index;
 pub mod linear;
@@ -42,4 +45,4 @@ pub use rule::{Rule, RuleId};
 pub use staged::StagedIndex;
 pub use table::FlowTable;
 pub use trie::PrefixTrie;
-pub use tss::{LookupOutcome, SubtableOrder, TssStats, TupleSpaceSearch};
+pub use tss::{LookupOutcome, SubtableOrder, TssStats, TssStorage, TupleSpaceSearch};

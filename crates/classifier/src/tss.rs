@@ -13,21 +13,51 @@
 //! engine serves as the megaflow cache store (`V = MegaflowEntry`) and as
 //! a general classifier in tests.
 //!
-//! **Hot-path design** (the allocation-free rebuild): each subtable is a
-//! [`FlatTable`] — open addressing, power-of-two capacity, linear
-//! probing — keyed by the entry's deterministic flow hash. A lookup
-//! extracts the packet's [`KeyWords`] **once** and derives its hash
-//! under every subtable's mask with one AND-and-mix per field
-//! ([`KeyWords::masked_hash`]); no masked `FlowKey` is materialised and
-//! nothing allocates per packet. Callers that already hold the packet's
-//! words (the datapath's batch path) use the `*_with` lookup variants to
-//! skip re-extraction.
+//! **Hot-path design: modelled linear walk, streamed execution.** The
+//! model is untouched — every lookup still visits the subtables one by
+//! one in probe order and reports one probe (and its stage units) per
+//! visit. What changed is what a visit costs the *host*: the walk reads
+//! two sequential streams instead of chasing a pointer per subtable.
+//!
+//! * **Probe-order rows.** `rows` holds one 32-byte `ProbeRow` per
+//!   subtable, *in probe order*: the two L4 mask words, the head-class
+//!   id, the tag region (base, log2 capacity), the stage cost and the
+//!   staged flag. Everything a missing probe needs is in the row.
+//! * **One tag arena.** Every subtable's hash tags live in one arena
+//!   (`arena.rs`), each subtable owning a power-of-two region (min 8
+//!   tags — one cache line's worth) managed by the same slice functions
+//!   as [`crate::FlatTable`] ([`crate::flat`]: linear probing from `hash
+//!   & (cap − 1)`, ×2 at 7/8 load, backshift delete). `(FlowKey, V)`
+//!   payloads sit in a parallel arena touched only on a tag match.
+//!   Regions are handed out append-only, so an attack's subtables —
+//!   created in probe order — are laid out in probe order and the walk
+//!   streams. A region left behind by growth or by a dropped subtable is
+//!   dead space; once dead exceeds live the arena is compacted (verbatim
+//!   region copies, probe order).
+//! * **Shared head state.** A mask's words split at the L3/L4 boundary
+//!   ([`MaskWords::split`]). The nine head words are interned into a
+//!   refcounted class table; the packet's fold over them
+//!   ([`KeyWords::head_state`]) is computed at most once per class per
+//!   lookup (memoised in scratch the TSS owns, validated by a per-lookup
+//!   stamp), and each probe finishes it with its row's two L4 words
+//!   ([`KeyWords::finish_hash`]). The attack's masks differ mostly in
+//!   their port prefixes, so a probe costs 2 mixes, not 11. The hash
+//!   value is bit-identical to [`KeyWords::masked_hash`].
+//!
+//! The cold half of a subtable (`Subtable`: the `FlowMask`, hit count,
+//! optional [`StagedIndex`], length) is read only on a tag match, a
+//! staged probe or a write. One private walk serves `lookup_mut_with`,
+//! `peek_with` and `lookup_best_by`. Callers that already hold the
+//! packet's words (the datapath's batch path) use the `*_with` variants
+//! to skip re-extraction; nothing allocates per lookup.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 
-use pi_core::{FlowKey, FlowMask, KeyWords, MaskWords, MaskedKey};
+use pi_core::{FlowKey, FlowMask, KeyWords, MaskWords, MaskedKey, HEAD_WORDS, TAIL_WORDS};
 
-use crate::flat::FlatTable;
+use crate::arena::Arena;
+use crate::flat::{self, MIN_CAPACITY};
 use crate::staged::StagedIndex;
 
 /// How the subtable list is ordered for the sequential walk.
@@ -46,46 +76,88 @@ pub enum SubtableOrder {
     },
 }
 
-/// One flat hash table of same-mask entries.
+/// The hot half of a subtable: what one probe of the walk reads. Rows
+/// are stored in probe order.
+#[derive(Debug, Clone, Copy)]
+struct ProbeRow {
+    /// The mask's L4 words ([`MaskWords::split`]).
+    tail: [u64; TAIL_WORDS],
+    /// Base of the subtable's region in the arena.
+    base: u32,
+    /// Head-class id: index into `classes` and into the per-lookup memo.
+    class: u32,
+    /// Index of the cold half in `subtables`.
+    sub: u32,
+    /// log2 of the region's capacity.
+    cap_log2: u8,
+    /// Hash work of one full (non-staged) probe, in stage units: the
+    /// number of protocol stages with mask bits (≥ 1). A staged probe
+    /// that aborts at stage `k` costs `k` of these units.
+    cost: u8,
+    /// Whether the cold half carries a [`StagedIndex`] to consult first.
+    staged: bool,
+}
+
+const _: () = assert!(std::mem::size_of::<ProbeRow>() == 32);
+
+/// `ProbeRow::sub` of a row whose subtable was dropped, until the sweep
+/// removes the row.
+const DROPPED: u32 = u32::MAX;
+
+/// The cold half of a subtable, in storage order (`swap_remove` on drop).
 #[derive(Debug, Clone)]
-struct Subtable<V> {
+struct Subtable {
     mask: FlowMask,
-    /// The mask's word representation, precomputed so a probe is one
-    /// masked-hash fold over the packet's words.
-    mask_words: MaskWords,
-    entries: FlatTable<V>,
     /// Hits since creation (drives `HitCountDescending`).
     hits: u64,
     /// Optional staged membership index.
     staged: Option<StagedIndex>,
-    /// Hash work of one full (non-staged) probe, in stage units: the
-    /// number of protocol stages with mask bits (≥ 1). A staged probe
-    /// that aborts at stage `k` costs `k` of these units.
-    full_probe_cost: usize,
+    /// Live entries in the region.
+    len: usize,
+    /// Position of the hot half in `rows`.
+    row: u32,
 }
 
-impl<V> Subtable<V> {
-    fn new(mask: FlowMask, staged_enabled: bool) -> Self {
-        let staged_probe = StagedIndex::new(&mask);
-        let full_probe_cost = staged_probe.stage_count().max(1);
-        Subtable {
-            mask,
-            mask_words: MaskWords::of(&mask),
-            entries: FlatTable::new(),
-            hits: 0,
-            staged: staged_enabled.then_some(staged_probe),
-            full_probe_cost,
-        }
-    }
+/// One interned set of head mask words.
+#[derive(Debug, Clone)]
+struct HeadClass {
+    head: [u64; HEAD_WORDS],
+    /// Subtables whose mask has this head; the id is recycled at 0.
+    refs: u32,
+}
 
-    /// A canonical entry key's hash: the masked key is pre-masked, so
-    /// its full hash equals its masked hash under this subtable's mask —
-    /// the invariant that lets raw packets probe with
-    /// [`KeyWords::masked_hash`].
-    #[inline]
-    fn entry_hash(key: &FlowKey) -> u64 {
-        KeyWords::of(key).full_hash()
+/// Per-lookup memo of [`KeyWords::head_state`] by class id. An entry is
+/// valid only while its stamp equals the current lookup's, so nothing
+/// computed for one packet can be served to the next.
+#[derive(Debug, Clone, Default)]
+struct HeadMemo {
+    stamp: u32,
+    states: Vec<(u32, u64)>,
+}
+
+impl HeadMemo {
+    /// Starts a lookup over `classes` class ids; returns its stamp.
+    fn begin(&mut self, classes: usize) -> u32 {
+        if self.states.len() < classes {
+            self.states.resize(classes, (0, 0));
+        }
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            // Wrapped: states stamped 2^32 lookups ago would read as
+            // current again. 0 is never a live stamp.
+            self.states.iter_mut().for_each(|s| s.0 = 0);
+            self.stamp = 1;
+        }
+        self.stamp
     }
+}
+
+/// A canonical entry key's hash: the masked key is pre-masked, so its
+/// full hash equals its masked hash under its subtable's mask — the
+/// invariant that lets raw packets probe with the masked hash.
+#[inline]
+fn entry_hash(key: &FlowKey) -> u64 {
+    KeyWords::of(key).full_hash()
 }
 
 /// Counters accumulated across lookups.
@@ -113,6 +185,22 @@ impl TssStats {
     }
 }
 
+/// Storage figures of a [`TupleSpaceSearch`] (capacity monitoring and
+/// tests; none of it is modelled).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TssStorage {
+    /// Slots the tag arena spans, dead regions included.
+    pub arena_slots: usize,
+    /// Slots of regions left behind by growth or dropped subtables.
+    pub dead_slots: usize,
+    /// Slots the arena has allocated.
+    pub arena_capacity: usize,
+    /// Head-class ids in the class table, recycled ones included.
+    pub head_classes: usize,
+    /// Arena compactions since construction.
+    pub compactions: u64,
+}
+
 /// The outcome of a single lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LookupOutcome<T> {
@@ -128,11 +216,22 @@ pub struct LookupOutcome<T> {
 /// A Tuple Space Search classifier / cache store.
 #[derive(Debug, Clone)]
 pub struct TupleSpaceSearch<V> {
-    subtables: Vec<Subtable<V>>,
-    /// Probe order: indices into `subtables`.
-    order: Vec<usize>,
+    /// Cold halves, storage order.
+    subtables: Vec<Subtable>,
+    /// Hot halves, probe order.
+    rows: Vec<ProbeRow>,
     /// mask → index into `subtables`.
     index: HashMap<FlowMask, usize>,
+    /// Every subtable's tags and, parallel to them, payloads.
+    arena: Arena<V>,
+    compactions: u64,
+    /// Interned head mask words; `class_index` finds an id by words and
+    /// `free_classes` holds ids whose refcount fell to 0.
+    classes: Vec<HeadClass>,
+    class_index: HashMap<[u64; HEAD_WORDS], u32>,
+    free_classes: Vec<u32>,
+    /// Scratch of the walk; a `RefCell` because `peek_with` walks `&self`.
+    memo: RefCell<HeadMemo>,
     entry_count: usize,
     ordering: SubtableOrder,
     staged_enabled: bool,
@@ -151,8 +250,14 @@ impl<V> TupleSpaceSearch<V> {
     pub fn new(ordering: SubtableOrder) -> Self {
         TupleSpaceSearch {
             subtables: Vec::new(),
-            order: Vec::new(),
+            rows: Vec::new(),
             index: HashMap::new(),
+            arena: Arena::new(),
+            compactions: 0,
+            classes: Vec::new(),
+            class_index: HashMap::new(),
+            free_classes: Vec::new(),
+            memo: RefCell::default(),
             entry_count: 0,
             ordering,
             staged_enabled: false,
@@ -184,9 +289,12 @@ impl<V> TupleSpaceSearch<V> {
         }
         self.staged_enabled = enabled;
         for st in &mut self.subtables {
+            let row = &mut self.rows[st.row as usize];
+            row.staged = enabled;
             st.staged = enabled.then(|| {
                 let mut staged = StagedIndex::new(&st.mask);
-                for (key, _) in st.entries.iter() {
+                let slots = self.arena.slots(row.base, row.cap_log2);
+                for (key, _) in slots.iter().flatten() {
                     staged.insert(key);
                 }
                 staged
@@ -211,7 +319,10 @@ impl<V> TupleSpaceSearch<V> {
 
     /// The distinct masks currently present, in probe order.
     pub fn masks(&self) -> Vec<FlowMask> {
-        self.order.iter().map(|&i| self.subtables[i].mask).collect()
+        self.rows
+            .iter()
+            .map(|row| self.subtables[row.sub as usize].mask)
+            .collect()
     }
 
     /// Accumulated lookup statistics.
@@ -224,82 +335,315 @@ impl<V> TupleSpaceSearch<V> {
         self.stats = TssStats::default();
     }
 
+    /// Arena and class-table occupancy.
+    pub fn storage(&self) -> TssStorage {
+        TssStorage {
+            arena_slots: self.arena.allocated(),
+            dead_slots: self.arena.dead(),
+            arena_capacity: self.arena.capacity(),
+            head_classes: self.classes.len(),
+            compactions: self.compactions,
+        }
+    }
+
     /// Inserts an entry; returns the previous payload if the masked key
     /// was already present. Creates the subtable on first use of a mask.
     pub fn insert(&mut self, mk: MaskedKey, value: V) -> Option<V> {
-        let idx = match self.index.get(mk.mask()) {
-            Some(&i) => i,
+        let (row, slot, spare) = self.find_or_place(&mk, value);
+        let value = spare?;
+        let stored = self.payload_mut(&row, slot)?;
+        Some(std::mem::replace(stored, value))
+    }
+
+    /// Entry-style find-or-insert, one index lookup: the payload already
+    /// stored under `mk` (untouched; `value` is dropped), or `None` once
+    /// `value` has been inserted.
+    pub fn find_or_insert(&mut self, mk: MaskedKey, value: V) -> Option<&mut V> {
+        let (row, slot, spare) = self.find_or_place(&mk, value);
+        spare.and_then(|_| self.payload_mut(&row, slot))
+    }
+
+    /// Finds `mk` or places `(mk, value)`; returns where the entry is
+    /// (its row and the slot within the row's region) and, when the key
+    /// was already present, `value` back.
+    #[inline]
+    fn find_or_place(&mut self, mk: &MaskedKey, value: V) -> (ProbeRow, usize, Option<V>) {
+        let sub = match self.index.get(mk.mask()) {
+            Some(&sub) => sub,
+            None => self.add_subtable(*mk.mask()),
+        };
+        let hash = entry_hash(mk.key());
+        let st = &mut self.subtables[sub];
+        let row = self.rows[st.row as usize];
+        let (tags, slots) = self.arena.region_mut(row.base, row.cap_log2);
+        let free = match flat::probe(tags, hash, |i| flat::key_at(slots, i) == Some(mk.key())) {
+            Ok(slot) => return (row, slot, Some(value)),
+            Err(free) => free,
+        };
+        st.len += 1;
+        if let Some(staged) = &mut st.staged {
+            staged.insert(mk.key());
+        }
+        self.entry_count += 1;
+        let entry = (*mk.key(), value);
+        if !flat::overloaded(st.len, tags.len()) {
+            // The presence scan already found the probe run's free slot.
+            tags[free] = flat::tag_of(hash);
+            slots[free] = Some(entry);
+            return (row, free, None);
+        }
+        let grown = &mut self.rows[st.row as usize];
+        grown.base = self.arena.grow(row.base, row.cap_log2);
+        grown.cap_log2 += 1;
+        self.maybe_compact();
+        let row = self.rows[self.subtables[sub].row as usize];
+        let (tags, slots) = self.arena.region_mut(row.base, row.cap_log2);
+        (row, flat::place(tags, slots, hash, entry), None)
+    }
+
+    /// Appends a subtable for `mask` (empty, minimum-size region) to the
+    /// storage and to the end of the probe order; returns its index.
+    fn add_subtable(&mut self, mask: FlowMask) -> usize {
+        let staged = StagedIndex::new(&mask);
+        let cost = staged.stage_count().max(1) as u8;
+        let (head, tail) = MaskWords::of(&mask).split();
+        let class = self.intern_class(head);
+        let base = self.arena.alloc(MIN_CAPACITY);
+        let sub = self.subtables.len();
+        // Rows address subtables (and classes: at most one each) with
+        // u32, and keep `DROPPED` for the sweep.
+        assert!(sub < DROPPED as usize, "too many subtables");
+        self.subtables.push(Subtable {
+            mask,
+            hits: 0,
+            staged: self.staged_enabled.then_some(staged),
+            len: 0,
+            row: self.rows.len() as u32,
+        });
+        self.rows.push(ProbeRow {
+            tail,
+            base,
+            class,
+            sub: sub as u32,
+            cap_log2: MIN_CAPACITY.trailing_zeros() as u8,
+            cost,
+            staged: self.staged_enabled,
+        });
+        self.index.insert(mask, sub);
+        sub
+    }
+
+    /// The class id of `head`, interning it on first use.
+    fn intern_class(&mut self, head: [u64; HEAD_WORDS]) -> u32 {
+        if let Some(&id) = self.class_index.get(&head) {
+            self.classes[id as usize].refs += 1;
+            return id;
+        }
+        let class = HeadClass { head, refs: 1 };
+        let id = match self.free_classes.pop() {
+            Some(id) => {
+                self.classes[id as usize] = class;
+                id
+            }
             None => {
-                let i = self.subtables.len();
-                self.subtables
-                    .push(Subtable::new(*mk.mask(), self.staged_enabled));
-                self.order.push(i);
-                self.index.insert(*mk.mask(), i);
-                i
+                self.classes.push(class);
+                (self.classes.len() - 1) as u32
             }
         };
-        let st = &mut self.subtables[idx];
-        let prev = st
-            .entries
-            .insert(Subtable::<V>::entry_hash(mk.key()), *mk.key(), value);
-        if prev.is_none() {
-            self.entry_count += 1;
-            if let Some(staged) = &mut st.staged {
-                staged.insert(mk.key());
-            }
+        self.class_index.insert(head, id);
+        id
+    }
+
+    /// Reclaims dead regions once they outweigh the live ones: every
+    /// region moves verbatim into a fresh arena, in probe order.
+    fn maybe_compact(&mut self) {
+        if !self.arena.wants_compaction() {
+            return;
         }
-        prev
+        let mut fresh = Arena::new();
+        for row in &mut self.rows {
+            row.base = fresh.adopt(&mut self.arena, row.base, row.cap_log2);
+        }
+        self.arena = fresh;
+        self.compactions += 1;
+    }
+
+    /// Where `mk` is stored: its subtable's row and the slot within the
+    /// row's region.
+    fn find(&self, mk: &MaskedKey) -> Option<(ProbeRow, usize)> {
+        let &sub = self.index.get(mk.mask())?;
+        let row = self.rows[self.subtables[sub].row as usize];
+        let tags = self.arena.tags(row.base, row.cap_log2);
+        let slots = self.arena.slots(row.base, row.cap_log2);
+        let is_match = |i| flat::key_at(slots, i) == Some(mk.key());
+        let slot = flat::probe(tags, entry_hash(mk.key()), is_match).ok()?;
+        Some((row, slot))
+    }
+
+    /// The payload in `slot` of `row`'s region.
+    #[inline]
+    fn payload(&self, row: &ProbeRow, slot: usize) -> Option<&V> {
+        let slots = self.arena.slots(row.base, row.cap_log2);
+        slots[slot].as_ref().map(|(_, v)| v)
+    }
+
+    /// Mutable [`TupleSpaceSearch::payload`].
+    #[inline]
+    fn payload_mut(&mut self, row: &ProbeRow, slot: usize) -> Option<&mut V> {
+        let (_, slots) = self.arena.region_mut(row.base, row.cap_log2);
+        slots[slot].as_mut().map(|(_, v)| v)
     }
 
     /// Fetches an entry by exact masked key.
     pub fn get(&self, mk: &MaskedKey) -> Option<&V> {
-        let &i = self.index.get(mk.mask())?;
-        self.subtables[i]
-            .entries
-            .get(Subtable::<V>::entry_hash(mk.key()), mk.key())
+        let (row, slot) = self.find(mk)?;
+        self.payload(&row, slot)
     }
 
     /// Mutable fetch by exact masked key.
     pub fn get_mut(&mut self, mk: &MaskedKey) -> Option<&mut V> {
-        let &i = self.index.get(mk.mask())?;
-        self.subtables[i]
-            .entries
-            .get_mut(Subtable::<V>::entry_hash(mk.key()), mk.key())
+        let (row, slot) = self.find(mk)?;
+        self.payload_mut(&row, slot)
     }
 
     /// Removes an entry by masked key; drops the subtable if it empties.
     pub fn remove(&mut self, mk: &MaskedKey) -> Option<V> {
-        let &idx = self.index.get(mk.mask())?;
-        let st = &mut self.subtables[idx];
-        let removed = st
-            .entries
-            .remove(Subtable::<V>::entry_hash(mk.key()), mk.key());
-        if removed.is_some() {
-            self.entry_count -= 1;
-            if let Some(staged) = &mut st.staged {
-                staged.remove(mk.key());
-            }
-            if st.entries.is_empty() {
-                self.remove_subtable(idx);
-            }
+        let &sub = self.index.get(mk.mask())?;
+        let st = &mut self.subtables[sub];
+        let row = &self.rows[st.row as usize];
+        let (tags, slots) = self.arena.region_mut(row.base, row.cap_log2);
+        let is_match = |i| flat::key_at(slots, i) == Some(mk.key());
+        let slot = flat::probe(tags, entry_hash(mk.key()), is_match).ok()?;
+        let (_, removed) = flat::take_at(tags, slots, slot)?;
+        self.entry_count -= 1;
+        st.len -= 1;
+        if let Some(staged) = &mut st.staged {
+            staged.remove(mk.key());
         }
-        removed
+        if st.len == 0 {
+            self.drop_subtables(&[sub]);
+        }
+        Some(removed)
     }
 
-    fn remove_subtable(&mut self, idx: usize) {
-        let last = self.subtables.len() - 1;
-        self.index.remove(&self.subtables[idx].mask);
-        self.subtables.swap_remove(idx);
-        self.order.retain(|&i| i != idx);
-        if idx != last {
-            // The subtable formerly at `last` now lives at `idx`.
-            self.index.insert(self.subtables[idx].mask, idx);
-            for o in self.order.iter_mut() {
-                if *o == last {
-                    *o = idx;
+    /// Drops the (empty) subtables at the storage indices `doomed`,
+    /// which must be in descending order, in one sweep: storage shrinks
+    /// by `swap_remove` in that order, the survivors keep their relative
+    /// probe order, and the regions become dead space.
+    fn drop_subtables(&mut self, doomed: &[usize]) {
+        if doomed.is_empty() {
+            return;
+        }
+        for &sub in doomed {
+            let st = self.subtables.swap_remove(sub);
+            self.index.remove(&st.mask);
+            let row = &mut self.rows[st.row as usize];
+            row.sub = DROPPED;
+            self.arena.release(row.cap_log2);
+            let class = row.class as usize;
+            self.classes[class].refs -= 1;
+            if self.classes[class].refs == 0 {
+                self.class_index.remove(&self.classes[class].head);
+                self.free_classes.push(class as u32);
+            }
+            if let Some(moved) = self.subtables.get(sub) {
+                // The subtable formerly last now lives at `sub`.
+                self.rows[moved.row as usize].sub = sub as u32;
+                self.index.insert(moved.mask, sub);
+            }
+        }
+        self.rows.retain(|row| row.sub != DROPPED);
+        self.renumber_rows();
+        self.maybe_compact();
+    }
+
+    /// Re-points every subtable at its row after rows moved.
+    fn renumber_rows(&mut self) {
+        for (i, row) in self.rows.iter().enumerate() {
+            self.subtables[row.sub as usize].row = i as u32;
+        }
+    }
+
+    /// The one subtable walk behind every lookup flavour: visits the
+    /// rows in probe order and calls `on_hit(row, slot in its region)`
+    /// for each subtable holding a match, stopping when it returns `true`.
+    /// Returns `(probes, stage_checks)`.
+    #[inline]
+    // audit: hotpath
+    fn walk(
+        &self,
+        packet: &FlowKey,
+        words: &KeyWords,
+        mut on_hit: impl FnMut(&ProbeRow, usize) -> bool,
+    ) -> (usize, usize) {
+        // Taken, not borrowed, for the walk's duration: `on_hit` runs
+        // caller code (`lookup_best_by`'s rank), and a nested walk then
+        // finds an empty memo to size, never a locked one.
+        let mut memo = self.memo.take();
+        let stamp = memo.begin(self.classes.len());
+        // The previous row's class and state: runs of masks that differ
+        // only in their ports skip even the memo.
+        let (mut class, mut state) = (u32::MAX, 0);
+        let mut probes = 0;
+        let mut stage_checks = 0;
+        for (visited, row) in self.rows.iter().enumerate() {
+            probes = visited + 1;
+            if row.staged {
+                let (may, stages) = self.staged_probe(row, packet, words);
+                stage_checks += stages;
+                if !may {
+                    continue;
+                }
+            } else {
+                stage_checks += row.cost as usize;
+            }
+            if row.class != class {
+                class = row.class;
+                state = self.head_state(&mut memo, stamp, class, words);
+            }
+            let hash = words.finish_hash(state, &row.tail);
+            let tags = self.arena.tags(row.base, row.cap_log2);
+            let hit = flat::probe(tags, hash, |slot| self.matches(row, slot, packet));
+            if let Ok(slot) = hit {
+                if on_hit(row, slot) {
+                    break;
                 }
             }
         }
+        self.memo.replace(memo);
+        (probes, stage_checks)
+    }
+
+    // The walk's rare steps, kept out of line so the common one — a
+    // non-staged miss in the class of the row before — stays in registers.
+
+    /// Consults `row`'s staged index: `(may_match, stages_examined)`.
+    #[inline(never)]
+    fn staged_probe(&self, row: &ProbeRow, packet: &FlowKey, words: &KeyWords) -> (bool, usize) {
+        match &self.subtables[row.sub as usize].staged {
+            Some(staged) => staged.probe_with(packet, words),
+            None => (true, row.cost as usize),
+        }
+    }
+
+    /// The packet's head state under `class`, folded at most once per
+    /// lookup (`stamp`).
+    #[inline(never)]
+    fn head_state(&self, memo: &mut HeadMemo, stamp: u32, class: u32, words: &KeyWords) -> u64 {
+        let memoised = &mut memo.states[class as usize];
+        if memoised.0 != stamp {
+            *memoised = (stamp, words.head_state(&self.classes[class as usize].head));
+        }
+        memoised.1
+    }
+
+    /// A tag matched in `slot` of `row`'s region: only now are the
+    /// payload and the cold half's mask read.
+    #[inline(never)]
+    fn matches(&self, row: &ProbeRow, slot: usize, packet: &FlowKey) -> bool {
+        let slots = self.arena.slots(row.base, row.cap_log2);
+        let mask = &self.subtables[row.sub as usize].mask;
+        flat::key_at(slots, slot).is_some_and(|k| mask.key_eq(k, packet))
     }
 
     /// Sequential-walk lookup **without** touching hit counters or stats
@@ -311,31 +655,13 @@ impl<V> TupleSpaceSearch<V> {
     /// [`TupleSpaceSearch::peek`] with the packet's words already
     /// extracted (batch callers hash once per packet, not per level).
     pub fn peek_with(&self, packet: &FlowKey, words: &KeyWords) -> LookupOutcome<&V> {
-        let mut probes = 0;
-        let mut stage_checks = 0;
-        for &i in &self.order {
-            let st = &self.subtables[i];
-            probes += 1;
-            if let Some(staged) = &st.staged {
-                let (may, stages) = staged.probe_with(packet, words);
-                stage_checks += stages;
-                if !may {
-                    continue;
-                }
-            } else {
-                stage_checks += st.full_probe_cost;
-            }
-            let hash = words.masked_hash(&st.mask_words);
-            if let Some(v) = st.entries.get_by_hash(hash, |k| st.mask.key_eq(k, packet)) {
-                return LookupOutcome {
-                    value: Some(v),
-                    probes,
-                    stage_checks,
-                };
-            }
-        }
+        let mut found = None;
+        let (probes, stage_checks) = self.walk(packet, words, |row, slot| {
+            found = Some((*row, slot));
+            true
+        });
         LookupOutcome {
-            value: None,
+            value: found.and_then(|(row, slot)| self.payload(&row, slot)),
             probes,
             stage_checks,
         }
@@ -351,56 +677,31 @@ impl<V> TupleSpaceSearch<V> {
 
     /// [`TupleSpaceSearch::lookup_mut`] with the packet's words already
     /// extracted — the datapath's hot path.
+    // audit: hotpath
     pub fn lookup_mut_with(&mut self, packet: &FlowKey, words: &KeyWords) -> LookupOutcome<&mut V> {
         self.maybe_resort();
         self.stats.lookups += 1;
         self.lookups_since_resort += 1;
 
-        let mut probes = 0;
-        let mut stage_checks = 0;
-        let mut found: Option<(usize, u64)> = None;
-        for &i in &self.order {
-            let st = &mut self.subtables[i];
-            probes += 1;
-            if let Some(staged) = &st.staged {
-                let (may, stages) = staged.probe_with(packet, words);
-                stage_checks += stages;
-                if !may {
-                    continue;
-                }
-            } else {
-                stage_checks += st.full_probe_cost;
-            }
-            let hash = words.masked_hash(&st.mask_words);
-            if st
-                .entries
-                .get_by_hash(hash, |k| st.mask.key_eq(k, packet))
-                .is_some()
-            {
-                st.hits += 1;
-                found = Some((i, hash));
-                break;
-            }
-        }
-
+        let mut found = None;
+        let (probes, stage_checks) = self.walk(packet, words, |row, slot| {
+            found = Some((*row, slot));
+            true
+        });
         self.stats.subtables_probed += probes as u64;
         self.stats.stage_checks += stage_checks as u64;
-        match found {
-            Some((i, hash)) => {
+        let value = match found {
+            Some((row, slot)) => {
                 self.stats.hits += 1;
-                let st = &mut self.subtables[i];
-                let mask = st.mask;
-                LookupOutcome {
-                    value: st.entries.get_mut_by_hash(hash, |k| mask.key_eq(k, packet)),
-                    probes,
-                    stage_checks,
-                }
+                self.subtables[row.sub as usize].hits += 1;
+                self.payload_mut(&row, slot)
             }
-            None => LookupOutcome {
-                value: None,
-                probes,
-                stage_checks,
-            },
+            None => None,
+        };
+        LookupOutcome {
+            value,
+            probes,
+            stage_checks,
         }
     }
 
@@ -420,34 +721,31 @@ impl<V> TupleSpaceSearch<V> {
             if self.lookups_since_resort >= resort_every {
                 self.lookups_since_resort = 0;
                 let subtables = &self.subtables;
-                self.order
-                    .sort_by_key(|&i| std::cmp::Reverse(subtables[i].hits));
+                self.rows
+                    .sort_by_key(|row| std::cmp::Reverse(subtables[row.sub as usize].hits));
+                self.renumber_rows();
             }
         }
     }
 
     /// Scans **all** subtables and returns the best match according to
     /// `rank` (highest wins) — the priority-aware classifier mode used
-    /// when entries may overlap.
+    /// when entries may overlap. Every probe is charged one stage unit.
     pub fn lookup_best_by<K: Ord>(
         &self,
         packet: &FlowKey,
         mut rank: impl FnMut(&V) -> K,
     ) -> LookupOutcome<&V> {
-        let words = KeyWords::of(packet);
-        let mut probes = 0;
         let mut best: Option<(&V, K)> = None;
-        for &i in &self.order {
-            let st = &self.subtables[i];
-            probes += 1;
-            let hash = words.masked_hash(&st.mask_words);
-            if let Some(v) = st.entries.get_by_hash(hash, |k| st.mask.key_eq(k, packet)) {
+        let (probes, _) = self.walk(packet, &KeyWords::of(packet), |row, slot| {
+            if let Some(v) = self.payload(row, slot) {
                 let k = rank(v);
                 if best.as_ref().map(|(_, bk)| k > *bk).unwrap_or(true) {
                     best = Some((v, k));
                 }
             }
-        }
+            false
+        });
         LookupOutcome {
             value: best.map(|(v, _)| v),
             probes,
@@ -456,16 +754,17 @@ impl<V> TupleSpaceSearch<V> {
     }
 
     /// Keeps only the entries for which `keep` returns true (revalidator
-    /// sweeps); empty subtables are dropped.
+    /// sweeps); empty subtables are dropped, all in one sweep.
     pub fn retain(&mut self, mut keep: impl FnMut(&MaskedKey, &mut V) -> bool) {
-        let mut doomed_subtables = Vec::new();
-        for (idx, st) in self.subtables.iter_mut().enumerate() {
+        let mut scratch = Vec::new();
+        let mut doomed = Vec::new();
+        for (sub, st) in self.subtables.iter_mut().enumerate() {
+            let row = &self.rows[st.row as usize];
+            let (tags, slots) = self.arena.region_mut(row.base, row.cap_log2);
             let mask = st.mask;
             let staged = &mut st.staged;
-            let before = st.entries.len();
-            st.entries.retain(|k, v| {
-                let mk = MaskedKey::new(*k, mask);
-                let kept = keep(&mk, v);
+            let kept = flat::retain_in_place(tags, slots, &mut scratch, |k, v| {
+                let kept = keep(&MaskedKey::new(*k, mask), v);
                 if !kept {
                     if let Some(s) = staged {
                         s.remove(k);
@@ -473,33 +772,40 @@ impl<V> TupleSpaceSearch<V> {
                 }
                 kept
             });
-            self.entry_count -= before - st.entries.len();
-            if st.entries.is_empty() {
-                doomed_subtables.push(idx);
+            self.entry_count -= st.len - kept;
+            st.len = kept;
+            if kept == 0 {
+                doomed.push(sub);
             }
         }
-        // Remove from the back so earlier indices stay valid.
-        for idx in doomed_subtables.into_iter().rev() {
-            self.remove_subtable(idx);
-        }
+        // Drop from the back so earlier storage indices stay valid.
+        doomed.reverse();
+        self.drop_subtables(&doomed);
     }
 
     /// Iterates `(masked key, payload)` over every entry (subtable order,
     /// then arbitrary hash order within a subtable).
     pub fn iter(&self) -> impl Iterator<Item = (MaskedKey, &V)> {
-        self.subtables.iter().flat_map(|st| {
+        self.subtables.iter().flat_map(move |st| {
             let mask = st.mask;
-            st.entries
+            let row = &self.rows[st.row as usize];
+            let slots = self.arena.slots(row.base, row.cap_log2);
+            slots
                 .iter()
+                .flatten()
                 .map(move |(k, v)| (MaskedKey::new(*k, mask), v))
         })
     }
 
-    /// Removes everything.
+    /// Removes everything, keeping the allocations.
     pub fn clear(&mut self) {
         self.subtables.clear();
-        self.order.clear();
+        self.rows.clear();
         self.index.clear();
+        self.arena.clear();
+        self.classes.clear();
+        self.class_index.clear();
+        self.free_classes.clear();
         self.entry_count = 0;
     }
 }
@@ -596,6 +902,89 @@ mod tests {
         assert_eq!(tss.subtable_count(), 0);
         assert!(tss.is_empty());
         assert_eq!(tss.remove(&a), None);
+    }
+
+    #[test]
+    fn find_or_insert_reports_presence() {
+        let mut tss = TupleSpaceSearch::default();
+        let mk = prefix_mk([10, 0, 0, 0], 8);
+        assert_eq!(tss.find_or_insert(mk, 1), None, "absent: inserted");
+        assert_eq!(tss.len(), 1);
+        // Present: the stored payload comes back untouched, and mutable.
+        *tss.find_or_insert(mk, 2).unwrap() += 10;
+        assert_eq!(tss.get(&mk), Some(&11));
+        assert_eq!(tss.len(), 1);
+        // Across a region growth the new entry is still the one stored.
+        for b in 0..20u8 {
+            assert_eq!(tss.find_or_insert(prefix_mk([b + 11, 0, 0, 0], 8), b), None);
+        }
+        assert_eq!(tss.subtable_count(), 1);
+        assert_eq!(tss.get(&prefix_mk([30, 0, 0, 0], 8)), Some(&19));
+    }
+
+    #[test]
+    fn head_memo_survives_stamp_wraparound() {
+        // Two masks sharing one head class, so the second probe of a
+        // lookup reads the memo the first one filled.
+        let mask = |dst_len| {
+            FlowMask::default()
+                .with_prefix(Field::IpSrc, 8)
+                .with_prefix(Field::TpDst, dst_len)
+        };
+        let mut tss = TupleSpaceSearch::default();
+        let b = FlowKey::tcp([11, 0, 0, 1], [0, 0, 0, 0], 0, 443);
+        tss.insert(MaskedKey::new(b, mask(4)), "coarse");
+        tss.insert(MaskedKey::new(b, mask(16)), "b");
+        assert_eq!(tss.storage().head_classes, 1);
+        // Packet A leaves its head state in the memo under stamp 1.
+        let a = FlowKey::tcp([10, 0, 0, 1], [0, 0, 0, 0], 0, 80);
+        assert_eq!(tss.lookup(&a).value, None);
+        assert_eq!(tss.memo.borrow().stamp, 1);
+        // 2^32 − 2 lookups later the counter wraps back onto stamp 1. A's
+        // state must not be taken for B's.
+        tss.memo.borrow_mut().stamp = u32::MAX;
+        let b_other_port = FlowKey::tcp([11, 0, 0, 1], [0, 0, 0, 0], 0, 0x0fff);
+        assert_eq!(tss.lookup(&b_other_port).value, Some(&"coarse"));
+        assert_eq!(tss.memo.borrow().stamp, 1, "0 is skipped");
+        assert_eq!(tss.lookup(&b).value, Some(&"coarse"));
+        assert_eq!(tss.peek(&a).value, None);
+    }
+
+    #[test]
+    fn storage_stays_bounded_over_many_populate_evict_cycles() {
+        // 10 000 attack-and-recover cycles: 32 masks whose head classes
+        // change from cycle to cycle, a subtable that grows, then either
+        // the revalidator's idle sweep (`retain`, what
+        // `MegaflowCache::evict_idle` runs) or a flush (`clear`).
+        let mut tss = TupleSpaceSearch::default();
+        for cycle in 0..10_000u32 {
+            for i in 0..32u32 {
+                let len = 1 + ((cycle + i) % 32) as u8;
+                tss.insert(prefix_mk([10, 0, 0, 0], len), cycle);
+            }
+            for host in 0..40u8 {
+                tss.insert(prefix_mk([10, 0, 0, host], 32), cycle);
+            }
+            let hit = tss.lookup(&FlowKey::tcp([10, 0, 0, 7], [0, 0, 0, 0], 0, 0));
+            assert_eq!(hit.value, Some(&cycle));
+            // Populated: 31 minimum regions, one grown to 64 slots, and
+            // the 8 + 16 + 32 slots it grew out of — never more than
+            // twice the live slots, in at most two segments.
+            let full = tss.storage();
+            assert!(full.arena_slots <= 2 * (31 * 8 + 64), "{full:?}");
+            assert!(full.arena_capacity <= 2 * 512, "{full:?}");
+            assert!(full.head_classes <= 32, "{full:?}");
+            if cycle % 2 == 0 {
+                tss.retain(|_, _| false);
+            } else {
+                tss.clear();
+            }
+            assert!(tss.is_empty());
+            let empty = tss.storage();
+            assert_eq!((empty.arena_slots, empty.dead_slots), (0, 0));
+            assert!(empty.arena_capacity <= 512, "{empty:?}");
+        }
+        assert!(tss.memo.borrow().states.len() <= 32);
     }
 
     #[test]

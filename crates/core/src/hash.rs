@@ -39,6 +39,15 @@ use crate::mask::FlowMask;
 /// in [`ALL_FIELDS`] order).
 pub const KEY_WORDS: usize = ALL_FIELDS.len();
 
+/// Number of leading words that form a mask's *head*: the metadata, L2
+/// and L3 fields. The remaining [`TAIL_WORDS`] are the L4 ports. Masks
+/// that agree on their head share the fold over these words — see
+/// [`KeyWords::head_state`].
+pub const HEAD_WORDS: usize = 9;
+
+/// Number of trailing (L4) words folded by [`KeyWords::finish_hash`].
+pub const TAIL_WORDS: usize = KEY_WORDS - HEAD_WORDS;
+
 /// The FxHash multiplier (Firefox / rustc's fast non-cryptographic
 /// hash); chosen for good avalanche under `rotate ^ multiply` folding.
 const FX_K: u64 = 0x517c_c1b7_2722_0a95;
@@ -119,6 +128,31 @@ impl KeyWords {
         }
         finalize(h)
     }
+
+    /// The fold over the first [`HEAD_WORDS`] words under a mask's head
+    /// words ([`MaskWords::split`]): the part of
+    /// [`KeyWords::masked_hash`] that every mask with this head shares.
+    /// Pinned by a test: `finish_hash(head_state(head), tail)` equals
+    /// `masked_hash` of the mask `(head, tail)` was split from.
+    #[inline]
+    pub fn head_state(&self, head: &[u64; HEAD_WORDS]) -> u64 {
+        let mut h = 0u64;
+        for (&w, &m) in self.words.iter().zip(head.iter()) {
+            h = mix(h, w & m);
+        }
+        h
+    }
+
+    /// Completes a masked hash from a [`KeyWords::head_state`] and the
+    /// mask's [`TAIL_WORDS`] L4 words.
+    #[inline]
+    pub fn finish_hash(&self, state: u64, tail: &[u64; TAIL_WORDS]) -> u64 {
+        let mut h = state;
+        for (&w, &m) in self.words[HEAD_WORDS..].iter().zip(tail.iter()) {
+            h = mix(h, w & m);
+        }
+        finalize(h)
+    }
 }
 
 /// A wildcard mask's field words, precomputed once per subtable.
@@ -136,6 +170,17 @@ impl MaskWords {
             *w = mask.field(f);
         }
         MaskWords { words }
+    }
+
+    /// Splits the words at the L3/L4 stage boundary: the
+    /// [`HEAD_WORDS`] metadata–L3 words and the [`TAIL_WORDS`] L4 words.
+    #[inline]
+    pub fn split(&self) -> ([u64; HEAD_WORDS], [u64; TAIL_WORDS]) {
+        let mut head = [0u64; HEAD_WORDS];
+        let mut tail = [0u64; TAIL_WORDS];
+        head.copy_from_slice(&self.words[..HEAD_WORDS]);
+        tail.copy_from_slice(&self.words[HEAD_WORDS..]);
+        (head, tail)
     }
 }
 
@@ -189,6 +234,29 @@ mod tests {
                 KeyWords::of(&m.apply(&k)).full_hash()
             );
         });
+    }
+
+    #[test]
+    fn head_plus_finish_equals_masked_hash() {
+        // The split the TSS walk shares across subtables must be the
+        // same function as the unsplit fold, bit for bit.
+        for_cases(256, 0x4a9, |rng| {
+            let words = KeyWords::of(&rand_key(rng));
+            let mask = MaskWords::of(&rand_mask(rng));
+            let (head, tail) = mask.split();
+            assert_eq!(
+                words.finish_hash(words.head_state(&head), &tail),
+                words.masked_hash(&mask)
+            );
+        });
+    }
+
+    #[test]
+    fn head_is_everything_before_l4() {
+        use crate::fields::Stage;
+        for (i, f) in ALL_FIELDS.iter().enumerate() {
+            assert_eq!(f.stage() == Stage::L4, i >= HEAD_WORDS, "{f}");
+        }
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod time;
 pub use addr::MacAddr;
 pub use error::CoreError;
 pub use fields::{Field, FieldSpec, Stage, ALL_FIELDS};
-pub use hash::{flow_hash, KeyWords, MaskWords, KEY_WORDS};
+pub use hash::{flow_hash, KeyWords, MaskWords, HEAD_WORDS, KEY_WORDS, TAIL_WORDS};
 pub use key::FlowKey;
 pub use mask::{FlowMask, MaskedKey};
 pub use port::Port;

@@ -121,26 +121,35 @@ impl MegaflowCache {
 
     /// Installs a generated megaflow.
     pub fn install(&mut self, mk: MaskedKey, action: Action, now: SimTime) -> InstallOutcome {
-        if let Some(existing) = self.tss.get_mut(&mk) {
-            existing.action = action;
-            existing.last_used = now;
-            return InstallOutcome::AlreadyPresent;
-        }
-        if self.tss.len() >= self.flow_limit {
-            self.stats.install_drops += 1;
-            return InstallOutcome::TableFull;
-        }
-        self.tss.insert(
-            mk,
-            MegaflowEntry {
+        // One index lookup either way: at the flow limit only a refresh
+        // is possible, below it the find doubles as the insert.
+        let full = self.tss.len() >= self.flow_limit;
+        let existing = if full {
+            self.tss.get_mut(&mk)
+        } else {
+            let fresh = MegaflowEntry {
                 action,
                 created: now,
                 last_used: now,
                 hits: 0,
-            },
-        );
-        self.stats.installs += 1;
-        InstallOutcome::Installed
+            };
+            self.tss.find_or_insert(mk, fresh)
+        };
+        match existing {
+            Some(existing) => {
+                existing.action = action;
+                existing.last_used = now;
+                InstallOutcome::AlreadyPresent
+            }
+            None if full => {
+                self.stats.install_drops += 1;
+                InstallOutcome::TableFull
+            }
+            None => {
+                self.stats.installs += 1;
+                InstallOutcome::Installed
+            }
+        }
     }
 
     /// Toggles staged subtable lookup at runtime (retrofitting or
