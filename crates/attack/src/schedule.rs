@@ -167,7 +167,7 @@ impl AttackSchedule {
     /// logical end: no covert stream, no bandwidth budget, just churn.
     ///
     /// Feed the returned program to
-    /// `SimBuilder::attach_control_plane` / a fleet host; pair with
+    /// `FleetBuilder::attach_control_plane`; pair with
     /// the scoped-invalidation ablation to measure exactly how much of
     /// the damage the global flush is responsible for.
     pub fn policy_flap(

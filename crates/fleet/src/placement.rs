@@ -12,9 +12,8 @@ use pi_cms::{Cloud, CmsError, NodeId, PlacementStrategy, Pod, PodId, TenantId};
 use pi_datapath::DpConfig;
 use pi_traffic::TrafficSource;
 
-use crate::config::FleetConfig;
-use crate::engine::{FleetBuilder, FleetSim};
 use pi_core::SimTime;
+use pi_sim::{FleetBuilder, FleetConfig, FleetSim};
 
 /// Builds a cluster: a CMS cloud and a fleet simulation, kept in sync.
 pub struct ClusterBuilder {

@@ -13,11 +13,9 @@ use pi_attack::{AttackSchedule, AttackSpec};
 use pi_cms::{Cidr, IngressRule, NetworkPolicy, PlacementStrategy, Protocol};
 use pi_core::{FlowKey, SimTime};
 use pi_datapath::DpConfig;
-use pi_sim::SimConfig;
+use pi_sim::{FleetConfig, FleetSim, SimConfig};
 use pi_traffic::{IperfSource, PoissonFlowSource};
 
-use crate::config::FleetConfig;
-use crate::engine::FleetSim;
 use crate::placement::ClusterBuilder;
 
 /// The victim's own microsegmentation: allow cluster traffic to iperf.

@@ -81,6 +81,28 @@ impl SimConfig {
     }
 }
 
+/// Global knobs of a run on the sharded engine: the per-host physics of
+/// [`SimConfig`] plus the execution parallelism.
+#[derive(Debug, Clone, Copy)]
+pub struct FleetConfig {
+    /// Per-host simulation physics (tick, duration, CPU budget, queue,
+    /// fabric link rate, sampling).
+    pub sim: SimConfig,
+    /// Worker threads stepping host shards, clamped to `1..=hosts`. `1`
+    /// runs every shard on a single worker; results are identical for
+    /// any value (cross-host traffic is merged in shard order).
+    pub workers: usize,
+}
+
+impl Default for FleetConfig {
+    fn default() -> Self {
+        FleetConfig {
+            sim: SimConfig::default(),
+            workers: 1,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,87 +1,114 @@
-//! The tick loop: sources → queues → switches → delivery/feedback.
+//! The engine: builder, worker pool, the event loop and its serial
+//! tick-stepped reference.
 //!
-//! Per-host stepping (queue, cycle budget, routing) lives in
-//! [`crate::node`], shared with the `pi_fleet` cluster simulator; this
-//! module owns the two-node orchestration: fabric hand-off, feedback and
-//! sampling.
+//! Execution model (conservative parallel discrete-event simulation,
+//! specialised to a constant one-tick fabric latency):
+//!
+//! * each worker owns a disjoint shard set and merges that set's event
+//!   sources — pending cross-host deliveries, topology commands,
+//!   per-shard wake deadlines ([`HostShard::next_wake`]) and the
+//!   global sample grid — into one monotonic tick iterator;
+//! * an executed tick steps a **due list**, not the shard set: the
+//!   shards named by the commands at the cursor, by the deliveries
+//!   filed for that tick (one ordered lookup) and by the wake deadlines
+//!   that have come due, in ascending shard order. Only a sample tick
+//!   visits every shard. What a shard emits is sparse — one parcel per
+//!   destination it addressed ([`ShardOutput`]) — and the parcel
+//!   buffers, the due list and the per-shard command/inbound scratch
+//!   all live on the worker, so a tick's host cost follows the shards
+//!   that ran and the destinations they addressed, never the fleet
+//!   size, and a steady-state tick allocates nothing. A source that
+//!   emits every tick pins its shard "always active": that shard's
+//!   `ticks_stepped` is physics, and only the cost of each such tick is
+//!   the harness's to shrink;
+//! * cross-host packets and delivery receipts produced during tick
+//!   `t` are exchanged through bounded channels and delivered at the
+//!   start of tick `t + 1`;
+//! * workers synchronise by bounded lookahead instead of a global
+//!   epoch barrier: every flush to a peer carries the promise "I will
+//!   deliver nothing at ticks ≤ `safe`", a worker executes tick `e`
+//!   only once every peer has promised `safe ≥ e`, and a flush with no
+//!   items is exactly a CMB null message. Because a worker that has
+//!   executed through its horizon `h` can always promise `h + 1`
+//!   (its next execution is at least `h + 1`, so its next emission
+//!   lands at `h + 2` at the earliest), every exchange advances the
+//!   fleet and the protocol cannot deadlock — even when a shard
+//!   sends no traffic at all;
+//! * each shard merges per-destination traffic **in sending-shard
+//!   order** at the tick it consumes it, so the bytes a shard observes
+//!   never depend on worker count or thread scheduling — the property
+//!   the determinism tests pin.
+//!
+//! The tick-stepped reference ([`crate::SimConfig::event_driven`] =
+//! false) is the obviously-correct thing the event loop is pinned
+//! against: one thread, every shard, every tick, in id order, through
+//! the same [`HostShard::tick`] and the same sparse exchange.
+//!
+//! This is the only engine in the workspace. The single-host testbed of
+//! the paper's Fig. 1 is a one-host build on it ([`crate::scenario`]),
+//! `pi_fleet` adds tenant placement and the fleet-scale scenarios on
+//! top, and each type goes by two names — [`FleetSim`] is
+//! [`crate::Simulation`], [`FleetReport`] is [`crate::SimReport`].
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
+use std::sync::mpsc::{Receiver, SyncSender};
+use std::sync::Arc;
+use std::thread;
 
 use pi_classifier::FlowTable;
 use pi_cms::ControlPlaneProgram;
 use pi_core::{Port, SimTime};
-use pi_datapath::{CostModel, DpConfig, SwitchStats, UpcallStats};
-use pi_detect::{DefenseController, DefenseReport, MaskAttribution};
-use pi_fault::{FaultSchedule, NodeFaultReport, ReliabilityConfig, ReliableControlPlane};
-use pi_metrics::TimeSeries;
-use pi_trace::{TraceConfig, TraceReport, Tracer};
-use pi_traffic::{GenPacket, TrafficSource};
+use pi_datapath::{CostModel, DpConfig};
+use pi_detect::DefenseController;
+use pi_fault::{FaultSchedule, ReliabilityConfig, ReliableControlPlane};
+use pi_trace::{CauseId, TraceConfig, TraceEvent, TraceEventKind, Tracer};
+use pi_traffic::TrafficSource;
 
-use crate::node::{NodeCell, NodePacket, Routing};
+use crate::config::FleetConfig;
+use crate::node::NodeCell;
+use crate::report::{EngineProfile, FleetReport, FLUSH_LOG_CAP};
+use crate::routes::RouteTable;
+use crate::shard::{
+    FleetSlot, HostCmd, HostShard, Parcel, ShardInput, ShardOutput, SourceHome, TickCtx,
+};
 
-/// What the engine did to produce a run: executed vs skipped per-node
-/// ticks and the events behind them. Purely diagnostic — every count is
-/// derived from node-local state and the global schedule, so the
-/// numbers are identical for every worker count in the fleet engine
-/// (they differ between the event-driven and tick-stepped engines only
-/// in how many ticks were skipped).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EngineStats {
-    /// Node/shard ticks actually executed (summed over hosts).
-    pub shard_ticks_stepped: u64,
-    /// Node/shard ticks proven idle and skipped (`hosts × ticks −
-    /// stepped`; zero under the tick-stepped engine).
-    pub shard_ticks_skipped: u64,
-    /// Event-bearing causes consumed across executed ticks: inbound
-    /// fabric epochs, topology commands, sample boundaries, defense
-    /// intervals.
-    pub events_processed: u64,
+/// A pod migration scheduled at build time.
+#[derive(Debug, Clone)]
+struct MigrationSpec {
+    at: SimTime,
+    ip: u32,
+    to_host: usize,
 }
 
-struct SourceSlot {
-    source: Box<dyn TrafficSource>,
-    origin: usize,
-    label: String,
-    // Tick accounting (for feedback).
-    tick_delivered: u64,
-    tick_dropped: u64,
-    // Window accounting (for series).
-    window_delivered_bytes: u64,
-    window_generated_bytes: u64,
-    // Run totals.
-    total_generated: u64,
-    total_delivered: u64,
-    total_dropped_capacity: u64,
-    total_dropped_policy: u64,
-    total_dropped_upcall: u64,
-}
-
-/// Builder for a [`Simulation`].
-pub struct SimBuilder {
-    cfg: crate::SimConfig,
+/// Builder for a [`FleetSim`].
+pub struct FleetBuilder {
+    cfg: FleetConfig,
     cost: CostModel,
-    dp_configs: Vec<DpConfig>,
-    pods: Vec<(usize, u32, u32)>, // (node, ip, vport)
-    acls: Vec<(u32, FlowTable)>,
-    sources: Vec<(usize, Box<dyn TrafficSource>)>,
+    hosts: Vec<DpConfig>,
     next_vport: Vec<u32>,
+    pods: Vec<(usize, u32, u32)>, // (host, ip, vport)
+    acls: Vec<(u32, FlowTable)>,
+    sources: Vec<(usize, Box<dyn TrafficSource + Send>)>,
+    migrations: Vec<MigrationSpec>,
     defenses: Vec<(usize, DefenseController)>,
     control_planes: Vec<(usize, ControlPlaneProgram)>,
     faults: Vec<(usize, FaultSchedule)>,
     reliable_controls: Vec<(usize, ControlPlaneProgram, ReliabilityConfig)>,
 }
 
-impl SimBuilder {
+impl FleetBuilder {
     /// Starts a build with global parameters and the default cost model.
-    pub fn new(cfg: crate::SimConfig) -> Self {
-        SimBuilder {
+    pub fn new(cfg: FleetConfig) -> Self {
+        FleetBuilder {
             cfg,
             cost: CostModel::default(),
-            dp_configs: Vec::new(),
+            hosts: Vec::new(),
+            next_vport: Vec::new(),
             pods: Vec::new(),
             acls: Vec::new(),
             sources: Vec::new(),
-            next_vport: Vec::new(),
+            migrations: Vec::new(),
             defenses: Vec::new(),
             control_planes: Vec::new(),
             faults: Vec::new(),
@@ -96,550 +123,736 @@ impl SimBuilder {
         self
     }
 
-    /// Adds a server node with its datapath configuration; returns the
-    /// node index.
-    pub fn add_node(&mut self, dp: DpConfig) -> usize {
-        self.dp_configs.push(dp);
+    /// Adds a host with its datapath configuration; returns the host
+    /// index (== shard id).
+    pub fn add_host(&mut self, dp: DpConfig) -> usize {
+        self.hosts.push(dp);
         self.next_vport.push(1);
-        self.dp_configs.len() - 1
+        self.hosts.len() - 1
     }
 
-    /// Attaches a pod with IP `ip` (host order) to `node`; returns its
-    /// vport.
-    pub fn add_pod(&mut self, node: usize, ip: u32) -> u32 {
-        let vport = self.next_vport[node];
-        self.next_vport[node] += 1;
-        self.pods.push((node, ip, vport));
+    /// Attaches a pod with IP `ip` (host order) to `host`, allocating
+    /// its vport; returns the vport.
+    pub fn add_pod(&mut self, host: usize, ip: u32) -> u32 {
+        let vport = self.next_vport[host];
+        self.next_vport[host] += 1;
+        self.add_pod_at(host, ip, vport);
         vport
     }
 
+    /// Attaches a pod with a caller-chosen vport (used when the CMS has
+    /// already allocated it; `pi_fleet`'s `ClusterBuilder` does).
+    pub fn add_pod_at(&mut self, host: usize, ip: u32, vport: u32) {
+        self.next_vport[host] = self.next_vport[host].max(vport + 1);
+        self.pods.push((host, ip, vport));
+    }
+
     /// Installs an ingress ACL at the pod with IP `ip` (on its home
-    /// switch).
+    /// switch; reinstalled automatically if the pod later migrates).
     pub fn install_acl(&mut self, ip: u32, table: FlowTable) {
         self.acls.push((ip, table));
     }
 
-    /// Registers a traffic source injecting at `node`; returns its
-    /// source index (order of registration).
-    pub fn add_source(&mut self, node: usize, source: Box<dyn TrafficSource>) -> usize {
-        self.sources.push((node, source));
+    /// Registers a traffic source injecting at `host`; returns its
+    /// global source index (order of registration).
+    pub fn add_source(&mut self, host: usize, source: Box<dyn TrafficSource + Send>) -> usize {
+        self.sources.push((host, source));
         self.sources.len() - 1
     }
 
-    /// Attaches a closed-loop defense controller to `node`, run every
-    /// [`crate::SimConfig::defense_interval`].
-    pub fn attach_defense(&mut self, node: usize, controller: DefenseController) {
-        self.defenses.push((node, controller));
+    /// Schedules a live migration: at simulated time `at`, the pod at
+    /// `ip` detaches from its current host and re-attaches on
+    /// `to_host` (with its ACL, if any). Traffic in flight is tunnelled
+    /// through the old host's uplink during the switchover.
+    pub fn schedule_migration(&mut self, at: SimTime, ip: u32, to_host: usize) {
+        self.migrations.push(MigrationSpec { at, ip, to_host });
     }
 
-    /// Attaches a timed control-plane program to `node`: its scheduled
-    /// policy updates land at tick boundaries mid-run, each charged
-    /// against the node's cycle budget. Multiple programs for one node
-    /// are merged (each keeps its own timings).
-    pub fn attach_control_plane(&mut self, node: usize, program: ControlPlaneProgram) {
-        self.control_planes.push((node, program));
+    /// Attaches a shard-local closed-loop defense controller to `host`,
+    /// run every [`crate::SimConfig::defense_interval`]. Controllers
+    /// are strictly shard-local state, so worker-count determinism is
+    /// preserved.
+    pub fn attach_defense(&mut self, host: usize, controller: DefenseController) {
+        self.defenses.push((host, controller));
     }
 
-    /// Attaches a fault program to `node`: crash/restart events, host
-    /// stalls and the CMS→switch channel fault model. Multiple
-    /// schedules for one node merge.
-    pub fn attach_faults(&mut self, node: usize, schedule: FaultSchedule) {
-        self.faults.push((node, schedule));
+    /// Attaches a timed control-plane program to `host`: its scheduled
+    /// policy updates land on the epoch grid (tick boundaries), each
+    /// charged against the host's cycle budget. The driver is strictly
+    /// shard-local state, so worker-count determinism is preserved —
+    /// including the policy-update timelines in the report. Multiple
+    /// programs for one host are merged.
+    pub fn attach_control_plane(&mut self, host: usize, program: ControlPlaneProgram) {
+        self.control_planes.push((host, program));
     }
 
-    /// Attaches an at-least-once control plane to `node`: `program`'s
-    /// updates travel through the node's faulty channel (from its
-    /// [`FaultSchedule`], perfect if none) with acks, retry/backoff and
-    /// periodic reconciliation per `cfg`. Multiple programs for one
-    /// node merge; the last `cfg` wins.
+    /// Attaches a fault program to `host`: crash/restart events, host
+    /// stalls and the CMS→switch channel fault model. Faults are
+    /// strictly shard-local state (compiled cursors owned by the
+    /// node), so worker-count determinism is preserved even under
+    /// crashes and reordered control channels. Multiple schedules for
+    /// one host merge.
+    pub fn attach_faults(&mut self, host: usize, schedule: FaultSchedule) {
+        self.faults.push((host, schedule));
+    }
+
+    /// Attaches an at-least-once control plane to `host`: `program`'s
+    /// updates travel through the host's faulty channel (from its
+    /// [`FaultSchedule`], perfect if none) with acks, retry/backoff
+    /// and periodic reconciliation per `cfg`. Multiple programs for
+    /// one host merge; the last `cfg` wins.
     pub fn attach_reliable_control_plane(
         &mut self,
-        node: usize,
+        host: usize,
         program: ControlPlaneProgram,
         cfg: ReliabilityConfig,
     ) {
-        self.reliable_controls.push((node, program, cfg));
+        self.reliable_controls.push((host, program, cfg));
     }
 
     /// Finalises the topology.
-    pub fn build(self) -> Simulation {
-        assert!(!self.dp_configs.is_empty(), "need at least one node");
+    pub fn build(self) -> FleetSim {
+        assert!(!self.hosts.is_empty(), "need at least one host");
+        let n = self.hosts.len();
+        let cfg = self.cfg;
+
+        let mut routes = RouteTable::new();
+        for &(host, ip, _) in &self.pods {
+            assert!(
+                routes.insert(ip, host).is_none(),
+                "pod IPs must be unique across the fleet"
+            );
+        }
+
         let mut nodes: Vec<NodeCell<usize>> = self
-            .dp_configs
+            .hosts
             .into_iter()
             .map(|dp| NodeCell::new(dp, self.cost))
             .collect();
-
-        let mut pod_locations = BTreeMap::new();
-        for &(node, ip, vport) in &self.pods {
-            pod_locations.insert(ip, node);
-            // Local attachment.
-            nodes[node].backend_mut().attach_pod(ip, vport);
-            // Remote pods are reachable via the uplink on every other
-            // switch (L3 fabric forwarding, no ACL).
-            for (i, other) in nodes.iter_mut().enumerate() {
-                if i != node {
-                    other.backend_mut().attach_pod(ip, Port::Uplink.raw());
-                }
+        for &(host, ip, vport) in &self.pods {
+            for (i, node) in nodes.iter_mut().enumerate() {
+                let raw = if i == host { vport } else { Port::Uplink.raw() };
+                node.backend_mut().attach_pod(ip, raw);
             }
         }
+        let mut acl_map: BTreeMap<u32, FlowTable> = BTreeMap::new();
         for (ip, table) in self.acls {
-            let node = *pod_locations
-                .get(&ip)
-                .expect("ACL target pod must be attached");
-            let ok = nodes[node].backend_mut().install_acl(ip, table);
+            let host = routes.get(ip).expect("ACL target pod must be attached");
+            let ok = nodes[host].backend_mut().install_acl(ip, table.clone());
             assert!(ok, "ACL install must succeed on the home switch");
+            acl_map.insert(ip, table);
         }
-        for (node, controller) in self.defenses {
-            nodes[node].attach_defense(controller);
+
+        for (host, controller) in self.defenses {
+            nodes[host].attach_defense(controller);
         }
         let mut programs: BTreeMap<usize, ControlPlaneProgram> = BTreeMap::new();
-        for (node, program) in self.control_planes {
-            programs.entry(node).or_default().merge(program);
+        for (host, program) in self.control_planes {
+            programs.entry(host).or_default().merge(program);
         }
-        for (node, program) in programs {
-            nodes[node].attach_control_plane(program.compile());
+        for (host, program) in programs {
+            nodes[host].attach_control_plane(program.compile());
         }
         let mut fault_schedules: BTreeMap<usize, FaultSchedule> = BTreeMap::new();
-        for (node, schedule) in self.faults {
-            fault_schedules.entry(node).or_default().merge(schedule);
+        for (host, schedule) in self.faults {
+            fault_schedules.entry(host).or_default().merge(schedule);
         }
         let mut reliable: BTreeMap<usize, (ControlPlaneProgram, ReliabilityConfig)> =
             BTreeMap::new();
-        for (node, program, cfg) in self.reliable_controls {
-            let entry = reliable.entry(node).or_default();
+        for (host, program, rcfg) in self.reliable_controls {
+            let entry = reliable.entry(host).or_default();
             entry.0.merge(program);
-            entry.1 = cfg;
+            entry.1 = rcfg;
         }
-        for (node, (program, cfg)) in reliable {
-            // The reliable layer sends through the node's faulty
+        for (host, (program, rcfg)) in reliable {
+            // The reliable layer sends through the host's faulty
             // channel, if its schedule models one.
-            let channel = fault_schedules.get(&node).and_then(|s| s.channel_config());
-            nodes[node]
-                .attach_reliable_control_plane(ReliableControlPlane::new(program, cfg, channel));
+            let channel = fault_schedules.get(&host).and_then(|s| s.channel_config());
+            nodes[host]
+                .attach_reliable_control_plane(ReliableControlPlane::new(program, rcfg, channel));
         }
-        for (node, schedule) in fault_schedules {
-            nodes[node].attach_faults(schedule.compile());
+        for (host, schedule) in fault_schedules {
+            nodes[host].attach_faults(schedule.compile());
         }
-        if self.cfg.trace.enabled {
+        if cfg.sim.trace.enabled {
             for (host, node) in nodes.iter_mut().enumerate() {
-                node.set_tracer(Tracer::for_host(self.cfg.trace, host as u32));
+                node.set_tracer(Tracer::for_host(cfg.sim.trace, host as u32));
             }
         }
-        let sources = self
-            .sources
+
+        let mut source_homes: Vec<SourceHome> = Vec::with_capacity(self.sources.len());
+        let mut per_host_slots: Vec<Vec<FleetSlot>> = (0..n).map(|_| Vec::new()).collect();
+        for (global, (host, source)) in self.sources.into_iter().enumerate() {
+            source_homes.push(SourceHome {
+                shard: host,
+                slot: per_host_slots[host].len(),
+            });
+            per_host_slots[host].push(FleetSlot::new(global, source));
+        }
+        let source_homes: Arc<[SourceHome]> = source_homes.into();
+
+        let shards: Vec<HostShard> = nodes
             .into_iter()
+            .zip(per_host_slots)
             .enumerate()
-            .map(|(i, (origin, source))| SourceSlot {
-                label: format!("{}#{}", source.label(), i),
-                source,
-                origin,
-                tick_delivered: 0,
-                tick_dropped: 0,
-                window_delivered_bytes: 0,
-                window_generated_bytes: 0,
-                total_generated: 0,
-                total_delivered: 0,
-                total_dropped_capacity: 0,
-                total_dropped_policy: 0,
-                total_dropped_upcall: 0,
+            .map(|(id, (node, slots))| {
+                HostShard::new(id, node, routes.clone(), Arc::clone(&source_homes), slots)
             })
             .collect();
 
-        Simulation {
-            cfg: self.cfg,
-            nodes,
-            pod_locations,
-            sources,
+        // Resolve migrations into per-tick command batches.
+        let tick_ns = cfg.sim.tick.as_nanos();
+        let mut next_vport = self.next_vport;
+        let mut location = routes;
+        let mut migrations = self.migrations;
+        migrations.sort_by_key(|m| m.at);
+        let mut commands: Vec<(u64, usize, HostCmd)> = Vec::new();
+        for m in migrations {
+            let tick = m.at.as_nanos() / tick_ns;
+            let from = location.get(m.ip).expect("migrating pod must be attached");
+            if from == m.to_host {
+                continue;
+            }
+            let vport = next_vport[m.to_host];
+            next_vport[m.to_host] += 1;
+            for shard in 0..n {
+                commands.push((
+                    tick,
+                    shard,
+                    HostCmd::Route {
+                        ip: m.ip,
+                        shard: m.to_host,
+                    },
+                ));
+            }
+            commands.push((tick, from, HostCmd::DetachToUplink { ip: m.ip }));
+            commands.push((
+                tick,
+                m.to_host,
+                HostCmd::AttachLocal {
+                    ip: m.ip,
+                    vport,
+                    acl: acl_map.get(&m.ip).cloned(),
+                },
+            ));
+            location.insert(m.ip, m.to_host);
+        }
+
+        FleetSim {
+            cfg,
+            shards,
+            commands,
         }
     }
 }
 
-/// Per-source run totals.
-///
-/// Totals do **not** conserve at the run boundary: packets still in
-/// flight when the clock stops — sitting in a node's ingress queue, on
-/// the fabric, or parked in a bounded upcall pipeline awaiting a
-/// handler — are in no bucket, so `generated` may exceed the sum of
-/// the outcome counters by up to the in-flight population.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SourceTotals {
-    /// Source label (`label#index`).
-    pub label: String,
-    /// Packets generated.
-    pub generated: u64,
-    /// Packets delivered to their destination pod.
-    pub delivered: u64,
-    /// Packets lost to queue/link/capacity limits.
-    pub dropped_capacity: u64,
-    /// Packets denied by policy.
-    pub dropped_policy: u64,
-    /// Packets tail-dropped at a switch's bounded upcall queue (always
-    /// zero under [`pi_datapath::PipelineMode::Inline`]). Kept separate
-    /// from `dropped_capacity` so slow-path starvation is attributable.
-    pub dropped_upcall: u64,
+/// A runnable simulation: a fleet of hosts, or the one or two of the
+/// paper's testbed.
+pub struct FleetSim {
+    cfg: FleetConfig,
+    shards: Vec<HostShard>,
+    /// (tick, shard, command), in schedule order.
+    commands: Vec<(u64, usize, HostCmd)>,
 }
 
-/// Everything a run produces.
-#[derive(Debug)]
-pub struct SimReport {
-    /// Per-source delivered throughput, bits/second, sampled per window.
-    pub throughput_bps: Vec<TimeSeries>,
-    /// Per-source offered load, bits/second.
-    pub offered_bps: Vec<TimeSeries>,
-    /// Per-node distinct megaflow mask count (Fig. 3's right axis).
-    pub masks: Vec<TimeSeries>,
-    /// Per-node megaflow entry count.
-    pub megaflows: Vec<TimeSeries>,
-    /// Per-node CPU utilisation of the datapath budget, 0–1.
-    pub cpu_util: Vec<TimeSeries>,
-    /// Per-node slow-path handler CPU, cycles/second (zero under the
-    /// inline pipeline — handlers are a separate budget, so this is a
-    /// rate, not a fraction of the datapath budget).
-    pub handler_cps: Vec<TimeSeries>,
-    /// Per-node control-plane CPU, cycles/second — the flush-storm
-    /// share of the datapath budget (a subset of `cpu_util`'s cycles),
-    /// sampled per window. Flat zero for nodes with no control plane.
-    pub control_cps: Vec<TimeSeries>,
-    /// Final switch statistics per node.
-    pub switch_stats: Vec<SwitchStats>,
-    /// Final upcall-pipeline statistics per node (all zero under the
-    /// inline pipeline).
-    pub upcall_stats: Vec<UpcallStats>,
-    /// Per-source totals.
-    pub source_totals: Vec<SourceTotals>,
-    /// Per-node defense-controller reports (detections + state
-    /// timeline), `None` for undefended nodes.
-    pub defense: Vec<Option<DefenseReport>>,
-    /// Per-node fault/recovery counters, `None` for nodes with neither
-    /// a fault program nor a reliable control plane attached.
-    pub faults: Vec<Option<NodeFaultReport>>,
-    /// Final per-destination mask attribution per node — the offender
-    /// list, computed once here so benches never re-walk the megaflow
-    /// cache themselves.
-    pub attribution: Vec<Vec<MaskAttribution>>,
-    /// Executed/skipped tick accounting for the run (engine
-    /// self-profiling).
-    pub engine: EngineStats,
-    /// The merged structured trace (empty unless
-    /// [`crate::SimConfig::trace`] enabled tracing).
-    pub trace: TraceReport,
+/// A delivery in flight: `(destination shard, parcel naming its
+/// sender)`.
+type Delivery = (usize, Parcel);
+
+/// One lookahead exchange between event-loop workers. With empty
+/// `items` this is a pure null message: it carries only the promise.
+struct Flush {
+    from: usize,
+    /// The sender promises to deliver nothing at ticks ≤ `safe` beyond
+    /// the items flushed so far — the receiver may execute through
+    /// `safe` without hearing from this sender again.
+    safe: u64,
+    /// `(deliver_tick, delivery)`: what a shard emitted towards one of
+    /// the receiver's during tick `deliver_tick − 1`.
+    items: Vec<(u64, Delivery)>,
 }
 
-impl SimReport {
-    /// Offenders on `node`: destinations whose final mask count exceeds
-    /// `threshold`.
-    pub fn offenders(&self, node: usize, threshold: usize) -> Vec<MaskAttribution> {
-        pi_detect::offenders(&self.attribution[node], threshold)
+/// Deliveries filed for future ticks: deliver tick → `(local shard,
+/// parcel)` in arrival order (the consuming shard merges its parcels in
+/// sending-shard order). Emptied per-tick lists are kept for reuse, so
+/// filing allocates only while the window of ticks in flight grows.
+#[derive(Default)]
+struct Pending {
+    by_tick: BTreeMap<u64, Vec<Delivery>>,
+    spare: Vec<Vec<Delivery>>,
+}
+
+impl Pending {
+    /// Emptied lists kept; ticks with filed deliveries are at most a
+    /// lookahead window apart.
+    const SPARE_CAP: usize = 8;
+
+    fn first_tick(&self) -> Option<u64> {
+        self.by_tick.first_key_value().map(|(&t, _)| t)
+    }
+
+    #[inline]
+    fn file(&mut self, at: u64, local: usize, parcel: Parcel) {
+        let spare = &mut self.spare;
+        self.by_tick
+            .entry(at)
+            .or_insert_with(|| spare.pop().unwrap_or_default())
+            .push((local, parcel));
+    }
+
+    /// Moves everything filed for tick `e` into its shard's `inbound`,
+    /// naming each receiving shard in `due`.
+    fn deliver(&mut self, e: u64, work: &mut [ShardInput], due: &mut Vec<usize>) {
+        let Some(mut batch) = self.by_tick.remove(&e) else {
+            return;
+        };
+        for (li, parcel) in batch.drain(..) {
+            work[li].inbound.push(parcel);
+            due.push(li);
+        }
+        if self.spare.len() < Self::SPARE_CAP {
+            self.spare.push(batch);
+        }
     }
 }
 
-/// A runnable simulation.
-pub struct Simulation {
-    cfg: crate::SimConfig,
-    nodes: Vec<NodeCell<usize>>,
-    pod_locations: BTreeMap<u32, usize>,
-    sources: Vec<SourceSlot>,
-}
-
-/// Earliest tick ≥ `from_tick` on which anything observable can happen,
-/// under the same tick-grid mappings as the fleet engine's
-/// `HostShard::next_wake`: scheduled control/fault events are polled at
-/// tick *start* (`div_ceil`), backend maintenance deadlines at tick
-/// *end* (`div_ceil − 1`), source activity by the tick containing it
-/// (floor). The sample grid bounds the answer, so a finite tick always
-/// comes back; ticks strictly between `from_tick` and the result are
-/// provable no-ops.
-fn next_event_tick(
-    nodes: &[NodeCell<usize>],
-    sources: &[SourceSlot],
-    from_tick: u64,
+/// The per-worker state of the event-driven engine: the shards this
+/// worker owns plus their merged event queue — pending deliveries
+/// keyed by tick, the tick-sorted command stream, and a wake heap
+/// lazily invalidated through `wake_at` (an entry is live only while
+/// it equals the shard's authoritative deadline) — and the scratch an
+/// executed tick works in, kept across ticks so none is allocated.
+struct EventWorker {
+    me: usize,
+    ctx: TickCtx,
     tick_ns: u64,
-    sample_every_ticks: u64,
-    defense_every_ticks: u64,
-) -> u64 {
-    let from = SimTime::from_nanos(from_tick.saturating_mul(tick_ns));
-    let mut wake = from_tick + (sample_every_ticks - 1 - from_tick % sample_every_ticks);
-    for node in nodes {
-        if wake <= from_tick {
-            break;
-        }
-        if !node.quiet() {
-            wake = from_tick;
-            break;
-        }
-        if let Some(t) = node.next_scheduled_event(from) {
-            wake = wake.min(t.as_nanos().div_ceil(tick_ns));
-        }
-        if let Some(t) = node.next_background_event(from) {
-            wake = wake.min(t.as_nanos().div_ceil(tick_ns).saturating_sub(1));
-        }
-        if node.has_defense() {
-            let r = from_tick % defense_every_ticks;
-            wake = wake.min(from_tick + (defense_every_ticks - 1 - r));
-        }
-    }
-    for slot in sources {
-        if wake <= from_tick {
-            break;
-        }
-        let t = slot.source.next_activity(from);
-        wake = wake.min(t.as_nanos() / tick_ns);
-    }
-    wake.max(from_tick)
+    ticks: u64,
+    /// Shard id → owning worker.
+    owner: Vec<usize>,
+    /// Owned shards, ascending id.
+    shards: Vec<HostShard>,
+    /// Shard id → index into its owner's `shards`.
+    local_index: Vec<usize>,
+    /// This worker's shards' commands, tick order.
+    commands: Vec<(u64, usize, HostCmd)>,
+    cmd_cursor: usize,
+    pending: Pending,
+    wake_at: Vec<u64>,
+    heap: BinaryHeap<Reverse<(u64, usize)>>,
+    /// Cross-worker emissions awaiting the next flush, by destination
+    /// worker.
+    outbox: Vec<Vec<(u64, Delivery)>>,
+    /// Local shards to step this tick, ascending.
+    due: Vec<usize>,
+    /// Per local shard: this tick's commands and inbound parcels.
+    /// Empty between ticks.
+    work: Vec<ShardInput>,
+    out: ShardOutput,
+    /// Harness self-profiling for this worker (heap churn, null
+    /// messages) — diagnostic only, never part of the simulated state.
+    profile: EngineProfile,
 }
 
-impl Simulation {
+impl EventWorker {
+    /// The earliest tick ≥ `t` at which any owned shard has an event:
+    /// the next sample boundary (global, mandatory), the next command,
+    /// the earliest pending delivery, or the earliest live wake
+    /// deadline. Stale heap entries are discarded on the way.
+    // audit: hotpath
+    fn next_event(&mut self, t: u64) -> u64 {
+        let every = self.ctx.sample_every_ticks;
+        let mut e = t + (every - 1 - (t % every));
+        if let Some((ct, _, _)) = self.commands.get(self.cmd_cursor) {
+            e = e.min((*ct).max(t));
+        }
+        if let Some(dt) = self.pending.first_tick() {
+            e = e.min(dt.max(t));
+        }
+        while let Some(&Reverse((wt, s))) = self.heap.peek() {
+            if self.wake_at[s] == wt {
+                e = e.min(wt.max(t));
+                break;
+            }
+            self.heap.pop();
+            self.profile.wake_stale_pops += 1;
+        }
+        e
+    }
+
+    /// Executes tick `e` across the owned shards that have an event at
+    /// it — exactly the work the stepped engine would do, minus the
+    /// shards with provably nothing to observe.
+    // audit: hotpath
+    fn execute_tick(&mut self, e: u64) {
+        let ctx = self.ctx;
+        let now = SimTime::from_nanos(e * self.tick_ns);
+        let next = SimTime::from_nanos((e + 1) * self.tick_ns);
+
+        // The due list: every shard one of the merged event sources
+        // names at `e`.
+        self.due.clear();
+        while let Some((ct, sid, cmd)) = self.commands.get(self.cmd_cursor) {
+            if *ct > e {
+                break;
+            }
+            let li = self.local_index[*sid];
+            self.work[li].cmds.push(cmd.clone());
+            self.due.push(li);
+            self.cmd_cursor += 1;
+        }
+        self.pending.deliver(e, &mut self.work, &mut self.due);
+        // Every deadline ≤ e leaves the heap here: the live ones run
+        // now and are re-scheduled past `e`, the rest were stale.
+        while let Some(&Reverse((wt, li))) = self.heap.peek() {
+            if wt > e {
+                break;
+            }
+            self.heap.pop();
+            self.profile.wake_stale_pops += 1;
+            if self.wake_at[li] == wt {
+                self.due.push(li);
+            }
+        }
+        if (e + 1).is_multiple_of(ctx.sample_every_ticks) {
+            self.due.clear();
+            self.due.extend(0..self.shards.len());
+        } else {
+            self.due.sort_unstable();
+            self.due.dedup();
+        }
+
+        // Emissions from the final tick would deliver past the end of
+        // the run; the stepped engine drops them the same way.
+        let deliverable = e + 1 < self.ticks;
+        for i in 0..self.due.len() {
+            let li = self.due[i];
+            self.shards[li].tick(e, now, next, &ctx, &mut self.work[li], &mut self.out);
+            let sid = self.shards[li].id;
+            for (dst, parcel) in self.out.drain_from(sid) {
+                if !deliverable {
+                    continue;
+                }
+                let owner = self.owner[dst];
+                if owner == self.me {
+                    self.pending.file(e + 1, self.local_index[dst], parcel);
+                } else {
+                    self.outbox[owner].push((e + 1, (dst, parcel)));
+                }
+            }
+            let wake = self.shards[li].next_wake(e + 1, &ctx, self.tick_ns);
+            self.wake_at[li] = wake;
+            if wake != u64::MAX {
+                self.heap.push(Reverse((wake, li)));
+                self.profile.wake_pushes += 1;
+            }
+        }
+    }
+
+    /// Records one outgoing flush in the profile. Terminal promises
+    /// (`safe == u64::MAX`) are counted but not logged — they carry no
+    /// meaningful tick.
+    fn note_flush(&mut self, to: usize, safe: u64, items: usize) {
+        self.profile.flushes += 1;
+        self.profile.flush_items += items as u64;
+        if items == 0 {
+            self.profile.null_messages += 1;
+        }
+        if safe != u64::MAX && self.profile.flush_log.len() < FLUSH_LOG_CAP {
+            let seq = self.profile.flush_log.len() as u32;
+            self.profile.flush_log.push(TraceEvent {
+                at_ns: safe.saturating_mul(self.tick_ns),
+                host: self.me as u32,
+                seq,
+                cause: CauseId::NONE,
+                kind: TraceEventKind::FlushExchange {
+                    from: self.me as u32,
+                    to: to as u32,
+                    safe_tick: safe,
+                    items: items as u32,
+                },
+            });
+        }
+    }
+
+    /// Folds one peer flush in: advance that peer's promise, file its
+    /// deliveries.
+    fn absorb(&mut self, frontier: &mut [u64], msg: Flush) {
+        let f = &mut frontier[msg.from];
+        *f = (*f).max(msg.safe);
+        for (dt, (dst, parcel)) in msg.items {
+            if dt < self.ticks {
+                self.pending.file(dt, self.local_index[dst], parcel);
+            }
+        }
+    }
+}
+
+/// The event-driven worker: run ahead to the horizon the peers'
+/// promises allow, executing only event-bearing ticks; flush emissions
+/// plus a `safe = horizon + 1` promise; block until the horizon moves.
+fn worker_event_loop(
+    mut w: EventWorker,
+    peers: Vec<(usize, SyncSender<Flush>)>,
+    rx: Receiver<Flush>,
+) -> (Vec<HostShard>, EngineProfile) {
+    let ticks = w.ticks;
+    // Worker → the tick it has promised to deliver nothing at or
+    // before; this worker's own entry never constrains it.
+    let mut frontier: Vec<u64> = vec![0; w.outbox.len()];
+    frontier[w.me] = u64::MAX;
+    let horizon = |frontier: &[u64]| frontier.iter().copied().min().unwrap_or(u64::MAX);
+    let mut t: u64 = 0;
+    loop {
+        let h = horizon(&frontier).min(ticks - 1);
+        while t <= h {
+            let e = w.next_event(t);
+            if e > h {
+                break;
+            }
+            w.execute_tick(e);
+            t = e + 1;
+        }
+        // No event in (t, h] — skip straight past the horizon.
+        t = h + 1;
+        if t >= ticks {
+            // Peers may still be behind: leave them a terminal promise
+            // (ignore peers that already finished and hung up).
+            for (p, tx) in &peers {
+                let items = std::mem::take(&mut w.outbox[*p]);
+                w.note_flush(*p, u64::MAX, items.len());
+                let _ = tx.send(Flush {
+                    from: w.me,
+                    safe: u64::MAX,
+                    items,
+                });
+            }
+            return (w.shards, w.profile);
+        }
+        for (p, tx) in &peers {
+            let items = std::mem::take(&mut w.outbox[*p]);
+            w.note_flush(*p, h + 1, items.len());
+            let _ = tx.send(Flush {
+                from: w.me,
+                safe: h + 1,
+                items,
+            });
+        }
+        while horizon(&frontier) <= h {
+            let msg = rx.recv().expect("peer worker hung up mid-run");
+            w.absorb(&mut frontier, msg);
+            while let Ok(m) = rx.try_recv() {
+                w.absorb(&mut frontier, m);
+            }
+        }
+    }
+}
+
+/// Round-robin ownership of `shards` (in id order): shard `i` belongs
+/// to worker `i % workers`. Returns each worker's shards (ascending
+/// id), shard id → owner, and shard id → index within its owner's part.
+fn partition(
+    shards: Vec<HostShard>,
+    workers: usize,
+) -> (Vec<Vec<HostShard>>, Vec<usize>, Vec<usize>) {
+    let mut parts: Vec<Vec<HostShard>> = (0..workers).map(|_| Vec::new()).collect();
+    let mut owner = Vec::with_capacity(shards.len());
+    let mut local_index = Vec::with_capacity(shards.len());
+    for shard in shards {
+        let w = shard.id % workers;
+        owner.push(w);
+        local_index.push(parts[w].len());
+        parts[w].push(shard);
+    }
+    (parts, owner, local_index)
+}
+
+impl FleetSim {
+    /// Number of host shards.
+    pub fn host_count(&self) -> usize {
+        self.shards.len()
+    }
+
     /// Overrides the engine selection after construction. The scripted
     /// scenarios build their own [`crate::SimConfig`]; this lets the
     /// equivalence tests run the same scenario on the event-driven core
     /// and the tick-stepped reference and pin the reports equal.
     pub fn set_event_driven(&mut self, on: bool) {
-        self.cfg.event_driven = on;
+        self.cfg.sim.event_driven = on;
     }
 
     /// Overrides the trace configuration after construction and rewires
-    /// every node's tracer accordingly. The scripted scenarios build
+    /// every shard's tracer accordingly. The scripted scenarios build
     /// their own [`crate::SimConfig`]; this turns tracing on (or off)
     /// for an already-built topology without re-plumbing the builder.
+    /// Tracers are strictly shard-local (per-host rings, merged
+    /// canonically at assembly), so enabling tracing cannot disturb
+    /// worker-count determinism.
     pub fn set_trace(&mut self, trace: TraceConfig) {
-        self.cfg.trace = trace;
-        for (host, node) in self.nodes.iter_mut().enumerate() {
+        self.cfg.sim.trace = trace;
+        for shard in &mut self.shards {
             let tracer = if trace.enabled {
-                Tracer::for_host(trace, host as u32)
+                Tracer::for_host(trace, shard.id as u32)
             } else {
                 Tracer::disabled()
             };
-            node.set_tracer(tracer);
+            shard.node.set_tracer(tracer);
         }
     }
 
-    /// Runs to completion and reports.
-    pub fn run(self) -> SimReport {
-        let Simulation {
-            cfg,
-            mut nodes,
-            pod_locations,
-            mut sources,
-        } = self;
-        let ticks = cfg.tick_count();
-        let cycles_per_tick = cfg.cycles_per_tick();
-        let link_bytes_per_tick = cfg.link_bytes_per_tick();
+    /// Runs to completion and reports. Dispatches on
+    /// [`crate::SimConfig::event_driven`]: the event-driven engine is
+    /// the default; the tick-stepped serial loop remains available as
+    /// the equivalence reference. Both produce bit-identical reports,
+    /// the event-driven one for any worker count.
+    pub fn run(self) -> FleetReport {
+        let sim = self.cfg.sim;
+        let hosts = self.shards.len();
+        let workers = self.cfg.workers.clamp(1, hosts.max(1));
+        let ctx = TickCtx::new(&sim, hosts);
+        let tick_ns = sim.tick.as_nanos();
+        let ticks = sim.tick_count();
+        // A run of no ticks has no last tick for the event loop to run
+        // up to; the reference loop's zero iterations are its answer.
+        let (shards, profiles) = if sim.event_driven && ticks > 0 {
+            run_event(self.shards, self.commands, ctx, tick_ns, ticks, workers)
+        } else {
+            let shards = run_stepped(self.shards, &self.commands, &ctx, tick_ns, ticks);
+            (shards, Vec::new())
+        };
+        FleetReport::assemble(workers, sim.tick, ticks, shards, sim.trace, profiles)
+    }
+}
 
-        let mut throughput: Vec<TimeSeries> = sources
+/// The event-driven engine: per-worker event queues with
+/// bounded-lookahead synchronisation (see the module docs). Returns the
+/// shards in id order and one profile per worker.
+fn run_event(
+    shards: Vec<HostShard>,
+    commands: Vec<(u64, usize, HostCmd)>,
+    ctx: TickCtx,
+    tick_ns: u64,
+    ticks: u64,
+    workers: usize,
+) -> (Vec<HostShard>, Vec<EngineProfile>) {
+    let (parts, owner, local_index) = partition(shards, workers);
+    let mut part_cmds: Vec<Vec<(u64, usize, HostCmd)>> = (0..workers).map(|_| Vec::new()).collect();
+    for (tick, shard, cmd) in commands {
+        part_cmds[owner[shard]].push((tick, shard, cmd));
+    }
+
+    // One receiver per worker; every peer holds a sender clone.
+    // The capacity bounds run-ahead buffering: a worker enqueues at
+    // most a couple of flushes per peer before the peer's next
+    // drain, so sends only ever block briefly.
+    let mut txs: Vec<SyncSender<Flush>> = Vec::with_capacity(workers);
+    let mut rxs: Vec<Receiver<Flush>> = Vec::with_capacity(workers);
+    for _ in 0..workers {
+        let (tx, rx) = std::sync::mpsc::sync_channel::<Flush>(8 * workers.max(2));
+        txs.push(tx);
+        rxs.push(rx);
+    }
+    let mut handles = Vec::with_capacity(workers);
+    for (me, ((part, cmds), rx)) in parts.into_iter().zip(part_cmds).zip(rxs).enumerate() {
+        let peers: Vec<(usize, SyncSender<Flush>)> = (0..workers)
+            .filter(|p| *p != me)
+            .map(|p| (p, txs[p].clone()))
+            .collect();
+        let wake_at: Vec<u64> = part.iter().map(|s| s.next_wake(0, &ctx, tick_ns)).collect();
+        let heap: BinaryHeap<Reverse<(u64, usize)>> = wake_at
             .iter()
-            .map(|s| TimeSeries::new(&format!("{}_bps", s.label)))
+            .enumerate()
+            .filter(|(_, w)| **w != u64::MAX)
+            .map(|(i, w)| Reverse((*w, i)))
             .collect();
-        let mut offered: Vec<TimeSeries> = sources
-            .iter()
-            .map(|s| TimeSeries::new(&format!("{}_offered_bps", s.label)))
-            .collect();
-        let mut masks: Vec<TimeSeries> = (0..nodes.len())
-            .map(|i| TimeSeries::new(&format!("node{i}_masks")))
-            .collect();
-        let mut megaflows: Vec<TimeSeries> = (0..nodes.len())
-            .map(|i| TimeSeries::new(&format!("node{i}_megaflows")))
-            .collect();
-        let mut cpu: Vec<TimeSeries> = (0..nodes.len())
-            .map(|i| TimeSeries::new(&format!("node{i}_cpu")))
-            .collect();
-        let mut handler_cps: Vec<TimeSeries> = (0..nodes.len())
-            .map(|i| TimeSeries::new(&format!("node{i}_handler_cps")))
-            .collect();
-        let mut control_cps: Vec<TimeSeries> = (0..nodes.len())
-            .map(|i| TimeSeries::new(&format!("node{i}_control_cps")))
-            .collect();
-        let mut engine = EngineStats::default();
+        let ew = EventWorker {
+            me,
+            ctx,
+            tick_ns,
+            ticks,
+            owner: owner.clone(),
+            work: part.iter().map(|_| ShardInput::default()).collect(),
+            shards: part,
+            local_index: local_index.clone(),
+            commands: cmds,
+            cmd_cursor: 0,
+            pending: Pending::default(),
+            wake_at,
+            heap,
+            outbox: (0..workers).map(|_| Vec::new()).collect(),
+            due: Vec::new(),
+            out: ShardOutput::new(ctx.shards),
+            profile: EngineProfile {
+                worker: me,
+                ..EngineProfile::default()
+            },
+        };
+        handles.push(thread::spawn(move || worker_event_loop(ew, peers, rx)));
+    }
+    drop(txs);
 
-        let mut genbuf: Vec<GenPacket> = Vec::new();
-        let mut forward: Vec<Vec<NodePacket<usize>>> =
-            (0..nodes.len()).map(|_| Vec::new()).collect();
-        let sample_every_ticks = (cfg.sample_interval.as_nanos() / cfg.tick.as_nanos()).max(1);
-        let window_secs = cfg.sample_interval.as_secs_f64();
-        let defense_every_ticks = cfg.defense_every_ticks();
-        let tick_ns = cfg.tick.as_nanos();
+    let mut shards: Vec<HostShard> = Vec::with_capacity(owner.len());
+    let mut profiles: Vec<EngineProfile> = Vec::with_capacity(workers);
+    for handle in handles {
+        let (part, profile) = handle.join().expect("worker panicked");
+        shards.extend(part);
+        profiles.push(profile);
+    }
+    shards.sort_unstable_by_key(|s| s.id);
+    (shards, profiles)
+}
 
-        // Event-driven mode jumps `tick` straight to the next tick with
-        // observable work; the stepped reference visits every tick. The
-        // executed ticks run the identical body either way.
-        let mut tick = 0u64;
-        while tick < ticks {
-            if cfg.event_driven {
-                let e = next_event_tick(
-                    &nodes,
-                    &sources,
-                    tick,
-                    tick_ns,
-                    sample_every_ticks,
-                    defense_every_ticks,
-                );
-                if e >= ticks {
-                    break;
-                }
-                tick = e;
+/// The tick-stepped reference: one thread, every shard, every tick, in
+/// id order. What a shard emits during tick `t` is held back until every
+/// shard has run `t` and handed over at the start of `t + 1`; the final
+/// tick's emissions would deliver past the end of the run and are
+/// dropped.
+fn run_stepped(
+    mut shards: Vec<HostShard>,
+    commands: &[(u64, usize, HostCmd)],
+    ctx: &TickCtx,
+    tick_ns: u64,
+    ticks: u64,
+) -> Vec<HostShard> {
+    let mut work: Vec<ShardInput> = shards.iter().map(|_| ShardInput::default()).collect();
+    let mut out = ShardOutput::new(ctx.shards);
+    let mut in_flight: Vec<Delivery> = Vec::new();
+    let mut cmd_cursor = 0usize;
+    for tick in 0..ticks {
+        let now = SimTime::from_nanos(tick * tick_ns);
+        let next = SimTime::from_nanos((tick + 1) * tick_ns);
+        while let Some((ct, shard, cmd)) = commands.get(cmd_cursor) {
+            if *ct > tick {
+                break;
             }
-            let now = SimTime::from_nanos(tick * cfg.tick.as_nanos());
-            let next = now + cfg.tick;
-            engine.shard_ticks_stepped += nodes.len() as u64;
-
-            // 1. Generation → origin queues.
-            for (si, slot) in sources.iter_mut().enumerate() {
-                genbuf.clear();
-                slot.source.generate(now, next, &mut genbuf);
-                slot.total_generated += genbuf.len() as u64;
-                for p in &genbuf {
-                    slot.window_generated_bytes += p.bytes as u64;
-                    let accepted = nodes[slot.origin].enqueue(
-                        NodePacket {
-                            key: p.key,
-                            bytes: p.bytes,
-                            source: si,
-                        },
-                        cfg.queue_capacity,
-                    );
-                    if !accepted {
-                        slot.tick_dropped += 1;
-                        slot.total_dropped_capacity += 1;
-                    }
-                }
-            }
-
-            // 2. Switch processing under the cycle budget.
-            for node in nodes.iter_mut() {
-                let mut link_budget = link_bytes_per_tick;
-                node.step(now, cycles_per_tick, |pkt, routing| match routing {
-                    Routing::Uplink => {
-                        let dst = pod_locations.get(&pkt.key.ip_dst).copied();
-                        if let Some(dst) = dst {
-                            if link_budget >= pkt.bytes as f64 {
-                                link_budget -= pkt.bytes as f64;
-                                forward[dst].push(pkt);
-                            } else {
-                                let s = &mut sources[pkt.source];
-                                s.tick_dropped += 1;
-                                s.total_dropped_capacity += 1;
-                            }
-                        } else {
-                            // Switch routed to uplink but no node
-                            // hosts the IP — treat as policy drop.
-                            sources[pkt.source].total_dropped_policy += 1;
-                        }
-                    }
-                    Routing::Local(_vport) => {
-                        let s = &mut sources[pkt.source];
-                        s.tick_delivered += 1;
-                        s.total_delivered += 1;
-                        s.window_delivered_bytes += pkt.bytes as u64;
-                    }
-                    Routing::Denied => {
-                        sources[pkt.source].total_dropped_policy += 1;
-                    }
-                    Routing::UpcallDropped => {
-                        let s = &mut sources[pkt.source];
-                        s.tick_dropped += 1;
-                        s.total_dropped_upcall += 1;
-                    }
-                });
-                node.revalidate(next);
-                // The defense control loop observes the post-tick
-                // switch state at its own cadence.
-                if (tick + 1).is_multiple_of(defense_every_ticks) {
-                    if node.has_defense() {
-                        engine.events_processed += 1;
-                    }
-                    node.run_defense(next);
-                }
-            }
-
-            // 3. Fabric hand-off (next tick's queues).
-            for (ni, pkts) in forward.iter_mut().enumerate() {
-                if !pkts.is_empty() {
-                    engine.events_processed += 1;
-                }
-                for pkt in pkts.drain(..) {
-                    let source = pkt.source;
-                    if !nodes[ni].enqueue(pkt, cfg.queue_capacity) {
-                        let s = &mut sources[source];
-                        s.tick_dropped += 1;
-                        s.total_dropped_capacity += 1;
-                    }
-                }
-            }
-
-            // 4. Feedback.
-            for slot in sources.iter_mut() {
-                slot.source.feedback(slot.tick_delivered, slot.tick_dropped);
-                slot.tick_delivered = 0;
-                slot.tick_dropped = 0;
-            }
-
-            // 5. Sampling.
-            if (tick + 1).is_multiple_of(sample_every_ticks) {
-                engine.events_processed += nodes.len() as u64;
-                let t = next;
-                for (si, slot) in sources.iter_mut().enumerate() {
-                    throughput[si].push(t, slot.window_delivered_bytes as f64 * 8.0 / window_secs);
-                    offered[si].push(t, slot.window_generated_bytes as f64 * 8.0 / window_secs);
-                    slot.window_delivered_bytes = 0;
-                    slot.window_generated_bytes = 0;
-                }
-                for (ni, node) in nodes.iter_mut().enumerate() {
-                    masks[ni].push(t, node.backend().mask_count() as f64);
-                    megaflows[ni].push(t, node.backend().megaflow_count() as f64);
-                    let budget_window = cfg.cpu_cycles_per_sec as f64 * window_secs;
-                    control_cps[ni].push(t, node.take_window_control_cycles() as f64 / window_secs);
-                    cpu[ni].push(t, node.take_window_cycles() as f64 / budget_window);
-                    handler_cps[ni].push(t, node.take_window_handler_cycles() as f64 / window_secs);
-                }
-            }
-            tick += 1;
+            work[*shard].cmds.push(cmd.clone());
+            cmd_cursor += 1;
         }
-        engine.shard_ticks_skipped = ticks * nodes.len() as u64 - engine.shard_ticks_stepped;
-        let tracers: Vec<Tracer> = nodes.iter().map(|n| n.tracer()).collect();
-        let trace = TraceReport::collect(cfg.trace, &tracers);
-
-        SimReport {
-            throughput_bps: throughput,
-            offered_bps: offered,
-            masks,
-            megaflows,
-            cpu_util: cpu,
-            handler_cps,
-            control_cps,
-            engine,
-            trace,
-            switch_stats: nodes.iter().map(|n| n.backend().stats()).collect(),
-            upcall_stats: nodes.iter().map(|n| n.backend().upcall_stats()).collect(),
-            attribution: nodes.iter().map(|n| n.backend().attribution()).collect(),
-            faults: nodes.iter().map(|n| n.fault_report(cfg.tick)).collect(),
-            defense: nodes.iter_mut().map(|n| n.take_defense_report()).collect(),
-            source_totals: sources
-                .iter()
-                .map(|s| SourceTotals {
-                    label: s.label.clone(),
-                    generated: s.total_generated,
-                    delivered: s.total_delivered,
-                    dropped_capacity: s.total_dropped_capacity,
-                    dropped_policy: s.total_dropped_policy,
-                    dropped_upcall: s.total_dropped_upcall,
-                })
-                .collect(),
+        for (dst, parcel) in in_flight.drain(..) {
+            work[dst].inbound.push(parcel);
+        }
+        for (shard, input) in shards.iter_mut().zip(&mut work) {
+            shard.tick(tick, now, next, ctx, input, &mut out);
+            in_flight.extend(out.drain_from(shard.id));
         }
     }
+    shards
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{EngineStats, SimConfig};
     use pi_classifier::table::whitelist_with_default_deny;
     use pi_core::{Field, FlowKey, FlowMask, MaskedKey};
-    use pi_datapath::DpConfig;
     use pi_traffic::CbrSource;
 
-    fn cfg(secs: u64) -> crate::SimConfig {
-        crate::SimConfig {
-            duration: SimTime::from_secs(secs),
-            ..Default::default()
+    fn small_cfg(secs: u64, workers: usize) -> FleetConfig {
+        FleetConfig {
+            sim: SimConfig {
+                duration: SimTime::from_secs(secs),
+                ..SimConfig::default()
+            },
+            workers,
         }
     }
 
@@ -648,12 +861,12 @@ mod tests {
     }
 
     #[test]
-    fn single_node_delivery() {
-        let mut b = SimBuilder::new(cfg(5));
-        let n0 = b.add_node(DpConfig::default());
-        b.add_pod(n0, ip([10, 0, 0, 2]));
+    fn single_host_delivery() {
+        let mut b = FleetBuilder::new(small_cfg(5, 1));
+        let h0 = b.add_host(DpConfig::default());
+        b.add_pod(h0, ip([10, 0, 0, 2]));
         let key = FlowKey::tcp([10, 0, 0, 1], [10, 0, 0, 2], 1000, 80);
-        b.add_source(n0, Box::new(CbrSource::new(key, 1500, 1000.0)));
+        b.add_source(h0, Box::new(CbrSource::new(key, 1500, 1000.0)));
         let report = b.build().run();
         let totals = &report.source_totals[0];
         assert_eq!(totals.generated, 5_000);
@@ -666,29 +879,29 @@ mod tests {
     }
 
     #[test]
-    fn two_node_forwarding_over_fabric() {
-        let mut b = SimBuilder::new(cfg(3));
-        let n0 = b.add_node(DpConfig::default());
-        let n1 = b.add_node(DpConfig::default());
-        b.add_pod(n0, ip([10, 0, 0, 1]));
-        b.add_pod(n1, ip([10, 1, 0, 1]));
+    fn cross_host_delivery_over_the_fabric() {
+        let mut b = FleetBuilder::new(small_cfg(3, 2));
+        let h0 = b.add_host(DpConfig::default());
+        let h1 = b.add_host(DpConfig::default());
+        b.add_pod(h0, ip([10, 0, 0, 1]));
+        b.add_pod(h1, ip([10, 1, 0, 1]));
         let key = FlowKey::tcp([10, 0, 0, 1], [10, 1, 0, 1], 1000, 80);
-        b.add_source(n0, Box::new(CbrSource::new(key, 1500, 100.0)));
+        b.add_source(h0, Box::new(CbrSource::new(key, 1500, 100.0)));
         let report = b.build().run();
-        // The fabric adds one tick of latency, so the final packet may
-        // still be in flight when the run ends.
+        // One tick of fabric latency, one more for the receipt: the
+        // tail of the stream may be in flight at the end of the run.
         let delivered = report.source_totals[0].delivered;
-        assert!((299..=300).contains(&delivered), "delivered = {delivered}");
+        assert!((298..=300).contains(&delivered), "delivered = {delivered}");
         // Both switches processed the packets.
         assert!(report.switch_stats[0].packets >= 299);
-        assert!(report.switch_stats[1].packets >= 299);
+        assert!(report.switch_stats[1].packets >= 298);
     }
 
     #[test]
     fn acl_denies_and_counts_policy_drops() {
-        let mut b = SimBuilder::new(cfg(2));
-        let n0 = b.add_node(DpConfig::default());
-        b.add_pod(n0, ip([10, 0, 0, 2]));
+        let mut b = FleetBuilder::new(small_cfg(2, 1));
+        let h0 = b.add_host(DpConfig::default());
+        b.add_pod(h0, ip([10, 0, 0, 2]));
         // Whitelist a different /8: 192.x traffic only.
         let allow = MaskedKey::new(
             FlowKey::tcp([192, 0, 0, 0], [0, 0, 0, 0], 0, 0),
@@ -696,26 +909,24 @@ mod tests {
         );
         b.install_acl(ip([10, 0, 0, 2]), whitelist_with_default_deny(&[allow]));
         let denied = FlowKey::tcp([10, 0, 0, 1], [10, 0, 0, 2], 1, 80);
-        b.add_source(n0, Box::new(CbrSource::new(denied, 64, 100.0)));
+        b.add_source(h0, Box::new(CbrSource::new(denied, 64, 100.0)));
         let report = b.build().run();
         assert_eq!(report.source_totals[0].delivered, 0);
         assert_eq!(report.source_totals[0].dropped_policy, 200);
     }
 
     #[test]
-    fn link_capacity_caps_cross_node_throughput() {
-        let mut b = SimBuilder::new(crate::SimConfig {
-            duration: SimTime::from_secs(3),
-            link_bps: 1e6, // 1 Mb/s fabric
-            ..Default::default()
-        });
-        let n0 = b.add_node(DpConfig::default());
-        let n1 = b.add_node(DpConfig::default());
-        b.add_pod(n0, ip([10, 0, 0, 1]));
-        b.add_pod(n1, ip([10, 1, 0, 1]));
+    fn link_capacity_caps_cross_host_throughput() {
+        let mut cfg = small_cfg(3, 1);
+        cfg.sim.link_bps = 1e6; // 1 Mb/s fabric
+        let mut b = FleetBuilder::new(cfg);
+        let h0 = b.add_host(DpConfig::default());
+        let h1 = b.add_host(DpConfig::default());
+        b.add_pod(h0, ip([10, 0, 0, 1]));
+        b.add_pod(h1, ip([10, 1, 0, 1]));
         let key = FlowKey::tcp([10, 0, 0, 1], [10, 1, 0, 1], 1, 80);
         // Offer 12 Mb/s over a 1 Mb/s link.
-        b.add_source(n0, Box::new(CbrSource::new(key, 1500, 1000.0)));
+        b.add_source(h0, Box::new(CbrSource::new(key, 1500, 1000.0)));
         let report = b.build().run();
         let delivered_bps = report.throughput_bps[0].mean();
         assert!(
@@ -728,16 +939,14 @@ mod tests {
     #[test]
     fn cpu_exhaustion_starves_the_queue() {
         // A switch with a microscopic budget cannot carry the load.
-        let mut b = SimBuilder::new(crate::SimConfig {
-            duration: SimTime::from_secs(2),
-            cpu_cycles_per_sec: 200_000, // 200 cycles/ms: a handful of packets
-            queue_capacity: 100,
-            ..Default::default()
-        });
-        let n0 = b.add_node(DpConfig::default());
-        b.add_pod(n0, ip([10, 0, 0, 2]));
+        let mut cfg = small_cfg(2, 1);
+        cfg.sim.cpu_cycles_per_sec = 200_000; // 200 cycles/ms: a handful of packets
+        cfg.sim.queue_capacity = 100;
+        let mut b = FleetBuilder::new(cfg);
+        let h0 = b.add_host(DpConfig::default());
+        b.add_pod(h0, ip([10, 0, 0, 2]));
         let key = FlowKey::tcp([10, 0, 0, 1], [10, 0, 0, 2], 1, 80);
-        b.add_source(n0, Box::new(CbrSource::new(key, 64, 10_000.0)));
+        b.add_source(h0, Box::new(CbrSource::new(key, 64, 10_000.0)));
         let report = b.build().run();
         let t = &report.source_totals[0];
         assert!(t.delivered < t.generated / 2, "most packets must drop");
@@ -748,11 +957,11 @@ mod tests {
 
     #[test]
     fn masks_series_tracks_switch_state() {
-        let mut b = SimBuilder::new(cfg(2));
-        let n0 = b.add_node(DpConfig::default());
-        b.add_pod(n0, ip([10, 0, 0, 2]));
+        let mut b = FleetBuilder::new(small_cfg(2, 1));
+        let h0 = b.add_host(DpConfig::default());
+        b.add_pod(h0, ip([10, 0, 0, 2]));
         let key = FlowKey::tcp([10, 0, 0, 1], [10, 0, 0, 2], 1, 80);
-        b.add_source(n0, Box::new(CbrSource::new(key, 64, 10.0)));
+        b.add_source(h0, Box::new(CbrSource::new(key, 64, 10.0)));
         let report = b.build().run();
         // One pod, no ACL: a single ip_dst mask.
         assert_eq!(report.masks[0].last().unwrap().1, 1.0);
@@ -762,12 +971,11 @@ mod tests {
     #[test]
     fn determinism_same_build_same_report() {
         let build = || {
-            let mut b = SimBuilder::new(cfg(3));
-            let n0 = b.add_node(DpConfig::default());
-            b.add_pod(n0, ip([10, 0, 0, 2]));
-            let _key = FlowKey::tcp([10, 0, 0, 1], [10, 0, 0, 2], 1, 80);
+            let mut b = FleetBuilder::new(small_cfg(3, 1));
+            let h0 = b.add_host(DpConfig::default());
+            b.add_pod(h0, ip([10, 0, 0, 2]));
             b.add_source(
-                n0,
+                h0,
                 Box::new(pi_traffic::PoissonFlowSource::new(
                     vec![(ip([10, 9, 9, 9]), ip([10, 0, 0, 2]))],
                     20.0,
@@ -786,5 +994,556 @@ mod tests {
             a.throughput_bps[0].iter().collect::<Vec<_>>(),
             b.throughput_bps[0].iter().collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "pod IPs must be unique")]
+    fn duplicate_pod_ip_is_rejected_on_a_single_host() {
+        // Were the second attachment accepted, the switch would keep
+        // the first vport while the routing view followed the second.
+        let mut b = FleetBuilder::new(small_cfg(1, 1));
+        let h0 = b.add_host(DpConfig::default());
+        b.add_pod(h0, ip([10, 0, 0, 2]));
+        b.add_pod(h0, ip([10, 0, 0, 2]));
+        b.build();
+    }
+
+    #[test]
+    fn zero_duration_run_is_empty_on_both_loops() {
+        let run = |event: bool| {
+            let mut cfg = small_cfg(0, 2);
+            cfg.sim.event_driven = event;
+            let mut b = FleetBuilder::new(cfg);
+            let h0 = b.add_host(DpConfig::default());
+            let h1 = b.add_host(DpConfig::default());
+            b.add_pod(h0, ip([10, 0, 0, 1]));
+            b.add_pod(h1, ip([10, 1, 0, 1]));
+            let key = FlowKey::tcp([10, 0, 0, 1], [10, 1, 0, 1], 1000, 80);
+            b.add_source(h0, Box::new(CbrSource::new(key, 1500, 1000.0)));
+            b.build().run()
+        };
+        let ev = run(true);
+        let st = run(false);
+        assert_reports_equal(&ev, &st, "zero ticks");
+        assert_eq!(ev.engine, EngineStats::default());
+        assert_eq!(st.engine, EngineStats::default());
+        assert!(ev.profiles.is_empty() && st.profiles.is_empty());
+        assert_eq!(ev.source_totals[0].generated, 0);
+        assert!(ev.throughput_bps[0].is_empty() && ev.masks[0].is_empty());
+        assert_eq!(ev.switch_stats[0].packets + ev.switch_stats[1].packets, 0);
+    }
+
+    #[test]
+    fn worker_count_is_clamped_between_one_and_the_host_count() {
+        let run = |workers: usize| {
+            let mut b = FleetBuilder::new(small_cfg(1, workers));
+            for h in 0..2 {
+                let host = b.add_host(DpConfig::default());
+                b.add_pod(host, ip([10, h, 0, 1]));
+            }
+            let report = b.build().run();
+            (report.workers, report.profiles.len())
+        };
+        assert_eq!(run(0), (1, 1));
+        assert_eq!(run(8), (2, 2));
+    }
+
+    #[test]
+    fn migration_moves_delivery_to_the_new_host() {
+        let mut b = FleetBuilder::new(small_cfg(4, 2));
+        let h0 = b.add_host(DpConfig::default());
+        let h1 = b.add_host(DpConfig::default());
+        let h2 = b.add_host(DpConfig::default());
+        b.add_pod(h0, ip([10, 0, 0, 1])); // client
+        b.add_pod(h1, ip([10, 1, 0, 1])); // server, will migrate to h2
+        let key = FlowKey::tcp([10, 0, 0, 1], [10, 1, 0, 1], 1000, 80);
+        b.add_source(h0, Box::new(CbrSource::new(key, 1500, 100.0)));
+        b.schedule_migration(SimTime::from_secs(2), ip([10, 1, 0, 1]), h2);
+        let report = b.build().run();
+        let totals = &report.source_totals[0];
+        // Nothing is lost across the migration epoch: in-flight packets
+        // tunnel through the old host's uplink.
+        assert!(totals.generated - totals.delivered <= 3, "{totals:?}");
+        assert_eq!(totals.dropped_policy, 0);
+        // The new host's switch did real delivery work after the move.
+        assert!(report.switch_stats[2].packets >= 190, "h2 took over");
+        let _ = h1;
+    }
+
+    #[test]
+    fn shards_inherit_the_bounded_pipeline_and_report_upcall_drops() {
+        use pi_attack::{AttackSchedule, AttackSpec, CovertSequence};
+        use pi_datapath::{PipelineMode, UpcallPipelineConfig};
+        use pi_traffic::ChurnSource;
+
+        let run = |quota: Option<u32>, workers: usize| {
+            let dp = DpConfig {
+                flow_limit: 64,
+                pipeline: PipelineMode::Bounded(UpcallPipelineConfig {
+                    queue_capacity: 16,
+                    handler_cycles_per_step: 200_000,
+                    port_quota_per_step: quota,
+                }),
+                ..DpConfig::default()
+            };
+            let mut b = FleetBuilder::new(small_cfg(4, workers));
+            let h0 = b.add_host(dp.clone());
+            let h1 = b.add_host(dp);
+            b.add_pod(h0, ip([10, 0, 0, 2])); // victim service pod
+            b.add_pod(h1, ip([10, 1, 0, 2])); // attacker client pod
+                                              // Victim churn: fresh connections from host 1 over the
+                                              // fabric, starting after the flood has filled host 0's
+                                              // flow limit (so its flows keep upcalling).
+            b.add_source(
+                h1,
+                Box::new(
+                    ChurnSource::new(ip([10, 0, 10, 0]), ip([10, 0, 0, 2]), 80, 64, 2_000.0)
+                        .starting_at(SimTime::from_secs(1))
+                        .named("victim"),
+                ),
+            );
+            // Attacker upcall flood injected directly at host 0.
+            let spec = AttackSpec::masks_512(pi_cms::PolicyDialect::Kubernetes);
+            let schedule = AttackSchedule::new(
+                CovertSequence::new(spec.build_target(ip([10, 1, 0, 2]))),
+                10e6, // ~19.5 kpps of 64-B frames
+                SimTime::ZERO,
+            )
+            .upcall_flood();
+            b.add_source(h0, Box::new(schedule));
+            b.build().run()
+        };
+
+        let unfair = run(None, 2);
+        // The flood saturates host 0's handlers: the victim's fresh
+        // flows tail-drop at the upcall queue and the blast radius
+        // names the host.
+        assert!(
+            unfair.source_totals[0].dropped_upcall > 0,
+            "victim upcall drops: {:?}",
+            unfair.source_totals[0]
+        );
+        // Host 1 only upcalls to set up the churn stream's uplink
+        // megaflow — its slow path is otherwise idle.
+        assert!(unfair.upcall_stats[1].enqueued < 10);
+        assert_eq!(unfair.upcall_stats[1].queue_drops, 0);
+        let blast = unfair.blast_radius(SimTime::from_secs(1), &[0], 0.5, 1e9);
+        assert_eq!(blast.upcall_drops.len(), 1);
+        assert_eq!(blast.upcall_drops[0].0, 0, "host 0 carries the drops");
+
+        // The per-port fair-share quota restores the victim.
+        let fair = run(Some(4), 2);
+        assert_eq!(
+            fair.source_totals[0].dropped_upcall, 0,
+            "quota must restore the victim: {:?}",
+            fair.source_totals[0]
+        );
+
+        // Determinism across worker counts holds for the pipeline too.
+        let single = run(None, 1);
+        assert_eq!(single.source_totals, unfair.source_totals);
+        assert_eq!(single.upcall_stats, unfair.upcall_stats);
+    }
+
+    #[test]
+    fn shard_local_controllers_detect_and_mitigate_deterministically() {
+        use pi_attack::{AttackSchedule, AttackSpec, CovertSequence};
+        use pi_datapath::{PipelineMode, UpcallPipelineConfig};
+        use pi_detect::DefenseController;
+        use pi_traffic::ChurnSource;
+
+        let run = |workers: usize| {
+            let dp = DpConfig {
+                flow_limit: 64,
+                pipeline: PipelineMode::Bounded(UpcallPipelineConfig {
+                    queue_capacity: 16,
+                    // ~12 upcalls/step: the controller's default quota
+                    // (8) must leave handler headroom for the victim —
+                    // a quota above the whole budget protects nobody.
+                    handler_cycles_per_step: 400_000,
+                    port_quota_per_step: None,
+                }),
+                ..DpConfig::default()
+            };
+            let mut b = FleetBuilder::new(small_cfg(5, workers));
+            let h0 = b.add_host(dp.clone());
+            let h1 = b.add_host(dp);
+            b.add_pod(h0, ip([10, 0, 0, 2])); // victim service pod
+            b.add_pod(h1, ip([10, 1, 0, 2])); // attacker client pod
+            b.add_source(
+                h1,
+                Box::new(
+                    ChurnSource::new(ip([10, 0, 10, 0]), ip([10, 0, 0, 2]), 80, 64, 2_000.0)
+                        .starting_at(SimTime::from_secs(2))
+                        .named("victim"),
+                ),
+            );
+            // Flood at host 0 from t = 1 s (1 s of benign warm-up for
+            // the host-0 controller's baselines).
+            let spec = AttackSpec::masks_512(pi_cms::PolicyDialect::Kubernetes);
+            b.add_source(
+                h0,
+                Box::new(
+                    AttackSchedule::new(
+                        CovertSequence::new(spec.build_target(ip([10, 1, 0, 2]))),
+                        10e6,
+                        SimTime::from_secs(1),
+                    )
+                    .upcall_flood(),
+                ),
+            );
+            // Controllers on both hosts; host 1 sees nothing.
+            b.attach_defense(h0, DefenseController::with_defaults());
+            b.attach_defense(h1, DefenseController::with_defaults());
+            b.build().run()
+        };
+
+        let report = run(2);
+        let d0 = report.defense[0].as_ref().expect("host 0 defended");
+        let d1 = report.defense[1].as_ref().expect("host 1 defended");
+        assert!(d0.activations >= 1, "host 0 must mitigate: {d0:?}");
+        assert_eq!(d1.activations, 0, "host 1 stays quiet");
+        assert!(d1.detections.is_empty());
+        // The blast radius names host 0's detection and mitigation.
+        let blast = report.blast_radius(SimTime::from_secs(1), &[0], 0.5, 1e9);
+        assert_eq!(blast.detections.len(), 1);
+        assert_eq!(blast.detections[0].0, 0);
+        assert!(blast.detections[0].1 >= SimTime::from_secs(1), "post-onset");
+        assert_eq!(blast.mitigations.len(), 1);
+        assert!(blast.mitigations[0].1 >= blast.detections[0].1);
+        // The mitigated victim outperforms the unfair static baseline
+        // of `shards_inherit_the_bounded_pipeline...`: most of its
+        // post-mitigation connections complete.
+        let victim = &report.source_totals[0];
+        assert!(
+            victim.delivered > victim.dropped_upcall,
+            "quota restores the victim: {victim:?}"
+        );
+        // Determinism: controllers are shard-local, so worker count
+        // changes nothing — totals, defense timelines, attribution.
+        let single = run(1);
+        assert_eq!(single.source_totals, report.source_totals);
+        assert_eq!(single.defense, report.defense);
+        assert_eq!(single.attribution, report.attribution);
+    }
+
+    #[test]
+    fn fault_injection_preserves_worker_count_determinism_on_every_backend() {
+        use pi_backend::BackendKind;
+        use pi_cms::{
+            Cidr, ControlPlaneProgram, IngressRule, NetworkPolicy, PolicyCompiler, Protocol,
+        };
+        use pi_fault::{ChannelFaultConfig, FaultSchedule, ReliabilityConfig};
+
+        let run = |kind: BackendKind, workers: usize| {
+            let dp = DpConfig {
+                backend: kind,
+                ..DpConfig::default()
+            };
+            let mut b = FleetBuilder::new(small_cfg(5, workers));
+            let h0 = b.add_host(dp.clone());
+            let h1 = b.add_host(dp);
+            let victim = ip([10, 0, 0, 2]);
+            b.add_pod(h0, victim);
+            b.add_pod(h1, ip([10, 1, 0, 2]));
+            // The victim whitelists its one legitimate client; the
+            // prober below is outside the whitelist.
+            let policy = NetworkPolicy {
+                name: "victim-peers".into(),
+                ingress: vec![IngressRule {
+                    from: vec![Cidr::host([10, 1, 0, 2])],
+                    ports: vec![(Protocol::Tcp, Some(80))],
+                }],
+            };
+            let mut program = ControlPlaneProgram::default();
+            program.install_acl(
+                SimTime::from_millis(200),
+                victim,
+                PolicyCompiler.compile_k8s(&policy),
+            );
+            // At-least-once delivery over a hostile channel (loss,
+            // duplication, jittered delays → reordering), plus a
+            // mid-run crash that wipes the installed ACL.
+            b.attach_reliable_control_plane(h0, program, ReliabilityConfig::default());
+            b.attach_faults(
+                h0,
+                FaultSchedule::new()
+                    .crash(SimTime::from_secs(2), SimTime::from_millis(100))
+                    .channel(ChannelFaultConfig {
+                        drop_p: 0.25,
+                        dup_p: 0.25,
+                        delay: SimTime::from_millis(2),
+                        jitter: SimTime::from_millis(7),
+                        seed: 0xDE7E12,
+                    }),
+            );
+            let key = FlowKey::tcp([10, 1, 0, 2], [10, 0, 0, 2], 1000, 80);
+            b.add_source(h1, Box::new(CbrSource::new(key, 400, 2_000.0)));
+            let probe = FlowKey::tcp([10, 9, 0, 1], [10, 0, 0, 2], 40_000, 80);
+            b.add_source(h1, Box::new(CbrSource::new(probe, 64, 500.0)));
+            b.build().run()
+        };
+
+        for kind in [
+            BackendKind::OvsCache,
+            BackendKind::ExactHash,
+            BackendKind::LpmTier,
+            BackendKind::NicOffload,
+        ] {
+            let one = run(kind, 1);
+            let many = run(kind, 2);
+            // Totals, switch counters and the fault/recovery report
+            // are bit-identical across worker counts: the fault plan,
+            // channel RNG and reliable-delivery state are all
+            // shard-local.
+            assert_eq!(one.source_totals, many.source_totals, "{kind:?}");
+            assert_eq!(one.switch_stats, many.switch_stats, "{kind:?}");
+            assert_eq!(one.faults, many.faults, "{kind:?}");
+            let f = one.faults[0].as_ref().expect("host 0 has faults");
+            assert_eq!(f.crashes, 1, "{kind:?}");
+            assert!(f.fault_events() >= 1, "{kind:?}: {f:?}");
+            assert!(f.acls_lost >= 1, "{kind:?}: {f:?}");
+            assert!(f.channel.applied >= 1, "{kind:?}: {f:?}");
+            assert!(one.faults[1].is_none(), "host 1 runs fault-free");
+            // The blast radius names host 0's faults.
+            let blast = one.blast_radius(SimTime::from_secs(2), &[0], 0.5, 1e9);
+            assert_eq!(blast.fault_events.len(), 1, "{kind:?}");
+            assert_eq!(blast.fault_events[0].0, 0, "{kind:?}");
+        }
+    }
+
+    /// A scenario exercising every event source at once: cross-host
+    /// traffic, a delayed attack, a migration, a defended host, a
+    /// crash + lossy control channel behind a reliable control plane —
+    /// and one fully idle host the event engine should skip.
+    fn rich_fleet(event: bool, workers: usize) -> FleetReport {
+        use pi_attack::{AttackSchedule, AttackSpec, CovertSequence};
+        use pi_cms::{
+            Cidr, ControlPlaneProgram, IngressRule, NetworkPolicy, PolicyCompiler, Protocol,
+        };
+        use pi_detect::DefenseController;
+        use pi_fault::{ChannelFaultConfig, FaultSchedule, ReliabilityConfig};
+
+        let mut cfg = small_cfg(4, workers);
+        cfg.sim.event_driven = event;
+        let mut b = FleetBuilder::new(cfg);
+        let h0 = b.add_host(DpConfig::default());
+        let h1 = b.add_host(DpConfig::default());
+        let h2 = b.add_host(DpConfig::default());
+        let victim = ip([10, 0, 0, 2]);
+        b.add_pod(h0, victim);
+        b.add_pod(h1, ip([10, 1, 0, 2]));
+        b.add_pod(h2, ip([10, 2, 0, 2])); // pod attached, host otherwise idle
+        let policy = NetworkPolicy {
+            name: "victim-peers".into(),
+            ingress: vec![IngressRule {
+                from: vec![Cidr::host([10, 1, 0, 2])],
+                ports: vec![(Protocol::Tcp, Some(80))],
+            }],
+        };
+        let mut program = ControlPlaneProgram::default();
+        program.install_acl(
+            SimTime::from_millis(200),
+            victim,
+            PolicyCompiler.compile_k8s(&policy),
+        );
+        b.attach_reliable_control_plane(h0, program, ReliabilityConfig::default());
+        b.attach_faults(
+            h0,
+            FaultSchedule::new()
+                .crash(SimTime::from_secs(2), SimTime::from_millis(100))
+                .stall(SimTime::from_millis(2_500), SimTime::from_millis(5))
+                .channel(ChannelFaultConfig {
+                    drop_p: 0.25,
+                    dup_p: 0.25,
+                    delay: SimTime::from_millis(2),
+                    jitter: SimTime::from_millis(7),
+                    seed: 0xDE7E12,
+                }),
+        );
+        b.attach_defense(h0, DefenseController::with_defaults());
+        // Legitimate client, outside-whitelist prober, delayed attack.
+        let key = FlowKey::tcp([10, 1, 0, 2], [10, 0, 0, 2], 1000, 80);
+        b.add_source(h1, Box::new(CbrSource::new(key, 400, 2_000.0)));
+        let probe = FlowKey::tcp([10, 9, 0, 1], [10, 0, 0, 2], 40_000, 80);
+        b.add_source(h1, Box::new(CbrSource::new(probe, 64, 500.0)));
+        let spec = AttackSpec::masks_512(pi_cms::PolicyDialect::Kubernetes);
+        b.add_source(
+            h0,
+            Box::new(
+                AttackSchedule::new(
+                    CovertSequence::new(spec.build_target(ip([10, 1, 0, 2]))),
+                    5e6,
+                    SimTime::from_secs(1),
+                )
+                .upcall_flood(),
+            ),
+        );
+        // The victim pod migrates mid-run to the idle host.
+        b.schedule_migration(SimTime::from_secs(3), victim, h2);
+        b.build().run()
+    }
+
+    fn assert_reports_equal(a: &FleetReport, b: &FleetReport, label: &str) {
+        assert_eq!(a.source_totals, b.source_totals, "{label}: totals");
+        assert_eq!(a.switch_stats, b.switch_stats, "{label}: switch stats");
+        assert_eq!(a.upcall_stats, b.upcall_stats, "{label}: upcall stats");
+        assert_eq!(a.faults, b.faults, "{label}: fault reports");
+        assert_eq!(a.defense, b.defense, "{label}: defense reports");
+        assert_eq!(a.attribution, b.attribution, "{label}: attribution");
+        let series = |r: &FleetReport| {
+            let mut all = Vec::new();
+            for group in [
+                &r.throughput_bps,
+                &r.offered_bps,
+                &r.masks,
+                &r.megaflows,
+                &r.cpu_util,
+                &r.handler_cps,
+                &r.policy_updates,
+            ] {
+                for s in group.iter() {
+                    all.push(s.iter().collect::<Vec<_>>());
+                }
+            }
+            all
+        };
+        assert_eq!(series(a), series(b), "{label}: timelines");
+    }
+
+    #[test]
+    fn event_engine_matches_the_stepped_reference_bit_for_bit() {
+        let ev = rich_fleet(true, 2);
+        let st = rich_fleet(false, 2);
+        assert_reports_equal(&ev, &st, "event vs stepped");
+        // Both engines consume the same events; only the idle-tick
+        // accounting differs.
+        assert_eq!(ev.engine.events_processed, st.engine.events_processed);
+        assert_eq!(st.engine.shard_ticks_skipped, 0, "stepped skips nothing");
+        assert!(
+            ev.engine.shard_ticks_skipped > 0,
+            "the idle host must be skipped: {:?}",
+            ev.engine
+        );
+    }
+
+    #[test]
+    fn worker_matrix_is_bit_identical_on_every_backend_with_faults() {
+        use pi_backend::BackendKind;
+        use pi_cms::{
+            Cidr, ControlPlaneProgram, IngressRule, NetworkPolicy, PolicyCompiler, Protocol,
+        };
+        use pi_fault::{ChannelFaultConfig, FaultSchedule, ReliabilityConfig};
+
+        let run = |kind: BackendKind, workers: usize| {
+            let dp = DpConfig {
+                backend: kind,
+                ..DpConfig::default()
+            };
+            let mut b = FleetBuilder::new(small_cfg(3, workers));
+            let h0 = b.add_host(dp.clone());
+            let h1 = b.add_host(dp.clone());
+            let h2 = b.add_host(dp.clone());
+            let h3 = b.add_host(dp);
+            let victim = ip([10, 0, 0, 2]);
+            b.add_pod(h0, victim);
+            b.add_pod(h1, ip([10, 1, 0, 2]));
+            b.add_pod(h2, ip([10, 2, 0, 2]));
+            b.add_pod(h3, ip([10, 3, 0, 2])); // idle host
+            let policy = NetworkPolicy {
+                name: "victim-peers".into(),
+                ingress: vec![IngressRule {
+                    from: vec![Cidr::host([10, 1, 0, 2])],
+                    ports: vec![(Protocol::Tcp, Some(80))],
+                }],
+            };
+            let mut program = ControlPlaneProgram::default();
+            program.install_acl(
+                SimTime::from_millis(200),
+                victim,
+                PolicyCompiler.compile_k8s(&policy),
+            );
+            b.attach_reliable_control_plane(h0, program, ReliabilityConfig::default());
+            b.attach_faults(
+                h0,
+                FaultSchedule::new()
+                    .crash(SimTime::from_secs(1), SimTime::from_millis(50))
+                    .channel(ChannelFaultConfig {
+                        drop_p: 0.25,
+                        dup_p: 0.25,
+                        delay: SimTime::from_millis(2),
+                        jitter: SimTime::from_millis(7),
+                        seed: 0xBEEF,
+                    }),
+            );
+            let key = FlowKey::tcp([10, 1, 0, 2], [10, 0, 0, 2], 1000, 80);
+            b.add_source(h1, Box::new(CbrSource::new(key, 400, 2_000.0)));
+            let probe = FlowKey::tcp([10, 9, 0, 1], [10, 0, 0, 2], 40_000, 80);
+            b.add_source(h2, Box::new(CbrSource::new(probe, 64, 500.0)));
+            b.build().run()
+        };
+
+        for kind in [
+            BackendKind::OvsCache,
+            BackendKind::ExactHash,
+            BackendKind::LpmTier,
+            BackendKind::NicOffload,
+        ] {
+            let one = run(kind, 1);
+            for workers in [2usize, 4] {
+                let many = run(kind, workers);
+                let label = format!("{kind:?} @ {workers} workers");
+                assert_reports_equal(&one, &many, &label);
+                // The engine accounting itself is worker-invariant.
+                assert_eq!(one.engine, many.engine, "{label}: engine stats");
+            }
+            assert!(
+                one.engine.shard_ticks_skipped > 0,
+                "{kind:?}: idle host must be skipped"
+            );
+        }
+    }
+
+    #[test]
+    fn null_message_exchange_survives_a_silent_shard() {
+        // Two workers, and the second worker's shard receives and
+        // sends no traffic at all: the lookahead protocol must keep
+        // advancing on pure null messages (a deadlock hangs the test).
+        let mut b = FleetBuilder::new(small_cfg(3, 2));
+        let h0 = b.add_host(DpConfig::default());
+        let h1 = b.add_host(DpConfig::default());
+        b.add_pod(h0, ip([10, 0, 0, 1]));
+        b.add_pod(h1, ip([10, 1, 0, 1])); // attached, never addressed
+        let key = FlowKey::tcp([10, 0, 0, 9], [10, 0, 0, 1], 1000, 80);
+        b.add_source(h0, Box::new(CbrSource::new(key, 1500, 1000.0)));
+        let report = b.build().run();
+        assert_eq!(report.source_totals[0].delivered, 3_000);
+        assert!(
+            report.engine.shard_ticks_skipped > 0,
+            "the silent shard must be skipped: {:?}",
+            report.engine
+        );
+    }
+
+    #[test]
+    fn worker_count_does_not_change_results() {
+        let run = |workers: usize| {
+            let mut b = FleetBuilder::new(small_cfg(3, workers));
+            for h in 0..3 {
+                let host = b.add_host(DpConfig::default());
+                b.add_pod(host, ip([10, h as u8, 0, 1]));
+            }
+            for h in 0..3u8 {
+                let key = FlowKey::tcp([10, h, 0, 1], [10, (h + 1) % 3, 0, 1], 1000 + h as u16, 80);
+                b.add_source(h as usize, Box::new(CbrSource::new(key, 800, 500.0)));
+            }
+            b.build().run()
+        };
+        let a = run(1);
+        let b = run(3);
+        assert_eq!(a.source_totals, b.source_totals);
+        for (sa, sb) in a.throughput_bps.iter().zip(&b.throughput_bps) {
+            assert_eq!(sa.iter().collect::<Vec<_>>(), sb.iter().collect::<Vec<_>>());
+        }
     }
 }

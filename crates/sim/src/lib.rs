@@ -12,18 +12,34 @@
 //! the subtable walk, the victim's throughput collapses because the
 //! arithmetic says so.
 //!
-//! [`scenario`] packages the paper's experiments; [`engine`] is the
-//! general tick loop usable for new ones.
+//! There is one engine, and it lives here: [`engine`] is the sharded
+//! event loop (builder, workers, the serial tick-stepped reference),
+//! [`node`] one host's switch and queue, [`report`] what a run
+//! produces. [`scenario`] packages the paper's experiments as one- and
+//! two-host builds on it; `pi_fleet` adds tenant placement and the
+//! fleet-scale experiments. The engine's types carry their fleet names
+//! ([`FleetBuilder`], [`FleetSim`], [`FleetReport`], re-exported by
+//! `pi_fleet`); [`Simulation`] and [`SimReport`] are the same two types
+//! under the names the testbed's callers — `benchmark/` among them —
+//! import from this crate.
 
 pub mod config;
 pub mod engine;
 pub mod node;
+pub mod report;
+pub mod routes;
 pub mod scenario;
+mod shard;
 
-pub use config::SimConfig;
-pub use engine::{EngineStats, SimBuilder, SimReport, Simulation, SourceTotals};
+pub use config::{FleetConfig, SimConfig};
+pub use engine::{FleetBuilder, FleetSim, FleetSim as Simulation};
 pub use node::{NodeCell, NodePacket, Routing};
 pub use pi_trace::{TraceConfig, TraceEvent, TraceEventKind, TraceReport, Tracer};
+pub use report::{
+    BlastRadius, EngineProfile, EngineStats, FleetReport, FleetReport as SimReport, SourceTotals,
+    FLUSH_LOG_CAP,
+};
+pub use routes::RouteTable;
 pub use scenario::{
     adaptive_defense_scenario, crash_recovery_scenario, fig3_scenario, measure_backend_capacity,
     measure_capacity, policy_churn_scenario, upcall_saturation_scenario, AdaptiveDefenseHandles,

@@ -1,13 +1,12 @@
 //! Reusable per-node stepping: one host's switch, ingress queue and
 //! cycle accounting.
 //!
-//! Both the two-node [`engine`](crate::engine) and the sharded
-//! `pi_fleet` cluster simulator drive hosts the same way — generation
-//! fills a bounded ingress queue, the switch drains it under a per-tick
-//! CPU cycle budget, and every processed packet is routed local /
-//! uplink / denied. [`NodeCell`] owns exactly that slice of state so the
-//! two engines cannot drift apart on the core modelling rule
-//! ("throughput is never scripted").
+//! The [`engine`](crate::engine) drives every host the same way —
+//! generation fills a bounded ingress queue, the switch drains it under
+//! a per-tick CPU cycle budget, and every processed packet is routed
+//! local / uplink / denied. [`NodeCell`] owns exactly that slice of
+//! state, and with it the core modelling rule ("throughput is never
+//! scripted").
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -20,8 +19,8 @@ use pi_fault::{ControlChannelStats, FaultPlan, NodeFaultReport, ReliableControlP
 use pi_trace::{TraceEventKind, Tracer};
 
 /// A packet sitting in a node's ingress queue, tagged with an opaque
-/// source handle `T` (the engine uses its source index; the fleet uses a
-/// `(shard, source)` pair) so delivery outcomes can be fed back.
+/// source handle `T` (the engine uses its global source index) so
+/// delivery outcomes can be fed back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodePacket<T> {
     /// Parsed header tuple.
@@ -67,16 +66,14 @@ pub struct NodeCell<T> {
     /// Frame size + source handle of packets deferred into the switch's
     /// upcall pipeline, keyed by the pending token.
     deferred: BTreeMap<u64, (usize, T)>,
-    /// Optional closed-loop defense controller, run by the engines at
-    /// their configured defense cadence. Living on the node (not the
-    /// engine) means both the two-node engine and the fleet shards get
-    /// the identical control loop.
+    /// Optional closed-loop defense controller, run by the engine at
+    /// its configured defense cadence. Node-local state, like
+    /// everything below.
     defense: Option<DefenseController>,
     /// Optional timed control plane: scheduled policy updates applied
     /// at the start of each tick (the epoch grid), with their flush
     /// cost charged against the tick's cycle budget. Node-local state,
-    /// so both engines — and any fleet worker count — see the same
-    /// updates at the same ticks.
+    /// so any worker count sees the same updates at the same ticks.
     control: Option<ControlPlane>,
     /// Optional compiled fault program: crash/restart events and host
     /// stalls injected at tick boundaries. Shard-local like everything

@@ -1,4 +1,4 @@
-//! Fleet-wide results: per-source and per-host series, totals, and the
+//! What a run produces: per-source and per-host series, totals, and the
 //! blast-radius metrics the multi-tenant threat model is about.
 
 use pi_core::SimTime;
@@ -6,20 +6,60 @@ use pi_datapath::{SwitchStats, UpcallStats};
 use pi_detect::{DefenseReport, MaskAttribution};
 use pi_fault::NodeFaultReport;
 use pi_metrics::{degradation_ratio, sum_series, TimeSeries};
-use pi_sim::SourceTotals;
 use pi_trace::{TraceConfig, TraceEvent, TraceReport};
 
 use crate::shard::HostShard;
 
-pub use pi_sim::EngineStats;
+/// What the engine did to produce a run: executed vs skipped per-shard
+/// ticks and the events behind them. Purely diagnostic — every count is
+/// derived from shard-local state and the global schedule, so the
+/// numbers are identical for every worker count (they differ between
+/// the event-driven engine and the tick-stepped reference only in how
+/// many ticks were skipped).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EngineStats {
+    /// Shard ticks actually executed (summed over hosts).
+    pub shard_ticks_stepped: u64,
+    /// Shard ticks proven idle and skipped (`hosts × ticks − stepped`;
+    /// zero under the tick-stepped reference).
+    pub shard_ticks_skipped: u64,
+    /// Event-bearing causes consumed across executed ticks: inbound
+    /// fabric epochs, topology commands, sample boundaries, defense
+    /// intervals.
+    pub events_processed: u64,
+}
+
+/// Per-source run totals.
+///
+/// Totals do **not** conserve at the run boundary: packets still in
+/// flight when the clock stops — sitting in a host's ingress queue, on
+/// the fabric, or parked in a bounded upcall pipeline awaiting a
+/// handler — are in no bucket, so `generated` may exceed the sum of
+/// the outcome counters by up to the in-flight population.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SourceTotals {
+    /// Source label (`label#index`).
+    pub label: String,
+    /// Packets generated.
+    pub generated: u64,
+    /// Packets delivered to their destination pod.
+    pub delivered: u64,
+    /// Packets lost to queue/link/capacity limits.
+    pub dropped_capacity: u64,
+    /// Packets denied by policy.
+    pub dropped_policy: u64,
+    /// Packets tail-dropped at a switch's bounded upcall queue (always
+    /// zero under [`pi_datapath::PipelineMode::Inline`]). Kept separate
+    /// from `dropped_capacity` so slow-path starvation is attributable.
+    pub dropped_upcall: u64,
+}
 
 /// Per-worker self-profiling of the event-driven core: what the
 /// parallel harness did to coordinate the run. Unlike every other
 /// report field these numbers are **not** worker-count invariant —
 /// they describe the harness (null messages, heap churn), not the
 /// simulated fleet — so they are quarantined here and must never be
-/// fed into determinism comparisons. All zero under the tick-stepped
-/// engine.
+/// fed into determinism comparisons.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EngineProfile {
     /// Worker index.
@@ -45,13 +85,14 @@ pub struct EngineProfile {
 /// Cap on [`EngineProfile::flush_log`] entries per worker.
 pub const FLUSH_LOG_CAP: usize = 256;
 
-/// Everything a cluster run produces.
+/// Everything a run produces, single host or fleet.
 #[derive(Debug)]
 pub struct FleetReport {
     /// Hosts simulated.
     pub hosts: usize,
-    /// Worker threads actually used (the configured count is clamped to
-    /// the host count).
+    /// Worker threads of the event-driven engine (the configured count
+    /// clamped to the host count; the tick-stepped reference is serial
+    /// whatever this says).
     pub workers: usize,
     /// Per-source delivered throughput, bits/second (global source
     /// order).
@@ -95,10 +136,11 @@ pub struct FleetReport {
     /// Executed/skipped tick accounting for the run.
     pub engine: EngineStats,
     /// Per-worker harness profiling (not worker-count invariant; see
-    /// [`EngineProfile`]).
+    /// [`EngineProfile`]). Empty for a run on the tick-stepped
+    /// reference, which has no workers to coordinate.
     pub profiles: Vec<EngineProfile>,
     /// The merged structured trace (empty unless
-    /// [`pi_sim::SimConfig::trace`] enabled tracing). Canonical merge
+    /// [`crate::SimConfig::trace`] enabled tracing). Canonical merge
     /// order `(at_ns, host, seq)` — bit-identical for every worker
     /// count.
     pub trace: TraceReport,
@@ -190,7 +232,7 @@ impl FleetReport {
         let mut attribution = Vec::with_capacity(hosts);
         let mut faults = Vec::with_capacity(hosts);
         for mut shard in shards {
-            stats.push(shard.stats());
+            stats.push(shard.node.backend().stats());
             faults.push(shard.node.fault_report(tick));
             upcall.push(shard.node.backend().upcall_stats());
             attribution.push(shard.node.backend().attribution());

@@ -9,8 +9,12 @@ use pi_detect::{ControllerConfig, DefenseController};
 use pi_fault::{ChannelFaultConfig, FaultSchedule, ReliabilityConfig};
 use pi_traffic::{ChurnSource, FanSource, IperfSource, PoissonFlowSource};
 
-use crate::engine::{SimBuilder, Simulation};
-use crate::SimConfig;
+use crate::{FleetBuilder, FleetConfig, SimConfig, Simulation};
+
+/// The testbed's builder: the one engine, on one worker.
+fn testbed(sim: SimConfig) -> FleetBuilder {
+    FleetBuilder::new(FleetConfig { sim, workers: 1 })
+}
 
 /// Parameters of the Fig. 3 reproduction (and its variants).
 #[derive(Debug, Clone)]
@@ -79,9 +83,9 @@ pub fn fig3_scenario(params: &Fig3Params) -> (Simulation, Fig3Handles) {
         cpu_cycles_per_sec: params.cpu_cycles_per_sec,
         ..SimConfig::default()
     };
-    let mut b = SimBuilder::new(cfg);
-    let client_node = b.add_node(params.dp.clone());
-    let server_node = b.add_node(params.dp.clone());
+    let mut b = testbed(cfg);
+    let client_node = b.add_host(params.dp.clone());
+    let server_node = b.add_host(params.dp.clone());
 
     let victim_client_ip = u32::from_be_bytes([10, 0, 0, 10]);
     let victim_server_ip = u32::from_be_bytes([10, 1, 0, 10]);
@@ -272,8 +276,8 @@ pub fn upcall_saturation_scenario(
         backend: params.backend,
         ..DpConfig::default()
     };
-    let mut b = SimBuilder::new(cfg);
-    let node = b.add_node(dp);
+    let mut b = testbed(cfg);
+    let node = b.add_host(dp);
 
     let victim_ip = u32::from_be_bytes([10, 1, 0, 10]);
     let attacker_ip = u32::from_be_bytes([10, 1, 0, 66]);
@@ -453,8 +457,8 @@ pub fn adaptive_defense_scenario(
         backend: params.backend,
         ..DpConfig::default()
     };
-    let mut b = SimBuilder::new(cfg);
-    let node = b.add_node(dp);
+    let mut b = testbed(cfg);
+    let node = b.add_host(dp);
 
     let victim_ip = u32::from_be_bytes([10, 1, 0, 10]);
     let benign_ip = u32::from_be_bytes([10, 1, 0, 20]);
@@ -631,8 +635,8 @@ pub fn policy_churn_scenario(params: &PolicyChurnParams) -> (Simulation, PolicyC
         scoped_invalidation: params.scoped_invalidation,
         ..params.dp.clone()
     };
-    let mut b = SimBuilder::new(cfg);
-    let node = b.add_node(dp);
+    let mut b = testbed(cfg);
+    let node = b.add_host(dp);
 
     let victim_ip = u32::from_be_bytes([10, 1, 0, 10]);
     let attacker_ip = u32::from_be_bytes([10, 1, 0, 66]);
@@ -894,8 +898,8 @@ pub fn crash_recovery_scenario(params: &CrashRecoveryParams) -> (Simulation, Cra
         backend: params.backend,
         ..DpConfig::default()
     };
-    let mut b = SimBuilder::new(cfg);
-    let node = b.add_node(dp);
+    let mut b = testbed(cfg);
+    let node = b.add_host(dp);
 
     let victim_ip = u32::from_be_bytes([10, 1, 0, 10]);
     let attacker_ip = u32::from_be_bytes([10, 1, 0, 66]);

@@ -21,11 +21,11 @@ use std::sync::Arc;
 
 use pi_classifier::FlowTable;
 use pi_core::{Port, SimTime};
-use pi_datapath::SwitchStats;
 use pi_metrics::TimeSeries;
-use pi_sim::{NodeCell, NodePacket, Routing};
 use pi_traffic::{GenPacket, TrafficSource};
 
+use crate::config::SimConfig;
+use crate::node::{NodeCell, NodePacket, Routing};
 use crate::routes::RouteTable;
 
 /// Fixed per-tick parameters shared by every shard.
@@ -39,6 +39,22 @@ pub(crate) struct TickCtx {
     pub window_secs: f64,
     pub cpu_cycles_per_sec: u64,
     pub defense_every_ticks: u64,
+}
+
+impl TickCtx {
+    /// The parameters of a run of `sim` over `shards` hosts.
+    pub fn new(sim: &SimConfig, shards: usize) -> Self {
+        TickCtx {
+            shards,
+            cycles_per_tick: sim.cycles_per_tick(),
+            link_bytes_per_tick: sim.link_bytes_per_tick(),
+            queue_capacity: sim.queue_capacity,
+            sample_every_ticks: (sim.sample_interval.as_nanos() / sim.tick.as_nanos()).max(1),
+            window_secs: sim.sample_interval.as_secs_f64(),
+            cpu_cycles_per_sec: sim.cpu_cycles_per_sec,
+            defense_every_ticks: sim.defense_every_ticks(),
+        }
+    }
 }
 
 /// What happened to one packet, reported back to its source's shard.
@@ -384,8 +400,7 @@ impl HostShard {
         }
 
         // 2. Cross-host arrivals join the ingress queue ahead of fresh
-        //    generation (they were produced a tick earlier) — the same
-        //    order the two-node engine's fabric hand-off yields.
+        //    generation (they were produced a tick earlier).
         for mut parcel in inbound.drain(..) {
             for pkt in parcel.packets.drain(..) {
                 let source = pkt.source;
@@ -445,8 +460,7 @@ impl HostShard {
                         return;
                     }
                     Some(_) => Outcome::DroppedCapacity,
-                    // Uplink with no hosting shard — policy drop, as in
-                    // the two-node engine.
+                    // Uplink with no hosting shard — policy drop.
                     None => Outcome::DroppedPolicy,
                 },
                 Routing::Local(_vport) => Outcome::Delivered {
@@ -550,10 +564,6 @@ impl HostShard {
             wake = wake.min(from_tick + (ctx.defense_every_ticks - 1 - r));
         }
         wake.max(from_tick)
-    }
-
-    pub fn stats(&self) -> SwitchStats {
-        self.node.backend().stats()
     }
 }
 

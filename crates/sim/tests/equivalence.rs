@@ -3,8 +3,8 @@
 //! The event-driven core skips ticks it can prove are no-ops; these
 //! tests are the proof's audit. Each paper scenario — fig. 3, upcall
 //! saturation, the policy-flap train, crash/recovery — is built twice
-//! from identical parameters, run once on each engine, and the full
-//! reports are pinned equal: totals, verdict-bearing counters, fault
+//! from identical parameters, run once event-driven and once on the
+//! serial tick-stepped reference, and the full reports are pinned equal: totals, verdict-bearing counters, fault
 //! and defense timelines, and every sampled series point.
 
 use pi_core::SimTime;

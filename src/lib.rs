@@ -26,8 +26,8 @@
 //! | [`pi_fault`] | deterministic fault injection, lossy control channels, at-least-once delivery + reconciliation |
 //! | [`pi_metrics`] | time series, histograms, CSV, ASCII plots |
 //! | [`pi_trace`] | deterministic structured tracing: causality ids, per-host event rings, Chrome/Prometheus exporters |
-//! | [`pi_sim`] | the discrete-time two-node testbed of the paper's Fig. 1 |
-//! | [`pi_fleet`] | sharded multi-host cluster simulator with parallel per-host workers |
+//! | [`pi_sim`] | the simulator: the one sharded event-driven engine and the paper's Fig. 1 testbed scenarios on it |
+//! | [`pi_fleet`] | tenant placement and the fleet-scale experiments on that engine |
 //!
 //! ## Quick start
 //!
@@ -101,8 +101,8 @@ pub mod prelude {
         adaptive_defense_scenario, crash_recovery_scenario, fig3_scenario,
         measure_backend_capacity, measure_capacity, policy_churn_scenario,
         upcall_saturation_scenario, AdaptiveDefenseParams, CapacityWorkload, CrashRecoveryAttack,
-        CrashRecoveryParams, DefenseMode, Fig3Params, PolicyChurnParams, SimBuilder, SimConfig,
-        SimReport, UpcallSaturationParams,
+        CrashRecoveryParams, DefenseMode, Fig3Params, PolicyChurnParams, SimConfig, SimReport,
+        UpcallSaturationParams,
     };
     pub use pi_trace::{
         chrome_trace_json, prometheus_snapshot, validate_json, CauseId, TraceConfig, TraceEvent,

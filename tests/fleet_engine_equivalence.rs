@@ -4,7 +4,7 @@
 //! * the event-driven engine — which steps only the shards its due list
 //!   names and exchanges sparse per-destination parcels — produces the
 //!   report of the tick-stepped reference, which steps every shard
-//!   every tick;
+//!   every tick, serially, in id order;
 //! * that report does not depend on the worker count.
 //!
 //! The fleet is small but exercises every way work crosses hosts:
@@ -189,11 +189,6 @@ fn event_engine_matches_the_stepped_reference_for_every_worker_count() {
         assert_eq!(physics(&parallel), physics(&event), "{workers} workers");
         assert_eq!(parallel.engine, event.engine, "{workers} workers");
     }
-    // Two stepped workers hand the coordinator shard 2's parcels before
-    // shard 1's: the consuming shard must restore sender order itself.
-    let stepped_parallel = sparse_fleet(false, 2);
-    assert_eq!(physics(&stepped_parallel), physics(&stepped));
-    assert_eq!(stepped_parallel.engine, stepped.engine);
 }
 
 /// xorshift64*: the differential only needs a reproducible stream.

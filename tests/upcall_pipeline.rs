@@ -20,13 +20,16 @@ fn ip(a: [u8; 4]) -> u32 {
 #[test]
 fn bounded_zero_pressure_matches_inline_verdicts_and_routing() {
     let run = |pipeline: PipelineMode| {
-        let mut b = SimBuilder::new(SimConfig {
-            duration: SimTime::from_secs(3),
-            // Generous budget: no capacity pressure anywhere.
-            cpu_cycles_per_sec: 100_000_000_000,
-            ..SimConfig::default()
+        let mut b = FleetBuilder::new(FleetConfig {
+            sim: SimConfig {
+                duration: SimTime::from_secs(3),
+                // Generous budget: no capacity pressure anywhere.
+                cpu_cycles_per_sec: 100_000_000_000,
+                ..SimConfig::default()
+            },
+            workers: 1,
         });
-        let node = b.add_node(DpConfig {
+        let node = b.add_host(DpConfig {
             pipeline,
             trie_fields: vec![Field::IpSrc],
             ..DpConfig::default()
