@@ -2,7 +2,7 @@
 
 CARGO ?= cargo
 
-.PHONY: build test audit audit-baseline fmt-check clippy bench bench-fleet bench-hotpath bench-upcall bench-detect bench-policy bench-backends bench-fault bench-check bench-compare bench-summary benchmark benchmark-smoke benchmark-test benchmark-one trace-forensics example-fleet clean
+.PHONY: build test audit audit-baseline fmt-check clippy bench bench-fleet bench-hotpath bench-upcall bench-detect bench-policy bench-backends bench-fault bench-check bench-compare bench-summary benchmark benchmark-smoke benchmark-test benchmark-one benchmark-digests trace-forensics example-fleet clean
 
 build:
 	$(CARGO) build --release
@@ -102,6 +102,10 @@ bench-summary:
 # `benchmark-test` the harness's own unit tests, and
 # `benchmark-one W=<workload>` exactly the command `BENCHMARK.json`
 # declares, for one workload — one line per side of a before/after pair.
+# `benchmark-digests` answers "are the outputs still correct" locally:
+# one short seed-2018 run per workload, the report digest on its
+# `detail:` line compared with the reference (`benchmark/README.md`,
+# "Reference numbers"); exit 1 on the first mismatch.
 BENCHMARK = --release --offline --manifest-path benchmark/Cargo.toml
 
 benchmark:
@@ -116,6 +120,19 @@ benchmark-test:
 benchmark-one:
 	@test -n "$(W)" || { echo "usage: make benchmark-one W=<workload>"; exit 2; }
 	$(CARGO) run --quiet $(BENCHMARK) -- --workload $(W) --seed 2018 --seconds 15 --trace 0
+
+DIGESTS = colo_benign:87c598219ce1633c colo_attack:33fafa75c7cd4a6f \
+	colo_walk:d93f3c6854d88f0f flap_rebuild:6b16f1c32b77bd4a sparse_idle:66ef3f2328fb7d1a
+
+benchmark-digests:
+	$(CARGO) build --quiet $(BENCHMARK)
+	@for pair in $(DIGESTS); do \
+		w=$${pair%%:*}; want=$${pair##*:}; \
+		got=$$($(CARGO) run --quiet $(BENCHMARK) -- --workload $$w --seed 2018 --seconds 1 --trace 0 \
+			| sed -n 's/^detail:.*"digest": "\([0-9a-f]*\)".*/\1/p'); \
+		if [ "$$got" = "$$want" ]; then echo "$$w $$got ok"; \
+		else echo "$$w: digest '$$got', expected $$want"; exit 1; fi; \
+	done
 
 # Traced policy-flap forensics: proves the causal chain (policy update
 # -> cache flush -> attributed rebuild storm -> PolicyChurn detection)

@@ -7,12 +7,13 @@
 //! megaflow prefix lengths, an exact port another 16, and the products
 //! multiply.
 
+use pi_classifier::FlowTable;
 use pi_core::key::IPPROTO_TCP;
 use pi_core::Field;
 
 use pi_cms::{
-    CalicoPolicy, CalicoRule, Cidr, IngressRule, NetworkPolicy, PolicyDialect, PortRange, Protocol,
-    SecurityGroup,
+    CalicoPolicy, CalicoRule, Cidr, IngressRule, NetworkPolicy, PolicyCompiler, PolicyDialect,
+    PortRange, Protocol, SecurityGroup,
 };
 
 use crate::covert::{AttackTarget, FieldTarget};
@@ -69,6 +70,12 @@ impl AttackSpec {
             n *= 16;
         }
         n
+    }
+
+    /// The flow table the CMS compiles [`AttackSpec::build_policy`]
+    /// into — what lands on the attacker's own vport.
+    pub fn compile(&self) -> FlowTable {
+        self.build_policy().compile()
     }
 
     /// Builds the dialect-specific policy object.
@@ -163,6 +170,17 @@ pub enum MaliciousAcl {
 }
 
 impl MaliciousAcl {
+    /// Compiles the policy with the dialect's own [`PolicyCompiler`]
+    /// entry point (the table [`MaliciousAcl::apply`] would install,
+    /// without the cloud's admission step).
+    pub fn compile(&self) -> FlowTable {
+        match self {
+            MaliciousAcl::K8s(p) => PolicyCompiler.compile_k8s(p),
+            MaliciousAcl::OpenStack(p) => PolicyCompiler.compile_security_group(p),
+            MaliciousAcl::Calico(p) => PolicyCompiler.compile_calico(p),
+        }
+    }
+
     /// Submits the policy through the CMS for the tenant's own pod,
     /// returning the compiled table — the "injection" step.
     pub fn apply(
@@ -194,6 +212,17 @@ mod tests {
             512
         );
         assert_eq!(AttackSpec::masks_8192().predicted_masks(), 8192);
+    }
+
+    #[test]
+    fn every_dialect_compiles_to_whitelist_plus_default_deny() {
+        for spec in [
+            AttackSpec::masks_512(PolicyDialect::Kubernetes),
+            AttackSpec::masks_512(PolicyDialect::OpenStack),
+            AttackSpec::masks_8192(),
+        ] {
+            assert_eq!(spec.compile().len(), 2);
+        }
     }
 
     #[test]

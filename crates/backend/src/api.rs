@@ -1,15 +1,20 @@
 //! The [`DataplaneBackend`] trait: one contract over every dataplane
 //! architecture the matrix compares.
 //!
-//! The trait is deliberately shaped after the surface `pi_sim::NodeCell`,
-//! the fleet shards and the `pi_detect` telemetry tap already consumed
-//! from [`VSwitch`] — implementing it for the OVS pipeline is pure
-//! delegation, which is what lets the differential test pin the adapter
-//! bit-identical to the direct path. Everything is object-safe: sinks
-//! are `&mut dyn FnMut`, and the simulators hold a
-//! `Box<dyn DataplaneBackend>`.
+//! Thirteen methods, each with a caller in `pi_sim::NodeCell`, the
+//! engine's shards and report, or the `pi_detect` tap and controller:
+//! two accessors and a trace hook, **one** policy entry point
+//! ([`DataplaneBackend::apply_update`], charged or free), the datapath
+//! (batch, handler step, maintenance, next background event), **one**
+//! telemetry read ([`DataplaneBackend::snapshot`]), attribution, the
+//! crash/reconciliation pair, and **one** defense actuator
+//! ([`DataplaneBackend::actuate`]). The routing/ACL/quarantine
+//! bookkeeping underneath is [`pi_datapath::PodTable`] in every
+//! implementation, so policy semantics cannot differ between them.
+//! Everything is object-safe: sinks are `&mut dyn FnMut`, and the
+//! simulators hold a `Box<dyn DataplaneBackend>`.
 
-use pi_classifier::FlowTable;
+use pi_classifier::{FlowTable, PolicyUpdate};
 use pi_core::{FlowKey, SimTime};
 use pi_datapath::emc::EmcStats;
 use pi_datapath::{
@@ -23,6 +28,47 @@ use pi_trace::Tracer;
 /// (OVS's `NETDEV_MAX_BURST`; the other backends adopt the same batching
 /// granularity so tick loops need no per-backend array sizes).
 pub const BATCH_SIZE: usize = VSwitch::BATCH_SIZE;
+
+/// One read of a backend's telemetry ([`DataplaneBackend::snapshot`]):
+/// the cumulative counters in the OVS vocabulary plus the three
+/// occupancy gauges. Backends without a given structure report zeros
+/// for its counters, so the `pi_detect` tap runs unchanged everywhere.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DataplaneStats {
+    /// Aggregate packet, cycle and control-plane counters.
+    pub switch: SwitchStats,
+    /// Exact-match/first-level cache counters (zeros when the
+    /// architecture has no such structure).
+    pub emc: EmcStats,
+    /// Deferred-pipeline counters (zeros for inline-only backends;
+    /// `quarantine_drops` is meaningful everywhere).
+    pub upcall: UpcallStats,
+    /// Distinct wildcard masks in the flow cache — the paper's Fig. 3
+    /// observable. Architectures without a wildcard cache report 0:
+    /// *there is no mask space to explode*.
+    pub masks: usize,
+    /// Cached flow entries (megaflows, exact entries, offloaded flows —
+    /// whatever the architecture stores per flow).
+    pub megaflows: usize,
+    /// Pending deferred upcalls (0 for inline-only backends).
+    pub upcall_backlog: usize,
+}
+
+/// One defense actuation ([`DataplaneBackend::actuate`]): what the
+/// `pi_detect` controller performs — and later reverts — on a live
+/// backend, and what its reports list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DefenseAction {
+    /// Set the bounded pipeline's per-port fair-share quota.
+    SetPortQuota(Option<u32>),
+    /// Toggle staged subtable lookup.
+    SetStagedLookup(bool),
+    /// Quarantine a destination: its cached state is evicted and, until
+    /// released, its slow-path service refused.
+    Quarantine(u32),
+    /// Lift a quarantine.
+    ReleaseQuarantine(u32),
+}
 
 /// One dataplane architecture: classification, policy hooks, telemetry
 /// and cycle charging behind a uniform, object-safe contract.
@@ -41,55 +87,63 @@ pub const BATCH_SIZE: usize = VSwitch::BATCH_SIZE;
 ///   results; any internal randomness must come from the seeded
 ///   `DpConfig` (the fleet replays nodes across worker counts and pins
 ///   bit-identical reports).
-/// * **Telemetry** — the statistics snapshots reuse the OVS vocabulary
-///   ([`SwitchStats`], [`EmcStats`], [`UpcallStats`]); backends without
-///   a given structure report zeros for its counters, so the `pi_detect`
-///   tap runs unchanged everywhere.
+/// * **Telemetry** — [`DataplaneStats`] reuses the OVS vocabulary
+///   ([`SwitchStats`], [`EmcStats`], [`UpcallStats`]) on every backend.
+///
+/// `crates/backend/tests/conformance.rs` runs the shared half of this
+/// contract against every [`BackendKind`].
 pub trait DataplaneBackend: std::fmt::Debug + Send {
-    /// Which architecture this is.
-    fn kind(&self) -> BackendKind;
-
-    /// The live configuration (kept in sync by the runtime setters, as
+    /// The live configuration (`config().backend` names the
+    /// architecture; kept in sync by [`DataplaneBackend::actuate`], as
     /// [`VSwitch`] does).
     fn config(&self) -> &DpConfig;
 
     /// The cycle cost model in force.
     fn cost_model(&self) -> &CostModel;
 
-    // --- Build-time topology (free, before the simulated clock) -----
-
-    /// Attaches a pod: traffic to `ip` is delivered out of `vport`.
-    /// Returns true for a fresh attach (see [`VSwitch::attach_pod`] for
-    /// the re-attach semantics every backend mirrors).
-    fn attach_pod(&mut self, ip: u32, vport: u32) -> bool;
-
-    /// Installs (or replaces) the ingress ACL protecting the pod at
-    /// `ip`. Returns false if no pod is attached there.
-    fn install_acl(&mut self, ip: u32, table: FlowTable) -> bool;
-
-    /// Removes the ACL at `ip` (pod reverts to allow-all).
-    fn remove_acl(&mut self, ip: u32) -> bool;
-
-    /// Attaches a trace handle: the costed control-plane entry points
-    /// record their policy updates and cache flushes through it
+    /// Attaches a trace handle: charged policy updates record
+    /// themselves and their cache flushes through it
     /// ([`pi_trace::TraceEventKind::PolicyUpdate`] /
     /// [`pi_trace::TraceEventKind::CacheFlush`]). The default drops the
     /// handle — a backend without flushable state may stay untraced —
     /// and a disabled tracer makes every emission a single no-op branch.
     fn set_tracer(&mut self, _tracer: Tracer) {}
 
-    // --- Costed control-plane entry points --------------------------
+    // --- Policy -----------------------------------------------------
 
-    /// [`DataplaneBackend::install_acl`], costed: the outcome carries
-    /// the datapath cycles the update consumed (fixed handling plus
-    /// whatever invalidation/recompilation the architecture performs).
-    fn apply_install_acl(&mut self, ip: u32, table: FlowTable) -> PolicyUpdateOutcome;
+    /// Applies one control-plane update. `charged` is how it arrived: a
+    /// run-time update is priced — the outcome's `cycles` (fixed
+    /// handling plus whatever invalidation/recompilation the
+    /// architecture performs) are also added to the backend's
+    /// `control_cycles` — while build-time topology assembly, before
+    /// the simulated clock, is free (`cycles == 0`, nothing traced).
+    /// `applied` is false for a re-attach (the vport moves, the
+    /// installed ACL stays) and for an ACL install/removal at an
+    /// unattached IP (refused — but a charged refusal still pays the
+    /// fixed handling).
+    fn apply_update(&mut self, update: PolicyUpdate, charged: bool) -> PolicyUpdateOutcome;
 
-    /// [`DataplaneBackend::remove_acl`], costed.
-    fn apply_remove_acl(&mut self, ip: u32) -> PolicyUpdateOutcome;
+    /// Build-time convenience: attaches a pod, free. Returns true for a
+    /// fresh attach.
+    fn attach_pod(&mut self, ip: u32, vport: u32) -> bool {
+        self.apply_update(PolicyUpdate::AttachPod { ip, vport }, false)
+            .applied
+    }
 
-    /// [`DataplaneBackend::attach_pod`], costed.
-    fn apply_attach_pod(&mut self, ip: u32, vport: u32) -> PolicyUpdateOutcome;
+    /// Build-time convenience: installs (or replaces) the ingress ACL
+    /// protecting the pod at `ip`, free. Returns false if no pod is
+    /// attached there.
+    fn install_acl(&mut self, ip: u32, table: FlowTable) -> bool {
+        self.apply_update(PolicyUpdate::InstallAcl { ip, table }, false)
+            .applied
+    }
+
+    /// Build-time convenience: removes the ACL at `ip` (the pod reverts
+    /// to allow-all), free.
+    fn remove_acl(&mut self, ip: u32) -> bool {
+        self.apply_update(PolicyUpdate::RemoveAcl { ip }, false)
+            .applied
+    }
 
     // --- The datapath -----------------------------------------------
 
@@ -126,33 +180,11 @@ pub trait DataplaneBackend: std::fmt::Debug + Send {
         Some(now)
     }
 
-    // --- Telemetry (the `pi_detect` tap surface) --------------------
+    // --- Telemetry --------------------------------------------------
 
-    /// Aggregate statistics so far.
-    fn stats(&self) -> SwitchStats;
-
-    /// Resets packet/cycle counters (not cached state).
-    fn reset_stats(&mut self);
-
-    /// Exact-match/first-level cache statistics (zeros when the
-    /// architecture has no such structure).
-    fn emc_stats(&self) -> EmcStats;
-
-    /// Deferred-pipeline statistics (zeros for inline-only backends;
-    /// `quarantine_drops` is meaningful everywhere).
-    fn upcall_stats(&self) -> UpcallStats;
-
-    /// Distinct wildcard masks in the backend's flow cache — the
-    /// paper's Fig. 3 observable. Architectures without a wildcard
-    /// cache report 0: *there is no mask space to explode*.
-    fn mask_count(&self) -> usize;
-
-    /// Cached flow entries (megaflows, exact entries, offloaded flows —
-    /// whatever the architecture stores per flow).
-    fn megaflow_count(&self) -> usize;
-
-    /// Pending deferred upcalls (0 for inline-only backends).
-    fn upcall_queue_depth(&self) -> usize;
+    /// Every counter and gauge at once (the tap, the traced tick, the
+    /// shard's samples and the report each want several).
+    fn snapshot(&self) -> DataplaneStats;
 
     /// Per-destination attribution of cached state (the offender
     ///-detection input). Backends without per-flow caches return an
@@ -164,9 +196,8 @@ pub trait DataplaneBackend: std::fmt::Debug + Send {
     /// Crashes and restarts the backend process: cached per-flow state,
     /// deferred work, quarantine markings and every installed ACL are
     /// lost (ports revert to allow-all); port attachments and lifetime
-    /// statistics survive — see [`VSwitch::crash_restart`] for the
-    /// reference semantics every backend mirrors. The fixed restart
-    /// price ([`CostModel::restart_fixed`]) is charged by the caller.
+    /// statistics survive. The fixed restart price
+    /// ([`CostModel::restart_fixed`]) is charged by the caller.
     fn crash_restart(&mut self) -> RestartOutcome;
 
     /// Destination IPs with an installed (default-deny) ACL, ascending
@@ -174,62 +205,19 @@ pub trait DataplaneBackend: std::fmt::Debug + Send {
     /// state.
     fn installed_acl_ips(&self) -> Vec<u32>;
 
-    // --- Defense actuators (the `pi_detect` controller surface) -----
+    // --- Defense ----------------------------------------------------
 
-    /// Sets the per-port fair-share quota of a bounded deferred
-    /// pipeline. Returns false (and changes nothing) when the backend
-    /// has no such pipeline.
-    fn set_port_quota(&mut self, quota: Option<u32>) -> bool;
-
-    /// Toggles staged subtable lookup (meaningful only for tuple-space
-    /// architectures; a no-op elsewhere).
-    fn set_staged_lookup(&mut self, enabled: bool);
-
-    /// Switches between global and destination-scoped invalidation
-    /// (a no-op for architectures that never flush wholesale).
-    fn set_scoped_invalidation(&mut self, scoped: bool);
-
-    /// Quarantines destination `ip`: its cached state is evicted and,
-    /// until released, its slow-path service refused. Returns entries
-    /// evicted.
-    fn quarantine(&mut self, ip: u32) -> usize;
-
-    /// Lifts the quarantine on `ip`. Returns whether it was quarantined.
-    fn release_quarantine(&mut self, ip: u32) -> bool;
-
-    /// Whether `ip` is currently quarantined.
-    fn is_quarantined(&self, ip: u32) -> bool;
-
-    // --- Escape hatch -----------------------------------------------
-
-    /// Downcast to the OVS pipeline for OVS-only diagnostics (megaflow
-    /// dumps, mask decompositions). `None` for every other backend.
-    fn as_vswitch(&self) -> Option<&VSwitch> {
-        None
-    }
-
-    /// Mutable variant of [`DataplaneBackend::as_vswitch`].
-    fn as_vswitch_mut(&mut self) -> Option<&mut VSwitch> {
-        None
-    }
-
-    /// Convenience: processes a single pre-parsed key (examples and
-    /// tests; simulators use [`DataplaneBackend::process_batch`]).
-    fn process_one(&mut self, key: &FlowKey, now: SimTime) -> ProcessOutcome
-    where
-        Self: Sized,
-    {
-        let mut out = None;
-        self.process_batch(std::slice::from_ref(key), now, &mut |_, o| {
-            out = Some(o);
-            true
-        });
-        out.expect("one key in, one outcome out")
-    }
+    /// Performs one defense actuation. Returns whether it took effect:
+    /// false when the architecture lacks the knob (a quota without a
+    /// bounded deferred pipeline, staged lookup without a tuple-space
+    /// walk) or when there was no quarantine to release — the state is
+    /// then unchanged. Every backend quarantines.
+    fn actuate(&mut self, action: DefenseAction) -> bool;
 }
 
-/// Processes a single key through a boxed/borrowed backend (the
-/// object-safe counterpart of [`DataplaneBackend::process_one`]).
+/// Convenience: processes a single pre-parsed key through a
+/// boxed/borrowed backend (examples and tests; simulators use
+/// [`DataplaneBackend::process_batch`]).
 pub fn process_one(
     backend: &mut dyn DataplaneBackend,
     key: &FlowKey,

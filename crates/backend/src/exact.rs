@@ -22,18 +22,17 @@
 //!   (`flush_per_entry` per evicted flow), the Cilium-style per-identity
 //!   invalidation.
 
-use pi_classifier::{Action, FlatTable, FlowTable};
+use pi_classifier::{Action, FlatTable, PolicyUpdate};
 use pi_core::{FlowKey, KeyWords, SimTime};
 use pi_datapath::emc::EmcStats;
 use pi_datapath::{
-    BackendKind, CostModel, DpConfig, PathTaken, PolicyUpdateOutcome, ProcessOutcome,
-    ResolvedUpcall, RestartOutcome, SwitchStats, UpcallStats,
+    CostModel, DpConfig, PathTaken, PodTable, PolicyUpdateOutcome, ProcessOutcome, ResolvedUpcall,
+    RestartOutcome, SwitchStats, UpcallStats,
 };
 use pi_mitigation::MaskAttribution;
 use pi_trace::Tracer;
 
-use crate::api::DataplaneBackend;
-use crate::host::PodTable;
+use crate::api::{DataplaneBackend, DataplaneStats, DefenseAction};
 
 /// One cached connection: verdict + LRU stamp for the idle sweep.
 type Entry = (Action, SimTime);
@@ -84,20 +83,6 @@ impl ExactHash {
             self.stats.flushed_megaflows += evicted as u64;
         }
         evicted
-    }
-
-    fn charge_update(&mut self, op: u8, applied: bool, flushed: usize) -> PolicyUpdateOutcome {
-        let cycles = self.cost.control_update_cycles(flushed);
-        self.stats.cycles += cycles;
-        self.stats.control_cycles += cycles;
-        self.tracer
-            .emit_policy_update(op, cycles, flushed as u32, true, applied);
-        PolicyUpdateOutcome {
-            applied,
-            flushed_megaflows: flushed,
-            scoped: true,
-            cycles,
-        }
     }
 
     fn process_with(&mut self, key: &FlowKey, now: SimTime) -> ProcessOutcome {
@@ -182,10 +167,6 @@ impl ExactHash {
 }
 
 impl DataplaneBackend for ExactHash {
-    fn kind(&self) -> BackendKind {
-        BackendKind::ExactHash
-    }
-
     fn config(&self) -> &DpConfig {
         &self.config
     }
@@ -194,61 +175,16 @@ impl DataplaneBackend for ExactHash {
         &self.cost
     }
 
-    fn attach_pod(&mut self, ip: u32, vport: u32) -> bool {
-        self.stats.policy_updates += 1;
-        let fresh = self.pods.attach_pod(ip, vport);
-        // A fresh attach may shadow a cached unroutable-deny entry.
-        self.evict_destination(ip);
-        fresh
-    }
-
-    fn install_acl(&mut self, ip: u32, table: FlowTable) -> bool {
-        let trie_fields = self.config.trie_fields.clone();
-        if !self.pods.install_acl(ip, table, &trie_fields) {
-            return false;
-        }
-        self.stats.policy_updates += 1;
-        self.evict_destination(ip);
-        true
-    }
-
-    fn remove_acl(&mut self, ip: u32) -> bool {
-        if !self.pods.remove_acl(ip) {
-            return false;
-        }
-        self.stats.policy_updates += 1;
-        self.evict_destination(ip);
-        true
-    }
-
     fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
     }
 
-    fn apply_install_acl(&mut self, ip: u32, table: FlowTable) -> PolicyUpdateOutcome {
-        let trie_fields = self.config.trie_fields.clone();
-        if !self.pods.install_acl(ip, table, &trie_fields) {
-            return self.charge_update(0, false, 0);
-        }
-        self.stats.policy_updates += 1;
-        let flushed = self.evict_destination(ip);
-        self.charge_update(0, true, flushed)
-    }
-
-    fn apply_remove_acl(&mut self, ip: u32) -> PolicyUpdateOutcome {
-        if !self.pods.remove_acl(ip) {
-            return self.charge_update(1, false, 0);
-        }
-        self.stats.policy_updates += 1;
-        let flushed = self.evict_destination(ip);
-        self.charge_update(1, true, flushed)
-    }
-
-    fn apply_attach_pod(&mut self, ip: u32, vport: u32) -> PolicyUpdateOutcome {
-        self.stats.policy_updates += 1;
-        let fresh = self.pods.attach_pod(ip, vport);
-        let flushed = self.evict_destination(ip);
-        self.charge_update(2, fresh, flushed)
+    fn apply_update(&mut self, update: PolicyUpdate, charged: bool) -> PolicyUpdateOutcome {
+        let change = self.pods.apply(update, &self.config.trie_fields);
+        // A fresh attach may shadow a cached unroutable-deny entry.
+        let flushed = change.touched.map_or(0, |ip| self.evict_destination(ip));
+        let cycles = charged.then(|| self.cost.control_update_cycles(flushed));
+        change.settle(flushed, true, cycles, &mut self.stats, &self.tracer)
     }
 
     fn process_batch(
@@ -294,32 +230,15 @@ impl DataplaneBackend for ExactHash {
         }
     }
 
-    fn stats(&self) -> SwitchStats {
-        self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = SwitchStats::default();
-    }
-
-    fn emc_stats(&self) -> EmcStats {
-        self.emc
-    }
-
-    fn upcall_stats(&self) -> UpcallStats {
-        self.upcall
-    }
-
-    fn mask_count(&self) -> usize {
-        0 // no wildcard cache: there is no mask space to explode
-    }
-
-    fn megaflow_count(&self) -> usize {
-        self.table.len()
-    }
-
-    fn upcall_queue_depth(&self) -> usize {
-        0
+    fn snapshot(&self) -> DataplaneStats {
+        DataplaneStats {
+            switch: self.stats,
+            emc: self.emc,
+            upcall: self.upcall,
+            masks: 0, // no wildcard cache: there is no mask space to explode
+            megaflows: self.table.len(),
+            upcall_backlog: 0,
+        }
     }
 
     fn attribution(&self) -> Vec<MaskAttribution> {
@@ -342,31 +261,17 @@ impl DataplaneBackend for ExactHash {
         self.pods.acl_ips()
     }
 
-    fn set_port_quota(&mut self, _quota: Option<u32>) -> bool {
-        false // no deferred pipeline to meter
-    }
-
-    fn set_staged_lookup(&mut self, _enabled: bool) {
-        // No tuple-space walk to stage.
-    }
-
-    fn set_scoped_invalidation(&mut self, scoped: bool) {
-        // Invalidations are destination-scoped by construction; the
-        // config mirror is kept so controllers observe their writes.
-        self.config.scoped_invalidation = scoped;
-    }
-
-    fn quarantine(&mut self, ip: u32) -> usize {
-        self.pods.quarantine(ip);
-        self.evict_destination(ip)
-    }
-
-    fn release_quarantine(&mut self, ip: u32) -> bool {
-        self.pods.release_quarantine(ip)
-    }
-
-    fn is_quarantined(&self, ip: u32) -> bool {
-        self.pods.is_quarantined(ip)
+    fn actuate(&mut self, action: DefenseAction) -> bool {
+        match action {
+            // No deferred pipeline to meter, no tuple-space walk to stage.
+            DefenseAction::SetPortQuota(_) | DefenseAction::SetStagedLookup(_) => false,
+            DefenseAction::Quarantine(ip) => {
+                self.pods.quarantine(ip);
+                self.evict_destination(ip);
+                true
+            }
+            DefenseAction::ReleaseQuarantine(ip) => self.pods.release_quarantine(ip),
+        }
     }
 }
 
@@ -408,9 +313,9 @@ mod tests {
         let o2 = crate::api::process_one(&mut be, &p, t);
         assert!(o2.path.is_microflow());
         assert!(o2.cycles < o1.cycles);
-        assert_eq!(be.stats().packets, 2);
-        assert_eq!(be.megaflow_count(), 1);
-        assert_eq!(be.mask_count(), 0, "no wildcard cache exists");
+        assert_eq!(be.snapshot().switch.packets, 2);
+        assert_eq!(be.snapshot().megaflows, 1);
+        assert_eq!(be.snapshot().masks, 0, "no wildcard cache exists");
     }
 
     #[test]
@@ -434,7 +339,7 @@ mod tests {
         }
         let after = crate::api::process_one(&mut be, &victim, t).cycles;
         assert_eq!(before, after, "victim cost is attack-invariant");
-        assert_eq!(be.mask_count(), 0);
+        assert_eq!(be.snapshot().masks, 0);
     }
 
     #[test]
@@ -443,7 +348,7 @@ mod tests {
         let o = crate::api::process_one(&mut be, &pkt([99, 1, 1, 1], 1), SimTime::ZERO);
         assert_eq!(o.verdict, Action::Deny);
         assert_eq!(o.output, None);
-        assert_eq!(be.stats().policy_drops, 1);
+        assert_eq!(be.snapshot().switch.policy_drops, 1);
         // The deny verdict is cached too — an exact hit next time.
         let o = crate::api::process_one(&mut be, &pkt([99, 1, 1, 1], 1), SimTime::ZERO);
         assert!(o.path.is_microflow());
@@ -459,8 +364,13 @@ mod tests {
         crate::api::process_one(&mut be, &pkt([10, 1, 1, 1], 1000), t);
         let bystander = FlowKey::tcp([10, 3, 3, 3], [10, 0, 0, 98], 1, 1);
         crate::api::process_one(&mut be, &bystander, t);
-        assert_eq!(be.megaflow_count(), 2);
-        let o = be.apply_remove_acl(u32::from_be_bytes(POD_IP));
+        assert_eq!(be.snapshot().megaflows, 2);
+        let o = be.apply_update(
+            PolicyUpdate::RemoveAcl {
+                ip: u32::from_be_bytes(POD_IP),
+            },
+            true,
+        );
         assert!(o.applied);
         assert!(o.scoped);
         assert_eq!(o.flushed_megaflows, 1, "only the updated pod's entry");
@@ -472,27 +382,9 @@ mod tests {
     fn idle_sweep_evicts_stale_connections() {
         let mut be = backend_with_fig2_acl();
         crate::api::process_one(&mut be, &pkt([10, 1, 1, 1], 1000), SimTime::from_millis(1));
-        assert_eq!(be.megaflow_count(), 1);
+        assert_eq!(be.snapshot().megaflows, 1);
         be.revalidate(SimTime::from_secs(15));
-        assert_eq!(be.megaflow_count(), 0, "idle timeout enforced");
-    }
-
-    #[test]
-    fn quarantine_refuses_service_and_releases() {
-        let mut be = backend_with_fig2_acl();
-        let t = SimTime::from_millis(1);
-        crate::api::process_one(&mut be, &pkt([10, 1, 1, 1], 1000), t);
-        let evicted = DataplaneBackend::quarantine(&mut be, u32::from_be_bytes(POD_IP));
-        assert_eq!(evicted, 1);
-        let o = crate::api::process_one(&mut be, &pkt([10, 1, 1, 1], 1000), t);
-        assert!(o.path.is_upcall_dropped());
-        assert_eq!(be.upcall_stats().quarantine_drops, 1);
-        assert!(DataplaneBackend::release_quarantine(
-            &mut be,
-            u32::from_be_bytes(POD_IP)
-        ));
-        let o = crate::api::process_one(&mut be, &pkt([10, 1, 1, 1], 1000), t);
-        assert_eq!(o.verdict, Action::Allow);
+        assert_eq!(be.snapshot().megaflows, 0, "idle timeout enforced");
     }
 
     #[test]
@@ -510,6 +402,6 @@ mod tests {
             let o = crate::api::process_one(&mut be, &pkt([10, 1, 1, i as u8 + 1], 1000 + i), t);
             assert_eq!(o.verdict, Action::Allow, "verdict sound past the limit");
         }
-        assert_eq!(be.megaflow_count(), 2, "map bounded by flow_limit");
+        assert_eq!(be.snapshot().megaflows, 2, "map bounded by flow_limit");
     }
 }

@@ -1,162 +1,9 @@
-//! Shared host-side plumbing for the non-OVS backends: the pod/route
-//! table, ground-truth classification and the quarantine set.
-//!
-//! Every architecture in the matrix enforces the *same* tenant policies
-//! at the same attachment points — what differs is the caching structure
-//! in front. [`PodTable`] is that common substrate: destination IP →
-//! vport + compiled ingress ACL, with verdicts always produced by the
-//! reference slow path ([`SlowPath`], linear classification ground
-//! truth), so no backend can diverge on policy semantics.
+//! Attribution shared by the exact-match backends.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
-use pi_classifier::{Action, FlowTable};
-use pi_core::{Field, FlowKey};
-use pi_datapath::SlowPath;
+use pi_core::FlowKey;
 use pi_mitigation::MaskAttribution;
-
-/// One pod attachment: vport + the pod's ingress policy.
-#[derive(Debug, Clone)]
-pub struct Pod {
-    /// Delivery vport for permitted traffic.
-    pub vport: u32,
-    /// The pod's compiled ingress ACL (permissive allow-all when none
-    /// is installed).
-    pub slowpath: SlowPath,
-}
-
-/// The host-side routing + policy table shared by the non-OVS backends,
-/// mirroring [`pi_datapath::VSwitch`]'s attach/install/remove semantics
-/// (fresh-vs-re-attach, ACL-preserving vport moves, install refusal at
-/// unattached IPs).
-#[derive(Debug, Default)]
-pub struct PodTable {
-    routes: HashMap<u32, Pod>,
-    /// Destinations refused slow-path service (BTreeSet for
-    /// deterministic listing).
-    quarantined: BTreeSet<u32>,
-}
-
-impl PodTable {
-    /// An empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Attaches (or re-homes) a pod. Returns true for a fresh attach;
-    /// a re-attach moves the vport but preserves the installed ACL.
-    pub fn attach_pod(&mut self, ip: u32, vport: u32) -> bool {
-        match self.routes.get_mut(&ip) {
-            Some(pod) => {
-                pod.vport = vport;
-                false
-            }
-            None => {
-                self.routes.insert(
-                    ip,
-                    Pod {
-                        vport,
-                        slowpath: SlowPath::permissive(Action::Allow),
-                    },
-                );
-                true
-            }
-        }
-    }
-
-    /// Installs the ingress ACL at `ip`; false when no pod is attached.
-    pub fn install_acl(&mut self, ip: u32, table: FlowTable, trie_fields: &[Field]) -> bool {
-        match self.routes.get_mut(&ip) {
-            Some(pod) => {
-                pod.slowpath = SlowPath::new(table, trie_fields, Action::Deny);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Removes the ACL at `ip` (back to allow-all); false when no pod
-    /// is attached.
-    pub fn remove_acl(&mut self, ip: u32) -> bool {
-        match self.routes.get_mut(&ip) {
-            Some(pod) => {
-                pod.slowpath = SlowPath::permissive(Action::Allow);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// The pod at `ip`, if attached.
-    pub fn get(&self, ip: u32) -> Option<&Pod> {
-        self.routes.get(&ip)
-    }
-
-    /// Ground-truth classification of `key` against its destination
-    /// pod's ACL: `(verdict, rules examined, vport if deliverable)`.
-    /// Unroutable destinations deny with zero rules examined, exactly
-    /// like the OVS slow path.
-    pub fn classify(&self, key: &FlowKey) -> (Action, usize, Option<u32>) {
-        match self.routes.get(&key.ip_dst) {
-            Some(pod) => {
-                let (action, examined) = pod.slowpath.classify(key);
-                let out = action.permits().then_some(pod.vport);
-                (action, examined, out)
-            }
-            None => (Action::Deny, 0, None),
-        }
-    }
-
-    /// Number of rules in the ACL at `ip` (0 when permissive or
-    /// unattached) — the recompilation work a policy update costs.
-    pub fn rules_at(&self, ip: u32) -> usize {
-        self.routes.get(&ip).map_or(0, |p| p.slowpath.table().len())
-    }
-
-    /// Destination IPs with an installed (default-deny) ACL, ascending.
-    pub fn acl_ips(&self) -> Vec<u32> {
-        let mut ips: Vec<u32> = self
-            .routes
-            .iter()
-            .filter(|(_, pod)| pod.slowpath.default_action() == Action::Deny)
-            .map(|(ip, _)| *ip)
-            .collect();
-        ips.sort_unstable();
-        ips
-    }
-
-    /// Crash wipe of the policy/quarantine half of a restart: every
-    /// installed ACL reverts to allow-all and quarantine markings are
-    /// lost; attachments survive (the node agent re-plumbs vports).
-    /// Returns `(acls_lost, quarantines_lost)`.
-    pub fn crash_reset(&mut self) -> (usize, usize) {
-        let mut acls_lost = 0;
-        for pod in self.routes.values_mut() {
-            if pod.slowpath.default_action() == Action::Deny {
-                pod.slowpath = SlowPath::permissive(Action::Allow);
-                acls_lost += 1;
-            }
-        }
-        let quarantines_lost = self.quarantined.len();
-        self.quarantined.clear();
-        (acls_lost, quarantines_lost)
-    }
-
-    /// Marks `ip` quarantined. Returns whether it was newly added.
-    pub fn quarantine(&mut self, ip: u32) -> bool {
-        self.quarantined.insert(ip)
-    }
-
-    /// Lifts the quarantine on `ip`.
-    pub fn release_quarantine(&mut self, ip: u32) -> bool {
-        self.quarantined.remove(&ip)
-    }
-
-    /// Whether `ip` is quarantined.
-    pub fn is_quarantined(&self, ip: u32) -> bool {
-        !self.quarantined.is_empty() && self.quarantined.contains(&ip)
-    }
-}
 
 /// Attribution over an exact-match cache: groups entries by destination.
 /// Every exact entry carries the same all-exact mask, so each populated

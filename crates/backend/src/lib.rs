@@ -20,6 +20,18 @@
 //! so cross-backend capacity ratios are consequences of data-structure
 //! dynamics, exactly like the single-switch reproduction.
 //!
+//! The trait is thirteen methods — what `pi_sim::NodeCell`, the engine's
+//! shards and report, and the `pi_detect` tap and controller actually
+//! call: one policy entry point ([`DataplaneBackend::apply_update`]),
+//! one telemetry read ([`DataplaneBackend::snapshot`] →
+//! [`DataplaneStats`]), one defense actuator
+//! ([`DataplaneBackend::actuate`] ← [`DefenseAction`]) around the
+//! datapath and crash/restart calls. Every backend holds a
+//! [`pi_datapath::PodTable`] for routing, ACLs, quarantine and
+//! policy-update bookkeeping, so those semantics are shared by
+//! construction; `tests/conformance.rs` checks them against every
+//! [`BackendKind`].
+//!
 //! [`build_backend`] resolves a [`DpConfig`]'s
 //! [`backend`](DpConfig::backend) field into a boxed trait object at
 //! scenario-setup time; `pi_sim::NodeCell` and the fleet shards drive
@@ -34,7 +46,9 @@ pub mod lpm;
 pub mod nic;
 pub mod ovs;
 
-pub use api::{build_backend, process_one, DataplaneBackend, BATCH_SIZE};
+pub use api::{
+    build_backend, process_one, DataplaneBackend, DataplaneStats, DefenseAction, BATCH_SIZE,
+};
 pub use exact::ExactHash;
 pub use lpm::LpmTier;
 pub use nic::NicOffload;

@@ -22,18 +22,16 @@
 //!   plus `per_rule` for every rule recompiled into the tiers (the
 //!   attack surface that remains: update *rate*, not datapath state).
 
-use pi_classifier::{Action, FlowTable, PrefixTrie};
+use pi_classifier::{Action, PolicyUpdate, PrefixTrie};
 use pi_core::{Field, FlowKey, SimTime};
-use pi_datapath::emc::EmcStats;
 use pi_datapath::{
-    BackendKind, CostModel, DpConfig, PathTaken, PolicyUpdateOutcome, ProcessOutcome,
-    ResolvedUpcall, RestartOutcome, SwitchStats, UpcallStats,
+    CostModel, DpConfig, PathTaken, PodTable, PolicyUpdateOutcome, ProcessOutcome, ResolvedUpcall,
+    RestartOutcome, SwitchStats, UpcallStats,
 };
 use pi_mitigation::MaskAttribution;
 use pi_trace::Tracer;
 
-use crate::api::DataplaneBackend;
-use crate::host::PodTable;
+use crate::api::{DataplaneBackend, DataplaneStats, DefenseAction};
 
 /// Stride width of the compiled tiers, in bits (DPDK's LPM/ACL designs
 /// are byte-oriented).
@@ -82,31 +80,6 @@ impl LpmTier {
     /// The compile-time per-packet walk length, in strides.
     pub fn strides_per_packet(&self) -> usize {
         self.route_strides + self.acl_strides
-    }
-
-    fn charge_update(
-        &mut self,
-        op: u8,
-        applied: bool,
-        rules_recompiled: usize,
-    ) -> PolicyUpdateOutcome {
-        // Recompilation: fixed control-plane handling plus one rule-visit
-        // per rule folded into the tiers. Nothing is flushed — there is
-        // no cached state to invalidate.
-        let cycles =
-            self.cost.control_update_cycles(0) + rules_recompiled as u64 * self.cost.per_rule;
-        self.stats.cycles += cycles;
-        self.stats.control_cycles += cycles;
-        // Nothing cached, nothing flushed: the trace shows the update
-        // itself (recompilation cost) with no CacheFlush — the visible
-        // proof of this architecture's immunity.
-        self.tracer.emit_policy_update(op, cycles, 0, true, applied);
-        PolicyUpdateOutcome {
-            applied,
-            flushed_megaflows: 0,
-            scoped: true,
-            cycles,
-        }
     }
 
     fn process_with(&mut self, key: &FlowKey, now: SimTime) -> ProcessOutcome {
@@ -190,10 +163,6 @@ fn fixed_walk(strides: usize) -> PathTaken {
 }
 
 impl DataplaneBackend for LpmTier {
-    fn kind(&self) -> BackendKind {
-        BackendKind::LpmTier
-    }
-
     fn config(&self) -> &DpConfig {
         &self.config
     }
@@ -202,53 +171,31 @@ impl DataplaneBackend for LpmTier {
         &self.cost
     }
 
-    fn attach_pod(&mut self, ip: u32, vport: u32) -> bool {
-        self.stats.policy_updates += 1;
-        self.routes.insert(ip as u64, 32);
-        self.pods.attach_pod(ip, vport)
-    }
-
-    fn install_acl(&mut self, ip: u32, table: FlowTable) -> bool {
-        let trie_fields = self.config.trie_fields.clone();
-        if !self.pods.install_acl(ip, table, &trie_fields) {
-            return false;
-        }
-        self.stats.policy_updates += 1;
-        true
-    }
-
-    fn remove_acl(&mut self, ip: u32) -> bool {
-        if !self.pods.remove_acl(ip) {
-            return false;
-        }
-        self.stats.policy_updates += 1;
-        true
-    }
-
     fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
     }
 
-    fn apply_install_acl(&mut self, ip: u32, table: FlowTable) -> PolicyUpdateOutcome {
-        let rules = table.len();
-        if !DataplaneBackend::install_acl(self, ip, table) {
-            return self.charge_update(0, false, 0);
-        }
-        self.charge_update(0, true, rules)
-    }
-
-    fn apply_remove_acl(&mut self, ip: u32) -> PolicyUpdateOutcome {
-        // Recompiling *out* the old ACL revisits its rules.
-        let rules = self.pods.rules_at(ip);
-        if !DataplaneBackend::remove_acl(self, ip) {
-            return self.charge_update(1, false, 0);
-        }
-        self.charge_update(1, true, rules)
-    }
-
-    fn apply_attach_pod(&mut self, ip: u32, vport: u32) -> PolicyUpdateOutcome {
-        let fresh = DataplaneBackend::attach_pod(self, ip, vport);
-        self.charge_update(2, fresh, 0)
+    fn apply_update(&mut self, update: PolicyUpdate, charged: bool) -> PolicyUpdateOutcome {
+        // The rules an ACL change folds into (or, recompiling the old
+        // ACL *out*, removes from) the tiers; an attach only extends
+        // the routing tier.
+        let rules = match &update {
+            PolicyUpdate::InstallAcl { table, .. } => table.len(),
+            PolicyUpdate::RemoveAcl { ip } => self.pods.rules_at(*ip),
+            PolicyUpdate::AttachPod { ip, .. } => {
+                self.routes.insert(*ip as u64, 32);
+                0
+            }
+        };
+        let change = self.pods.apply(update, &self.config.trie_fields);
+        // Recompilation: fixed control-plane handling plus one
+        // rule-visit per rule. Nothing is flushed — there is no cached
+        // state to invalidate, so the trace shows the update with no
+        // CacheFlush: the visible proof of this architecture's immunity.
+        let recompiled = if change.applied { rules as u64 } else { 0 };
+        let cycles =
+            charged.then(|| self.cost.control_update_cycles(0) + recompiled * self.cost.per_rule);
+        change.settle(0, true, cycles, &mut self.stats, &self.tracer)
     }
 
     fn process_batch(
@@ -278,32 +225,14 @@ impl DataplaneBackend for LpmTier {
         None // run-to-completion and stateless: never busy on its own
     }
 
-    fn stats(&self) -> SwitchStats {
-        self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = SwitchStats::default();
-    }
-
-    fn emc_stats(&self) -> EmcStats {
-        EmcStats::default() // no first-level cache exists
-    }
-
-    fn upcall_stats(&self) -> UpcallStats {
-        self.upcall
-    }
-
-    fn mask_count(&self) -> usize {
-        0 // no wildcard cache: there is no mask space to explode
-    }
-
-    fn megaflow_count(&self) -> usize {
-        0 // no per-flow state at all
-    }
-
-    fn upcall_queue_depth(&self) -> usize {
-        0
+    fn snapshot(&self) -> DataplaneStats {
+        // No first-level cache, no wildcard cache, no per-flow state at
+        // all: only the walk counters and the quarantine drops move.
+        DataplaneStats {
+            switch: self.stats,
+            upcall: self.upcall,
+            ..DataplaneStats::default()
+        }
     }
 
     fn attribution(&self) -> Vec<MaskAttribution> {
@@ -329,31 +258,17 @@ impl DataplaneBackend for LpmTier {
         self.pods.acl_ips()
     }
 
-    fn set_port_quota(&mut self, _quota: Option<u32>) -> bool {
-        false // no deferred pipeline to meter
-    }
-
-    fn set_staged_lookup(&mut self, _enabled: bool) {
-        // No tuple-space walk to stage.
-    }
-
-    fn set_scoped_invalidation(&mut self, scoped: bool) {
-        // Nothing is ever flushed; the config mirror is kept so
-        // controllers observe their writes.
-        self.config.scoped_invalidation = scoped;
-    }
-
-    fn quarantine(&mut self, ip: u32) -> usize {
-        self.pods.quarantine(ip);
-        0 // no cached state to evict
-    }
-
-    fn release_quarantine(&mut self, ip: u32) -> bool {
-        self.pods.release_quarantine(ip)
-    }
-
-    fn is_quarantined(&self, ip: u32) -> bool {
-        self.pods.is_quarantined(ip)
+    fn actuate(&mut self, action: DefenseAction) -> bool {
+        match action {
+            // No deferred pipeline to meter, no tuple-space walk to stage.
+            DefenseAction::SetPortQuota(_) | DefenseAction::SetStagedLookup(_) => false,
+            // No cached state to evict: the gate alone refuses service.
+            DefenseAction::Quarantine(ip) => {
+                self.pods.quarantine(ip);
+                true
+            }
+            DefenseAction::ReleaseQuarantine(ip) => self.pods.release_quarantine(ip),
+        }
     }
 }
 
@@ -419,8 +334,8 @@ mod tests {
         }
         let after = crate::api::process_one(&mut be, &victim, t).cycles;
         assert_eq!(before, after, "fixed-cost pipeline is attack-invariant");
-        assert_eq!(be.mask_count(), 0);
-        assert_eq!(be.megaflow_count(), 0, "no per-flow state accumulates");
+        assert_eq!(be.snapshot().masks, 0);
+        assert_eq!(be.snapshot().megaflows, 0, "no per-flow state accumulates");
     }
 
     #[test]
@@ -431,7 +346,7 @@ mod tests {
         let denied = crate::api::process_one(&mut be, &pkt([99, 1, 1, 1], 1), SimTime::ZERO);
         assert_eq!(denied.verdict, Action::Deny);
         assert_eq!(denied.output, None);
-        assert_eq!(be.stats().policy_drops, 1);
+        assert_eq!(be.snapshot().switch.policy_drops, 1);
     }
 
     #[test]
@@ -454,37 +369,17 @@ mod tests {
             FlowKey::tcp([10, 0, 0, 0], [0, 0, 0, 0], 0, 0),
             FlowMask::default().with_prefix(Field::IpSrc, 16),
         );
-        let o = be.apply_install_acl(
-            u32::from_be_bytes(POD_IP),
-            whitelist_with_default_deny(&[allow]),
+        let o = be.apply_update(
+            PolicyUpdate::InstallAcl {
+                ip: u32::from_be_bytes(POD_IP),
+                table: whitelist_with_default_deny(&[allow]),
+            },
+            true,
         );
         assert!(o.applied);
         assert_eq!(o.flushed_megaflows, 0, "nothing cached, nothing flushed");
         let cm = CostModel::default();
         // 2 rules recompiled: the whitelist entry + the default-deny.
         assert_eq!(o.cycles, cm.control_update_cycles(0) + 2 * cm.per_rule);
-        // An update at an unattached IP is refused but still costs the
-        // fixed control-plane handling.
-        let miss = be.apply_install_acl(
-            u32::from_be_bytes([9, 9, 9, 9]),
-            whitelist_with_default_deny(&[]),
-        );
-        assert!(!miss.applied);
-        assert_eq!(miss.cycles, cm.control_update_cycles(0));
-    }
-
-    #[test]
-    fn quarantine_gates_after_routing() {
-        let mut be = backend_with_fig2_acl();
-        DataplaneBackend::quarantine(&mut be, u32::from_be_bytes(POD_IP));
-        let o = crate::api::process_one(&mut be, &pkt([10, 1, 1, 1], 1), SimTime::ZERO);
-        assert!(o.path.is_upcall_dropped());
-        assert_eq!(be.upcall_stats().quarantine_drops, 1);
-        assert!(DataplaneBackend::release_quarantine(
-            &mut be,
-            u32::from_be_bytes(POD_IP)
-        ));
-        let o = crate::api::process_one(&mut be, &pkt([10, 1, 1, 1], 1), SimTime::ZERO);
-        assert_eq!(o.verdict, Action::Allow);
     }
 }

@@ -20,18 +20,17 @@
 
 use std::collections::VecDeque;
 
-use pi_classifier::{Action, FlatTable, FlowTable};
+use pi_classifier::{Action, FlatTable, PolicyUpdate};
 use pi_core::{FlowKey, KeyWords, SimTime};
 use pi_datapath::emc::EmcStats;
 use pi_datapath::{
-    BackendKind, CostModel, DpConfig, PathTaken, PolicyUpdateOutcome, ProcessOutcome,
-    ResolvedUpcall, RestartOutcome, SwitchStats, UpcallStats,
+    CostModel, DpConfig, PathTaken, PodTable, PolicyUpdateOutcome, ProcessOutcome, ResolvedUpcall,
+    RestartOutcome, SwitchStats, UpcallStats,
 };
 use pi_mitigation::MaskAttribution;
 use pi_trace::Tracer;
 
-use crate::api::DataplaneBackend;
-use crate::host::PodTable;
+use crate::api::{DataplaneBackend, DataplaneStats, DefenseAction};
 
 /// Hardware flow-table capacity. Fixed by the modelled NIC, not by the
 /// host's `flow_limit` — the asymmetry between a ~2k offload table and
@@ -39,10 +38,8 @@ use crate::host::PodTable;
 /// churn.
 pub const OFFLOAD_CAPACITY: usize = 2048;
 
-/// One offloaded flow: verdict, last-use stamp for the idle sweep, and
-/// the insertion sequence number its FIFO record must match (stale
-/// records are skipped lazily at eviction time).
-type Entry = (Action, SimTime, u64);
+/// One offloaded flow: verdict + last-use stamp for the idle sweep.
+type Entry = (Action, SimTime);
 
 /// The SmartNIC-offload backend. See the module docs for the
 /// architecture and its threat surface.
@@ -51,11 +48,11 @@ pub struct NicOffload {
     config: DpConfig,
     cost: CostModel,
     table: FlatTable<Entry>,
-    /// Insertion order for FIFO replacement: `(hash, key, seq)`. A
-    /// record is live iff the table still holds that key with the same
-    /// sequence number; dead records are popped and skipped lazily.
-    fifo: VecDeque<(u64, FlowKey, u64)>,
-    next_seq: u64,
+    /// Insertion order for FIFO replacement: one `(hash, key)` record
+    /// per table entry, oldest first. Whatever removes entries from the
+    /// table drops their records too ([`NicOffload::retain`]), so the
+    /// deque never outgrows [`OFFLOAD_CAPACITY`].
+    fifo: VecDeque<(u64, FlowKey)>,
     pods: PodTable,
     stats: SwitchStats,
     emc: EmcStats,
@@ -75,7 +72,6 @@ impl NicOffload {
             cost,
             table: FlatTable::new(),
             fifo: VecDeque::new(),
-            next_seq: 0,
             pods: PodTable::new(),
             stats: SwitchStats::default(),
             emc: EmcStats::default(),
@@ -86,37 +82,39 @@ impl NicOffload {
     }
 
     /// Programs a flow into the offload table, FIFO-evicting the oldest
-    /// live offloaded flow if the hardware table is full.
+    /// offloaded flow if the hardware table is full.
     fn offload(&mut self, hash: u64, key: FlowKey, action: Action, now: SimTime) {
+        debug_assert_eq!(self.fifo.len(), self.table.len());
         if self.table.len() >= OFFLOAD_CAPACITY {
-            while let Some((h, k, seq)) = self.fifo.pop_front() {
-                let live = self
-                    .table
-                    .get(h, &k)
-                    .is_some_and(|(_, _, entry_seq)| *entry_seq == seq);
-                if live {
-                    self.table.remove(h, &k);
-                    self.emc.collision_evictions += 1;
-                    break;
-                }
-                // Stale record (idle-swept, policy-evicted or
-                // re-offloaded since): skip it.
+            if let Some((h, k)) = self.fifo.pop_front() {
+                self.table.remove(h, &k);
+                self.emc.collision_evictions += 1;
             }
         }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.table.insert(hash, key, (action, now, seq));
-        self.fifo.push_back((hash, key, seq));
+        self.table.insert(hash, key, (action, now));
+        self.fifo.push_back((hash, key));
         self.emc.inserts += 1;
+    }
+
+    /// Keeps the offloaded flows `keep` accepts and drops the FIFO
+    /// records of the rest (in place, so replacement order among the
+    /// survivors is untouched). Returns the number removed.
+    fn retain(&mut self, mut keep: impl FnMut(&FlowKey, &Entry) -> bool) -> usize {
+        let before = self.table.len();
+        self.table.retain(|k, e| keep(k, e));
+        let removed = before - self.table.len();
+        if removed > 0 {
+            let table = &self.table;
+            self.fifo.retain(|(h, k)| table.get(*h, k).is_some());
+        }
+        removed
     }
 
     /// Evicts the offloaded flows towards `ip` plus the shared flush
     /// bookkeeping (scoped by construction, like every exact-match
     /// structure).
     fn evict_destination(&mut self, ip: u32) -> usize {
-        let before = self.table.len();
-        self.table.retain(|k, _| k.ip_dst != ip);
-        let evicted = before - self.table.len();
+        let evicted = self.retain(|k, _| k.ip_dst != ip);
         if evicted > 0 {
             self.stats.cache_flushes += 1;
             self.stats.flushed_megaflows += evicted as u64;
@@ -124,26 +122,12 @@ impl NicOffload {
         evicted
     }
 
-    fn charge_update(&mut self, op: u8, applied: bool, flushed: usize) -> PolicyUpdateOutcome {
-        let cycles = self.cost.control_update_cycles(flushed);
-        self.stats.cycles += cycles;
-        self.stats.control_cycles += cycles;
-        self.tracer
-            .emit_policy_update(op, cycles, flushed as u32, true, applied);
-        PolicyUpdateOutcome {
-            applied,
-            flushed_megaflows: flushed,
-            scoped: true,
-            cycles,
-        }
-    }
-
     fn process_with(&mut self, key: &FlowKey, now: SimTime) -> ProcessOutcome {
         self.stats.packets += 1;
         let hash = KeyWords::of(key).full_hash();
 
         // Hardware hit: forwarded without touching the host CPU.
-        if let Some((action, last_used, _)) = self.table.get_mut(hash, key) {
+        if let Some((action, last_used)) = self.table.get_mut(hash, key) {
             *last_used = now;
             let action = *action;
             self.emc.hits += 1;
@@ -215,10 +199,6 @@ impl NicOffload {
 }
 
 impl DataplaneBackend for NicOffload {
-    fn kind(&self) -> BackendKind {
-        BackendKind::NicOffload
-    }
-
     fn config(&self) -> &DpConfig {
         &self.config
     }
@@ -227,60 +207,16 @@ impl DataplaneBackend for NicOffload {
         &self.cost
     }
 
-    fn attach_pod(&mut self, ip: u32, vport: u32) -> bool {
-        self.stats.policy_updates += 1;
-        let fresh = self.pods.attach_pod(ip, vport);
-        self.evict_destination(ip);
-        fresh
-    }
-
-    fn install_acl(&mut self, ip: u32, table: FlowTable) -> bool {
-        let trie_fields = self.config.trie_fields.clone();
-        if !self.pods.install_acl(ip, table, &trie_fields) {
-            return false;
-        }
-        self.stats.policy_updates += 1;
-        self.evict_destination(ip);
-        true
-    }
-
-    fn remove_acl(&mut self, ip: u32) -> bool {
-        if !self.pods.remove_acl(ip) {
-            return false;
-        }
-        self.stats.policy_updates += 1;
-        self.evict_destination(ip);
-        true
-    }
-
     fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
     }
 
-    fn apply_install_acl(&mut self, ip: u32, table: FlowTable) -> PolicyUpdateOutcome {
-        let trie_fields = self.config.trie_fields.clone();
-        if !self.pods.install_acl(ip, table, &trie_fields) {
-            return self.charge_update(0, false, 0);
-        }
-        self.stats.policy_updates += 1;
-        let flushed = self.evict_destination(ip);
-        self.charge_update(0, true, flushed)
-    }
-
-    fn apply_remove_acl(&mut self, ip: u32) -> PolicyUpdateOutcome {
-        if !self.pods.remove_acl(ip) {
-            return self.charge_update(1, false, 0);
-        }
-        self.stats.policy_updates += 1;
-        let flushed = self.evict_destination(ip);
-        self.charge_update(1, true, flushed)
-    }
-
-    fn apply_attach_pod(&mut self, ip: u32, vport: u32) -> PolicyUpdateOutcome {
-        self.stats.policy_updates += 1;
-        let fresh = self.pods.attach_pod(ip, vport);
-        let flushed = self.evict_destination(ip);
-        self.charge_update(2, fresh, flushed)
+    fn apply_update(&mut self, update: PolicyUpdate, charged: bool) -> PolicyUpdateOutcome {
+        let change = self.pods.apply(update, &self.config.trie_fields);
+        // A fresh attach may shadow an offloaded unroutable-deny entry.
+        let flushed = change.touched.map_or(0, |ip| self.evict_destination(ip));
+        let cycles = charged.then(|| self.cost.control_update_cycles(flushed));
+        change.settle(flushed, true, cycles, &mut self.stats, &self.tracer)
     }
 
     fn process_batch(
@@ -311,8 +247,7 @@ impl DataplaneBackend for NicOffload {
             self.next_sweep += interval;
         }
         let idle_timeout = self.config.idle_timeout;
-        self.table
-            .retain(|_, (_, last_used, _)| *last_used + idle_timeout > now);
+        self.retain(|_, (_, last_used)| *last_used + idle_timeout > now);
     }
 
     fn next_background_event(&self, _now: SimTime) -> Option<SimTime> {
@@ -323,32 +258,15 @@ impl DataplaneBackend for NicOffload {
         }
     }
 
-    fn stats(&self) -> SwitchStats {
-        self.stats
-    }
-
-    fn reset_stats(&mut self) {
-        self.stats = SwitchStats::default();
-    }
-
-    fn emc_stats(&self) -> EmcStats {
-        self.emc
-    }
-
-    fn upcall_stats(&self) -> UpcallStats {
-        self.upcall
-    }
-
-    fn mask_count(&self) -> usize {
-        0 // exact offload entries: no mask space to explode
-    }
-
-    fn megaflow_count(&self) -> usize {
-        self.table.len()
-    }
-
-    fn upcall_queue_depth(&self) -> usize {
-        0
+    fn snapshot(&self) -> DataplaneStats {
+        DataplaneStats {
+            switch: self.stats,
+            emc: self.emc,
+            upcall: self.upcall,
+            masks: 0, // exact offload entries: no mask space to explode
+            megaflows: self.table.len(),
+            upcall_backlog: 0,
+        }
     }
 
     fn attribution(&self) -> Vec<MaskAttribution> {
@@ -357,10 +275,7 @@ impl DataplaneBackend for NicOffload {
 
     fn crash_restart(&mut self) -> RestartOutcome {
         // A host restart reprograms the NIC from scratch: the offload
-        // table and its FIFO replacement record go together. The
-        // sequence counter keeps running — stale FIFO records are
-        // already skipped lazily, and a fresh counter could resurrect
-        // them as live.
+        // table and its FIFO replacement record go together.
         let flows_lost = self.table.len();
         self.table = FlatTable::new();
         self.fifo.clear();
@@ -377,31 +292,17 @@ impl DataplaneBackend for NicOffload {
         self.pods.acl_ips()
     }
 
-    fn set_port_quota(&mut self, _quota: Option<u32>) -> bool {
-        false // no deferred pipeline to meter
-    }
-
-    fn set_staged_lookup(&mut self, _enabled: bool) {
-        // No tuple-space walk to stage.
-    }
-
-    fn set_scoped_invalidation(&mut self, scoped: bool) {
-        // Invalidations are destination-scoped by construction; the
-        // config mirror is kept so controllers observe their writes.
-        self.config.scoped_invalidation = scoped;
-    }
-
-    fn quarantine(&mut self, ip: u32) -> usize {
-        self.pods.quarantine(ip);
-        self.evict_destination(ip)
-    }
-
-    fn release_quarantine(&mut self, ip: u32) -> bool {
-        self.pods.release_quarantine(ip)
-    }
-
-    fn is_quarantined(&self, ip: u32) -> bool {
-        self.pods.is_quarantined(ip)
+    fn actuate(&mut self, action: DefenseAction) -> bool {
+        match action {
+            // No deferred pipeline to meter, no tuple-space walk to stage.
+            DefenseAction::SetPortQuota(_) | DefenseAction::SetStagedLookup(_) => false,
+            DefenseAction::Quarantine(ip) => {
+                self.pods.quarantine(ip);
+                self.evict_destination(ip);
+                true
+            }
+            DefenseAction::ReleaseQuarantine(ip) => self.pods.release_quarantine(ip),
+        }
     }
 }
 
@@ -452,7 +353,7 @@ mod tests {
         let o2 = crate::api::process_one(&mut be, &p, t);
         assert!(o2.path.is_microflow());
         assert!(o2.cycles < o1.cycles);
-        assert_eq!(be.megaflow_count(), 1);
+        assert_eq!(be.snapshot().megaflows, 1);
     }
 
     #[test]
@@ -465,9 +366,9 @@ mod tests {
         for i in 0..OFFLOAD_CAPACITY as u32 {
             crate::api::process_one(&mut be, &covert(i), t);
         }
-        assert_eq!(be.megaflow_count(), OFFLOAD_CAPACITY, "hardware bound");
+        assert_eq!(be.snapshot().megaflows, OFFLOAD_CAPACITY, "hardware bound");
         assert!(
-            be.emc_stats().collision_evictions > 0,
+            be.snapshot().emc.collision_evictions > 0,
             "thrash observable counts"
         );
         // ...and the victim (oldest flow) was evicted: it re-faults onto
@@ -477,7 +378,7 @@ mod tests {
     }
 
     #[test]
-    fn stale_fifo_records_are_skipped() {
+    fn evicted_flows_give_up_their_fifo_slot() {
         let mut be = backend_with_fig2_acl();
         let other = u32::from_be_bytes([10, 0, 0, 98]);
         be.attach_pod(other, 5);
@@ -489,29 +390,33 @@ mod tests {
         for i in 0..100 {
             crate::api::process_one(&mut be, &covert(i), t);
         }
-        // A policy update at the other pod evicts the victim's entry —
-        // its FIFO record (still at the queue front) goes stale — and
-        // the flow then re-offloads *behind* the coverts.
-        assert_eq!(be.apply_remove_acl(other).flushed_megaflows, 1);
+        // A policy update at the other pod evicts the victim's entry and
+        // with it the FIFO record at the queue front; the flow then
+        // re-offloads *behind* the coverts.
+        assert_eq!(
+            be.apply_update(PolicyUpdate::RemoveAcl { ip: other }, true)
+                .flushed_megaflows,
+            1
+        );
         crate::api::process_one(&mut be, &victim, t);
         // Fill to capacity and force one eviction: the replacement must
-        // skip the victim's stale front record and evict the oldest
-        // *live* flow (the first covert) instead.
+        // take the oldest flow still offloaded (the first covert), not
+        // the victim at its old queue position.
         for i in 100..OFFLOAD_CAPACITY as u32 + 1 {
             crate::api::process_one(&mut be, &covert(i), t);
         }
-        assert_eq!(be.megaflow_count(), OFFLOAD_CAPACITY);
+        assert_eq!(be.snapshot().megaflows, OFFLOAD_CAPACITY);
         assert!(
             crate::api::process_one(&mut be, &victim, t)
                 .path
                 .is_microflow(),
-            "re-offloaded flow survives its stale FIFO record"
+            "re-offloaded flow queues at its new position"
         );
         assert!(
             crate::api::process_one(&mut be, &covert(0), t)
                 .path
                 .is_upcall(),
-            "the oldest live flow was the one evicted"
+            "the oldest offloaded flow was the one evicted"
         );
     }
 
@@ -524,7 +429,12 @@ mod tests {
         crate::api::process_one(&mut be, &pkt([10, 1, 1, 1], 1000), t);
         let bystander = FlowKey::tcp([10, 3, 3, 3], [10, 0, 0, 98], 1, 1);
         crate::api::process_one(&mut be, &bystander, t);
-        let o = be.apply_remove_acl(u32::from_be_bytes(POD_IP));
+        let o = be.apply_update(
+            PolicyUpdate::RemoveAcl {
+                ip: u32::from_be_bytes(POD_IP),
+            },
+            true,
+        );
         assert!(o.applied && o.scoped);
         assert_eq!(o.flushed_megaflows, 1);
         let ob = crate::api::process_one(&mut be, &bystander, t);
@@ -532,15 +442,43 @@ mod tests {
     }
 
     #[test]
-    fn idle_sweep_and_quarantine() {
+    fn idle_sweep_evicts_stale_offloads() {
         let mut be = backend_with_fig2_acl();
         crate::api::process_one(&mut be, &pkt([10, 1, 1, 1], 1000), SimTime::from_millis(1));
         be.revalidate(SimTime::from_secs(15));
-        assert_eq!(be.megaflow_count(), 0, "idle timeout enforced");
-        DataplaneBackend::quarantine(&mut be, u32::from_be_bytes(POD_IP));
-        let o = crate::api::process_one(&mut be, &pkt([10, 1, 1, 1], 1000), SimTime::from_secs(15));
-        assert!(o.path.is_upcall_dropped());
-        assert_eq!(be.upcall_stats().quarantine_drops, 1);
+        assert_eq!(be.snapshot().megaflows, 0, "idle timeout enforced");
+    }
+
+    #[test]
+    fn fifo_stays_bounded_under_sub_capacity_churn() {
+        // Short-lived flows in bursts of half the table, each burst
+        // idled out by a sweep before the next: the table never fills,
+        // so FIFO replacement — once the only thing that trimmed the
+        // deque — never runs. 20x the capacity passes through in total.
+        let mut be = backend_with_fig2_acl();
+        let idle = be.config().idle_timeout;
+        let burst = OFFLOAD_CAPACITY as u32 / 2;
+        let mut now = SimTime::from_millis(1);
+        for round in 0..40u32 {
+            for i in 0..burst {
+                crate::api::process_one(&mut be, &covert(round * burst + i), now);
+            }
+            assert_eq!(be.snapshot().megaflows, burst as usize);
+            assert_eq!(be.fifo.len(), burst as usize, "one record per entry");
+            now += idle + SimTime::from_secs(1);
+            be.revalidate(now);
+            assert_eq!(be.snapshot().megaflows, 0, "burst idled out");
+            assert!(be.fifo.is_empty(), "swept flows leave no records");
+        }
+        assert_eq!(
+            be.snapshot().emc.collision_evictions,
+            0,
+            "never at capacity"
+        );
+        // Policy-update eviction trims the same way.
+        crate::api::process_one(&mut be, &covert(0), now);
+        be.remove_acl(u32::from_be_bytes(POD_IP));
+        assert!(be.fifo.is_empty());
     }
 
     #[test]

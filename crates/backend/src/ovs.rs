@@ -1,31 +1,26 @@
 //! The OVS-cache backend: [`VSwitch`] behind the trait.
 //!
-//! This is a pure delegation — every method forwards to the inherent
-//! `VSwitch` method of the same name, so putting the switch behind
+//! This is a pure delegation — every method forwards to inherent
+//! `VSwitch` methods, so putting the switch behind
 //! `dyn DataplaneBackend` cannot change verdicts, statistics, cycle
 //! accounting or cache dynamics. The workspace-level differential test
 //! (`tests/backend_differential.rs`) pins this bit-identically against
 //! the direct `VSwitch` path on the fig3 and upcall-saturation
 //! workloads.
 
-use pi_classifier::FlowTable;
+use pi_classifier::PolicyUpdate;
 use pi_core::{FlowKey, SimTime};
-use pi_datapath::emc::EmcStats;
 use pi_datapath::{
-    BackendKind, CostModel, DpConfig, PolicyUpdateOutcome, ProcessOutcome, ResolvedUpcall,
-    RestartOutcome, SwitchStats, UpcallStats, VSwitch,
+    CostModel, DpConfig, PolicyUpdateOutcome, ProcessOutcome, ResolvedUpcall, RestartOutcome,
+    VSwitch,
 };
 use pi_mitigation::MaskAttribution;
 use pi_trace::Tracer;
 
-use crate::api::DataplaneBackend;
+use crate::api::{DataplaneBackend, DataplaneStats, DefenseAction};
 
 // audit: allow-file(cost) -- pure delegation: VSwitch itself charges every packet/control op through this CostModel (pinned bit-identical by backend_differential.rs)
 impl DataplaneBackend for VSwitch {
-    fn kind(&self) -> BackendKind {
-        BackendKind::OvsCache
-    }
-
     fn config(&self) -> &DpConfig {
         VSwitch::config(self)
     }
@@ -34,32 +29,12 @@ impl DataplaneBackend for VSwitch {
         VSwitch::cost_model(self)
     }
 
-    fn attach_pod(&mut self, ip: u32, vport: u32) -> bool {
-        VSwitch::attach_pod(self, ip, vport)
-    }
-
-    fn install_acl(&mut self, ip: u32, table: FlowTable) -> bool {
-        VSwitch::install_acl(self, ip, table)
-    }
-
-    fn remove_acl(&mut self, ip: u32) -> bool {
-        VSwitch::remove_acl(self, ip)
-    }
-
     fn set_tracer(&mut self, tracer: Tracer) {
         VSwitch::set_tracer(self, tracer)
     }
 
-    fn apply_install_acl(&mut self, ip: u32, table: FlowTable) -> PolicyUpdateOutcome {
-        VSwitch::apply_install_acl(self, ip, table)
-    }
-
-    fn apply_remove_acl(&mut self, ip: u32) -> PolicyUpdateOutcome {
-        VSwitch::apply_remove_acl(self, ip)
-    }
-
-    fn apply_attach_pod(&mut self, ip: u32, vport: u32) -> PolicyUpdateOutcome {
-        VSwitch::apply_attach_pod(self, ip, vport)
+    fn apply_update(&mut self, update: PolicyUpdate, charged: bool) -> PolicyUpdateOutcome {
+        VSwitch::apply_update(self, update, charged)
     }
 
     fn process_batch(
@@ -83,32 +58,15 @@ impl DataplaneBackend for VSwitch {
         VSwitch::next_background_event(self, now)
     }
 
-    fn stats(&self) -> SwitchStats {
-        VSwitch::stats(self)
-    }
-
-    fn reset_stats(&mut self) {
-        VSwitch::reset_stats(self)
-    }
-
-    fn emc_stats(&self) -> EmcStats {
-        VSwitch::emc_stats(self)
-    }
-
-    fn upcall_stats(&self) -> UpcallStats {
-        VSwitch::upcall_stats(self)
-    }
-
-    fn mask_count(&self) -> usize {
-        VSwitch::mask_count(self)
-    }
-
-    fn megaflow_count(&self) -> usize {
-        VSwitch::megaflow_count(self)
-    }
-
-    fn upcall_queue_depth(&self) -> usize {
-        VSwitch::upcall_queue_depth(self)
+    fn snapshot(&self) -> DataplaneStats {
+        DataplaneStats {
+            switch: self.stats(),
+            emc: self.emc_stats(),
+            upcall: self.upcall_stats(),
+            masks: self.mask_count(),
+            megaflows: self.megaflow_count(),
+            upcall_backlog: self.upcall_queue_depth(),
+        }
     }
 
     fn attribution(&self) -> Vec<MaskAttribution> {
@@ -123,35 +81,18 @@ impl DataplaneBackend for VSwitch {
         VSwitch::installed_acl_ips(self)
     }
 
-    fn set_port_quota(&mut self, quota: Option<u32>) -> bool {
-        VSwitch::set_port_quota(self, quota)
-    }
-
-    fn set_staged_lookup(&mut self, enabled: bool) {
-        VSwitch::set_staged_lookup(self, enabled)
-    }
-
-    fn set_scoped_invalidation(&mut self, scoped: bool) {
-        VSwitch::set_scoped_invalidation(self, scoped)
-    }
-
-    fn quarantine(&mut self, ip: u32) -> usize {
-        VSwitch::quarantine(self, ip)
-    }
-
-    fn release_quarantine(&mut self, ip: u32) -> bool {
-        VSwitch::release_quarantine(self, ip)
-    }
-
-    fn is_quarantined(&self, ip: u32) -> bool {
-        VSwitch::is_quarantined(self, ip)
-    }
-
-    fn as_vswitch(&self) -> Option<&VSwitch> {
-        Some(self)
-    }
-
-    fn as_vswitch_mut(&mut self) -> Option<&mut VSwitch> {
-        Some(self)
+    fn actuate(&mut self, action: DefenseAction) -> bool {
+        match action {
+            DefenseAction::SetPortQuota(quota) => self.set_port_quota(quota),
+            DefenseAction::SetStagedLookup(enabled) => {
+                self.set_staged_lookup(enabled);
+                true
+            }
+            DefenseAction::Quarantine(ip) => {
+                self.quarantine(ip);
+                true
+            }
+            DefenseAction::ReleaseQuarantine(ip) => self.release_quarantine(ip),
+        }
     }
 }

@@ -14,16 +14,12 @@ use std::hint::black_box;
 use pi_attack::{AttackSpec, CovertSequence};
 use pi_bench::stopwatch::bench;
 use pi_classifier::{Action, PrefixTrie, SubtableOrder, TupleSpaceSearch};
-use pi_cms::{PolicyCompiler, PolicyDialect};
+use pi_cms::PolicyDialect;
 use pi_core::{Field, FlowKey, FlowMask, MaskedKey, SimTime};
 use pi_datapath::{DpConfig, SlowPath, VSwitch};
-use pi_mitigation::CompiledAcl;
 
 fn attack_table() -> pi_classifier::FlowTable {
-    match AttackSpec::masks_512(PolicyDialect::Kubernetes).build_policy() {
-        pi_attack::MaliciousAcl::K8s(p) => PolicyCompiler.compile_k8s(&p),
-        _ => unreachable!(),
-    }
+    AttackSpec::masks_512(PolicyDialect::Kubernetes).compile()
 }
 
 /// TSS lookup latency as a function of the number of distinct masks —
@@ -119,24 +115,12 @@ fn covert_populate() {
     bench("covert_populate_512/populate_pass", || {
         let mut sw = VSwitch::new(DpConfig::default());
         sw.attach_pod(pod, 1);
-        let table = match spec.build_policy() {
-            pi_attack::MaliciousAcl::K8s(p) => PolicyCompiler.compile_k8s(&p),
-            _ => unreachable!(),
-        };
+        let table = spec.compile();
         sw.install_acl(pod, table);
         for p in &packets {
             sw.process(black_box(p), SimTime::from_millis(1));
         }
         black_box(sw.mask_count())
-    });
-}
-
-/// Compiled (cache-less) classification of the same covert traffic.
-fn compiled_acl() {
-    let compiled = CompiledAcl::compile(&attack_table(), Action::Deny);
-    let pkt = FlowKey::tcp([11, 22, 33, 44], [10, 1, 0, 66], 999, 443);
-    bench("compiled_acl_classify", || {
-        black_box(compiled.classify(black_box(&pkt)))
     });
 }
 
@@ -162,6 +146,5 @@ fn main() {
     trie_unwildcard();
     slowpath_upcall();
     covert_populate();
-    compiled_acl();
     covert_generation();
 }

@@ -9,7 +9,7 @@
 //! (`entries / idle_timeout` packets/s) is printed alongside.
 
 use pi_attack::{min_refresh_bandwidth_bps, AttackSchedule, AttackSpec, CovertSequence};
-use pi_bench::{compile_spec, results_dir};
+use pi_bench::results_dir;
 use pi_cms::PolicyDialect;
 use pi_core::SimTime;
 use pi_datapath::{DpConfig, VSwitch};
@@ -21,7 +21,7 @@ fn steady_state_masks(bandwidth_bps: f64, seconds: u64) -> (usize, f64) {
     let spec = AttackSpec::masks_512(PolicyDialect::Kubernetes);
     let mut sw = VSwitch::new(DpConfig::default());
     sw.attach_pod(pod_ip, 1);
-    sw.install_acl(pod_ip, compile_spec(&spec));
+    sw.install_acl(pod_ip, spec.compile());
     let mut schedule = AttackSchedule::new(
         CovertSequence::new(spec.build_target(pod_ip)),
         bandwidth_bps,

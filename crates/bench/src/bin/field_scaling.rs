@@ -8,7 +8,7 @@
 //! prediction, and the masks actually materialised in a live datapath.
 
 use pi_attack::{predicted_mask_count, AttackSpec, CovertSequence};
-use pi_bench::{compile_spec, results_dir};
+use pi_bench::results_dir;
 use pi_cms::{Cidr, PolicyDialect};
 use pi_core::SimTime;
 use pi_datapath::{DpConfig, VSwitch};
@@ -18,7 +18,7 @@ fn measured_masks(spec: &AttackSpec) -> usize {
     let pod_ip = u32::from_be_bytes([10, 1, 0, 66]);
     let mut sw = VSwitch::new(DpConfig::default());
     sw.attach_pod(pod_ip, 1);
-    sw.install_acl(pod_ip, compile_spec(spec));
+    sw.install_acl(pod_ip, spec.compile());
     let seq = CovertSequence::new(spec.build_target(pod_ip));
     let mut t = SimTime::from_millis(1);
     for p in seq.populate_packets() {
@@ -82,7 +82,7 @@ fn main() {
     let trie_fields = DpConfig::default().trie_fields;
     for (label, spec) in &cases {
         let analytic = spec.predicted_masks();
-        let prediction = predicted_mask_count(&compile_spec(spec), &trie_fields);
+        let prediction = predicted_mask_count(&spec.compile(), &trie_fields);
         let measured = measured_masks(spec);
         println!(
             "{:>22} {:>7} {:>9} {:>9} {:>9} {:>11} {:>9}",

@@ -10,7 +10,7 @@
 //! subtable probes.
 
 use pi_attack::{AttackSpec, CovertSequence};
-use pi_bench::{compile_spec, results_dir};
+use pi_bench::results_dir;
 use pi_cms::PolicyDialect;
 use pi_core::{Field, FlowKey, SimTime};
 use pi_datapath::{DpConfig, VSwitch};
@@ -32,7 +32,7 @@ fn main() {
     let pod_ip = u32::from_be_bytes([10, 1, 0, 66]);
     let mut sw = VSwitch::new(DpConfig::default());
     sw.attach_pod(pod_ip, 1);
-    sw.install_acl(pod_ip, compile_spec(&spec));
+    sw.install_acl(pod_ip, spec.compile());
 
     // Feed the adversarial sequence (8 divergent packets + 1 in-prefix).
     let seq = CovertSequence::new(spec.build_target(pod_ip));

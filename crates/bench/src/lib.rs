@@ -41,17 +41,6 @@ pub fn results_dir() -> std::io::Result<PathBuf> {
     Ok(dir)
 }
 
-/// Compiles an [`pi_attack::AttackSpec`] through the CMS compiler —
-/// shared by the experiment binaries.
-pub fn compile_spec(spec: &pi_attack::AttackSpec) -> pi_classifier::FlowTable {
-    use pi_cms::PolicyCompiler;
-    match spec.build_policy() {
-        pi_attack::MaliciousAcl::K8s(p) => PolicyCompiler.compile_k8s(&p),
-        pi_attack::MaliciousAcl::OpenStack(p) => PolicyCompiler.compile_security_group(&p),
-        pi_attack::MaliciousAcl::Calico(p) => PolicyCompiler.compile_calico(&p),
-    }
-}
-
 /// The canonical `fleet_colocation` macro-bench cell shared by the
 /// `fleet_scaling` and `hotpath` binaries: every host under active
 /// 512-mask policy injection starting at t = 1 s. One definition so the
@@ -80,11 +69,5 @@ mod tests {
     fn results_dir_is_creatable() {
         let d = super::results_dir().expect("results dir");
         assert!(d.exists());
-    }
-
-    #[test]
-    fn compile_spec_produces_whitelist_plus_deny() {
-        let spec = pi_attack::AttackSpec::masks_8192();
-        assert_eq!(super::compile_spec(&spec).len(), 2);
     }
 }

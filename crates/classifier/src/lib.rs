@@ -43,6 +43,6 @@ pub use index::RuleIndex;
 pub use linear::LinearClassifier;
 pub use rule::{Rule, RuleId};
 pub use staged::StagedIndex;
-pub use table::FlowTable;
+pub use table::{FlowTable, PolicyUpdate};
 pub use trie::PrefixTrie;
 pub use tss::{LookupOutcome, SubtableOrder, TssStats, TssStorage, TupleSpaceSearch};

@@ -117,6 +117,47 @@ impl FlowTable {
     }
 }
 
+/// One control-plane action applied to a node's dataplane: what the CMS
+/// pushes, what the at-least-once layer retries, and the one argument
+/// of every backend's policy entry point. It lives beside
+/// [`FlowTable`] (and is re-exported as `pi_cms::PolicyUpdate`) so the
+/// control plane and the dataplanes share it without depending on each
+/// other.
+#[derive(Debug, Clone)]
+pub enum PolicyUpdate {
+    /// Install (or replace) the ingress ACL protecting the pod at `ip`.
+    InstallAcl {
+        /// Destination pod IP, host byte order.
+        ip: u32,
+        /// The compiled flow table.
+        table: FlowTable,
+    },
+    /// Remove the ACL at `ip` (the pod reverts to allow-all).
+    RemoveAcl {
+        /// Destination pod IP, host byte order.
+        ip: u32,
+    },
+    /// Attach (or re-home) the pod at `ip` to `vport`.
+    AttachPod {
+        /// Pod IP, host byte order.
+        ip: u32,
+        /// Virtual port on the switch.
+        vport: u32,
+    },
+}
+
+impl PolicyUpdate {
+    /// Stable numeric code of the variant — 0 install, 1 remove,
+    /// 2 attach — as carried by `pi_trace`'s policy-update events.
+    pub fn op_code(&self) -> u8 {
+        match self {
+            PolicyUpdate::InstallAcl { .. } => 0,
+            PolicyUpdate::RemoveAcl { .. } => 1,
+            PolicyUpdate::AttachPod { .. } => 2,
+        }
+    }
+}
+
 /// If `mask` is a contiguous, MSB-aligned prefix mask for `field`,
 /// returns its length; `None` otherwise (including the zero mask).
 pub fn prefix_len_of_mask(field: Field, mask: u64) -> Option<u8> {

@@ -23,29 +23,7 @@
 use pi_classifier::FlowTable;
 use pi_core::SimTime;
 
-/// One control-plane action applied to a node's virtual switch.
-#[derive(Debug, Clone)]
-pub enum PolicyUpdate {
-    /// Install (or replace) the ingress ACL protecting the pod at `ip`.
-    InstallAcl {
-        /// Destination pod IP, host byte order.
-        ip: u32,
-        /// The compiled flow table.
-        table: FlowTable,
-    },
-    /// Remove the ACL at `ip` (the pod reverts to allow-all).
-    RemoveAcl {
-        /// Destination pod IP, host byte order.
-        ip: u32,
-    },
-    /// Attach (or re-home) the pod at `ip` to `vport`.
-    AttachPod {
-        /// Pod IP, host byte order.
-        ip: u32,
-        /// Virtual port on the switch.
-        vport: u32,
-    },
-}
+pub use pi_classifier::PolicyUpdate;
 
 /// A [`PolicyUpdate`] with its timing: issued by the CMS at
 /// `issued_at`, landing on the switch at `applies_at` (issue +

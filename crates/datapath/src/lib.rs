@@ -13,6 +13,12 @@
 //!    *megaflow generation*: trie-guided minimal un-wildcarding that
 //!    produces exactly the paper's Fig. 2b decomposition.
 //!
+//! Under the caches sits the [`PodTable`]: destination IP → vport +
+//! that pod's [`SlowPath`], the quarantine set, and the bookkeeping of a
+//! policy update. [`VSwitch`] and every alternative architecture in
+//! `pi_backend` hold one, so policy semantics are shared by
+//! construction.
+//!
 //! [`VSwitch`] ties the levels together per packet and reports which path
 //! was taken and how many CPU cycles it cost under a calibrated
 //! [`CostModel`]; the [`Revalidator`] implements idle timeout and flow
@@ -34,6 +40,7 @@ pub mod cost;
 pub mod dump;
 pub mod emc;
 pub mod megaflow;
+pub mod pods;
 pub mod revalidator;
 pub mod slowpath;
 pub mod upcall;
@@ -44,6 +51,7 @@ pub use cost::CostModel;
 pub use dump::{dump_flows, mask_summary};
 pub use emc::MicroflowCache;
 pub use megaflow::{InstallOutcome, MegaflowCache, MegaflowEntry};
+pub use pods::{Pod, PodTable, PolicyChange};
 pub use revalidator::{Revalidator, RevalidatorReport};
 pub use slowpath::SlowPath;
 pub use upcall::{

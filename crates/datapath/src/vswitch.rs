@@ -13,9 +13,7 @@
 //! isolation gap the attack exploits: masks created by feeding one
 //! tenant's ACL are walked by every other tenant's packets.
 
-use std::collections::{BTreeSet, HashMap};
-
-use pi_classifier::{Action, FlowTable};
+use pi_classifier::{Action, FlowTable, PolicyUpdate};
 use pi_core::{Field, FlowKey, KeyWords, SimTime, SplitMix64};
 use pi_packet::extract_flow_key;
 use pi_trace::Tracer;
@@ -24,8 +22,8 @@ use crate::config::DpConfig;
 use crate::cost::CostModel;
 use crate::emc::MicroflowCache;
 use crate::megaflow::{InstallOutcome, MegaflowCache};
+use crate::pods::PodTable;
 use crate::revalidator::{Revalidator, RevalidatorReport};
-use crate::slowpath::SlowPath;
 use crate::upcall::{
     PendingUpcall, PipelineMode, PortUpcallStats, UpcallQueue, UpcallStats, UNROUTABLE_QUEUE,
 };
@@ -221,13 +219,6 @@ impl SwitchStats {
     }
 }
 
-/// One pod attachment: vport + the pod's ingress policy.
-#[derive(Debug, Clone)]
-struct PodPort {
-    vport: u32,
-    slowpath: SlowPath,
-}
-
 /// Outcome of one costed control-plane update
 /// ([`VSwitch::apply_install_acl`] and friends): what changed, what was
 /// flushed, and the datapath cycles the update consumed under the
@@ -272,8 +263,10 @@ pub struct VSwitch {
     emc: MicroflowCache,
     mfc: MegaflowCache,
     revalidator: Revalidator,
-    /// Destination IP (host order) → pod port.
-    routes: HashMap<u32, PodPort>,
+    /// Destination IP → pod port + ingress ACL, and the quarantine set
+    /// (destinations whose megaflow misses are refused slow-path
+    /// service).
+    pods: PodTable,
     /// Bumped on policy changes / evictions to invalidate the EMC.
     generation: u64,
     /// Whether anything has been cached (EMC insert, megaflow install,
@@ -286,9 +279,6 @@ pub struct VSwitch {
     stats: SwitchStats,
     /// The bounded upcall pipeline (idle under [`PipelineMode::Inline`]).
     pipeline: UpcallQueue,
-    /// Destination IPs under quarantine: their megaflow misses are
-    /// refused slow-path service (BTreeSet for deterministic listing).
-    quarantined: BTreeSet<u32>,
     rng: SplitMix64,
     /// Trace handle (disabled by default — a guaranteed no-op).
     tracer: Tracer,
@@ -321,12 +311,11 @@ impl VSwitch {
             emc,
             mfc,
             revalidator,
-            routes: HashMap::new(),
+            pods: PodTable::new(),
             generation: 0,
             cache_dirty: false,
             stats: SwitchStats::default(),
             pipeline: UpcallQueue::default(),
-            quarantined: BTreeSet::new(),
             rng,
             tracer: Tracer::disabled(),
         }
@@ -434,7 +423,7 @@ impl VSwitch {
     /// the attacker's subtables, and the refusal stops the covert
     /// stream from rebuilding them.
     pub fn quarantine(&mut self, ip: u32) -> usize {
-        self.quarantined.insert(ip);
+        self.pods.quarantine(ip);
         let evicted = self.mfc.evict_destination(ip);
         if evicted > 0 {
             // Evicted megaflows may back EMC entries.
@@ -446,17 +435,17 @@ impl VSwitch {
     /// Lifts the quarantine on `ip`; its traffic reaches the slow path
     /// again. Returns whether it was quarantined.
     pub fn release_quarantine(&mut self, ip: u32) -> bool {
-        self.quarantined.remove(&ip)
+        self.pods.release_quarantine(ip)
     }
 
     /// Whether `ip` is currently quarantined.
     pub fn is_quarantined(&self, ip: u32) -> bool {
-        self.quarantined.contains(&ip)
+        self.pods.is_quarantined(ip)
     }
 
     /// Currently quarantined destinations, ascending.
     pub fn quarantined_destinations(&self) -> Vec<u32> {
-        self.quarantined.iter().copied().collect()
+        self.pods.quarantined().collect()
     }
 
     /// The cycle cost model in force.
@@ -464,132 +453,68 @@ impl VSwitch {
         &self.cost
     }
 
-    /// Attaches a pod: traffic to `ip` is delivered out of `vport`.
-    /// Returns true for a fresh attach (the pod starts with no ACL —
-    /// everything allowed); false for a re-attach of an
-    /// already-present IP, which re-homes the vport but **preserves
-    /// the existing slow path** — a vport move must never silently
-    /// replace an installed deny ACL with a permissive one.
-    pub fn attach_pod(&mut self, ip: u32, vport: u32) -> bool {
-        self.do_attach_pod(ip, vport).0
-    }
-
-    fn do_attach_pod(&mut self, ip: u32, vport: u32) -> (bool, usize) {
-        self.stats.policy_updates += 1;
-        let fresh = match self.routes.get_mut(&ip) {
-            Some(port) => {
-                port.vport = vport;
-                false
-            }
-            None => {
-                self.routes.insert(
-                    ip,
-                    PodPort {
-                        vport,
-                        slowpath: SlowPath::permissive(Action::Allow),
-                    },
-                );
-                true
-            }
-        };
+    /// The one policy entry point: applies `update` to the pod table
+    /// ([`PodTable::apply`] — re-attach preserves the ACL, an install
+    /// or removal at an unattached IP is refused) and invalidates the
+    /// caches for the touched destination. `charged` selects between
+    /// the two ways an update arrives: the timed control plane
+    /// (`pi_cms::ControlPlane`, driven through `pi_sim::NodeCell`)
+    /// pays [`CostModel::control_update_cycles`] — fixed handling plus
+    /// per-flushed-entry teardown — so a flush storm competes with
+    /// packets for the same cycle budget, and is traced; build-time
+    /// topology assembly, before the simulated clock starts, is free.
+    pub fn apply_update(&mut self, update: PolicyUpdate, charged: bool) -> PolicyUpdateOutcome {
+        let change = self.pods.apply(update, &self.config.trie_fields);
         // A fresh attach may shadow a cached unroutable-deny megaflow
         // for `ip`; a re-attach models OVS's port-change revalidation.
         // Either way the (coalesced) invalidation keeps verdicts sound.
-        let flushed = self.invalidate_for(ip);
-        (fresh, flushed)
+        let flushed = change.touched.map_or(0, |ip| self.invalidate_for(ip));
+        let cycles = charged.then(|| self.cost.control_update_cycles(flushed));
+        let scoped = self.config.scoped_invalidation;
+        change.settle(flushed, scoped, cycles, &mut self.stats, &self.tracer)
+    }
+
+    /// Attaches a pod, free: traffic to `ip` is delivered out of
+    /// `vport`. Returns true for a fresh attach (the pod starts with no
+    /// ACL — everything allowed); false for a re-attach of an
+    /// already-present IP, which re-homes the vport but preserves the
+    /// installed ACL.
+    pub fn attach_pod(&mut self, ip: u32, vport: u32) -> bool {
+        self.apply_update(PolicyUpdate::AttachPod { ip, vport }, false)
+            .applied
     }
 
     /// Installs (or replaces) the ingress ACL protecting the pod at
-    /// `ip`. This is the CMS's hand-off point — and the attacker's
-    /// (§2: "the attacker installs ACLs at the virtual ports").
+    /// `ip`, free. This is the CMS's hand-off point — and the
+    /// attacker's (§2: "the attacker installs ACLs at the virtual
+    /// ports").
     ///
     /// Returns false if no pod is attached at `ip`.
     pub fn install_acl(&mut self, ip: u32, table: FlowTable) -> bool {
-        self.do_install_acl(ip, table).0
+        self.apply_update(PolicyUpdate::InstallAcl { ip, table }, false)
+            .applied
     }
 
-    fn do_install_acl(&mut self, ip: u32, table: FlowTable) -> (bool, usize) {
-        let installed = match self.routes.get_mut(&ip) {
-            Some(port) => {
-                port.slowpath = SlowPath::new(table, &self.config.trie_fields, Action::Deny);
-                true
-            }
-            None => false,
-        };
-        if !installed {
-            return (false, 0);
-        }
-        self.stats.policy_updates += 1;
-        (true, self.invalidate_for(ip))
-    }
-
-    /// Removes the ACL at `ip` (pod reverts to allow-all).
+    /// Removes the ACL at `ip` (pod reverts to allow-all), free.
     pub fn remove_acl(&mut self, ip: u32) -> bool {
-        self.do_remove_acl(ip).0
+        self.apply_update(PolicyUpdate::RemoveAcl { ip }, false)
+            .applied
     }
 
-    fn do_remove_acl(&mut self, ip: u32) -> (bool, usize) {
-        let removed = match self.routes.get_mut(&ip) {
-            Some(port) => {
-                port.slowpath = SlowPath::permissive(Action::Allow);
-                true
-            }
-            None => false,
-        };
-        if !removed {
-            return (false, 0);
-        }
-        self.stats.policy_updates += 1;
-        (true, self.invalidate_for(ip))
-    }
-
-    // --- Costed control-plane entry points -------------------------
-    //
-    // The timed control plane (`pi_cms::ControlPlane`, driven through
-    // `pi_sim::NodeCell`) applies updates through these wrappers, which
-    // price each update — fixed handling plus per-flushed-entry
-    // teardown — so a flush storm competes with packets for the same
-    // cycle budget. The plain setters above stay free: they model
-    // build-time topology assembly, before the simulated clock starts.
-
-    /// [`VSwitch::install_acl`], costed: counts the flush and charges
-    /// [`CostModel::control_update_cycles`] against the switch.
+    /// [`VSwitch::install_acl`], charged.
     pub fn apply_install_acl(&mut self, ip: u32, table: FlowTable) -> PolicyUpdateOutcome {
-        let (applied, flushed) = self.do_install_acl(ip, table);
-        self.charge_update(0, applied, flushed)
+        self.apply_update(PolicyUpdate::InstallAcl { ip, table }, true)
     }
 
-    /// [`VSwitch::remove_acl`], costed.
+    /// [`VSwitch::remove_acl`], charged.
     pub fn apply_remove_acl(&mut self, ip: u32) -> PolicyUpdateOutcome {
-        let (applied, flushed) = self.do_remove_acl(ip);
-        self.charge_update(1, applied, flushed)
+        self.apply_update(PolicyUpdate::RemoveAcl { ip }, true)
     }
 
-    /// [`VSwitch::attach_pod`], costed. `applied` reports a *fresh*
+    /// [`VSwitch::attach_pod`], charged. `applied` reports a *fresh*
     /// attach (false = vport re-home preserving the slow path).
     pub fn apply_attach_pod(&mut self, ip: u32, vport: u32) -> PolicyUpdateOutcome {
-        let (fresh, flushed) = self.do_attach_pod(ip, vport);
-        self.charge_update(2, fresh, flushed)
-    }
-
-    fn charge_update(
-        &mut self,
-        op: u8,
-        applied: bool,
-        flushed_megaflows: usize,
-    ) -> PolicyUpdateOutcome {
-        let cycles = self.cost.control_update_cycles(flushed_megaflows);
-        self.stats.cycles += cycles;
-        self.stats.control_cycles += cycles;
-        let scoped = self.config.scoped_invalidation;
-        self.tracer
-            .emit_policy_update(op, cycles, flushed_megaflows as u32, scoped, applied);
-        PolicyUpdateOutcome {
-            applied,
-            flushed_megaflows,
-            scoped,
-            cycles,
-        }
+        self.apply_update(PolicyUpdate::AttachPod { ip, vport }, true)
     }
 
     /// Invalidates cached state after a policy change at `ip`.
@@ -651,15 +576,7 @@ impl VSwitch {
             self.cache_dirty = false;
         }
         let upcalls_lost = self.pipeline.crash_clear();
-        let quarantines_lost = self.quarantined.len();
-        self.quarantined.clear();
-        let mut acls_lost = 0;
-        for port in self.routes.values_mut() {
-            if port.slowpath.default_action() == Action::Deny {
-                port.slowpath = SlowPath::permissive(Action::Allow);
-                acls_lost += 1;
-            }
-        }
+        let (acls_lost, quarantines_lost) = self.pods.crash_reset();
         RestartOutcome {
             acls_lost,
             flows_lost,
@@ -672,14 +589,7 @@ impl VSwitch {
     /// — the switch-reported state the reconciliation loop diffs
     /// against the CMS's desired state.
     pub fn installed_acl_ips(&self) -> Vec<u32> {
-        let mut ips: Vec<u32> = self
-            .routes
-            .iter()
-            .filter(|(_, port)| port.slowpath.default_action() == Action::Deny)
-            .map(|(ip, _)| *ip)
-            .collect();
-        ips.sort_unstable();
-        ips
+        self.pods.acl_ips()
     }
 
     /// The megaflow mask count — Fig. 3's right-hand axis.
@@ -863,7 +773,7 @@ impl VSwitch {
         // megaflow, no queue slot, no handler cycles. Only the
         // fast-path share of the miss was spent. This is what starves
         // an offender's covert stream of its amplification.
-        if !self.quarantined.is_empty() && self.quarantined.contains(&key.ip_dst) {
+        if self.pods.is_quarantined(key.ip_dst) {
             self.pipeline.note_quarantine_drop();
             let path = PathTaken::UpcallDropped {
                 probes: out.probes,
@@ -886,10 +796,9 @@ impl VSwitch {
         // here — the handler share lands in `drain_upcalls`.
         if let PipelineMode::Bounded(cfg) = self.config.pipeline {
             let queue = self
-                .routes
-                .get(&key.ip_dst)
-                .map(|p| p.vport)
-                .unwrap_or(UNROUTABLE_QUEUE);
+                .pods
+                .get(key.ip_dst)
+                .map_or(UNROUTABLE_QUEUE, |p| p.vport);
             let path = match self.pipeline.try_enqueue(
                 queue,
                 crate::upcall::queue_capacity_of(queue, cfg.queue_capacity),
@@ -924,7 +833,7 @@ impl VSwitch {
         }
 
         // Inline slow path: route on ip_dst, then the pod's ingress ACL.
-        let (action, acl_mask, rules_examined) = match self.routes.get(&key.ip_dst) {
+        let (action, acl_mask, rules_examined) = match self.pods.get(key.ip_dst) {
             Some(port) => {
                 let up = port.slowpath.process_upcall(key);
                 (up.action, *up.megaflow.mask(), up.rules_examined)
@@ -968,7 +877,7 @@ impl VSwitch {
             }
         }
         let output = if verdict.permits() {
-            self.routes.get(&key.ip_dst).map(|p| p.vport)
+            self.pods.get(key.ip_dst).map(|p| p.vport)
         } else {
             None
         };
@@ -1048,7 +957,7 @@ impl VSwitch {
     /// megaflows right after [`VSwitch::quarantine`] evicted them.
     fn resolve_upcall(&mut self, pending: PendingUpcall, now: SimTime) -> ResolvedUpcall {
         let key = pending.key;
-        if !self.quarantined.is_empty() && self.quarantined.contains(&key.ip_dst) {
+        if self.pods.is_quarantined(key.ip_dst) {
             self.pipeline.note_quarantine_drop();
             let path = PathTaken::UpcallDropped {
                 probes: pending.probes,
@@ -1068,7 +977,7 @@ impl VSwitch {
                 },
             };
         }
-        let (action, acl_mask, rules_examined) = match self.routes.get(&key.ip_dst) {
+        let (action, acl_mask, rules_examined) = match self.pods.get(key.ip_dst) {
             Some(port) => {
                 let up = port.slowpath.process_upcall(&key);
                 (up.action, *up.megaflow.mask(), up.rules_examined)
@@ -1105,7 +1014,7 @@ impl VSwitch {
         };
         self.stats.upcalls += 1;
         let output = if action.permits() {
-            self.routes.get(&key.ip_dst).map(|p| p.vport)
+            self.pods.get(key.ip_dst).map(|p| p.vport)
         } else {
             None
         };

@@ -17,6 +17,10 @@ use pi_trace::{TraceEventKind, Tracer};
 use crate::detector::{DetectionEvent, DetectorBank, DetectorConfig};
 use crate::telemetry::{TelemetrySample, TelemetryTap};
 
+/// One actuation the controller performed (or reverted) — the
+/// backends' actuator vocabulary, re-exported.
+pub use pi_backend::DefenseAction;
+
 /// Where the control loop currently stands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DefenseState {
@@ -87,19 +91,6 @@ impl Default for ControllerConfig {
             release_quarantine_on_idle: true,
         }
     }
-}
-
-/// One actuation the controller performed (or reverted).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DefenseAction {
-    /// Set the bounded pipeline's per-port fair-share quota.
-    SetPortQuota(Option<u32>),
-    /// Toggled staged subtable lookup.
-    SetStagedLookup(bool),
-    /// Quarantined a destination (evicting its megaflows).
-    Quarantine(u32),
-    /// Lifted a quarantine.
-    ReleaseQuarantine(u32),
 }
 
 /// A state transition, with the actions it triggered.
@@ -384,6 +375,21 @@ impl DefenseController {
         self.apply_mitigations(switch, offenders, actions);
     }
 
+    /// Performs `action` on the switch (when there is one) and records
+    /// it. A quota is recorded only where it took effect — an inline
+    /// pipeline has none to set; staged lookup and quarantines are
+    /// recorded as decided, on every architecture.
+    fn act(
+        switch: &mut Option<&mut dyn DataplaneBackend>,
+        action: DefenseAction,
+        actions: &mut Vec<DefenseAction>,
+    ) {
+        let took_effect = switch.as_deref_mut().is_none_or(|sw| sw.actuate(action));
+        if took_effect || !matches!(action, DefenseAction::SetPortQuota(_)) {
+            actions.push(action);
+        }
+    }
+
     fn apply_mitigations(
         &mut self,
         switch: &mut Option<&mut dyn DataplaneBackend>,
@@ -394,13 +400,7 @@ impl DefenseController {
             if self.saved_quota.is_none() {
                 self.saved_quota = Some(switch.as_deref().and_then(current_quota));
             }
-            let applied = match switch.as_deref_mut() {
-                Some(sw) => sw.set_port_quota(Some(quota)),
-                None => true,
-            };
-            if applied {
-                actions.push(DefenseAction::SetPortQuota(Some(quota)));
-            }
+            Self::act(switch, DefenseAction::SetPortQuota(Some(quota)), actions);
         }
         if self.cfg.enable_staged_lookup {
             if self.saved_staged.is_none() {
@@ -411,10 +411,7 @@ impl DefenseController {
                         .unwrap_or(false),
                 );
             }
-            if let Some(sw) = switch.as_deref_mut() {
-                sw.set_staged_lookup(true);
-            }
-            actions.push(DefenseAction::SetStagedLookup(true));
+            Self::act(switch, DefenseAction::SetStagedLookup(true), actions);
         }
         self.quarantine_new(switch, offenders, actions);
     }
@@ -433,10 +430,7 @@ impl DefenseController {
                 continue;
             }
             self.quarantined.push(ip);
-            if let Some(sw) = switch.as_deref_mut() {
-                sw.quarantine(ip);
-            }
-            actions.push(DefenseAction::Quarantine(ip));
+            Self::act(switch, DefenseAction::Quarantine(ip), actions);
         }
     }
 
@@ -446,26 +440,14 @@ impl DefenseController {
         actions: &mut Vec<DefenseAction>,
     ) {
         if let Some(saved) = self.saved_quota.take() {
-            let reverted = match switch.as_deref_mut() {
-                Some(sw) => sw.set_port_quota(saved),
-                None => true,
-            };
-            if reverted {
-                actions.push(DefenseAction::SetPortQuota(saved));
-            }
+            Self::act(switch, DefenseAction::SetPortQuota(saved), actions);
         }
         if let Some(saved) = self.saved_staged.take() {
-            if let Some(sw) = switch.as_deref_mut() {
-                sw.set_staged_lookup(saved);
-            }
-            actions.push(DefenseAction::SetStagedLookup(saved));
+            Self::act(switch, DefenseAction::SetStagedLookup(saved), actions);
         }
         if self.cfg.release_quarantine_on_idle {
             for ip in std::mem::take(&mut self.quarantined) {
-                if let Some(sw) = switch.as_deref_mut() {
-                    sw.release_quarantine(ip);
-                }
-                actions.push(DefenseAction::ReleaseQuarantine(ip));
+                Self::act(switch, DefenseAction::ReleaseQuarantine(ip), actions);
             }
         }
     }

@@ -126,9 +126,8 @@ impl TelemetryTap {
     /// since the previous call (the first call's window starts at the
     /// switch's zeroed counters).
     pub fn sample(&mut self, switch: &dyn DataplaneBackend, at: SimTime) -> TelemetrySample {
-        let stats = switch.stats();
-        let emc = switch.emc_stats();
-        let up = switch.upcall_stats();
+        let snap = switch.snapshot();
+        let (stats, emc, up) = (snap.switch, snap.emc, snap.upcall);
 
         let packets = stats.packets - self.prev_packets;
         let probes = stats.subtable_probes - self.prev_probes;
@@ -147,7 +146,7 @@ impl TelemetryTap {
         } else {
             collisions as f64 / packets as f64
         };
-        let mask_count = switch.mask_count();
+        let mask_count = snap.masks;
         let mask_growth = mask_count as i64 - self.prev_masks as i64;
         let upcalls = stats.upcalls - self.prev_upcalls;
         let upcall_drops = up.queue_drops - self.prev_drops;
@@ -189,7 +188,7 @@ impl TelemetryTap {
             mask_growth,
             emc_thrash,
             upcalls,
-            upcall_backlog: switch.upcall_queue_depth(),
+            upcall_backlog: snap.upcall_backlog,
             upcall_drops,
             policy_updates,
             cache_flushes,

@@ -84,7 +84,7 @@ pub fn detect_offenders(switch: &VSwitch, threshold: usize) -> Vec<MaskAttributi
 mod tests {
     use super::*;
     use pi_attack::{AttackSpec, CovertSequence};
-    use pi_cms::{PolicyCompiler, PolicyDialect};
+    use pi_cms::PolicyDialect;
     use pi_core::{FlowKey, SimTime};
     use pi_datapath::DpConfig;
 
@@ -95,10 +95,7 @@ mod tests {
         sw.attach_pod(victim_ip, 1);
         sw.attach_pod(attacker_ip, 2);
         let spec = AttackSpec::masks_512(PolicyDialect::Kubernetes);
-        let table = match spec.build_policy() {
-            pi_attack::MaliciousAcl::K8s(p) => PolicyCompiler.compile_k8s(&p),
-            _ => unreachable!(),
-        };
+        let table = spec.compile();
         sw.install_acl(attacker_ip, table);
         // Victim's honest flow.
         sw.process(

@@ -78,14 +78,6 @@ mod tests {
 
     const TRIE_FIELDS: [Field; 4] = [Field::IpSrc, Field::IpDst, Field::TpSrc, Field::TpDst];
 
-    fn compile(spec: &AttackSpec) -> FlowTable {
-        match spec.build_policy() {
-            pi_attack::MaliciousAcl::K8s(p) => PolicyCompiler.compile_k8s(&p),
-            pi_attack::MaliciousAcl::OpenStack(p) => PolicyCompiler.compile_security_group(&p),
-            pi_attack::MaliciousAcl::Calico(p) => PolicyCompiler.compile_calico(&p),
-        }
-    }
-
     #[test]
     fn rejects_both_paper_attacks() {
         let budget = MaskBudget::default();
@@ -93,7 +85,7 @@ mod tests {
             AttackSpec::masks_512(PolicyDialect::Kubernetes),
             AttackSpec::masks_8192(),
         ] {
-            let decision = budget.check(&compile(&spec), &TRIE_FIELDS);
+            let decision = budget.check(&spec.compile(), &TRIE_FIELDS);
             match decision {
                 AdmissionDecision::Reject {
                     predicted_masks, ..
@@ -139,7 +131,7 @@ mod tests {
 
     #[test]
     fn budget_scales_with_limit() {
-        let table = compile(&AttackSpec::masks_512(PolicyDialect::Kubernetes));
+        let table = AttackSpec::masks_512(PolicyDialect::Kubernetes).compile();
         assert!(!MaskBudget::new(511).check(&table, &TRIE_FIELDS).admitted());
         assert!(MaskBudget::new(512).check(&table, &TRIE_FIELDS).admitted());
     }
@@ -149,7 +141,7 @@ mod tests {
         // With tries disabled the datapath un-wildcards whole fields:
         // the attack produces 1 mask and sails through admission (and
         // harms no one).
-        let table = compile(&AttackSpec::masks_8192());
+        let table = AttackSpec::masks_8192().compile();
         let decision = MaskBudget::default().check(&table, &[]);
         match decision {
             AdmissionDecision::Admit { predicted_masks } => assert_eq!(predicted_masks, 1),

@@ -36,7 +36,7 @@ pub fn staged_config(base: DpConfig) -> DpConfig {
 mod tests {
     use super::*;
     use pi_attack::{AttackSpec, CovertSequence};
-    use pi_cms::{PolicyCompiler, PolicyDialect};
+    use pi_cms::PolicyDialect;
     use pi_core::{FlowKey, SimTime};
     use pi_datapath::VSwitch;
 
@@ -49,10 +49,7 @@ mod tests {
         sw.attach_pod(victim_ip, 1);
         sw.attach_pod(attacker_ip, 2);
         let spec = AttackSpec::masks_512(PolicyDialect::Kubernetes);
-        let table = match spec.build_policy() {
-            pi_attack::MaliciousAcl::K8s(p) => PolicyCompiler.compile_k8s(&p),
-            _ => unreachable!(),
-        };
+        let table = spec.compile();
         sw.install_acl(attacker_ip, table);
 
         let victim_key = FlowKey::tcp([10, 0, 0, 10], [10, 1, 0, 10], 40_000, 5201);
@@ -110,10 +107,7 @@ mod tests {
             let mut sw = VSwitch::new(dp);
             sw.attach_pod(victim_ip, 1);
             sw.attach_pod(attacker_ip, 2);
-            let table = match spec.build_policy() {
-                pi_attack::MaliciousAcl::K8s(p) => PolicyCompiler.compile_k8s(&p),
-                _ => unreachable!(),
-            };
+            let table = spec.compile();
             sw.install_acl(attacker_ip, table);
             let seq = CovertSequence::new(spec.build_target(attacker_ip));
             for (i, p) in seq.populate_packets().enumerate() {
@@ -156,10 +150,7 @@ mod tests {
             let mut sw = VSwitch::new(dp);
             sw.attach_pod(victim_ip, 1);
             sw.attach_pod(attacker_ip, 2);
-            let table = match spec.build_policy() {
-                pi_attack::MaliciousAcl::K8s(p) => PolicyCompiler.compile_k8s(&p),
-                _ => unreachable!(),
-            };
+            let table = spec.compile();
             sw.install_acl(attacker_ip, table);
             let seq = CovertSequence::new(spec.build_target(attacker_ip));
             for (i, p) in seq.populate_packets().enumerate() {

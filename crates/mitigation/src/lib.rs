@@ -15,10 +15,11 @@
 //!   OVS's subtable hit-count sorting protects hot victim flows; staged
 //!   lookup shrinks the per-subtable cost constant. Both attenuate
 //!   without fixing the O(#masks) walk.
-//! * [`CompiledAcl`] / [`CachelessSwitch`] — **cache-less datapath**
-//!   (the ESwitch / dataplane-specialisation line the paper cites):
-//!   classification cost depends only on the policy, never on traffic,
-//!   so the covert stream has nothing to amplify.
+//! * **cache-less datapath** (the ESwitch / dataplane-specialisation
+//!   line the paper cites): classification cost depends only on the
+//!   policy, never on traffic, so the covert stream has nothing to
+//!   amplify. Not modelled here — it is the `LpmTier` backend of
+//!   `pi_backend`, priced by the shared `CostModel`.
 //! * [`attribution`] — **detection**: per-destination mask accounting
 //!   that names the pod (hence tenant) whose ACL carries the explosion.
 //! * [`upcall_fair_share_config`] — **slow-path fair sharing**: the
@@ -28,7 +29,6 @@
 
 pub mod attribution;
 pub mod budget;
-pub mod compiled;
 pub mod heuristics;
 pub mod quota;
 
@@ -36,6 +36,5 @@ pub use attribution::{
     attribute_entries, attribute_masks, detect_offenders, offenders, MaskAttribution,
 };
 pub use budget::{AdmissionDecision, MaskBudget};
-pub use compiled::{CachelessSwitch, CompiledAcl};
 pub use heuristics::{hit_sort_config, staged_config};
 pub use quota::upcall_fair_share_config;

@@ -309,8 +309,8 @@ impl<T> NodeCell<T> {
         sink: impl FnMut(NodePacket<T>, Routing),
     ) {
         self.tracer.set_now(now.as_nanos());
-        let stats0 = self.backend.stats();
-        let up0 = self.backend.upcall_stats();
+        let before = self.backend.snapshot();
+        let (stats0, up0) = (before.switch, before.upcall);
         let crashes0 = self.crashes;
         let losses0 = (self.acls_lost, self.flows_lost, self.upcalls_lost);
         self.step_inner(now, cycles_per_tick, sink);
@@ -325,7 +325,8 @@ impl<T> NodeCell<T> {
                 },
             );
         }
-        let stats = self.backend.stats();
+        let after = self.backend.snapshot();
+        let (stats, up) = (after.switch, after.upcall);
         if stats.packets > stats0.packets || stats.cycles > stats0.cycles {
             self.tracer.emit(
                 at,
@@ -339,7 +340,6 @@ impl<T> NodeCell<T> {
                 },
             );
         }
-        let up = self.backend.upcall_stats();
         if up != up0 {
             self.tracer.emit(
                 at,
@@ -351,7 +351,7 @@ impl<T> NodeCell<T> {
                 },
             );
         }
-        let churn = (self.backend.megaflow_count(), self.backend.mask_count());
+        let churn = (after.megaflows, after.masks);
         if churn != self.churn_snapshot {
             self.churn_snapshot = churn;
             self.tracer.emit(
@@ -455,59 +455,38 @@ impl<T> NodeCell<T> {
         // the switch is down, the fire-and-forget driver's updates are
         // consumed and silently lost — the hole the reliable layer
         // below closes.
+        //
+        // Each update gets a fresh causality id: the flush (and the
+        // rebuild storm after it) is attributed to *this* update. A
+        // no-op branch when tracing is disabled.
+        let switch = &mut *self.backend;
+        let tracer = &self.tracer;
+        let mut control_cycles = 0u64;
+        let mut apply = |update: PolicyUpdate| {
+            tracer.begin_update();
+            control_cycles += switch.apply_update(update, true).cycles;
+            tracer.end_update();
+        };
         if let Some(cp) = &mut self.control {
-            let switch = &mut *self.backend;
-            let window_cycles = &mut self.window_cycles;
-            let window_control_cycles = &mut self.window_control_cycles;
-            let tracer = &self.tracer;
             for scheduled in cp.due(now) {
-                if down {
-                    continue;
+                if !down {
+                    apply(scheduled.update.clone());
                 }
-                // Each update gets a fresh causality id: the flush (and
-                // the rebuild storm after it) is attributed to *this*
-                // update. A no-op branch when tracing is disabled.
-                tracer.begin_update();
-                let outcome = match &scheduled.update {
-                    PolicyUpdate::InstallAcl { ip, table } => {
-                        switch.apply_install_acl(*ip, table.clone())
-                    }
-                    PolicyUpdate::RemoveAcl { ip } => switch.apply_remove_acl(*ip),
-                    PolicyUpdate::AttachPod { ip, vport } => switch.apply_attach_pod(*ip, *vport),
-                };
-                tracer.end_update();
-                budget -= outcome.cycles as i64;
-                *window_cycles += outcome.cycles;
-                *window_control_cycles += outcome.cycles;
             }
         }
         // Reliable control-plane deliveries (acked, deduplicated,
         // retried), charged like any other control work. Reconciliation
         // runs at its cadence against the switch's reported state.
         if let Some(rcp) = &mut self.reliable {
-            let switch = &mut *self.backend;
-            let window_cycles = &mut self.window_cycles;
-            let window_control_cycles = &mut self.window_control_cycles;
-            let tracer = &self.tracer;
-            for update in rcp.poll(now, !down) {
-                tracer.begin_update();
-                let outcome = match &update {
-                    PolicyUpdate::InstallAcl { ip, table } => {
-                        switch.apply_install_acl(*ip, table.clone())
-                    }
-                    PolicyUpdate::RemoveAcl { ip } => switch.apply_remove_acl(*ip),
-                    PolicyUpdate::AttachPod { ip, vport } => switch.apply_attach_pod(*ip, *vport),
-                };
-                tracer.end_update();
-                budget -= outcome.cycles as i64;
-                *window_cycles += outcome.cycles;
-                *window_control_cycles += outcome.cycles;
-            }
+            rcp.poll(now, !down).into_iter().for_each(&mut apply);
             if !down && rcp.reconcile_due(now) {
-                let installed = switch.installed_acl_ips();
+                let installed = self.backend.installed_acl_ips();
                 rcp.reconcile(now, &installed);
             }
         }
+        budget -= control_cycles as i64;
+        self.window_cycles += control_cycles;
+        self.window_control_cycles += control_cycles;
         // The batch scratch is only set up when there is a batch to run:
         // most ticks of an idle host find the queue empty.
         if !down && budget > 0 && !self.queue.is_empty() {
@@ -790,11 +769,11 @@ mod tests {
             upcall_drops += 1;
         });
         assert_eq!(upcall_drops, 2, "upcall queue tail drop");
-        assert_eq!(n.backend().upcall_stats().queue_drops, 2);
+        assert_eq!(n.backend().snapshot().upcall.queue_drops, 2);
         assert_eq!(n.deferred_len(), 2, "two parked awaiting handlers");
         // The switch-level counter only saw the 4 packets the ingress
         // queue admitted — the two drop accounts never mix.
-        assert_eq!(n.backend().stats().packets, 4);
+        assert_eq!(n.backend().snapshot().switch.packets, 4);
     }
 
     #[test]
@@ -854,7 +833,7 @@ mod tests {
         });
         assert_eq!(got, vec![(7, Routing::Local(1))]);
         assert_eq!(n.control_plane_pending(), 1);
-        let cycles_before = n.backend().stats().control_cycles;
+        let cycles_before = n.backend().snapshot().switch.control_cycles;
         assert_eq!(cycles_before, 0);
 
         // Tick 2: the ACL lands at tick start — the same tick's
@@ -867,7 +846,7 @@ mod tests {
         });
         assert_eq!(got, vec![(7, Routing::Denied)], "new ACL in force");
         assert_eq!(n.control_plane_pending(), 0);
-        let control = n.backend().stats().control_cycles;
+        let control = n.backend().snapshot().switch.control_cycles;
         assert!(control > 0, "the update was charged");
         // The window cycles include the control share.
         assert!(n.take_window_cycles() >= control);

@@ -232,9 +232,10 @@ impl FleetReport {
         let mut attribution = Vec::with_capacity(hosts);
         let mut faults = Vec::with_capacity(hosts);
         for mut shard in shards {
-            stats.push(shard.node.backend().stats());
+            let snapshot = shard.node.backend().snapshot();
+            stats.push(snapshot.switch);
             faults.push(shard.node.fault_report(tick));
-            upcall.push(shard.node.backend().upcall_stats());
+            upcall.push(snapshot.upcall);
             attribution.push(shard.node.backend().attribution());
             defense.push(shard.node.take_defense_report());
             masks.push(shard.masks);

@@ -4,7 +4,7 @@ use pi_attack::{AttackSchedule, AttackSpec, CovertSequence};
 use pi_backend::{build_backend, DataplaneBackend};
 use pi_cms::{Cidr, ControlPlaneProgram, IngressRule, NetworkPolicy, PolicyCompiler, Protocol};
 use pi_core::{FlowKey, SimTime};
-use pi_datapath::{BackendKind, CostModel, DpConfig, PipelineMode, UpcallPipelineConfig, VSwitch};
+use pi_datapath::{BackendKind, CostModel, DpConfig, PipelineMode, UpcallPipelineConfig};
 use pi_detect::{ControllerConfig, DefenseController};
 use pi_fault::{ChannelFaultConfig, FaultSchedule, ReliabilityConfig};
 use pi_traffic::{ChurnSource, FanSource, IperfSource, PoissonFlowSource};
@@ -109,11 +109,7 @@ pub fn fig3_scenario(params: &Fig3Params) -> (Simulation, Fig3Handles) {
     b.install_acl(victim_server_ip, PolicyCompiler.compile_k8s(&victim_policy));
 
     // The injected ACL at the attacker's own pod.
-    let attack_table = match params.spec.build_policy() {
-        pi_attack::MaliciousAcl::K8s(p) => PolicyCompiler.compile_k8s(&p),
-        pi_attack::MaliciousAcl::OpenStack(p) => PolicyCompiler.compile_security_group(&p),
-        pi_attack::MaliciousAcl::Calico(p) => PolicyCompiler.compile_calico(&p),
-    };
+    let attack_table = params.spec.compile();
     b.install_acl(attacker_pod_ip, attack_table);
 
     // Victim iperf: client → server pod.
@@ -1058,7 +1054,8 @@ impl CapacityReport {
 
 /// Measures fast-path capacity before and after populating the masks of
 /// `spec`, using the same EMC-missing probe workload for both (unique
-/// covert "scan" packets). Returns `(baseline, attacked)`.
+/// covert "scan" packets), on the architecture `dp.backend` selects.
+/// Returns `(baseline, attacked)`.
 pub fn measure_capacity(
     dp: DpConfig,
     cpu_cycles_per_sec: u64,
@@ -1073,40 +1070,36 @@ pub fn measure_capacity(
     // switch each, with the populate pass (which creates the scan
     // stream's full mask *last*) run only on the attacked one.
     let build_switch = || {
-        let mut sw = VSwitch::new(dp.clone());
+        let mut sw = build_backend(dp.clone(), CostModel::default());
         sw.attach_pod(attacker_pod_ip, 1);
-        let table = match spec.build_policy() {
-            pi_attack::MaliciousAcl::K8s(p) => PolicyCompiler.compile_k8s(&p),
-            pi_attack::MaliciousAcl::OpenStack(p) => PolicyCompiler.compile_security_group(&p),
-            pi_attack::MaliciousAcl::Calico(p) => PolicyCompiler.compile_calico(&p),
-        };
-        sw.install_acl(attacker_pod_ip, table);
+        sw.install_acl(attacker_pod_ip, spec.compile());
         sw
     };
-    let measure = |sw: &mut VSwitch| -> CapacityReport {
+    let measure = |sw: &mut dyn DataplaneBackend| -> CapacityReport {
         // Warm the scan megaflow so the measurement is pure fast path.
-        sw.process(&seq.scan_packet(0), SimTime::from_secs(1));
-        let before = sw.stats();
+        pi_backend::process_one(sw, &seq.scan_packet(0), SimTime::from_secs(1));
+        let before = sw.snapshot().switch;
         for n in 0..samples {
-            sw.process(&seq.scan_packet(1 + n), SimTime::from_secs(1));
+            pi_backend::process_one(sw, &seq.scan_packet(1 + n), SimTime::from_secs(1));
         }
-        let after = sw.stats();
-        let avg = (after.cycles - before.cycles) as f64 / samples as f64;
+        let after = sw.snapshot();
+        let avg = (after.switch.cycles - before.cycles) as f64 / samples as f64;
         CapacityReport {
-            masks: sw.mask_count(),
+            masks: after.masks,
             avg_cycles: avg,
             capacity_pps: cpu_cycles_per_sec as f64 / avg,
         }
     };
 
     let mut baseline_sw = build_switch();
-    let baseline = measure(&mut baseline_sw);
+    let baseline = measure(&mut *baseline_sw);
 
     let mut attacked_sw = build_switch();
     for (i, pkt) in seq.populate_packets().enumerate() {
-        attacked_sw.process(&pkt, SimTime::from_secs(2) + SimTime::from_millis(i as u64));
+        let at = SimTime::from_secs(2) + SimTime::from_millis(i as u64);
+        pi_backend::process_one(&mut *attacked_sw, &pkt, at);
     }
-    let attacked = measure(&mut attacked_sw);
+    let attacked = measure(&mut *attacked_sw);
     (baseline, attacked)
 }
 
@@ -1189,11 +1182,7 @@ pub fn measure_backend_capacity(
             }],
         };
         be.install_acl(victim_ip, PolicyCompiler.compile_k8s(&victim_policy));
-        let table = match spec.build_policy() {
-            pi_attack::MaliciousAcl::K8s(p) => PolicyCompiler.compile_k8s(&p),
-            pi_attack::MaliciousAcl::OpenStack(p) => PolicyCompiler.compile_security_group(&p),
-            pi_attack::MaliciousAcl::Calico(p) => PolicyCompiler.compile_calico(&p),
-        };
+        let table = spec.compile();
         be.install_acl(attacker_pod_ip, table);
         be
     };
@@ -1224,7 +1213,7 @@ pub fn measure_backend_capacity(
         }
         let avg = victim_cycles as f64 / victim_samples as f64;
         CapacityReport {
-            masks: be.mask_count(),
+            masks: be.snapshot().masks,
             avg_cycles: avg,
             capacity_pps: cpu_cycles_per_sec as f64 / avg,
         }

@@ -501,9 +501,9 @@ impl HostShard {
                 slot.window_delivered_bytes = 0;
                 slot.window_generated_bytes = 0;
             }
-            self.masks.push(t, self.node.backend().mask_count() as f64);
-            self.megaflows
-                .push(t, self.node.backend().megaflow_count() as f64);
+            let snapshot = self.node.backend().snapshot();
+            self.masks.push(t, snapshot.masks as f64);
+            self.megaflows.push(t, snapshot.megaflows as f64);
             let budget_window = ctx.cpu_cycles_per_sec as f64 * ctx.window_secs;
             self.control_cps.push(
                 t,
@@ -516,7 +516,7 @@ impl HostShard {
                 self.node.take_window_handler_cycles() as f64 / ctx.window_secs,
             );
             self.policy_updates
-                .push(t, self.node.backend().stats().policy_updates as f64);
+                .push(t, snapshot.switch.policy_updates as f64);
         }
     }
 

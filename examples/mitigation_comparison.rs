@@ -6,19 +6,11 @@
 //! cargo run --release --example mitigation_comparison
 //! ```
 
-use pi_mitigation::{hit_sort_config, staged_config, CachelessSwitch, CompiledAcl};
+use pi_mitigation::{hit_sort_config, staged_config};
 use policy_injection::prelude::*;
 
 const CPU: u64 = 1_200_000_000;
 const TRIE_FIELDS: [Field; 4] = [Field::IpSrc, Field::IpDst, Field::TpSrc, Field::TpDst];
-
-fn compile(spec: &AttackSpec) -> FlowTable {
-    match spec.build_policy() {
-        MaliciousAcl::K8s(p) => PolicyCompiler.compile_k8s(&p),
-        MaliciousAcl::OpenStack(p) => PolicyCompiler.compile_security_group(&p),
-        MaliciousAcl::Calico(p) => PolicyCompiler.compile_calico(&p),
-    }
-}
 
 fn main() {
     let spec = AttackSpec::masks_512(PolicyDialect::Kubernetes);
@@ -55,7 +47,7 @@ fn main() {
     ]);
 
     // Admission budget: the policy never gets installed.
-    let decision = MaskBudget::default().check(&compile(&spec), &TRIE_FIELDS);
+    let decision = MaskBudget::default().check(&spec.compile(), &TRIE_FIELDS);
     out.push_row(&[
         "mask budget (admission)".into(),
         "n/a".into(),
@@ -63,30 +55,18 @@ fn main() {
         format!("{decision:?}"),
     ]);
 
-    // Cache-less compiled datapath: cost bounded by the policy.
-    let mut cacheless = CachelessSwitch::new();
-    let pod_ip = 0x0a01_0042;
-    cacheless.attach_pod(
-        pod_ip,
-        1,
-        CompiledAcl::compile(&compile(&spec), Action::Deny),
-    );
-    let seq = CovertSequence::new(spec.build_target(pod_ip));
-    for p in seq.populate_packets() {
-        cacheless.process(&p);
-    }
-    let (p0, c0) = cacheless.totals();
-    for n in 0..10_000 {
-        cacheless.process(&seq.scan_packet(n));
-    }
-    let (p1, c1) = cacheless.totals();
-    let avg = (c1 - c0) as f64 / (p1 - p0) as f64;
-    let pps = CPU as f64 / avg;
+    // Cache-less compiled datapath (the LpmTier backend): a fixed
+    // stride walk per packet, whatever the covert stream does.
+    let lpm = DpConfig {
+        backend: BackendKind::LpmTier,
+        ..DpConfig::default()
+    };
+    let (_, compiled) = measure_capacity(lpm, CPU, &spec, 10_000);
     out.push_row(&[
         "cache-less compiled".into(),
-        "0".into(),
-        format!("{pps:.0}"),
-        format!("{:.0}x", pps / undefended.capacity_pps),
+        compiled.masks.to_string(),
+        format!("{:.0}", compiled.capacity_pps),
+        format!("{:.2}x", compiled.capacity_pps / undefended.capacity_pps),
     ]);
 
     println!("defenses vs the 512-mask K8s injection (probe workload = covert scans):\n");

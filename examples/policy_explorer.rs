@@ -63,33 +63,33 @@ fn main() {
         backend,
         ..DpConfig::default()
     };
-    let mut sw = build_backend(dp, CostModel::default());
-    sw.attach_pod(pod_ip, 1);
-    let table = match spec.build_policy() {
-        MaliciousAcl::K8s(p) => PolicyCompiler.compile_k8s(&p),
-        MaliciousAcl::OpenStack(p) => PolicyCompiler.compile_security_group(&p),
-        MaliciousAcl::Calico(p) => PolicyCompiler.compile_calico(&p),
+    let inject = |sw: &mut dyn DataplaneBackend| {
+        sw.attach_pod(pod_ip, 1);
+        sw.install_acl(pod_ip, spec.compile());
+        let seq = CovertSequence::new(spec.build_target(pod_ip));
+        let mut t = SimTime::from_millis(1);
+        for p in seq.populate_packets() {
+            process_one(sw, &p, t);
+            t += SimTime::from_micros(100);
+        }
+        let cache = sw.snapshot();
+        println!(
+            "measured: {} masks / {} entries\n",
+            cache.masks, cache.megaflows
+        );
     };
-    sw.install_acl(pod_ip, table);
-    let seq = CovertSequence::new(spec.build_target(pod_ip));
-    let mut t = SimTime::from_millis(1);
-    for p in seq.populate_packets() {
-        process_one(&mut *sw, &p, t);
-        t += SimTime::from_micros(100);
-    }
-    println!(
-        "measured: {} masks / {} entries\n",
-        sw.mask_count(),
-        sw.megaflow_count()
-    );
 
     // Print the decomposition, Fig. 2b style (up to a screenful). Only
-    // the OVS pipeline has a mask space to decompose; for the others
-    // the numbers above are the whole story.
-    let Some(sw) = sw.as_vswitch() else {
+    // the OVS pipeline has a mask space to decompose — that one is
+    // built as a `VSwitch`, whose megaflow table is readable; for the
+    // others the numbers above are the whole story.
+    if backend != BackendKind::OvsCache {
+        inject(&mut *build_backend(dp, CostModel::default()));
         println!("({backend} has no megaflow mask decomposition to print)");
         return;
-    };
+    }
+    let mut sw = VSwitch::new(dp);
+    inject(&mut sw);
     let mut rows: Vec<(String, String, String)> = sw
         .megaflows()
         .iter()

@@ -61,10 +61,10 @@ fn main() {
         process_one(&mut *switch, &pkt, now);
         now += SimTime::from_micros(256); // ≈ 3 906 pps
     }
+    let cache = switch.snapshot();
     println!(
         "flow cache after the pass: {} masks, {} entries",
-        switch.mask_count(),
-        switch.megaflow_count()
+        cache.masks, cache.megaflows
     );
 
     // ── Step 4: what the cache walk now costs ────────────────────────
@@ -85,12 +85,12 @@ fn main() {
         );
     }
     if backend == BackendKind::OvsCache {
-        assert_eq!(switch.mask_count() as u64, spec.predicted_masks());
-        println!("analytical model confirmed: {} masks", switch.mask_count());
+        assert_eq!(cache.masks as u64, spec.predicted_masks());
+        println!("analytical model confirmed: {} masks", cache.masks);
     } else {
         println!(
             "{} masks on {backend}: this architecture has no tuple space to inflate",
-            switch.mask_count()
+            cache.masks
         );
     }
 }

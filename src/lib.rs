@@ -73,7 +73,9 @@ pub mod prelude {
     pub use pi_attack::{
         predicted_mask_count, AttackSchedule, AttackSpec, CovertSequence, MaliciousAcl,
     };
-    pub use pi_backend::{build_backend, process_one, DataplaneBackend};
+    pub use pi_backend::{
+        build_backend, process_one, DataplaneBackend, DataplaneStats, DefenseAction,
+    };
     pub use pi_classifier::{Action, FlowTable, LinearClassifier, TupleSpaceSearch};
     pub use pi_cms::{
         CalicoPolicy, Cidr, Cloud, ControlPlane, ControlPlaneProgram, NetworkPolicy,
@@ -96,7 +98,7 @@ pub mod prelude {
         FleetBuilder, FleetConfig, FleetReport, MigrationParams,
     };
     pub use pi_metrics::{ascii_plot, CsvTable, Summary, TimeSeries};
-    pub use pi_mitigation::{upcall_fair_share_config, CompiledAcl, MaskBudget};
+    pub use pi_mitigation::{upcall_fair_share_config, MaskBudget};
     pub use pi_sim::{
         adaptive_defense_scenario, crash_recovery_scenario, fig3_scenario,
         measure_backend_capacity, measure_capacity, policy_churn_scenario,

@@ -4,19 +4,11 @@
 use pi_attack::MultiPodAttack;
 use policy_injection::prelude::*;
 
-fn compile(spec: &AttackSpec) -> FlowTable {
-    match spec.build_policy() {
-        MaliciousAcl::K8s(p) => PolicyCompiler.compile_k8s(&p),
-        MaliciousAcl::OpenStack(p) => PolicyCompiler.compile_security_group(&p),
-        MaliciousAcl::Calico(p) => PolicyCompiler.compile_calico(&p),
-    }
-}
-
 fn run_campaign(attack: &MultiPodAttack) -> (usize, usize) {
     let mut sw = VSwitch::new(DpConfig::default());
     for (i, (ip, spec)) in attack.specs.iter().enumerate() {
         sw.attach_pod(*ip, i as u32 + 1);
-        sw.install_acl(*ip, compile(spec));
+        sw.install_acl(*ip, spec.compile());
     }
     let mut t = SimTime::from_millis(1);
     for (ip, spec) in &attack.specs {
@@ -65,7 +57,7 @@ fn attribution_still_separates_multi_pod_campaigns() {
     let mut sw = VSwitch::new(DpConfig::default());
     for (i, (ip, spec)) in attack.specs.iter().enumerate() {
         sw.attach_pod(*ip, i as u32 + 1);
-        sw.install_acl(*ip, compile(spec));
+        sw.install_acl(*ip, spec.compile());
     }
     let mut t = SimTime::from_millis(1);
     for (ip, spec) in &attack.specs {

@@ -12,14 +12,6 @@ fn populate(sw: &mut VSwitch, spec: &AttackSpec, pod_ip: u32) {
     }
 }
 
-fn compile(spec: &AttackSpec) -> FlowTable {
-    match spec.build_policy() {
-        MaliciousAcl::K8s(p) => PolicyCompiler.compile_k8s(&p),
-        MaliciousAcl::OpenStack(p) => PolicyCompiler.compile_security_group(&p),
-        MaliciousAcl::Calico(p) => PolicyCompiler.compile_calico(&p),
-    }
-}
-
 /// The paper's three headline mask counts, measured through the entire
 /// stack (policy dialect → CMS compile → slow path → TSS).
 #[test]
@@ -42,7 +34,7 @@ fn paper_mask_counts_all_dialects() {
         let pod_ip = u32::from_be_bytes([10, 1, 0, 66]);
         let mut sw = VSwitch::new(DpConfig::default());
         sw.attach_pod(pod_ip, 1);
-        assert!(sw.install_acl(pod_ip, compile(&spec)));
+        assert!(sw.install_acl(pod_ip, spec.compile()));
         populate(&mut sw, &spec, pod_ip);
         assert_eq!(
             sw.mask_count() as u64,
@@ -52,7 +44,7 @@ fn paper_mask_counts_all_dialects() {
         );
         assert_eq!(spec.predicted_masks(), expected, "analytical model");
         assert_eq!(
-            predicted_mask_count(&compile(&spec), &sw.config().trie_fields),
+            predicted_mask_count(&spec.compile(), &sw.config().trie_fields),
             expected,
             "table-level prediction"
         );
@@ -96,7 +88,7 @@ fn covert_stream_sustains_masks_within_budget() {
     let spec = AttackSpec::masks_512(PolicyDialect::Kubernetes);
     let mut sw = VSwitch::new(DpConfig::default());
     sw.attach_pod(pod_ip, 1);
-    sw.install_acl(pod_ip, compile(&spec));
+    sw.install_acl(pod_ip, spec.compile());
 
     let mut schedule = AttackSchedule::new(
         CovertSequence::new(spec.build_target(pod_ip)),
@@ -191,7 +183,7 @@ fn cross_tenant_probe_amplification() {
     });
     sw.attach_pod(victim_ip, 1);
     sw.attach_pod(attacker_ip, 2);
-    sw.install_acl(attacker_ip, compile(&spec));
+    sw.install_acl(attacker_ip, spec.compile());
     populate(&mut sw, &spec, attacker_ip);
 
     // A brand-new flow towards the *victim* pod (no ACL there) must

@@ -18,7 +18,8 @@
 //! node shards across threads.
 
 use pi_attack::AttackSpec;
-use pi_backend::{build_backend, DataplaneBackend};
+use pi_backend::{build_backend, DataplaneBackend, DefenseAction};
+use pi_classifier::PolicyUpdate;
 use pi_cms::{Cidr, IngressRule, NetworkPolicy, PolicyCompiler, PolicyDialect, Protocol};
 use pi_core::{FlowKey, SimTime};
 use pi_datapath::{DpConfig, PipelineMode, UpcallPipelineConfig, VSwitch};
@@ -37,12 +38,7 @@ fn victim_policy() -> NetworkPolicy {
 }
 
 fn malicious_table() -> pi_classifier::FlowTable {
-    let spec = AttackSpec::masks_512(PolicyDialect::Kubernetes);
-    match spec.build_policy() {
-        pi_attack::MaliciousAcl::K8s(p) => PolicyCompiler.compile_k8s(&p),
-        pi_attack::MaliciousAcl::OpenStack(p) => PolicyCompiler.compile_security_group(&p),
-        pi_attack::MaliciousAcl::Calico(p) => PolicyCompiler.compile_calico(&p),
-    }
+    AttackSpec::masks_512(PolicyDialect::Kubernetes).compile()
 }
 
 /// The scripted operations both drivers replay.
@@ -188,7 +184,8 @@ fn drive_direct(dp: DpConfig, ops: &[Op]) -> Vec<String> {
                 trace.push(format!("quota {}", sw.set_port_quota(*q)));
             }
             Op::Quarantine(ip) => {
-                trace.push(format!("quarantine {}", sw.quarantine(*ip)));
+                sw.quarantine(*ip);
+                trace.push(format!("quarantine megaflows={}", sw.megaflow_count()));
             }
             Op::Release(ip) => {
                 trace.push(format!("release {}", sw.release_quarantine(*ip)));
@@ -211,7 +208,6 @@ fn drive_direct(dp: DpConfig, ops: &[Op]) -> Vec<String> {
 /// Replays `ops` against the **boxed trait** surface the simulators use.
 fn drive_boxed(dp: DpConfig, ops: &[Op]) -> Vec<String> {
     let mut be = build_backend(dp, pi_datapath::CostModel::default());
-    assert!(be.as_vswitch().is_some(), "OvsCache downcasts to VSwitch");
     be.attach_pod(u32::from_be_bytes(VICTIM_IP), 1);
     be.attach_pod(u32::from_be_bytes(ATTACKER_IP), 2);
     be.install_acl(
@@ -240,35 +236,41 @@ fn drive_boxed(dp: DpConfig, ops: &[Op]) -> Vec<String> {
             }
             Op::Revalidate(now) => {
                 be.revalidate(*now);
+                let cache = be.snapshot();
                 trace.push(format!(
                     "reval masks={} megaflows={}",
-                    be.mask_count(),
-                    be.megaflow_count()
+                    cache.masks, cache.megaflows
                 ));
             }
             Op::ReinstallAttackerAcl => {
-                let out = be.apply_install_acl(u32::from_be_bytes(ATTACKER_IP), malicious_table());
+                let update = PolicyUpdate::InstallAcl {
+                    ip: u32::from_be_bytes(ATTACKER_IP),
+                    table: malicious_table(),
+                };
+                let out = be.apply_update(update, true);
                 trace.push(format!("reinstall {out:?}"));
             }
             Op::SetQuota(q) => {
-                trace.push(format!("quota {}", be.set_port_quota(*q)));
+                let took_effect = be.actuate(DefenseAction::SetPortQuota(*q));
+                trace.push(format!("quota {took_effect}"));
             }
             Op::Quarantine(ip) => {
-                trace.push(format!("quarantine {}", be.quarantine(*ip)));
+                be.actuate(DefenseAction::Quarantine(*ip));
+                trace.push(format!("quarantine megaflows={}", be.snapshot().megaflows));
             }
             Op::Release(ip) => {
-                trace.push(format!("release {}", be.release_quarantine(*ip)));
+                let released = be.actuate(DefenseAction::ReleaseQuarantine(*ip));
+                trace.push(format!("release {released}"));
             }
         }
     }
-    trace.push(format!("stats {:?}", be.stats()));
-    trace.push(format!("emc {:?}", be.emc_stats()));
-    trace.push(format!("upcall {:?}", be.upcall_stats()));
+    let end = be.snapshot();
+    trace.push(format!("stats {:?}", end.switch));
+    trace.push(format!("emc {:?}", end.emc));
+    trace.push(format!("upcall {:?}", end.upcall));
     trace.push(format!(
         "cache masks={} megaflows={} depth={}",
-        be.mask_count(),
-        be.megaflow_count(),
-        be.upcall_queue_depth()
+        end.masks, end.megaflows, end.upcall_backlog
     ));
     trace.push(format!("attr {:?}", be.attribution()));
     trace

@@ -26,17 +26,7 @@ fn drive(rcp: &mut ReliableControlPlane, be: &mut dyn DataplaneBackend, from_ms:
     for t in from_ms..to_ms {
         let now = SimTime::from_millis(t);
         for update in rcp.poll(now, true) {
-            match update {
-                PolicyUpdate::InstallAcl { ip, table } => {
-                    be.apply_install_acl(ip, table);
-                }
-                PolicyUpdate::RemoveAcl { ip } => {
-                    be.apply_remove_acl(ip);
-                }
-                PolicyUpdate::AttachPod { ip, vport } => {
-                    be.apply_attach_pod(ip, vport);
-                }
-            }
+            be.apply_update(update, true);
         }
         if rcp.reconcile_due(now) {
             let installed = be.installed_acl_ips();
@@ -87,7 +77,7 @@ fn duplicated_delivery_applies_updates_exactly_once() {
         );
         drive(&mut rcp, be.as_mut(), 1_000, 3_000);
         let ch = rcp.stats();
-        (be.stats(), ch)
+        (be.snapshot().switch, ch)
     };
 
     // Every forward message (and ack) duplicated, none dropped.

@@ -18,8 +18,8 @@
 
 use std::collections::HashMap;
 
-use pi_attack::{AttackSchedule, AttackSpec, CovertSequence, MaliciousAcl};
-use pi_cms::{PolicyCompiler, PolicyDialect};
+use pi_attack::{AttackSchedule, AttackSpec, CovertSequence};
+use pi_cms::PolicyDialect;
 use pi_core::SimTime;
 use pi_datapath::{DpConfig, PipelineMode, UpcallPipelineConfig};
 use pi_fleet::{FleetBuilder, FleetConfig, FleetReport, RouteTable};
@@ -73,11 +73,7 @@ fn sparse_fleet(event_driven: bool, workers: usize) -> FleetReport {
     // The injected policy on the attacker's own pod on host 1, and its
     // covert stream arriving over the fabric from host 2.
     let spec = AttackSpec::masks_512(PolicyDialect::Kubernetes);
-    let table = match spec.build_policy() {
-        MaliciousAcl::K8s(p) => PolicyCompiler.compile_k8s(&p),
-        MaliciousAcl::OpenStack(p) => PolicyCompiler.compile_security_group(&p),
-        MaliciousAcl::Calico(p) => PolicyCompiler.compile_calico(&p),
-    };
+    let table = spec.compile();
     b.install_acl(ip(ATTACKER), table);
     b.add_source(
         2,

@@ -61,10 +61,7 @@ fn hit_sorting_attenuates_but_does_not_rescue_fig3() {
 fn admission_control_end_state_is_attack_free() {
     // Verify the policy would be rejected…
     let spec = AttackSpec::masks_8192();
-    let table = match spec.build_policy() {
-        MaliciousAcl::Calico(p) => PolicyCompiler.compile_calico(&p),
-        _ => unreachable!(),
-    };
+    let table = spec.compile();
     assert!(!MaskBudget::default()
         .check(
             &table,

@@ -1,20 +1,11 @@
 //! Cross-crate mitigation integration: the defender's tools applied to
-//! the exact artefacts the attacker produces, plus randomised property
-//! tests pinning the compiled (cache-less) datapath against the linear
-//! reference over random policies.
+//! the exact artefacts the attacker produces, plus a randomised
+//! property test of the admission budget.
 
-use pi_mitigation::{attribute_masks, CompiledAcl, MaskBudget};
+use pi_mitigation::{attribute_masks, MaskBudget};
 use policy_injection::prelude::*;
 
 const TRIE_FIELDS: [Field; 4] = [Field::IpSrc, Field::IpDst, Field::TpSrc, Field::TpDst];
-
-fn compile(spec: &AttackSpec) -> FlowTable {
-    match spec.build_policy() {
-        MaliciousAcl::K8s(p) => PolicyCompiler.compile_k8s(&p),
-        MaliciousAcl::OpenStack(p) => PolicyCompiler.compile_security_group(&p),
-        MaliciousAcl::Calico(p) => PolicyCompiler.compile_calico(&p),
-    }
-}
 
 /// The admission pipeline a hardened CMS would run: compile → predict →
 /// reject. The attacker's specs fail; the Fig. 3 victim's policy passes.
@@ -27,7 +18,7 @@ fn hardened_cms_filters_attack_policies_only() {
         AttackSpec::masks_8192(),
     ] {
         assert!(
-            !budget.check(&compile(&spec), &TRIE_FIELDS).admitted(),
+            !budget.check(&spec.compile(), &TRIE_FIELDS).admitted(),
             "attack spec {spec:?} must be rejected"
         );
     }
@@ -55,7 +46,7 @@ fn attribution_names_the_attacker_amid_noise() {
     sw.attach_pod(attacker_ip, 2);
     sw.attach_pod(bg_ip, 3);
     let spec = AttackSpec::masks_8192();
-    sw.install_acl(attacker_ip, compile(&spec));
+    sw.install_acl(attacker_ip, spec.compile());
     // Honest traffic to the other pods.
     let mut t = SimTime::from_millis(1);
     for i in 0..50u16 {
@@ -85,64 +76,6 @@ fn attribution_names_the_attacker_amid_noise() {
     );
 }
 
-/// Compiled ACLs agree with the linear reference on random whitelist
-/// policies and random packets — the correctness side of the cache-less
-/// mitigation.
-#[test]
-fn compiled_acl_equals_linear() {
-    pi_core::for_cases(96, 0x51, |rng| {
-        let n_allows = rng.gen_range(6);
-        let whitelist: Vec<MaskedKey> = (0..n_allows)
-            .map(|_| {
-                let src = rng.next_u32();
-                let len = 1 + rng.gen_range(32) as u8;
-                let port = rng.gen_bool(0.5).then(|| 1 + rng.gen_range(2047) as u16);
-                let mut key = FlowKey::tcp(
-                    std::net::Ipv4Addr::from(src),
-                    [0, 0, 0, 0],
-                    0,
-                    port.unwrap_or(0),
-                );
-                let mut mask = FlowMask::default().with_prefix(Field::IpSrc, len);
-                if port.is_some() {
-                    mask = mask.with_exact(Field::TpDst);
-                } else {
-                    key.tp_dst = 0;
-                }
-                MaskedKey::new(key, mask)
-            })
-            .collect();
-        let n_packets = 1 + rng.gen_range(59);
-        let packets: Vec<(u32, u16, u16)> = (0..n_packets)
-            .map(|_| {
-                (
-                    rng.next_u32(),
-                    rng.next_u32() as u16,
-                    1 + rng.gen_range(2047) as u16,
-                )
-            })
-            .collect();
-        let table = pi_classifier::table::whitelist_with_default_deny(&whitelist);
-        let compiled = CompiledAcl::compile(&table, Action::Deny);
-        let linear = LinearClassifier::new(&table);
-        for (src, sport, dport) in &packets {
-            let pkt = FlowKey::tcp(
-                std::net::Ipv4Addr::from(*src),
-                [10, 1, 0, 66],
-                *sport,
-                *dport,
-            );
-            let expected = linear
-                .classify(&pkt)
-                .map(|r| r.action)
-                .unwrap_or(Action::Deny);
-            let (got, checks) = compiled.classify(&pkt);
-            assert_eq!(got, expected, "packet {}", pkt);
-            assert!(checks <= compiled.worst_case_checks());
-        }
-    });
-}
-
 /// The mask budget is monotone: admitting at limit L implies admitting
 /// at any L' ≥ L, and the reported prediction is limit-independent.
 #[test]
@@ -157,7 +90,7 @@ fn budget_monotonicity() {
             dst_port: with_port.then_some(443),
             src_port: None,
         };
-        let table = compile(&spec);
+        let table = spec.compile();
         let d1 = MaskBudget::new(limit).check(&table, &TRIE_FIELDS);
         let d2 = MaskBudget::new(limit * 2).check(&table, &TRIE_FIELDS);
         if d1.admitted() {

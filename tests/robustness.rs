@@ -4,14 +4,6 @@
 
 use policy_injection::prelude::*;
 
-fn compile(spec: &AttackSpec) -> FlowTable {
-    match spec.build_policy() {
-        MaliciousAcl::K8s(p) => PolicyCompiler.compile_k8s(&p),
-        MaliciousAcl::OpenStack(p) => PolicyCompiler.compile_security_group(&p),
-        MaliciousAcl::Calico(p) => PolicyCompiler.compile_calico(&p),
-    }
-}
-
 /// Under a tight flow limit the datapath refuses installs but keeps
 /// classifying correctly — and every uncached covert packet now pays a
 /// full upcall, which is *worse* for the switch, not better.
@@ -25,7 +17,7 @@ fn flow_limit_pressure_keeps_semantics_and_costs() {
         ..DpConfig::default()
     });
     sw.attach_pod(pod_ip, 1);
-    sw.install_acl(pod_ip, compile(&spec));
+    sw.install_acl(pod_ip, spec.compile());
 
     let seq = CovertSequence::new(spec.build_target(pod_ip));
     let mut t = SimTime::from_millis(1);
@@ -56,7 +48,7 @@ fn dpdk_like_emc_still_vulnerable() {
     let spec = AttackSpec::masks_512(PolicyDialect::Kubernetes);
     let mut sw = VSwitch::new(DpConfig::dpdk_like());
     sw.attach_pod(pod_ip, 1);
-    sw.install_acl(pod_ip, compile(&spec));
+    sw.install_acl(pod_ip, spec.compile());
     let seq = CovertSequence::new(spec.build_target(pod_ip));
     let mut t = SimTime::from_millis(1);
     for p in seq.populate_packets() {
@@ -98,7 +90,7 @@ fn emc_thrash_pushes_victim_to_megaflow_path() {
     });
     sw.attach_pod(victim_ip, 1);
     sw.attach_pod(attacker_ip, 2);
-    sw.install_acl(attacker_ip, compile(&spec));
+    sw.install_acl(attacker_ip, spec.compile());
 
     let victim_keys: Vec<FlowKey> = (0..32u16)
         .map(|i| FlowKey::tcp([10, 0, 0, 10], [10, 1, 0, 10], 40_000 + i, 5201))
@@ -167,7 +159,7 @@ fn trie_free_datapath_is_immune_but_coarse() {
         ..DpConfig::default()
     });
     sw.attach_pod(pod_ip, 1);
-    sw.install_acl(pod_ip, compile(&spec));
+    sw.install_acl(pod_ip, spec.compile());
     let seq = CovertSequence::new(spec.build_target(pod_ip));
     let mut t = SimTime::from_millis(1);
     for p in seq.populate_packets() {
@@ -192,7 +184,7 @@ fn attacked_switch_is_deterministic() {
         let spec = AttackSpec::masks_512(PolicyDialect::OpenStack);
         let mut sw = VSwitch::new(DpConfig::default());
         sw.attach_pod(pod_ip, 1);
-        sw.install_acl(pod_ip, compile(&spec));
+        sw.install_acl(pod_ip, spec.compile());
         let seq = CovertSequence::new(spec.build_target(pod_ip));
         let mut t = SimTime::from_millis(1);
         for p in seq.populate_packets() {
