@@ -2,7 +2,7 @@
 
 CARGO ?= cargo
 
-.PHONY: build test audit audit-baseline fmt-check clippy bench bench-fleet bench-hotpath bench-upcall bench-detect bench-policy bench-backends bench-fault bench-check bench-compare bench-summary benchmark benchmark-smoke benchmark-test benchmark-one benchmark-digests trace-forensics example-fleet clean
+.PHONY: build test audit audit-baseline fmt-check clippy results results-check benchmark benchmark-smoke benchmark-test benchmark-one benchmark-digests example-fleet clean
 
 build:
 	$(CARGO) build --release
@@ -27,73 +27,23 @@ fmt-check:
 clippy:
 	$(CARGO) clippy --workspace --all-targets -- -D warnings
 
-# Dependency-free microbenchmarks of the attack's mechanisms.
-bench:
-	$(CARGO) bench -p pi_bench
+# Regenerates every artefact under results/ (the paper's figures and
+# tables, the five scenario BENCH_*.json, the trace snapshot and
+# summary.md) in simulated time — no clock, no host fingerprint, so the
+# output is a pure function of the tree (~70 s). Exit 1 if a headline
+# claim stops holding. One experiment:
+# `cargo run --release -p pi_bench --bin results -- <experiment>`.
+results:
+	$(CARGO) run --release -p pi_bench --bin results
 
-# Fleet scaling sweep (hosts x workers); writes BENCH_fleet.json and
-# results/fleet_scaling.csv. Needs >= 4 cores to show the 2x+ worker
-# scaling target.
-bench-fleet:
-	$(CARGO) run --release -p pi_bench --bin fleet_scaling
-
-# Per-packet pipeline throughput (single worker): pps, avg subtable
-# probes, EMC hit rate; writes BENCH_hotpath.json. See README
-# "Performance" for the before/after methodology.
-bench-hotpath:
-	$(CARGO) run --release -p pi_bench --bin hotpath
-
-# Handler-saturation sweep: victim pps / upcall drop rate / install
-# latency under inline vs bounded vs fair-share slow paths; writes
-# BENCH_upcall.json. See README "Slow-path pipeline".
-bench-upcall:
-	$(CARGO) run --release -p pi_bench --bin upcall_saturation
-
-# Closed-loop defense sweep: time-to-detect, victim recovery and
-# benign false positives under none / static / adaptive defenses;
-# writes BENCH_detect.json. See README "Online detection & adaptive
-# defense".
-bench-detect:
-	$(CARGO) run --release -p pi_bench --bin detection_roc
-
-# Control-plane churn sweep: benign updates vs the zero-packet
-# policy-flap flush storm vs the scoped-invalidation ablation; writes
-# BENCH_policy.json. See README "Control-plane churn".
-bench-policy:
-	$(CARGO) run --release -p pi_bench --bin policy_churn
-
-# Cross-backend immunity matrix: {backend x attack x defense} cells
-# with retained-capacity ratios over all four dataplane backends;
-# writes BENCH_backends.json. See README "Dataplane backends".
-bench-backends:
-	$(CARGO) run --release -p pi_bench --bin backend_matrix
-
-# Crash-recovery matrix: {crash} x {policy_flap, upcall_flood} x
-# {fire-and-forget, retry+reconcile} — wrong verdicts, recovery time
-# and retry cost; writes BENCH_fault.json. See README "Fault injection
-# & recovery".
-bench-fault:
-	$(CARGO) run --release -p pi_bench --bin fault_matrix
-
-# Static regression gate over the checked-in BENCH_*.json headline
-# cells (no benches are re-run), including the tracing-overhead gate
-# on the hotpath trace_off/trace_on rows.
-bench-check:
-	$(CARGO) run --release -p pi_bench --bin bench_check
-
-# Fresh-vs-committed artefact diff with per-cell tolerances: re-runs
-# the deterministic policy-churn bench into a scratch dir and compares
-# every cell against the committed artefact. Exit 1 on regression.
-bench-compare:
-	mkdir -p /tmp/pi_fresh
-	PI_BENCH_POLICY_OUT=/tmp/pi_fresh/BENCH_policy.json \
-		$(CARGO) run --release -p pi_bench --bin policy_churn
-	$(CARGO) run --release -p pi_bench --bin bench_check -- --against /tmp/pi_fresh
-
-# Markdown results index (results/summary.md): the normalized hot-path
-# throughput trajectory plus every artefact's headline cell.
-bench-summary:
-	$(CARGO) run --release -p pi_bench --bin bench_summary
+# The regression gate: regenerate, then fail if git sees any difference
+# under results/ (a changed byte, or a new artefact nobody committed).
+results-check: results
+	@changed=$$(git status --porcelain -- results); \
+	if [ -n "$$changed" ]; then \
+		echo "results/ no longer regenerates byte for byte:"; echo "$$changed"; \
+		git --no-pager diff --stat -- results; exit 1; \
+	fi; echo "results/ regenerates byte for byte"
 
 # The repo benchmark (`benchmark/README.md`, `BENCHMARK.json`): its own
 # package outside the workspace. `benchmark` is the full run (five
@@ -133,12 +83,6 @@ benchmark-digests:
 		if [ "$$got" = "$$want" ]; then echo "$$w $$got ok"; \
 		else echo "$$w: digest '$$got', expected $$want"; exit 1; fi; \
 	done
-
-# Traced policy-flap forensics: proves the causal chain (policy update
-# -> cache flush -> attributed rebuild storm -> PolicyChurn detection)
-# and writes results/trace_policy_flap.{json,prom}.
-trace-forensics:
-	$(CARGO) run --release -p pi_bench --bin trace_forensics
 
 example-fleet:
 	$(CARGO) run --release --example fleet_blast_radius

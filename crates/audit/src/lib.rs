@@ -10,9 +10,9 @@
 //! text) and enforces:
 //!
 //! * **`determinism`** — no `Instant`/`SystemTime`/`RandomState`/
-//!   `DefaultHasher`/`thread_rng` anywhere (the stopwatch in
-//!   `pi_bench` carries an explicit waiver — wall clocks are its
-//!   purpose), and no `HashMap`/`HashSet` in order-sensitive modules
+//!   `DefaultHasher`/`thread_rng` anywhere (no file in the workspace
+//!   holds a waiver: host time is measured by `benchmark/`, a package
+//!   outside it), and no `HashMap`/`HashSet` in order-sensitive modules
 //!   (engines, reports, exporters) where iteration order could leak
 //!   into the byte-identical artefacts.
 //! * **`hotpath`** — regions annotated `// audit: hotpath`

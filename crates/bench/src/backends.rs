@@ -1,4 +1,4 @@
-//! `backend_matrix` — the cross-backend policy-injection immunity
+//! `backends` — the cross-backend policy-injection immunity
 //! matrix: every dataplane architecture ([`pi_backend`]) against every
 //! attack class in the repo, with and without that attack's canonical
 //! defense.
@@ -36,22 +36,26 @@
 //! lookup for the tuple-space rows, the per-port fair-share quota for
 //! the flood, destination-scoped invalidation for the flap.
 //!
-//! Output: `BENCH_backends.json` (override with
-//! `PI_BENCH_BACKENDS_OUT`), written through the shared
-//! [`pi_bench::report`] envelope. `--smoke` shrinks every cell for CI
-//! while still covering all four backends. The bench asserts its own
-//! headline claims: the exact-match pipeline retains ≥ 0.9 of its
-//! connection-setup capacity under the very injection that collapses
-//! the OVS pipeline.
+//! Output: `BENCH_backends.json`. The slowest experiment (≈ 50 s
+//! release): 32 cells, the 8192-mask capacity ones dominating.
 
 use pi_attack::AttackSpec;
-use pi_bench::report::{Fields, Report};
 use pi_core::SimTime;
 use pi_datapath::{BackendKind, DpConfig};
 use pi_sim::{
     measure_backend_capacity, policy_churn_scenario, upcall_saturation_scenario, CapacityWorkload,
     PolicyChurnParams, UpcallSaturationParams,
 };
+
+use crate::report::{Fields, Report};
+use crate::{Claim, Output};
+
+/// Probe samples per capacity measurement.
+const CAPACITY_SAMPLES: u64 = 2_000;
+/// Covert packets interleaved per victim packet.
+const COVERT_PER_VICTIM: u64 = 8;
+const FLOOD_SECS: u64 = 6;
+const FLAP_SECS: u64 = 4;
 
 /// One matrix cell.
 struct Cell {
@@ -68,20 +72,7 @@ struct Cell {
     masks_attacked: usize,
 }
 
-/// The covert-budget knobs one smoke/full switch controls.
-struct Scale {
-    capacity_samples: u64,
-    covert_per_victim: u64,
-    flood_secs: u64,
-    flap_secs: u64,
-}
-
-fn capacity_cell(
-    backend: BackendKind,
-    workload: CapacityWorkload,
-    defended: bool,
-    scale: &Scale,
-) -> Cell {
+fn capacity_cell(backend: BackendKind, workload: CapacityWorkload, defended: bool) -> Cell {
     let dp = DpConfig {
         backend,
         staged_lookup: defended,
@@ -94,8 +85,8 @@ fn capacity_cell(
         cpu,
         &spec,
         workload,
-        scale.capacity_samples,
-        scale.covert_per_victim,
+        CAPACITY_SAMPLES,
+        COVERT_PER_VICTIM,
     );
     Cell {
         backend,
@@ -112,10 +103,10 @@ fn capacity_cell(
     }
 }
 
-fn flood_cell(backend: BackendKind, defended: bool, scale: &Scale) -> Cell {
+fn flood_cell(backend: BackendKind, defended: bool) -> Cell {
     let run = |attack: bool| {
         let params = UpcallSaturationParams {
-            duration: SimTime::from_secs(scale.flood_secs),
+            duration: SimTime::from_secs(FLOOD_SECS),
             backend,
             attack,
             port_quota_per_step: defended.then_some(8),
@@ -141,10 +132,10 @@ fn flood_cell(backend: BackendKind, defended: bool, scale: &Scale) -> Cell {
     }
 }
 
-fn flap_cell(backend: BackendKind, defended: bool, scale: &Scale) -> Cell {
+fn flap_cell(backend: BackendKind, defended: bool) -> Cell {
     let run = |flap: bool| {
         let params = PolicyChurnParams {
-            duration: SimTime::from_secs(scale.flap_secs),
+            duration: SimTime::from_secs(FLAP_SECS),
             attack_start: SimTime::from_secs(1),
             flap,
             scoped_invalidation: defended,
@@ -173,33 +164,16 @@ fn flap_cell(backend: BackendKind, defended: bool, scale: &Scale) -> Cell {
     }
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let scale = if smoke {
-        Scale {
-            // 400 x 8 = 3200 covert flows: enough to wrap the 2048-entry
-            // NIC offload FIFO, so its replacement-churn cell is visible
-            // even in the smoke run.
-            capacity_samples: 400,
-            covert_per_victim: 8,
-            flood_secs: 3,
-            flap_secs: 3,
-        }
-    } else {
-        Scale {
-            capacity_samples: 2_000,
-            covert_per_victim: 8,
-            flood_secs: 6,
-            flap_secs: 4,
-        }
-    };
-
-    println!(
-        "backend_matrix: {} backends x 4 attacks x 2 defense settings{}",
-        BackendKind::ALL.len(),
-        if smoke { " (smoke)" } else { "" }
+/// Runs the 32 cells.
+pub(crate) fn run() -> pi_core::Result<Output> {
+    let mut table = String::new();
+    say!(
+        table,
+        "{} backends x 4 attacks x 2 defense settings",
+        BackendKind::ALL.len()
     );
-    println!(
+    say!(
+        table,
         "{:>11} {:>18} {:>20} {:>9} {:>14} {:>14} {:>9} {:>7}",
         "backend",
         "attack",
@@ -218,20 +192,19 @@ fn main() {
                 backend,
                 CapacityWorkload::CachedFlow,
                 defended,
-                &scale,
             ));
             cells.push(capacity_cell(
                 backend,
                 CapacityWorkload::ConnectionSetup,
                 defended,
-                &scale,
             ));
-            cells.push(flood_cell(backend, defended, &scale));
-            cells.push(flap_cell(backend, defended, &scale));
+            cells.push(flood_cell(backend, defended));
+            cells.push(flap_cell(backend, defended));
         }
     }
     for c in &cells {
-        println!(
+        say!(
+            table,
             "{:>11} {:>18} {:>20} {:>9} {:>14.0} {:>14.0} {:>9.3} {:>7}",
             c.backend.name(),
             c.attack,
@@ -246,11 +219,10 @@ fn main() {
 
     let mut report = Report::new("backend_matrix", "backend_immunity_matrix").params(
         Fields::new()
-            .b("smoke", smoke)
-            .u("capacity_samples", scale.capacity_samples)
-            .u("covert_per_victim", scale.covert_per_victim)
-            .u("flood_secs", scale.flood_secs)
-            .u("flap_secs", scale.flap_secs)
+            .u("capacity_samples", CAPACITY_SAMPLES)
+            .u("covert_per_victim", COVERT_PER_VICTIM)
+            .u("flood_secs", FLOOD_SECS)
+            .u("flap_secs", FLAP_SECS)
             .s("tuple_space_spec", "masks_8192"),
     );
     for c in &cells {
@@ -266,47 +238,53 @@ fn main() {
                 .zu("masks_attacked", c.masks_attacked),
         );
     }
-    let out = report
-        .write("BENCH_backends.json", "PI_BENCH_BACKENDS_OUT")
-        .expect("write report");
-    println!("\nwrote {}", out.display());
 
-    // The matrix's headline claims, asserted so a regression fails the
-    // bench rather than silently shipping a wrong artefact.
-    let cell = |backend: BackendKind, attack: &str, defended: bool| {
+    // A cell the loop above did not produce reads as NaN, which fails
+    // every bar it is held to.
+    let retained = |backend: BackendKind, attack: &str, defended: bool| {
         cells
             .iter()
             .find(|c| c.backend == backend && c.attack == attack && c.defended == defended)
-            .expect("cell")
+            .map_or(f64::NAN, |c| c.retained)
     };
-    let ovs = cell(BackendKind::OvsCache, "tuple_space_churn", false);
-    assert!(
-        ovs.retained < 0.2,
-        "OvsCache must reproduce the tuple-space collapse: retained = {:.3}",
-        ovs.retained
-    );
-    let exact = cell(BackendKind::ExactHash, "tuple_space_churn", false);
-    assert!(
-        exact.retained >= 0.9,
-        "ExactHash must retain >= 0.9 under the injection: retained = {:.3}",
-        exact.retained
-    );
-    let flood = cell(BackendKind::OvsCache, "upcall_flood", false);
-    let flood_exact = cell(BackendKind::ExactHash, "upcall_flood", false);
-    assert!(
-        flood.retained < 0.5 && flood_exact.retained > 0.9,
-        "the flood starves the bounded OVS slow path ({:.3}) but not the inline \
-         exact pipeline ({:.3})",
-        flood.retained,
-        flood_exact.retained
-    );
-    let flap = cell(BackendKind::OvsCache, "policy_flap", false);
-    let flap_scoped = cell(BackendKind::OvsCache, "policy_flap", true);
-    assert!(
-        flap.retained < 0.6 && flap_scoped.retained > 0.9,
-        "the flap collapses global-flush OVS ({:.3}) and scoped invalidation \
-         restores it ({:.3})",
-        flap.retained,
-        flap_scoped.retained
-    );
+    use BackendKind::{ExactHash, OvsCache};
+    let churn = retained(OvsCache, "tuple_space_churn", false);
+    let exact_churn = retained(ExactHash, "tuple_space_churn", false);
+    let flood = retained(OvsCache, "upcall_flood", false);
+    let flood_quota = retained(OvsCache, "upcall_flood", true);
+    let flood_exact = retained(ExactHash, "upcall_flood", false);
+    let flap = retained(OvsCache, "policy_flap", false);
+    let flap_scoped = retained(OvsCache, "policy_flap", true);
+    let claims = vec![
+        Claim::new(
+            "connection churn collapses the undefended tuple-space cache (retained < 0.01)",
+            format_args!("{churn:.4}"),
+            churn < 0.01,
+        ),
+        Claim::new(
+            "exact-hash is immune to the same churn by construction (retained ≥ 0.99)",
+            format_args!("{exact_churn:.4}"),
+            exact_churn >= 0.99,
+        ),
+        Claim::new(
+            "the upcall flood starves the bounded OVS slow path (< 0.5) but not the inline exact pipeline (> 0.9)",
+            format_args!("{flood:.3} / {flood_exact:.3}"),
+            flood < 0.5 && flood_exact > 0.9,
+        ),
+        Claim::new(
+            "the fair-share quota defeats the upcall flood (retained ≥ 0.99)",
+            format_args!("{flood_quota:.4}"),
+            flood_quota >= 0.99,
+        ),
+        Claim::new(
+            "the flap collapses global-flush OVS (< 0.6) and scoped invalidation restores it (> 0.9)",
+            format_args!("{flap:.3} / {flap_scoped:.3}"),
+            flap < 0.6 && flap_scoped > 0.9,
+        ),
+    ];
+    Ok(Output {
+        files: vec![("BENCH_backends.json", report.render())],
+        table,
+        claims,
+    })
 }

@@ -1,4 +1,4 @@
-//! `detection_roc` — the closed-loop defense, quantified.
+//! `detect` — the closed-loop defense, quantified.
 //!
 //! Runs the `adaptive_defense` scenario (benign churn from t = 0, an
 //! ACL-injection `upcall_flood` onset at `attack_start`, victim
@@ -24,13 +24,19 @@
 //! offered rate), and the report-exposed top offender. The scenario is
 //! fully deterministic — one run per row.
 //!
-//! Output: `BENCH_detect.json` (override with `PI_BENCH_DETECT_OUT`).
-//! `--smoke` shrinks the run for CI.
+//! Output: `BENCH_detect.json`.
 
-use pi_bench::report::{Fields, Report};
 use pi_core::SimTime;
 use pi_detect::{ControllerConfig, DetectorConfig, SignalConfig};
 use pi_sim::{adaptive_defense_scenario, AdaptiveDefenseParams, DefenseMode};
+
+use crate::report::{Fields, Report};
+use crate::{Claim, Output};
+
+const SIM_SECS: u64 = 12;
+const ATTACK_SECS: u64 = 4;
+/// Recovery is judged over the final window of the run.
+const WINDOW_SECS: u64 = 3;
 
 struct Row {
     mode: &'static str,
@@ -67,26 +73,10 @@ fn detector_scaled(f: f64) -> DetectorConfig {
     }
 }
 
-fn run_mode(mode: &'static str, sim_secs: u64, attack_secs: u64, window_secs: u64) -> Row {
-    let defense = match mode {
-        "none" => DefenseMode::Undefended,
-        "static_fair_share" => DefenseMode::StaticFairShare(8),
-        "adaptive" => DefenseMode::adaptive(ControllerConfig::default()),
-        "adaptive_tight" => DefenseMode::adaptive(ControllerConfig {
-            detector: detector_scaled(0.5),
-            confirm_samples: 1,
-            ..ControllerConfig::default()
-        }),
-        "adaptive_loose" => DefenseMode::adaptive(ControllerConfig {
-            detector: detector_scaled(2.0),
-            confirm_samples: 4,
-            ..ControllerConfig::default()
-        }),
-        other => unreachable!("unknown mode {other}"),
-    };
+fn run_mode(mode: &'static str, defense: DefenseMode) -> Row {
     let params = AdaptiveDefenseParams {
-        duration: SimTime::from_secs(sim_secs),
-        attack_start: SimTime::from_secs(attack_secs),
+        duration: SimTime::from_secs(SIM_SECS),
+        attack_start: SimTime::from_secs(ATTACK_SECS),
         defense,
         ..Default::default()
     };
@@ -112,7 +102,7 @@ fn run_mode(mode: &'static str, sim_secs: u64, attack_secs: u64, window_secs: u6
     // Recovery: mean victim delivered pps over the final window,
     // against the offered churn rate.
     let end = params.duration;
-    let from = end - SimTime::from_secs(window_secs);
+    let from = end - SimTime::from_secs(WINDOW_SECS);
     let recovery_bps = report.throughput_bps[handles.victim_source]
         .mean_between(from, end + SimTime::from_nanos(1));
     let recovery_pps = recovery_bps / (64.0 * 8.0);
@@ -141,30 +131,52 @@ fn fmt_opt(v: Option<f64>) -> String {
         .unwrap_or_else(|| "null".into())
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let (sim_secs, attack_secs, window_secs) = if smoke { (4, 2, 1) } else { (12, 4, 3) };
-    println!(
-        "detection_roc: {sim_secs} simulated seconds per mode, onset at {attack_secs} s, \
-         recovery window {window_secs} s"
+/// Runs the five defenses.
+pub(crate) fn run() -> pi_core::Result<Output> {
+    let mut table = String::new();
+    say!(
+        table,
+        "{SIM_SECS} simulated seconds per mode, onset at {ATTACK_SECS} s, \
+         recovery window {WINDOW_SECS} s"
     );
-    println!(
+    say!(
+        table,
         "{:>18} {:>10} {:>12} {:>11} {:>10} {:>13} {:>15}",
-        "mode", "detect_ms", "mitigate_ms", "benign_fp", "recovery", "recovery_pps", "victim_drops"
+        "mode",
+        "detect_ms",
+        "mitigate_ms",
+        "benign_fp",
+        "recovery",
+        "recovery_pps",
+        "victim_drops"
     );
-    let modes = [
-        "none",
-        "static_fair_share",
-        "adaptive",
-        "adaptive_tight",
-        "adaptive_loose",
+    let rows = [
+        run_mode("none", DefenseMode::Undefended),
+        run_mode("static_fair_share", DefenseMode::StaticFairShare(8)),
+        run_mode(
+            "adaptive",
+            DefenseMode::adaptive(ControllerConfig::default()),
+        ),
+        run_mode(
+            "adaptive_tight",
+            DefenseMode::adaptive(ControllerConfig {
+                detector: detector_scaled(0.5),
+                confirm_samples: 1,
+                ..ControllerConfig::default()
+            }),
+        ),
+        run_mode(
+            "adaptive_loose",
+            DefenseMode::adaptive(ControllerConfig {
+                detector: detector_scaled(2.0),
+                confirm_samples: 4,
+                ..ControllerConfig::default()
+            }),
+        ),
     ];
-    let rows: Vec<Row> = modes
-        .into_iter()
-        .map(|m| run_mode(m, sim_secs, attack_secs, window_secs))
-        .collect();
     for r in &rows {
-        println!(
+        say!(
+            table,
             "{:>18} {:>10} {:>12} {:>11} {:>10.3} {:>13.0} {:>15}",
             r.mode,
             fmt_opt(r.time_to_detect_ms),
@@ -179,9 +191,9 @@ fn main() {
     let defaults = AdaptiveDefenseParams::default();
     let mut report = Report::new("detection_roc", "adaptive_defense").params(
         Fields::new()
-            .u("sim_secs", sim_secs)
-            .u("attack_start_secs", attack_secs)
-            .u("recovery_window_secs", window_secs)
+            .u("sim_secs", SIM_SECS)
+            .u("attack_start_secs", ATTACK_SECS)
+            .u("recovery_window_secs", WINDOW_SECS)
             .f("victim_pps_offered", defaults.victim_pps, 0)
             .f("benign_pps", defaults.benign_pps, 0)
             .f("attack_bandwidth_bps", defaults.attack_bandwidth_bps, 0),
@@ -203,8 +215,36 @@ fn main() {
                 .zu("top_offender_masks", r.top_offender_masks),
         );
     }
-    let out = report
-        .write("BENCH_detect.json", "PI_BENCH_DETECT_OUT")
-        .expect("write report");
-    println!("\nwrote {}", out.display());
+
+    let [none, fair, adaptive, ..] = &rows;
+    let claims = vec![
+        Claim::new(
+            "undefended, the victim never recovers (recovery ratio 0)",
+            format_args!("{:.2}", none.recovery_ratio),
+            none.recovery_ratio == 0.0,
+        ),
+        Claim::new(
+            "the static fair-share quota recovers the victim fully (ratio ≥ 1)",
+            format_args!("{:.2}", fair.recovery_ratio),
+            fair.recovery_ratio >= 1.0,
+        ),
+        Claim::new(
+            "the adaptive controller detects within one control interval (100 ms)",
+            format_args!("{} ms", fmt_opt(adaptive.time_to_detect_ms)),
+            adaptive.time_to_detect_ms == Some(100.0),
+        ),
+        Claim::new(
+            "the adaptive controller recovers the victim fully (ratio ≥ 1) with no benign activation",
+            format_args!(
+                "{:.2}, {} activations",
+                adaptive.recovery_ratio, adaptive.benign_activations
+            ),
+            adaptive.recovery_ratio >= 1.0 && adaptive.benign_activations == 0,
+        ),
+    ];
+    Ok(Output {
+        files: vec![("BENCH_detect.json", report.render())],
+        table,
+        claims,
+    })
 }

@@ -1,4 +1,4 @@
-//! `fault_matrix` — crash recovery under attack, measured.
+//! `fault` — crash recovery under attack, measured.
 //!
 //! Runs the crash-recovery scenario ([`pi_sim::crash_recovery_scenario`])
 //! across the {fault} × {attack} × {retry+reconcile on/off} matrix:
@@ -21,13 +21,17 @@
 //! jittered CMS→switch channel, so the reliable rows also pay (and
 //! report) retries. Fully deterministic — one run per cell.
 //!
-//! Output: `BENCH_fault.json` (override with `PI_BENCH_FAULT_OUT`).
-//! `--smoke` shrinks the run for CI.
+//! Output: `BENCH_fault.json`.
 
-use pi_bench::report::{Fields, Report};
 use pi_core::SimTime;
 use pi_fault::{ChannelFaultConfig, NodeFaultReport, ReliabilityConfig};
 use pi_sim::{crash_recovery_scenario, CrashRecoveryAttack, CrashRecoveryParams};
+
+use crate::report::{Fields, Report};
+use crate::{Claim, Output};
+
+const SIM_SECS: u64 = 12;
+const CRASH_AT_SECS: u64 = SIM_SECS / 3;
 
 struct Row {
     label: &'static str,
@@ -41,17 +45,11 @@ struct Row {
     faults: NodeFaultReport,
 }
 
-fn run_cell(
-    label: &'static str,
-    attack: CrashRecoveryAttack,
-    reliable: bool,
-    crash: bool,
-    sim_secs: u64,
-) -> Row {
+fn run_cell(label: &'static str, attack: CrashRecoveryAttack, reliable: bool, crash: bool) -> Row {
     let params = CrashRecoveryParams {
-        duration: SimTime::from_secs(sim_secs),
+        duration: SimTime::from_secs(SIM_SECS),
         crash,
-        crash_at: SimTime::from_secs(sim_secs / 3),
+        crash_at: SimTime::from_secs(CRASH_AT_SECS),
         attack,
         reliable: reliable.then(ReliabilityConfig::default),
         // The CMS→switch path of every crash cell is hostile: losses,
@@ -85,62 +83,43 @@ fn run_cell(
     }
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let sim_secs: u64 = if smoke { 6 } else { 12 };
+/// Runs the five cells.
+pub(crate) fn run() -> pi_core::Result<Output> {
+    use CrashRecoveryAttack::{None as NoAttack, PolicyFlap, UpcallFlood};
     let defaults = CrashRecoveryParams::default();
-    println!(
-        "fault_matrix: {sim_secs} simulated seconds per cell, crash at {}s",
-        sim_secs / 3
+    let mut table = String::new();
+    say!(
+        table,
+        "{SIM_SECS} simulated seconds per cell, crash at {CRASH_AT_SECS} s"
     );
-    println!(
+    say!(
+        table,
         "{:>26} {:>12} {:>10} {:>8} {:>10} {:>9} {:>8} {:>10}",
-        "cell", "victim_pps", "retained", "wrong", "recovery", "retries", "repush", "events"
+        "cell",
+        "victim_pps",
+        "retained",
+        "wrong",
+        "recovery",
+        "retries",
+        "repush",
+        "events"
     );
-    let rows: Vec<Row> = vec![
-        run_cell(
-            "baseline",
-            CrashRecoveryAttack::None,
-            false,
-            false,
-            sim_secs,
-        ),
-        run_cell(
-            "policy_flap_fire_forget",
-            CrashRecoveryAttack::PolicyFlap,
-            false,
-            true,
-            sim_secs,
-        ),
-        run_cell(
-            "policy_flap_reliable",
-            CrashRecoveryAttack::PolicyFlap,
-            true,
-            true,
-            sim_secs,
-        ),
-        run_cell(
-            "upcall_flood_fire_forget",
-            CrashRecoveryAttack::UpcallFlood,
-            false,
-            true,
-            sim_secs,
-        ),
-        run_cell(
-            "upcall_flood_reliable",
-            CrashRecoveryAttack::UpcallFlood,
-            true,
-            true,
-            sim_secs,
-        ),
+    let rows = [
+        run_cell("baseline", NoAttack, false, false),
+        run_cell("policy_flap_fire_forget", PolicyFlap, false, true),
+        run_cell("policy_flap_reliable", PolicyFlap, true, true),
+        run_cell("upcall_flood_fire_forget", UpcallFlood, false, true),
+        run_cell("upcall_flood_reliable", UpcallFlood, true, true),
     ];
-    let baseline_pps = rows[0].victim_pps;
+    let [baseline, flap_off, flap_on, flood_off, flood_on] = &rows;
+    let retained = |r: &Row| r.victim_pps / baseline.victim_pps;
     for r in &rows {
-        println!(
+        say!(
+            table,
             "{:>26} {:>12.0} {:>10.3} {:>8} {:>10} {:>9} {:>8} {:>10}",
             r.label,
             r.victim_pps,
-            r.victim_pps / baseline_pps,
+            retained(r),
             r.wrong_verdicts,
             r.faults.recovery_ticks,
             r.faults.channel.retries,
@@ -151,8 +130,8 @@ fn main() {
 
     let mut report = Report::new("fault_matrix", "crash_recovery").params(
         Fields::new()
-            .u("sim_secs", sim_secs)
-            .u("crash_at_secs", sim_secs / 3)
+            .u("sim_secs", SIM_SECS)
+            .u("crash_at_secs", CRASH_AT_SECS)
             .u("down_for_ms", defaults.down_for.as_nanos() / 1_000_000)
             .u(
                 "flap_period_ms",
@@ -175,7 +154,7 @@ fn main() {
                 .u("victim_offered", r.victim_offered)
                 .u("victim_delivered", r.victim_delivered)
                 .f("victim_pps", r.victim_pps, 1)
-                .f("retained_vs_baseline", r.victim_pps / baseline_pps, 4)
+                .f("retained_vs_baseline", retained(r), 4)
                 .u("wrong_verdicts", r.wrong_verdicts)
                 .u("crashes", f.crashes)
                 .u("acls_lost", f.acls_lost)
@@ -191,65 +170,74 @@ fn main() {
                 .u("reconcile_pushes", f.channel.reconcile_pushes),
         );
     }
-    let out = report
-        .write("BENCH_fault.json", "PI_BENCH_FAULT_OUT")
-        .expect("write report");
-    println!("\nwrote {}", out.display());
 
-    // Keep the bench honest about its own claims.
-    assert_eq!(
-        rows[0].wrong_verdicts, 0,
-        "healthy run must deny the prober"
-    );
-    for r in &rows[1..] {
-        assert_eq!(r.faults.crashes, 1, "{}: the crash must fire", r.label);
-        assert!(r.faults.acls_lost >= 2, "{}: crash wipes the ACLs", r.label);
-        if r.reliable {
-            // At-least-once + reconciliation: convergence is bounded.
-            assert!(
-                r.faults.recovery_ticks > 0 && r.faults.recovery_ticks <= 2_000,
-                "{}: convergence must be bounded, got {} ticks",
-                r.label,
-                r.faults.recovery_ticks
-            );
-        } else {
-            // Fire-and-forget: the deny rule is gone for good — wrong
-            // verdicts accumulate for the rest of the run, or (flood)
-            // capacity collapses.
-            assert!(
-                r.wrong_verdicts > 0 || r.victim_pps <= 0.4 * baseline_pps,
-                "{}: the unprotected crash must leave damage",
-                r.label
-            );
-            assert_eq!(
-                r.faults.recovery_ticks, 0,
-                "{}: nothing reconciles",
-                r.label
-            );
-        }
-    }
-    // The headline pair: the flap riding the recovery window. Without
-    // the reliable layer the verdict hole stays open; with it the hole
-    // closes and the victim's capacity holds.
-    let (off, on) = (&rows[1], &rows[2]);
-    assert!(off.wrong_verdicts > 0, "flap/fire-forget: standing hole");
-    assert!(
-        on.wrong_verdicts * 5 < off.wrong_verdicts,
-        "flap/reliable: reconciliation must close most of the verdict hole \
-         ({} vs {})",
-        on.wrong_verdicts,
-        off.wrong_verdicts
-    );
-    assert!(
-        on.victim_pps >= 0.9 * baseline_pps,
-        "flap/reliable: capacity must hold through recovery ({:.0} vs {baseline_pps:.0})",
-        on.victim_pps
-    );
-    // The flood's capacity collapse is delivery-independent — restoring
-    // it is the defense controller's job, not the control plane's. The
-    // reliable row must simply not be *worse*.
-    assert!(
-        rows[4].victim_pps >= 0.95 * rows[3].victim_pps,
-        "flood/reliable must not worsen capacity"
-    );
+    let crashed = rows.len() - 1;
+    let crashed_ok = rows[1..]
+        .iter()
+        .filter(|r| r.faults.crashes == 1 && r.faults.acls_lost >= 2)
+        .count();
+    let bounded = |r: &Row| (1..=2_000).contains(&r.faults.recovery_ticks);
+    let claims = vec![
+        Claim::new(
+            "the healthy run denies the prober (0 wrong verdicts)",
+            baseline.wrong_verdicts,
+            baseline.wrong_verdicts == 0,
+        ),
+        Claim::new(
+            "every crash cell crashes once and loses its ACLs (≥ 2)",
+            format_args!("{crashed_ok}/{crashed} cells"),
+            crashed_ok == crashed,
+        ),
+        // The headline pair: the flap riding the recovery window.
+        Claim::new(
+            "fire-and-forget leaves a standing verdict hole after the crash (wrong verdicts > 0)",
+            flap_off.wrong_verdicts,
+            flap_off.wrong_verdicts > 0,
+        ),
+        Claim::new(
+            "retry + reconciliation closes most of the hole (< 1/5 of fire-and-forget)",
+            flap_on.wrong_verdicts,
+            flap_on.wrong_verdicts * 5 < flap_off.wrong_verdicts,
+        ),
+        Claim::new(
+            "reliable convergence is bounded (0 < recovery ticks ≤ 2000, both attacks)",
+            format_args!(
+                "{} / {} ticks",
+                flap_on.faults.recovery_ticks, flood_on.faults.recovery_ticks
+            ),
+            bounded(flap_on) && bounded(flood_on),
+        ),
+        Claim::new(
+            "capacity holds through the flap-during-recovery (retained ≥ 0.9)",
+            format_args!("{:.3}", retained(flap_on)),
+            retained(flap_on) >= 0.9,
+        ),
+        // Fire-and-forget: the deny rule is gone for good — wrong
+        // verdicts accumulate for the rest of the run, or (flood)
+        // capacity collapses — and nothing ever reconciles.
+        Claim::new(
+            "an unprotected crash leaves damage (wrong verdicts, or retained ≤ 0.4) and never reconciles",
+            format_args!(
+                "{} wrong / {:.3} retained",
+                flap_off.wrong_verdicts,
+                retained(flood_off)
+            ),
+            [flap_off, flood_off].iter().all(|r| {
+                (r.wrong_verdicts > 0 || retained(r) <= 0.4) && r.faults.recovery_ticks == 0
+            }),
+        ),
+        // The flood's capacity collapse is delivery-independent —
+        // restoring it is the defense controller's job, not the control
+        // plane's. The reliable row must simply not be *worse*.
+        Claim::new(
+            "the reliable layer does not worsen flood capacity (≥ 0.95 of fire-and-forget)",
+            format_args!("{:.3}", flood_on.victim_pps / flood_off.victim_pps),
+            flood_on.victim_pps >= 0.95 * flood_off.victim_pps,
+        ),
+    ];
+    Ok(Output {
+        files: vec![("BENCH_fault.json", report.render())],
+        table,
+        claims,
+    })
 }

@@ -1,4 +1,4 @@
-//! E1/E2 — Fig. 2 reproduction.
+//! `fig2` (E1/E2) — Fig. 2 reproduction.
 //!
 //! Part 1 prints the paper's exact table: the binary ACL
 //! (allow `00001010` = first octet of 10.0.0.0/8, deny `********`) and
@@ -8,26 +8,34 @@
 //! Part 2 demonstrates the in-text claim "this technique creates 8 masks
 //! and so 8 iterations for executing the TSS" by counting actual
 //! subtable probes.
+//!
+//! Output: `fig2_decomposition.csv`.
 
 use pi_attack::{AttackSpec, CovertSequence};
-use pi_bench::results_dir;
 use pi_cms::PolicyDialect;
 use pi_core::{Field, FlowKey, SimTime};
 use pi_datapath::{DpConfig, VSwitch};
 use pi_metrics::CsvTable;
 
-fn main() {
+use crate::{Claim, Output};
+
+/// Builds the Fig. 2 table from a live switch.
+pub(crate) fn run() -> pi_core::Result<Output> {
+    let mut table = String::new();
     // The paper's policy: allow 10.0.0.0/8 (first octet 00001010).
     let spec = AttackSpec {
         dialect: PolicyDialect::Kubernetes,
-        allow_src: "10.0.0.0/8".parse().unwrap(),
+        allow_src: "10.0.0.0/8".parse()?,
         dst_port: None,
         src_port: None,
     };
-    println!("Fig. 2a — binary ACL representation (first octet of ip_src):\n");
-    println!("  ip_src     action");
-    println!("  00001010   allow");
-    println!("  ********   deny\n");
+    say!(
+        table,
+        "Fig. 2a — binary ACL representation (first octet of ip_src):\n"
+    );
+    say!(table, "  ip_src     action");
+    say!(table, "  00001010   allow");
+    say!(table, "  ********   deny\n");
 
     let pod_ip = u32::from_be_bytes([10, 1, 0, 66]);
     let mut sw = VSwitch::new(DpConfig::default());
@@ -42,7 +50,10 @@ fn main() {
         t += SimTime::from_micros(100);
     }
 
-    println!("Fig. 2b — resulting non-overlapping megaflow entries:\n");
+    say!(
+        table,
+        "Fig. 2b — resulting non-overlapping megaflow entries:\n"
+    );
     let mut rows: Vec<(u8, String, String, String)> = sw
         .megaflows()
         .iter()
@@ -61,16 +72,17 @@ fn main() {
     // Paper order: allow first, then deny rows by ascending mask length.
     rows.sort_by_key(|(len, _, _, action)| (action != "allow", *len));
     let mut csv = CsvTable::new(&["key", "mask", "action"]);
-    println!("  Key        Mask       Action");
+    say!(table, "  Key        Mask       Action");
     for (_, key, mask, action) in &rows {
-        println!("  {key}   {mask}   {action}");
+        say!(table, "  {key}   {mask}   {action}");
         csv.push_row(&[key.clone(), mask.clone(), action.clone()]);
     }
     let masks = sw.mask_count();
     let entries = sw.megaflow_count();
-    println!("\n  ⇒ {entries} entries over {masks} masks (paper: 9 entries, 8 masks)");
-    assert_eq!(entries, 9);
-    assert_eq!(masks, 8);
+    say!(
+        table,
+        "\n  ⇒ {entries} entries over {masks} masks (paper: 9 entries, 8 masks)"
+    );
 
     // Part 2: "8 masks and so 8 iterations for executing the TSS".
     // A packet matching no megaflow (fresh destination prefix pattern
@@ -80,14 +92,27 @@ fn main() {
     // ^ 11.0.0.99 hits the 8-bit deny subtable *last* in insertion
     //   order; measure with a fresh unique key to defeat the EMC.
     let out = sw.process(&probe, SimTime::from_secs(5));
-    println!(
-        "\nTSS iterations for a worst-case lookup: {} (paper: 8)",
-        out.path.probes()
+    let probes = out.path.probes();
+    say!(
+        table,
+        "\nTSS iterations for a worst-case lookup: {probes} (paper: 8)"
     );
 
-    let path = results_dir()
-        .expect("results dir")
-        .join("fig2_decomposition.csv");
-    csv.write_csv(&path).expect("write csv");
-    println!("\nCSV written to {}", path.display());
+    let claims = vec![
+        Claim::new(
+            "one 10.0.0.0/8 allow rule decomposes into 9 megaflow entries over 8 masks (Fig. 2b)",
+            format_args!("{entries} / {masks}"),
+            entries == 9 && masks == 8,
+        ),
+        Claim::new(
+            "a worst-case lookup then takes 8 TSS iterations",
+            probes,
+            probes == 8,
+        ),
+    ];
+    Ok(Output {
+        files: vec![("fig2_decomposition.csv", csv.to_csv())],
+        table,
+        claims,
+    })
 }

@@ -1,73 +1,149 @@
-//! # pi-bench — experiment harness
+//! # pi_bench — the results generator
 //!
-//! One binary per paper artefact (see DESIGN.md §4 and EXPERIMENTS.md):
+//! Every number under `results/` — and every README table that is not a
+//! host timing — comes from here. Each experiment is one function that
+//! runs its scenarios in simulated time and returns an [`Output`]: the
+//! artefact files as strings, the table for the terminal, and its
+//! headline claims as data ([`Claim`]), each stated once, next to where
+//! its number is computed.
 //!
-//! | binary | artefact |
-//! |---|---|
-//! | `fig2_decomposition` | Fig. 2a/2b — the ACL and its megaflow table |
-//! | `mask_sweep` | §2 claims E3/E4 — capacity vs mask count, 512/8192 rows |
-//! | `fig3_timeseries` | Fig. 3 — victim throughput + masks over 150 s |
-//! | `covert_bandwidth` | E6 — how little bandwidth sustains the attack |
-//! | `mitigation_ablation` | E7 — the demo-discussion defenses, quantified |
-//! | `field_scaling` | E8 — the ∏ field-width mask law |
-//! | `upcall_saturation` | the bounded slow path under a paced flood (BENCH_upcall.json) |
+//! Nothing in this crate reads a clock, the environment, the host's
+//! core count, git, or a file: an output is a pure function of the
+//! tree. That is the whole regression gate — `make results-check`
+//! regenerates `results/` and fails if `git status` sees a difference
+//! or a claim stopped holding, and `tests/results_artefacts.rs` does
+//! the same in-process for the ten cheap experiments on every
+//! `cargo test`. Host-time measurement lives in `benchmark/`, which
+//! does not depend on this crate; the wall-clock rows this crate used
+//! to produce are frozen in `results/history.md`.
 //!
-//! Run with `--release`; each prints an aligned table / ASCII figure and
-//! writes a CSV under `results/`.
+//! | experiment | artefact under `results/` | what it reproduces |
+//! |---|---|---|
+//! | `fig2` | `fig2_decomposition.csv` | Fig. 2a/2b — the ACL and its megaflow table |
+//! | `mask_sweep` | `mask_sweep.csv` | §2 — fast-path capacity vs mask count, the 512/8192 rows |
+//! | `field_scaling` | `field_scaling.csv` | §2 — masks = ∏ per-field prefix widths |
+//! | `covert` | `covert_bandwidth.csv` | §2 — how little bandwidth sustains the masks |
+//! | `fig3` | `fig3_timeseries.csv` | Fig. 3 — victim throughput and masks over 150 s |
+//! | `ablation` | `mitigation_ablation.csv` | the demo-discussion defenses, quantified |
+//! | `upcall` | `BENCH_upcall.json` | the bounded slow path under a paced flood |
+//! | `detect` | `BENCH_detect.json` | the closed-loop defense: time-to-detect, recovery |
+//! | `policy` | `BENCH_policy.json` | the zero-packet policy-flap flush storm |
+//! | `backends` | `BENCH_backends.json` | {backend × attack × defense} immunity matrix |
+//! | `fault` | `BENCH_fault.json` | crash recovery under attack |
+//! | `trace` | `trace_policy_flap.{prom,json}` | the traced flap's causal chain |
 //!
-//! `cargo bench -p pi-bench` runs the criterion microbenchmarks of the
-//! underlying mechanisms (TSS walk, EMC, tries, slow path, compiled
-//! ACLs).
+//! ```sh
+//! cargo run --release -p pi_bench --bin results -- [--out <dir>] [<experiment>…]
+//! ```
 
-use std::path::PathBuf;
+use std::fmt::Display;
 
+/// `println!` into an experiment's terminal table (`fmt::Write` on a
+/// `String` cannot fail).
+macro_rules! say {
+    ($out:expr) => {
+        $out.push('\n')
+    };
+    ($out:expr, $($arg:tt)*) => {{
+        use std::fmt::Write as _;
+        let _ = writeln!($out, $($arg)*);
+    }};
+}
+
+mod ablation;
+mod backends;
+mod covert;
+mod detect;
+mod fault;
+mod field_scaling;
+mod fig2;
+mod fig3;
+mod mask_sweep;
+mod policy;
 pub mod report;
-pub mod rows;
-pub mod stopwatch;
+mod trace;
+mod upcall;
 
-/// Resolves the shared results directory (`<workspace>/results`),
-/// creating it if needed. The error carries the offending path so the
-/// bench binaries' `.expect` calls stay informative.
-pub fn results_dir() -> std::io::Result<PathBuf> {
-    let dir = std::env::var("PI_RESULTS_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| {
-            PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-                .join("../..")
-                .join("results")
-        });
-    std::fs::create_dir_all(&dir)
-        .map_err(|e| std::io::Error::new(e.kind(), format!("create {}: {e}", dir.display())))?;
-    Ok(dir)
+/// One headline claim of an experiment, evaluated on the freshly
+/// computed value.
+#[derive(Debug)]
+pub struct Claim {
+    /// What is claimed, bar included.
+    pub text: &'static str,
+    /// The value the bar was applied to, as it should read in a table.
+    pub value: String,
+    /// Whether the claim holds on this tree.
+    pub holds: bool,
 }
 
-/// The canonical `fleet_colocation` macro-bench cell shared by the
-/// `fleet_scaling` and `hotpath` binaries: every host under active
-/// 512-mask policy injection starting at t = 1 s. One definition so the
-/// two benches' `switch_packets` stay comparable cell-for-cell.
-pub fn colocation_cell(
-    hosts: usize,
-    workers: usize,
-    duration_secs: u64,
-) -> pi_fleet::ColocationParams {
-    pi_fleet::ColocationParams {
-        hosts,
-        victims: hosts,
-        attackers: hosts / 2,
-        spec: pi_attack::AttackSpec::masks_512(pi_cms::PolicyDialect::Kubernetes),
-        attack_start: pi_core::SimTime::from_secs(1),
-        stagger: pi_core::SimTime::ZERO,
-        duration: pi_core::SimTime::from_secs(duration_secs),
-        workers,
-        ..Default::default()
+impl Claim {
+    fn new(text: &'static str, value: impl Display, holds: bool) -> Self {
+        Claim {
+            text,
+            value: value.to_string(),
+            holds,
+        }
     }
 }
 
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn results_dir_is_creatable() {
-        let d = super::results_dir().expect("results dir");
-        assert!(d.exists());
+/// What one experiment produces.
+#[derive(Debug)]
+pub struct Output {
+    /// Artefacts as `(path relative to the output directory, contents)`.
+    pub files: Vec<(&'static str, String)>,
+    /// The table / figure for the terminal.
+    pub table: String,
+    /// The headline claims.
+    pub claims: Vec<Claim>,
+}
+
+/// Runs one experiment. The only failure is a malformed constant in
+/// the experiment's own set-up (a CIDR that does not parse).
+pub type Run = fn() -> pi_core::Result<Output>;
+
+/// Every experiment by the name `results` selects it by, in the order
+/// it runs them: the paper's artefacts, then the extensions.
+pub const EXPERIMENTS: [(&str, Run); 12] = [
+    ("fig2", fig2::run),
+    ("mask_sweep", mask_sweep::run),
+    ("field_scaling", field_scaling::run),
+    ("covert", covert::run),
+    ("fig3", fig3::run),
+    ("ablation", ablation::run),
+    ("upcall", upcall::run),
+    ("detect", detect::run),
+    ("policy", policy::run),
+    ("backends", backends::run),
+    ("fault", fault::run),
+    ("trace", trace::run),
+];
+
+/// The experiment called `name`.
+pub fn experiment(name: &str) -> Option<Run> {
+    EXPERIMENTS
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|&(_, run)| run)
+}
+
+/// Renders `summary.md`: one row per claim of a full run, given as
+/// `(experiment, its claims)`.
+pub fn summary(runs: &[(&'static str, Vec<Claim>)]) -> String {
+    let mut md = String::from(
+        "# Results summary\n\n\
+         Written by `make results` (`cargo run --release -p pi_bench --bin results`):\n\
+         every row is a claim evaluated on the value that run computed, in simulated\n\
+         time. `make results-check` fails when a row stops holding or when any file\n\
+         in this directory no longer regenerates byte for byte. Host-time numbers\n\
+         are `benchmark/`'s; the wall-clock rows this directory used to carry are\n\
+         frozen in `history.md`.\n\n\
+         | experiment | claim | value | holds |\n|---|---|---:|---|\n",
+    );
+    for (name, claims) in runs {
+        for c in claims {
+            let holds = if c.holds { "yes" } else { "**NO**" };
+            say!(md, "| `{name}` | {} | {} | {holds} |", c.text, c.value);
+        }
     }
+    md
 }

@@ -1,4 +1,4 @@
-//! `policy_churn` — the control-plane flush storm, measured.
+//! `policy` — the control-plane flush storm, measured.
 //!
 //! Runs the single-node policy-churn scenario
 //! ([`pi_sim::policy_churn_scenario`]) in three configurations:
@@ -26,12 +26,15 @@
 //! megaflows, and the control-plane cycles charged. Fully
 //! deterministic — one run per row.
 //!
-//! Output: `BENCH_policy.json` (override with `PI_BENCH_POLICY_OUT`).
-//! `--smoke` shrinks the run for CI.
+//! Output: `BENCH_policy.json`.
 
-use pi_bench::report::{Fields, Report};
 use pi_core::SimTime;
 use pi_sim::{policy_churn_scenario, PolicyChurnParams};
+
+use crate::report::{Fields, Report};
+use crate::{Claim, Output};
+
+const SIM_SECS: u64 = 10;
 
 struct Row {
     mode: &'static str,
@@ -47,18 +50,14 @@ struct Row {
     upcalls: u64,
 }
 
-fn run_mode(mode: &'static str, sim_secs: u64) -> Row {
-    let mut params = PolicyChurnParams {
-        duration: SimTime::from_secs(sim_secs),
-        attack_start: SimTime::from_secs(sim_secs.min(2)),
+fn run_mode(mode: &'static str, flap: bool, scoped_invalidation: bool) -> Row {
+    let params = PolicyChurnParams {
+        duration: SimTime::from_secs(SIM_SECS),
+        attack_start: SimTime::from_secs(2),
+        flap,
+        scoped_invalidation,
         ..Default::default()
     };
-    match mode {
-        "benign_churn" => params.flap = false,
-        "policy_flap" => {}
-        "policy_flap_scoped" => params.scoped_invalidation = true,
-        other => unreachable!("unknown mode {other}"),
-    }
     let (sim, handles) = policy_churn_scenario(&params);
     let report = sim.run();
     let victim = &report.source_totals[handles.victim_source];
@@ -81,12 +80,13 @@ fn run_mode(mode: &'static str, sim_secs: u64) -> Row {
     }
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let sim_secs: u64 = if smoke { 4 } else { 10 };
+/// Runs the three modes.
+pub(crate) fn run() -> pi_core::Result<Output> {
     let defaults = PolicyChurnParams::default();
-    println!("policy_churn: {sim_secs} simulated seconds per mode");
-    println!(
+    let mut table = String::new();
+    say!(table, "{SIM_SECS} simulated seconds per mode");
+    say!(
+        table,
         "{:>18} {:>12} {:>12} {:>10} {:>9} {:>9} {:>12} {:>12}",
         "mode",
         "victim_pps",
@@ -97,17 +97,20 @@ fn main() {
         "flushed_mf",
         "ctrl_cycles"
     );
-    let rows: Vec<Row> = ["benign_churn", "policy_flap", "policy_flap_scoped"]
-        .into_iter()
-        .map(|mode| run_mode(mode, sim_secs))
-        .collect();
-    let baseline_pps = rows[0].victim_pps;
+    let rows = [
+        run_mode("benign_churn", false, false),
+        run_mode("policy_flap", true, false),
+        run_mode("policy_flap_scoped", true, true),
+    ];
+    let [benign, flap, scoped] = &rows;
+    let retained = |r: &Row| r.victim_pps / benign.victim_pps;
     for r in &rows {
-        println!(
+        say!(
+            table,
             "{:>18} {:>12.0} {:>12.3} {:>10} {:>9} {:>9} {:>12} {:>12}",
             r.mode,
             r.victim_pps,
-            r.victim_pps / baseline_pps,
+            retained(r),
             r.policy_updates,
             r.cache_flushes,
             r.upcalls,
@@ -133,11 +136,11 @@ fn main() {
         report.row(
             Fields::new()
                 .s("mode", r.mode)
-                .u("sim_secs", sim_secs)
+                .u("sim_secs", SIM_SECS)
                 .u("victim_offered", r.victim_offered)
                 .u("victim_delivered", r.victim_delivered)
                 .f("victim_pps", r.victim_pps, 1)
-                .f("retained_vs_benign", r.victim_pps / baseline_pps, 4)
+                .f("retained_vs_benign", retained(r), 4)
                 .u("victim_dropped_capacity", r.victim_dropped_capacity)
                 .u("attack_packets", r.attack_packets)
                 .u("policy_updates", r.policy_updates)
@@ -147,22 +150,22 @@ fn main() {
                 .u("upcalls", r.upcalls),
         );
     }
-    let out = report
-        .write("BENCH_policy.json", "PI_BENCH_POLICY_OUT")
-        .expect("write report");
-    println!("\nwrote {}", out.display());
 
-    // Keep the bench honest about its own claims: the flap must
-    // collapse the victim and scoped invalidation must restore it.
-    // The smoke run's attacked window is only half the run (2 s of 4),
-    // so its collapse bar is proportionally looser.
-    let collapse_bar = if smoke { 0.75 } else { 0.6 };
-    assert!(
-        rows[1].victim_pps < collapse_bar * baseline_pps,
-        "policy_flap failed to collapse the victim"
-    );
-    assert!(
-        rows[2].victim_pps > 0.9 * baseline_pps,
-        "scoped invalidation failed to restore the victim"
-    );
+    let claims = vec![
+        Claim::new(
+            "the zero-packet policy flap collapses the victim (retained < 0.6 of benign)",
+            format_args!("{:.4}", retained(flap)),
+            retained(flap) < 0.6,
+        ),
+        Claim::new(
+            "destination-scoped invalidation restores the victim (retained > 0.9)",
+            format_args!("{:.4}", retained(scoped)),
+            retained(scoped) > 0.9,
+        ),
+    ];
+    Ok(Output {
+        files: vec![("BENCH_policy.json", report.render())],
+        table,
+        claims,
+    })
 }

@@ -1,25 +1,23 @@
-//! The shared bench-report writer: every `BENCH_*.json` artefact is
-//! emitted through [`Report`], so they all carry the same envelope —
+//! The shared report writer: every `BENCH_*.json` artefact is rendered
+//! through [`Report`], so they all carry the same envelope —
 //!
 //! ```json
 //! {
-//!   "bench": "...",            // binary name (back-compat alias)
+//!   "bench": "...",            // which experiment (historical bin name)
 //!   "scenario": "...",         // which scenario produced the rows
-//!   "git_rev": "...",          // short commit of the measured tree
-//!   "available_cores": 4,      // host parallelism during the run
 //!   "params": { ... },         // scenario-level parameters
-//!   "rows": [ {...}, ... ]     // one object per measured row
+//!   "rows": [ {...}, ... ]     // one object per row, one row per line
 //! }
 //! ```
 //!
-//! Rows are rendered one per line (4-space indent) so downstream
-//! tooling — and the `hotpath` bench's own merge-on-rerun — can operate
-//! line-wise without a JSON parser. The writer is hand-rolled on
-//! purpose: the repo takes no serialization dependency for five small
-//! artefacts.
+//! The envelope names nothing about the host or the checkout (no git
+//! rev, no core count): a file's rev is the commit it sits in, and the
+//! rendering is a pure function of the report, which is what lets
+//! `make results-check` gate the artefacts with `git status`. The
+//! writer is hand-rolled on purpose: the repo takes no serialization
+//! dependency for five small artefacts.
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
 /// One JSON scalar, with explicit float precision so re-runs produce
 /// stable, diffable artefacts.
@@ -31,8 +29,6 @@ pub enum Value {
     Bool(bool),
     /// An unsigned counter.
     UInt(u64),
-    /// A signed integer.
-    Int(i64),
     /// A float printed with the given number of decimals. Non-finite
     /// values render as `null` (JSON has no NaN).
     Float(f64, usize),
@@ -48,9 +44,6 @@ impl Value {
                 let _ = write!(out, "{b}");
             }
             Value::UInt(v) => {
-                let _ = write!(out, "{v}");
-            }
-            Value::Int(v) => {
                 let _ = write!(out, "{v}");
             }
             Value::Float(v, prec) => {
@@ -146,20 +139,16 @@ pub struct Report {
     bench: String,
     scenario: String,
     params: Fields,
-    /// Pre-rendered row lines (merged from a previous artefact) that
-    /// precede the freshly measured rows.
-    carried_rows: Vec<String>,
     rows: Vec<Fields>,
 }
 
 impl Report {
-    /// A new report for `bench` (the binary) over `scenario`.
+    /// A new report for `bench` over `scenario`.
     pub fn new(bench: &str, scenario: &str) -> Self {
         Report {
             bench: bench.to_string(),
             scenario: scenario.to_string(),
             params: Fields::new(),
-            carried_rows: Vec::new(),
             rows: Vec::new(),
         }
     }
@@ -175,86 +164,22 @@ impl Report {
         self.rows.push(row);
     }
 
-    /// Appends an already-rendered row line (no trailing comma) ahead
-    /// of the measured rows — the `hotpath` merge-on-rerun path.
-    pub fn carry_row(&mut self, line: String) {
-        self.carried_rows.push(line);
-    }
-
     /// Renders the artefact.
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
         let _ = writeln!(out, "  \"bench\": \"{}\",", self.bench);
         let _ = writeln!(out, "  \"scenario\": \"{}\",", self.scenario);
-        let _ = writeln!(out, "  \"git_rev\": \"{}\",", git_rev());
-        let _ = writeln!(out, "  \"available_cores\": {},", available_cores());
         out.push_str("  \"params\": ");
         self.params.render(&mut out);
         out.push_str(",\n  \"rows\": [\n");
-        let mut lines: Vec<String> = self.carried_rows.clone();
-        for row in &self.rows {
-            let mut line = String::from("    ");
-            row.render(&mut line);
-            lines.push(line);
+        for (i, row) in self.rows.iter().enumerate() {
+            out.push_str(if i > 0 { ",\n    " } else { "    " });
+            row.render(&mut out);
         }
-        out.push_str(&lines.join(",\n"));
         out.push_str("\n  ]\n}\n");
         out
     }
-
-    /// Writes the artefact to `$env_var`, or `default_name` in the
-    /// working directory when the override is unset. Returns the path
-    /// written, or the error annotated with that path (library code
-    /// must not panic — workspace `panics` audit rule).
-    pub fn write(&self, default_name: &str, env_var: &str) -> std::io::Result<PathBuf> {
-        let out = std::env::var(env_var).unwrap_or_else(|_| default_name.to_string());
-        std::fs::write(&out, self.render())
-            .map_err(|e| std::io::Error::new(e.kind(), format!("write {out}: {e}")))?;
-        Ok(PathBuf::from(out))
-    }
-}
-
-/// Extracts the row lines of a previous artefact's `"rows": [ ... ]`
-/// array (this writer's line-per-row shape, not a general parser),
-/// excluding rows containing `drop_needle` — those are about to be
-/// re-measured and replaced.
-pub fn extract_rows(json: &str, drop_needle: &str) -> Vec<String> {
-    let Some(start) = json.find("\"rows\": [") else {
-        return Vec::new();
-    };
-    let start = start + "\"rows\": [".len();
-    let Some(end) = json[start..].rfind(']') else {
-        return Vec::new();
-    };
-    json[start..start + end]
-        .lines()
-        .map(|l| l.trim_end_matches(',').trim_end())
-        .filter(|l| !l.trim().is_empty() && !l.contains(drop_needle))
-        .map(String::from)
-        .collect()
-}
-
-/// Host parallelism during the run (1 when unknown).
-pub fn available_cores() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Short commit hash of the measured tree (`"unknown"` outside a git
-/// checkout or without a `git` binary).
-pub fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .current_dir(env!("CARGO_MANIFEST_DIR"))
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
 }
 
 #[cfg(test)]
@@ -262,7 +187,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn envelope_has_the_shared_schema() {
+    fn rendering_is_a_pure_function_of_the_report() {
         let mut r =
             Report::new("demo", "demo_scenario").params(Fields::new().u("n", 3).f("rate", 0.5, 2));
         r.row(
@@ -278,23 +203,18 @@ mod tests {
                 .b("ok", true),
         );
         let json = r.render();
-        for key in [
-            "\"bench\": \"demo\"",
-            "\"scenario\": \"demo_scenario\"",
-            "\"git_rev\": ",
-            "\"available_cores\": ",
-            "\"params\": {\"n\": 3, \"rate\": 0.50}",
-            "\"t\": null",
-            "\"ratio\": 0.250",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
+        assert_eq!(json, r.render(), "two renders of one report must agree");
+        assert_eq!(
+            json,
+            "{\n  \"bench\": \"demo\",\n  \"scenario\": \"demo_scenario\",\n  \
+             \"params\": {\"n\": 3, \"rate\": 0.50},\n  \"rows\": [\n    \
+             {\"mode\": \"a\", \"count\": 1, \"t\": null},\n    \
+             {\"mode\": \"b\", \"ratio\": 0.250, \"ok\": true}\n  ]\n}\n"
+        );
+        // Nothing about the host or the checkout may reach an artefact.
+        for key in ["git_rev", "available_cores"] {
+            assert!(!json.contains(key), "{key} leaked into {json}");
         }
-        // One row per line: the merge contract.
-        let rows = extract_rows(&json, "\"mode\": \"zzz\"");
-        assert_eq!(rows.len(), 2);
-        let kept = extract_rows(&json, "\"mode\": \"a\"");
-        assert_eq!(kept.len(), 1);
-        assert!(kept[0].contains("\"mode\": \"b\""));
     }
 
     #[test]

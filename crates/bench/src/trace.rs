@@ -1,4 +1,4 @@
-//! `trace_forensics` — the traced policy-flap attack, end to end.
+//! `trace` — the traced policy-flap attack, end to end.
 //!
 //! Runs the single-node policy-churn scenario with the flap attack and
 //! the adaptive defense, with structured tracing enabled, and then
@@ -15,26 +15,26 @@
 //!    update's id: the defense can name the update that caused the
 //!    collapse it is mitigating.
 //!
-//! The Chrome trace-event export is written to
-//! `results/trace_policy_flap.json` (loadable in Perfetto /
-//! `chrome://tracing`; validated here with the dependency-free JSON
-//! checker) and the Prometheus-style snapshot to
-//! `results/trace_policy_flap.prom`. CI runs this binary: a tree where
-//! the causal chain breaks — updates stop flushing, rebuilds lose
-//! attribution, or the detector goes silent — fails the build.
-//!
-//! `--smoke` shortens the run; every assertion still holds.
+//! Output: the Chrome trace-event export `trace_policy_flap.json`
+//! (loadable in Perfetto / `chrome://tracing`; 4 MB, git-ignored) and
+//! the Prometheus-style snapshot `trace_policy_flap.prom` (committed).
+//! Each link of the chain is a claim: a tree where updates stop
+//! flushing, rebuilds lose attribution, the detector goes silent or
+//! the export stops parsing fails `results`.
 
 use pi_core::SimTime;
 use pi_detect::ControllerConfig;
 use pi_sim::{policy_churn_scenario, PolicyChurnParams, TraceConfig, TraceEventKind};
 use pi_trace::{chrome_trace_json, prometheus_snapshot, validate_json, CauseId};
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let sim_secs: u64 = if smoke { 6 } else { 12 };
+use crate::{Claim, Output};
+
+const SIM_SECS: u64 = 12;
+
+/// Runs the traced flap and walks the merged trace.
+pub(crate) fn run() -> pi_core::Result<Output> {
     let params = PolicyChurnParams {
-        duration: SimTime::from_secs(sim_secs),
+        duration: SimTime::from_secs(SIM_SECS),
         attack_start: SimTime::from_secs(2),
         defense: Some(ControllerConfig::default()),
         ..Default::default()
@@ -43,21 +43,21 @@ fn main() {
     sim.set_trace(TraceConfig::enabled());
     let report = sim.run();
     let trace = &report.trace;
-    assert!(!trace.is_empty(), "enabled tracing must record events");
-    assert_eq!(trace.dropped, 0, "ring must hold the whole run");
 
-    println!(
-        "trace_forensics: {} simulated seconds, {} events ({} dropped)",
-        sim_secs,
+    let mut table = String::new();
+    say!(
+        table,
+        "{SIM_SECS} simulated seconds, {} events ({} dropped)",
         trace.events.len(),
         trace.dropped
     );
 
     // 1. The attacker's flap updates: ACL installs (op 0) that arrive
     //    after attack_start and flushed cached state. Each must carry a
-    //    real causality id.
+    //    real causality id naming the updated host.
     let attack_ns = params.attack_start.as_nanos();
     let mut flap_causes: Vec<CauseId> = Vec::new();
+    let mut unattributed_updates = 0usize;
     let mut flushes_by_cause = 0usize;
     let mut attributed_windows = 0usize;
     let mut churn_detections: Vec<CauseId> = Vec::new();
@@ -69,12 +69,9 @@ fn main() {
                 applied: true,
                 ..
             } if ev.at_ns >= attack_ns && flushed > 0 => {
-                assert!(ev.cause.is_some(), "flap update without a causality id");
-                assert_eq!(
-                    ev.cause.host(),
-                    Some(handles.node as u32),
-                    "cause id must name the updated host"
-                );
+                if !ev.cause.is_some() || ev.cause.host() != Some(handles.node as u32) {
+                    unattributed_updates += 1;
+                }
                 flap_causes.push(ev.cause);
             }
             TraceEventKind::CacheFlush { .. } if flap_causes.contains(&ev.cause) => {
@@ -95,32 +92,8 @@ fn main() {
             _ => {}
         }
     }
-
-    // 2–4. The chain, link by link.
-    assert!(
-        flap_causes.len() >= 10,
-        "expected a train of flap updates, got {}",
-        flap_causes.len()
-    );
-    assert!(
-        flushes_by_cause >= flap_causes.len(),
-        "every flap update must flush under its own cause id \
-         ({flushes_by_cause} flushes for {} updates)",
-        flap_causes.len()
-    );
-    assert!(
-        attributed_windows > 0,
-        "the rebuild storm must be attributed to flap causes"
-    );
-    assert!(
-        !churn_detections.is_empty(),
-        "the PolicyChurn detector must fire on the traced flap"
-    );
-    assert!(
-        churn_detections.iter().any(|c| flap_causes.contains(c)),
-        "a PolicyChurn detection must carry a flap update's cause id"
-    );
-    println!(
+    say!(
+        table,
         "causal chain: {} flap updates -> {} flushes -> {} attributed rebuild windows -> {} PolicyChurn detections",
         flap_causes.len(),
         flushes_by_cause,
@@ -128,18 +101,51 @@ fn main() {
         churn_detections.len()
     );
 
-    // Exports: Chrome trace-event JSON (must parse) + Prometheus text.
     let chrome = chrome_trace_json(trace);
-    validate_json(&chrome).expect("chrome trace export must be valid JSON");
-    let dir = pi_bench::results_dir().expect("results dir");
-    let json_path = dir.join("trace_policy_flap.json");
-    std::fs::write(&json_path, &chrome).expect("write chrome trace");
-    let prom_path = dir.join("trace_policy_flap.prom");
-    std::fs::write(&prom_path, prometheus_snapshot(trace)).expect("write prometheus snapshot");
-    println!(
-        "wrote {} ({} bytes) and {}",
-        json_path.display(),
-        chrome.len(),
-        prom_path.display()
-    );
+    say!(table, "chrome trace export: {} bytes", chrome.len());
+
+    // 2–4. The chain, link by link.
+    let claims = vec![
+        Claim::new(
+            "enabled tracing records the whole run (events > 0, none dropped)",
+            format_args!("{} events, {} dropped", trace.events.len(), trace.dropped),
+            !trace.is_empty() && trace.dropped == 0,
+        ),
+        Claim::new(
+            "a train of ≥ 10 flap updates, each with a causality id naming the updated host",
+            format_args!(
+                "{} updates, {unattributed_updates} without",
+                flap_causes.len()
+            ),
+            flap_causes.len() >= 10 && unattributed_updates == 0,
+        ),
+        Claim::new(
+            "every flap update flushes the cache under its own cause id",
+            format_args!("{flushes_by_cause} flushes"),
+            flushes_by_cause >= flap_causes.len(),
+        ),
+        Claim::new(
+            "the rebuild storm is attributed to flap causes",
+            format_args!("{attributed_windows} windows"),
+            attributed_windows > 0,
+        ),
+        Claim::new(
+            "a PolicyChurn detection fires and carries a flap update's cause id",
+            format_args!("{} detections", churn_detections.len()),
+            churn_detections.iter().any(|c| flap_causes.contains(c)),
+        ),
+        Claim::new(
+            "the Chrome trace-event export parses as JSON",
+            format_args!("{} bytes", chrome.len()),
+            validate_json(&chrome).is_ok(),
+        ),
+    ];
+    Ok(Output {
+        files: vec![
+            ("trace_policy_flap.prom", prometheus_snapshot(trace)),
+            ("trace_policy_flap.json", chrome),
+        ],
+        table,
+        claims,
+    })
 }

@@ -1,4 +1,4 @@
-//! `upcall_saturation` — the bounded slow path under a paced flood.
+//! `upcall` — the bounded slow path under a paced flood.
 //!
 //! Runs the single-node handler-saturation scenario
 //! ([`pi_sim::upcall_saturation_scenario`]) in three configurations and
@@ -20,16 +20,18 @@
 //! The scenario metrics are fully deterministic, so one run per row
 //! suffices (no wall-clock sampling involved).
 //!
-//! Output: `BENCH_upcall.json` (override with `PI_BENCH_UPCALL_OUT`).
-//! `--smoke` shrinks the run to two simulated seconds for CI (the
-//! victim starts at t = 1 s, so its effective window is one second).
-//! Drop rates are computed over `generated`, which includes the few
-//! connections still parked in the pipeline when the clock stops (see
-//! `SourceTotals` — totals don't conserve at the run boundary).
+//! Output: `BENCH_upcall.json`. Drop rates are computed over
+//! `generated`, which includes the few connections still parked in the
+//! pipeline when the clock stops (see `SourceTotals` — totals don't
+//! conserve at the run boundary).
 
-use pi_bench::report::{Fields, Report};
 use pi_core::SimTime;
 use pi_sim::{upcall_saturation_scenario, UpcallSaturationParams};
+
+use crate::report::{Fields, Report};
+use crate::{Claim, Output};
+
+const SIM_SECS: u64 = 10;
 
 struct Row {
     mode: &'static str,
@@ -44,17 +46,13 @@ struct Row {
     upcalls_handled: u64,
 }
 
-fn run_mode(mode: &'static str, sim_secs: u64) -> Row {
-    let mut params = UpcallSaturationParams {
-        duration: SimTime::from_secs(sim_secs),
+fn run_mode(mode: &'static str, inline_baseline: bool, port_quota_per_step: Option<u32>) -> Row {
+    let params = UpcallSaturationParams {
+        duration: SimTime::from_secs(SIM_SECS),
+        inline_baseline,
+        port_quota_per_step,
         ..Default::default()
     };
-    match mode {
-        "inline" => params.inline_baseline = true,
-        "bounded" => {}
-        "fair_share" => params.port_quota_per_step = Some(8),
-        other => unreachable!("unknown mode {other}"),
-    }
     let (sim, handles) = upcall_saturation_scenario(&params);
     let report = sim.run();
     let victim = &report.source_totals[handles.victim_source];
@@ -74,11 +72,12 @@ fn run_mode(mode: &'static str, sim_secs: u64) -> Row {
     }
 }
 
-fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let sim_secs: u64 = if smoke { 2 } else { 10 };
-    println!("upcall_saturation: {sim_secs} simulated seconds per mode");
-    println!(
+/// Runs the three modes.
+pub(crate) fn run() -> pi_core::Result<Output> {
+    let mut table = String::new();
+    say!(table, "{SIM_SECS} simulated seconds per mode");
+    say!(
+        table,
         "{:>11} {:>14} {:>12} {:>12} {:>16} {:>18} {:>15}",
         "mode",
         "victim_offered",
@@ -88,12 +87,14 @@ fn main() {
         "latency_steps",
         "attacker_drops"
     );
-    let rows: Vec<Row> = ["inline", "bounded", "fair_share"]
-        .into_iter()
-        .map(|mode| run_mode(mode, sim_secs))
-        .collect();
+    let rows = [
+        run_mode("inline", true, None),
+        run_mode("bounded", false, None),
+        run_mode("fair_share", false, Some(8)),
+    ];
     for r in &rows {
-        println!(
+        say!(
+            table,
             "{:>11} {:>14} {:>12.0} {:>12.4} {:>16} {:>18.2} {:>15}",
             r.mode,
             r.victim_offered,
@@ -115,7 +116,7 @@ fn main() {
         report.row(
             Fields::new()
                 .s("mode", r.mode)
-                .u("sim_secs", sim_secs)
+                .u("sim_secs", SIM_SECS)
                 .u("victim_offered", r.victim_offered)
                 .u("victim_delivered", r.victim_delivered)
                 .f("victim_pps", r.victim_pps, 1)
@@ -131,8 +132,28 @@ fn main() {
                 .u("upcalls_handled", r.upcalls_handled),
         );
     }
-    let out = report
-        .write("BENCH_upcall.json", "PI_BENCH_UPCALL_OUT")
-        .expect("write report");
-    println!("\nwrote {}", out.display());
+
+    let [inline, bounded, fair] = &rows;
+    let claims = vec![
+        Claim::new(
+            "the inline slow path never drops the victim's upcalls (drop rate 0)",
+            format_args!("{:.3}", inline.victim_drop_rate),
+            inline.victim_upcall_drops == 0,
+        ),
+        Claim::new(
+            "the flood starves the victim on the bounded slow path (drop rate > 0.9)",
+            format_args!("{:.3}", bounded.victim_drop_rate),
+            bounded.victim_drop_rate > 0.9,
+        ),
+        Claim::new(
+            "the per-port fair-share quota restores the victim (drop rate 0)",
+            format_args!("{:.3}", fair.victim_drop_rate),
+            fair.victim_upcall_drops == 0,
+        ),
+    ];
+    Ok(Output {
+        files: vec![("BENCH_upcall.json", report.render())],
+        table,
+        claims,
+    })
 }

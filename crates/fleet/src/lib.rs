@@ -22,8 +22,8 @@
 //!   adversarial co-location) on the [`pi_cms`] tenant/pod model, with
 //!   policy injection through real CMS admission.
 //! * [`scenario`] — the `fleet_colocation`, `fleet_migration` and
-//!   `fleet_sparse` experiments; `pi_bench`'s `fleet_scaling` sweeps
-//!   hosts × workers.
+//!   `fleet_sparse` experiments; `benchmark/` times the first and the
+//!   last (`colo_*`, `sparse_idle`).
 //!
 //! [`FleetBuilder`], [`FleetSim`], [`FleetConfig`], [`FleetReport`] and
 //! [`BlastRadius`] are re-exports of the `pi_sim` types — the names

@@ -6,8 +6,8 @@
 //! * [`fleet_migration`] — victims rescheduled off a saturated host
 //!   mid-run: does moving the tenants away actually restore service?
 //! * [`fleet_sparse`] — a large fleet where only a handful of hosts see
-//!   traffic: the event-driven engine's home turf, and the workload the
-//!   `fleet_scaling` bench uses to measure tick-skipping.
+//!   traffic: the event-driven engine's home turf, and the workload
+//!   `benchmark/`'s `sparse_idle` times tick-skipping on.
 
 use pi_attack::{AttackSchedule, AttackSpec};
 use pi_cms::{Cidr, IngressRule, NetworkPolicy, PlacementStrategy, Protocol};

@@ -1,6 +1,6 @@
-//! Terminal plotting — the bench binaries render each paper figure as
-//! ASCII art next to its CSV, so `cargo run -p pi-bench --bin
-//! fig3_timeseries` visually reproduces Fig. 3 in the terminal.
+//! Terminal plotting — the experiments render each paper figure as
+//! ASCII art next to its CSV, so `cargo run -p pi_bench --bin results
+//! -- fig3` visually reproduces Fig. 3 in the terminal.
 
 use crate::series::TimeSeries;
 

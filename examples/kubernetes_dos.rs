@@ -7,7 +7,7 @@
 //! cargo run --release --example kubernetes_dos
 //! ```
 //! (The full 150 s reproduction lives in
-//! `cargo run --release -p pi-bench --bin fig3_timeseries`.)
+//! `cargo run --release -p pi_bench --bin results -- fig3`.)
 
 use policy_injection::prelude::*;
 
