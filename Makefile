@@ -55,7 +55,10 @@ results-check: results
 # `benchmark-digests` answers "are the outputs still correct" locally:
 # one short seed-2018 run per workload, the report digest on its
 # `detail:` line compared with the reference (`benchmark/README.md`,
-# "Reference numbers"); exit 1 on the first mismatch.
+# "Reference numbers"); exit 1 on the first mismatch — or if the build
+# left `git status -- benchmark BENCHMARK.json` non-empty (cargo rewrites
+# the tracked `benchmark/Cargo.lock` when a `[dependencies]` line it
+# records disappears from a crate's manifest).
 BENCHMARK = --release --offline --manifest-path benchmark/Cargo.toml
 
 benchmark:
@@ -83,6 +86,11 @@ benchmark-digests:
 		if [ "$$got" = "$$want" ]; then echo "$$w $$got ok"; \
 		else echo "$$w: digest '$$got', expected $$want"; exit 1; fi; \
 	done
+	@touched=$$(git status --porcelain -- benchmark BENCHMARK.json); \
+	if [ -n "$$touched" ]; then \
+		echo "building or running the benchmark changed tracked files under benchmark/:"; \
+		echo "$$touched"; exit 1; \
+	fi
 
 example-fleet:
 	$(CARGO) run --release --example fleet_blast_radius

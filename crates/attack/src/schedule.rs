@@ -165,6 +165,8 @@ impl AttackSchedule {
     /// live flow per flap — while the attacker pays nothing but API
     /// calls. This is the paper's control-plane seam taken to its
     /// logical end: no covert stream, no bandwidth budget, just churn.
+    /// A window that starts at or after `until` is the attack switched
+    /// off: the program is empty.
     ///
     /// Feed the returned program to
     /// `FleetBuilder::attach_control_plane`; pair with
@@ -178,8 +180,8 @@ impl AttackSchedule {
         period: SimTime,
     ) -> pi_cms::ControlPlaneProgram {
         assert!(period > SimTime::ZERO, "flap period must be positive");
-        assert!(until > start, "flap window must be non-empty");
-        let count = (until - start).as_nanos().div_ceil(period.as_nanos());
+        let window = until.saturating_sub(start);
+        let count = window.as_nanos().div_ceil(period.as_nanos());
         let mut program = pi_cms::ControlPlaneProgram::new();
         program.install_acl_every(start, period, count as usize, acl_ip, table);
         program
@@ -416,6 +418,11 @@ mod tests {
         let mut cp = program.compile();
         assert!(cp.due(SimTime::from_millis(59_999)).is_empty());
         assert_eq!(cp.due(SimTime::from_secs(61)).len(), 100);
+        // A window that starts at or after its end is the attack off.
+        let at = SimTime::from_secs(61);
+        let off =
+            AttackSchedule::policy_flap(0x0a01_0042, &table, at, at, SimTime::from_millis(10));
+        assert!(off.is_empty());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! ```json
 //! {
 //!   "total": 159,
-//!   "crates": { "pi_fleet": { "panics": 34 } }
+//!   "crates": { "pi_sim": { "panics": 34 } }
 //! }
 //! ```
 

@@ -42,6 +42,7 @@
 use pi_attack::AttackSpec;
 use pi_core::SimTime;
 use pi_datapath::{BackendKind, DpConfig};
+use pi_sim::scenario::UPCALL_VICTIM_START;
 use pi_sim::{
     measure_backend_capacity, policy_churn_scenario, upcall_saturation_scenario, CapacityWorkload,
     PolicyChurnParams, UpcallSaturationParams,
@@ -114,8 +115,8 @@ fn flood_cell(backend: BackendKind, defended: bool) -> Cell {
         };
         let (sim, handles) = upcall_saturation_scenario(&params);
         let report = sim.run();
-        let victim = &report.source_totals[handles.victim_source];
-        let window = (params.duration - params.victim_start).as_secs_f64();
+        let victim = &report.source_totals[handles.source("victim")];
+        let window = (params.duration - UPCALL_VICTIM_START).as_secs_f64();
         victim.delivered as f64 / window
     };
     let baseline_pps = run(false);
@@ -147,7 +148,7 @@ fn flap_cell(backend: BackendKind, defended: bool) -> Cell {
         };
         let (sim, handles) = policy_churn_scenario(&params);
         let report = sim.run();
-        let victim = &report.source_totals[handles.victim_source];
+        let victim = &report.source_totals[handles.source("victim")];
         victim.delivered as f64 / params.duration.as_secs_f64()
     };
     let baseline_pps = run(false);

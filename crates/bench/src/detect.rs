@@ -28,6 +28,7 @@
 
 use pi_core::SimTime;
 use pi_detect::{ControllerConfig, DetectorConfig, SignalConfig};
+use pi_sim::scenario::{BENIGN_CHURN_PPS, CHURN_VICTIM_PPS, FLOOD_BANDWIDTH_BPS};
 use pi_sim::{adaptive_defense_scenario, AdaptiveDefenseParams, DefenseMode};
 
 use crate::report::{Fields, Report};
@@ -78,15 +79,15 @@ fn run_mode(mode: &'static str, defense: DefenseMode) -> Row {
         duration: SimTime::from_secs(SIM_SECS),
         attack_start: SimTime::from_secs(ATTACK_SECS),
         defense,
-        ..Default::default()
     };
     let (sim, handles) = adaptive_defense_scenario(&params);
     let report = sim.run();
-    let victim = &report.source_totals[handles.victim_source];
+    let (victim_source, node) = (handles.source("victim"), handles.attacker_hosts[0]);
+    let victim = &report.source_totals[victim_source];
     let attack_start = params.attack_start;
     let ms_after_onset = |t: SimTime| (t.as_nanos() as f64 - attack_start.as_nanos() as f64) / 1e6;
     let (detect, mitigate, benign_detections, benign_activations, activations) =
-        match &report.defense[handles.node] {
+        match &report.defense[node] {
             Some(d) => (
                 d.first_detection().map(ms_after_onset),
                 d.first_mitigation().map(ms_after_onset),
@@ -103,10 +104,10 @@ fn run_mode(mode: &'static str, defense: DefenseMode) -> Row {
     // against the offered churn rate.
     let end = params.duration;
     let from = end - SimTime::from_secs(WINDOW_SECS);
-    let recovery_bps = report.throughput_bps[handles.victim_source]
-        .mean_between(from, end + SimTime::from_nanos(1));
+    let recovery_bps =
+        report.throughput_bps[victim_source].mean_between(from, end + SimTime::from_nanos(1));
     let recovery_pps = recovery_bps / (64.0 * 8.0);
-    let top_offender_masks = report.attribution[handles.node]
+    let top_offender_masks = report.attribution[node]
         .first()
         .map(|a| a.masks)
         .unwrap_or(0);
@@ -121,7 +122,7 @@ fn run_mode(mode: &'static str, defense: DefenseMode) -> Row {
         victim_delivered: victim.delivered,
         victim_upcall_drops: victim.dropped_upcall,
         recovery_pps,
-        recovery_ratio: recovery_pps / params.victim_pps,
+        recovery_ratio: recovery_pps / CHURN_VICTIM_PPS,
         top_offender_masks,
     }
 }
@@ -188,15 +189,14 @@ pub(crate) fn run() -> pi_core::Result<Output> {
         );
     }
 
-    let defaults = AdaptiveDefenseParams::default();
     let mut report = Report::new("detection_roc", "adaptive_defense").params(
         Fields::new()
             .u("sim_secs", SIM_SECS)
             .u("attack_start_secs", ATTACK_SECS)
             .u("recovery_window_secs", WINDOW_SECS)
-            .f("victim_pps_offered", defaults.victim_pps, 0)
-            .f("benign_pps", defaults.benign_pps, 0)
-            .f("attack_bandwidth_bps", defaults.attack_bandwidth_bps, 0),
+            .f("victim_pps_offered", CHURN_VICTIM_PPS, 0)
+            .f("benign_pps", BENIGN_CHURN_PPS, 0)
+            .f("attack_bandwidth_bps", FLOOD_BANDWIDTH_BPS, 0),
     );
     for r in &rows {
         report.row(

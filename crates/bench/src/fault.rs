@@ -25,6 +25,9 @@
 
 use pi_core::SimTime;
 use pi_fault::{ChannelFaultConfig, NodeFaultReport, ReliabilityConfig};
+use pi_sim::scenario::{
+    CRASH_DOWN_FOR, CRASH_RECOVERY_CLIENTS, CRASH_VICTIM_PPS, FLAP_PERIOD, PROBER_PPS,
+};
 use pi_sim::{crash_recovery_scenario, CrashRecoveryAttack, CrashRecoveryParams};
 
 use crate::report::{Fields, Report};
@@ -62,12 +65,11 @@ fn run_cell(label: &'static str, attack: CrashRecoveryAttack, reliable: bool, cr
             jitter: SimTime::from_millis(3),
             ..ChannelFaultConfig::default()
         }),
-        ..CrashRecoveryParams::default()
     };
     let (sim, handles) = crash_recovery_scenario(&params);
     let report = sim.run();
-    let victim = &report.source_totals[handles.victim_source];
-    let prober = &report.source_totals[handles.prober_source];
+    let victim = &report.source_totals[handles.source("victim")];
+    let prober = &report.source_totals[handles.source("prober")];
     Row {
         label,
         attack,
@@ -79,14 +81,15 @@ fn run_cell(label: &'static str, attack: CrashRecoveryAttack, reliable: bool, cr
         // Every delivered prober packet passed a deny rule that was
         // supposed to be installed: a wrong verdict.
         wrong_verdicts: prober.delivered,
-        faults: report.faults[handles.node].clone().unwrap_or_default(),
+        faults: report.faults[handles.attacker_hosts[0]]
+            .clone()
+            .unwrap_or_default(),
     }
 }
 
 /// Runs the five cells.
 pub(crate) fn run() -> pi_core::Result<Output> {
     use CrashRecoveryAttack::{None as NoAttack, PolicyFlap, UpcallFlood};
-    let defaults = CrashRecoveryParams::default();
     let mut table = String::new();
     say!(
         table,
@@ -132,14 +135,11 @@ pub(crate) fn run() -> pi_core::Result<Output> {
         Fields::new()
             .u("sim_secs", SIM_SECS)
             .u("crash_at_secs", CRASH_AT_SECS)
-            .u("down_for_ms", defaults.down_for.as_nanos() / 1_000_000)
-            .u(
-                "flap_period_ms",
-                defaults.flap_period.as_nanos() / 1_000_000,
-            )
-            .zu("clients", defaults.clients)
-            .f("victim_pps_offered", defaults.victim_pps, 0)
-            .f("prober_pps", defaults.prober_pps, 0)
+            .u("down_for_ms", CRASH_DOWN_FOR.as_nanos() / 1_000_000)
+            .u("flap_period_ms", FLAP_PERIOD.as_nanos() / 1_000_000)
+            .u("clients", CRASH_RECOVERY_CLIENTS.into())
+            .f("victim_pps_offered", CRASH_VICTIM_PPS, 0)
+            .f("prober_pps", PROBER_PPS, 0)
             .f("channel_drop_p", 0.05, 2)
             .f("channel_dup_p", 0.05, 2),
     );

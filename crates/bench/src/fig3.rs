@@ -11,6 +11,7 @@
 
 use pi_core::SimTime;
 use pi_metrics::{ascii_plot, CsvTable, TimeSeries};
+use pi_sim::scenario::COVERT_BANDWIDTH_BPS;
 use pi_sim::{fig3_scenario, Fig3Params};
 
 use crate::{Claim, Output};
@@ -24,15 +25,16 @@ pub(crate) fn run() -> pi_core::Result<Output> {
         "Fig. 3: {} total, attack at {}, covert budget {:.1} Mb/s, 8192-mask Calico policy",
         params.duration,
         params.attack_start,
-        params.attack_bandwidth_bps / 1e6
+        COVERT_BANDWIDTH_BPS / 1e6
     );
     let (sim, handles) = fig3_scenario(&params);
     let report = sim.run();
 
-    let victim = &report.throughput_bps[handles.victim_source];
-    let masks = &report.masks[handles.attacked_node];
-    let megaflows = &report.megaflows[handles.attacked_node];
-    let cpu = &report.cpu_util[handles.attacked_node];
+    let victim = &report.throughput_bps[handles.source("victim")];
+    let server = handles.attacker_hosts[0];
+    let masks = &report.masks[server];
+    let megaflows = &report.megaflows[server];
+    let cpu = &report.cpu_util[server];
 
     let mut victim_gbps = TimeSeries::new("victim_gbps");
     for (t, v) in victim.iter() {
@@ -75,7 +77,7 @@ pub(crate) fn run() -> pi_core::Result<Output> {
         "server CPU during attack: {:.0}%",
         cpu.mean_between(SimTime::from_secs(75), params.duration) * 100.0
     );
-    let attack_offered = report.offered_bps[handles.attack_source]
+    let attack_offered = report.offered_bps[handles.source("attack")]
         .mean_between(params.attack_start, params.duration);
     say!(
         table,

@@ -29,6 +29,7 @@
 //! Output: `BENCH_policy.json`.
 
 use pi_core::SimTime;
+use pi_sim::scenario::{BENIGN_UPDATE_PERIOD, FLAP_PERIOD, POLICY_CHURN_CLIENTS};
 use pi_sim::{policy_churn_scenario, PolicyChurnParams};
 
 use crate::report::{Fields, Report};
@@ -60,8 +61,8 @@ fn run_mode(mode: &'static str, flap: bool, scoped_invalidation: bool) -> Row {
     };
     let (sim, handles) = policy_churn_scenario(&params);
     let report = sim.run();
-    let victim = &report.source_totals[handles.victim_source];
-    let stats = report.switch_stats[handles.node];
+    let victim = &report.source_totals[handles.source("victim")];
+    let stats = report.switch_stats[handles.attacker_hosts[0]];
     Row {
         mode,
         victim_offered: victim.generated,
@@ -121,15 +122,12 @@ pub(crate) fn run() -> pi_core::Result<Output> {
 
     let mut report = Report::new("policy_churn", "policy_churn").params(
         Fields::new()
-            .zu("clients", defaults.clients)
+            .u("clients", POLICY_CHURN_CLIENTS.into())
             .f("victim_pps_offered", defaults.victim_pps, 0)
-            .u(
-                "flap_period_ms",
-                defaults.flap_period.as_nanos() / 1_000_000,
-            )
+            .u("flap_period_ms", FLAP_PERIOD.as_nanos() / 1_000_000)
             .u(
                 "benign_update_period_ms",
-                defaults.benign_update_period.as_nanos() / 1_000_000,
+                BENIGN_UPDATE_PERIOD.as_nanos() / 1_000_000,
             ),
     );
     for r in &rows {

@@ -56,6 +56,7 @@ pub(crate) fn run() -> pi_core::Result<Output> {
     //    after attack_start and flushed cached state. Each must carry a
     //    real causality id naming the updated host.
     let attack_ns = params.attack_start.as_nanos();
+    let flapped_host = Some(handles.attacker_hosts[0] as u32);
     let mut flap_causes: Vec<CauseId> = Vec::new();
     let mut unattributed_updates = 0usize;
     let mut flushes_by_cause = 0usize;
@@ -69,7 +70,7 @@ pub(crate) fn run() -> pi_core::Result<Output> {
                 applied: true,
                 ..
             } if ev.at_ns >= attack_ns && flushed > 0 => {
-                if !ev.cause.is_some() || ev.cause.host() != Some(handles.node as u32) {
+                if !ev.cause.is_some() || ev.cause.host() != flapped_host {
                     unattributed_updates += 1;
                 }
                 flap_causes.push(ev.cause);

@@ -26,6 +26,7 @@
 //! conserve at the run boundary).
 
 use pi_core::SimTime;
+use pi_sim::scenario::{CHURN_VICTIM_PPS, FLOOD_BANDWIDTH_BPS, UPCALL_VICTIM_START};
 use pi_sim::{upcall_saturation_scenario, UpcallSaturationParams};
 
 use crate::report::{Fields, Report};
@@ -55,9 +56,9 @@ fn run_mode(mode: &'static str, inline_baseline: bool, port_quota_per_step: Opti
     };
     let (sim, handles) = upcall_saturation_scenario(&params);
     let report = sim.run();
-    let victim = &report.source_totals[handles.victim_source];
-    let up = report.upcall_stats[handles.node];
-    let effective_secs = (params.duration - params.victim_start).as_secs_f64();
+    let victim = &report.source_totals[handles.source("victim")];
+    let up = report.upcall_stats[handles.attacker_hosts[0]];
+    let effective_secs = (params.duration - UPCALL_VICTIM_START).as_secs_f64();
     Row {
         mode,
         victim_offered: victim.generated,
@@ -65,7 +66,7 @@ fn run_mode(mode: &'static str, inline_baseline: bool, port_quota_per_step: Opti
         victim_pps: victim.delivered as f64 / effective_secs,
         victim_upcall_drops: victim.dropped_upcall,
         victim_drop_rate: victim.dropped_upcall as f64 / victim.generated.max(1) as f64,
-        attacker_upcall_drops: report.source_totals[handles.attack_source].dropped_upcall,
+        attacker_upcall_drops: report.source_totals[handles.source("attack")].dropped_upcall,
         mean_install_latency_steps: up.mean_wait_steps(),
         max_queue_depth: up.max_depth,
         upcalls_handled: up.handled,
@@ -106,11 +107,10 @@ pub(crate) fn run() -> pi_core::Result<Output> {
         );
     }
 
-    let defaults = UpcallSaturationParams::default();
     let mut report = Report::new("upcall_saturation", "upcall_saturation").params(
         Fields::new()
-            .f("victim_pps_offered", defaults.victim_pps, 0)
-            .f("attack_bandwidth_bps", defaults.attack_bandwidth_bps, 0),
+            .f("victim_pps_offered", CHURN_VICTIM_PPS, 0)
+            .f("attack_bandwidth_bps", FLOOD_BANDWIDTH_BPS, 0),
     );
     for r in &rows {
         report.row(

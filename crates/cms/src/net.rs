@@ -35,6 +35,12 @@ impl Cidr {
     /// The everything block `0.0.0.0/0`.
     pub const ANY: Cidr = Cidr { addr: 0, len: 0 };
 
+    /// The cluster block `10.0.0.0/8` pod IPs are allocated from.
+    pub const CLUSTER: Cidr = Cidr {
+        addr: 0x0a00_0000,
+        len: 8,
+    };
+
     /// A single host `/32`.
     pub fn host(addr: impl Into<std::net::Ipv4Addr>) -> Self {
         Cidr {

@@ -3,8 +3,8 @@
 //! The datapath layer stores vports as raw `u32`s (mirroring OVS's
 //! `ofp_port_t`), historically with a magic `0xffff` sentinel meaning
 //! "not mine — hand the packet to the fabric uplink". [`Port`] gives
-//! that convention a type, so the simulators ([`pi_sim`], `pi_fleet`)
-//! can match on intent instead of comparing against a bare constant.
+//! that convention a type, so the simulator (`pi_sim`) can match on
+//! intent instead of comparing against a bare constant.
 
 use std::fmt;
 

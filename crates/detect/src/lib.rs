@@ -17,7 +17,7 @@
 //!   staged subtable lookup, offender-port quarantine — and reverts
 //!   them once the anomaly clears.
 //!
-//! `pi_sim` and `pi_fleet` attach one controller per node/shard; the
+//! `pi_sim` attaches one controller per host shard; the
 //! `detection_roc` bench and the `adaptive_defense` scenario measure
 //! time-to-detect, victim-throughput recovery and the false-positive
 //! rate under benign churn.

@@ -45,10 +45,11 @@
 //! the same [`HostShard::tick`] and the same sparse exchange.
 //!
 //! This is the only engine in the workspace. The single-host testbed of
-//! the paper's Fig. 1 is a one-host build on it ([`crate::scenario`]),
-//! `pi_fleet` adds tenant placement and the fleet-scale scenarios on
-//! top, and each type goes by two names — [`FleetSim`] is
-//! [`crate::Simulation`], [`FleetReport`] is [`crate::SimReport`].
+//! the paper's Fig. 1 is a one-host build on it, the fleet-scale
+//! experiments place tenants through [`crate::ClusterBuilder`] on top
+//! (both in [`crate::scenario`]), and each type goes by two names —
+//! [`FleetSim`] is [`crate::Simulation`], [`FleetReport`] is
+//! [`crate::SimReport`].
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -141,7 +142,7 @@ impl FleetBuilder {
     }
 
     /// Attaches a pod with a caller-chosen vport (used when the CMS has
-    /// already allocated it; `pi_fleet`'s `ClusterBuilder` does).
+    /// already allocated it; [`crate::ClusterBuilder`] does).
     pub fn add_pod_at(&mut self, host: usize, ip: u32, vport: u32) {
         self.next_vport[host] = self.next_vport[host].max(vport + 1);
         self.pods.push((host, ip, vport));
@@ -158,6 +159,15 @@ impl FleetBuilder {
     pub fn add_source(&mut self, host: usize, source: Box<dyn TrafficSource + Send>) -> usize {
         self.sources.push((host, source));
         self.sources.len() - 1
+    }
+
+    /// The registered sources' labels, in global source order.
+    pub(crate) fn source_labels(&self) -> Vec<String> {
+        let labels = self
+            .sources
+            .iter()
+            .map(|(_, source)| source.label().to_string());
+        labels.collect()
     }
 
     /// Schedules a live migration: at simulated time `at`, the pod at

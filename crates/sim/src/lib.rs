@@ -12,20 +12,35 @@
 //! the subtable walk, the victim's throughput collapses because the
 //! arithmetic says so.
 //!
-//! There is one engine, and it lives here: [`engine`] is the sharded
-//! event loop (builder, workers, the serial tick-stepped reference),
-//! [`node`] one host's switch and queue, [`report`] what a run
-//! produces. [`scenario`] packages the paper's experiments as one- and
-//! two-host builds on it; `pi_fleet` adds tenant placement and the
-//! fleet-scale experiments. The engine's types carry their fleet names
-//! ([`FleetBuilder`], [`FleetSim`], [`FleetReport`], re-exported by
-//! `pi_fleet`); [`Simulation`] and [`SimReport`] are the same two types
-//! under the names the testbed's callers — `benchmark/` among them —
-//! import from this crate.
+//! This is the one simulator crate — engine, placement and every
+//! experiment. [`engine`] is the sharded event loop (builder, workers,
+//! the serial tick-stepped reference), [`node`] one host's switch and
+//! queue, [`report`] what a run produces, and [`placement`] the
+//! [`ClusterBuilder`] that keeps a [`pi_cms::Cloud`] and the engine in
+//! step (tenant placement, policy injection through real CMS
+//! admission). [`scenario`] holds all eight experiments — five testbed
+//! builds of one or two hosts, three CMS-placed fleets — each a short
+//! recipe over one set of shared *parts*: a part is a private function
+//! or constant for a block at least two recipes spell (the pod
+//! addresses, `allow_cluster_to(port)`, the whitelisted clients, the
+//! upcall flood, the churn victim, the bounded slow path, CMS
+//! admission, the victim iperf pair, the fanned-out covert streams); a
+//! block only one recipe needs stays inline in it. Every recipe returns
+//! `(simulation, Handles)` — [`Handles`] finds a source by the label it
+//! carries in the report and names the hosts the two tenants landed on.
+//!
+//! Worker-count determinism is a hard guarantee: cross-shard traffic is
+//! merged in sending-shard order at tick boundaries, so a run is
+//! bit-identical for any worker count (`tests/determinism.rs`). The
+//! engine's types carry their fleet names ([`FleetBuilder`],
+//! [`FleetSim`], [`FleetReport`]); [`Simulation`] and [`SimReport`] are
+//! the same two types under the names the testbed's callers —
+//! `benchmark/` among them — import.
 
 pub mod config;
 pub mod engine;
 pub mod node;
+pub mod placement;
 pub mod report;
 pub mod routes;
 pub mod scenario;
@@ -35,15 +50,16 @@ pub use config::{FleetConfig, SimConfig};
 pub use engine::{FleetBuilder, FleetSim, FleetSim as Simulation};
 pub use node::{NodeCell, NodePacket, Routing};
 pub use pi_trace::{TraceConfig, TraceEvent, TraceEventKind, TraceReport, Tracer};
+pub use placement::ClusterBuilder;
 pub use report::{
     BlastRadius, EngineProfile, EngineStats, FleetReport, FleetReport as SimReport, SourceTotals,
     FLUSH_LOG_CAP,
 };
 pub use routes::RouteTable;
 pub use scenario::{
-    adaptive_defense_scenario, crash_recovery_scenario, fig3_scenario, measure_backend_capacity,
-    measure_capacity, policy_churn_scenario, upcall_saturation_scenario, AdaptiveDefenseHandles,
-    AdaptiveDefenseParams, CapacityReport, CapacityWorkload, CrashRecoveryAttack,
-    CrashRecoveryHandles, CrashRecoveryParams, DefenseMode, Fig3Params, PolicyChurnHandles,
-    PolicyChurnParams, UpcallSaturationHandles, UpcallSaturationParams,
+    adaptive_defense_scenario, crash_recovery_scenario, fig3_scenario, fleet_colocation,
+    fleet_migration, fleet_sparse, measure_backend_capacity, measure_capacity,
+    policy_churn_scenario, upcall_saturation_scenario, AdaptiveDefenseParams, CapacityReport,
+    CapacityWorkload, ColocationParams, CrashRecoveryAttack, CrashRecoveryParams, DefenseMode,
+    Fig3Params, Handles, MigrationParams, PolicyChurnParams, SparseParams, UpcallSaturationParams,
 };

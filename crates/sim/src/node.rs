@@ -179,11 +179,6 @@ impl<T> NodeCell<T> {
         self.reliable = Some(rcp);
     }
 
-    /// The attached reliable control plane, if any.
-    pub fn reliable_control_plane(&self) -> Option<&ReliableControlPlane> {
-        self.reliable.as_ref()
-    }
-
     /// Whether the switch process is down at `now`.
     pub fn is_down(&self, now: SimTime) -> bool {
         self.down_until.is_some_and(|t| now < t)
@@ -643,11 +638,6 @@ impl<T> NodeCell<T> {
     /// Whether a defense controller is attached.
     pub fn has_defense(&self) -> bool {
         self.defense.is_some()
-    }
-
-    /// The attached controller's report so far.
-    pub fn defense_report(&self) -> Option<&DefenseReport> {
-        self.defense.as_ref().map(|c| c.report())
     }
 
     /// Detaches the controller and yields its report (end of run).

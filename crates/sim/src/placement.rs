@@ -9,16 +9,16 @@
 
 use pi_cms::cloud::CompiledPolicy;
 use pi_cms::{Cloud, CmsError, NodeId, PlacementStrategy, Pod, PodId, TenantId};
+use pi_core::SimTime;
 use pi_datapath::DpConfig;
 use pi_traffic::TrafficSource;
 
-use pi_core::SimTime;
-use pi_sim::{FleetBuilder, FleetConfig, FleetSim};
+use crate::{FleetBuilder, FleetConfig, FleetSim};
 
 /// Builds a cluster: a CMS cloud and a fleet simulation, kept in sync.
 pub struct ClusterBuilder {
     cloud: Cloud,
-    fleet: FleetBuilder,
+    pub(crate) fleet: FleetBuilder,
 }
 
 impl ClusterBuilder {
@@ -32,11 +32,6 @@ impl ClusterBuilder {
             assert_eq!(node.0 as usize, shard, "cloud nodes mirror fleet shards");
         }
         ClusterBuilder { cloud, fleet }
-    }
-
-    /// The management-plane view.
-    pub fn cloud(&self) -> &Cloud {
-        &self.cloud
     }
 
     /// Registers a tenant.
@@ -113,11 +108,6 @@ impl ClusterBuilder {
     pub fn schedule_migration(&mut self, at: SimTime, pod: PodId, to_host: usize) {
         let ip = self.pod(pod).ip;
         self.fleet.schedule_migration(at, ip, to_host);
-    }
-
-    /// Attaches a shard-local defense controller to `host`.
-    pub fn attach_defense(&mut self, host: usize, controller: pi_detect::DefenseController) {
-        self.fleet.attach_defense(host, controller);
     }
 
     /// Finalises the cluster.

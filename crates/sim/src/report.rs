@@ -287,49 +287,6 @@ impl FleetReport {
         pi_detect::offenders(&self.attribution[host], threshold)
     }
 
-    /// Total packets the fleet's switches processed — the work metric
-    /// the scaling bench divides by wall time.
-    pub fn total_switch_packets(&self) -> u64 {
-        self.switch_stats.iter().map(|s| s.packets).sum()
-    }
-
-    /// Fleet-wide switch counters (per-host stats summed) — the benches
-    /// derive avg probes/packet and the EMC hit rate from this so perf
-    /// regressions are attributable to a pipeline level.
-    pub fn total_switch_stats(&self) -> SwitchStats {
-        let mut total = SwitchStats::default();
-        for s in &self.switch_stats {
-            // Exhaustive destructuring (no `..`): adding a field to
-            // SwitchStats must fail to compile here rather than be
-            // silently dropped from the fleet aggregate.
-            let SwitchStats {
-                packets,
-                microflow_hits,
-                megaflow_hits,
-                upcalls,
-                policy_drops,
-                cycles,
-                subtable_probes,
-                policy_updates,
-                cache_flushes,
-                flushed_megaflows,
-                control_cycles,
-            } = *s;
-            total.packets += packets;
-            total.microflow_hits += microflow_hits;
-            total.megaflow_hits += megaflow_hits;
-            total.upcalls += upcalls;
-            total.policy_drops += policy_drops;
-            total.cycles += cycles;
-            total.subtable_probes += subtable_probes;
-            total.policy_updates += policy_updates;
-            total.cache_flushes += cache_flushes;
-            total.flushed_megaflows += flushed_megaflows;
-            total.control_cycles += control_cycles;
-        }
-        total
-    }
-
     /// Aggregate delivered throughput of the given sources.
     pub fn aggregate_throughput(&self, sources: &[usize], name: &str) -> TimeSeries {
         let picked: Vec<&TimeSeries> = sources.iter().map(|&i| &self.throughput_bps[i]).collect();

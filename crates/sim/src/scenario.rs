@@ -1,20 +1,288 @@
-//! Pre-built scenarios for the paper's experiments.
+//! The paper's experiments, each a short recipe over one set of shared
+//! parts.
+//!
+//! Every experiment is the Fig. 1 picture — a victim pod behind its own
+//! whitelist, a co-located attacker pod with an injected ACL, a covert
+//! stream or a control-plane train, optional background, faults and
+//! defense — so the picture is spelled once. A **part** is a private
+//! function (or a constant) for a block at least two recipes use: the
+//! run config, the pod addresses, `allow_cluster_to(port)` policies,
+//! the whitelisted-clients policy with its fan source, the upcall-flood
+//! source, the churn victim, the bounded slow path, and on the cluster
+//! side policy admission, the victim iperf pair and the fanned-out
+//! covert streams. A block only one recipe uses stays inline in it.
+//!
+//! Five recipes are testbed builds (one or two hosts, fixed pod IPs on
+//! [`FleetBuilder`]); three are fleets placed by the CMS through
+//! [`ClusterBuilder`]. A `*Params` field exists only where some caller
+//! sets it; every other number is a `const` beside its recipe, `pub`
+//! where an experiment reports it. Every recipe returns the built
+//! simulation and one [`Handles`].
+//!
+//! What the goldens and the benchmark digests observe, and a recipe
+//! must therefore keep: the cloud hands out pod IPs and vports in
+//! placement-call order, [`FleetBuilder::add_pod`] hands out vports in
+//! call order, global source ids are `add_source` order, and two
+//! control-plane programs attached to one host merge in attach order.
 
 use pi_attack::{AttackSchedule, AttackSpec, CovertSequence};
 use pi_backend::{build_backend, DataplaneBackend};
-use pi_cms::{Cidr, ControlPlaneProgram, IngressRule, NetworkPolicy, PolicyCompiler, Protocol};
+use pi_classifier::FlowTable;
+use pi_cms::cloud::CompiledPolicy;
+use pi_cms::{
+    Cidr, Cloud, CmsError, ControlPlaneProgram, IngressRule, NetworkPolicy, PlacementStrategy,
+    PodId, PolicyCompiler, PolicyDialect, Protocol, TenantId,
+};
 use pi_core::{FlowKey, SimTime};
 use pi_datapath::{BackendKind, CostModel, DpConfig, PipelineMode, UpcallPipelineConfig};
 use pi_detect::{ControllerConfig, DefenseController};
 use pi_fault::{ChannelFaultConfig, FaultSchedule, ReliabilityConfig};
 use pi_traffic::{ChurnSource, FanSource, IperfSource, PoissonFlowSource};
 
-use crate::{FleetBuilder, FleetConfig, SimConfig, Simulation};
+use crate::{ClusterBuilder, FleetBuilder, FleetConfig, FleetSim, SimConfig, Simulation};
 
-/// The testbed's builder: the one engine, on one worker.
-fn testbed(sim: SimConfig) -> FleetBuilder {
-    FleetBuilder::new(FleetConfig { sim, workers: 1 })
+// --- Parts -----------------------------------------------------------
+
+/// The testbed's victim service pod, on the attacked node.
+const VICTIM_IP: u32 = u32::from_be_bytes([10, 1, 0, 10]);
+/// The attacker's pod, co-located with it.
+const ATTACKER_IP: u32 = u32::from_be_bytes([10, 1, 0, 66]);
+/// The unprotected background pod beside them.
+const BACKGROUND_IP: u32 = u32::from_be_bytes([10, 1, 0, 20]);
+/// The victim's service port (iperf).
+const VICTIM_PORT: u16 = 5201;
+/// A saturated victim iperf, bits/second (paper: ~1 Gb/s).
+const IPERF_RATE_BPS: f64 = 1e9;
+/// Covert budget of one tuple-space attacker, bits/second (paper:
+/// 1–2 Mb/s).
+pub const COVERT_BANDWIDTH_BPS: f64 = 2e6;
+/// Upcall-flood bandwidth, bits/second of 64-B frames (≈ 19.5 kpps).
+pub const FLOOD_BANDWIDTH_BPS: f64 = 10e6;
+/// The churn victim's connection rate, new flows/second.
+pub const CHURN_VICTIM_PPS: f64 = 2_000.0;
+/// Interval between the policy flap's ACL re-installs.
+pub const FLAP_PERIOD: SimTime = SimTime::from_millis(20);
+/// Megaflow table limit of the flood recipes (small: the flood exhausts
+/// it in the first second, which keeps the victim in the slow path).
+const FLOOD_FLOW_LIMIT: usize = 2_048;
+
+/// What a recipe hands back beside the simulation: where its sources
+/// sit in the report's per-source vectors, by the label each source
+/// already carries there, and which hosts its two tenants landed on.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Handles {
+    /// Source labels, in global source order.
+    labels: Vec<String>,
+    /// Hosts carrying a victim service pod, in pod order (a testbed
+    /// recipe: the one attacked node).
+    pub victim_hosts: Vec<usize>,
+    /// Hosts carrying an attacker pod — the switches the attack
+    /// saturates, in pod order.
+    pub attacker_hosts: Vec<usize>,
 }
+
+impl Handles {
+    /// Report index of the source labelled exactly `label`: `"victim"`,
+    /// `"attack"`, `"background"`, `"benign"`, `"prober"` on the
+    /// testbed; `"victim3"`, `"attack@1"`, `"background0"` in a fleet.
+    ///
+    /// # Panics
+    /// When the recipe registered no such source.
+    pub fn source(&self, label: &str) -> usize {
+        let at = self.labels.iter().position(|l| l == label);
+        at.unwrap_or_else(|| panic!("no source {label:?} among {:?}", self.labels))
+    }
+
+    /// Report indices of every source whose label starts with `prefix`
+    /// (`"victim"` = all of a fleet's victims), in source order.
+    pub fn sources(&self, prefix: &str) -> Vec<usize> {
+        let matching = |(i, l): (usize, &String)| l.starts_with(prefix).then_some(i);
+        self.labels
+            .iter()
+            .enumerate()
+            .filter_map(matching)
+            .collect()
+    }
+}
+
+/// The run config: everything but the length (and, for a fleet, the
+/// worker count) is the paper's environment.
+fn run_config(duration: SimTime, workers: usize) -> FleetConfig {
+    let sim = SimConfig {
+        duration,
+        ..SimConfig::default()
+    };
+    FleetConfig { sim, workers }
+}
+
+/// Builds, and labels the sources for the caller.
+fn finish(
+    b: FleetBuilder,
+    victim_hosts: Vec<usize>,
+    attacker_hosts: Vec<usize>,
+) -> (Simulation, Handles) {
+    let handles = Handles {
+        labels: b.source_labels(),
+        victim_hosts,
+        attacker_hosts,
+    };
+    (b.build(), handles)
+}
+
+/// A tenant's own, perfectly legitimate microsegmentation: allow the
+/// cluster block to one TCP port (`None` = any).
+fn allow_cluster_to(name: &str, port: Option<u16>) -> NetworkPolicy {
+    NetworkPolicy {
+        name: name.into(),
+        ingress: vec![IngressRule {
+            from: vec![Cidr::CLUSTER],
+            ports: vec![(Protocol::Tcp, port)],
+        }],
+    }
+}
+
+/// The victim's policy wherever it runs iperf.
+fn victim_iperf_policy() -> NetworkPolicy {
+    allow_cluster_to("victim-iperf", Some(VICTIM_PORT))
+}
+
+/// The attacker's own innocuous-looking ACL — installed at build like
+/// any tenant policy, and what the policy flap re-installs.
+fn attacker_web_acl() -> FlowTable {
+    PolicyCompiler.compile_k8s(&allow_cluster_to("attacker-web", Some(8080)))
+}
+
+/// The policy-flap train: [`attacker_web_acl`] re-installed at the
+/// attacker's pod every [`FLAP_PERIOD`] over `from..until` (empty when
+/// the window is — the attack switched off).
+fn attacker_flap(table: &FlowTable, from: SimTime, until: SimTime) -> ControlPlaneProgram {
+    AttackSchedule::policy_flap(ATTACKER_IP, table, from, until, FLAP_PERIOD)
+}
+
+/// The whitelisted victim service: one /32 rule per client peer
+/// (`10.2.0.0 + i`) — so each client owns a megaflow and a full flush
+/// costs one slow-path rebuild *per client* — and the clients' standing
+/// traffic, a round-robin fan of 400-B frames named `victim` at `pps`
+/// in aggregate.
+fn whitelisted_clients(clients: u32, pps: f64) -> (FlowTable, FanSource) {
+    let client_ip = |i: u32| u32::from_be_bytes([10, 2, 0, 0]) + i;
+    let policy = NetworkPolicy {
+        name: "victim-peers".into(),
+        ingress: vec![IngressRule {
+            from: (0..clients).map(|i| Cidr::host(client_ip(i))).collect(),
+            ports: vec![(Protocol::Tcp, Some(VICTIM_PORT))],
+        }],
+    };
+    let key = |i: u32| {
+        let tp_src = 40_000 + (i % 16_000) as u16;
+        FlowKey::tcp(client_ip(i), VICTIM_IP, tp_src, VICTIM_PORT)
+    };
+    let fan = FanSource::new((0..clients).map(key).collect(), 400, pps);
+    (PolicyCompiler.compile_k8s(&policy), fan.named("victim"))
+}
+
+/// The connection-churn victim: short-lived connections from the
+/// cluster block, from `start` on (once the flood owns the flow table,
+/// so every one of them needs a slow-path handler).
+fn churn_victim(start: SimTime) -> ChurnSource {
+    let clients = u32::from_be_bytes([10, 2, 0, 0]);
+    ChurnSource::new(clients, VICTIM_IP, VICTIM_PORT, 64, CHURN_VICTIM_PPS)
+        .starting_at(start)
+        .named("victim")
+}
+
+/// The attacker's paced destination spray: the covert sequence of a
+/// 512-mask Kubernetes injection re-paced so that every packet upcalls
+/// ([`AttackSchedule::upcall_flood`]), from `start` on.
+fn upcall_flood(start: SimTime) -> AttackSchedule {
+    let target = AttackSpec::masks_512(PolicyDialect::Kubernetes).build_target(ATTACKER_IP);
+    AttackSchedule::new(CovertSequence::new(target), FLOOD_BANDWIDTH_BPS, start).upcall_flood()
+}
+
+/// The bounded slow path the flood saturates: 64-deep per-port queues
+/// and ≈ 13 upcalls/ms of handler budget, with the per-port fair-share
+/// quota (the mitigation) if any.
+fn bounded_slow_path(port_quota_per_step: Option<u32>) -> PipelineMode {
+    PipelineMode::Bounded(UpcallPipelineConfig {
+        queue_capacity: 64,
+        handler_cycles_per_step: 400_000,
+        port_quota_per_step,
+    })
+}
+
+/// Submits a policy for each of `pods` through the CMS as the pod's own
+/// tenant and installs what admission returns — the full injection
+/// path, for the victims' legitimate policies and the injected ACL
+/// alike.
+fn admit(
+    cb: &mut ClusterBuilder,
+    pods: &[PodId],
+    apply: impl Fn(&Cloud, TenantId, PodId) -> Result<CompiledPolicy, CmsError>,
+) {
+    for &pod in pods {
+        let tenant = cb.pod(pod).tenant;
+        cb.apply_and_install(tenant, pod, &apply)
+            .expect("the scenario's policies pass CMS admission");
+    }
+}
+
+/// The victims' own iperf policy, through admission like any tenant's.
+fn admit_victims(cb: &mut ClusterBuilder, victims: &[PodId]) {
+    let policy = victim_iperf_policy();
+    admit(cb, victims, |c, t, p| c.apply_k8s_policy(t, p, &policy));
+}
+
+/// The attack's first step: `spec`'s ACL injected at the attacker's own
+/// pods through that same admission path.
+fn inject(cb: &mut ClusterBuilder, spec: &AttackSpec, attackers: &[PodId]) {
+    let acl = spec.build_policy();
+    admit(cb, attackers, |c, t, p| acl.apply(c, t, p));
+}
+
+/// Victim `i`'s iperf pair: a client pod of the same tenant on
+/// `client_host`, streaming to `server` at `rate_bps` as `victim<i>`.
+fn victim_iperf(
+    cb: &mut ClusterBuilder,
+    i: usize,
+    server: PodId,
+    client_host: usize,
+    rate_bps: f64,
+) {
+    let server = cb.pod(server).clone();
+    let client = cb.place_pod_on(server.tenant, client_host);
+    let key = FlowKey::tcp(cb.pod(client).ip, server.ip, 40_000 + i as u16, VICTIM_PORT);
+    let iperf = IperfSource::new(key, 1500, rate_bps).named(&format!("victim{i}"));
+    cb.add_source(client_host, Box::new(iperf));
+}
+
+/// The covert streams: one paced schedule per attacker pod
+/// (`attack@<i>`, consecutive starts `stagger` apart), each injected
+/// over the fabric from a client pod on the next host of the first
+/// `ring`.
+fn covert_streams(
+    cb: &mut ClusterBuilder,
+    spec: &AttackSpec,
+    attackers: &[PodId],
+    ring: usize,
+    bandwidth_bps: f64,
+    start: SimTime,
+    stagger: SimTime,
+) {
+    let ips: Vec<u32> = attackers.iter().map(|p| cb.pod(*p).ip).collect();
+    let schedules = AttackSchedule::fan_out(spec, &ips, bandwidth_bps, start, stagger);
+    for (&pod, schedule) in attackers.iter().zip(schedules) {
+        let client_host = (cb.host_of(pod) + 1) % ring;
+        cb.place_pod_on(cb.pod(pod).tenant, client_host);
+        cb.add_source(client_host, Box::new(schedule));
+    }
+}
+
+/// The hosts `pods` landed on, in pod order.
+fn hosts_of(cb: &ClusterBuilder, pods: &[PodId]) -> Vec<usize> {
+    pods.iter().map(|p| cb.host_of(*p)).collect()
+}
+
+// --- Testbed recipes ------------------------------------------------
 
 /// Parameters of the Fig. 3 reproduction (and its variants).
 #[derive(Debug, Clone)]
@@ -23,20 +291,10 @@ pub struct Fig3Params {
     pub duration: SimTime,
     /// Covert stream start (paper: 60 s).
     pub attack_start: SimTime,
-    /// Covert budget (paper: 1–2 Mb/s).
-    pub attack_bandwidth_bps: f64,
-    /// The injected policy (default: the 8192-mask Calico shape).
-    pub spec: AttackSpec,
-    /// Victim link-limited rate (paper: ~1 Gb/s iperf).
-    pub victim_rate_bps: f64,
-    /// Per-node datapath CPU budget.
-    pub cpu_cycles_per_sec: u64,
     /// Datapath configuration for both nodes.
     pub dp: DpConfig,
     /// Whether to add background pod-to-pod chatter.
     pub background: bool,
-    /// Seed for the background workload.
-    pub seed: u64,
     /// Optional closed-loop defense: one controller per node with this
     /// tuning (the adaptive counterpart of the static `dp` knobs).
     pub defense: Option<ControllerConfig>,
@@ -47,128 +305,56 @@ impl Default for Fig3Params {
         Fig3Params {
             duration: SimTime::from_secs(150),
             attack_start: SimTime::from_secs(60),
-            attack_bandwidth_bps: 2e6,
-            spec: AttackSpec::masks_8192(),
-            victim_rate_bps: 1e9,
-            cpu_cycles_per_sec: SimConfig::default().cpu_cycles_per_sec,
             dp: DpConfig::default(),
             background: true,
-            seed: 2018,
             defense: None,
         }
     }
 }
 
-/// Source/node indices of the built scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Fig3Handles {
-    /// Index of the victim iperf source in the report vectors.
-    pub victim_source: usize,
-    /// Index of the attack source.
-    pub attack_source: usize,
-    /// Index of the background source, when enabled.
-    pub background_source: Option<usize>,
-    /// Node whose switch the attack saturates (the server node).
-    pub attacked_node: usize,
-}
-
 /// Builds the paper's demo topology (Fig. 1): a client node and a server
 /// node. The server node hosts the victim's service pod (with the
 /// victim's own legitimate NetworkPolicy), the attacker's pod (with the
-/// injected ACL), and a background pod; the client node originates the
-/// victim's iperf, the covert stream, and background chatter.
-pub fn fig3_scenario(params: &Fig3Params) -> (Simulation, Fig3Handles) {
-    let cfg = SimConfig {
-        duration: params.duration,
-        cpu_cycles_per_sec: params.cpu_cycles_per_sec,
-        ..SimConfig::default()
-    };
-    let mut b = testbed(cfg);
+/// injected ACL — the 8192-mask Calico shape) and a background pod; the
+/// client node originates the victim's iperf, the covert stream
+/// ([`COVERT_BANDWIDTH_BPS`]) and background chatter.
+pub fn fig3_scenario(params: &Fig3Params) -> (Simulation, Handles) {
+    let spec = AttackSpec::masks_8192();
+    let mut b = FleetBuilder::new(run_config(params.duration, 1));
     let client_node = b.add_host(params.dp.clone());
     let server_node = b.add_host(params.dp.clone());
 
     let victim_client_ip = u32::from_be_bytes([10, 0, 0, 10]);
-    let victim_server_ip = u32::from_be_bytes([10, 1, 0, 10]);
-    let attacker_pod_ip = u32::from_be_bytes([10, 1, 0, 66]);
-    let background_ip = u32::from_be_bytes([10, 1, 0, 20]);
-
     b.add_pod(client_node, victim_client_ip);
-    b.add_pod(server_node, victim_server_ip);
-    b.add_pod(server_node, attacker_pod_ip);
-    b.add_pod(server_node, background_ip);
-
-    // The victim's own, perfectly legitimate microsegmentation: allow
-    // cluster traffic (10/8) to the iperf port.
-    let victim_policy = NetworkPolicy {
-        name: "victim-iperf".into(),
-        ingress: vec![IngressRule {
-            from: vec![Cidr::new(u32::from_be_bytes([10, 0, 0, 0]), 8).unwrap()],
-            ports: vec![(Protocol::Tcp, Some(5201))],
-        }],
-    };
-    b.install_acl(victim_server_ip, PolicyCompiler.compile_k8s(&victim_policy));
-
-    // The injected ACL at the attacker's own pod.
-    let attack_table = params.spec.compile();
-    b.install_acl(attacker_pod_ip, attack_table);
-
-    // Victim iperf: client → server pod.
-    let victim_key = FlowKey::tcp(
-        std::net::Ipv4Addr::from(victim_client_ip),
-        std::net::Ipv4Addr::from(victim_server_ip),
-        40_000,
-        5201,
+    b.add_pod(server_node, VICTIM_IP);
+    b.add_pod(server_node, ATTACKER_IP);
+    b.add_pod(server_node, BACKGROUND_IP);
+    b.install_acl(
+        VICTIM_IP,
+        PolicyCompiler.compile_k8s(&victim_iperf_policy()),
     );
-    let victim_source = b.add_source(
-        client_node,
-        Box::new(IperfSource::new(victim_key, 1500, params.victim_rate_bps).named("victim")),
-    );
+    b.install_acl(ATTACKER_IP, spec.compile());
 
-    // The covert stream, from the attacker's client-side pod.
-    let target = params.spec.build_target(attacker_pod_ip);
-    let attack_source = b.add_source(
-        client_node,
-        Box::new(AttackSchedule::new(
-            CovertSequence::new(target),
-            params.attack_bandwidth_bps,
-            params.attack_start,
-        )),
-    );
+    // Victim iperf, client → server pod; then the covert stream, from
+    // the attacker's client-side pod.
+    let victim_key = FlowKey::tcp(victim_client_ip, VICTIM_IP, 40_000, VICTIM_PORT);
+    let iperf = IperfSource::new(victim_key, 1500, IPERF_RATE_BPS).named("victim");
+    b.add_source(client_node, Box::new(iperf));
+    let covert = CovertSequence::new(spec.build_target(ATTACKER_IP));
+    let attack = AttackSchedule::new(covert, COVERT_BANDWIDTH_BPS, params.attack_start);
+    b.add_source(client_node, Box::new(attack));
 
     // Background chatter to the unprotected pod.
-    let background_source = params.background.then(|| {
-        b.add_source(
-            client_node,
-            Box::new(
-                PoissonFlowSource::new(
-                    (0..16u32)
-                        .map(|i| (u32::from_be_bytes([10, 0, 1, i as u8]), background_ip))
-                        .collect(),
-                    20.0,
-                    30.0,
-                    200.0,
-                    200,
-                    params.seed,
-                )
-                .named("background"),
-            ),
-        )
-    });
-
+    if params.background {
+        let pairs = (0..16u8).map(|i| (u32::from_be_bytes([10, 0, 1, i]), BACKGROUND_IP));
+        let chatter = PoissonFlowSource::new(pairs.collect(), 20.0, 30.0, 200.0, 200, 2018);
+        b.add_source(client_node, Box::new(chatter.named("background")));
+    }
     if let Some(ctrl) = &params.defense {
         b.attach_defense(client_node, DefenseController::new(*ctrl));
         b.attach_defense(server_node, DefenseController::new(*ctrl));
     }
-
-    (
-        b.build(),
-        Fig3Handles {
-            victim_source,
-            attack_source,
-            background_source,
-            attacked_node: server_node,
-        },
-    )
+    finish(b, vec![server_node], vec![server_node])
 }
 
 /// Parameters of the handler-saturation scenario.
@@ -176,67 +362,34 @@ pub fn fig3_scenario(params: &Fig3Params) -> (Simulation, Fig3Handles) {
 pub struct UpcallSaturationParams {
     /// Run length.
     pub duration: SimTime,
-    /// When the victim's connection churn begins (after the flood has
-    /// filled the flow limit, so victim flows keep upcalling).
-    pub victim_start: SimTime,
-    /// Victim connection rate, new flows/second.
-    pub victim_pps: f64,
-    /// Attacker flood bandwidth, bits/second of 64-B frames.
-    pub attack_bandwidth_bps: f64,
-    /// Megaflow table limit (small: the flood exhausts it in the first
-    /// second, which is what keeps the victim in the slow path).
-    pub flow_limit: usize,
-    /// Per-port upcall queue capacity.
-    pub queue_capacity: usize,
-    /// Handler cycle budget per tick.
-    pub handler_cycles_per_step: u64,
     /// Per-port fair-share quota (the mitigation), if any.
     pub port_quota_per_step: Option<u32>,
     /// Runs the same traffic against the historical *inline* slow path
-    /// instead of the bounded pipeline (the bench's baseline row; the
-    /// queue/budget/quota knobs are ignored).
+    /// instead of the bounded pipeline (the experiment's baseline row;
+    /// the quota is ignored).
     pub inline_baseline: bool,
     /// Whether the flood runs at all (false = the benign baseline the
     /// immunity matrix's retained ratios are computed against).
     pub attack: bool,
     /// Which dataplane architecture the node runs.
     pub backend: BackendKind,
-    /// Fast-path CPU budget (generous by default — the bottleneck under
-    /// study is the handler pipeline, not the megaflow walk).
-    pub cpu_cycles_per_sec: u64,
 }
 
 impl Default for UpcallSaturationParams {
     fn default() -> Self {
         UpcallSaturationParams {
             duration: SimTime::from_secs(6),
-            victim_start: SimTime::from_secs(1),
-            victim_pps: 2_000.0,
-            attack_bandwidth_bps: 10e6, // ≈19.5 kpps of 64-B frames
-            flow_limit: 2_048,
-            queue_capacity: 64,
-            handler_cycles_per_step: 400_000, // ≈13 upcalls/ms
             port_quota_per_step: None,
             inline_baseline: false,
             attack: true,
             backend: BackendKind::OvsCache,
-            cpu_cycles_per_sec: SimConfig::default().cpu_cycles_per_sec,
         }
     }
 }
 
-/// Source/node indices of the built saturation scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UpcallSaturationHandles {
-    /// The victim churn source.
-    pub victim_source: usize,
-    /// The attacker flood source.
-    pub attack_source: usize,
-    /// The single simulated node.
-    pub node: usize,
-    /// The victim pod's vport (its upcall queue id).
-    pub victim_vport: u32,
-}
+/// When the saturation victim's connection churn begins: after the
+/// flood has filled the flow limit, so victim flows keep upcalling.
+pub const UPCALL_VICTIM_START: SimTime = SimTime::from_secs(1);
 
 /// Builds the handler-saturation experiment: one node whose bounded
 /// upcall pipeline is the resource under attack. An attacker pod's
@@ -249,84 +402,31 @@ pub struct UpcallSaturationHandles {
 /// slow-path handler — which the flood has monopolised. Victim upcalls
 /// tail-drop; the per-port fair-share quota
 /// (`port_quota_per_step`) restores them.
-pub fn upcall_saturation_scenario(
-    params: &UpcallSaturationParams,
-) -> (Simulation, UpcallSaturationHandles) {
-    let cfg = SimConfig {
-        duration: params.duration,
-        cpu_cycles_per_sec: params.cpu_cycles_per_sec,
-        ..SimConfig::default()
-    };
+pub fn upcall_saturation_scenario(params: &UpcallSaturationParams) -> (Simulation, Handles) {
     let pipeline = if params.inline_baseline {
         PipelineMode::Inline
     } else {
-        PipelineMode::Bounded(UpcallPipelineConfig {
-            queue_capacity: params.queue_capacity,
-            handler_cycles_per_step: params.handler_cycles_per_step,
-            port_quota_per_step: params.port_quota_per_step,
-        })
+        bounded_slow_path(params.port_quota_per_step)
     };
-    let dp = DpConfig {
-        flow_limit: params.flow_limit,
+    let mut b = FleetBuilder::new(run_config(params.duration, 1));
+    let node = b.add_host(DpConfig {
+        flow_limit: FLOOD_FLOW_LIMIT,
         pipeline,
         backend: params.backend,
         ..DpConfig::default()
-    };
-    let mut b = testbed(cfg);
-    let node = b.add_host(dp);
-
-    let victim_ip = u32::from_be_bytes([10, 1, 0, 10]);
-    let attacker_ip = u32::from_be_bytes([10, 1, 0, 66]);
-    let victim_vport = b.add_pod(node, victim_ip);
-    b.add_pod(node, attacker_ip);
-
-    // Victim: short-lived connections from the cluster block, starting
-    // once the flood owns the flow table.
-    let victim_source = b.add_source(
-        node,
-        Box::new(
-            ChurnSource::new(
-                u32::from_be_bytes([10, 2, 0, 0]),
-                victim_ip,
-                5201,
-                64,
-                params.victim_pps,
-            )
-            .starting_at(params.victim_start)
-            .named("victim"),
-        ),
-    );
-
-    // Attacker: the paced destination spray. The benign baseline keeps
-    // the source (so report vectors stay shaped the same) but starts it
-    // past the end of the run.
-    let attack_start = if params.attack {
+    });
+    b.add_pod(node, VICTIM_IP);
+    b.add_pod(node, ATTACKER_IP);
+    b.add_source(node, Box::new(churn_victim(UPCALL_VICTIM_START)));
+    // The benign baseline keeps the flood source (so report vectors
+    // stay shaped the same) but starts it at the end of the run.
+    let flood_from = if params.attack {
         SimTime::ZERO
     } else {
         params.duration
     };
-    let spec = AttackSpec::masks_512(pi_cms::PolicyDialect::Kubernetes);
-    let attack_source = b.add_source(
-        node,
-        Box::new(
-            AttackSchedule::new(
-                CovertSequence::new(spec.build_target(attacker_ip)),
-                params.attack_bandwidth_bps,
-                attack_start,
-            )
-            .upcall_flood(),
-        ),
-    );
-
-    (
-        b.build(),
-        UpcallSaturationHandles {
-            victim_source,
-            attack_source,
-            node,
-            victim_vport,
-        },
-    )
+    b.add_source(node, Box::new(upcall_flood(flood_from)));
+    finish(b, vec![node], vec![node])
 }
 
 /// How the adaptive-defense scenario defends (or doesn't).
@@ -356,35 +456,13 @@ impl DefenseMode {
 pub struct AdaptiveDefenseParams {
     /// Run length.
     pub duration: SimTime,
-    /// When the upcall flood begins. Everything before it is the
-    /// benign phase the false-positive rate is judged on.
+    /// When the upcall flood — and with it the victim's connection
+    /// churn, the same arrangement as the `upcall_saturation` scenario
+    /// — begins. Everything before it is the benign phase the
+    /// false-positive rate is judged on.
     pub attack_start: SimTime,
-    /// Victim connection churn, new flows/second (starts with the
-    /// attack, when the flood has the flow table pinned — the same
-    /// arrangement as the `upcall_saturation` scenario).
-    pub victim_pps: f64,
-    /// Benign churn load during the whole run, new connections/second
-    /// towards the background pod (its megaflow is cached, so this is
-    /// fast-path churn — the detector must not alarm on it).
-    pub benign_pps: f64,
-    /// Attacker flood bandwidth, bits/second of 64-B frames.
-    pub attack_bandwidth_bps: f64,
-    /// Megaflow table limit (small: the flood exhausts it quickly).
-    pub flow_limit: usize,
-    /// Per-port upcall queue capacity.
-    pub queue_capacity: usize,
-    /// Handler cycle budget per tick.
-    pub handler_cycles_per_step: u64,
     /// The defense under test.
     pub defense: DefenseMode,
-    /// Which dataplane architecture the node runs.
-    pub backend: BackendKind,
-    /// Control-loop cadence (the `defense_interval` of the run).
-    pub defense_interval: SimTime,
-    /// Fast-path CPU budget.
-    pub cpu_cycles_per_sec: u64,
-    /// Seed for the background workload.
-    pub seed: u64,
 }
 
 impl Default for AdaptiveDefenseParams {
@@ -392,35 +470,14 @@ impl Default for AdaptiveDefenseParams {
         AdaptiveDefenseParams {
             duration: SimTime::from_secs(12),
             attack_start: SimTime::from_secs(4),
-            victim_pps: 2_000.0,
-            benign_pps: 500.0,
-            attack_bandwidth_bps: 10e6,
-            flow_limit: 2_048,
-            queue_capacity: 64,
-            handler_cycles_per_step: 400_000,
             defense: DefenseMode::adaptive(ControllerConfig::default()),
-            backend: BackendKind::OvsCache,
-            defense_interval: SimTime::from_millis(100),
-            cpu_cycles_per_sec: SimConfig::default().cpu_cycles_per_sec,
-            seed: 2018,
         }
     }
 }
 
-/// Source/node indices of the built adaptive-defense scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdaptiveDefenseHandles {
-    /// The victim churn source.
-    pub victim_source: usize,
-    /// The benign churn source (active from t = 0).
-    pub benign_source: usize,
-    /// The attacker flood source.
-    pub attack_source: usize,
-    /// The single simulated node.
-    pub node: usize,
-    /// The victim pod's vport.
-    pub victim_vport: u32,
-}
+/// Benign churn load during the whole adaptive-defense run, new
+/// connections/second towards the background pod.
+pub const BENIGN_CHURN_PPS: f64 = 500.0;
 
 /// Builds the closed-loop defense experiment: one node under benign
 /// churn from t = 0, hit by an `upcall_flood` destination spray at
@@ -430,103 +487,35 @@ pub struct AdaptiveDefenseHandles {
 /// three [`DefenseMode`]s make the static-vs-adaptive comparison:
 /// time-to-detect and the benign-phase false-positive count come from
 /// the report's [`pi_detect::DefenseReport`].
-pub fn adaptive_defense_scenario(
-    params: &AdaptiveDefenseParams,
-) -> (Simulation, AdaptiveDefenseHandles) {
-    let cfg = SimConfig {
-        duration: params.duration,
-        cpu_cycles_per_sec: params.cpu_cycles_per_sec,
-        defense_interval: params.defense_interval,
-        ..SimConfig::default()
-    };
+pub fn adaptive_defense_scenario(params: &AdaptiveDefenseParams) -> (Simulation, Handles) {
     let quota = match params.defense {
         DefenseMode::StaticFairShare(q) => Some(q),
         _ => None,
     };
-    let dp = DpConfig {
-        flow_limit: params.flow_limit,
-        pipeline: PipelineMode::Bounded(UpcallPipelineConfig {
-            queue_capacity: params.queue_capacity,
-            handler_cycles_per_step: params.handler_cycles_per_step,
-            port_quota_per_step: quota,
-        }),
-        backend: params.backend,
+    let mut b = FleetBuilder::new(run_config(params.duration, 1));
+    let node = b.add_host(DpConfig {
+        flow_limit: FLOOD_FLOW_LIMIT,
+        pipeline: bounded_slow_path(quota),
         ..DpConfig::default()
-    };
-    let mut b = testbed(cfg);
-    let node = b.add_host(dp);
-
-    let victim_ip = u32::from_be_bytes([10, 1, 0, 10]);
-    let benign_ip = u32::from_be_bytes([10, 1, 0, 20]);
-    let attacker_ip = u32::from_be_bytes([10, 1, 0, 66]);
-    let victim_vport = b.add_pod(node, victim_ip);
-    b.add_pod(node, benign_ip);
-    b.add_pod(node, attacker_ip);
+    });
+    b.add_pod(node, VICTIM_IP);
+    b.add_pod(node, BACKGROUND_IP);
+    b.add_pod(node, ATTACKER_IP);
 
     // Benign churn for the whole run: short-lived connections to the
     // background pod. Its dst-pinned megaflow caches after the first
     // packet, so this is sustained fast-path churn — EMC pressure and
-    // packet rate without slow-path distress.
-    let benign_source = b.add_source(
-        node,
-        Box::new(
-            ChurnSource::new(
-                u32::from_be_bytes([10, 3, 0, 0]),
-                benign_ip,
-                80,
-                200,
-                params.benign_pps,
-            )
-            .named("benign"),
-        ),
-    );
-
-    // Victim churn from attack onset: the flood owns the flow table by
-    // then, so every victim connection needs a slow-path handler.
-    let victim_source = b.add_source(
-        node,
-        Box::new(
-            ChurnSource::new(
-                u32::from_be_bytes([10, 2, 0, 0]),
-                victim_ip,
-                5201,
-                64,
-                params.victim_pps,
-            )
-            .starting_at(params.attack_start)
-            .named("victim"),
-        ),
-    );
-
-    // The ACL-injection flood: the covert sequence of a 512-mask
-    // Kubernetes injection, re-paced as a unique-destination spray.
-    let spec = AttackSpec::masks_512(pi_cms::PolicyDialect::Kubernetes);
-    let attack_source = b.add_source(
-        node,
-        Box::new(
-            AttackSchedule::new(
-                CovertSequence::new(spec.build_target(attacker_ip)),
-                params.attack_bandwidth_bps,
-                params.attack_start,
-            )
-            .upcall_flood(),
-        ),
-    );
-
+    // packet rate without slow-path distress; the detector must not
+    // alarm on it.
+    let peers = u32::from_be_bytes([10, 3, 0, 0]);
+    let benign = ChurnSource::new(peers, BACKGROUND_IP, 80, 200, BENIGN_CHURN_PPS);
+    b.add_source(node, Box::new(benign.named("benign")));
+    b.add_source(node, Box::new(churn_victim(params.attack_start)));
+    b.add_source(node, Box::new(upcall_flood(params.attack_start)));
     if let DefenseMode::Adaptive(ctrl) = &params.defense {
         b.attach_defense(node, DefenseController::new(**ctrl));
     }
-
-    (
-        b.build(),
-        AdaptiveDefenseHandles {
-            victim_source,
-            benign_source,
-            attack_source,
-            node,
-            victim_vport,
-        },
-    )
+    finish(b, vec![node], vec![node])
 }
 
 /// Parameters of the policy-churn (control-plane flush storm)
@@ -536,34 +525,17 @@ pub struct PolicyChurnParams {
     /// Run length.
     pub duration: SimTime,
     /// When the policy-flap train begins (everything before it is the
-    /// benign phase).
+    /// benign phase); at or past `duration` the flap never fires.
     pub attack_start: SimTime,
     /// Whether the attacker flaps at all (false = the benign baseline:
     /// only routine control-plane churn).
     pub flap: bool,
-    /// Interval between the attacker's ACL re-installs.
-    pub flap_period: SimTime,
     /// Cache-invalidation scope of every policy update on the node
     /// ([`DpConfig::scoped_invalidation`]) — the ablation knob: global
     /// flushes are what give the flap its amplification.
     pub scoped_invalidation: bool,
-    /// Whitelisted victim clients. Each client is a distinct /32 rule
-    /// in the victim's ACL, so each owns a distinct megaflow — a full
-    /// flush forces one slow-path rebuild *per client*.
-    pub clients: usize,
     /// Victim aggregate rate, packets/second across all clients.
     pub victim_pps: f64,
-    /// Victim frame size, bytes.
-    pub victim_frame_bytes: usize,
-    /// Cadence of the routine (benign) control-plane churn: an ACL
-    /// install/remove alternation on the background pod. Present in
-    /// every run so the flap rows are judged against live-but-sane
-    /// control-plane activity, not silence.
-    pub benign_update_period: SimTime,
-    /// CMS → switch propagation delay of the benign updates.
-    pub benign_propagation_delay: SimTime,
-    /// Datapath CPU budget, cycles/second.
-    pub cpu_cycles_per_sec: u64,
     /// Datapath configuration (scoped_invalidation is overridden by
     /// the field above).
     pub dp: DpConfig,
@@ -578,168 +550,82 @@ impl Default for PolicyChurnParams {
             duration: SimTime::from_secs(10),
             attack_start: SimTime::from_secs(2),
             flap: true,
-            flap_period: SimTime::from_millis(20),
             scoped_invalidation: false,
-            clients: 512,
             victim_pps: 40_000.0,
-            victim_frame_bytes: 400,
-            benign_update_period: SimTime::from_secs(1),
-            benign_propagation_delay: SimTime::from_millis(50),
-            cpu_cycles_per_sec: SimConfig::default().cpu_cycles_per_sec,
             dp: DpConfig::default(),
             defense: None,
         }
     }
 }
 
-/// Source/node indices of the built policy-churn scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PolicyChurnHandles {
-    /// The victim fan source.
-    pub victim_source: usize,
-    /// The single simulated node.
-    pub node: usize,
-    /// The victim pod's IP.
-    pub victim_ip: u32,
-    /// The attacker pod's IP (the flapped ACL's target).
-    pub attacker_ip: u32,
-}
+/// Whitelisted clients of the policy-churn victim.
+pub const POLICY_CHURN_CLIENTS: u32 = 512;
+/// Cadence of the routine (benign) control-plane churn: an ACL
+/// install/remove alternation on the background pod. Present in every
+/// run so the flap rows are judged against live-but-sane control-plane
+/// activity, not silence.
+pub const BENIGN_UPDATE_PERIOD: SimTime = SimTime::from_secs(1);
+/// CMS → switch propagation delay of the benign updates.
+const BENIGN_PROPAGATION_DELAY: SimTime = SimTime::from_millis(50);
 
 /// Builds the policy-churn experiment: one node hosting a victim
-/// service (an ACL whitelisting `clients` individual /32 peers, each
-/// peer a live flow) and a co-located attacker pod. The attacker sends
-/// **zero packets**; its entire attack is the control plane —
-/// [`AttackSchedule::policy_flap`] re-installs the attacker's own ACL
-/// every `flap_period`, and under global-flush invalidation every
-/// re-install wipes the victim's per-client megaflows and the whole
-/// EMC. The victim pays one slow-path rebuild per client per flap (an
-/// upcall plus a linear scan of its own whitelist), which exhausts the
-/// shared cycle budget; every flush is also charged its own teardown
-/// cost ([`pi_datapath::CostModel::control_update_cycles`]). Routine
-/// benign churn (install/remove on a background pod once a second,
-/// with a CMS propagation delay) runs in every configuration so the
-/// baseline is live control-plane activity, not silence. The
+/// service (an ACL whitelisting [`POLICY_CHURN_CLIENTS`] individual /32
+/// peers, each peer a live flow) and a co-located attacker pod. The
+/// attacker sends **zero packets**; its entire attack is the control
+/// plane — [`AttackSchedule::policy_flap`] re-installs the attacker's
+/// own ACL every [`FLAP_PERIOD`], and under global-flush invalidation
+/// every re-install wipes the victim's per-client megaflows and the
+/// whole EMC. The victim pays one slow-path rebuild per client per flap
+/// (an upcall plus a linear scan of its own whitelist), which exhausts
+/// the shared cycle budget; every flush is also charged its own
+/// teardown cost ([`pi_datapath::CostModel::control_update_cycles`]).
+/// Routine benign churn (install/remove on a background pod once a
+/// second, with a CMS propagation delay) runs in every configuration
+/// so the baseline is live control-plane activity, not silence. The
 /// scoped-invalidation ablation confines each update's eviction to the
 /// updated destination, which is what restores the victim.
-pub fn policy_churn_scenario(params: &PolicyChurnParams) -> (Simulation, PolicyChurnHandles) {
-    let cfg = SimConfig {
-        duration: params.duration,
-        cpu_cycles_per_sec: params.cpu_cycles_per_sec,
-        ..SimConfig::default()
-    };
-    let dp = DpConfig {
+pub fn policy_churn_scenario(params: &PolicyChurnParams) -> (Simulation, Handles) {
+    let mut b = FleetBuilder::new(run_config(params.duration, 1));
+    let node = b.add_host(DpConfig {
         scoped_invalidation: params.scoped_invalidation,
         ..params.dp.clone()
-    };
-    let mut b = testbed(cfg);
-    let node = b.add_host(dp);
+    });
+    b.add_pod(node, VICTIM_IP);
+    b.add_pod(node, ATTACKER_IP);
+    b.add_pod(node, BACKGROUND_IP);
+    let (whitelist, clients) = whitelisted_clients(POLICY_CHURN_CLIENTS, params.victim_pps);
+    b.install_acl(VICTIM_IP, whitelist);
+    b.add_source(node, Box::new(clients));
 
-    let victim_ip = u32::from_be_bytes([10, 1, 0, 10]);
-    let attacker_ip = u32::from_be_bytes([10, 1, 0, 66]);
-    let background_ip = u32::from_be_bytes([10, 1, 0, 20]);
-    b.add_pod(node, victim_ip);
-    b.add_pod(node, attacker_ip);
-    b.add_pod(node, background_ip);
-
-    // The victim's microsegmentation: one /32 whitelist entry per
-    // client peer — realistic for a service with a pinned client set,
-    // and the reason a global flush costs one rebuild per client.
-    assert!(params.clients > 0 && params.clients <= 65_536);
-    let client_ip = |i: usize| [10, 2, (i >> 8) as u8, (i & 0xff) as u8];
-    let victim_policy = NetworkPolicy {
-        name: "victim-peers".into(),
-        ingress: vec![IngressRule {
-            from: (0..params.clients)
-                .map(|i| Cidr::host(client_ip(i)))
-                .collect(),
-            ports: vec![(Protocol::Tcp, Some(5201))],
-        }],
-    };
-    b.install_acl(victim_ip, PolicyCompiler.compile_k8s(&victim_policy));
-
-    // The victim's standing traffic: every whitelisted client sends
-    // continuously (round-robin fan at the aggregate rate).
-    let victim_keys: Vec<FlowKey> = (0..params.clients)
-        .map(|i| {
-            FlowKey::tcp(
-                client_ip(i),
-                victim_ip.to_be_bytes(),
-                40_000 + (i % 16_000) as u16,
-                5201,
-            )
-        })
-        .collect();
-    let victim_source = b.add_source(
-        node,
-        Box::new(
-            FanSource::new(victim_keys, params.victim_frame_bytes, params.victim_pps)
-                .named("victim"),
-        ),
-    );
-
-    // The attacker's own, innocuous-looking ACL — installed once at
-    // build like any tenant policy...
-    let attacker_policy = NetworkPolicy {
-        name: "attacker-web".into(),
-        ingress: vec![IngressRule {
-            from: vec![Cidr::new(u32::from_be_bytes([10, 0, 0, 0]), 8).unwrap()],
-            ports: vec![(Protocol::Tcp, Some(8080))],
-        }],
-    };
-    let attacker_table = PolicyCompiler.compile_k8s(&attacker_policy);
-    b.install_acl(attacker_ip, attacker_table.clone());
-
-    // ...and then re-installed ad nauseam: the policy-flap train.
+    // The attacker's ACL, installed once — and then re-installed ad
+    // nauseam: the policy-flap train.
+    let attacker_table = attacker_web_acl();
+    b.install_acl(ATTACKER_IP, attacker_table.clone());
     if params.flap {
-        b.attach_control_plane(
-            node,
-            AttackSchedule::policy_flap(
-                attacker_ip,
-                &attacker_table,
-                params.attack_start,
-                params.duration,
-                params.flap_period,
-            ),
-        );
+        let flap = attacker_flap(&attacker_table, params.attack_start, params.duration);
+        b.attach_control_plane(node, flap);
     }
 
     // Routine churn: operations installs/removes an ACL on the
     // background pod once per period, with CMS propagation delay.
-    let bg_table = PolicyCompiler.compile_k8s(&NetworkPolicy {
-        name: "background".into(),
-        ingress: vec![IngressRule {
-            from: vec![Cidr::new(u32::from_be_bytes([10, 0, 0, 0]), 8).unwrap()],
-            ports: vec![(Protocol::Tcp, None)],
-        }],
-    });
-    let mut benign =
-        ControlPlaneProgram::new().with_propagation_delay(params.benign_propagation_delay);
-    let mut at = params.benign_update_period;
+    let bg_table = PolicyCompiler.compile_k8s(&allow_cluster_to("background", None));
+    let mut benign = ControlPlaneProgram::new().with_propagation_delay(BENIGN_PROPAGATION_DELAY);
+    let mut at = BENIGN_UPDATE_PERIOD;
     let mut install = true;
     while at < params.duration {
         if install {
-            benign.install_acl(at, background_ip, bg_table.clone());
+            benign.install_acl(at, BACKGROUND_IP, bg_table.clone());
         } else {
-            benign.remove_acl(at, background_ip);
+            benign.remove_acl(at, BACKGROUND_IP);
         }
         install = !install;
-        at += params.benign_update_period;
+        at += BENIGN_UPDATE_PERIOD;
     }
     b.attach_control_plane(node, benign);
-
     if let Some(ctrl) = &params.defense {
         b.attach_defense(node, DefenseController::new(*ctrl));
     }
-
-    (
-        b.build(),
-        PolicyChurnHandles {
-            victim_source,
-            node,
-            victim_ip,
-            attacker_ip,
-        },
-    )
+    finish(b, vec![node], vec![node])
 }
 
 /// Which attack runs alongside the crash/recovery window.
@@ -773,87 +659,51 @@ impl CrashRecoveryAttack {
 pub struct CrashRecoveryParams {
     /// Run length.
     pub duration: SimTime,
-    /// When the CMS program installs the victim's ACL (it is also
-    /// installed at build, so the prober is denied from t = 0; the
-    /// program copy is what reconciliation's desired state replays).
-    pub acl_install_at: SimTime,
-    /// When the unauthorized prober starts (after the ACL landed, so
-    /// every delivered prober packet is a wrong verdict).
-    pub prober_start: SimTime,
     /// Whether the switch crashes at all (false = the never-crashed
     /// baseline the verdicts are compared against).
     pub crash: bool,
-    /// When the switch process dies.
+    /// When the switch process dies — and the attack riding the
+    /// recovery begins; at or past `duration` neither happens.
     pub crash_at: SimTime,
-    /// Blackout before the restart completes.
-    pub down_for: SimTime,
     /// The attack riding the recovery window.
     pub attack: CrashRecoveryAttack,
-    /// Interval of the flap train's re-installs.
-    pub flap_period: SimTime,
-    /// Upcall-flood bandwidth, bits/second of 64-B frames.
-    pub attack_bandwidth_bps: f64,
     /// `Some` = the CMS sends through the at-least-once layer (acks +
     /// retry + reconciliation); `None` = fire-and-forget delivery, the
     /// vulnerable baseline.
     pub reliable: Option<ReliabilityConfig>,
     /// CMS→switch channel fault model (drops/duplicates/delay), if any.
     pub channel: Option<ChannelFaultConfig>,
-    /// Whitelisted victim clients (each a /32 rule and a live flow).
-    pub clients: usize,
-    /// Victim aggregate rate, packets/second across all clients.
-    pub victim_pps: f64,
-    /// Victim frame size, bytes.
-    pub victim_frame_bytes: usize,
-    /// Unauthorized prober rate, packets/second.
-    pub prober_pps: f64,
-    /// Which dataplane architecture the node runs.
-    pub backend: BackendKind,
-    /// Datapath CPU budget, cycles/second.
-    pub cpu_cycles_per_sec: u64,
 }
 
 impl Default for CrashRecoveryParams {
     fn default() -> Self {
         CrashRecoveryParams {
             duration: SimTime::from_secs(12),
-            acl_install_at: SimTime::from_millis(500),
-            prober_start: SimTime::from_secs(1),
             crash: true,
             crash_at: SimTime::from_secs(4),
-            down_for: SimTime::from_millis(200),
             attack: CrashRecoveryAttack::PolicyFlap,
-            flap_period: SimTime::from_millis(20),
-            attack_bandwidth_bps: 10e6,
             reliable: None,
             channel: None,
-            clients: 256,
-            victim_pps: 20_000.0,
-            victim_frame_bytes: 400,
-            prober_pps: 1_000.0,
-            backend: BackendKind::OvsCache,
-            cpu_cycles_per_sec: SimConfig::default().cpu_cycles_per_sec,
         }
     }
 }
 
-/// Source/node indices of the built crash-recovery scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CrashRecoveryHandles {
-    /// The victim fan source.
-    pub victim_source: usize,
-    /// The unauthorized prober — every packet of it the switch
-    /// *delivers* is a wrong verdict (a vanished deny rule).
-    pub prober_source: usize,
-    /// The upcall-flood source, when that attack is selected.
-    pub attack_source: Option<usize>,
-    /// The single simulated node.
-    pub node: usize,
-    /// The victim pod's IP.
-    pub victim_ip: u32,
-    /// The attacker pod's IP.
-    pub attacker_ip: u32,
-}
+/// Blackout before the crashed switch's restart completes.
+pub const CRASH_DOWN_FOR: SimTime = SimTime::from_millis(200);
+/// Whitelisted clients of the crash-recovery victim (each a /32 rule
+/// and a live flow).
+pub const CRASH_RECOVERY_CLIENTS: u32 = 256;
+/// The crash-recovery victim's aggregate rate, packets/second.
+pub const CRASH_VICTIM_PPS: f64 = 20_000.0;
+/// Unauthorized prober rate, packets/second.
+pub const PROBER_PPS: f64 = 1_000.0;
+/// When the CMS program installs the ACLs (they are also installed at
+/// build, so the prober is denied from t = 0; the program copy is what
+/// reconciliation's desired state replays).
+const ACL_INSTALL_AT: SimTime = SimTime::from_millis(500);
+/// When the prober starts: after the ACL landed, so every delivered
+/// prober packet is a wrong verdict.
+const PROBER_START: SimTime = SimTime::from_secs(1);
 
 /// Builds the crash-recovery experiment: one node hosting a victim
 /// service behind a client-whitelist ACL, an unauthorized prober
@@ -870,148 +720,66 @@ pub struct CrashRecoveryHandles {
 /// [`CrashRecoveryAttack::PolicyFlap`] floods the control plane with
 /// re-installs from the crash instant, so the recovery's own updates
 /// compete with the attack's for the same budget.
-pub fn crash_recovery_scenario(params: &CrashRecoveryParams) -> (Simulation, CrashRecoveryHandles) {
-    let cfg = SimConfig {
-        duration: params.duration,
-        cpu_cycles_per_sec: params.cpu_cycles_per_sec,
-        ..SimConfig::default()
-    };
+pub fn crash_recovery_scenario(params: &CrashRecoveryParams) -> (Simulation, Handles) {
     // Scoped invalidation throughout: PR 5 settled that ablation — here
     // the subject is recovery, so the flap must not win by global
     // flushes alone. The flood variant needs the bounded slow path to
     // have something to monopolise.
-    let pipeline = match params.attack {
-        CrashRecoveryAttack::UpcallFlood => PipelineMode::Bounded(UpcallPipelineConfig {
-            queue_capacity: 64,
-            handler_cycles_per_step: 400_000,
-            port_quota_per_step: None,
-        }),
-        _ => PipelineMode::Inline,
+    let flood = params.attack == CrashRecoveryAttack::UpcallFlood;
+    let pipeline = if flood {
+        bounded_slow_path(None)
+    } else {
+        PipelineMode::Inline
     };
-    let dp = DpConfig {
+    let mut b = FleetBuilder::new(run_config(params.duration, 1));
+    let node = b.add_host(DpConfig {
         scoped_invalidation: true,
         pipeline,
-        backend: params.backend,
         ..DpConfig::default()
-    };
-    let mut b = testbed(cfg);
-    let node = b.add_host(dp);
+    });
+    b.add_pod(node, VICTIM_IP);
+    b.add_pod(node, ATTACKER_IP);
+    let (whitelist, clients) = whitelisted_clients(CRASH_RECOVERY_CLIENTS, CRASH_VICTIM_PPS);
+    b.install_acl(VICTIM_IP, whitelist.clone());
+    b.add_source(node, Box::new(clients));
 
-    let victim_ip = u32::from_be_bytes([10, 1, 0, 10]);
-    let attacker_ip = u32::from_be_bytes([10, 1, 0, 66]);
-    b.add_pod(node, victim_ip);
-    b.add_pod(node, attacker_ip);
-
-    // The victim's microsegmentation: one /32 whitelist entry per
-    // client peer.
-    assert!(params.clients > 0 && params.clients <= 65_536);
-    let client_ip = |i: usize| [10, 2, (i >> 8) as u8, (i & 0xff) as u8];
-    let victim_policy = NetworkPolicy {
-        name: "victim-peers".into(),
-        ingress: vec![IngressRule {
-            from: (0..params.clients)
-                .map(|i| Cidr::host(client_ip(i)))
-                .collect(),
-            ports: vec![(Protocol::Tcp, Some(5201))],
-        }],
-    };
-    let victim_table = PolicyCompiler.compile_k8s(&victim_policy);
-    b.install_acl(victim_ip, victim_table.clone());
-
-    // Whitelisted clients, sending for the whole run.
-    let victim_keys: Vec<FlowKey> = (0..params.clients)
-        .map(|i| {
-            FlowKey::tcp(
-                client_ip(i),
-                victim_ip.to_be_bytes(),
-                40_000 + (i % 16_000) as u16,
-                5201,
-            )
-        })
-        .collect();
-    let victim_source = b.add_source(
-        node,
-        Box::new(
-            FanSource::new(victim_keys, params.victim_frame_bytes, params.victim_pps)
-                .named("victim"),
-        ),
-    );
-
-    // The unauthorized prober: a peer outside the whitelist, starting
-    // after the ACL landed. In a healthy run its delivered count is
-    // exactly zero.
-    let prober_keys = vec![FlowKey::tcp(
-        [10, 9, 0, 1],
-        victim_ip.to_be_bytes(),
-        40_000,
-        5201,
-    )];
-    let prober_source = b.add_source(
-        node,
-        Box::new(
-            FanSource::new(prober_keys, 64, params.prober_pps)
-                .starting_at(params.prober_start)
-                .named("prober"),
-        ),
-    );
-
-    // The attacker's own innocuous ACL, installed at build like any
-    // tenant policy.
-    let attacker_policy = NetworkPolicy {
-        name: "attacker-web".into(),
-        ingress: vec![IngressRule {
-            from: vec![Cidr::new(u32::from_be_bytes([10, 0, 0, 0]), 8).unwrap()],
-            ports: vec![(Protocol::Tcp, Some(8080))],
-        }],
-    };
-    let attacker_table = PolicyCompiler.compile_k8s(&attacker_policy);
-    b.install_acl(attacker_ip, attacker_table.clone());
+    // The unauthorized prober: a peer outside the whitelist. In a
+    // healthy run its delivered count is exactly zero.
+    let prober_key = FlowKey::tcp([10, 9, 0, 1], VICTIM_IP, 40_000, VICTIM_PORT);
+    let prober = FanSource::new(vec![prober_key], 64, PROBER_PPS).starting_at(PROBER_START);
+    b.add_source(node, Box::new(prober.named("prober")));
+    let attacker_table = attacker_web_acl();
+    b.install_acl(ATTACKER_IP, attacker_table.clone());
 
     // Everything the CMS sends travels one path: the victim's program
     // install, and — for the flap attack — the attacker's re-install
-    // train (the CMS retries tenants' updates indiscriminately).
-    let mut program = ControlPlaneProgram::new();
-    program.install_acl(params.acl_install_at, victim_ip, victim_table);
-    // The attacker's ACL is desired state too: were it absent from the
+    // train (the CMS retries tenants' updates indiscriminately). The
+    // attacker's ACL is desired state too: were it absent from the
     // program, reconciliation would strip the build-time install as
-    // unknown (and, under the flap, oscillate against the re-install
-    // train).
-    program.install_acl(params.acl_install_at, attacker_ip, attacker_table.clone());
+    // unknown (and, under the flap, oscillate against the train).
+    let mut program = ControlPlaneProgram::new();
+    program.install_acl(ACL_INSTALL_AT, VICTIM_IP, whitelist);
+    program.install_acl(ACL_INSTALL_AT, ATTACKER_IP, attacker_table.clone());
     if params.attack == CrashRecoveryAttack::PolicyFlap {
-        program.merge(AttackSchedule::policy_flap(
-            attacker_ip,
+        program.merge(attacker_flap(
             &attacker_table,
             params.crash_at,
             params.duration,
-            params.flap_period,
         ));
     }
     match &params.reliable {
         Some(rcfg) => b.attach_reliable_control_plane(node, program, *rcfg),
         None => b.attach_control_plane(node, program),
     }
-
-    // The upcall-flood variant sprays from the crash instant.
-    let attack_source = (params.attack == CrashRecoveryAttack::UpcallFlood).then(|| {
-        let spec = AttackSpec::masks_512(pi_cms::PolicyDialect::Kubernetes);
-        b.add_source(
-            node,
-            Box::new(
-                AttackSchedule::new(
-                    CovertSequence::new(spec.build_target(attacker_ip)),
-                    params.attack_bandwidth_bps,
-                    params.crash_at,
-                )
-                .upcall_flood(),
-            ),
-        )
-    });
+    if flood {
+        b.add_source(node, Box::new(upcall_flood(params.crash_at)));
+    }
 
     // The fault program: the crash, plus the channel fault model the
     // reliable layer (if any) sends through.
     let mut faults = FaultSchedule::new();
     if params.crash {
-        faults = faults.crash(params.crash_at, params.down_for);
+        faults = faults.crash(params.crash_at, CRASH_DOWN_FOR);
     }
     if let Some(ch) = params.channel {
         faults = faults.channel(ch);
@@ -1019,19 +787,280 @@ pub fn crash_recovery_scenario(params: &CrashRecoveryParams) -> (Simulation, Cra
     if !faults.is_empty() {
         b.attach_faults(node, faults);
     }
-
-    (
-        b.build(),
-        CrashRecoveryHandles {
-            victim_source,
-            prober_source,
-            attack_source,
-            node,
-            victim_ip,
-            attacker_ip,
-        },
-    )
+    finish(b, vec![node], vec![node])
 }
+
+// --- Fleet recipes --------------------------------------------------
+
+/// Parameters of the co-location experiment.
+#[derive(Debug, Clone)]
+pub struct ColocationParams {
+    /// Fleet size, hosts.
+    pub hosts: usize,
+    /// Victim service pods (one tenant, spread round-robin).
+    pub victims: usize,
+    /// Attacker pods (one tenant, placed by adversarial co-location).
+    pub attackers: usize,
+    /// The injected policy shape.
+    pub spec: AttackSpec,
+    /// First covert stream start.
+    pub attack_start: SimTime,
+    /// Start stagger between consecutive attackers.
+    pub stagger: SimTime,
+    /// Victim link-limited rate, bits/second.
+    pub victim_rate_bps: f64,
+    /// Run length.
+    pub duration: SimTime,
+    /// Datapath configuration for every host.
+    pub dp: DpConfig,
+    /// Add background pod-to-pod chatter on every host.
+    pub background: bool,
+    /// Seed for background workloads.
+    pub seed: u64,
+    /// Worker threads.
+    pub workers: usize,
+}
+
+impl Default for ColocationParams {
+    fn default() -> Self {
+        ColocationParams {
+            hosts: 4,
+            victims: 4,
+            attackers: 2,
+            spec: AttackSpec::masks_8192(),
+            attack_start: SimTime::from_secs(10),
+            stagger: SimTime::from_secs(2),
+            victim_rate_bps: IPERF_RATE_BPS,
+            duration: SimTime::from_secs(30),
+            dp: DpConfig::default(),
+            background: true,
+            seed: 2018,
+            workers: 1,
+        }
+    }
+}
+
+/// Builds the co-location experiment — k attacker pods spread across n
+/// hosts by adversarial co-location, attacking m victims: the
+/// multi-tenant blast-radius question the two-node testbed cannot ask.
+/// Victims spread round-robin, attackers land next to them, and every
+/// stream (victim iperf, covert at [`COVERT_BANDWIDTH_BPS`] per
+/// attacker, background) arrives over the fabric from a client pod on
+/// the next host over.
+pub fn fleet_colocation(params: &ColocationParams) -> (FleetSim, Handles) {
+    let hosts = params.hosts;
+    assert!(hosts >= 2, "co-location needs at least two hosts");
+    let cfg = run_config(params.duration, params.workers);
+    let mut cb = ClusterBuilder::new(cfg, hosts, params.dp.clone());
+    let victim_tenant = cb.add_tenant();
+    let attacker_tenant = cb.add_tenant();
+    let bg_tenant = cb.add_tenant();
+
+    // Victim service pods with their own legitimate policies; attacker
+    // pods co-located with them, the ACL injected through the CMS's own
+    // admission path.
+    let victim_pods = cb.place_pods(victim_tenant, params.victims, PlacementStrategy::RoundRobin);
+    admit_victims(&mut cb, &victim_pods);
+    let colocate = PlacementStrategy::Colocate(victim_tenant);
+    let attacker_pods = cb.place_pods(attacker_tenant, params.attackers, colocate);
+    inject(&mut cb, &params.spec, &attacker_pods);
+
+    for (i, &pod) in victim_pods.iter().enumerate() {
+        let client_host = (cb.host_of(pod) + 1) % hosts;
+        victim_iperf(&mut cb, i, pod, client_host, params.victim_rate_bps);
+    }
+    covert_streams(
+        &mut cb,
+        &params.spec,
+        &attacker_pods,
+        hosts,
+        COVERT_BANDWIDTH_BPS,
+        params.attack_start,
+        params.stagger,
+    );
+
+    // Background chatter: one unprotected pod + Poisson source per host.
+    let chatty_hosts = if params.background { hosts } else { 0 };
+    for host in 0..chatty_hosts {
+        let pod = cb.place_pod_on(bg_tenant, host);
+        let dst = cb.pod(pod).ip;
+        let pairs = (0..8u8).map(|i| (u32::from_be_bytes([10, 0, 200, i]), dst));
+        let seed = params.seed ^ host as u64;
+        let chatter = PoissonFlowSource::new(pairs.collect(), 10.0, 20.0, 200.0, 200, seed);
+        let named = chatter.named(&format!("background{host}"));
+        cb.add_source((host + 1) % hosts, Box::new(named));
+    }
+    let (victim_hosts, attacker_hosts) =
+        (hosts_of(&cb, &victim_pods), hosts_of(&cb, &attacker_pods));
+    finish(cb.fleet, victim_hosts, attacker_hosts)
+}
+
+/// Parameters of the sparse-fleet experiment.
+#[derive(Debug, Clone)]
+pub struct SparseParams {
+    /// Fleet size, hosts. Most are idle: each carries one attached pod
+    /// that never sends or receives.
+    pub hosts: usize,
+    /// Hosts that actually see traffic (the first `hot_hosts` of the
+    /// fleet, at least two). Victims, attacker and every client pod
+    /// stay inside this set so the remaining hosts are provably
+    /// quiescent.
+    pub hot_hosts: usize,
+    /// Covert stream start (at or past `duration`: the attack is off).
+    pub attack_start: SimTime,
+    /// Victim link-limited rate, bits/second.
+    pub victim_rate_bps: f64,
+    /// Run length.
+    pub duration: SimTime,
+    /// Datapath configuration for every host.
+    pub dp: DpConfig,
+    /// Worker threads.
+    pub workers: usize,
+}
+
+impl Default for SparseParams {
+    fn default() -> Self {
+        SparseParams {
+            hosts: 96,
+            hot_hosts: 4,
+            attack_start: SimTime::from_secs(2),
+            // Modest service traffic, not a saturated iperf: the point
+            // of the sparse fleet is that almost nothing is happening.
+            victim_rate_bps: 2e6,
+            duration: SimTime::from_secs(10),
+            dp: DpConfig::default(),
+            workers: 1,
+        }
+    }
+}
+
+/// Covert budget on the sparse fleet, bits/second.
+const SPARSE_COVERT_BPS: f64 = 1e6;
+
+/// Builds the sparse fleet — a large fleet where only a handful of
+/// hosts see traffic, the event-driven engine's home turf and the
+/// workload `benchmark/`'s `sparse_idle` times tick-skipping on: one
+/// victim iperf pair per hot host, a 512-mask injected policy on host 0
+/// with its 1 Mb/s covert stream from host 1, and `hosts − hot_hosts`
+/// idle hosts each carrying a single silent pod. Idle hosts have no
+/// sources, defenses or scheduled events, so the event-driven engine
+/// skips them for the whole run; the tick-stepped reference walks all
+/// of them every tick.
+pub fn fleet_sparse(params: &SparseParams) -> (FleetSim, Handles) {
+    let spec = AttackSpec::masks_512(PolicyDialect::Kubernetes);
+    let hot = params.hot_hosts.clamp(2, params.hosts);
+    let cfg = run_config(params.duration, params.workers);
+    let mut cb = ClusterBuilder::new(cfg, params.hosts, params.dp.clone());
+    let victim_tenant = cb.add_tenant();
+    let attacker_tenant = cb.add_tenant();
+    let idle_tenant = cb.add_tenant();
+
+    // One victim pod + client pair per hot host, clients staying inside
+    // the hot set.
+    for i in 0..hot {
+        let pod = cb.place_pod_on(victim_tenant, i);
+        admit_victims(&mut cb, &[pod]);
+        victim_iperf(&mut cb, i, pod, (i + 1) % hot, params.victim_rate_bps);
+    }
+
+    // The injected policy on host 0, covert stream from host 1.
+    let attacker = [cb.place_pod_on(attacker_tenant, 0)];
+    inject(&mut cb, &spec, &attacker);
+    covert_streams(
+        &mut cb,
+        &spec,
+        &attacker,
+        hot,
+        SPARSE_COVERT_BPS,
+        params.attack_start,
+        SimTime::ZERO,
+    );
+
+    // The idle bulk: one silent pod per remaining host.
+    for host in hot..params.hosts {
+        cb.place_pod_on(idle_tenant, host);
+    }
+    finish(cb.fleet, (0..hot).collect(), vec![0])
+}
+
+/// Parameters of the migration experiment.
+#[derive(Debug, Clone)]
+pub struct MigrationParams {
+    /// Fleet size, hosts (victims start on host 0).
+    pub hosts: usize,
+    /// Victim pods co-located with the attacker on host 0.
+    pub victims: usize,
+    /// Covert stream start.
+    pub attack_start: SimTime,
+    /// When the scheduler evacuates the victims off host 0.
+    pub migrate_at: SimTime,
+    /// Run length.
+    pub duration: SimTime,
+    /// Worker threads.
+    pub workers: usize,
+}
+
+impl Default for MigrationParams {
+    fn default() -> Self {
+        MigrationParams {
+            hosts: 4,
+            victims: 3,
+            attack_start: SimTime::from_secs(5),
+            migrate_at: SimTime::from_secs(20),
+            duration: SimTime::from_secs(35),
+            workers: 1,
+        }
+    }
+}
+
+/// Builds the migration experiment — victims rescheduled off a
+/// saturated host mid-run: does moving the tenants away actually
+/// restore service? Everyone starts co-located on host 0 (saturated
+/// iperf victims, the 8192-mask injection); at `migrate_at` the
+/// scheduler live-migrates every victim pod to a clean host, leaving
+/// the attacker alone with its saturated switch.
+pub fn fleet_migration(params: &MigrationParams) -> (FleetSim, Handles) {
+    let spec = AttackSpec::masks_8192();
+    let hosts = params.hosts;
+    assert!(hosts >= 2, "migration needs somewhere to go");
+    let cfg = run_config(params.duration, params.workers);
+    let mut cb = ClusterBuilder::new(cfg, hosts, DpConfig::default());
+    let victim_tenant = cb.add_tenant();
+    let attacker_tenant = cb.add_tenant();
+
+    // Pack victims and attacker together on host 0.
+    let pack = PlacementStrategy::BinPacked {
+        capacity: params.victims + 1,
+    };
+    let victim_pods = cb.place_pods(victim_tenant, params.victims, pack);
+    let attacker = cb.place_pods(attacker_tenant, 1, pack);
+    admit_victims(&mut cb, &victim_pods);
+    inject(&mut cb, &spec, &attacker);
+
+    // Victim clients on the clean hosts — where the evacuation then
+    // spreads the victims themselves; the covert stream from host 1.
+    let clean_host = |i: usize| 1 + i % (hosts - 1);
+    for (i, &pod) in victim_pods.iter().enumerate() {
+        victim_iperf(&mut cb, i, pod, clean_host(i), IPERF_RATE_BPS);
+    }
+    covert_streams(
+        &mut cb,
+        &spec,
+        &attacker,
+        hosts,
+        COVERT_BANDWIDTH_BPS,
+        params.attack_start,
+        SimTime::ZERO,
+    );
+    for (i, &pod) in victim_pods.iter().enumerate() {
+        cb.schedule_migration(params.migrate_at, pod, clean_host(i));
+    }
+    let (victim_hosts, attacker_hosts) = (hosts_of(&cb, &victim_pods), hosts_of(&cb, &attacker));
+    assert_eq!(attacker_hosts, [0], "everyone packs onto host 0");
+    finish(cb.fleet, victim_hosts, attacker_hosts)
+}
+
+// --- Capacity probes ------------------------------------------------
 
 /// Peak-capacity measurement (E3/E4): how many packets/second one
 /// datapath core sustains as a function of the injected mask count.
@@ -1062,8 +1091,7 @@ pub fn measure_capacity(
     spec: &AttackSpec,
     samples: u64,
 ) -> (CapacityReport, CapacityReport) {
-    let attacker_pod_ip = u32::from_be_bytes([10, 1, 0, 66]);
-    let seq = CovertSequence::new(spec.build_target(attacker_pod_ip));
+    let seq = CovertSequence::new(spec.build_target(ATTACKER_IP));
 
     // Subtable walk order is creation order, so baseline and attacked
     // states must be built the way the attack builds them: a fresh
@@ -1071,8 +1099,8 @@ pub fn measure_capacity(
     // stream's full mask *last*) run only on the attacked one.
     let build_switch = || {
         let mut sw = build_backend(dp.clone(), CostModel::default());
-        sw.attach_pod(attacker_pod_ip, 1);
-        sw.install_acl(attacker_pod_ip, spec.compile());
+        sw.attach_pod(ATTACKER_IP, 1);
+        sw.install_acl(ATTACKER_IP, spec.compile());
         sw
     };
     let measure = |sw: &mut dyn DataplaneBackend| -> CapacityReport {
@@ -1149,9 +1177,7 @@ pub fn measure_backend_capacity(
     victim_samples: u64,
     covert_per_victim: u64,
 ) -> (CapacityReport, CapacityReport) {
-    let victim_ip = u32::from_be_bytes([10, 1, 0, 10]);
-    let attacker_pod_ip = u32::from_be_bytes([10, 1, 0, 66]);
-    let seq = CovertSequence::new(spec.build_target(attacker_pod_ip));
+    let seq = CovertSequence::new(spec.build_target(ATTACKER_IP));
 
     // The victim's flows: one pinned key for the established workload,
     // a fresh source port per sample for connection setup. Its ACL is
@@ -1162,28 +1188,18 @@ pub fn measure_backend_capacity(
             CapacityWorkload::CachedFlow => 40_000,
             CapacityWorkload::ConnectionSetup => 1_024 + (sample % 60_000) as u16,
         };
-        FlowKey::tcp(
-            std::net::Ipv4Addr::from(u32::from_be_bytes([10, 0, 0, 10])),
-            std::net::Ipv4Addr::from(victim_ip),
-            tp_src,
-            5201,
-        )
+        FlowKey::tcp([10, 0, 0, 10], VICTIM_IP, tp_src, VICTIM_PORT)
     };
 
     let build = || -> Box<dyn DataplaneBackend> {
         let mut be = build_backend(dp.clone(), CostModel::default());
-        be.attach_pod(victim_ip, 1);
-        be.attach_pod(attacker_pod_ip, 2);
-        let victim_policy = NetworkPolicy {
-            name: "victim-iperf".into(),
-            ingress: vec![IngressRule {
-                from: vec![Cidr::new(u32::from_be_bytes([10, 0, 0, 0]), 8).unwrap()],
-                ports: vec![(Protocol::Tcp, Some(5201))],
-            }],
-        };
-        be.install_acl(victim_ip, PolicyCompiler.compile_k8s(&victim_policy));
-        let table = spec.compile();
-        be.install_acl(attacker_pod_ip, table);
+        be.attach_pod(VICTIM_IP, 1);
+        be.attach_pod(ATTACKER_IP, 2);
+        be.install_acl(
+            VICTIM_IP,
+            PolicyCompiler.compile_k8s(&victim_iperf_policy()),
+        );
+        be.install_acl(ATTACKER_IP, spec.compile());
         be
     };
 
@@ -1273,8 +1289,8 @@ mod tests {
             };
             let (sim, handles) = upcall_saturation_scenario(&params);
             let report = sim.run();
-            let victim = report.source_totals[handles.victim_source].clone();
-            let up = report.upcall_stats[handles.node];
+            let victim = report.source_totals[handles.source("victim")].clone();
+            let up = report.upcall_stats[handles.attacker_hosts[0]];
             (victim, up)
         };
         let (victim, up) = run(None);
@@ -1301,7 +1317,6 @@ mod tests {
                 duration: SimTime::from_secs(6),
                 attack_start: SimTime::from_secs(2),
                 defense,
-                ..Default::default()
             };
             let (sim, handles) = adaptive_defense_scenario(&params);
             (sim.run(), handles)
@@ -1309,17 +1324,19 @@ mod tests {
 
         // Undefended: the flood starves the victim's flow setups.
         let (report, h) = run(DefenseMode::Undefended);
-        let victim = &report.source_totals[h.victim_source];
+        let victim = &report.source_totals[h.source("victim")];
         assert!(
             victim.dropped_upcall > victim.delivered,
             "undefended victim must starve: {victim:?}"
         );
-        assert!(report.defense[h.node].is_none());
+        assert!(report.defense[h.attacker_hosts[0]].is_none());
 
         // Adaptive: detection within a second of onset, then recovery.
         let (report, h) = run(DefenseMode::adaptive(ControllerConfig::default()));
-        let victim = &report.source_totals[h.victim_source];
-        let defense = report.defense[h.node].as_ref().expect("controller");
+        let victim = &report.source_totals[h.source("victim")];
+        let defense = report.defense[h.attacker_hosts[0]]
+            .as_ref()
+            .expect("controller");
         let detect = defense.first_detection().expect("attack detected");
         assert!(detect >= SimTime::from_secs(2), "no benign-phase detection");
         assert!(
@@ -1341,7 +1358,7 @@ mod tests {
             "quota restores most victim connections: {victim:?}"
         );
         // The benign source never suffered either way.
-        let benign = &report.source_totals[h.benign_source];
+        let benign = &report.source_totals[h.source("benign")];
         assert_eq!(benign.dropped_upcall, 0);
     }
 
@@ -1357,8 +1374,8 @@ mod tests {
             };
             let (sim, handles) = policy_churn_scenario(&params);
             let report = sim.run();
-            let victim = report.source_totals[handles.victim_source].clone();
-            let stats = report.switch_stats[handles.node];
+            let victim = report.source_totals[handles.source("victim")].clone();
+            let stats = report.switch_stats[handles.attacker_hosts[0]];
             (victim, stats)
         };
 
@@ -1406,7 +1423,9 @@ mod tests {
         };
         let (sim, handles) = policy_churn_scenario(&params);
         let report = sim.run();
-        let defense = report.defense[handles.node].as_ref().expect("controller");
+        let defense = report.defense[handles.attacker_hosts[0]]
+            .as_ref()
+            .expect("controller");
         let churn_edges: Vec<_> = defense
             .detections
             .iter()
@@ -1436,29 +1455,37 @@ mod tests {
         // Never crashed: the deny rule holds for the whole run.
         let (report, h) = run(false, None);
         assert_eq!(
-            report.source_totals[h.prober_source].delivered, 0,
+            report.source_totals[h.source("prober")].delivered,
+            0,
             "healthy run has zero wrong verdicts"
         );
-        assert!(report.faults[h.node].is_none(), "no fault program");
+        assert!(
+            report.faults[h.attacker_hosts[0]].is_none(),
+            "no fault program"
+        );
 
         // Crash + fire-and-forget: the install was consumed long ago,
         // nothing re-sends it — the hole stays open to the end.
         let (report, h) = run(true, None);
-        let wrong_off = report.source_totals[h.prober_source].delivered;
+        let wrong_off = report.source_totals[h.source("prober")].delivered;
         assert!(wrong_off > 3_000, "hole stays open: {wrong_off}");
-        let faults = report.faults[h.node].as_ref().expect("fault report");
+        let faults = report.faults[h.attacker_hosts[0]]
+            .as_ref()
+            .expect("fault report");
         assert_eq!(faults.crashes, 1);
         assert!(faults.acls_lost >= 2, "victim + attacker ACLs wiped");
 
         // Crash + at-least-once: reconciliation re-pushes the ACL
         // within a bounded window, even with the flap riding recovery.
         let (report, h) = run(true, Some(ReliabilityConfig::default()));
-        let wrong_on = report.source_totals[h.prober_source].delivered;
+        let wrong_on = report.source_totals[h.source("prober")].delivered;
         assert!(
             wrong_on < wrong_off / 5,
             "reconciliation bounds the hole: {wrong_on} vs {wrong_off}"
         );
-        let faults = report.faults[h.node].as_ref().expect("fault report");
+        let faults = report.faults[h.attacker_hosts[0]]
+            .as_ref()
+            .expect("fault report");
         assert!(faults.channel.reconcile_pushes >= 1);
         assert!(faults.recovery_ticks > 0, "a recovery episode closed");
         assert!(
@@ -1467,7 +1494,7 @@ mod tests {
             faults.recovery_ticks
         );
         // The victim's own traffic rides out the blackout in the queue.
-        let victim = &report.source_totals[h.victim_source];
+        let victim = &report.source_totals[h.source("victim")];
         assert!(
             victim.delivered * 10 >= victim.generated * 9,
             "victim retains ≥90%: {victim:?}"
@@ -1511,7 +1538,7 @@ mod tests {
             };
             let (sim, handles) = upcall_saturation_scenario(&params);
             let report = sim.run();
-            report.source_totals[handles.victim_source].clone()
+            report.source_totals[handles.source("victim")].clone()
         };
         let ovs = run(BackendKind::OvsCache);
         assert!(
@@ -1536,9 +1563,9 @@ mod tests {
         let (sim, handles) = fig3_scenario(&params);
         let report = sim.run();
         assert_eq!(report.throughput_bps.len(), 3);
-        assert!(report.source_totals[handles.victim_source].delivered > 0);
+        assert!(report.source_totals[handles.source("victim")].delivered > 0);
         // Attack started at 1 s: masks on the server node must explode.
-        let masks = report.masks[handles.attacked_node].last().unwrap().1;
+        let masks = report.masks[handles.attacker_hosts[0]].last().unwrap().1;
         assert!(masks > 4_000.0, "masks = {masks}");
     }
 }

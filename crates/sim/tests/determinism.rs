@@ -8,8 +8,7 @@
 //! byte-for-byte as the report gets.
 
 use pi_core::SimTime;
-use pi_fleet::scenario::{fleet_colocation, fleet_migration, ColocationParams, MigrationParams};
-use pi_fleet::FleetReport;
+use pi_sim::{fleet_colocation, fleet_migration, ColocationParams, FleetReport, MigrationParams};
 
 /// Renders everything except the worker count (which legitimately
 /// differs between the compared runs).
@@ -33,8 +32,8 @@ fn colocation_params(workers: usize) -> ColocationParams {
         hosts: 4,
         victims: 4,
         attackers: 2,
-        duration: SimTime::from_secs(8),
-        attack_start: SimTime::from_secs(2),
+        duration: SimTime::from_secs(3),
+        attack_start: SimTime::from_secs(1),
         stagger: SimTime::from_secs(1),
         workers,
         ..Default::default()
@@ -73,8 +72,7 @@ fn policy_flap_fleet_is_identical_for_1_and_3_workers() {
     use pi_cms::{Cidr, IngressRule, NetworkPolicy, PolicyCompiler, Protocol};
     use pi_core::FlowKey;
     use pi_datapath::DpConfig;
-    use pi_fleet::{FleetBuilder, FleetConfig};
-    use pi_sim::SimConfig;
+    use pi_sim::{FleetBuilder, FleetConfig, SimConfig};
     use pi_traffic::FanSource;
 
     // Three hosts; host 0 hosts a whitelisted victim service and the
@@ -84,7 +82,7 @@ fn policy_flap_fleet_is_identical_for_1_and_3_workers() {
     let run = |workers: usize| {
         let mut b = FleetBuilder::new(FleetConfig {
             sim: SimConfig {
-                duration: SimTime::from_secs(6),
+                duration: SimTime::from_secs(4),
                 ..SimConfig::default()
             },
             workers,
@@ -121,7 +119,7 @@ fn policy_flap_fleet_is_identical_for_1_and_3_workers() {
                 attacker_ip,
                 &attacker_table,
                 SimTime::from_secs(2),
-                SimTime::from_secs(6),
+                SimTime::from_secs(4),
                 SimTime::from_millis(20),
             ),
         );
@@ -172,11 +170,10 @@ fn migration_run_is_identical_for_1_and_4_workers() {
     let params = |workers| MigrationParams {
         hosts: 4,
         victims: 3,
-        duration: SimTime::from_secs(8),
+        duration: SimTime::from_secs(4),
         attack_start: SimTime::from_secs(1),
-        migrate_at: SimTime::from_secs(4),
+        migrate_at: SimTime::from_secs(2),
         workers,
-        ..Default::default()
     };
     let serial = fleet_migration(&params(1)).0.run();
     let parallel = fleet_migration(&params(4)).0.run();

@@ -10,8 +10,8 @@
 //! Run with: `cargo run --release --example fleet_blast_radius`
 
 use pi_core::SimTime;
-use pi_fleet::{fleet_colocation, ColocationParams};
 use pi_metrics::ascii_plot;
+use pi_sim::{fleet_colocation, ColocationParams};
 
 fn main() {
     let params = ColocationParams {
@@ -35,6 +35,7 @@ fn main() {
     );
 
     let (sim, handles) = fleet_colocation(&params);
+    let victims = handles.sources("victim");
     let report = sim.run();
 
     println!(
@@ -42,7 +43,7 @@ fn main() {
         handles.victim_hosts, handles.attacker_hosts
     );
 
-    let blast = report.blast_radius(params.attack_start, &handles.victim_sources, 0.5, 100.0);
+    let blast = report.blast_radius(params.attack_start, &victims, 0.5, 100.0);
     println!("per-victim throughput retained across the attack start:");
     for (i, (src, ratio)) in blast.ratios.iter().enumerate() {
         let host = handles.victim_hosts[i];
@@ -58,7 +59,7 @@ fn main() {
     println!(
         "\nblast radius: {}/{} victims degraded (> 50 % loss), hosts with injected masks: {:?}",
         blast.degraded_sources.len(),
-        handles.victim_sources.len(),
+        victims.len(),
         blast.affected_hosts,
     );
 
@@ -72,7 +73,7 @@ fn main() {
         );
     }
 
-    let total = report.aggregate_throughput(&handles.victim_sources, "victims_total_bps");
+    let total = report.aggregate_throughput(&victims, "victims_total_bps");
     println!("\naggregate victim throughput (bits/s):");
     println!("{}", ascii_plot(&[&total], 72, 14));
 }

@@ -24,9 +24,10 @@ fn main() {
     let (sim, handles) = fig3_scenario(&params);
     let report = sim.run();
 
-    let victim = &report.throughput_bps[handles.victim_source];
-    let masks = &report.masks[handles.attacked_node];
-    let cpu = &report.cpu_util[handles.attacked_node];
+    let victim = &report.throughput_bps[handles.source("victim")];
+    let server = handles.attacker_hosts[0];
+    let masks = &report.masks[server];
+    let cpu = &report.cpu_util[server];
 
     println!("\n— victim throughput (Gb/s) and megaflow masks —");
     let mut victim_gbps = TimeSeries::new("victim_gbps");
@@ -54,7 +55,7 @@ fn main() {
         "server datapath CPU       : {:.0}% during attack",
         cpu.mean_between(params.attack_start + SimTime::from_secs(5), params.duration) * 100.0
     );
-    let attack = &report.offered_bps[handles.attack_source];
+    let attack = &report.offered_bps[handles.source("attack")];
     println!(
         "covert stream offered     : {:.2} Mb/s (the paper's 'low-bandwidth' budget)",
         attack.mean_between(params.attack_start, params.duration) / 1e6

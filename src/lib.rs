@@ -21,13 +21,12 @@
 //! | [`pi_cms`] | tenants/pods + Kubernetes/OpenStack/Calico policy dialects |
 //! | [`pi_traffic`] | victim and background workload generators |
 //! | [`pi_attack`] | malicious ACLs, mask prediction, covert sequences, pacing |
-//! | [`pi_mitigation`] | mask budgets, OVS heuristics, cache-less datapath, detection |
+//! | [`pi_mitigation`] | mask budgets, OVS heuristics, mask attribution, per-tenant quotas |
 //! | [`pi_detect`] | telemetry taps, streaming detectors, closed-loop adaptive defense |
 //! | [`pi_fault`] | deterministic fault injection, lossy control channels, at-least-once delivery + reconciliation |
 //! | [`pi_metrics`] | time series, histograms, CSV, ASCII plots |
 //! | [`pi_trace`] | deterministic structured tracing: causality ids, per-host event rings, Chrome/Prometheus exporters |
-//! | [`pi_sim`] | the simulator: the one sharded event-driven engine and the paper's Fig. 1 testbed scenarios on it |
-//! | [`pi_fleet`] | tenant placement and the fleet-scale experiments on that engine |
+//! | [`pi_sim`] | the simulator: the one sharded event-driven engine, tenant placement, and all eight experiments (testbed and fleet) as recipes over shared parts |
 //!
 //! ## Quick start
 //!
@@ -51,7 +50,7 @@
 //! ```
 //!
 //! See `examples/` for runnable scenarios and `crates/bench` for the
-//! binaries regenerating every figure and table of the paper.
+//! `results` binary regenerating every figure and table of the paper.
 
 pub use pi_attack;
 pub use pi_classifier;
@@ -60,7 +59,6 @@ pub use pi_core;
 pub use pi_datapath;
 pub use pi_detect;
 pub use pi_fault;
-pub use pi_fleet;
 pub use pi_metrics;
 pub use pi_mitigation;
 pub use pi_packet;
@@ -93,17 +91,15 @@ pub mod prelude {
     pub use pi_fault::{
         ChannelFaultConfig, FaultSchedule, NodeFaultReport, ReliabilityConfig, ReliableControlPlane,
     };
-    pub use pi_fleet::{
-        fleet_colocation, fleet_migration, BlastRadius, ClusterBuilder, ColocationParams,
-        FleetBuilder, FleetConfig, FleetReport, MigrationParams,
-    };
     pub use pi_metrics::{ascii_plot, CsvTable, Summary, TimeSeries};
     pub use pi_mitigation::{upcall_fair_share_config, MaskBudget};
     pub use pi_sim::{
-        adaptive_defense_scenario, crash_recovery_scenario, fig3_scenario,
-        measure_backend_capacity, measure_capacity, policy_churn_scenario,
-        upcall_saturation_scenario, AdaptiveDefenseParams, CapacityWorkload, CrashRecoveryAttack,
-        CrashRecoveryParams, DefenseMode, Fig3Params, PolicyChurnParams, SimConfig, SimReport,
+        adaptive_defense_scenario, crash_recovery_scenario, fig3_scenario, fleet_colocation,
+        fleet_migration, fleet_sparse, measure_backend_capacity, measure_capacity,
+        policy_churn_scenario, upcall_saturation_scenario, AdaptiveDefenseParams, BlastRadius,
+        CapacityWorkload, ClusterBuilder, ColocationParams, CrashRecoveryAttack,
+        CrashRecoveryParams, DefenseMode, Fig3Params, FleetBuilder, FleetConfig, FleetReport,
+        Handles, MigrationParams, PolicyChurnParams, SimConfig, SimReport, SparseParams,
         UpcallSaturationParams,
     };
     pub use pi_trace::{

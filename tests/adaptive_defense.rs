@@ -92,7 +92,7 @@ fn fig3_benign_phase_yields_zero_false_positives() {
     let (sim, handles) = fig3_scenario(&params);
     let report = sim.run();
     assert!(
-        report.source_totals[handles.victim_source].delivered > 0,
+        report.source_totals[handles.source("victim")].delivered > 0,
         "benign run must actually carry traffic"
     );
     for (node, defense) in report.defense.iter().enumerate() {
@@ -121,7 +121,7 @@ fn fig3_attack_is_detected_and_mitigated() {
     };
     let (sim, handles) = fig3_scenario(&params);
     let report = sim.run();
-    let d = report.defense[handles.attacked_node]
+    let d = report.defense[handles.attacker_hosts[0]]
         .as_ref()
         .expect("server-node controller");
     let detect = d.first_detection().expect("mask inflation detected");
@@ -134,12 +134,12 @@ fn fig3_attack_is_detected_and_mitigated() {
     // The quarantine + eviction collapsed the injected masks: the
     // undefended smoke run ends above 4000 masks, the defended one
     // must end far below.
-    let masks = report.masks[handles.attacked_node].last().unwrap().1;
+    let masks = report.masks[handles.attacker_hosts[0]].last().unwrap().1;
     assert!(masks < 512.0, "masks after mitigation = {masks}");
     // And the report's offender list names the attacker's pod (the
     // quarantined destination no longer carries masks, so offenders
     // above threshold should now be empty).
-    assert!(report.offenders(handles.attacked_node, 256).is_empty());
+    assert!(report.offenders(handles.attacker_hosts[0], 256).is_empty());
 }
 
 // ---------------------------------------------------------------

@@ -146,12 +146,12 @@ fn victim_collapse_is_attack_gated_and_deterministic() {
     let run = || {
         let (sim, handles) = fig3_scenario(&params);
         let report = sim.run();
-        let victim = &report.throughput_bps[handles.victim_source];
+        let victim = &report.throughput_bps[handles.source("victim")];
         (
             victim.mean_between(SimTime::from_secs(2), params.attack_start) / 1e9,
             victim.mean_between(SimTime::from_secs(18), params.duration) / 1e9,
-            report.masks[handles.attacked_node].last().unwrap().1,
-            report.source_totals[handles.victim_source].clone(),
+            report.masks[handles.attacker_hosts[0]].last().unwrap().1,
+            report.source_totals[handles.source("victim")].clone(),
         )
     };
     let (before, after, masks, totals) = run();

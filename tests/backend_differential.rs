@@ -324,8 +324,7 @@ fn ovs_adapter_is_bit_identical_on_the_saturation_workload() {
 #[test]
 fn fleet_worker_count_is_deterministic_for_every_backend() {
     use pi_datapath::BackendKind;
-    use pi_fleet::{FleetBuilder, FleetConfig};
-    use pi_sim::SimConfig;
+    use pi_sim::{FleetBuilder, FleetConfig, SimConfig};
     use pi_traffic::CbrSource;
 
     let run = |workers: usize| {

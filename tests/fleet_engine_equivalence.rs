@@ -22,8 +22,7 @@ use pi_attack::{AttackSchedule, AttackSpec, CovertSequence};
 use pi_cms::PolicyDialect;
 use pi_core::SimTime;
 use pi_datapath::{DpConfig, PipelineMode, UpcallPipelineConfig};
-use pi_fleet::{FleetBuilder, FleetConfig, FleetReport, RouteTable};
-use pi_sim::SimConfig;
+use pi_sim::{FleetBuilder, FleetConfig, FleetReport, RouteTable, SimConfig};
 use pi_traffic::ChurnSource;
 
 const HOSTS: usize = 16;

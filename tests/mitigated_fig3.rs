@@ -16,7 +16,7 @@ fn short_params() -> Fig3Params {
 fn victim_before_after(params: &Fig3Params) -> (f64, f64) {
     let (sim, handles) = fig3_scenario(params);
     let report = sim.run();
-    let victim = &report.throughput_bps[handles.victim_source];
+    let victim = &report.throughput_bps[handles.source("victim")];
     (
         victim.mean_between(SimTime::from_secs(2), params.attack_start) / 1e9,
         victim.mean_between(SimTime::from_secs(18), params.duration) / 1e9,

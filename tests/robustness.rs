@@ -199,3 +199,56 @@ fn attacked_switch_is_deterministic() {
     };
     assert_eq!(run(), run());
 }
+
+/// Everything a run simulated, rendered for comparison (the per-worker
+/// harness profile describes the run, not the simulation).
+fn simulated(r: &SimReport) -> String {
+    format!(
+        "{:?}",
+        (
+            (&r.source_totals, &r.switch_stats, &r.upcall_stats),
+            (&r.faults, &r.defense, &r.attribution, &r.engine),
+            (&r.throughput_bps, &r.offered_bps, &r.masks, &r.megaflows),
+            (&r.cpu_util, &r.handler_cps, &r.control_cps),
+            (&r.policy_updates, &r.trace),
+        )
+    )
+}
+
+/// An attack window that starts at or after the end of the run is the
+/// attack switched off — the convention `upcall_saturation_scenario`
+/// and the benchmark's `sparse_idle` already rely on. The policy flap
+/// used to die on an assert instead (its default start is 2 s).
+#[test]
+fn a_flap_that_starts_at_the_end_of_the_run_is_the_benign_run() {
+    let run = |flap: bool| {
+        let params = PolicyChurnParams {
+            duration: SimTime::from_secs(2),
+            flap,
+            ..Default::default()
+        };
+        assert!(params.attack_start >= params.duration);
+        policy_churn_scenario(&params).0.run()
+    };
+    assert_eq!(simulated(&run(true)), simulated(&run(false)));
+}
+
+/// The same for the flap riding a crash that never comes: `crash_at`
+/// past the end under `PolicyFlap` is the attack-free run of that
+/// length.
+#[test]
+fn a_crash_past_the_end_of_the_run_leaves_the_flap_off() {
+    let run = |attack: CrashRecoveryAttack| {
+        let params = CrashRecoveryParams {
+            duration: SimTime::from_secs(2),
+            attack,
+            ..Default::default()
+        };
+        assert!(params.crash_at >= params.duration);
+        crash_recovery_scenario(&params).0.run()
+    };
+    let flap = run(CrashRecoveryAttack::PolicyFlap);
+    assert_eq!(simulated(&flap), simulated(&run(CrashRecoveryAttack::None)));
+    // The run is not vacuous: the victim and the denied prober both ran.
+    assert!(flap.source_totals.iter().all(|s| s.generated > 0));
+}

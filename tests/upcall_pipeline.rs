@@ -109,8 +109,8 @@ fn handler_saturation_and_fair_share_mitigation() {
         let (sim, handles) = upcall_saturation_scenario(&params);
         let report = sim.run();
         (
-            report.source_totals[handles.victim_source].clone(),
-            report.upcall_stats[handles.node],
+            report.source_totals[handles.source("victim")].clone(),
+            report.upcall_stats[handles.attacker_hosts[0]],
         )
     };
 
