@@ -8,7 +8,7 @@
 //!
 //! | rule id | invariant |
 //! |---|---|
-//! | `determinism` | no wall clocks or seeded-by-the-OS hashing anywhere; no `HashMap`/`HashSet` in order-sensitive modules (engines, reports, exporters) where iteration order could leak into output |
+//! | `determinism` | no wall clocks or seeded-by-the-OS hashing anywhere; no `HashMap`/`HashSet` in order-sensitive modules (engines, reports, exporters, the pod table and its index) where iteration order could leak into output |
 //! | `hotpath` | regions annotated `// audit: hotpath` never allocate (`Vec::new`, `vec![`, `format!`, `String::`, `Box::new`, `.collect()`, `.to_vec()`) |
 //! | `panics` | library code does not `unwrap()` / `expect(` / `panic!` (tests, benches, examples and binaries are exempt); burn-down is ratcheted via `audit_baseline.json` |
 //! | `cost` | every `DataplaneBackend` impl file references `CostModel` charging in its packet/control ops |
@@ -50,9 +50,12 @@ const DETERMINISM_TOKENS: [&str; 5] = [
 ];
 
 /// File basenames whose iteration order can reach a report or an
-/// exported artefact; `HashMap`/`HashSet` are forbidden there.
-const ORDER_SENSITIVE_BASENAMES: [&str; 11] = [
+/// exported artefact; `HashMap`/`HashSet` are forbidden there. `pods`
+/// and `index` are the per-packet pod / route lookup: a std map there
+/// would also put SipHash back on the fast path.
+const ORDER_SENSITIVE_BASENAMES: [&str; 13] = [
     "engine", "node", "shard", "report", "export", "json", "csv", "summary", "dump", "plot", "agg",
+    "pods", "index",
 ];
 
 /// Allocation tokens forbidden inside `// audit: hotpath` regions.

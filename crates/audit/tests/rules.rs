@@ -31,10 +31,14 @@ fn determinism_flags_wall_clocks() {
 #[test]
 fn order_sensitive_basename_rejects_hashmap_outside_tests() {
     let src = fixture("order_map_engine.rs");
-    let v = scan_file("fx", "crates/fx/src/engine.rs", FileClass::Lib, &src);
-    // `use` + field type fire; the HashSet inside #[cfg(test)] must not.
-    assert_eq!(rules_of(&v), ["determinism"; 2], "{v:?}");
-    assert!(v.iter().all(|v| v.message.contains("HashMap")), "{v:?}");
+    // The engine, and the per-packet pod table and its ip index.
+    for module in ["engine", "pods", "index"] {
+        let path = format!("crates/fx/src/{module}.rs");
+        let v = scan_file("fx", &path, FileClass::Lib, &src);
+        // `use` + field type fire; the HashSet inside #[cfg(test)] must not.
+        assert_eq!(rules_of(&v), ["determinism"; 2], "{module}: {v:?}");
+        assert!(v.iter().all(|v| v.message.contains("HashMap")), "{v:?}");
+    }
 
     // Same content under a non-order-sensitive basename: clean.
     let v = scan_file("fx", "crates/fx/src/builder.rs", FileClass::Lib, &src);

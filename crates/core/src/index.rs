@@ -1,56 +1,59 @@
-//! The fleet's routing view: destination pod IP → hosting shard.
+//! The workspace's one ip → `u32` index: destination pod IP → pod slot
+//! in a switch's pod table, and → hosting shard in the fleet's routing
+//! view.
 //!
-//! Every shard holds its own copy and consults it once per uplink
-//! packet, so the lookup is on the per-packet path. [`RouteTable`] is a
-//! flat open-addressed table — one multiply, one contiguous probe run,
-//! no per-instance random state — and cloning it for a shard is a
-//! `memcpy`. Keys are the pod IPs the builder registered (inputs of the
-//! simulation, never adversarial to the hash), entries are only ever
-//! added or re-pointed (a migration overwrites; pods do not leave the
-//! fleet), so there is no removal and no tombstone.
+//! Both readers consult it once per packet per hop, so the lookup is on
+//! the per-packet path. [`IpIndex`] is a flat open-addressed table — one
+//! multiply, one contiguous probe run, no per-instance random state (so
+//! nothing is SipHashed and iteration-free lookups repeat bit for bit) —
+//! and cloning it is a `memcpy`. Keys are the pod IPs the builder or the
+//! CMS registered (inputs of the simulation, never adversarial to the
+//! hash), entries are only ever added or re-pointed (a migration
+//! overwrites; pods do not leave a switch or the fleet), so there is no
+//! removal and no tombstone.
 
-/// One slot; `shard == FREE` marks it unoccupied.
+/// One slot; `value == FREE` marks it unoccupied.
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     ip: u32,
-    shard: u32,
+    value: u32,
 }
 
 const FREE: u32 = u32::MAX;
 const MIN_CAPACITY: usize = 8;
 
-/// A deterministic ip → shard map: power-of-two capacity, Fibonacci
+/// A deterministic ip → `u32` map: power-of-two capacity, Fibonacci
 /// hashing, linear probing, load kept at or below one half.
 #[derive(Debug, Clone)]
-pub struct RouteTable {
+pub struct IpIndex {
     slots: Vec<Slot>,
     len: usize,
     /// `32 − log2(capacity)`: the hash keeps the product's top bits.
     shift: u32,
 }
 
-impl Default for RouteTable {
+impl Default for IpIndex {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl RouteTable {
+impl IpIndex {
     /// An empty table.
     pub fn new() -> Self {
-        RouteTable {
-            slots: vec![Slot { ip: 0, shard: FREE }; MIN_CAPACITY],
+        IpIndex {
+            slots: vec![Slot { ip: 0, value: FREE }; MIN_CAPACITY],
             len: 0,
             shift: 32 - MIN_CAPACITY.trailing_zeros(),
         }
     }
 
-    /// Routed IPs.
+    /// Indexed IPs.
     pub fn len(&self) -> usize {
         self.len
     }
 
-    /// True when no IP is routed.
+    /// True when no IP is indexed.
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
@@ -62,31 +65,33 @@ impl RouteTable {
 
     /// The slot holding `ip`, or the free slot its probe run ends at.
     /// Terminates because the load factor keeps free slots in every run.
+    // audit: hotpath
     #[inline]
     fn probe(&self, ip: u32) -> usize {
         let mask = self.slots.len() - 1;
         let mut i = self.home(ip);
         loop {
             let slot = self.slots[i];
-            if slot.shard == FREE || slot.ip == ip {
+            if slot.value == FREE || slot.ip == ip {
                 return i;
             }
             i = (i + 1) & mask;
         }
     }
 
-    /// The shard hosting `ip`, if any.
+    /// The value `ip` maps to, if any.
     #[inline]
-    pub fn get(&self, ip: u32) -> Option<usize> {
+    pub fn get(&self, ip: u32) -> Option<u32> {
         let slot = self.slots[self.probe(ip)];
-        (slot.shard != FREE).then_some(slot.shard as usize)
+        (slot.value != FREE).then_some(slot.value)
     }
 
-    /// Routes `ip` to `shard`; returns the shard it pointed at before.
-    pub fn insert(&mut self, ip: u32, shard: usize) -> Option<usize> {
-        assert!(shard < FREE as usize, "shard id out of range");
+    /// Maps `ip` to `value`; returns the value it pointed at before.
+    /// `u32::MAX` is the free-slot marker and not a storable value.
+    pub fn insert(&mut self, ip: u32, value: u32) -> Option<u32> {
+        assert!(value != FREE, "u32::MAX marks a free slot");
         let mut at = self.probe(ip);
-        let previous = self.slots[at].shard;
+        let previous = self.slots[at].value;
         if previous == FREE {
             if (self.len + 1) * 2 > self.slots.len() {
                 self.grow();
@@ -94,18 +99,15 @@ impl RouteTable {
             }
             self.len += 1;
         }
-        self.slots[at] = Slot {
-            ip,
-            shard: shard as u32,
-        };
-        (previous != FREE).then_some(previous as usize)
+        self.slots[at] = Slot { ip, value };
+        (previous != FREE).then_some(previous)
     }
 
     fn grow(&mut self) {
-        let doubled = vec![Slot { ip: 0, shard: FREE }; self.slots.len() * 2];
+        let doubled = vec![Slot { ip: 0, value: FREE }; self.slots.len() * 2];
         let old = std::mem::replace(&mut self.slots, doubled);
         self.shift -= 1;
-        for slot in old.into_iter().filter(|s| s.shard != FREE) {
+        for slot in old.into_iter().filter(|s| s.value != FREE) {
             let at = self.probe(slot.ip);
             self.slots[at] = slot;
         }
@@ -118,7 +120,7 @@ mod tests {
 
     #[test]
     fn insert_get_overwrite_and_miss() {
-        let mut t = RouteTable::new();
+        let mut t = IpIndex::new();
         assert!(t.is_empty());
         assert_eq!(t.get(0), None, "ip 0 is a key like any other");
         assert_eq!(t.insert(0, 3), None);

@@ -22,6 +22,8 @@
 //! * [`KeyWords`] / [`MaskWords`] — one-pass deterministic flow hashing
 //!   ([`hash`]): extract a packet's field words once, then derive its hash
 //!   under every subtable mask without re-hashing a masked key per probe.
+//! * [`IpIndex`] — the one flat ip → `u32` table ([`index`]) under both
+//!   the switches' pod tables and the fleet's routing view.
 //!
 //! Nothing in this crate allocates per packet; `FlowKey` and `FlowMask` are
 //! plain `Copy` structs, mirroring the fixed-size `struct flow` /
@@ -31,6 +33,7 @@ pub mod addr;
 pub mod error;
 pub mod fields;
 pub mod hash;
+pub mod index;
 pub mod key;
 pub mod mask;
 pub mod port;
@@ -41,6 +44,7 @@ pub use addr::MacAddr;
 pub use error::CoreError;
 pub use fields::{Field, FieldSpec, Stage, ALL_FIELDS};
 pub use hash::{flow_hash, KeyWords, MaskWords, HEAD_WORDS, KEY_WORDS, TAIL_WORDS};
+pub use index::IpIndex;
 pub use key::FlowKey;
 pub use mask::{FlowMask, MaskedKey};
 pub use port::Port;

@@ -61,7 +61,7 @@ impl MicroflowCache {
     pub fn new(entries: usize, ways: usize, insert_prob: f64, seed: u64) -> Self {
         assert!(ways >= 1, "need at least one way");
         assert!(entries >= ways, "capacity below one set");
-        let sets = (entries / ways).next_power_of_two();
+        let sets = entries.div_ceil(ways).next_power_of_two();
         MicroflowCache {
             slots: vec![None; sets * ways],
             sets,
@@ -353,6 +353,9 @@ mod tests {
         assert_eq!(c.capacity() % 2, 0);
         assert!(c.capacity() >= 100);
         assert!((c.capacity() / 2).is_power_of_two());
+        // A remainder rounds the set count up, never down.
+        assert_eq!(MicroflowCache::new(3, 2, 1.0, 0).capacity(), 4);
+        assert_eq!(MicroflowCache::new(7, 4, 1.0, 0).capacity(), 8);
     }
 
     #[test]

@@ -8,11 +8,19 @@
 //! ground truth), the quarantine set, and the bookkeeping of a
 //! [`PolicyUpdate`] — so re-attach, install-refusal and crash semantics
 //! are one implementation, and no backend can diverge on them.
+//!
+//! Every backend consults the table once per packet per hop
+//! ([`PodTable::get`] for the delivery vport, [`PodTable::classify`] on
+//! a miss), so the lookup is flat: a [`pi_core::IpIndex`] (one multiply,
+//! one probe run, nothing SipHashed) from the destination IP to a slot
+//! of a `Vec<Pod>`. Pods are never detached, so slots are append-only,
+//! a re-attach re-homes its slot in place, and iteration is attach order
+//! — the same on every run, with no per-process hasher state behind it.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 use pi_classifier::{Action, PolicyUpdate};
-use pi_core::{Field, FlowKey};
+use pi_core::{Field, FlowKey, IpIndex};
 use pi_trace::Tracer;
 
 use crate::slowpath::SlowPath;
@@ -21,6 +29,8 @@ use crate::vswitch::{PolicyUpdateOutcome, SwitchStats};
 /// One pod attachment: vport + the pod's ingress policy.
 #[derive(Debug, Clone)]
 pub struct Pod {
+    /// The pod's IP (host order) — its key in the table.
+    pub ip: u32,
     /// Delivery vport for permitted traffic.
     pub vport: u32,
     /// The pod's compiled ingress ACL (permissive allow-all when none
@@ -80,7 +90,10 @@ impl PolicyChange {
 /// Destination IP (host order) → [`Pod`], plus the quarantine set.
 #[derive(Debug, Default)]
 pub struct PodTable {
-    pods: HashMap<u32, Pod>,
+    /// Destination IP → slot in `pods`.
+    index: IpIndex,
+    /// Attached pods, in attach order.
+    pods: Vec<Pod>,
     /// Destinations refused slow-path service (BTreeSet for
     /// deterministic listing).
     quarantined: BTreeSet<u32>,
@@ -103,14 +116,19 @@ impl PodTable {
         let op = update.op_code();
         let (ip, applied, changed) = match update {
             PolicyUpdate::AttachPod { ip, vport } => {
-                let fresh = match self.pods.get_mut(&ip) {
-                    Some(pod) => {
-                        pod.vport = vport;
+                let fresh = match self.index.get(ip) {
+                    Some(slot) => {
+                        self.pods[slot as usize].vport = vport;
                         false
                     }
                     None => {
                         let slowpath = SlowPath::permissive(Action::Allow);
-                        self.pods.insert(ip, Pod { vport, slowpath });
+                        self.index.insert(ip, self.pods.len() as u32);
+                        self.pods.push(Pod {
+                            ip,
+                            vport,
+                            slowpath,
+                        });
                         true
                     }
                 };
@@ -135,9 +153,9 @@ impl PodTable {
     /// Replaces the ACL at `ip`; false (and `acl` never built) when no
     /// pod is attached there.
     fn set_acl(&mut self, ip: u32, acl: impl FnOnce() -> SlowPath) -> bool {
-        match self.pods.get_mut(&ip) {
-            Some(pod) => {
-                pod.slowpath = acl();
+        match self.index.get(ip) {
+            Some(slot) => {
+                self.pods[slot as usize].slowpath = acl();
                 true
             }
             None => false,
@@ -145,8 +163,15 @@ impl PodTable {
     }
 
     /// The pod at `ip`, if attached.
+    // audit: hotpath
+    #[inline]
     pub fn get(&self, ip: u32) -> Option<&Pod> {
-        self.pods.get(&ip)
+        self.index.get(ip).map(|slot| &self.pods[slot as usize])
+    }
+
+    /// Every attached pod, in attach order.
+    pub fn pods(&self) -> &[Pod] {
+        &self.pods
     }
 
     /// Ground-truth classification of `key` against its destination
@@ -154,7 +179,7 @@ impl PodTable {
     /// Unroutable destinations deny with zero rules examined, exactly
     /// like the OVS slow path.
     pub fn classify(&self, key: &FlowKey) -> (Action, usize, Option<u32>) {
-        match self.pods.get(&key.ip_dst) {
+        match self.get(key.ip_dst) {
             Some(pod) => {
                 let (action, examined) = pod.slowpath.classify(key);
                 let out = action.permits().then_some(pod.vport);
@@ -167,7 +192,7 @@ impl PodTable {
     /// Number of rules in the ACL at `ip` (0 when permissive or
     /// unattached) — the recompilation work a policy update costs.
     pub fn rules_at(&self, ip: u32) -> usize {
-        self.pods.get(&ip).map_or(0, |p| p.slowpath.table().len())
+        self.get(ip).map_or(0, |p| p.slowpath.table().len())
     }
 
     /// Destination IPs with an installed (default-deny) ACL, ascending
@@ -177,8 +202,8 @@ impl PodTable {
         let mut ips: Vec<u32> = self
             .pods
             .iter()
-            .filter(|(_, pod)| pod.slowpath.default_action() == Action::Deny)
-            .map(|(ip, _)| *ip)
+            .filter(|pod| pod.slowpath.default_action() == Action::Deny)
+            .map(|pod| pod.ip)
             .collect();
         ips.sort_unstable();
         ips
@@ -190,7 +215,7 @@ impl PodTable {
     /// Returns `(acls_lost, quarantines_lost)`.
     pub fn crash_reset(&mut self) -> (usize, usize) {
         let mut acls_lost = 0;
-        for pod in self.pods.values_mut() {
+        for pod in &mut self.pods {
             if pod.slowpath.default_action() == Action::Deny {
                 pod.slowpath = SlowPath::permissive(Action::Allow);
                 acls_lost += 1;

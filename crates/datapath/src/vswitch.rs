@@ -683,7 +683,8 @@ impl VSwitch {
     /// Processes a pre-parsed flow key (the simulator's hot path — the
     /// parse cost is still charged).
     pub fn process(&mut self, key: &FlowKey, now: SimTime) -> ProcessOutcome {
-        self.process_with(key, &KeyWords::of(key), now)
+        let words = KeyWords::of(key);
+        self.process_with(key, &words, words.full_hash(), now)
     }
 
     /// Maximum packets hashed per [`VSwitch::process_batch`] phase —
@@ -692,16 +693,28 @@ impl VSwitch {
 
     /// Processes a run of pre-parsed flow keys, amortising the hash
     /// work: each sub-batch of up to [`VSwitch::BATCH_SIZE`] packets has
-    /// its [`KeyWords`] extracted in one pass before any lookup runs, and
-    /// every pipeline level (EMC set index, every subtable's masked
-    /// hash) derives from those words — nothing allocates and no key is
-    /// re-hashed per level.
+    /// its [`KeyWords`] and full-key hash computed in one pass before any
+    /// lookup runs, and every pipeline level (EMC set index, every
+    /// subtable's masked hash) derives from those — nothing allocates
+    /// and no key is re-hashed per level.
+    ///
+    /// **One hash per packet train.** A key equal to its predecessor in
+    /// the sub-batch (an iperf burst is tens of identical keys in a row)
+    /// copies the predecessor's words and hash instead of re-folding
+    /// them — what a NIC's per-flow RSS hash gives real OVS. The sharing
+    /// stops at the hash on purpose: every packet of the train still
+    /// probes the EMC, bumps every counter, is priced by
+    /// [`CostModel::packet_cycles`] and reaches the sink, so the
+    /// modelled work — and the benchmark's per-packet unit costs — are
+    /// those of distinct flows. (Memoising the whole EMC outcome per
+    /// train, OVS's `packet_batch_per_flow`, needs a burst unit cost in
+    /// the benchmark ledger first; ROADMAP item 1(f).)
     ///
     /// Verdicts, stats and cache mutations are **exactly** those of
     /// `keys.len()` sequential [`VSwitch::process`] calls (pinned by
-    /// `tests/batch_equivalence.rs`): lookups still execute in packet
-    /// order, so a packet can hit an EMC entry promoted by an earlier
-    /// packet of the same batch.
+    /// `tests/batch_equivalence.rs`): equal keys have equal hashes, and
+    /// lookups still execute in packet order, so a packet can hit an EMC
+    /// entry promoted by an earlier packet of the same batch.
     ///
     /// `sink` receives each packet's index and outcome and returns
     /// whether to continue; returning `false` stops the batch (the
@@ -715,19 +728,26 @@ impl VSwitch {
         mut sink: impl FnMut(usize, ProcessOutcome) -> bool,
     ) -> usize {
         let mut words = [KeyWords::ZERO; Self::BATCH_SIZE];
+        let mut hashes = [0u64; Self::BATCH_SIZE];
         let mut done = 0;
         for (chunk_idx, chunk) in keys.chunks(Self::BATCH_SIZE).enumerate() {
             // Phase 1: hash the whole sub-batch (pure — no stats, no
             // cache effects, so an early sink stop never over-counts).
-            // An early stop discards at most 31 word extractions
-            // (~tens of cycles each) — noise next to the thousands of
-            // cycles per processed packet that caused the stop.
-            for (w, key) in words.iter_mut().zip(chunk) {
-                *w = KeyWords::of(key);
+            // An early stop discards at most 31 hashes (~tens of cycles
+            // each) — noise next to the thousands of cycles per
+            // processed packet that caused the stop.
+            for (i, key) in chunk.iter().enumerate() {
+                if i > 0 && *key == chunk[i - 1] {
+                    words[i] = words[i - 1];
+                    hashes[i] = hashes[i - 1];
+                } else {
+                    words[i] = KeyWords::of(key);
+                    hashes[i] = words[i].full_hash();
+                }
             }
             // Phase 2: per-packet lookups in arrival order.
             for (i, key) in chunk.iter().enumerate() {
-                let outcome = self.process_with(key, &words[i], now);
+                let outcome = self.process_with(key, &words[i], hashes[i], now);
                 done += 1;
                 if !sink(chunk_idx * Self::BATCH_SIZE + i, outcome) {
                     return done;
@@ -737,15 +757,22 @@ impl VSwitch {
         done
     }
 
-    /// The shared per-packet pipeline, with the key's words precomputed.
-    fn process_with(&mut self, key: &FlowKey, words: &KeyWords, now: SimTime) -> ProcessOutcome {
+    /// The shared per-packet pipeline, with the key's words and
+    /// full-key hash precomputed.
+    fn process_with(
+        &mut self,
+        key: &FlowKey,
+        words: &KeyWords,
+        hash: u64,
+        now: SimTime,
+    ) -> ProcessOutcome {
         self.stats.packets += 1;
-        let hash = words.full_hash();
 
         // Level 1: microflow cache.
         let emc_probed = self.config.emc_enabled;
         if emc_probed {
             if let Some(action) = self.emc.lookup_hashed(hash, key, self.generation, now) {
+                self.stats.microflow_hits += 1;
                 return self.finish(action, PathTaken::MicroflowHit, key);
             }
         }
@@ -765,6 +792,7 @@ impl VSwitch {
                 emc_probed,
                 emc_inserted,
             };
+            self.stats.megaflow_hits += 1;
             return self.finish(action, path, key);
         }
 
@@ -864,18 +892,13 @@ impl VSwitch {
             emc_probed,
             emc_inserted,
         };
+        self.stats.upcalls += 1;
         self.finish(action, path, key)
     }
 
+    /// Routes, prices and books a packet resolved on this call; the
+    /// caller has already counted which level resolved it.
     fn finish(&mut self, verdict: Action, path: PathTaken, key: &FlowKey) -> ProcessOutcome {
-        match &path {
-            PathTaken::MicroflowHit => self.stats.microflow_hits += 1,
-            PathTaken::MegaflowHit { .. } => self.stats.megaflow_hits += 1,
-            PathTaken::Upcall { .. } => self.stats.upcalls += 1,
-            PathTaken::UpcallQueued { .. } | PathTaken::UpcallDropped { .. } => {
-                unreachable!("deferred paths return before finish()")
-            }
-        }
         let output = if verdict.permits() {
             self.pods.get(key.ip_dst).map(|p| p.vport)
         } else {

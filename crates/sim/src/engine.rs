@@ -59,7 +59,7 @@ use std::thread;
 
 use pi_classifier::FlowTable;
 use pi_cms::ControlPlaneProgram;
-use pi_core::{Port, SimTime};
+use pi_core::{IpIndex, Port, SimTime};
 use pi_datapath::{CostModel, DpConfig};
 use pi_detect::DefenseController;
 use pi_fault::{FaultSchedule, ReliabilityConfig, ReliableControlPlane};
@@ -69,7 +69,6 @@ use pi_traffic::TrafficSource;
 use crate::config::FleetConfig;
 use crate::node::NodeCell;
 use crate::report::{EngineProfile, FleetReport, FLUSH_LOG_CAP};
-use crate::routes::RouteTable;
 use crate::shard::{
     FleetSlot, HostCmd, HostShard, Parcel, ShardInput, ShardOutput, SourceHome, TickCtx,
 };
@@ -226,10 +225,10 @@ impl FleetBuilder {
         let n = self.hosts.len();
         let cfg = self.cfg;
 
-        let mut routes = RouteTable::new();
+        let mut routes = IpIndex::new();
         for &(host, ip, _) in &self.pods {
             assert!(
-                routes.insert(ip, host).is_none(),
+                routes.insert(ip, host as u32).is_none(),
                 "pod IPs must be unique across the fleet"
             );
         }
@@ -247,7 +246,7 @@ impl FleetBuilder {
         }
         let mut acl_map: BTreeMap<u32, FlowTable> = BTreeMap::new();
         for (ip, table) in self.acls {
-            let host = routes.get(ip).expect("ACL target pod must be attached");
+            let host = routes.get(ip).expect("ACL target pod must be attached") as usize;
             let ok = nodes[host].backend_mut().install_acl(ip, table.clone());
             assert!(ok, "ACL install must succeed on the home switch");
             acl_map.insert(ip, table);
@@ -319,7 +318,7 @@ impl FleetBuilder {
         let mut commands: Vec<(u64, usize, HostCmd)> = Vec::new();
         for m in migrations {
             let tick = m.at.as_nanos() / tick_ns;
-            let from = location.get(m.ip).expect("migrating pod must be attached");
+            let from = location.get(m.ip).expect("migrating pod must be attached") as usize;
             if from == m.to_host {
                 continue;
             }
@@ -345,7 +344,7 @@ impl FleetBuilder {
                     acl: acl_map.get(&m.ip).cloned(),
                 },
             ));
-            location.insert(m.ip, m.to_host);
+            location.insert(m.ip, m.to_host as u32);
         }
 
         FleetSim {

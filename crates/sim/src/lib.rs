@@ -42,7 +42,6 @@ pub mod engine;
 pub mod node;
 pub mod placement;
 pub mod report;
-pub mod routes;
 pub mod scenario;
 mod shard;
 
@@ -55,7 +54,6 @@ pub use report::{
     BlastRadius, EngineProfile, EngineStats, FleetReport, FleetReport as SimReport, SourceTotals,
     FLUSH_LOG_CAP,
 };
-pub use routes::RouteTable;
 pub use scenario::{
     adaptive_defense_scenario, crash_recovery_scenario, fig3_scenario, fleet_colocation,
     fleet_migration, fleet_sparse, measure_backend_capacity, measure_capacity,

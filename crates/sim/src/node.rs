@@ -498,7 +498,11 @@ impl<T> NodeCell<T> {
                 let window_cycles = &mut self.window_cycles;
                 let deferred = &mut self.deferred;
                 switch.process_batch(&keys[..n], now, &mut |_, outcome| {
-                    let pkt = queue.pop_front().expect("batch mirrors the queue head");
+                    // The batch mirrors the queue head; an empty queue
+                    // ends both this batch and the loop around it.
+                    let Some(pkt) = queue.pop_front() else {
+                        return false;
+                    };
                     budget -= outcome.cycles as i64;
                     *window_cycles += outcome.cycles;
                     match outcome.path {

@@ -20,13 +20,12 @@
 use std::sync::Arc;
 
 use pi_classifier::FlowTable;
-use pi_core::{Port, SimTime};
+use pi_core::{IpIndex, Port, SimTime};
 use pi_metrics::TimeSeries;
 use pi_traffic::{GenPacket, TrafficSource};
 
 use crate::config::SimConfig;
 use crate::node::{NodeCell, NodePacket, Routing};
-use crate::routes::RouteTable;
 
 /// Fixed per-tick parameters shared by every shard.
 #[derive(Debug, Clone, Copy)]
@@ -289,7 +288,7 @@ pub(crate) struct HostShard {
     pub id: usize,
     pub node: NodeCell<usize>,
     /// Destination IP → home shard, this shard's copy.
-    routes: RouteTable,
+    routes: IpIndex,
     /// Global source index → where it lives (immutable, fleet-wide,
     /// shared by every shard).
     sources: Arc<[SourceHome]>,
@@ -319,7 +318,7 @@ impl HostShard {
     pub fn new(
         id: usize,
         node: NodeCell<usize>,
-        routes: RouteTable,
+        routes: IpIndex,
         sources: Arc<[SourceHome]>,
         slots: Vec<FleetSlot>,
     ) -> Self {
@@ -372,7 +371,7 @@ impl HostShard {
         for cmd in cmds.drain(..) {
             match cmd {
                 HostCmd::Route { ip, shard } => {
-                    self.routes.insert(ip, shard);
+                    self.routes.insert(ip, shard as u32);
                 }
                 HostCmd::DetachToUplink { ip } => {
                     // attach_pod preserves an installed slow path on
@@ -456,7 +455,7 @@ impl HostShard {
                 Routing::Uplink => match routes.get(pkt.key.ip_dst) {
                     Some(dst) if link_budget >= pkt.bytes as f64 => {
                         link_budget -= pkt.bytes as f64;
-                        out.push_packet(dst, pkt);
+                        out.push_packet(dst as usize, pkt);
                         return;
                     }
                     Some(_) => Outcome::DroppedCapacity,
@@ -599,12 +598,12 @@ mod tests {
     /// lives on shard 5 and reaches this shard only through `inbound`.
     fn shard_zero() -> HostShard {
         let mut node = NodeCell::new(DpConfig::default(), CostModel::default());
-        let mut routes = RouteTable::new();
+        let mut routes = IpIndex::new();
         for host in 0..FLEET as u8 {
             let ip = u32::from_be_bytes(pod(host));
             let port = if host == 0 { 1 } else { Port::Uplink.raw() };
             node.backend_mut().attach_pod(ip, port);
-            routes.insert(ip, host as usize);
+            routes.insert(ip, host as u32);
         }
         let mut homes = vec![SourceHome { shard: 5, slot: 0 }];
         let mut slots = Vec::new();

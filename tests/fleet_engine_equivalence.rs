@@ -12,17 +12,12 @@
 //! an upcall flood saturating a bounded slow path so `UpcallDropped`
 //! receipts travel back to another host, and a scheduled migration
 //! that re-points every shard's route table and wakes an idle host.
-//!
-//! The flat ip → shard table that replaced `HashMap<u32, usize>` on the
-//! per-packet path gets a randomised differential against that map.
-
-use std::collections::HashMap;
 
 use pi_attack::{AttackSchedule, AttackSpec, CovertSequence};
 use pi_cms::PolicyDialect;
 use pi_core::SimTime;
 use pi_datapath::{DpConfig, PipelineMode, UpcallPipelineConfig};
-use pi_sim::{FleetBuilder, FleetConfig, FleetReport, RouteTable, SimConfig};
+use pi_sim::{FleetBuilder, FleetConfig, FleetReport, SimConfig};
 use pi_traffic::ChurnSource;
 
 const HOSTS: usize = 16;
@@ -183,63 +178,5 @@ fn event_engine_matches_the_stepped_reference_for_every_worker_count() {
         assert_eq!(parallel.workers, workers);
         assert_eq!(physics(&parallel), physics(&event), "{workers} workers");
         assert_eq!(parallel.engine, event.engine, "{workers} workers");
-    }
-}
-
-/// xorshift64*: the differential only needs a reproducible stream.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 >> 12;
-        self.0 ^= self.0 << 25;
-        self.0 ^= self.0 >> 27;
-        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-}
-
-#[test]
-fn route_table_agrees_with_a_hash_map_under_random_operations() {
-    for seed in [2018u64, 7, 0xDEAD_BEEF] {
-        let mut rng = Rng(seed);
-        let mut table = RouteTable::new();
-        let mut model: HashMap<u32, usize> = HashMap::new();
-        // Pod-like addresses (dense /24 blocks, so home slots collide
-        // and probe runs form) mixed with arbitrary ones; 6 000 distinct
-        // keys at most, so the table grows from 8 slots many times.
-        let key = |rng: &mut Rng| -> u32 {
-            let r = rng.next();
-            if r & 1 == 0 {
-                0x0a00_0000 | ((r >> 8) as u32 % 4_096)
-            } else {
-                ((r >> 16) as u32 % 2_048).wrapping_mul(0x0101_0101)
-            }
-        };
-        for step in 0..40_000 {
-            let ip = key(&mut rng);
-            match rng.next() % 4 {
-                // Insert, or overwrite as a migration does.
-                0 | 1 => {
-                    let shard = (rng.next() % 128) as usize;
-                    assert_eq!(
-                        table.insert(ip, shard),
-                        model.insert(ip, shard),
-                        "seed {seed} step {step}: insert {ip:#x}"
-                    );
-                }
-                // Lookup: a hit or a miss, whichever the model says.
-                _ => assert_eq!(
-                    table.get(ip),
-                    model.get(&ip).copied(),
-                    "seed {seed} step {step}: get {ip:#x}"
-                ),
-            }
-            assert_eq!(table.len(), model.len());
-        }
-        assert!(model.len() > 3_000, "the table grew: {}", model.len());
-        for (ip, shard) in &model {
-            assert_eq!(table.get(*ip), Some(*shard));
-        }
-        assert_eq!(table.is_empty(), model.is_empty());
     }
 }
