@@ -2,7 +2,7 @@
 
 CARGO ?= cargo
 
-.PHONY: build test audit audit-baseline fmt-check clippy results results-check benchmark benchmark-smoke benchmark-test benchmark-one benchmark-digests example-fleet clean
+.PHONY: build test audit fmt-check clippy results results-check benchmark benchmark-smoke benchmark-test benchmark-one benchmark-digests example-fleet clean
 
 build:
 	$(CARGO) build --release
@@ -11,19 +11,17 @@ build:
 test:
 	$(CARGO) build --release && $(CARGO) test -q
 
-# Workspace invariant linter: determinism / hot-path allocation /
-# panic-surface ratchet / cost accounting / workspace-lints opt-in.
-# Exit 1 on any new violation or a stale audit_baseline.json entry.
+# Workspace invariant linter, for what clippy cannot state: hot-path
+# allocation / order-sensitive maps / cost accounting / workspace-lints
+# opt-in. Exit 1 on any violation.
 audit:
 	$(CARGO) run --release -p pi_audit -- --check
-
-# Tighten the ratchet after a burn-down (counts may only decrease).
-audit-baseline:
-	$(CARGO) run --release -p pi_audit -- --write-baseline
 
 fmt-check:
 	$(CARGO) fmt --check
 
+# Carries the panic-surface ban (`[workspace.lints.clippy]`) and the
+# clock / OS-seeded-hasher ban (`clippy.toml`).
 clippy:
 	$(CARGO) clippy --workspace --all-targets -- -D warnings
 

@@ -35,11 +35,6 @@ impl MultiPodAttack {
         }
     }
 
-    /// Number of participating pods.
-    pub fn pod_count(&self) -> usize {
-        self.specs.len()
-    }
-
     /// Aggregate predicted masks: per-pod counts **sum** (each pod's
     /// megaflows carry a different exact `ip_dst`, hence different mask
     /// sets only when the ACL field sets differ — but with identical
@@ -50,8 +45,8 @@ impl MultiPodAttack {
     /// not include the `ip_dst` *value*. Identical ACLs on two pods
     /// produce identical mask sets — entries double, masks don't. To
     /// make masks add, each pod's spec must differ in field shape
-    /// (e.g. different prefix lengths); [`MultiPodAttack::diversified`]
-    /// builds exactly that.
+    /// (a second matched field, as `tests/amplification.rs` shows; a
+    /// shorter prefix only yields a subset of the longest one's masks).
     pub fn predicted_masks(&self) -> u64 {
         use std::collections::BTreeSet;
         // A mask's identity here: the (field, prefix-length) multiset,
@@ -84,28 +79,6 @@ impl MultiPodAttack {
             .sum()
     }
 
-    /// A campaign whose per-pod specs differ in the whitelisted source
-    /// *port*, so the Calico field-shape is identical but distinct
-    /// destination ports widen nothing — masks coincide. For genuinely
-    /// additive masks use pods with different CMS dialect capabilities
-    /// or accept entry (not mask) amplification; both effects are
-    /// quantified in `tests/amplification.rs`.
-    pub fn diversified(pod_ips: &[u32], base: AttackSpec) -> Self {
-        MultiPodAttack {
-            specs: pod_ips
-                .iter()
-                .enumerate()
-                .map(|(i, ip)| {
-                    let mut spec = base;
-                    // Vary the allow prefix length to diversify the mask
-                    // shapes across pods (lengths 32, 31, 30, …).
-                    spec.allow_src.len = base.allow_src.len.saturating_sub(i as u8).max(1);
-                    (*ip, spec)
-                })
-                .collect(),
-        }
-    }
-
     /// Builds one paced schedule per pod, splitting `total_bandwidth_bps`
     /// evenly.
     pub fn schedules(&self, total_bandwidth_bps: f64, start: SimTime) -> Vec<AttackSchedule> {
@@ -134,21 +107,10 @@ mod tests {
     fn uniform_pods_share_masks_but_add_entries() {
         let spec = AttackSpec::masks_512(PolicyDialect::Kubernetes);
         let attack = MultiPodAttack::uniform(&ips(4), spec);
-        assert_eq!(attack.pod_count(), 4);
         // Identical ACL shapes ⇒ identical mask sets.
         assert_eq!(attack.predicted_masks(), 512);
         // Entries quadruple.
         assert_eq!(attack.predicted_entries(), 4 * 33 * 17);
-    }
-
-    #[test]
-    fn diversified_pods_widen_the_mask_union() {
-        let base = AttackSpec::masks_512(PolicyDialect::Kubernetes);
-        let attack = MultiPodAttack::diversified(&ips(4), base);
-        // Lengths 32,31,30,29: union of {1..=L}×16 = {1..=32}×16 = 512
-        // (shorter prefixes are subsets) — the union is bounded by the
-        // longest prefix. Masks don't add; the model must say so.
-        assert_eq!(attack.predicted_masks(), 512);
     }
 
     #[test]

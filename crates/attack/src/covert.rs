@@ -42,7 +42,7 @@ impl FieldTarget {
     fn variant(&self, b: u8) -> u64 {
         let w = self.field.width();
         if b == self.prefix_len + 1 {
-            return self.value; // in-prefix (matches the allow term)
+            return self.in_prefix(); // matches the allow term
         }
         debug_assert!(b >= 1 && b <= self.prefix_len);
         // Keep bits 0..b-1 (MSB-first) of value, flip bit b-1, zero the
@@ -50,6 +50,12 @@ impl FieldTarget {
         let keep_mask = self.field.prefix_mask(b);
         let flip_bit = 1u64 << (w - b);
         ((self.value & keep_mask) ^ flip_bit) & self.field.full_mask()
+    }
+
+    /// The whitelisted value as the field can hold it (`value` is a
+    /// `pub` field: bits above the field's width are ignored).
+    fn in_prefix(&self) -> u64 {
+        self.value & self.field.full_mask()
     }
 
     /// Variants per field: prefix_len divergences + the in-prefix value.
@@ -138,8 +144,8 @@ impl CovertSequence {
             // digit 0..prefix_len-1 → divergence b = digit+1;
             // digit == prefix_len → in-prefix.
             let b = digit + 1;
-            k.set_field(ft.field, ft.variant(b))
-                .expect("variant fits field");
+            // `variant` is bounded to the field's width, so `with` cannot panic.
+            k = k.with(ft.field, ft.variant(b));
         }
         k
     }
@@ -155,7 +161,7 @@ impl CovertSequence {
     pub fn scan_packet(&self, n: u64) -> FlowKey {
         let mut k = self.base_key();
         for ft in &self.target.fields {
-            k.set_field(ft.field, ft.value).expect("value fits field");
+            k = k.with(ft.field, ft.in_prefix());
         }
         // Uniqueness via fields no ACL touches (wildcarded in every
         // megaflow this attack creates): bits 0–7 of n → TOS, bits 8–14

@@ -83,26 +83,11 @@ impl AttackSchedule {
         }
     }
 
-    /// Overrides the refresh interval (must stay below the datapath's
-    /// idle timeout for the attack to persist).
-    #[must_use]
-    pub fn refresh_every(mut self, interval: SimTime) -> Self {
-        self.refresh_interval = interval;
-        self
-    }
-
     /// Disables the scan stream (populate + refresh only) — used by the
     /// covert-bandwidth experiment to isolate refresh economics.
     #[must_use]
     pub fn without_scan(mut self) -> Self {
         self.scan_enabled = false;
-        self
-    }
-
-    /// Frame size for budget accounting.
-    #[must_use]
-    pub fn frame_size(mut self, bytes: usize) -> Self {
-        self.frame_bytes = bytes;
         self
     }
 

@@ -277,42 +277,34 @@ fn parse_comment(text: &str, line: u32, out: &mut Vec<Directive>) {
     {
         // `audit: hotpath` with an optional `-- note` tail.
         DirectiveKind::Hotpath
-    } else if let Some(k) = parse_allow(rest, "allow-file(") {
-        match k {
-            Ok((rule, reason)) => DirectiveKind::AllowFile { rule, reason },
-            Err(text) => DirectiveKind::Malformed { text },
-        }
-    } else if let Some(k) = parse_allow(rest, "allow(") {
-        match k {
-            Ok((rule, reason)) => DirectiveKind::Allow { rule, reason },
-            Err(text) => DirectiveKind::Malformed { text },
-        }
     } else {
-        DirectiveKind::Malformed {
+        let malformed = || DirectiveKind::Malformed {
             text: rest.to_string(),
+        };
+        if let Some(body) = rest.strip_prefix("allow-file(") {
+            parse_allow(body).map_or_else(malformed, |(rule, reason)| DirectiveKind::AllowFile {
+                rule,
+                reason,
+            })
+        } else if let Some(body) = rest.strip_prefix("allow(") {
+            parse_allow(body).map_or_else(malformed, |(rule, reason)| DirectiveKind::Allow {
+                rule,
+                reason,
+            })
+        } else {
+            malformed()
         }
     };
     out.push(Directive { line, kind });
 }
 
-/// Parses `allow(<rule>) -- <reason>` (with `prefix` selecting the
-/// `allow(` / `allow-file(` head). `Err` carries the malformed text.
-#[allow(clippy::type_complexity)]
-fn parse_allow(rest: &str, prefix: &str) -> Option<Result<(String, String), String>> {
-    let body = rest.strip_prefix(prefix)?;
-    let Some(close) = body.find(')') else {
-        return Some(Err(rest.to_string()));
-    };
+/// Parses `<rule>) -- <reason>`, the part of a waiver after its
+/// `allow(` / `allow-file(` head; `None` if malformed.
+fn parse_allow(body: &str) -> Option<(String, String)> {
+    let close = body.find(')')?;
     let rule = body[..close].trim();
-    let tail = body[close + 1..].trim();
-    let Some(reason) = tail.strip_prefix("--") else {
-        return Some(Err(rest.to_string()));
-    };
-    let reason = reason.trim();
-    if rule.is_empty() || reason.is_empty() {
-        return Some(Err(rest.to_string()));
-    }
-    Some(Ok((rule.to_string(), reason.to_string())))
+    let reason = body[close + 1..].trim().strip_prefix("--")?.trim();
+    (!rule.is_empty() && !reason.is_empty()).then(|| (rule.to_string(), reason.to_string()))
 }
 
 #[cfg(test)]

@@ -1,37 +1,26 @@
 //! `pi_audit` — CLI for the workspace invariant linter.
 //!
 //! ```text
-//! pi_audit                 scan, print the crate × rule table, exit 0
-//! pi_audit --check         also ratchet against audit_baseline.json;
-//!                          exit 1 on new violations or stale entries
-//! pi_audit --write-baseline  regenerate the ratchet file
-//! pi_audit --json <path>   also write the machine-readable report
-//! pi_audit --list          print every unwaived violation
+//! pi_audit                 scan, print the violation count, exit 0
+//! pi_audit --list          also print every unwaived violation
+//! pi_audit --check         print them and exit 1 if there is any
 //! pi_audit --root <path>   scan an explicit workspace root
 //! ```
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use pi_audit::baseline::{drift, Baseline, Drift};
-use pi_audit::report::{human_table, render_json, render_violation};
-use pi_audit::scan::scan_workspace;
-use pi_audit::walk::find_workspace_root;
-use pi_audit::BASELINE_FILE;
+use pi_audit::{find_workspace_root, scan_workspace};
 
 fn main() -> ExitCode {
     let mut check = false;
-    let mut write_baseline = false;
     let mut list = false;
-    let mut json: Option<PathBuf> = None;
     let mut root: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--check" => check = true,
-            "--write-baseline" => write_baseline = true,
             "--list" => list = true,
-            "--json" => json = args.next().map(PathBuf::from),
             "--root" => root = args.next().map(PathBuf::from),
             other => {
                 eprintln!("pi_audit: unknown argument `{other}`");
@@ -51,7 +40,6 @@ fn main() -> ExitCode {
         eprintln!("pi_audit: no workspace root found above {}", cwd.display());
         return ExitCode::from(2);
     };
-
     let result = match scan_workspace(&root) {
         Ok(r) => r,
         Err(e) => {
@@ -60,105 +48,18 @@ fn main() -> ExitCode {
         }
     };
 
-    let baseline_path = root.join(BASELINE_FILE);
-    if write_baseline {
-        let body = Baseline::render(&result.counts);
-        if let Err(e) = std::fs::write(&baseline_path, &body) {
-            eprintln!("pi_audit: write {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "pi_audit: wrote {} (total {})",
-            baseline_path.display(),
-            result.total()
-        );
-    }
-
-    let baseline = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => match Baseline::parse(&text) {
-            Ok(b) => Some(b),
-            Err(e) => {
-                eprintln!("pi_audit: {e}");
-                return ExitCode::from(2);
-            }
-        },
-        Err(_) => None,
-    };
-
     println!(
         "pi_audit: {} files scanned, {} unwaived violations",
         result.files_scanned,
-        result.total()
+        result.violations.len()
     );
-    println!(
-        "{}",
-        human_table(
-            &result.counts,
-            baseline.as_ref().unwrap_or(&Baseline::default())
-        )
-    );
-
-    if list {
+    if list || check {
         for v in &result.violations {
-            println!("{}", render_violation(v));
+            println!("{v}");
         }
     }
-
-    if let Some(path) = json {
-        let body = render_json(&result, baseline.as_ref().map(Baseline::total));
-        if let Err(e) = std::fs::write(&path, body) {
-            eprintln!("pi_audit: write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        println!("pi_audit: wrote {}", path.display());
+    if check && !result.violations.is_empty() {
+        return ExitCode::FAILURE;
     }
-
-    if !check {
-        return ExitCode::SUCCESS;
-    }
-    let Some(baseline) = baseline else {
-        eprintln!(
-            "pi_audit: {} missing — run `cargo run -p pi_audit -- --write-baseline`",
-            baseline_path.display()
-        );
-        return ExitCode::from(2);
-    };
-
-    let drifts = drift(&result.counts, &baseline);
-    if drifts.is_empty() {
-        println!(
-            "pi_audit: clean — all counts at their ratchet (baseline total {})",
-            baseline.total()
-        );
-        return ExitCode::SUCCESS;
-    }
-    for d in &drifts {
-        match d {
-            Drift::Over {
-                krate,
-                rule,
-                current,
-                allowed,
-            } => {
-                eprintln!(
-                    "pi_audit: REGRESSION {krate}/{rule}: {current} violations, ratchet allows {allowed}:"
-                );
-                for v in result.cell(krate, rule) {
-                    eprintln!("  {}", render_violation(v));
-                }
-            }
-            Drift::Stale {
-                krate,
-                rule,
-                current,
-                allowed,
-            } => {
-                eprintln!(
-                    "pi_audit: STALE RATCHET {krate}/{rule}: {current} violations but baseline \
-                     allows {allowed} — tighten it with `cargo run -p pi_audit -- --write-baseline`"
-                );
-            }
-        }
-    }
-    ExitCode::FAILURE
+    ExitCode::SUCCESS
 }

@@ -1,4 +1,4 @@
-//! The four-plus-one rule families and the per-file scanner.
+//! The rule families and the per-file scanner.
 //!
 //! Every rule is a token-level pattern over the [`crate::lexer`] code
 //! shadow, so comments and string literals can never trigger it. Rules
@@ -6,23 +6,25 @@
 //! and waivers that match nothing are themselves violations (rule
 //! `directive`), so the escape hatch stays auditable.
 //!
-//! | rule id | invariant |
-//! |---|---|
-//! | `determinism` | no wall clocks or seeded-by-the-OS hashing anywhere; no `HashMap`/`HashSet` in order-sensitive modules (engines, reports, exporters, the pod table and its index) where iteration order could leak into output |
-//! | `hotpath` | regions annotated `// audit: hotpath` never allocate (`Vec::new`, `vec![`, `format!`, `String::`, `Box::new`, `.collect()`, `.to_vec()`) |
-//! | `panics` | library code does not `unwrap()` / `expect(` / `panic!` (tests, benches, examples and binaries are exempt); burn-down is ratcheted via `audit_baseline.json` |
-//! | `cost` | every `DataplaneBackend` impl file references `CostModel` charging in its packet/control ops |
-//! | `lints` | every workspace crate opts into `[workspace.lints]` (checked in [`crate::walk`]) |
-//! | `directive` | the waiver grammar itself: malformed, unknown-rule, or unused waivers |
+//! | rule id | invariant | why not clippy |
+//! |---|---|---|
+//! | `hotpath` | regions annotated `// audit: hotpath` never allocate (`Vec::new`, `vec![`, `format!`, `String::`, `Box::new`, `.collect()`, `.to_vec()`) | no lint is scoped to an author-annotated region |
+//! | `determinism` | no `HashMap`/`HashSet` in order-sensitive modules (engines, reports, exporters, the pod table and its index), where iteration order could leak into output | `disallowed-types` is workspace-wide; the ban is per module |
+//! | `cost` | every `DataplaneBackend` impl file references `CostModel` charging in its packet/control ops | a "must mention" rule; lints only forbid |
+//! | `lints` | the root manifest states the bans and every crate opts into `[workspace.lints]` (checked in [`crate::walk`]) | cargo accepts a member that opts out |
+//! | `directive` | the waiver grammar itself: malformed, unknown-rule, or unused waivers | it is this tool's own grammar |
+//!
+//! The panic-surface and clock / OS-seeded-hasher bans this file used to
+//! carry are `[workspace.lints.clippy]` and `clippy.toml` now.
+
+use std::fmt;
 
 use crate::lexer::{lex, DirectiveKind};
 
-/// Rule identifiers, as used in waivers and the baseline file.
+/// Order-sensitive-container rule id.
 pub const RULE_DETERMINISM: &str = "determinism";
 /// Hot-path allocation rule id.
 pub const RULE_HOTPATH: &str = "hotpath";
-/// Panic-surface rule id.
-pub const RULE_PANICS: &str = "panics";
 /// Cost-accounting rule id.
 pub const RULE_COST: &str = "cost";
 /// Workspace-lints opt-in rule id.
@@ -30,32 +32,22 @@ pub const RULE_LINTS: &str = "lints";
 /// Directive-grammar rule id (malformed/unknown/unused waivers).
 pub const RULE_DIRECTIVE: &str = "directive";
 
-/// All rule ids, in table order.
-pub const ALL_RULES: [&str; 6] = [
+/// All rule ids, as waivers may name them.
+pub const ALL_RULES: [&str; 5] = [
     RULE_DETERMINISM,
     RULE_HOTPATH,
-    RULE_PANICS,
     RULE_COST,
     RULE_LINTS,
     RULE_DIRECTIVE,
-];
-
-/// Wall-clock / OS-seeded-hash tokens forbidden everywhere.
-const DETERMINISM_TOKENS: [&str; 5] = [
-    "Instant",
-    "SystemTime",
-    "RandomState",
-    "DefaultHasher",
-    "thread_rng",
 ];
 
 /// File basenames whose iteration order can reach a report or an
 /// exported artefact; `HashMap`/`HashSet` are forbidden there. `pods`
 /// and `index` are the per-packet pod / route lookup: a std map there
 /// would also put SipHash back on the fast path.
-const ORDER_SENSITIVE_BASENAMES: [&str; 13] = [
-    "engine", "node", "shard", "report", "export", "json", "csv", "summary", "dump", "plot", "agg",
-    "pods", "index",
+const ORDER_SENSITIVE_BASENAMES: [&str; 12] = [
+    "engine", "node", "shard", "report", "export", "json", "csv", "summary", "plot", "agg", "pods",
+    "index",
 ];
 
 /// Allocation tokens forbidden inside `// audit: hotpath` regions.
@@ -69,9 +61,6 @@ const HOTPATH_TOKENS: [&str; 8] = [
     ".collect::<",
     ".to_vec(",
 ];
-
-/// Panic tokens forbidden in library code.
-const PANIC_TOKENS: [&str; 3] = [".unwrap()", ".expect(", "panic!"];
 
 /// Evidence that a backend impl charges the shared cost model: the
 /// pricing methods and price-field vocabulary of
@@ -96,23 +85,16 @@ const COST_TOKENS: [&str; 14] = [
 /// How a file participates in its crate — decides which rules apply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileClass {
-    /// Library source (`src/` outside `src/bin/`): all rules apply.
+    /// Source under `src/`: all rules apply.
     Lib,
-    /// Binary target (`src/bin/` or `src/main.rs`): panic rule exempt.
-    Bin,
-    /// Integration test (`tests/`): panic + order rules exempt.
+    /// Integration tests, examples and benches: exempt from the
+    /// order-sensitive and hot-path rules, like `#[cfg(test)]` code.
     Test,
-    /// Example (`examples/`): panic + order rules exempt.
-    Example,
-    /// Bench target (`benches/`): panic + order rules exempt.
-    Bench,
 }
 
 /// One rule violation at a source location.
 #[derive(Debug, Clone)]
 pub struct Violation {
-    /// Workspace crate the file belongs to.
-    pub krate: String,
     /// Path relative to the workspace root.
     pub file: String,
     /// 1-based line.
@@ -123,8 +105,20 @@ pub struct Violation {
     pub message: String,
 }
 
+impl fmt::Display for Violation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Violation {
+            file,
+            line,
+            rule,
+            message,
+        } = self;
+        write!(f, "{file}:{line}: [{rule}] {message}")
+    }
+}
+
 /// Scans one file's source text and returns unwaived violations.
-pub fn scan_file(krate: &str, rel_path: &str, class: FileClass, src: &str) -> Vec<Violation> {
+pub fn scan_file(rel_path: &str, class: FileClass, src: &str) -> Vec<Violation> {
     let lexed = lex(src);
     let lines: Vec<&str> = lexed.code.lines().collect();
     let test_regions = cfg_test_regions(&lines);
@@ -139,7 +133,6 @@ pub fn scan_file(krate: &str, rel_path: &str, class: FileClass, src: &str) -> Ve
     let mut raw: Vec<Violation> = Vec::new();
     let mut push = |line: u32, rule: &'static str, message: String| {
         raw.push(Violation {
-            krate: krate.to_string(),
             file: rel_path.to_string(),
             line,
             rule,
@@ -151,15 +144,6 @@ pub fn scan_file(krate: &str, rel_path: &str, class: FileClass, src: &str) -> Ve
         let line_no = idx as u32 + 1;
         let in_test = in_regions(&test_regions, line_no) || class == FileClass::Test;
 
-        for tok in DETERMINISM_TOKENS {
-            if contains_word(code, tok) {
-                push(
-                    line_no,
-                    RULE_DETERMINISM,
-                    format!("nondeterministic primitive `{tok}`"),
-                );
-            }
-        }
         if order_sensitive && !in_test {
             for tok in ["HashMap", "HashSet"] {
                 if contains_word(code, tok) {
@@ -181,17 +165,6 @@ pub fn scan_file(krate: &str, rel_path: &str, class: FileClass, src: &str) -> Ve
                         line_no,
                         RULE_HOTPATH,
                         format!("allocation `{tok}` inside an `audit: hotpath` region"),
-                    );
-                }
-            }
-        }
-        if class == FileClass::Lib && !in_test {
-            for tok in PANIC_TOKENS {
-                if code.contains(tok) {
-                    push(
-                        line_no,
-                        RULE_PANICS,
-                        format!("panic-surface `{tok}` in library code"),
                     );
                 }
             }
@@ -218,7 +191,7 @@ pub fn scan_file(krate: &str, rel_path: &str, class: FileClass, src: &str) -> Ve
         }
     }
 
-    apply_waivers(&lexed, raw, krate, rel_path)
+    apply_waivers(&lexed, raw, rel_path)
 }
 
 /// Applies file- and line-level waivers; unused, malformed or
@@ -226,7 +199,6 @@ pub fn scan_file(krate: &str, rel_path: &str, class: FileClass, src: &str) -> Ve
 fn apply_waivers(
     lexed: &crate::lexer::Lexed,
     raw: Vec<Violation>,
-    krate: &str,
     rel_path: &str,
 ) -> Vec<Violation> {
     struct Waiver {
@@ -242,7 +214,6 @@ fn apply_waivers(
             DirectiveKind::Allow { rule, .. } | DirectiveKind::AllowFile { rule, .. } => {
                 if !ALL_RULES.contains(&rule.as_str()) {
                     out.push(Violation {
-                        krate: krate.to_string(),
                         file: rel_path.to_string(),
                         line: d.line,
                         rule: RULE_DIRECTIVE,
@@ -259,7 +230,6 @@ fn apply_waivers(
             }
             DirectiveKind::Malformed { text } => {
                 out.push(Violation {
-                    krate: krate.to_string(),
                     file: rel_path.to_string(),
                     line: d.line,
                     rule: RULE_DIRECTIVE,
@@ -283,7 +253,6 @@ fn apply_waivers(
     for w in &waivers {
         if !w.used {
             out.push(Violation {
-                krate: krate.to_string(),
                 file: rel_path.to_string(),
                 line: w.line,
                 rule: RULE_DIRECTIVE,
@@ -379,7 +348,7 @@ fn in_regions(regions: &[(u32, u32)], line: u32) -> bool {
 }
 
 /// Word-boundary containment: `tok` not embedded in a larger
-/// identifier (so `InstantLike` or `my_thread_rng2` never match).
+/// identifier (so `HashMapLike` or `my_HashSet2` never match).
 fn contains_word(hay: &str, tok: &str) -> bool {
     let mut from = 0;
     while let Some(pos) = hay[from..].find(tok) {
@@ -405,16 +374,17 @@ mod tests {
 
     #[test]
     fn word_boundaries() {
-        assert!(contains_word("let t = Instant::now();", "Instant"));
-        assert!(!contains_word("let t = InstantLike::now();", "Instant"));
-        assert!(!contains_word("let t = my_Instant;", "Instant"));
-        assert!(contains_word("use x::{Instant};", "Instant"));
+        assert!(contains_word("let t = HashMap::new();", "HashMap"));
+        assert!(!contains_word("let t = HashMapLike::new();", "HashMap"));
+        assert!(!contains_word("let t = my_HashMap;", "HashMap"));
+        assert!(contains_word("use x::{HashMap};", "HashMap"));
     }
 
     #[test]
     fn cfg_test_region_detection() {
-        let src = "pub fn f() { g().unwrap(); }\n#[cfg(test)]\nmod tests {\n    fn t() { h().unwrap(); }\n}\n";
-        let v = scan_file("c", "crates/c/src/x.rs", FileClass::Lib, src);
+        let src =
+            "type A = HashSet<u8>;\n#[cfg(test)]\nmod tests {\n    type B = HashSet<u8>;\n}\n";
+        let v = scan_file("crates/c/src/engine.rs", FileClass::Lib, src);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].line, 1);
     }

@@ -1,13 +1,11 @@
 //! Whole-workspace scan: every member's sources through
-//! [`crate::rules::scan_file`] plus the manifest `lints` check,
-//! aggregated into per-crate per-rule counts for the ratchet.
+//! [`crate::rules::scan_file`] plus the manifest `lints` check.
 
 use std::fs;
 use std::io;
 use std::path::Path;
 
-use crate::baseline::Counts;
-use crate::rules::{scan_file, Violation, ALL_RULES};
+use crate::rules::{scan_file, Violation};
 use crate::walk::{check_lints, members, source_files};
 
 /// Everything one scan produced.
@@ -15,67 +13,26 @@ use crate::walk::{check_lints, members, source_files};
 pub struct ScanResult {
     /// All unwaived violations, in (file, line) order.
     pub violations: Vec<Violation>,
-    /// Per-crate per-rule counts (every member × every rule present,
-    /// zeros included, so ratchet drift sees removals too).
-    pub counts: Counts,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
-}
-
-impl ScanResult {
-    /// Total unwaived violations.
-    pub fn total(&self) -> usize {
-        self.violations.len()
-    }
-
-    /// The violations inside one `(crate, rule)` cell.
-    pub fn cell(&self, krate: &str, rule: &str) -> Vec<&Violation> {
-        self.violations
-            .iter()
-            .filter(|v| v.krate == krate && v.rule == rule)
-            .collect()
-    }
 }
 
 /// Scans the workspace rooted at `root`.
 pub fn scan_workspace(root: &Path) -> io::Result<ScanResult> {
     let members = members(root)?;
     let mut violations: Vec<Violation> = Vec::new();
-    let mut counts = Counts::new();
-    for m in &members {
-        let rules = counts.entry(m.name.clone()).or_default();
-        for rule in ALL_RULES {
-            rules.insert(rule.to_string(), 0);
-        }
-    }
-    // Root-manifest lints findings land on the pseudo-crate
-    // `workspace`.
-    let rules = counts.entry("workspace".to_string()).or_default();
-    for rule in ALL_RULES {
-        rules.insert(rule.to_string(), 0);
-    }
-
     let mut files_scanned = 0usize;
     for m in &members {
         for sf in source_files(root, m)? {
             let src = fs::read_to_string(&sf.abs_path)?;
             files_scanned += 1;
-            violations.extend(scan_file(&sf.krate, &sf.rel_path, sf.class, &src));
+            violations.extend(scan_file(&sf.rel_path, sf.class, &src));
         }
     }
     violations.extend(check_lints(root, &members)?);
-
-    for v in &violations {
-        *counts
-            .entry(v.krate.clone())
-            .or_default()
-            .entry(v.rule.to_string())
-            .or_insert(0) += 1;
-    }
     violations.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     Ok(ScanResult {
         violations,
-        counts,
         files_scanned,
     })
 }

@@ -15,21 +15,9 @@ use std::path::{Path, PathBuf};
 
 use crate::rules::{FileClass, Violation, RULE_LINTS};
 
-/// One workspace member.
-#[derive(Debug, Clone)]
-pub struct Member {
-    /// Package name from the member's manifest (e.g. `pi_core`).
-    pub name: String,
-    /// Member directory relative to the workspace root (`""` for the
-    /// root package itself).
-    pub rel_dir: String,
-}
-
 /// A source file scheduled for scanning.
 #[derive(Debug, Clone)]
 pub struct SourceFile {
-    /// Owning crate name.
-    pub krate: String,
     /// Path relative to the workspace root.
     pub rel_path: String,
     /// Absolute path on disk.
@@ -54,22 +42,15 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
     None
 }
 
-/// Parses the workspace members (plus the root package) from the root
-/// manifest.
-pub fn members(root: &Path) -> io::Result<Vec<Member>> {
+/// The workspace members' directories relative to `root`, from the root
+/// manifest (`""` first, for the root package itself, if there is one).
+pub fn members(root: &Path) -> io::Result<Vec<String>> {
     let manifest = fs::read_to_string(root.join("Cargo.toml"))?;
     let mut out = Vec::new();
-    if let Some(name) = package_name(&manifest) {
-        out.push(Member {
-            name,
-            rel_dir: String::new(),
-        });
+    if manifest.contains("[package]") {
+        out.push(String::new());
     }
-    for rel in member_dirs(&manifest) {
-        let member_manifest = fs::read_to_string(root.join(&rel).join("Cargo.toml"))?;
-        let name = package_name(&member_manifest).unwrap_or_else(|| rel.clone());
-        out.push(Member { name, rel_dir: rel });
-    }
+    out.extend(member_dirs(&manifest));
     Ok(out)
 }
 
@@ -92,38 +73,29 @@ fn member_dirs(manifest: &str) -> Vec<String> {
         .collect()
 }
 
-/// First `name = "…"` after `[package]`.
-fn package_name(manifest: &str) -> Option<String> {
-    let after = &manifest[manifest.find("[package]")?..];
-    let line = after.lines().find(|l| l.trim_start().starts_with("name"))?;
-    Some(line.split('"').nth(1)?.to_string())
-}
-
 /// Enumerates a member's source files with their [`FileClass`].
-pub fn source_files(root: &Path, member: &Member) -> io::Result<Vec<SourceFile>> {
-    let base = if member.rel_dir.is_empty() {
+pub fn source_files(root: &Path, member: &str) -> io::Result<Vec<SourceFile>> {
+    let base = if member.is_empty() {
         root.to_path_buf()
     } else {
-        root.join(&member.rel_dir)
+        root.join(member)
     };
     let mut out = Vec::new();
     for (sub, class) in [
         ("src", FileClass::Lib),
         ("tests", FileClass::Test),
-        ("examples", FileClass::Example),
-        ("benches", FileClass::Bench),
+        ("examples", FileClass::Test),
+        ("benches", FileClass::Test),
     ] {
         let dir = base.join(sub);
         if dir.is_dir() {
             collect_rs(&dir, &mut |path| {
-                let class = classify(path, sub, class);
                 let rel_path = path
                     .strip_prefix(root)
                     .unwrap_or(path)
                     .to_string_lossy()
                     .replace('\\', "/");
                 out.push(SourceFile {
-                    krate: member.name.clone(),
                     rel_path,
                     abs_path: path.to_path_buf(),
                     class,
@@ -132,17 +104,6 @@ pub fn source_files(root: &Path, member: &Member) -> io::Result<Vec<SourceFile>>
         }
     }
     Ok(out)
-}
-
-/// `src/bin/**` and `src/main.rs` are binary targets.
-fn classify(path: &Path, sub: &str, default: FileClass) -> FileClass {
-    if sub == "src" {
-        let p = path.to_string_lossy();
-        if p.contains("/bin/") || p.ends_with("/main.rs") {
-            return FileClass::Bin;
-        }
-    }
-    default
 }
 
 fn collect_rs(dir: &Path, visit: &mut impl FnMut(&Path)) -> io::Result<()> {
@@ -164,49 +125,63 @@ fn collect_rs(dir: &Path, visit: &mut impl FnMut(&Path)) -> io::Result<()> {
     Ok(())
 }
 
-/// Rule `lints`: the root manifest must define `[workspace.lints`
-/// (with `unsafe_code` forbidden), and every member manifest must opt
-/// in with `[lints]` / `workspace = true`.
-pub fn check_lints(root: &Path, members: &[Member]) -> io::Result<Vec<Violation>> {
+/// What the root manifest's `[workspace.lints]` tables must state: the
+/// `unsafe` ban and the three panic-surface lints (the clock / hasher
+/// ban is `clippy.toml`'s `disallowed-types`, on by default).
+const REQUIRED_LINTS: [&str; 4] = ["unsafe_code", "unwrap_used", "expect_used", "panic"];
+
+/// Rule `lints`: the root manifest must state every lint of
+/// [`REQUIRED_LINTS`] under `[workspace.lints.*]`, and every member
+/// manifest must opt in with `[lints]` / `workspace = true` — which is
+/// what makes those bans reach the crate at all.
+pub fn check_lints(root: &Path, members: &[String]) -> io::Result<Vec<Violation>> {
+    let violation = |file: &str, message: String| Violation {
+        file: file.to_string(),
+        line: 1,
+        rule: RULE_LINTS,
+        message,
+    };
     let mut out = Vec::new();
     let root_manifest = fs::read_to_string(root.join("Cargo.toml"))?;
-    if !root_manifest.contains("[workspace.lints") {
-        out.push(Violation {
-            krate: "workspace".to_string(),
-            file: "Cargo.toml".to_string(),
-            line: 1,
-            rule: RULE_LINTS,
-            message: "root Cargo.toml has no [workspace.lints] table".to_string(),
-        });
-    } else if !root_manifest.contains("unsafe_code") {
-        out.push(Violation {
-            krate: "workspace".to_string(),
-            file: "Cargo.toml".to_string(),
-            line: 1,
-            rule: RULE_LINTS,
-            message: "[workspace.lints] does not forbid unsafe_code".to_string(),
-        });
+    let stated = workspace_lints(&root_manifest);
+    for lint in REQUIRED_LINTS {
+        if !stated.iter().any(|l| l == lint) {
+            out.push(violation(
+                "Cargo.toml",
+                format!("[workspace.lints] does not set `{lint}`"),
+            ));
+        }
     }
     for m in members {
-        let rel = if m.rel_dir.is_empty() {
+        let rel = if m.is_empty() {
             "Cargo.toml".to_string()
         } else {
-            format!("{}/Cargo.toml", m.rel_dir)
+            format!("{m}/Cargo.toml")
         };
         let manifest = fs::read_to_string(root.join(&rel))?;
         if !opts_into_workspace_lints(&manifest) {
-            out.push(Violation {
-                krate: m.name.clone(),
-                file: rel,
-                line: 1,
-                rule: RULE_LINTS,
-                message: "crate does not opt into [workspace.lints] \
-                          (add `[lints]` with `workspace = true`)"
-                    .to_string(),
-            });
+            let message = "crate does not opt into [workspace.lints] \
+                           (add `[lints]` with `workspace = true`)";
+            out.push(violation(&rel, message.to_string()));
         }
     }
     Ok(out)
+}
+
+/// The keys set under the manifest's `[workspace.lints.*]` tables.
+fn workspace_lints(manifest: &str) -> Vec<String> {
+    let mut keys = Vec::new();
+    let mut inside = false;
+    for line in manifest.lines().map(str::trim) {
+        if line.starts_with('[') {
+            inside = line.starts_with("[workspace.lints");
+        } else if inside && !line.starts_with('#') {
+            if let Some((key, _)) = line.split_once('=') {
+                keys.push(key.trim().to_string());
+            }
+        }
+    }
+    keys
 }
 
 /// `[lints]` section containing `workspace = true` before the next
@@ -230,6 +205,13 @@ mod tests {
     fn member_list_parses() {
         let m = "[workspace]\nmembers = [\n  \"crates/a\",\n  \"crates/b\",\n]\n";
         assert_eq!(member_dirs(m), vec!["crates/a", "crates/b"]);
+    }
+
+    #[test]
+    fn workspace_lint_keys_come_from_the_lints_tables_only() {
+        let m = "[workspace.lints.rust]\nunsafe_code = \"forbid\"\n# panic = \"deny\"\n\n\
+                 [workspace.lints.clippy]\nunwrap_used = \"deny\"\n\n[profile.release]\npanic = \"abort\"\n";
+        assert_eq!(workspace_lints(m), ["unsafe_code", "unwrap_used"]);
     }
 
     #[test]

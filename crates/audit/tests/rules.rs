@@ -3,6 +3,8 @@
 //! real `.rs` sources but live in a `fixtures/` directory, which the
 //! workspace walker skips — so the self-scan never sees them.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // test helpers: fail loudly
+
 use pi_audit::{scan_file, FileClass, Violation};
 
 fn fixture(name: &str) -> String {
@@ -15,40 +17,25 @@ fn rules_of(violations: &[Violation]) -> Vec<&'static str> {
 }
 
 #[test]
-fn determinism_flags_wall_clocks() {
-    let v = scan_file(
-        "fx",
-        "crates/fx/src/clock.rs",
-        FileClass::Lib,
-        &fixture("determinism_clock.rs"),
-    );
-    // The `use` line names both Instant and SystemTime; the body names
-    // Instant again.
-    assert_eq!(rules_of(&v), ["determinism"; 3], "{v:?}");
-    assert!(v[0].message.contains("Instant") || v[0].message.contains("SystemTime"));
-}
-
-#[test]
 fn order_sensitive_basename_rejects_hashmap_outside_tests() {
     let src = fixture("order_map_engine.rs");
     // The engine, and the per-packet pod table and its ip index.
     for module in ["engine", "pods", "index"] {
         let path = format!("crates/fx/src/{module}.rs");
-        let v = scan_file("fx", &path, FileClass::Lib, &src);
+        let v = scan_file(&path, FileClass::Lib, &src);
         // `use` + field type fire; the HashSet inside #[cfg(test)] must not.
         assert_eq!(rules_of(&v), ["determinism"; 2], "{module}: {v:?}");
         assert!(v.iter().all(|v| v.message.contains("HashMap")), "{v:?}");
     }
 
     // Same content under a non-order-sensitive basename: clean.
-    let v = scan_file("fx", "crates/fx/src/builder.rs", FileClass::Lib, &src);
+    let v = scan_file("crates/fx/src/builder.rs", FileClass::Lib, &src);
     assert!(v.is_empty(), "{v:?}");
 }
 
 #[test]
 fn hotpath_region_rejects_allocation_but_cold_code_may_allocate() {
     let v = scan_file(
-        "fx",
         "crates/fx/src/hot.rs",
         FileClass::Lib,
         &fixture("hotpath_alloc.rs"),
@@ -61,25 +48,8 @@ fn hotpath_region_rejects_allocation_but_cold_code_may_allocate() {
 }
 
 #[test]
-fn panic_surface_fires_in_lib_but_not_bins_or_tests() {
-    let src = fixture("panics_lib.rs");
-    let v = scan_file("fx", "crates/fx/src/panics.rs", FileClass::Lib, &src);
-    assert_eq!(rules_of(&v), ["panics"; 3], "{v:?}");
-    // The doc comment and the string literal mentioning `.unwrap()`
-    // must not add a 4th hit — check the flagged lines are code lines.
-    let lines: Vec<u32> = v.iter().map(|v| v.line).collect();
-    assert_eq!(lines, [7, 11, 16], "{v:?}");
-
-    for class in [FileClass::Bin, FileClass::Test, FileClass::Bench] {
-        let v = scan_file("fx", "crates/fx/src/bin/x.rs", class, &src);
-        assert!(v.is_empty(), "{class:?} should be exempt: {v:?}");
-    }
-}
-
-#[test]
 fn backend_impl_without_cost_evidence_is_flagged() {
     let v = scan_file(
-        "fx",
         "crates/fx/src/free.rs",
         FileClass::Lib,
         &fixture("cost_free_backend.rs"),
@@ -91,15 +61,14 @@ fn backend_impl_without_cost_evidence_is_flagged() {
         "{}\nfn price(&self) -> u64 {{ self.cost.packet_cycles }}\n",
         fixture("cost_free_backend.rs")
     );
-    let v = scan_file("fx", "crates/fx/src/free.rs", FileClass::Lib, &charged);
+    let v = scan_file("crates/fx/src/free.rs", FileClass::Lib, &charged);
     assert!(v.is_empty(), "{v:?}");
 }
 
 #[test]
 fn reasoned_waivers_silence_violations() {
     let v = scan_file(
-        "fx",
-        "crates/fx/src/waived.rs",
+        "crates/fx/src/engine.rs",
         FileClass::Lib,
         &fixture("waived_clean.rs"),
     );
@@ -109,7 +78,6 @@ fn reasoned_waivers_silence_violations() {
 #[test]
 fn bad_waivers_are_directive_violations() {
     let v = scan_file(
-        "fx",
         "crates/fx/src/bad.rs",
         FileClass::Lib,
         &fixture("bad_waivers.rs"),

@@ -1,74 +1,42 @@
-//! The self-scan: `pi_audit` run over the workspace that ships it.
-//!
-//! This is the pin that makes the ratchet real — CI runs
-//! `pi_audit --check`, but this test keeps the invariant inside
-//! `cargo test` too, so a violation or a stale baseline fails the
-//! ordinary test suite even where CI is not in the loop.
+//! The self-scan: `pi_audit` run over the workspace that ships it. CI
+//! runs `pi_audit --check`; this keeps the same gate inside
+//! `cargo test` (the root package lists this file as a `[[test]]`, so
+//! tier-1 runs it).
 
-use pi_audit::{drift, find_workspace_root, scan_file, scan_workspace, Baseline, FileClass};
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // test helpers: fail loudly
+
+use pi_audit::{find_workspace_root, scan_file, scan_workspace, FileClass};
 
 fn root() -> std::path::PathBuf {
+    // The manifest dir is `crates/audit` or, run as the root package's
+    // test, the workspace root itself.
     find_workspace_root(std::path::Path::new(env!("CARGO_MANIFEST_DIR")))
-        .expect("workspace root above crates/audit")
+        .expect("workspace root at or above the manifest dir")
 }
 
 #[test]
-fn workspace_scan_matches_the_committed_baseline() {
-    let root = root();
-    let scan = scan_workspace(&root).expect("scan workspace");
+fn the_workspace_scans_to_zero_violations() {
+    let scan = scan_workspace(&root()).expect("scan workspace");
     assert!(
         scan.files_scanned > 100,
         "walker found only {} files — member discovery broke",
         scan.files_scanned
     );
-
-    let text = std::fs::read_to_string(root.join(pi_audit::BASELINE_FILE))
-        .expect("audit_baseline.json at the workspace root");
-    let baseline = Baseline::parse(&text).expect("parse baseline");
-    let drifts = drift(&scan.counts, &baseline);
-    assert!(
-        drifts.is_empty(),
-        "scan disagrees with audit_baseline.json — regression or stale \
-         ratchet (run `cargo run -p pi_audit -- --write-baseline` after \
-         a burn-down):\n{drifts:#?}"
-    );
-}
-
-#[test]
-fn every_non_panic_rule_is_at_zero() {
-    // The panics debt is ratcheted; everything else is already clean
-    // and must stay clean — the baseline has no allowance for it.
-    let scan = scan_workspace(&root()).expect("scan workspace");
-    for rule in ["determinism", "hotpath", "cost", "lints", "directive"] {
-        let hits: Vec<String> = scan
-            .violations
-            .iter()
-            .filter(|v| v.rule == rule)
-            .map(|v| format!("{}:{}: {}", v.file, v.line, v.message))
-            .collect();
-        assert!(
-            hits.is_empty(),
-            "rule `{rule}` regressed:\n{}",
-            hits.join("\n")
-        );
-    }
+    let listed: Vec<String> = scan.violations.iter().map(|v| v.to_string()).collect();
+    assert!(listed.is_empty(), "{}", listed.join("\n"));
 }
 
 #[test]
 fn an_injected_violation_is_detected() {
     // Sensitivity check: the same scanner that passes the tree above
-    // must flag a violation appended to a real workspace file.
-    let root = root();
-    let path = root.join("crates/core/src/key.rs");
-    let clean = std::fs::read_to_string(&path).expect("read pi_core source");
-    let before = scan_file("pi_core", "crates/core/src/key.rs", FileClass::Lib, &clean).len();
-    let injected = format!("{clean}\npub fn bad() -> u8 {{ None::<u8>.unwrap() }}\n");
-    let after = scan_file(
-        "pi_core",
-        "crates/core/src/key.rs",
-        FileClass::Lib,
-        &injected,
-    )
-    .len();
-    assert_eq!(after, before + 1, "injected `.unwrap()` went undetected");
+    // must flag an allocation appended, inside an annotated region, to
+    // a real workspace file that carries one.
+    let rel = "crates/trace/src/cell.rs";
+    let clean = std::fs::read_to_string(root().join(rel)).expect("read pi_trace source");
+    assert!(clean.contains("// audit: hotpath"));
+    let before = scan_file(rel, FileClass::Lib, &clean).len();
+    let injected =
+        format!("{clean}\n// audit: hotpath\npub fn bad() -> Vec<u8> {{\n    Vec::new()\n}}\n");
+    let after = scan_file(rel, FileClass::Lib, &injected).len();
+    assert_eq!(after, before + 1, "injected `Vec::new` went undetected");
 }

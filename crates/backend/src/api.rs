@@ -14,12 +14,12 @@
 //! Everything is object-safe: sinks are `&mut dyn FnMut`, and the
 //! simulators hold a `Box<dyn DataplaneBackend>`.
 
-use pi_classifier::{FlowTable, PolicyUpdate};
+use pi_classifier::{Action, FlowTable, PolicyUpdate};
 use pi_core::{FlowKey, SimTime};
 use pi_datapath::emc::EmcStats;
 use pi_datapath::{
-    BackendKind, CostModel, DpConfig, PolicyUpdateOutcome, ProcessOutcome, ResolvedUpcall,
-    RestartOutcome, SwitchStats, UpcallStats, VSwitch,
+    BackendKind, CostModel, DpConfig, PathTaken, PolicyUpdateOutcome, ProcessOutcome,
+    ResolvedUpcall, RestartOutcome, SwitchStats, UpcallStats, VSwitch,
 };
 use pi_mitigation::MaskAttribution;
 use pi_trace::Tracer;
@@ -217,18 +217,30 @@ pub trait DataplaneBackend: std::fmt::Debug + Send {
 
 /// Convenience: processes a single pre-parsed key through a
 /// boxed/borrowed backend (examples and tests; simulators use
-/// [`DataplaneBackend::process_batch`]).
+/// [`DataplaneBackend::process_batch`]). A backend that reports no
+/// outcome for the key — a breach of `process_batch`'s one-outcome-per-key
+/// contract, which the conformance suite pins — reads as a packet dropped
+/// with no verdict rendered and nothing charged.
 pub fn process_one(
     backend: &mut dyn DataplaneBackend,
     key: &FlowKey,
     now: SimTime,
 ) -> ProcessOutcome {
-    let mut out = None;
+    let mut out = ProcessOutcome {
+        verdict: Action::Controller,
+        output: None,
+        path: PathTaken::UpcallDropped {
+            probes: 0,
+            stage_checks: 0,
+            emc_probed: false,
+        },
+        cycles: 0,
+    };
     backend.process_batch(std::slice::from_ref(key), now, &mut |_, o| {
-        out = Some(o);
+        out = o;
         true
     });
-    out.expect("one key in, one outcome out")
+    out
 }
 
 /// Resolves `config.backend` into a concrete pipeline. This is the

@@ -78,7 +78,7 @@ impl LpmTier {
     }
 
     /// The compile-time per-packet walk length, in strides.
-    pub fn strides_per_packet(&self) -> usize {
+    pub(crate) fn strides_per_packet(&self) -> usize {
         self.route_strides + self.acl_strides
     }
 

@@ -292,7 +292,7 @@ impl<V> FlatTable<V> {
     /// Mutable variant of [`FlatTable::get_by_hash`].
     #[inline]
     // audit: hotpath
-    pub fn get_mut_by_hash(
+    pub(crate) fn get_mut_by_hash(
         &mut self,
         hash: u64,
         eq: impl FnMut(&FlowKey) -> bool,

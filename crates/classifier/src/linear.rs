@@ -30,13 +30,6 @@ impl<'a> LinearClassifier<'a> {
             .filter(|r| r.matches(packet))
             .max_by_key(|r| r.precedence())
     }
-
-    /// Like [`LinearClassifier::classify`], also reporting how many rules
-    /// were examined (always the whole table — that is the point of the
-    /// slow path being slow).
-    pub fn classify_counting(&self, packet: &FlowKey) -> (Option<&'a Rule>, usize) {
-        (self.classify(packet), self.table.len())
-    }
 }
 
 #[cfg(test)]
@@ -94,13 +87,5 @@ mod tests {
             c.classify(&FlowKey::default()).unwrap().action,
             Action::Allow
         );
-    }
-
-    #[test]
-    fn counting_reports_table_size() {
-        let table = acl();
-        let c = LinearClassifier::new(&table);
-        let (_, examined) = c.classify_counting(&FlowKey::default());
-        assert_eq!(examined, 2);
     }
 }

@@ -7,7 +7,8 @@
 //! ingress port) already rules a subtable out, a failing probe costs a
 //! fraction of a full one.
 //!
-//! The mitigation ablation (EXPERIMENTS.md E7) uses this to show staged
+//! The mitigation ablation (`results ablation`, the "staged lookup" row
+//! of `results/mitigation_ablation.csv`) uses this to show staged
 //! lookup *attenuates* the policy-injection attack — failing probes get
 //! cheaper — but does not change its asymptotics: every victim packet
 //! still visits every subtable.

@@ -160,7 +160,7 @@ impl PolicyUpdate {
 
 /// If `mask` is a contiguous, MSB-aligned prefix mask for `field`,
 /// returns its length; `None` otherwise (including the zero mask).
-pub fn prefix_len_of_mask(field: Field, mask: u64) -> Option<u8> {
+pub(crate) fn prefix_len_of_mask(field: Field, mask: u64) -> Option<u8> {
     let len = mask.count_ones() as u8;
     (mask != 0 && len <= field.width() && field.prefix_mask(len) == mask).then_some(len)
 }
@@ -195,21 +195,6 @@ impl TrieSet {
     }
 }
 
-/// Sanity helper used by tests and the CMS compiler: true if the rules in
-/// the table are non-overlapping (at most one can match any packet).
-/// O(n²) — diagnostics only.
-pub fn rules_non_overlapping(table: &FlowTable) -> bool {
-    let rules: Vec<&Rule> = table.iter().collect();
-    for (i, a) in rules.iter().enumerate() {
-        for b in rules.iter().skip(i + 1) {
-            if a.matcher.overlaps(&b.matcher) {
-                return false;
-            }
-        }
-    }
-    true
-}
-
 /// Builds the classic whitelist + default-deny ACL shape the paper's CMS
 /// model produces: each whitelist entry at priority 1, a catch-all deny
 /// at priority 0 added last.
@@ -239,15 +224,6 @@ pub fn reachable_megaflow_mask_count(table: &FlowTable, trie_fields: &[Field]) -
         product = product.saturating_mul(reachable.len() as u64);
     }
     product.max(1)
-}
-
-/// The total number of significant-bit patterns (masks) among the rules —
-/// a coarse diagnostic, not the megaflow mask count.
-pub fn distinct_rule_masks(table: &FlowTable) -> usize {
-    let mut masks: Vec<FlowMask> = table.iter().map(|r| *r.matcher.mask()).collect();
-    masks.sort_unstable();
-    masks.dedup();
-    masks.len()
 }
 
 #[cfg(test)]
@@ -346,26 +322,5 @@ mod tests {
         assert_eq!(rules[1].priority, 0);
         assert_eq!(rules[1].action, Action::Deny);
         assert!(rules[1].matcher.mask().is_wildcard_all());
-        // Whitelist+deny is overlapping by construction.
-        assert!(!rules_non_overlapping(&t));
-    }
-
-    #[test]
-    fn non_overlap_check() {
-        let mut t = FlowTable::new();
-        t.insert(mk([10, 0, 0, 0], 8), 0, Action::Allow);
-        t.insert(mk([11, 0, 0, 0], 8), 0, Action::Deny);
-        assert!(rules_non_overlapping(&t));
-        t.insert(mk([10, 1, 0, 0], 16), 0, Action::Deny); // inside 10/8
-        assert!(!rules_non_overlapping(&t));
-    }
-
-    #[test]
-    fn distinct_rule_mask_count() {
-        let mut t = FlowTable::new();
-        t.insert(mk([10, 0, 0, 0], 8), 0, Action::Allow);
-        t.insert(mk([11, 0, 0, 0], 8), 0, Action::Allow);
-        t.insert(mk([12, 0, 0, 0], 16), 0, Action::Allow);
-        assert_eq!(distinct_rule_masks(&t), 2);
     }
 }

@@ -671,7 +671,7 @@ impl<V> TupleSpaceSearch<V> {
     /// periodically re-sorting subtables when hit-count ordering is
     /// enabled. Returns a *clone-free* outcome by index; use
     /// [`TupleSpaceSearch::lookup`] for the common case.
-    pub fn lookup_mut(&mut self, packet: &FlowKey) -> LookupOutcome<&mut V> {
+    pub(crate) fn lookup_mut(&mut self, packet: &FlowKey) -> LookupOutcome<&mut V> {
         self.lookup_mut_with(packet, &KeyWords::of(packet))
     }
 

@@ -1,5 +1,6 @@
 //! Randomised property test: Tuple Space Search agrees with the linear
-//! reference classifier (DESIGN.md invariant 2).
+//! reference classifier — the invariant PAPER.md's table cites as "the
+//! walk is the cost: TSS lookup agrees with linear classification".
 //!
 //! Two regimes are pinned:
 //! * **Non-overlapping entries** (the megaflow invariant): first-match
@@ -11,6 +12,8 @@
 //! Cases are drawn from the deterministic in-house [`SplitMix64`]
 //! generator (no external dependencies) — each case index is its own
 //! reproducible seed.
+
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // test helpers: fail loudly
 
 use pi_classifier::{
     Action, FlatTable, FlowTable, LinearClassifier, StagedIndex, SubtableOrder, TupleSpaceSearch,

@@ -163,6 +163,11 @@ impl Cloud {
     /// Provisions a pod for `tenant` on `node`, allocating its vport,
     /// IP (from 10.0.0.0/8) and MAC.
     pub fn add_pod(&mut self, tenant: TenantId, node: NodeId) -> PodId {
+        self.provision(tenant, node).id
+    }
+
+    /// [`Cloud::add_pod`], handing back the pod's whole record.
+    pub fn provision(&mut self, tenant: TenantId, node: NodeId) -> &Pod {
         let id = PodId(self.next_pod);
         self.next_pod += 1;
         let vport = {
@@ -182,8 +187,7 @@ impl Cloud {
             ip,
             mac: MacAddr::from_id(id.0),
         };
-        self.pods.insert(id, pod);
-        id
+        self.pods.entry(id).or_insert(pod)
     }
 
     /// Pod lookup.
@@ -196,16 +200,9 @@ impl Cloud {
         &self.nodes
     }
 
-    /// All pods hosted on `node`, in id order.
-    pub fn pods_on(&self, node: NodeId) -> Vec<&Pod> {
-        let mut pods: Vec<&Pod> = self.pods.values().filter(|p| p.node == node).collect();
-        pods.sort_by_key(|p| p.id);
-        pods
-    }
-
     /// Number of pods hosted on `node` (no allocation — the placement
     /// hot path).
-    pub fn pod_count_on(&self, node: NodeId) -> usize {
+    pub(crate) fn pod_count_on(&self, node: NodeId) -> usize {
         self.pods.values().filter(|p| p.node == node).count()
     }
 
@@ -226,30 +223,31 @@ impl Cloud {
             "cannot place pods in a node-less cloud"
         );
         (0..count)
-            .map(|_| {
-                let node = self.pick_node(tenant, &strategy);
-                self.add_pod(tenant, node)
+            .map_while(|_| {
+                let node = self.pick_node(tenant, &strategy)?;
+                Some(self.add_pod(tenant, node))
             })
             .collect()
     }
 
-    fn pick_node(&self, tenant: TenantId, strategy: &PlacementStrategy) -> NodeId {
+    /// `None` only in a node-less cloud.
+    fn pick_node(&self, tenant: TenantId, strategy: &PlacementStrategy) -> Option<NodeId> {
         match strategy {
             // Spread: next pod goes to the least-loaded node (ties by id),
             // which is round-robin when pods arrive one at a time.
-            PlacementStrategy::RoundRobin => *self
+            PlacementStrategy::RoundRobin => self
                 .nodes
                 .iter()
-                .min_by_key(|n| (self.pod_count_on(**n), n.0))
-                .expect("non-empty node list"),
+                .copied()
+                .min_by_key(|n| (self.pod_count_on(*n), n.0)),
             // Pack: fill a node to `capacity` pods before opening the next.
             PlacementStrategy::BinPacked { capacity } => {
                 let cap = (*capacity).max(1);
-                *self
-                    .nodes
+                self.nodes
                     .iter()
                     .find(|n| self.pod_count_on(**n) < cap)
-                    .unwrap_or_else(|| self.nodes.last().expect("non-empty node list"))
+                    .or(self.nodes.last())
+                    .copied()
             }
             // Adversarial co-location: land on the target tenant's nodes,
             // least-loaded-by-us first (the attacker wants coverage, not
@@ -266,23 +264,20 @@ impl Cloud {
                 if target_nodes.is_empty() {
                     return self.pick_node(tenant, &PlacementStrategy::RoundRobin);
                 }
-                *target_nodes
-                    .iter()
-                    .min_by_key(|n| {
-                        let mine = self
-                            .pods
-                            .values()
-                            .filter(|p| p.node == **n && p.tenant == tenant)
-                            .count();
-                        (mine, n.0)
-                    })
-                    .expect("non-empty target node list")
+                target_nodes.into_iter().min_by_key(|n| {
+                    let mine = self
+                        .pods
+                        .values()
+                        .filter(|p| p.node == *n && p.tenant == tenant)
+                        .count();
+                    (mine, n.0)
+                })
             }
         }
     }
 
     /// All pods of a tenant, in id order.
-    pub fn pods_of(&self, tenant: TenantId) -> Vec<&Pod> {
+    pub(crate) fn pods_of(&self, tenant: TenantId) -> Vec<&Pod> {
         let mut pods: Vec<&Pod> = self.pods.values().filter(|p| p.tenant == tenant).collect();
         pods.sort_by_key(|p| p.id);
         pods
@@ -453,7 +448,7 @@ mod tests {
         let pods = cloud.place_pods(t, 8, PlacementStrategy::RoundRobin);
         assert_eq!(pods.len(), 8);
         for n in cloud.nodes().to_vec() {
-            assert_eq!(cloud.pods_on(n).len(), 2, "even spread on {n:?}");
+            assert_eq!(cloud.pod_count_on(n), 2, "even spread on {n:?}");
         }
     }
 
@@ -465,12 +460,12 @@ mod tests {
         let n1 = cloud.add_node();
         let n2 = cloud.add_node();
         cloud.place_pods(t, 5, PlacementStrategy::BinPacked { capacity: 2 });
-        assert_eq!(cloud.pods_on(n0).len(), 2);
-        assert_eq!(cloud.pods_on(n1).len(), 2);
-        assert_eq!(cloud.pods_on(n2).len(), 1);
+        assert_eq!(cloud.pod_count_on(n0), 2);
+        assert_eq!(cloud.pod_count_on(n1), 2);
+        assert_eq!(cloud.pod_count_on(n2), 1);
         // Overflow beyond total capacity lands on the last node.
         cloud.place_pods(t, 3, PlacementStrategy::BinPacked { capacity: 2 });
-        assert_eq!(cloud.pods_on(n2).len(), 4);
+        assert_eq!(cloud.pod_count_on(n2), 4);
     }
 
     #[test]

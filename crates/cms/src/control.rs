@@ -73,11 +73,6 @@ impl ControlPlaneProgram {
         self
     }
 
-    /// The current propagation delay.
-    pub fn propagation_delay(&self) -> SimTime {
-        self.propagation_delay
-    }
-
     /// Schedules `update`, issued at `issued_at`, applying after the
     /// program's propagation delay.
     pub fn push(&mut self, issued_at: SimTime, update: PolicyUpdate) {

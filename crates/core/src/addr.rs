@@ -54,16 +54,6 @@ impl MacAddr {
         self.0[0] & 0x01 != 0
     }
 
-    /// True if this is the broadcast address.
-    pub fn is_broadcast(&self) -> bool {
-        *self == Self::BROADCAST
-    }
-
-    /// True if this is the all-zero address.
-    pub fn is_zero(&self) -> bool {
-        *self == Self::ZERO
-    }
-
     /// Locally-administered unicast address derived from an integer id,
     /// handy for generating distinct pod/VM MACs in tests and scenarios.
     pub const fn from_id(id: u32) -> Self {
@@ -142,12 +132,10 @@ mod tests {
     }
 
     #[test]
-    fn multicast_and_broadcast() {
+    fn multicast_bit() {
         assert!(MacAddr::BROADCAST.is_multicast());
-        assert!(MacAddr::BROADCAST.is_broadcast());
         assert!(!MacAddr([0x02, 0, 0, 0, 0, 1]).is_multicast());
         assert!(MacAddr([0x01, 0, 0x5e, 0, 0, 1]).is_multicast());
-        assert!(MacAddr::ZERO.is_zero());
     }
 
     #[test]

@@ -213,8 +213,7 @@ impl Field {
     /// the exact-match mask.
     ///
     /// # Panics
-    /// Panics if `len > width()`; use [`Field::checked_prefix_mask`] for a
-    /// fallible variant.
+    /// Panics if `len > width()`.
     pub const fn prefix_mask(self, len: u8) -> u64 {
         let w = self.spec().width;
         assert!(len <= w, "prefix length exceeds field width");
@@ -224,19 +223,6 @@ impl Field {
             // `len` ones followed by `w - len` zeros, right-aligned to `w`.
             (self.full_mask() >> (w - len)) << (w - len)
         }
-    }
-
-    /// Fallible version of [`Field::prefix_mask`].
-    pub fn checked_prefix_mask(self, len: u8) -> crate::Result<u64> {
-        let w = self.width();
-        if len > w {
-            return Err(crate::CoreError::PrefixTooLong {
-                field: self.name(),
-                len,
-                width: w,
-            });
-        }
-        Ok(self.prefix_mask(len))
     }
 
     /// Extracts bit `i` of a field value, where bit 0 is the **most
@@ -302,13 +288,6 @@ mod tests {
             assert_eq!(smaller & larger, smaller, "prefix /{len} not monotone");
             assert_eq!(larger.count_ones(), len as u32);
         }
-    }
-
-    #[test]
-    fn checked_prefix_mask_rejects_overlong() {
-        assert!(Field::TpSrc.checked_prefix_mask(17).is_err());
-        assert!(Field::IpSrc.checked_prefix_mask(33).is_err());
-        assert_eq!(Field::IpSrc.checked_prefix_mask(32).unwrap(), 0xffff_ffff);
     }
 
     #[test]

@@ -113,6 +113,14 @@ impl FlowKey {
                 width: field.width(),
             });
         }
+        self.store(field, value);
+        Ok(())
+    }
+
+    /// Writes `field` from a value the caller has already bounded to the
+    /// field's width (a masked read of another key).
+    pub(crate) fn store(&mut self, field: Field, value: u64) {
+        debug_assert!(value <= field.full_mask());
         match field {
             Field::InPort => self.in_port = value as u32,
             Field::EthSrc => self.eth_src = MacAddr::from_u64(value),
@@ -126,12 +134,16 @@ impl FlowKey {
             Field::TpSrc => self.tp_src = value as u16,
             Field::TpDst => self.tp_dst = value as u16,
         }
-        Ok(())
     }
 
-    /// Builder-style field update, panicking on out-of-range values.
-    /// Intended for literals in tests and scenario code.
+    /// Builder-style field update. Intended for literals in tests and
+    /// scenario code.
+    ///
+    /// # Panics
+    /// If `value` does not fit the field's width; [`FlowKey::set_field`]
+    /// is the fallible form.
     #[must_use]
+    #[allow(clippy::expect_used, reason = "literal builder; see # Panics")]
     pub fn with(mut self, field: Field, value: u64) -> Self {
         self.set_field(field, value)
             .expect("FlowKey::with called with out-of-range value");
@@ -139,23 +151,13 @@ impl FlowKey {
     }
 
     /// The IPv4 source as a [`std::net::Ipv4Addr`].
-    pub fn ip_src_addr(&self) -> Ipv4Addr {
+    pub(crate) fn ip_src_addr(&self) -> Ipv4Addr {
         Ipv4Addr::from(self.ip_src)
     }
 
     /// The IPv4 destination as a [`std::net::Ipv4Addr`].
-    pub fn ip_dst_addr(&self) -> Ipv4Addr {
+    pub(crate) fn ip_dst_addr(&self) -> Ipv4Addr {
         Ipv4Addr::from(self.ip_dst)
-    }
-
-    /// True if the key describes a TCP packet.
-    pub fn is_tcp(&self) -> bool {
-        self.eth_type == ETHERTYPE_IPV4 && self.ip_proto == IPPROTO_TCP
-    }
-
-    /// True if the key describes a UDP packet.
-    pub fn is_udp(&self) -> bool {
-        self.eth_type == ETHERTYPE_IPV4 && self.ip_proto == IPPROTO_UDP
     }
 }
 
@@ -192,15 +194,12 @@ mod tests {
         assert_eq!(k.ip_src_addr(), Ipv4Addr::new(10, 0, 0, 1));
         assert_eq!(k.ip_dst_addr(), Ipv4Addr::new(10, 0, 0, 2));
         assert_eq!(k.tp_dst, 80);
-        assert!(k.is_tcp());
-        assert!(!k.is_udp());
     }
 
     #[test]
     fn udp_constructor() {
         let k = FlowKey::udp([192, 168, 0, 1], [8, 8, 8, 8], 5000, 53);
         assert_eq!(k.ip_proto, IPPROTO_UDP);
-        assert!(k.is_udp());
     }
 
     #[test]

@@ -79,8 +79,13 @@ impl FlowMask {
         Ok(())
     }
 
-    /// Builder-style mask update, panicking on out-of-range bits.
+    /// Builder-style mask update.
+    ///
+    /// # Panics
+    /// If `mask` has bits outside the field's width;
+    /// [`FlowMask::set_field`] is the fallible form.
     #[must_use]
+    #[allow(clippy::expect_used, reason = "literal builder; see # Panics")]
     pub fn with(mut self, field: Field, mask: u64) -> Self {
         self.set_field(field, mask)
             .expect("FlowMask::with called with out-of-range mask");
@@ -103,8 +108,9 @@ impl FlowMask {
     pub fn apply(&self, key: &FlowKey) -> FlowKey {
         let mut out = FlowKey::default();
         for f in ALL_FIELDS {
-            out.set_field(f, key.field(f) & self.field(f))
-                .expect("masked value always fits");
+            // A mask's bits fit the field's width (`set_field` checks),
+            // so the masked value does too.
+            out.store(f, key.field(f) & self.field(f));
         }
         out
     }
@@ -138,11 +144,6 @@ impl FlowMask {
     /// True if no bit is significant (matches everything).
     pub fn is_wildcard_all(&self) -> bool {
         self.bits.iter().all(|b| *b == 0)
-    }
-
-    /// True if every bit of every field is significant.
-    pub fn is_exact(&self) -> bool {
-        ALL_FIELDS.iter().all(|f| self.field(*f) == f.full_mask())
     }
 
     /// Total number of significant (exact-match) bits across all fields.
@@ -383,8 +384,6 @@ mod tests {
     #[test]
     fn exact_and_wildcard_predicates() {
         assert!(FlowMask::WILDCARD.is_wildcard_all());
-        assert!(!FlowMask::WILDCARD.is_exact());
-        assert!(FlowMask::exact().is_exact());
         assert!(!FlowMask::exact().is_wildcard_all());
         assert_eq!(FlowMask::exact().significant_bits(), 264);
     }

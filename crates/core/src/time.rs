@@ -69,11 +69,6 @@ impl SimTime {
     pub const fn saturating_sub(self, earlier: SimTime) -> SimTime {
         SimTime(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked multiplication of a duration by a count.
-    pub fn checked_mul(self, n: u64) -> Option<SimTime> {
-        self.0.checked_mul(n).map(SimTime)
-    }
 }
 
 impl Add for SimTime {
@@ -141,15 +136,6 @@ mod tests {
     fn add_saturates() {
         let huge = SimTime::from_nanos(u64::MAX);
         assert_eq!(huge + SimTime::from_secs(1), huge);
-    }
-
-    #[test]
-    fn checked_mul() {
-        assert_eq!(
-            SimTime::from_millis(10).checked_mul(100),
-            Some(SimTime::from_secs(1))
-        );
-        assert_eq!(SimTime::from_nanos(u64::MAX).checked_mul(2), None);
     }
 
     #[test]

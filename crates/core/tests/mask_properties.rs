@@ -1,4 +1,5 @@
-//! Randomised property tests of the mask algebra (DESIGN.md invariant 1).
+//! Randomised property tests of the mask algebra: masking is idempotent,
+//! union is monotone.
 //!
 //! These invariants underpin everything above: if masking were not
 //! idempotent or union not monotone, the megaflow cache could silently
@@ -8,6 +9,8 @@
 //! `proptest` these run a fixed number of cases from the in-house
 //! deterministic [`SplitMix64`] generator — same coverage intent,
 //! perfectly reproducible failures (the case index pinpoints the seed).
+
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // test helpers: fail loudly
 
 use pi_core::{FlowKey, FlowMask, MaskedKey, SplitMix64, ALL_FIELDS};
 

@@ -6,11 +6,14 @@
 //! cycle budget, so throughput degradation under attack follows from the
 //! data-structure dynamics — there is no "attack effect" constant.
 //!
-//! Calibration targets (see EXPERIMENTS.md): with the default budget of
-//! one ~1.2 GHz-effective softirq core, an un-attacked switch forwards a
-//! 1 Gb/s victim easily (the link, not the CPU, binds — Fig. 3's
-//! pre-attack plateau), and a covert stream of a few Mb/s whose packets
-//! each walk ~8192 subtables exhausts the core (Fig. 3's collapse).
+//! Calibration targets (the `fig3` rows of `results/summary.md` hold
+//! them): with the default budget of one ~1.2 GHz-effective softirq
+//! core, an un-attacked switch forwards a 1 Gb/s victim easily (the
+//! link, not the CPU, binds — Fig. 3's pre-attack plateau), and a covert
+//! stream of a few Mb/s whose packets each walk ~8192 subtables exhausts
+//! the core (Fig. 3's collapse). The per-term provenance table — which
+//! OVS operation each price stands for and which pinned figure
+//! constrains it — is not written yet: ROADMAP item 5(b).
 
 use crate::vswitch::PathTaken;
 

@@ -37,7 +37,6 @@
 
 pub mod config;
 pub mod cost;
-pub mod dump;
 pub mod emc;
 pub mod megaflow;
 pub mod pods;
@@ -48,7 +47,6 @@ pub mod vswitch;
 
 pub use config::{BackendKind, DpConfig};
 pub use cost::CostModel;
-pub use dump::{dump_flows, mask_summary};
 pub use emc::MicroflowCache;
 pub use megaflow::{InstallOutcome, MegaflowCache, MegaflowEntry};
 pub use pods::{Pod, PodTable, PolicyChange};

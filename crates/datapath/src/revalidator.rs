@@ -93,7 +93,7 @@ impl Revalidator {
     }
 
     /// Unconditionally sweeps (tests, explicit flush points).
-    pub fn sweep_now(&self, mfc: &mut MegaflowCache, now: SimTime) -> RevalidatorReport {
+    pub(crate) fn sweep_now(&self, mfc: &mut MegaflowCache, now: SimTime) -> RevalidatorReport {
         let evicted_idle = mfc.evict_idle(now, self.idle_timeout);
         RevalidatorReport {
             at: now,

@@ -250,7 +250,7 @@ pub(crate) struct UpcallQueue {
 impl UpcallQueue {
     /// Accepts `key` onto `queue` unless it is at `capacity`; returns
     /// the pending token, or `None` on a tail drop.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "the miss's facts, passed flat")]
     pub fn try_enqueue(
         &mut self,
         queue: u32,
@@ -316,8 +316,7 @@ impl UpcallQueue {
         let mut ids: Vec<(usize, u64, u32)> = self
             .queues
             .iter()
-            .filter(|(_, q)| !q.is_empty())
-            .map(|(id, q)| (q.len(), q.front().expect("non-empty").token, *id))
+            .filter_map(|(id, q)| Some((q.len(), q.front()?.token, *id)))
             .collect();
         ids.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
         ids.into_iter().map(|(_, _, id)| id).collect()

@@ -389,26 +389,6 @@ impl VSwitch {
         self.revalidator.set_interval(interval, now);
     }
 
-    /// When the next revalidator sweep is due.
-    pub fn next_revalidation(&self) -> SimTime {
-        self.revalidator.next_due()
-    }
-
-    /// Switches between global and destination-scoped cache
-    /// invalidation at runtime ([`DpConfig::scoped_invalidation`]) —
-    /// the control-plane counterpart of the other mitigation knobs.
-    /// Takes effect from the next policy update.
-    pub fn set_scoped_invalidation(&mut self, scoped: bool) {
-        self.config.scoped_invalidation = scoped;
-    }
-
-    /// The EMC generation counter — bumped by every effective cache
-    /// invalidation, exposed so tests can pin that coalesced no-op
-    /// flushes do not burn generations.
-    pub fn emc_generation(&self) -> u64 {
-        self.generation
-    }
-
     /// Quarantines the destination `ip`: its cached megaflows are
     /// evicted immediately (with the EMC invalidated if anything was
     /// removed) and, until released, its megaflow misses are refused
@@ -441,11 +421,6 @@ impl VSwitch {
     /// Whether `ip` is currently quarantined.
     pub fn is_quarantined(&self, ip: u32) -> bool {
         self.pods.is_quarantined(ip)
-    }
-
-    /// Currently quarantined destinations, ascending.
-    pub fn quarantined_destinations(&self) -> Vec<u32> {
-        self.pods.quarantined().collect()
     }
 
     /// The cycle cost model in force.
@@ -504,17 +479,6 @@ impl VSwitch {
     /// [`VSwitch::install_acl`], charged.
     pub fn apply_install_acl(&mut self, ip: u32, table: FlowTable) -> PolicyUpdateOutcome {
         self.apply_update(PolicyUpdate::InstallAcl { ip, table }, true)
-    }
-
-    /// [`VSwitch::remove_acl`], charged.
-    pub fn apply_remove_acl(&mut self, ip: u32) -> PolicyUpdateOutcome {
-        self.apply_update(PolicyUpdate::RemoveAcl { ip }, true)
-    }
-
-    /// [`VSwitch::attach_pod`], charged. `applied` reports a *fresh*
-    /// attach (false = vport re-home preserving the slow path).
-    pub fn apply_attach_pod(&mut self, ip: u32, vport: u32) -> PolicyUpdateOutcome {
-        self.apply_update(PolicyUpdate::AttachPod { ip, vport }, true)
     }
 
     /// Invalidates cached state after a policy change at `ip`.
@@ -1100,11 +1064,6 @@ impl VSwitch {
         self.pipeline.total_depth()
     }
 
-    /// Pending upcalls on one port's queue.
-    pub fn upcall_queue_depth_of(&self, queue: u32) -> usize {
-        self.pipeline.depth_of(queue)
-    }
-
     /// Deterministic tie-break helper for tests that need switch-side
     /// randomness (kept so config seeding covers all state).
     pub fn rng(&mut self) -> &mut SplitMix64 {
@@ -1375,7 +1334,7 @@ mod tests {
         assert_eq!(o.verdict, Action::Controller, "placeholder verdict");
         assert_eq!(o.output, None);
         assert_eq!(sw.stats().upcalls, 0, "not an upcall until resolved");
-        assert_eq!(sw.upcall_queue_depth_of(POD_VPORT), 1);
+        assert_eq!(sw.pipeline.depth_of(POD_VPORT), 1);
         let mut resolved = Vec::new();
         assert_eq!(sw.drain_upcalls(t, |r| resolved.push(r)), 1);
         assert_eq!(resolved[0].outcome.verdict, Action::Allow);
@@ -1440,7 +1399,7 @@ mod tests {
         // Drain frees capacity again (an off-net source still misses:
         // the freshly installed /8 allow megaflow does not cover it).
         sw.drain_upcalls(t, |_| {});
-        assert_eq!(sw.upcall_queue_depth_of(POD_VPORT), 0);
+        assert_eq!(sw.pipeline.depth_of(POD_VPORT), 0);
         assert!(sw.process(&pkt([200, 8, 8, 8], 9999), t).path.is_queued());
     }
 
@@ -1486,11 +1445,11 @@ mod tests {
             vec![Some(POD_VPORT), Some(5)],
             "one per port per step under quota"
         );
-        assert_eq!(sw.upcall_queue_depth_of(POD_VPORT), 2);
+        assert_eq!(sw.pipeline.depth_of(POD_VPORT), 2);
         assert!(sw.upcall_stats().quota_deferrals >= 1);
         // Next step serves the pod's backlog one at a time.
         sw.drain_upcalls(t, |_| {});
-        assert_eq!(sw.upcall_queue_depth_of(POD_VPORT), 1);
+        assert_eq!(sw.pipeline.depth_of(POD_VPORT), 1);
     }
 
     #[test]
@@ -1519,7 +1478,7 @@ mod tests {
         assert_eq!(evicted, sw.mfc_stats().installs as usize);
         assert_eq!(sw.megaflow_count(), 0, "offender megaflows evicted");
         assert!(sw.is_quarantined(pod_ip));
-        assert_eq!(sw.quarantined_destinations(), vec![pod_ip]);
+        assert_eq!(sw.pods.quarantined().collect::<Vec<_>>(), [pod_ip]);
         // Traffic to the quarantined pod is refused cheaply: no upcall,
         // no policy classification, EMC no longer serves stale hits.
         let o = sw.process(&pkt([10, 1, 1, 1], 1000), t + SimTime::from_millis(1));
@@ -1636,7 +1595,7 @@ mod tests {
             assert!(sw.attach_pod(0x0a00_0100 + i, i + 1));
             assert!(sw.install_acl(0x0a00_0100 + i, whitelist_with_default_deny(&[])));
         }
-        assert_eq!(sw.emc_generation(), 0, "no generation burned");
+        assert_eq!(sw.generation, 0, "no generation burned");
         let s = sw.stats();
         assert_eq!(s.cache_flushes, 0);
         assert_eq!(s.flushed_megaflows, 0);
@@ -1648,14 +1607,14 @@ mod tests {
             &FlowKey::tcp([10, 1, 1, 1], [10, 0, 1, 0], 5, 5),
             SimTime::ZERO,
         );
-        assert_eq!(sw.emc_generation(), 0);
+        assert_eq!(sw.generation, 0);
         assert!(sw.install_acl(0x0a00_0100, whitelist_with_default_deny(&[])));
-        assert_eq!(sw.emc_generation(), 1);
+        assert_eq!(sw.generation, 1);
         assert_eq!(sw.stats().cache_flushes, 1);
         assert_eq!(sw.stats().flushed_megaflows, 1);
         // And the follow-up update on the again-clean cache coalesces.
         sw.remove_acl(0x0a00_0100);
-        assert_eq!(sw.emc_generation(), 1);
+        assert_eq!(sw.generation, 1);
     }
 
     #[test]
@@ -1702,7 +1661,7 @@ mod tests {
         let o = sw.process(&pkt([10, 1, 1, 1], 1000), t);
         assert!(o.path.is_upcall());
         // The runtime knob flips back to global flushes.
-        sw.set_scoped_invalidation(false);
+        sw.config.scoped_invalidation = false;
         assert!(!sw.config().scoped_invalidation);
         assert!(sw.install_acl(
             u32::from_be_bytes(POD_IP),
@@ -1733,7 +1692,7 @@ mod tests {
         let cached = sw.megaflow_count();
         assert!(cached >= 2);
         let packet_cycles = sw.stats().cycles - o.cycles;
-        let o2 = sw.apply_remove_acl(pod_ip);
+        let o2 = sw.apply_update(PolicyUpdate::RemoveAcl { ip: pod_ip }, true);
         assert!(o2.applied);
         assert!(!o2.scoped);
         assert_eq!(o2.flushed_megaflows, cached);
@@ -1744,7 +1703,7 @@ mod tests {
         assert_eq!(s.policy_updates, 2 + 2, "setup install + attach + 2 costed");
         // An update on an unattached IP applies nothing but still
         // costs the control-plane round trip.
-        let o3 = sw.apply_remove_acl(0xdead_beef);
+        let o3 = sw.apply_update(PolicyUpdate::RemoveAcl { ip: 0xdead_beef }, true);
         assert!(!o3.applied);
         assert_eq!(o3.cycles, cost.control_update_cycles(0));
     }
@@ -1757,15 +1716,15 @@ mod tests {
             ..DpConfig::default()
         });
         sw.attach_pod(u32::from_be_bytes(POD_IP), POD_VPORT);
-        assert_eq!(sw.next_revalidation(), SimTime::from_millis(250));
+        assert_eq!(sw.revalidator.next_due(), SimTime::from_millis(250));
         assert!(sw.revalidate(SimTime::from_millis(249)).is_none());
         assert!(sw.revalidate(SimTime::from_millis(250)).is_some());
-        assert_eq!(sw.next_revalidation(), SimTime::from_millis(500));
+        assert_eq!(sw.revalidator.next_due(), SimTime::from_millis(500));
         // ...and the runtime setter re-arms on the new grid, keeping
         // the live config in sync.
         sw.set_revalidator_interval(SimTime::from_secs(2), SimTime::from_millis(300));
         assert_eq!(sw.config().revalidator_interval, SimTime::from_secs(2));
-        assert_eq!(sw.next_revalidation(), SimTime::from_secs(2));
+        assert_eq!(sw.revalidator.next_due(), SimTime::from_secs(2));
         assert!(sw.revalidate(SimTime::from_millis(1_999)).is_none());
         assert!(sw.revalidate(SimTime::from_secs(2)).is_some());
         // The sweep still evicts on the idle-timeout boundary.

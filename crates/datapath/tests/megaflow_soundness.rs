@@ -1,16 +1,19 @@
-//! Randomised property tests for megaflow generation (DESIGN.md
-//! invariants 3–5).
+//! Randomised property tests for megaflow generation: the two
+//! invariants below, which `tests/cache_semantics.rs` then checks end to
+//! end through a live switch.
 //!
-//! Invariant 3 (soundness): for every generated megaflow `(k, m, a)` and
+//! Soundness: for every generated megaflow `(k, m, a)` and
 //! every packet `p` with `p & m == k`, slow-path classification of `p`
 //! yields `a`. The cache may be coarse or fine, but it must never change
 //! what the flow table would have said.
 //!
-//! Invariant 4 (non-overlap): megaflows generated from the same table
+//! Non-overlap: megaflows generated from the same table
 //! never disagree on a shared packet.
 //!
 //! Cases come from the deterministic in-house [`SplitMix64`] generator
 //! (no external dependencies).
+
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // test helpers: fail loudly
 
 use pi_classifier::table::whitelist_with_default_deny;
 use pi_classifier::Action;

@@ -12,6 +12,8 @@
 //! exactly the inline schedule. (Coarser steps intentionally diverge —
 //! that's the miss-to-install window the pipeline exists to model.)
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // test helpers: fail loudly
+
 use pi_classifier::table::whitelist_with_default_deny;
 use pi_core::{Field, FlowKey, FlowMask, MaskedKey, SimTime, SplitMix64};
 use pi_datapath::{DpConfig, PathTaken, PipelineMode, UpcallPipelineConfig, VSwitch};

@@ -107,7 +107,7 @@ impl TelemetryTap {
     }
 
     /// A tap reporting at most `top_k` offender destinations.
-    pub fn with_top_k(top_k: usize) -> Self {
+    pub(crate) fn with_top_k(top_k: usize) -> Self {
         TelemetryTap {
             top_k,
             prev_packets: 0,

@@ -68,19 +68,6 @@ impl Default for ReliabilityConfig {
     }
 }
 
-impl ReliabilityConfig {
-    /// Fire-and-forget: no retry, no reconciliation. The channel's
-    /// faults land unmitigated — the baseline the bench compares
-    /// against.
-    pub fn unreliable() -> Self {
-        ReliabilityConfig {
-            retry: false,
-            reconcile: false,
-            ..ReliabilityConfig::default()
-        }
-    }
-}
-
 /// Delivery counters for one node's reliable control channel.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ControlChannelStats {
@@ -258,7 +245,9 @@ impl ReliableControlPlane {
                 .map(|(seq, _)| *seq)
                 .collect();
             for seq in due {
-                let f = &self.in_flight[&seq];
+                let Some(f) = self.in_flight.get(&seq) else {
+                    continue;
+                };
                 if f.attempts >= self.cfg.max_attempts {
                     self.in_flight.remove(&seq);
                     self.gave_up += 1;
@@ -272,10 +261,11 @@ impl ReliableControlPlane {
                 )
                 .min(self.cfg.max_backoff);
                 let j = self.jitter(SimTime::from_nanos(backoff.as_nanos() / 4));
-                let f = self.in_flight.get_mut(&seq).expect("present");
-                f.attempts += 1;
-                f.backoff = backoff;
-                f.next_retry = now + backoff + j;
+                if let Some(f) = self.in_flight.get_mut(&seq) {
+                    f.attempts += 1;
+                    f.backoff = backoff;
+                    f.next_retry = now + backoff + j;
+                }
                 self.retries += 1;
                 self.forward.send(now, (seq, resend));
             }
@@ -316,7 +306,7 @@ impl ReliableControlPlane {
 
     /// The CMS's desired ACL state at `now`: the program's installs
     /// minus its removals, replayed in apply order.
-    pub fn desired_acls(&self, now: SimTime) -> BTreeMap<u32, FlowTable> {
+    pub(crate) fn desired_acls(&self, now: SimTime) -> BTreeMap<u32, FlowTable> {
         let mut desired = BTreeMap::new();
         for su in &self.updates {
             if su.applies_at > now {
@@ -396,11 +386,6 @@ impl ReliableControlPlane {
     /// Total time spent diverged over completed recovery episodes.
     pub fn recovery_time(&self) -> SimTime {
         self.recovery_time
-    }
-
-    /// Updates currently awaiting an ack.
-    pub fn in_flight_len(&self) -> usize {
-        self.in_flight.len()
     }
 
     /// The earliest future instant at which this layer has anything to
@@ -507,7 +492,7 @@ mod tests {
         assert_eq!(rcp.pending(), 3);
         let installed = drive(&mut rcp, 10, |_| true);
         assert_eq!(installed, vec![1, 2, 3]);
-        assert_eq!(rcp.in_flight_len(), 0, "everything acked");
+        assert_eq!(rcp.in_flight.len(), 0, "everything acked");
         let s = rcp.stats();
         assert_eq!(s.applied, 3);
         assert_eq!(s.retries, 0);
@@ -532,7 +517,7 @@ mod tests {
         assert!(s.dropped > 0);
         // Long horizon: every update was acked or exhausted its
         // attempts (acks ride the same lossy channel).
-        assert_eq!(rcp.in_flight_len(), 0);
+        assert_eq!(rcp.in_flight.len(), 0);
     }
 
     #[test]
@@ -563,7 +548,13 @@ mod tests {
 
     #[test]
     fn without_retry_downtime_means_silent_loss() {
-        let mut rcp = ReliableControlPlane::new(program(2), ReliabilityConfig::unreliable(), None);
+        // Fire-and-forget: the channel's faults land unmitigated.
+        let cfg = ReliabilityConfig {
+            retry: false,
+            reconcile: false,
+            ..ReliabilityConfig::default()
+        };
+        let mut rcp = ReliableControlPlane::new(program(2), cfg, None);
         let installed = drive(&mut rcp, 400, |t| !(0..=20).contains(&t));
         assert_eq!(installed, Vec::<u32>::new(), "policies silently gone");
         let s = rcp.stats();
@@ -668,7 +659,7 @@ mod tests {
         let s = rcp.stats();
         assert_eq!(s.gave_up, 1, "{s:?}");
         assert_eq!(s.retries, 2, "attempts beyond the first: {s:?}");
-        assert_eq!(rcp.in_flight_len(), 0);
+        assert_eq!(rcp.in_flight.len(), 0);
     }
 
     #[test]

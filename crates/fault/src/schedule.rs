@@ -87,11 +87,6 @@ impl FaultSchedule {
         }
     }
 
-    /// Number of scheduled crash events.
-    pub fn crash_count(&self) -> usize {
-        self.crashes.len()
-    }
-
     /// True when the schedule injects nothing at all.
     pub fn is_empty(&self) -> bool {
         self.crashes.is_empty() && self.stalls.is_empty() && self.channel.is_none()
@@ -158,11 +153,6 @@ impl FaultPlan {
         self.channel
     }
 
-    /// Crash events not yet handed out.
-    pub fn pending_crashes(&self) -> usize {
-        self.crashes.len() - self.crash_cursor
-    }
-
     /// The next instant at which this plan affects the node: `now`
     /// itself while a stall window is open (every stalled tick starves
     /// the budget and must be stepped), otherwise the earliest pending
@@ -198,7 +188,6 @@ mod tests {
             .crash(ms(50), ms(10))
             .crash(ms(10), ms(5))
             .compile();
-        assert_eq!(plan.pending_crashes(), 2);
         assert_eq!(plan.next_crash(ms(0)), None);
         assert_eq!(
             plan.next_crash(ms(10)),
@@ -215,7 +204,7 @@ mod tests {
                 down_for: ms(10)
             })
         );
-        assert_eq!(plan.pending_crashes(), 0);
+        assert_eq!(plan.next_crash(ms(60)), None, "none left");
     }
 
     #[test]

@@ -1,8 +1,5 @@
 //! CSV export for experiment results.
 
-use std::io::Write;
-use std::path::Path;
-
 use crate::series::TimeSeries;
 
 /// An in-memory table with CSV (and aligned-text) rendering.
@@ -96,12 +93,6 @@ impl CsvTable {
         out
     }
 
-    /// Writes CSV to a file.
-    pub fn write_csv(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(self.to_csv().as_bytes())
-    }
-
     /// Renders as an aligned text table for terminal output.
     pub fn to_aligned_text(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
@@ -178,18 +169,5 @@ mod tests {
         let lines: Vec<&str> = txt.lines().collect();
         assert_eq!(lines[0].len(), lines[2].len());
         assert!(lines[1].starts_with('-'));
-    }
-
-    #[test]
-    fn write_csv_creates_file() {
-        let dir = std::env::temp_dir().join("pi_metrics_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("out.csv");
-        let mut t = CsvTable::new(&["a"]);
-        t.push_numeric_row(&[1.0]);
-        t.write_csv(&path).unwrap();
-        let content = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(content, "a\n1\n");
-        std::fs::remove_file(path).ok();
     }
 }

@@ -31,7 +31,9 @@ impl Summary {
             };
         }
         let mut sorted: Vec<f64> = values.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in summary input"));
+        // A total order: a NaN sorts to an end (and shows in the mean)
+        // instead of panicking mid-sort.
+        sorted.sort_by(f64::total_cmp);
         let pct = |q: f64| -> f64 {
             let idx = q * (sorted.len() - 1) as f64;
             let lo = idx.floor() as usize;
@@ -45,7 +47,7 @@ impl Summary {
             min: sorted[0],
             p50: pct(0.50),
             p99: pct(0.99),
-            max: *sorted.last().unwrap(),
+            max: sorted[sorted.len() - 1],
         }
     }
 }
@@ -86,6 +88,14 @@ mod tests {
         let s = Summary::of(&[]);
         assert_eq!(s.count, 0);
         assert_eq!(s.mean, 0.0);
+    }
+
+    #[test]
+    fn nan_input_does_not_panic() {
+        let s = Summary::of(&[2.0, f64::NAN, 1.0]);
+        assert_eq!(s.count, 3);
+        assert_eq!(s.min, 1.0);
+        assert!(s.max.is_nan() && s.mean.is_nan());
     }
 
     #[test]

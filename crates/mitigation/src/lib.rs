@@ -5,7 +5,8 @@
 //! troubleshooting techniques by tenants and provider, improved
 //! heuristics in OVS, flow cache-less softswitches)". This crate
 //! implements one representative of each family so the ablation
-//! experiment (EXPERIMENTS.md E7) can quantify them:
+//! experiment (`results ablation` → `results/mitigation_ablation.csv`,
+//! claims in `results/summary.md`) can quantify them:
 //!
 //! * [`MaskBudget`] — **admission control**: predict a policy's
 //!   reachable mask count *before* installing it and refuse pathological

@@ -41,6 +41,10 @@ pub struct SimConfig {
     /// disabled tracer is a guaranteed no-op on the hot path; enabled
     /// traces are bit-identical across engines and worker counts.
     pub trace: TraceConfig,
+    /// Worker threads stepping host shards, clamped to `1..=hosts`. `1`
+    /// runs every shard on a single worker; results are identical for
+    /// any value (cross-host traffic is merged in shard order).
+    pub workers: usize,
 }
 
 impl Default for SimConfig {
@@ -55,6 +59,7 @@ impl Default for SimConfig {
             defense_interval: SimTime::from_millis(100),
             event_driven: true,
             trace: TraceConfig::default(),
+            workers: 1,
         }
     }
 }
@@ -78,28 +83,6 @@ impl SimConfig {
     /// Ticks between defense control-loop iterations (at least one).
     pub fn defense_every_ticks(&self) -> u64 {
         (self.defense_interval.as_nanos() / self.tick.as_nanos()).max(1)
-    }
-}
-
-/// Global knobs of a run on the sharded engine: the per-host physics of
-/// [`SimConfig`] plus the execution parallelism.
-#[derive(Debug, Clone, Copy)]
-pub struct FleetConfig {
-    /// Per-host simulation physics (tick, duration, CPU budget, queue,
-    /// fabric link rate, sampling).
-    pub sim: SimConfig,
-    /// Worker threads stepping host shards, clamped to `1..=hosts`. `1`
-    /// runs every shard on a single worker; results are identical for
-    /// any value (cross-host traffic is merged in shard order).
-    pub workers: usize,
-}
-
-impl Default for FleetConfig {
-    fn default() -> Self {
-        FleetConfig {
-            sim: SimConfig::default(),
-            workers: 1,
-        }
     }
 }
 

@@ -66,7 +66,7 @@ use pi_fault::{FaultSchedule, ReliabilityConfig, ReliableControlPlane};
 use pi_trace::{CauseId, TraceConfig, TraceEvent, TraceEventKind, Tracer};
 use pi_traffic::TrafficSource;
 
-use crate::config::FleetConfig;
+use crate::config::SimConfig;
 use crate::node::NodeCell;
 use crate::report::{EngineProfile, FleetReport, FLUSH_LOG_CAP};
 use crate::shard::{
@@ -81,9 +81,65 @@ struct MigrationSpec {
     to_host: usize,
 }
 
-/// Builder for a [`FleetSim`].
+/// What a caller's input to [`FleetBuilder`] can get wrong, reported by
+/// [`FleetBuilder::build`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BuildError {
+    /// No host was added.
+    NoHosts,
+    /// A pod, source, migration or attachment names a host index that
+    /// [`FleetBuilder::add_host`] never returned.
+    NoSuchHost {
+        /// The index named.
+        host: usize,
+        /// Hosts added.
+        hosts: usize,
+    },
+    /// Two pods share an IP (host order); pod IPs route packets, so
+    /// they are unique across the fleet.
+    DuplicatePodIp {
+        /// The repeated IP.
+        ip: u32,
+    },
+    /// An ACL or a migration names an IP no pod was attached with.
+    UnattachedPod {
+        /// The IP named.
+        ip: u32,
+    },
+    /// [`SimConfig::tick`] is zero: every per-tick quantity divides by it.
+    ZeroTick,
+    /// [`SimConfig::queue_capacity`] is zero: no host could accept a
+    /// packet.
+    ZeroQueueCapacity,
+}
+
+impl std::fmt::Display for BuildError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            BuildError::NoHosts => write!(f, "a simulation needs at least one host"),
+            BuildError::NoSuchHost { host, hosts } => {
+                write!(f, "host index {host} out of range ({hosts} hosts added)")
+            }
+            BuildError::DuplicatePodIp { ip } => {
+                write!(f, "pod ip {} attached twice", std::net::Ipv4Addr::from(ip))
+            }
+            BuildError::UnattachedPod { ip } => write!(
+                f,
+                "an ACL or migration names {}, which no pod was attached with",
+                std::net::Ipv4Addr::from(ip)
+            ),
+            BuildError::ZeroTick => write!(f, "SimConfig::tick is zero"),
+            BuildError::ZeroQueueCapacity => write!(f, "SimConfig::queue_capacity is zero"),
+        }
+    }
+}
+
+impl std::error::Error for BuildError {}
+
+/// Builder for a [`FleetSim`]. The `add_*` / `attach_*` / `schedule_*`
+/// calls only record; [`FleetBuilder::build`] validates everything once.
 pub struct FleetBuilder {
-    cfg: FleetConfig,
+    cfg: SimConfig,
     cost: CostModel,
     hosts: Vec<DpConfig>,
     next_vport: Vec<u32>,
@@ -99,7 +155,7 @@ pub struct FleetBuilder {
 
 impl FleetBuilder {
     /// Starts a build with global parameters and the default cost model.
-    pub fn new(cfg: FleetConfig) -> Self {
+    pub fn new(cfg: SimConfig) -> Self {
         FleetBuilder {
             cfg,
             cost: CostModel::default(),
@@ -132,10 +188,10 @@ impl FleetBuilder {
     }
 
     /// Attaches a pod with IP `ip` (host order) to `host`, allocating
-    /// its vport; returns the vport.
+    /// its vport; returns the vport. (A `host` that was never added is
+    /// recorded as given, for [`FleetBuilder::build`] to report.)
     pub fn add_pod(&mut self, host: usize, ip: u32) -> u32 {
-        let vport = self.next_vport[host];
-        self.next_vport[host] += 1;
+        let vport = self.next_vport.get(host).copied().unwrap_or(1);
         self.add_pod_at(host, ip, vport);
         vport
     }
@@ -143,7 +199,9 @@ impl FleetBuilder {
     /// Attaches a pod with a caller-chosen vport (used when the CMS has
     /// already allocated it; [`crate::ClusterBuilder`] does).
     pub fn add_pod_at(&mut self, host: usize, ip: u32, vport: u32) {
-        self.next_vport[host] = self.next_vport[host].max(vport + 1);
+        if let Some(next) = self.next_vport.get_mut(host) {
+            *next = (*next).max(vport + 1);
+        }
         self.pods.push((host, ip, vport));
     }
 
@@ -219,18 +277,45 @@ impl FleetBuilder {
         self.reliable_controls.push((host, program, cfg));
     }
 
-    /// Finalises the topology.
-    pub fn build(self) -> FleetSim {
-        assert!(!self.hosts.is_empty(), "need at least one host");
+    /// The first host index recorded by an `add_*` / `attach_*` /
+    /// `schedule_*` call that [`FleetBuilder::add_host`] never returned.
+    fn unknown_host(&self) -> Option<usize> {
+        let n = self.hosts.len();
+        let mut named = self
+            .pods
+            .iter()
+            .map(|p| p.0)
+            .chain(self.sources.iter().map(|s| s.0))
+            .chain(self.migrations.iter().map(|m| m.to_host))
+            .chain(self.defenses.iter().map(|d| d.0))
+            .chain(self.control_planes.iter().map(|c| c.0))
+            .chain(self.faults.iter().map(|f| f.0))
+            .chain(self.reliable_controls.iter().map(|r| r.0));
+        named.find(|&host| host >= n)
+    }
+
+    /// Finalises the topology, or names the first thing wrong with it.
+    pub fn build(self) -> Result<FleetSim, BuildError> {
         let n = self.hosts.len();
         let cfg = self.cfg;
+        if cfg.tick == SimTime::ZERO {
+            return Err(BuildError::ZeroTick);
+        }
+        if cfg.queue_capacity == 0 {
+            return Err(BuildError::ZeroQueueCapacity);
+        }
+        if n == 0 {
+            return Err(BuildError::NoHosts);
+        }
+        if let Some(host) = self.unknown_host() {
+            return Err(BuildError::NoSuchHost { host, hosts: n });
+        }
 
         let mut routes = IpIndex::new();
         for &(host, ip, _) in &self.pods {
-            assert!(
-                routes.insert(ip, host as u32).is_none(),
-                "pod IPs must be unique across the fleet"
-            );
+            if routes.insert(ip, host as u32).is_some() {
+                return Err(BuildError::DuplicatePodIp { ip });
+            }
         }
 
         let mut nodes: Vec<NodeCell<usize>> = self
@@ -246,7 +331,7 @@ impl FleetBuilder {
         }
         let mut acl_map: BTreeMap<u32, FlowTable> = BTreeMap::new();
         for (ip, table) in self.acls {
-            let host = routes.get(ip).expect("ACL target pod must be attached") as usize;
+            let host = routes.get(ip).ok_or(BuildError::UnattachedPod { ip })? as usize;
             let ok = nodes[host].backend_mut().install_acl(ip, table.clone());
             assert!(ok, "ACL install must succeed on the home switch");
             acl_map.insert(ip, table);
@@ -283,9 +368,9 @@ impl FleetBuilder {
         for (host, schedule) in fault_schedules {
             nodes[host].attach_faults(schedule.compile());
         }
-        if cfg.sim.trace.enabled {
+        if cfg.trace.enabled {
             for (host, node) in nodes.iter_mut().enumerate() {
-                node.set_tracer(Tracer::for_host(cfg.sim.trace, host as u32));
+                node.set_tracer(Tracer::for_host(cfg.trace, host as u32));
             }
         }
 
@@ -310,7 +395,7 @@ impl FleetBuilder {
             .collect();
 
         // Resolve migrations into per-tick command batches.
-        let tick_ns = cfg.sim.tick.as_nanos();
+        let tick_ns = cfg.tick.as_nanos();
         let mut next_vport = self.next_vport;
         let mut location = routes;
         let mut migrations = self.migrations;
@@ -318,7 +403,9 @@ impl FleetBuilder {
         let mut commands: Vec<(u64, usize, HostCmd)> = Vec::new();
         for m in migrations {
             let tick = m.at.as_nanos() / tick_ns;
-            let from = location.get(m.ip).expect("migrating pod must be attached") as usize;
+            let from = location
+                .get(m.ip)
+                .ok_or(BuildError::UnattachedPod { ip: m.ip })? as usize;
             if from == m.to_host {
                 continue;
             }
@@ -347,18 +434,18 @@ impl FleetBuilder {
             location.insert(m.ip, m.to_host as u32);
         }
 
-        FleetSim {
+        Ok(FleetSim {
             cfg,
             shards,
             commands,
-        }
+        })
     }
 }
 
 /// A runnable simulation: a fleet of hosts, or the one or two of the
 /// paper's testbed.
 pub struct FleetSim {
-    cfg: FleetConfig,
+    cfg: SimConfig,
     shards: Vec<HostShard>,
     /// (tick, shard, command), in schedule order.
     commands: Vec<(u64, usize, HostCmd)>,
@@ -647,7 +734,12 @@ fn worker_event_loop(
             });
         }
         while horizon(&frontier) <= h {
-            let msg = rx.recv().expect("peer worker hung up mid-run");
+            let Ok(msg) = rx.recv() else {
+                // Every peer hung up short of its terminal promise: one
+                // of them panicked, and `run_event` resumes that panic
+                // when it joins it.
+                return (w.shards, w.profile);
+            };
             w.absorb(&mut frontier, msg);
             while let Ok(m) = rx.try_recv() {
                 w.absorb(&mut frontier, m);
@@ -686,7 +778,7 @@ impl FleetSim {
     /// equivalence tests run the same scenario on the event-driven core
     /// and the tick-stepped reference and pin the reports equal.
     pub fn set_event_driven(&mut self, on: bool) {
-        self.cfg.sim.event_driven = on;
+        self.cfg.event_driven = on;
     }
 
     /// Overrides the trace configuration after construction and rewires
@@ -697,7 +789,7 @@ impl FleetSim {
     /// canonically at assembly), so enabling tracing cannot disturb
     /// worker-count determinism.
     pub fn set_trace(&mut self, trace: TraceConfig) {
-        self.cfg.sim.trace = trace;
+        self.cfg.trace = trace;
         for shard in &mut self.shards {
             let tracer = if trace.enabled {
                 Tracer::for_host(trace, shard.id as u32)
@@ -714,9 +806,9 @@ impl FleetSim {
     /// the equivalence reference. Both produce bit-identical reports,
     /// the event-driven one for any worker count.
     pub fn run(self) -> FleetReport {
-        let sim = self.cfg.sim;
+        let sim = self.cfg;
         let hosts = self.shards.len();
-        let workers = self.cfg.workers.clamp(1, hosts.max(1));
+        let workers = sim.workers.clamp(1, hosts.max(1));
         let ctx = TickCtx::new(&sim, hosts);
         let tick_ns = sim.tick.as_nanos();
         let ticks = sim.tick_count();
@@ -802,7 +894,10 @@ fn run_event(
     let mut shards: Vec<HostShard> = Vec::with_capacity(owner.len());
     let mut profiles: Vec<EngineProfile> = Vec::with_capacity(workers);
     for handle in handles {
-        let (part, profile) = handle.join().expect("worker panicked");
+        // A worker's panic is the run's: propagate it, payload intact.
+        let (part, profile) = handle
+            .join()
+            .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
         shards.extend(part);
         profiles.push(profile);
     }
@@ -855,13 +950,11 @@ mod tests {
     use pi_core::{Field, FlowKey, FlowMask, MaskedKey};
     use pi_traffic::CbrSource;
 
-    fn small_cfg(secs: u64, workers: usize) -> FleetConfig {
-        FleetConfig {
-            sim: SimConfig {
-                duration: SimTime::from_secs(secs),
-                ..SimConfig::default()
-            },
+    fn small_cfg(secs: u64, workers: usize) -> SimConfig {
+        SimConfig {
+            duration: SimTime::from_secs(secs),
             workers,
+            ..SimConfig::default()
         }
     }
 
@@ -876,7 +969,7 @@ mod tests {
         b.add_pod(h0, ip([10, 0, 0, 2]));
         let key = FlowKey::tcp([10, 0, 0, 1], [10, 0, 0, 2], 1000, 80);
         b.add_source(h0, Box::new(CbrSource::new(key, 1500, 1000.0)));
-        let report = b.build().run();
+        let report = b.build().unwrap().run();
         let totals = &report.source_totals[0];
         assert_eq!(totals.generated, 5_000);
         assert_eq!(totals.delivered, 5_000);
@@ -896,7 +989,7 @@ mod tests {
         b.add_pod(h1, ip([10, 1, 0, 1]));
         let key = FlowKey::tcp([10, 0, 0, 1], [10, 1, 0, 1], 1000, 80);
         b.add_source(h0, Box::new(CbrSource::new(key, 1500, 100.0)));
-        let report = b.build().run();
+        let report = b.build().unwrap().run();
         // One tick of fabric latency, one more for the receipt: the
         // tail of the stream may be in flight at the end of the run.
         let delivered = report.source_totals[0].delivered;
@@ -919,7 +1012,7 @@ mod tests {
         b.install_acl(ip([10, 0, 0, 2]), whitelist_with_default_deny(&[allow]));
         let denied = FlowKey::tcp([10, 0, 0, 1], [10, 0, 0, 2], 1, 80);
         b.add_source(h0, Box::new(CbrSource::new(denied, 64, 100.0)));
-        let report = b.build().run();
+        let report = b.build().unwrap().run();
         assert_eq!(report.source_totals[0].delivered, 0);
         assert_eq!(report.source_totals[0].dropped_policy, 200);
     }
@@ -927,7 +1020,7 @@ mod tests {
     #[test]
     fn link_capacity_caps_cross_host_throughput() {
         let mut cfg = small_cfg(3, 1);
-        cfg.sim.link_bps = 1e6; // 1 Mb/s fabric
+        cfg.link_bps = 1e6; // 1 Mb/s fabric
         let mut b = FleetBuilder::new(cfg);
         let h0 = b.add_host(DpConfig::default());
         let h1 = b.add_host(DpConfig::default());
@@ -936,7 +1029,7 @@ mod tests {
         let key = FlowKey::tcp([10, 0, 0, 1], [10, 1, 0, 1], 1, 80);
         // Offer 12 Mb/s over a 1 Mb/s link.
         b.add_source(h0, Box::new(CbrSource::new(key, 1500, 1000.0)));
-        let report = b.build().run();
+        let report = b.build().unwrap().run();
         let delivered_bps = report.throughput_bps[0].mean();
         assert!(
             delivered_bps < 1.1e6,
@@ -949,14 +1042,14 @@ mod tests {
     fn cpu_exhaustion_starves_the_queue() {
         // A switch with a microscopic budget cannot carry the load.
         let mut cfg = small_cfg(2, 1);
-        cfg.sim.cpu_cycles_per_sec = 200_000; // 200 cycles/ms: a handful of packets
-        cfg.sim.queue_capacity = 100;
+        cfg.cpu_cycles_per_sec = 200_000; // 200 cycles/ms: a handful of packets
+        cfg.queue_capacity = 100;
         let mut b = FleetBuilder::new(cfg);
         let h0 = b.add_host(DpConfig::default());
         b.add_pod(h0, ip([10, 0, 0, 2]));
         let key = FlowKey::tcp([10, 0, 0, 1], [10, 0, 0, 2], 1, 80);
         b.add_source(h0, Box::new(CbrSource::new(key, 64, 10_000.0)));
-        let report = b.build().run();
+        let report = b.build().unwrap().run();
         let t = &report.source_totals[0];
         assert!(t.delivered < t.generated / 2, "most packets must drop");
         assert!(t.dropped_capacity > 0);
@@ -971,7 +1064,7 @@ mod tests {
         b.add_pod(h0, ip([10, 0, 0, 2]));
         let key = FlowKey::tcp([10, 0, 0, 1], [10, 0, 0, 2], 1, 80);
         b.add_source(h0, Box::new(CbrSource::new(key, 64, 10.0)));
-        let report = b.build().run();
+        let report = b.build().unwrap().run();
         // One pod, no ACL: a single ip_dst mask.
         assert_eq!(report.masks[0].last().unwrap().1, 1.0);
         assert_eq!(report.megaflows[0].last().unwrap().1, 1.0);
@@ -994,7 +1087,7 @@ mod tests {
                     42,
                 )),
             );
-            b.build().run()
+            b.build().unwrap().run()
         };
         let a = build();
         let b = build();
@@ -1006,22 +1099,94 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "pod IPs must be unique")]
-    fn duplicate_pod_ip_is_rejected_on_a_single_host() {
-        // Were the second attachment accepted, the switch would keep
-        // the first vport while the routing view followed the second.
-        let mut b = FleetBuilder::new(small_cfg(1, 1));
-        let h0 = b.add_host(DpConfig::default());
-        b.add_pod(h0, ip([10, 0, 0, 2]));
-        b.add_pod(h0, ip([10, 0, 0, 2]));
-        b.build();
+    fn build_names_what_is_wrong_with_its_input() {
+        const POD: u32 = u32::from_be_bytes([10, 0, 0, 2]);
+        const STRANGER: u32 = u32::from_be_bytes([10, 9, 9, 9]);
+        // One host (index 0) carrying `POD`, then one thing wrong.
+        type Spoil = fn(&mut FleetBuilder);
+        let build = |cfg: SimConfig, spoil: Spoil| {
+            let mut b = FleetBuilder::new(cfg);
+            let h0 = b.add_host(DpConfig::default());
+            b.add_pod(h0, POD);
+            spoil(&mut b);
+            b.build().err()
+        };
+        let no_such_host = Some(BuildError::NoSuchHost { host: 1, hosts: 1 });
+        let unattached = Some(BuildError::UnattachedPod { ip: STRANGER });
+        let cases: [(Spoil, Option<BuildError>); 12] = [
+            (|_| {}, None),
+            // Were the second attachment accepted, the switch would keep
+            // the first vport while the routing view followed the second.
+            (
+                |b| {
+                    b.add_pod(0, POD);
+                },
+                Some(BuildError::DuplicatePodIp { ip: POD }),
+            ),
+            (
+                |b| {
+                    b.add_pod(1, STRANGER);
+                },
+                no_such_host,
+            ),
+            (|b| b.add_pod_at(1, STRANGER, 3), no_such_host),
+            (
+                |b| {
+                    let key = FlowKey::tcp([10, 0, 0, 1], [10, 0, 0, 2], 1000, 80);
+                    b.add_source(1, Box::new(CbrSource::new(key, 64, 1.0)));
+                },
+                no_such_host,
+            ),
+            (
+                |b| b.schedule_migration(SimTime::ZERO, POD, 1),
+                no_such_host,
+            ),
+            (
+                |b| b.attach_defense(1, DefenseController::new(Default::default())),
+                no_such_host,
+            ),
+            (
+                |b| b.attach_control_plane(1, Default::default()),
+                no_such_host,
+            ),
+            (|b| b.attach_faults(1, Default::default()), no_such_host),
+            (
+                |b| b.attach_reliable_control_plane(1, Default::default(), Default::default()),
+                no_such_host,
+            ),
+            (
+                |b| b.install_acl(STRANGER, whitelist_with_default_deny(&[])),
+                unattached,
+            ),
+            (
+                |b| b.schedule_migration(SimTime::ZERO, STRANGER, 0),
+                unattached,
+            ),
+        ];
+        for (i, (spoil, want)) in cases.into_iter().enumerate() {
+            assert_eq!(build(small_cfg(1, 1), spoil), want, "case {i}");
+        }
+
+        let zero_tick = SimConfig {
+            tick: SimTime::ZERO,
+            ..small_cfg(1, 1)
+        };
+        assert_eq!(build(zero_tick, |_| {}), Some(BuildError::ZeroTick));
+        let zero_queue = SimConfig {
+            queue_capacity: 0,
+            ..small_cfg(1, 1)
+        };
+        let got = build(zero_queue, |_| {});
+        assert_eq!(got, Some(BuildError::ZeroQueueCapacity));
+        let no_hosts = FleetBuilder::new(small_cfg(1, 1)).build().err();
+        assert_eq!(no_hosts, Some(BuildError::NoHosts));
     }
 
     #[test]
     fn zero_duration_run_is_empty_on_both_loops() {
         let run = |event: bool| {
             let mut cfg = small_cfg(0, 2);
-            cfg.sim.event_driven = event;
+            cfg.event_driven = event;
             let mut b = FleetBuilder::new(cfg);
             let h0 = b.add_host(DpConfig::default());
             let h1 = b.add_host(DpConfig::default());
@@ -1029,7 +1194,7 @@ mod tests {
             b.add_pod(h1, ip([10, 1, 0, 1]));
             let key = FlowKey::tcp([10, 0, 0, 1], [10, 1, 0, 1], 1000, 80);
             b.add_source(h0, Box::new(CbrSource::new(key, 1500, 1000.0)));
-            b.build().run()
+            b.build().unwrap().run()
         };
         let ev = run(true);
         let st = run(false);
@@ -1050,7 +1215,7 @@ mod tests {
                 let host = b.add_host(DpConfig::default());
                 b.add_pod(host, ip([10, h, 0, 1]));
             }
-            let report = b.build().run();
+            let report = b.build().unwrap().run();
             (report.workers, report.profiles.len())
         };
         assert_eq!(run(0), (1, 1));
@@ -1068,7 +1233,7 @@ mod tests {
         let key = FlowKey::tcp([10, 0, 0, 1], [10, 1, 0, 1], 1000, 80);
         b.add_source(h0, Box::new(CbrSource::new(key, 1500, 100.0)));
         b.schedule_migration(SimTime::from_secs(2), ip([10, 1, 0, 1]), h2);
-        let report = b.build().run();
+        let report = b.build().unwrap().run();
         let totals = &report.source_totals[0];
         // Nothing is lost across the migration epoch: in-flight packets
         // tunnel through the old host's uplink.
@@ -1120,7 +1285,7 @@ mod tests {
             )
             .upcall_flood();
             b.add_source(h0, Box::new(schedule));
-            b.build().run()
+            b.build().unwrap().run()
         };
 
         let unfair = run(None, 2);
@@ -1204,7 +1369,7 @@ mod tests {
             // Controllers on both hosts; host 1 sees nothing.
             b.attach_defense(h0, DefenseController::with_defaults());
             b.attach_defense(h1, DefenseController::with_defaults());
-            b.build().run()
+            b.build().unwrap().run()
         };
 
         let report = run(2);
@@ -1290,7 +1455,7 @@ mod tests {
             b.add_source(h1, Box::new(CbrSource::new(key, 400, 2_000.0)));
             let probe = FlowKey::tcp([10, 9, 0, 1], [10, 0, 0, 2], 40_000, 80);
             b.add_source(h1, Box::new(CbrSource::new(probe, 64, 500.0)));
-            b.build().run()
+            b.build().unwrap().run()
         };
 
         for kind in [
@@ -1334,7 +1499,7 @@ mod tests {
         use pi_fault::{ChannelFaultConfig, FaultSchedule, ReliabilityConfig};
 
         let mut cfg = small_cfg(4, workers);
-        cfg.sim.event_driven = event;
+        cfg.event_driven = event;
         let mut b = FleetBuilder::new(cfg);
         let h0 = b.add_host(DpConfig::default());
         let h1 = b.add_host(DpConfig::default());
@@ -1390,7 +1555,7 @@ mod tests {
         );
         // The victim pod migrates mid-run to the idle host.
         b.schedule_migration(SimTime::from_secs(3), victim, h2);
-        b.build().run()
+        b.build().unwrap().run()
     }
 
     fn assert_reports_equal(a: &FleetReport, b: &FleetReport, label: &str) {
@@ -1489,7 +1654,7 @@ mod tests {
             b.add_source(h1, Box::new(CbrSource::new(key, 400, 2_000.0)));
             let probe = FlowKey::tcp([10, 9, 0, 1], [10, 0, 0, 2], 40_000, 80);
             b.add_source(h2, Box::new(CbrSource::new(probe, 64, 500.0)));
-            b.build().run()
+            b.build().unwrap().run()
         };
 
         for kind in [
@@ -1525,7 +1690,7 @@ mod tests {
         b.add_pod(h1, ip([10, 1, 0, 1])); // attached, never addressed
         let key = FlowKey::tcp([10, 0, 0, 9], [10, 0, 0, 1], 1000, 80);
         b.add_source(h0, Box::new(CbrSource::new(key, 1500, 1000.0)));
-        let report = b.build().run();
+        let report = b.build().unwrap().run();
         assert_eq!(report.source_totals[0].delivered, 3_000);
         assert!(
             report.engine.shard_ticks_skipped > 0,
@@ -1546,7 +1711,7 @@ mod tests {
                 let key = FlowKey::tcp([10, h, 0, 1], [10, (h + 1) % 3, 0, 1], 1000 + h as u16, 80);
                 b.add_source(h as usize, Box::new(CbrSource::new(key, 800, 500.0)));
             }
-            b.build().run()
+            b.build().unwrap().run()
         };
         let a = run(1);
         let b = run(3);

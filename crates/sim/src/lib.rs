@@ -45,8 +45,8 @@ pub mod report;
 pub mod scenario;
 mod shard;
 
-pub use config::{FleetConfig, SimConfig};
-pub use engine::{FleetBuilder, FleetSim, FleetSim as Simulation};
+pub use config::SimConfig;
+pub use engine::{BuildError, FleetBuilder, FleetSim, FleetSim as Simulation};
 pub use node::{NodeCell, NodePacket, Routing};
 pub use pi_trace::{TraceConfig, TraceEvent, TraceEventKind, TraceReport, Tracer};
 pub use placement::ClusterBuilder;

@@ -180,7 +180,7 @@ impl<T> NodeCell<T> {
     }
 
     /// Whether the switch process is down at `now`.
-    pub fn is_down(&self, now: SimTime) -> bool {
+    pub(crate) fn is_down(&self, now: SimTime) -> bool {
         self.down_until.is_some_and(|t| now < t)
     }
 
@@ -217,16 +217,6 @@ impl<T> NodeCell<T> {
         self.control = Some(driver);
     }
 
-    /// Whether a control plane is attached.
-    pub fn has_control_plane(&self) -> bool {
-        self.control.is_some()
-    }
-
-    /// Control-plane updates still waiting for their apply time.
-    pub fn control_plane_pending(&self) -> usize {
-        self.control.as_ref().map_or(0, |c| c.pending())
-    }
-
     /// The node's dataplane backend.
     pub fn backend(&self) -> &dyn DataplaneBackend {
         &*self.backend
@@ -235,11 +225,6 @@ impl<T> NodeCell<T> {
     /// Mutable access to the backend (pod attachment, ACL installs).
     pub fn backend_mut(&mut self) -> &mut dyn DataplaneBackend {
         &mut *self.backend
-    }
-
-    /// Current ingress-queue depth, packets.
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
     }
 
     /// Enqueues `pkt` unless the queue is at `capacity`. Returns whether
@@ -560,11 +545,6 @@ impl<T> NodeCell<T> {
         });
     }
 
-    /// Packets currently parked in the switch's upcall pipeline.
-    pub fn deferred_len(&self) -> usize {
-        self.deferred.len()
-    }
-
     /// True when the node carries no work of its own into the next
     /// tick: empty ingress queue, nothing parked in the upcall
     /// pipeline, and no cycle debt (a crash's restart debt keeps the
@@ -705,7 +685,7 @@ mod tests {
                 (7, Routing::Denied)
             ]
         );
-        assert_eq!(n.queue_len(), 0);
+        assert_eq!(n.queue.len(), 0);
         assert!(n.take_window_cycles() > 0);
         assert_eq!(n.take_window_cycles(), 0, "window resets on take");
     }
@@ -715,7 +695,7 @@ mod tests {
         let mut n = node();
         assert!(n.enqueue(pkt([10, 0, 0, 2]), 1));
         assert!(!n.enqueue(pkt([10, 0, 0, 2]), 1), "tail drop at capacity");
-        assert_eq!(n.queue_len(), 1);
+        assert_eq!(n.queue.len(), 1);
     }
 
     #[test]
@@ -756,7 +736,7 @@ mod tests {
             }
         }
         assert_eq!(ingress_drops, 2, "node ingress tail drop");
-        assert_eq!(n.queue_len(), 4);
+        assert_eq!(n.queue.len(), 4);
         let mut upcall_drops = 0;
         n.step(SimTime::from_millis(1), 10_000_000, |_, r| {
             assert_eq!(r, Routing::UpcallDropped);
@@ -764,7 +744,7 @@ mod tests {
         });
         assert_eq!(upcall_drops, 2, "upcall queue tail drop");
         assert_eq!(n.backend().snapshot().upcall.queue_drops, 2);
-        assert_eq!(n.deferred_len(), 2, "two parked awaiting handlers");
+        assert_eq!(n.deferred.len(), 2, "two parked awaiting handlers");
         // The switch-level counter only saw the 4 packets the ingress
         // queue admitted — the two drop accounts never mix.
         assert_eq!(n.backend().snapshot().switch.packets, 4);
@@ -796,7 +776,7 @@ mod tests {
         });
         // Same tick: the handler step resolved the miss and delivered.
         assert_eq!(got, vec![(42, 1500, Routing::Local(1))]);
-        assert_eq!(n.deferred_len(), 0);
+        assert_eq!(n.deferred.len(), 0);
         assert!(n.take_window_handler_cycles() > 0);
         assert_eq!(n.take_window_handler_cycles(), 0, "window resets");
     }
@@ -816,8 +796,8 @@ mod tests {
             whitelist_with_default_deny(&[]),
         );
         n.attach_control_plane(program.compile());
-        assert!(n.has_control_plane());
-        assert_eq!(n.control_plane_pending(), 1);
+        assert!(n.control.is_some());
+        assert_eq!(n.control.as_ref().map_or(0, |c| c.pending()), 1);
 
         // Tick 1: update not due; traffic flows.
         n.enqueue(pkt([10, 0, 0, 2]), 10);
@@ -826,7 +806,7 @@ mod tests {
             got.push((p.source, r))
         });
         assert_eq!(got, vec![(7, Routing::Local(1))]);
-        assert_eq!(n.control_plane_pending(), 1);
+        assert_eq!(n.control.as_ref().map_or(0, |c| c.pending()), 1);
         let cycles_before = n.backend().snapshot().switch.control_cycles;
         assert_eq!(cycles_before, 0);
 
@@ -839,7 +819,7 @@ mod tests {
             got.push((p.source, r))
         });
         assert_eq!(got, vec![(7, Routing::Denied)], "new ACL in force");
-        assert_eq!(n.control_plane_pending(), 0);
+        assert_eq!(n.control.as_ref().map_or(0, |c| c.pending()), 0);
         let control = n.backend().snapshot().switch.control_cycles;
         assert!(control > 0, "the update was charged");
         // The window cycles include the control share.
@@ -859,7 +839,7 @@ mod tests {
         let mut count = 0;
         n2.step(SimTime::from_millis(1), 1, |_, _| count += 1);
         assert_eq!(count, 0, "budget consumed by the update");
-        assert_eq!(n2.queue_len(), 1, "packet waits for the debt to clear");
+        assert_eq!(n2.queue.len(), 1, "packet waits for the debt to clear");
     }
 
     #[test]
@@ -903,7 +883,7 @@ mod tests {
             n.step(ms(t), 10_000_000, |_, _| got += 1);
             assert_eq!(got, 0, "nothing processed while down (t = {t})");
         }
-        assert_eq!(n.queue_len(), 3, "ingress queue kept filling");
+        assert_eq!(n.queue.len(), 3, "ingress queue kept filling");
         let mut got = 0;
         n.step(ms(5), 10_000_000, |_, _| got += 1);
         assert_eq!(got, 3, "backlog drains once the switch is back");
@@ -983,7 +963,7 @@ mod tests {
         let mut count = 0;
         n.step(SimTime::from_millis(1), 1, |_, _| count += 1);
         assert_eq!(count, 1);
-        assert_eq!(n.queue_len(), 3);
+        assert_eq!(n.queue.len(), 3);
         // The negative carry suppresses the next tiny tick entirely
         // once it exceeds the fresh budget.
         let mut count2 = 0;

@@ -13,17 +13,24 @@ use pi_core::SimTime;
 use pi_datapath::DpConfig;
 use pi_traffic::TrafficSource;
 
-use crate::{FleetBuilder, FleetConfig, FleetSim};
+use crate::{BuildError, FleetBuilder, FleetSim, SimConfig};
 
 /// Builds a cluster: a CMS cloud and a fleet simulation, kept in sync.
+/// Placement hands back each pod's record ([`Pod`]: id, tenant, node,
+/// vport, ip), so callers never look a pod up again.
 pub struct ClusterBuilder {
     cloud: Cloud,
     pub(crate) fleet: FleetBuilder,
 }
 
+/// The shard hosting `pod` (cloud node *i* is fleet shard *i*).
+pub(crate) fn host_of(pod: &Pod) -> usize {
+    pod.node.0 as usize
+}
+
 impl ClusterBuilder {
     /// A cluster of `hosts` identical hosts.
-    pub fn new(cfg: FleetConfig, hosts: usize, dp: DpConfig) -> Self {
+    pub fn new(cfg: SimConfig, hosts: usize, dp: DpConfig) -> Self {
         let mut cloud = Cloud::new();
         let mut fleet = FleetBuilder::new(cfg);
         for _ in 0..hosts {
@@ -46,55 +53,44 @@ impl ClusterBuilder {
         tenant: TenantId,
         count: usize,
         strategy: PlacementStrategy,
-    ) -> Vec<PodId> {
+    ) -> Vec<Pod> {
         let ids = self.cloud.place_pods(tenant, count, strategy);
-        for id in &ids {
-            self.attach(*id);
+        // The cloud scheduled these ids a line ago: every lookup finds
+        // its record.
+        let pods: Vec<Pod> = ids
+            .iter()
+            .filter_map(|id| self.cloud.pod(*id).cloned())
+            .collect();
+        for pod in &pods {
+            self.attach(pod);
         }
-        ids
+        pods
     }
 
     /// Schedules one pod on an explicit host (a client/probe endpoint
-    /// whose location the experiment controls).
-    pub fn place_pod_on(&mut self, tenant: TenantId, host: usize) -> PodId {
-        let id = self.cloud.add_pod(tenant, NodeId(host as u32));
-        self.attach(id);
-        id
+    /// whose location the experiment controls); a host the cluster does
+    /// not have is [`ClusterBuilder::build`]'s to report.
+    pub fn place_pod_on(&mut self, tenant: TenantId, host: usize) -> Pod {
+        let pod = self.cloud.provision(tenant, NodeId(host as u32)).clone();
+        self.attach(&pod);
+        pod
     }
 
-    fn attach(&mut self, id: PodId) {
-        let pod = self.cloud.pod(id).expect("pod just scheduled").clone();
-        self.fleet
-            .add_pod_at(pod.node.0 as usize, pod.ip, pod.vport);
+    fn attach(&mut self, pod: &Pod) {
+        self.fleet.add_pod_at(host_of(pod), pod.ip, pod.vport);
     }
 
-    /// Pod metadata.
-    pub fn pod(&self, id: PodId) -> &Pod {
-        self.cloud.pod(id).expect("pod exists")
-    }
-
-    /// The shard hosting `pod`.
-    pub fn host_of(&self, id: PodId) -> usize {
-        self.pod(id).node.0 as usize
-    }
-
-    /// Installs a policy that already passed CMS admission onto the
-    /// pod's home switch.
-    pub fn install_policy(&mut self, compiled: &CompiledPolicy) {
-        let ip = self.pod(compiled.pod).ip;
-        self.fleet.install_acl(ip, compiled.table.clone());
-    }
-
-    /// Tenant-applies a policy through the CMS and, on admission,
-    /// installs it — the full injection path.
+    /// Tenant-applies a policy to `pod` through the CMS and, on
+    /// admission, installs the compiled ACL on the pod's home switch —
+    /// the full injection path.
     pub fn apply_and_install(
         &mut self,
         tenant: TenantId,
-        pod: PodId,
+        pod: &Pod,
         apply: impl FnOnce(&Cloud, TenantId, PodId) -> Result<CompiledPolicy, CmsError>,
     ) -> Result<CompiledPolicy, CmsError> {
-        let compiled = apply(&self.cloud, tenant, pod)?;
-        self.install_policy(&compiled);
+        let compiled = apply(&self.cloud, tenant, pod.id)?;
+        self.fleet.install_acl(pod.ip, compiled.table.clone());
         Ok(compiled)
     }
 
@@ -105,13 +101,12 @@ impl ClusterBuilder {
     }
 
     /// Schedules a live migration of `pod` to `to_host` at `at`.
-    pub fn schedule_migration(&mut self, at: SimTime, pod: PodId, to_host: usize) {
-        let ip = self.pod(pod).ip;
-        self.fleet.schedule_migration(at, ip, to_host);
+    pub fn schedule_migration(&mut self, at: SimTime, pod: &Pod, to_host: usize) {
+        self.fleet.schedule_migration(at, pod.ip, to_host);
     }
 
     /// Finalises the cluster.
-    pub fn build(self) -> FleetSim {
+    pub fn build(self) -> Result<FleetSim, BuildError> {
         self.fleet.build()
     }
 }
@@ -123,29 +118,29 @@ mod tests {
 
     #[test]
     fn cloud_and_fleet_stay_in_sync() {
-        let mut cb = ClusterBuilder::new(FleetConfig::default(), 3, DpConfig::default());
+        let mut cb = ClusterBuilder::new(SimConfig::default(), 3, DpConfig::default());
         let t = cb.add_tenant();
         let pods = cb.place_pods(t, 6, PlacementStrategy::RoundRobin);
         assert_eq!(pods.len(), 6);
-        let hosts: Vec<usize> = pods.iter().map(|p| cb.host_of(*p)).collect();
+        let hosts: Vec<usize> = pods.iter().map(host_of).collect();
         for h in 0..3 {
             assert_eq!(hosts.iter().filter(|&&x| x == h).count(), 2);
         }
-        let sim = cb.build();
+        let sim = cb.build().unwrap();
         assert_eq!(sim.host_count(), 3);
     }
 
     #[test]
     fn policy_injection_goes_through_cms_admission() {
-        let mut cb = ClusterBuilder::new(FleetConfig::default(), 2, DpConfig::default());
+        let mut cb = ClusterBuilder::new(SimConfig::default(), 2, DpConfig::default());
         let owner = cb.add_tenant();
         let other = cb.add_tenant();
-        let pod = cb.place_pods(owner, 1, PlacementStrategy::RoundRobin)[0];
+        let pod = &cb.place_pods(owner, 1, PlacementStrategy::RoundRobin)[0];
         let policy = NetworkPolicy::allow_from_cidr("mine", "10.0.0.0/8".parse().unwrap());
         let compiled = cb
             .apply_and_install(owner, pod, |c, t, p| c.apply_k8s_policy(t, p, &policy))
             .unwrap();
-        assert_eq!(compiled.pod, pod);
+        assert_eq!(compiled.pod, pod.id);
         // The tenancy check still bites through the cluster facade.
         let err = cb
             .apply_and_install(other, pod, |c, t, p| c.apply_k8s_policy(t, p, &policy))

@@ -187,17 +187,6 @@ pub struct BlastRadius {
     pub retries: Vec<(usize, u64)>,
 }
 
-impl BlastRadius {
-    /// Degraded fraction of the probed sources.
-    pub fn degraded_fraction(&self) -> f64 {
-        if self.ratios.is_empty() {
-            0.0
-        } else {
-            self.degraded_sources.len() as f64 / self.ratios.len() as f64
-        }
-    }
-}
-
 impl FleetReport {
     pub(crate) fn assemble(
         workers: usize,
@@ -217,9 +206,10 @@ impl FleetReport {
         let tracers: Vec<_> = shards.iter().map(|s| s.node.tracer()).collect();
         let trace = TraceReport::collect(trace_cfg, &tracers);
         let n_sources = shards.iter().map(|s| s.slots.len()).sum();
-        let mut throughput: Vec<Option<TimeSeries>> = (0..n_sources).map(|_| None).collect();
-        let mut offered: Vec<Option<TimeSeries>> = (0..n_sources).map(|_| None).collect();
-        let mut totals: Vec<Option<SourceTotals>> = (0..n_sources).map(|_| None).collect();
+        // (global source index, throughput, offered, totals), gathered
+        // per shard and put in global order below.
+        let mut sources: Vec<(usize, TimeSeries, TimeSeries, SourceTotals)> =
+            Vec::with_capacity(n_sources);
         let mut masks = Vec::with_capacity(hosts);
         let mut megaflows = Vec::with_capacity(hosts);
         let mut cpu = Vec::with_capacity(hosts);
@@ -245,24 +235,31 @@ impl FleetReport {
             control_cps.push(shard.control_cps);
             policy_updates.push(shard.policy_updates);
             for slot in shard.slots {
-                let g = slot.global;
-                throughput[g] = Some(slot.throughput);
-                offered[g] = Some(slot.offered);
-                totals[g] = Some(SourceTotals {
+                let totals = SourceTotals {
                     label: slot.label,
                     generated: slot.total_generated,
                     delivered: slot.total_delivered,
                     dropped_capacity: slot.total_dropped_capacity,
                     dropped_policy: slot.total_dropped_policy,
                     dropped_upcall: slot.total_dropped_upcall,
-                });
+                };
+                sources.push((slot.global, slot.throughput, slot.offered, totals));
             }
+        }
+        sources.sort_unstable_by_key(|s| s.0);
+        let mut throughput = Vec::with_capacity(n_sources);
+        let mut offered = Vec::with_capacity(n_sources);
+        let mut source_totals = Vec::with_capacity(n_sources);
+        for (_, t, o, totals) in sources {
+            throughput.push(t);
+            offered.push(o);
+            source_totals.push(totals);
         }
         FleetReport {
             hosts,
             workers,
-            throughput_bps: throughput.into_iter().map(|s| s.expect("source")).collect(),
-            offered_bps: offered.into_iter().map(|s| s.expect("source")).collect(),
+            throughput_bps: throughput,
+            offered_bps: offered,
             masks,
             megaflows,
             cpu_util: cpu,
@@ -271,7 +268,7 @@ impl FleetReport {
             policy_updates,
             switch_stats: stats,
             upcall_stats: upcall,
-            source_totals: totals.into_iter().map(|t| t.expect("source")).collect(),
+            source_totals,
             defense,
             faults,
             attribution,
@@ -391,27 +388,5 @@ impl FleetReport {
             recovery_ticks,
             retries,
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn degraded_fraction_handles_empty() {
-        let b = BlastRadius {
-            ratios: vec![],
-            degraded_sources: vec![],
-            affected_hosts: vec![],
-            upcall_drops: vec![],
-            policy_churn: vec![],
-            detections: vec![],
-            mitigations: vec![],
-            fault_events: vec![],
-            recovery_ticks: vec![],
-            retries: vec![],
-        };
-        assert_eq!(b.degraded_fraction(), 0.0);
     }
 }

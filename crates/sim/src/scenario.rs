@@ -30,7 +30,7 @@ use pi_backend::{build_backend, DataplaneBackend};
 use pi_classifier::FlowTable;
 use pi_cms::cloud::CompiledPolicy;
 use pi_cms::{
-    Cidr, Cloud, CmsError, ControlPlaneProgram, IngressRule, NetworkPolicy, PlacementStrategy,
+    Cidr, Cloud, CmsError, ControlPlaneProgram, IngressRule, NetworkPolicy, PlacementStrategy, Pod,
     PodId, PolicyCompiler, PolicyDialect, Protocol, TenantId,
 };
 use pi_core::{FlowKey, SimTime};
@@ -39,7 +39,8 @@ use pi_detect::{ControllerConfig, DefenseController};
 use pi_fault::{ChannelFaultConfig, FaultSchedule, ReliabilityConfig};
 use pi_traffic::{ChurnSource, FanSource, IperfSource, PoissonFlowSource};
 
-use crate::{ClusterBuilder, FleetBuilder, FleetConfig, FleetSim, SimConfig, Simulation};
+use crate::placement::host_of;
+use crate::{ClusterBuilder, FleetBuilder, FleetSim, SimConfig, Simulation};
 
 // --- Parts -----------------------------------------------------------
 
@@ -88,6 +89,7 @@ impl Handles {
     ///
     /// # Panics
     /// When the recipe registered no such source.
+    #[allow(clippy::panic, reason = "a mistyped label literal; see # Panics")]
     pub fn source(&self, label: &str) -> usize {
         let at = self.labels.iter().position(|l| l == label);
         at.unwrap_or_else(|| panic!("no source {label:?} among {:?}", self.labels))
@@ -107,15 +109,21 @@ impl Handles {
 
 /// The run config: everything but the length (and, for a fleet, the
 /// worker count) is the paper's environment.
-fn run_config(duration: SimTime, workers: usize) -> FleetConfig {
-    let sim = SimConfig {
+fn run_config(duration: SimTime, workers: usize) -> SimConfig {
+    SimConfig {
         duration,
+        workers,
         ..SimConfig::default()
-    };
-    FleetConfig { sim, workers }
+    }
 }
 
 /// Builds, and labels the sources for the caller.
+///
+/// # Panics
+/// When a recipe wired its own topology wrong ([`crate::BuildError`]) —
+/// the one place the recipes, whose `(Simulation, Handles)` signatures
+/// `benchmark/` imports, unwrap [`FleetBuilder::build`].
+#[allow(clippy::expect_used, reason = "a recipe's own wiring; see # Panics")]
 fn finish(
     b: FleetBuilder,
     victim_hosts: Vec<usize>,
@@ -126,7 +134,8 @@ fn finish(
         victim_hosts,
         attacker_hosts,
     };
-    (b.build(), handles)
+    let sim = b.build().expect("the recipe's topology is well-formed");
+    (sim, handles)
 }
 
 /// A tenant's own, perfectly legitimate microsegmentation: allow the
@@ -214,27 +223,30 @@ fn bounded_slow_path(port_quota_per_step: Option<u32>) -> PipelineMode {
 /// tenant and installs what admission returns — the full injection
 /// path, for the victims' legitimate policies and the injected ACL
 /// alike.
+///
+/// # Panics
+/// When the CMS rejects one of the recipe's own policies.
+#[allow(clippy::expect_used, reason = "a recipe's own policy; see # Panics")]
 fn admit(
     cb: &mut ClusterBuilder,
-    pods: &[PodId],
+    pods: &[Pod],
     apply: impl Fn(&Cloud, TenantId, PodId) -> Result<CompiledPolicy, CmsError>,
 ) {
-    for &pod in pods {
-        let tenant = cb.pod(pod).tenant;
-        cb.apply_and_install(tenant, pod, &apply)
+    for pod in pods {
+        cb.apply_and_install(pod.tenant, pod, &apply)
             .expect("the scenario's policies pass CMS admission");
     }
 }
 
 /// The victims' own iperf policy, through admission like any tenant's.
-fn admit_victims(cb: &mut ClusterBuilder, victims: &[PodId]) {
+fn admit_victims(cb: &mut ClusterBuilder, victims: &[Pod]) {
     let policy = victim_iperf_policy();
     admit(cb, victims, |c, t, p| c.apply_k8s_policy(t, p, &policy));
 }
 
 /// The attack's first step: `spec`'s ACL injected at the attacker's own
 /// pods through that same admission path.
-fn inject(cb: &mut ClusterBuilder, spec: &AttackSpec, attackers: &[PodId]) {
+fn inject(cb: &mut ClusterBuilder, spec: &AttackSpec, attackers: &[Pod]) {
     let acl = spec.build_policy();
     admit(cb, attackers, |c, t, p| acl.apply(c, t, p));
 }
@@ -244,13 +256,12 @@ fn inject(cb: &mut ClusterBuilder, spec: &AttackSpec, attackers: &[PodId]) {
 fn victim_iperf(
     cb: &mut ClusterBuilder,
     i: usize,
-    server: PodId,
+    server: &Pod,
     client_host: usize,
     rate_bps: f64,
 ) {
-    let server = cb.pod(server).clone();
     let client = cb.place_pod_on(server.tenant, client_host);
-    let key = FlowKey::tcp(cb.pod(client).ip, server.ip, 40_000 + i as u16, VICTIM_PORT);
+    let key = FlowKey::tcp(client.ip, server.ip, 40_000 + i as u16, VICTIM_PORT);
     let iperf = IperfSource::new(key, 1500, rate_bps).named(&format!("victim{i}"));
     cb.add_source(client_host, Box::new(iperf));
 }
@@ -262,24 +273,24 @@ fn victim_iperf(
 fn covert_streams(
     cb: &mut ClusterBuilder,
     spec: &AttackSpec,
-    attackers: &[PodId],
+    attackers: &[Pod],
     ring: usize,
     bandwidth_bps: f64,
     start: SimTime,
     stagger: SimTime,
 ) {
-    let ips: Vec<u32> = attackers.iter().map(|p| cb.pod(*p).ip).collect();
+    let ips: Vec<u32> = attackers.iter().map(|p| p.ip).collect();
     let schedules = AttackSchedule::fan_out(spec, &ips, bandwidth_bps, start, stagger);
-    for (&pod, schedule) in attackers.iter().zip(schedules) {
-        let client_host = (cb.host_of(pod) + 1) % ring;
-        cb.place_pod_on(cb.pod(pod).tenant, client_host);
+    for (pod, schedule) in attackers.iter().zip(schedules) {
+        let client_host = (host_of(pod) + 1) % ring;
+        cb.place_pod_on(pod.tenant, client_host);
         cb.add_source(client_host, Box::new(schedule));
     }
 }
 
 /// The hosts `pods` landed on, in pod order.
-fn hosts_of(cb: &ClusterBuilder, pods: &[PodId]) -> Vec<usize> {
-    pods.iter().map(|p| cb.host_of(*p)).collect()
+fn hosts_of(pods: &[Pod]) -> Vec<usize> {
+    pods.iter().map(host_of).collect()
 }
 
 // --- Testbed recipes ------------------------------------------------
@@ -865,8 +876,8 @@ pub fn fleet_colocation(params: &ColocationParams) -> (FleetSim, Handles) {
     let attacker_pods = cb.place_pods(attacker_tenant, params.attackers, colocate);
     inject(&mut cb, &params.spec, &attacker_pods);
 
-    for (i, &pod) in victim_pods.iter().enumerate() {
-        let client_host = (cb.host_of(pod) + 1) % hosts;
+    for (i, pod) in victim_pods.iter().enumerate() {
+        let client_host = (host_of(pod) + 1) % hosts;
         victim_iperf(&mut cb, i, pod, client_host, params.victim_rate_bps);
     }
     covert_streams(
@@ -882,17 +893,14 @@ pub fn fleet_colocation(params: &ColocationParams) -> (FleetSim, Handles) {
     // Background chatter: one unprotected pod + Poisson source per host.
     let chatty_hosts = if params.background { hosts } else { 0 };
     for host in 0..chatty_hosts {
-        let pod = cb.place_pod_on(bg_tenant, host);
-        let dst = cb.pod(pod).ip;
+        let dst = cb.place_pod_on(bg_tenant, host).ip;
         let pairs = (0..8u8).map(|i| (u32::from_be_bytes([10, 0, 200, i]), dst));
         let seed = params.seed ^ host as u64;
         let chatter = PoissonFlowSource::new(pairs.collect(), 10.0, 20.0, 200.0, 200, seed);
         let named = chatter.named(&format!("background{host}"));
         cb.add_source((host + 1) % hosts, Box::new(named));
     }
-    let (victim_hosts, attacker_hosts) =
-        (hosts_of(&cb, &victim_pods), hosts_of(&cb, &attacker_pods));
-    finish(cb.fleet, victim_hosts, attacker_hosts)
+    finish(cb.fleet, hosts_of(&victim_pods), hosts_of(&attacker_pods))
 }
 
 /// Parameters of the sparse-fleet experiment.
@@ -959,8 +967,8 @@ pub fn fleet_sparse(params: &SparseParams) -> (FleetSim, Handles) {
     // the hot set.
     for i in 0..hot {
         let pod = cb.place_pod_on(victim_tenant, i);
-        admit_victims(&mut cb, &[pod]);
-        victim_iperf(&mut cb, i, pod, (i + 1) % hot, params.victim_rate_bps);
+        admit_victims(&mut cb, std::slice::from_ref(&pod));
+        victim_iperf(&mut cb, i, &pod, (i + 1) % hot, params.victim_rate_bps);
     }
 
     // The injected policy on host 0, covert stream from host 1.
@@ -1040,7 +1048,7 @@ pub fn fleet_migration(params: &MigrationParams) -> (FleetSim, Handles) {
     // Victim clients on the clean hosts — where the evacuation then
     // spreads the victims themselves; the covert stream from host 1.
     let clean_host = |i: usize| 1 + i % (hosts - 1);
-    for (i, &pod) in victim_pods.iter().enumerate() {
+    for (i, pod) in victim_pods.iter().enumerate() {
         victim_iperf(&mut cb, i, pod, clean_host(i), IPERF_RATE_BPS);
     }
     covert_streams(
@@ -1052,12 +1060,12 @@ pub fn fleet_migration(params: &MigrationParams) -> (FleetSim, Handles) {
         params.attack_start,
         SimTime::ZERO,
     );
-    for (i, &pod) in victim_pods.iter().enumerate() {
+    for (i, pod) in victim_pods.iter().enumerate() {
         cb.schedule_migration(params.migrate_at, pod, clean_host(i));
     }
-    let (victim_hosts, attacker_hosts) = (hosts_of(&cb, &victim_pods), hosts_of(&cb, &attacker));
+    let attacker_hosts = hosts_of(&attacker);
     assert_eq!(attacker_hosts, [0], "everyone packs onto host 0");
-    finish(cb.fleet, victim_hosts, attacker_hosts)
+    finish(cb.fleet, hosts_of(&victim_pods), attacker_hosts)
 }
 
 // --- Capacity probes ------------------------------------------------

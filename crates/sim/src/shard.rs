@@ -142,12 +142,12 @@ impl ShardOutput {
     }
 
     #[inline]
-    pub fn push_packet(&mut self, dst: usize, pkt: NodePacket<usize>) {
+    pub(crate) fn push_packet(&mut self, dst: usize, pkt: NodePacket<usize>) {
         self.parcel(dst).packets.push(pkt);
     }
 
     #[inline]
-    pub fn push_receipt(&mut self, dst: usize, receipt: Receipt) {
+    pub(crate) fn push_receipt(&mut self, dst: usize, receipt: Receipt) {
         self.parcel(dst).receipts.push(receipt);
     }
 

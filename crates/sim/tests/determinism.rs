@@ -72,7 +72,7 @@ fn policy_flap_fleet_is_identical_for_1_and_3_workers() {
     use pi_cms::{Cidr, IngressRule, NetworkPolicy, PolicyCompiler, Protocol};
     use pi_core::FlowKey;
     use pi_datapath::DpConfig;
-    use pi_sim::{FleetBuilder, FleetConfig, SimConfig};
+    use pi_sim::{FleetBuilder, SimConfig};
     use pi_traffic::FanSource;
 
     // Three hosts; host 0 hosts a whitelisted victim service and the
@@ -80,12 +80,10 @@ fn policy_flap_fleet_is_identical_for_1_and_3_workers() {
     // control plane is shard-local state: any worker count must yield
     // byte-identical results, including the policy-update timeline.
     let run = |workers: usize| {
-        let mut b = FleetBuilder::new(FleetConfig {
-            sim: SimConfig {
-                duration: SimTime::from_secs(4),
-                ..SimConfig::default()
-            },
+        let mut b = FleetBuilder::new(SimConfig {
+            duration: SimTime::from_secs(4),
             workers,
+            ..SimConfig::default()
         });
         let clients = 512usize;
         let victim_ip = u32::from_be_bytes([10, 0, 0, 10]);
@@ -141,7 +139,7 @@ fn policy_flap_fleet_is_identical_for_1_and_3_workers() {
         // Bystander on host 2 → host 1.
         let key = FlowKey::tcp([10, 2, 9, 9], [10, 1, 0, 10], 1000, 80);
         b.add_source(2, Box::new(pi_traffic::CbrSource::new(key, 800, 500.0)));
-        b.build().run()
+        b.build().unwrap().run()
     };
     let serial = run(1);
     let parallel = run(3);

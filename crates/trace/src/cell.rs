@@ -2,7 +2,7 @@
 //! and [`Tracer`] (the cheap, cloneable handle threaded through the
 //! dataplane, control plane, and defense layers).
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::event::{CauseId, TraceConfig, TraceEvent, TraceEventKind};
 
@@ -115,13 +115,23 @@ impl Tracer {
         self.0.is_some()
     }
 
+    /// The locked cell of an enabled tracer. Poison-tolerant: every
+    /// update made under the lock is a run of plain stores that leaves
+    /// the ring valid at each step (at worst one `seq` is skipped), so a
+    /// thread that panicked while holding the guard does not cost the
+    /// host its later events or its drain.
+    #[inline]
+    fn cell(&self) -> Option<MutexGuard<'_, TraceCell>> {
+        let cell = self.0.as_ref()?;
+        Some(cell.lock().unwrap_or_else(PoisonError::into_inner))
+    }
+
     /// Records `kind` at `at_ns`, attributed to the latched rebuild
     /// cause (the most recent cache flush), or to the in-progress
     /// update if one is applying.
     #[inline]
     pub fn emit(&self, at_ns: u64, kind: TraceEventKind) {
-        if let Some(cell) = &self.0 {
-            let mut cell = cell.lock().unwrap();
+        if let Some(mut cell) = self.cell() {
             let cause = if cell.active_cause.is_some() {
                 cell.active_cause
             } else {
@@ -135,8 +145,8 @@ impl Tracer {
     /// passes — events that *start* chains rather than belong to one).
     #[inline]
     pub fn emit_uncaused(&self, at_ns: u64, kind: TraceEventKind) {
-        if let Some(cell) = &self.0 {
-            cell.lock().unwrap().push(at_ns, CauseId::NONE, kind);
+        if let Some(mut cell) = self.cell() {
+            cell.push(at_ns, CauseId::NONE, kind);
         }
     }
 
@@ -145,10 +155,9 @@ impl Tracer {
     /// [`CauseId::NONE`] when disabled.
     #[inline]
     pub fn begin_update(&self) -> CauseId {
-        match &self.0 {
+        match self.cell() {
             None => CauseId::NONE,
-            Some(cell) => {
-                let mut cell = cell.lock().unwrap();
+            Some(mut cell) => {
                 let id = CauseId::new(cell.host, cell.next_update_seq);
                 cell.next_update_seq += 1;
                 cell.active_cause = id;
@@ -160,8 +169,8 @@ impl Tracer {
     /// Ends the active update scope begun by [`Tracer::begin_update`].
     #[inline]
     pub fn end_update(&self) {
-        if let Some(cell) = &self.0 {
-            cell.lock().unwrap().active_cause = CauseId::NONE;
+        if let Some(mut cell) = self.cell() {
+            cell.active_cause = CauseId::NONE;
         }
     }
 
@@ -171,8 +180,8 @@ impl Tracer {
     /// per executed tick, gated on [`Tracer::is_enabled`].
     #[inline]
     pub fn set_now(&self, at_ns: u64) {
-        if let Some(cell) = &self.0 {
-            cell.lock().unwrap().now_ns = at_ns;
+        if let Some(mut cell) = self.cell() {
+            cell.now_ns = at_ns;
         }
     }
 
@@ -190,8 +199,7 @@ impl Tracer {
         scoped: bool,
         applied: bool,
     ) {
-        if let Some(cell) = &self.0 {
-            let mut cell = cell.lock().unwrap();
+        if let Some(mut cell) = self.cell() {
             let at_ns = cell.now_ns;
             let cause = cell.active_cause;
             cell.push(
@@ -219,8 +227,7 @@ impl Tracer {
     /// detections are attributed to this flush's update.
     #[inline]
     pub fn emit_flush(&self, at_ns: u64, flushed: u32, scoped: bool) {
-        if let Some(cell) = &self.0 {
-            let mut cell = cell.lock().unwrap();
+        if let Some(mut cell) = self.cell() {
             let cause = cell.active_cause;
             if cause.is_some() {
                 cell.rebuild_cause = cause;
@@ -232,12 +239,9 @@ impl Tracer {
     /// Snapshots the cell: events in emission order plus the overwrite
     /// count. Empty when disabled.
     pub fn take(&self) -> (Vec<TraceEvent>, u64) {
-        match &self.0 {
+        match self.cell() {
             None => (Vec::new(), 0),
-            Some(cell) => {
-                let cell = cell.lock().unwrap();
-                (cell.events(), cell.dropped)
-            }
+            Some(cell) => (cell.events(), cell.dropped),
         }
     }
 }
@@ -326,6 +330,27 @@ mod tests {
             },
         );
         assert_eq!(t.take().0[2].cause, id);
+    }
+
+    #[test]
+    fn a_poisoned_ring_still_records_and_drains() {
+        let t = Tracer::for_host(TraceConfig::enabled(), 3);
+        t.emit_uncaused(1, TraceEventKind::Reconcile { pushes: 1 });
+        let held = t.clone();
+        let panicked = std::thread::spawn(move || {
+            let _guard = held.0.as_ref().map(|c| c.lock());
+            panic!("poison the ring's mutex");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(t.0.as_ref().is_some_and(|c| c.is_poisoned()));
+
+        let id = t.begin_update();
+        t.emit_flush(2, 4, false);
+        t.end_update();
+        let (events, dropped) = t.take();
+        assert_eq!((events.len(), dropped), (2, 0));
+        assert_eq!(events[1].cause, id);
     }
 
     #[test]

@@ -68,11 +68,6 @@ impl CauseId {
             Some((self.0 >> 32) as u32 - 1)
         }
     }
-
-    /// The per-host update sequence number of the causing update.
-    pub fn update_seq(&self) -> u32 {
-        self.0 as u32
-    }
 }
 
 /// One trace event: sim-time stamp, emitting host, per-host sequence
@@ -242,11 +237,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cause_id_roundtrips_host_and_seq() {
+    fn cause_id_roundtrips_its_host() {
         let id = CauseId::new(7, 42);
         assert!(id.is_some());
         assert_eq!(id.host(), Some(7));
-        assert_eq!(id.update_seq(), 42);
         assert_eq!(CauseId::NONE.host(), None);
         assert!(!CauseId::NONE.is_some());
         // Host 0, update 0 must still be distinguishable from NONE.

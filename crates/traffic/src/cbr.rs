@@ -15,9 +15,6 @@ pub struct CbrSource {
     /// target is recomputed from absolute elapsed time every tick).
     active_ns: u64,
     emitted: u64,
-    /// Emission window; outside it the source is silent.
-    start: SimTime,
-    stop: SimTime,
     label: String,
 }
 
@@ -31,24 +28,8 @@ impl CbrSource {
             pps,
             active_ns: 0,
             emitted: 0,
-            start: SimTime::ZERO,
-            stop: SimTime::from_nanos(u64::MAX),
             label: "cbr".to_string(),
         }
-    }
-
-    /// A source with a target bandwidth instead of a packet rate.
-    pub fn with_bandwidth(key: FlowKey, frame_bytes: usize, bits_per_sec: f64) -> Self {
-        let pps = bits_per_sec / (frame_bytes as f64 * 8.0);
-        Self::new(key, frame_bytes, pps)
-    }
-
-    /// Restricts emission to `[start, stop)`.
-    #[must_use]
-    pub fn active_between(mut self, start: SimTime, stop: SimTime) -> Self {
-        self.start = start;
-        self.stop = stop;
-        self
     }
 
     /// Names the source for reports.
@@ -66,11 +47,6 @@ impl CbrSource {
 
 impl TrafficSource for CbrSource {
     fn generate(&mut self, from: SimTime, to: SimTime, out: &mut Vec<GenPacket>) {
-        let from = from.max(self.start);
-        let to = to.min(self.stop);
-        if from >= to {
-            return;
-        }
         self.active_ns += (to - from).as_nanos();
         let target = (self.pps * self.active_ns as f64 / 1e9).floor() as u64;
         let n = target.saturating_sub(self.emitted);
@@ -85,14 +61,6 @@ impl TrafficSource for CbrSource {
 
     fn label(&self) -> &str {
         &self.label
-    }
-
-    fn next_activity(&self, from: SimTime) -> SimTime {
-        if self.start >= self.stop || from >= self.stop {
-            SimTime::NEVER
-        } else {
-            from.max(self.start)
-        }
     }
 }
 
@@ -130,28 +98,6 @@ mod tests {
         // 0.5 pps with 1 ms ticks: one packet every 2 s.
         let mut src = CbrSource::new(key(), 64, 0.5);
         assert_eq!(run(&mut src, 10, 1), 5);
-    }
-
-    #[test]
-    fn bandwidth_constructor_matches_pps() {
-        let src = CbrSource::with_bandwidth(key(), 1500, 1e9);
-        assert!((src.pps() - 83_333.3).abs() < 1.0);
-        let covert = CbrSource::with_bandwidth(key(), 64, 2e6);
-        assert!((covert.pps() - 3906.25).abs() < 0.01);
-    }
-
-    #[test]
-    fn window_bounds_emission() {
-        let mut src = CbrSource::new(key(), 64, 1000.0)
-            .active_between(SimTime::from_secs(2), SimTime::from_secs(3));
-        let mut out = Vec::new();
-        src.generate(SimTime::ZERO, SimTime::from_secs(1), &mut out);
-        assert!(out.is_empty(), "before start");
-        src.generate(SimTime::from_secs(2), SimTime::from_secs(3), &mut out);
-        assert_eq!(out.len(), 1000, "inside window");
-        out.clear();
-        src.generate(SimTime::from_secs(5), SimTime::from_secs(6), &mut out);
-        assert!(out.is_empty(), "after stop");
     }
 
     #[test]

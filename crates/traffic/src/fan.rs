@@ -57,11 +57,6 @@ impl FanSource {
         self
     }
 
-    /// Number of flows in the fan.
-    pub fn flow_count(&self) -> usize {
-        self.keys.len()
-    }
-
     /// The configured aggregate rate.
     pub fn pps(&self) -> f64 {
         self.pps
@@ -144,7 +139,6 @@ mod tests {
     fn reporting_helpers() {
         let s = FanSource::new(keys(3), 64, 10.0).named("victims");
         assert_eq!(s.label(), "victims");
-        assert_eq!(s.flow_count(), 3);
         assert_eq!(s.pps(), 10.0);
     }
 

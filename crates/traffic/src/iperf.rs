@@ -61,11 +61,6 @@ impl IperfSource {
     pub fn rate_bps(&self) -> f64 {
         self.rate_pps * self.frame_bytes as f64 * 8.0
     }
-
-    /// The configured ceiling in packets/second.
-    pub fn max_pps(&self) -> f64 {
-        self.max_pps
-    }
 }
 
 impl TrafficSource for IperfSource {
@@ -190,7 +185,6 @@ mod tests {
     fn reporting_helpers() {
         let src = IperfSource::new(key(), 1500, 1e9).named("victim");
         assert_eq!(src.label(), "victim");
-        assert!((src.max_pps() - 83_333.3).abs() < 1.0);
         assert!((src.rate_bps() - 1e9).abs() < 1e6);
     }
 }

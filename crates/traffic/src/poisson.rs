@@ -69,11 +69,6 @@ impl PoissonFlowSource {
         self
     }
 
-    /// Currently live flows (diagnostics).
-    pub fn live_flows(&self) -> usize {
-        self.live.len()
-    }
-
     fn spawn_flow(&mut self) {
         let (src, dst) = self.endpoints[self.rng.gen_range(self.endpoints.len() as u64) as usize];
         let sport = self.next_sport;
@@ -239,7 +234,7 @@ mod tests {
                 &mut out,
             );
         }
-        assert_eq!(src.live_flows(), 0, "all bounded flows must finish");
+        assert_eq!(src.live.len(), 0, "all bounded flows must finish");
     }
 
     #[test]

@@ -9,6 +9,8 @@
 //! (The full 150 s reproduction lives in
 //! `cargo run --release -p pi_bench --bin results -- fig3`.)
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // example: fail loudly
+
 use policy_injection::prelude::*;
 
 fn main() {

@@ -7,6 +7,8 @@
 //! cargo run --release --example openstack_sweep
 //! ```
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // example: fail loudly
+
 use policy_injection::prelude::*;
 
 fn main() {

@@ -15,6 +15,8 @@
 //! exists on `ovs_cache`, the others show what the same injection does
 //! to an architecture without a tuple space.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // example: fail loudly
+
 use policy_injection::prelude::*;
 
 fn main() {

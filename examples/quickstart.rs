@@ -12,6 +12,8 @@
 //! default is the paper's OVS pipeline. Running the same injection
 //! against `exact_hash` shows a backend with no mask space to inflate.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // example: fail loudly
+
 use policy_injection::prelude::*;
 
 fn main() {

@@ -24,7 +24,7 @@
 //! | [`pi_mitigation`] | mask budgets, OVS heuristics, mask attribution, per-tenant quotas |
 //! | [`pi_detect`] | telemetry taps, streaming detectors, closed-loop adaptive defense |
 //! | [`pi_fault`] | deterministic fault injection, lossy control channels, at-least-once delivery + reconciliation |
-//! | [`pi_metrics`] | time series, histograms, CSV, ASCII plots |
+//! | [`pi_metrics`] | time series, CSV, ASCII plots |
 //! | [`pi_trace`] | deterministic structured tracing: causality ids, per-host event rings, Chrome/Prometheus exporters |
 //! | [`pi_sim`] | the simulator: the one sharded event-driven engine, tenant placement, and all eight experiments (testbed and fleet) as recipes over shared parts |
 //!
@@ -97,9 +97,9 @@ pub mod prelude {
         adaptive_defense_scenario, crash_recovery_scenario, fig3_scenario, fleet_colocation,
         fleet_migration, fleet_sparse, measure_backend_capacity, measure_capacity,
         policy_churn_scenario, upcall_saturation_scenario, AdaptiveDefenseParams, BlastRadius,
-        CapacityWorkload, ClusterBuilder, ColocationParams, CrashRecoveryAttack,
-        CrashRecoveryParams, DefenseMode, Fig3Params, FleetBuilder, FleetConfig, FleetReport,
-        Handles, MigrationParams, PolicyChurnParams, SimConfig, SimReport, SparseParams,
+        BuildError, CapacityWorkload, ClusterBuilder, ColocationParams, CrashRecoveryAttack,
+        CrashRecoveryParams, DefenseMode, Fig3Params, FleetBuilder, FleetReport, Handles,
+        MigrationParams, PolicyChurnParams, SimConfig, SimReport, SparseParams,
         UpcallSaturationParams,
     };
     pub use pi_trace::{

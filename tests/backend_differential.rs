@@ -17,6 +17,8 @@
 //! worker-count determinism for the *non*-OVS backends, which replay
 //! node shards across threads.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // test helpers: fail loudly
+
 use pi_attack::AttackSpec;
 use pi_backend::{build_backend, DataplaneBackend, DefenseAction};
 use pi_classifier::PolicyUpdate;
@@ -324,16 +326,14 @@ fn ovs_adapter_is_bit_identical_on_the_saturation_workload() {
 #[test]
 fn fleet_worker_count_is_deterministic_for_every_backend() {
     use pi_datapath::BackendKind;
-    use pi_sim::{FleetBuilder, FleetConfig, SimConfig};
+    use pi_sim::{FleetBuilder, SimConfig};
     use pi_traffic::CbrSource;
 
     let run = |workers: usize| {
-        let cfg = FleetConfig {
-            sim: SimConfig {
-                duration: SimTime::from_secs(3),
-                ..SimConfig::default()
-            },
+        let cfg = SimConfig {
+            duration: SimTime::from_secs(3),
             workers,
+            ..SimConfig::default()
         };
         let mut b = FleetBuilder::new(cfg);
         // One host per backend kind; ring traffic between them.
@@ -351,7 +351,7 @@ fn fleet_worker_count_is_deterministic_for_every_backend() {
             let key = FlowKey::tcp([10, i, 0, 1], [10, next, 0, 1], 1000 + i as u16, 80);
             b.add_source(i as usize, Box::new(CbrSource::new(key, 800, 500.0)));
         }
-        b.build().run()
+        b.build().unwrap().run()
     };
     let one = run(1);
     let four = run(4);

@@ -13,11 +13,13 @@
 //! receipts travel back to another host, and a scheduled migration
 //! that re-points every shard's route table and wakes an idle host.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // test helpers: fail loudly
+
 use pi_attack::{AttackSchedule, AttackSpec, CovertSequence};
 use pi_cms::PolicyDialect;
 use pi_core::SimTime;
 use pi_datapath::{DpConfig, PipelineMode, UpcallPipelineConfig};
-use pi_sim::{FleetBuilder, FleetConfig, FleetReport, SimConfig};
+use pi_sim::{FleetBuilder, FleetReport, SimConfig};
 use pi_traffic::ChurnSource;
 
 const HOSTS: usize = 16;
@@ -38,14 +40,12 @@ fn sparse_fleet(event_driven: bool, workers: usize) -> FleetReport {
         }),
         ..DpConfig::default()
     };
-    let mut b = FleetBuilder::new(FleetConfig {
-        sim: SimConfig {
-            duration: SimTime::from_millis(2_500),
-            sample_interval: SimTime::from_millis(250),
-            event_driven,
-            ..SimConfig::default()
-        },
+    let mut b = FleetBuilder::new(SimConfig {
+        duration: SimTime::from_millis(2_500),
+        sample_interval: SimTime::from_millis(250),
+        event_driven,
         workers,
+        ..SimConfig::default()
     });
     // Host 0's small flow table keeps the flood's flows upcalling.
     b.add_host(DpConfig {
@@ -113,7 +113,7 @@ fn sparse_fleet(event_driven: bool, workers: usize) -> FleetReport {
 
     // Mid-run the victim pod moves to a host that was idle until then.
     b.schedule_migration(SimTime::from_millis(1_500), ip(VICTIM), MIGRATION_TARGET);
-    b.build().run()
+    b.build().unwrap().run()
 }
 
 /// Everything the simulation decided, Debug-rendered; leaves out only

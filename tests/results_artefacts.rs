@@ -6,6 +6,8 @@
 //! (the same comparison through `git status`, over all twelve), because
 //! they alone take more than a few seconds.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // test helpers: fail loudly
+
 use std::path::Path;
 
 fn regenerates(name: &str) {

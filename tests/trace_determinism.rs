@@ -12,6 +12,8 @@
 //! Plus the engine self-profiling surface: `SimReport::engine` agrees
 //! between the event-driven and tick-stepped single-host engines.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // test helpers: fail loudly
+
 use policy_injection::pi_cms::{IngressRule, Protocol};
 use policy_injection::prelude::*;
 
@@ -21,13 +23,11 @@ use policy_injection::prelude::*;
 /// lossy, duplicating, reordering channel on host 1, and bystander
 /// traffic on host 2.
 fn run_fleet(workers: usize, trace: TraceConfig) -> FleetReport {
-    let mut b = FleetBuilder::new(FleetConfig {
-        sim: SimConfig {
-            duration: SimTime::from_secs(6),
-            trace,
-            ..SimConfig::default()
-        },
+    let mut b = FleetBuilder::new(SimConfig {
+        duration: SimTime::from_secs(6),
+        trace,
         workers,
+        ..SimConfig::default()
     });
     let clients = 256usize;
     let victim_ip = u32::from_be_bytes([10, 0, 0, 10]);
@@ -115,7 +115,7 @@ fn run_fleet(workers: usize, trace: TraceConfig) -> FleetReport {
     );
     let key = FlowKey::tcp([10, 2, 9, 9], [10, 1, 0, 10], 1000, 80);
     b.add_source(2, Box::new(CbrSource::new(key, 800, 500.0)));
-    b.build().run()
+    b.build().unwrap().run()
 }
 
 /// The physics fingerprint: every report component except the trace

@@ -20,14 +20,11 @@ fn ip(a: [u8; 4]) -> u32 {
 #[test]
 fn bounded_zero_pressure_matches_inline_verdicts_and_routing() {
     let run = |pipeline: PipelineMode| {
-        let mut b = FleetBuilder::new(FleetConfig {
-            sim: SimConfig {
-                duration: SimTime::from_secs(3),
-                // Generous budget: no capacity pressure anywhere.
-                cpu_cycles_per_sec: 100_000_000_000,
-                ..SimConfig::default()
-            },
-            workers: 1,
+        let mut b = FleetBuilder::new(SimConfig {
+            duration: SimTime::from_secs(3),
+            // Generous budget: no capacity pressure anywhere.
+            cpu_cycles_per_sec: 100_000_000_000,
+            ..SimConfig::default()
         });
         let node = b.add_host(DpConfig {
             pipeline,
@@ -65,7 +62,7 @@ fn bounded_zero_pressure_matches_inline_verdicts_and_routing() {
             node,
             Box::new(ChurnSource::new(ip([10, 3, 0, 0]), pod, 80, 64, 1_000.0)),
         );
-        b.build().run()
+        b.build().unwrap().run()
     };
     let inline = run(PipelineMode::Inline);
     let bounded = run(PipelineMode::Bounded(UpcallPipelineConfig::unbounded()));
