@@ -2,7 +2,7 @@
 
 CARGO ?= cargo
 
-.PHONY: build test audit fmt-check clippy results results-check benchmark benchmark-smoke benchmark-test benchmark-one benchmark-digests example-fleet clean
+.PHONY: build test audit fmt-check clippy results results-check benchmark benchmark-smoke benchmark-test benchmark-one benchmark-digests benchmark-pair example-fleet clean
 
 build:
 	$(CARGO) build --release
@@ -89,6 +89,39 @@ benchmark-digests:
 		echo "building or running the benchmark changed tracked files under benchmark/:"; \
 		echo "$$touched"; exit 1; \
 	fi
+
+# The before/after procedure for a claimed gain: two *prebuilt* benchmark
+# binaries (one per commit, each built once with its own
+# CARGO_TARGET_DIR), N alternated pairs of the command `BENCHMARK.json`
+# declares, the first side swapping every pair. Prints each run's
+# result-line `wall_s`, then per side the median and quartiles, and the
+# pairs the change won (ties count for neither). Run nothing else
+# meanwhile.
+N ?= 10
+SEED ?= 2018
+
+benchmark-pair:
+	@test -x "$(PARENT)" -a -x "$(CHANGE)" -a -n "$(W)" || { \
+		echo "usage: make benchmark-pair PARENT=<binary> CHANGE=<binary> W=<workload> [N=10] [SEED=2018]"; exit 2; }
+	@wall() { "$$1" --workload $(W) --seed $(SEED) --seconds 15 --trace 0 \
+		| sed -n '$$s/.*"wall_s": {"value": \([0-9.e-]*\).*/\1/p'; }; \
+	i=1; while [ $$i -le $(N) ]; do \
+		if [ $$((i % 2)) -eq 1 ]; then p=$$(wall "$(PARENT)"); c=$$(wall "$(CHANGE)"); \
+		else c=$$(wall "$(CHANGE)"); p=$$(wall "$(PARENT)"); fi; \
+		echo "$$i $$p $$c"; i=$$((i + 1)); \
+	done | awk ' \
+		function q(v, n, f,    h, lo) { h = (n - 1) * f + 1; lo = int(h); \
+			return v[lo] + (h - lo) * (v[lo < n ? lo + 1 : lo] - v[lo]) } \
+		function side(name, v, n,    i, j, t) { \
+			for (i = 2; i <= n; i++) { t = v[i]; for (j = i - 1; j > 0 && v[j] > t; j--) v[j + 1] = v[j]; v[j + 1] = t } \
+			printf "%-7s median %.4f  q1 %.4f  q3 %.4f\n", name, q(v, n, .5), q(v, n, .25), q(v, n, .75) } \
+		NF != 3 { print "pair " $$1 ": a run printed no wall_s"; bad = 1; next } \
+		{ printf "pair %2d  parent %.4f  change %.4f\n", $$1, $$2, $$3; \
+		  n++; p[n] = $$2; c[n] = $$3; wins += ($$3 < $$2); ties += ($$3 == $$2) } \
+		END { if (bad || !n) exit 1; side("parent", p, n); pm = q(p, n, .5); iqr = q(p, n, .75) - q(p, n, .25); \
+		  side("change", c, n); cm = q(c, n, .5); \
+		  printf "$(W) wall_s: change/parent %.3f, change faster in %d of %d pairs (%d ties), medians %.4f apart, parent IQR %.4f\n", \
+			cm / pm, wins, n, ties, pm - cm, iqr }'
 
 example-fleet:
 	$(CARGO) run --release --example fleet_blast_radius

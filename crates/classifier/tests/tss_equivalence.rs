@@ -442,6 +442,11 @@ fn assert_same_state(tss: &TupleSpaceSearch<u64>, reference: &ReferenceTss) {
     let storage = tss.storage();
     assert_eq!(storage.head_classes, reference.heads_peak);
     assert!(storage.dead_slots * 2 <= storage.arena_slots);
+    // A row carries its subtable's tag exactly while the subtable holds
+    // one entry. No lookup can tell: a row that lost its tag still
+    // answers correctly, just from the arena.
+    let singletons = reference.subtables.iter().filter(|s| s.entries.len() == 1);
+    assert_eq!(storage.inline_rows, singletons.count(), "rows with a tag");
 }
 
 /// Differential test: a randomized interleaving of inserts, removes,
@@ -564,4 +569,69 @@ fn insert_remove_is_identity() {
         let after: Vec<Option<u64>> = probes.iter().map(|p| tss.peek(p).value.copied()).collect();
         assert_eq!(before, after);
     });
+}
+
+/// One subtable stepped 0 → 1 → 2 → 1 → 0 entries by `insert` /
+/// `remove` and N → 1 by `retain`, behind a two-entry bystander and a
+/// one-entry one: after every step the rows carrying a tag are exactly
+/// the one-entry subtables, every resident entry's witness hits, and a
+/// packet no entry covers misses after probing every subtable.
+#[test]
+fn row_tag_follows_a_subtable_through_one_entry() {
+    let at = |ip: [u8; 4], mask: FlowMask| {
+        MaskedKey::new(FlowKey::tcp(ip, [192, 168, 0, 1], 0, 0), mask)
+    };
+    let slash16 = FlowMask::default().with_prefix(Field::IpSrc, 16);
+    let slash24 = FlowMask::default().with_prefix(Field::IpSrc, 24);
+    let subject = |n: u8| at([20, 0, n, 0], slash24);
+    let stranger = FlowKey::tcp([172, 16, 0, 1], [192, 168, 0, 1], 1, 2);
+
+    let mut tss: TupleSpaceSearch<u64> = TupleSpaceSearch::default();
+    let mut reference = ReferenceTss::new(None);
+    let check = |tss: &mut TupleSpaceSearch<u64>, reference: &mut ReferenceTss, tagged| {
+        assert_same_state(tss, reference);
+        assert_eq!(tss.storage().inline_rows, tagged);
+        for (resident, v) in reference.iter_sequence() {
+            assert_eq!(
+                tss.peek(&resident.witness()).value,
+                Some(&v),
+                "{resident:?}"
+            );
+        }
+        let miss = tss.lookup(&stranger);
+        let got = (miss.value.copied(), miss.probes, miss.stage_checks);
+        assert_eq!(got, reference.lookup(&stranger));
+        assert_eq!((got.0, got.1), (None, reference.subtables.len()));
+    };
+    let put = |tss: &mut TupleSpaceSearch<u64>, reference: &mut ReferenceTss, mk, v| {
+        assert_eq!(tss.insert(mk, v), reference.insert(&mk, v));
+    };
+    let take = |tss: &mut TupleSpaceSearch<u64>, reference: &mut ReferenceTss, mk| {
+        assert_eq!(tss.remove(&mk), reference.remove(&mk));
+    };
+
+    put(&mut tss, &mut reference, at([10, 0, 0, 0], slash16), 1);
+    put(&mut tss, &mut reference, at([10, 1, 0, 0], slash16), 2);
+    let lone = at([30, 0, 9, 0], slash24.with_exact(Field::TpDst));
+    put(&mut tss, &mut reference, lone, 3);
+    check(&mut tss, &mut reference, 1);
+
+    put(&mut tss, &mut reference, subject(1), 5);
+    check(&mut tss, &mut reference, 2);
+    put(&mut tss, &mut reference, subject(2), 6);
+    check(&mut tss, &mut reference, 1);
+    take(&mut tss, &mut reference, subject(1));
+    check(&mut tss, &mut reference, 2);
+    take(&mut tss, &mut reference, subject(2));
+    check(&mut tss, &mut reference, 1);
+
+    // N → 1 by `retain`, out of a region that grew to 32 slots.
+    for n in 0..20 {
+        put(&mut tss, &mut reference, subject(n), 100 + u64::from(n));
+    }
+    check(&mut tss, &mut reference, 1);
+    tss.retain(|_, v| *v < 100 || *v == 107);
+    reference.retain(|v| v < 100 || v == 107);
+    check(&mut tss, &mut reference, 2);
+    assert_eq!(tss.get(&subject(7)), Some(&107));
 }

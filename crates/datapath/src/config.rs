@@ -74,9 +74,11 @@ pub struct DpConfig {
     /// Whether the first-level exact-match cache exists at all (the
     /// cache-less ablation turns it off).
     pub emc_enabled: bool,
-    /// Microflow cache capacity in entries (OVS EMC default: 8192).
+    /// Microflow cache capacity in entries (OVS EMC default: 8192),
+    /// rounded up to a power-of-two number of sets, at least one.
     pub emc_entries: usize,
-    /// Set associativity of the microflow cache (OVS: 2-way).
+    /// Set associativity of the microflow cache (OVS: 2-way); 0 is
+    /// taken as 1.
     pub emc_ways: usize,
     /// Probability of inserting a flow into the microflow cache after a
     /// megaflow hit. OVS-DPDK ships 1/100 to bound insertion overhead;

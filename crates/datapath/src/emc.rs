@@ -57,13 +57,15 @@ pub struct MicroflowCache {
 impl MicroflowCache {
     /// Creates a cache with `entries` total slots and `ways`
     /// associativity. `entries` is rounded up so the set count is a
-    /// power of two (index = hash & (sets-1), as in OVS).
+    /// power of two (index = hash & (sets-1), as in OVS); `ways` is at
+    /// least 1 and there is at least one set, whatever was asked for.
+    /// The slots are allocated by the first insertion: a switch that
+    /// never sees a packet, or never promotes one, holds none.
     pub fn new(entries: usize, ways: usize, insert_prob: f64, seed: u64) -> Self {
-        assert!(ways >= 1, "need at least one way");
-        assert!(entries >= ways, "capacity below one set");
+        let ways = ways.max(1);
         let sets = entries.div_ceil(ways).next_power_of_two();
         MicroflowCache {
-            slots: vec![None; sets * ways],
+            slots: Vec::new(),
             sets,
             ways,
             insert_prob,
@@ -112,6 +114,7 @@ impl MicroflowCache {
 
     /// [`MicroflowCache::lookup`] with the key's flow hash already
     /// computed (the datapath hashes each packet once for all levels).
+    // audit: hotpath
     pub fn lookup_hashed(
         &mut self,
         hash: u64,
@@ -120,7 +123,12 @@ impl MicroflowCache {
         now: SimTime,
     ) -> Option<Action> {
         let base = self.set_index(hash) * self.ways;
-        for e in self.slots[base..base + self.ways].iter_mut().flatten() {
+        // No set at all before the first insertion.
+        let Some(set) = self.slots.get_mut(base..base + self.ways) else {
+            self.stats.misses += 1;
+            return None;
+        };
+        for e in set.iter_mut().flatten() {
             if e.generation == generation && e.key == *key {
                 e.last_used = now;
                 self.stats.hits += 1;
@@ -150,6 +158,9 @@ impl MicroflowCache {
         if self.insert_prob < 1.0 && !self.rng.gen_bool(self.insert_prob) {
             self.stats.skipped_inserts += 1;
             return false;
+        }
+        if self.slots.is_empty() {
+            self.allocate();
         }
         let base = self.set_index(hash) * self.ways;
         let set = &mut self.slots[base..base + self.ways];
@@ -191,6 +202,12 @@ impl MicroflowCache {
         });
         self.stats.inserts += 1;
         true
+    }
+
+    /// The one-time allocation of the slots, out of the insert path.
+    #[cold]
+    fn allocate(&mut self) {
+        self.slots = vec![None; self.capacity()];
     }
 
     /// Evicts every entry whose flow is addressed **to** `ip` (host
@@ -359,8 +376,31 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one way")]
-    fn zero_ways_panics() {
-        MicroflowCache::new(8, 0, 1.0, 0);
+    fn any_geometry_builds_a_working_cache() {
+        // Both numbers are `pub` config fields: none may panic.
+        for (entries, ways) in [(0, 0), (0, 2), (1, 4), (3, 2)] {
+            let mut c = MicroflowCache::new(entries, ways, 1.0, 0);
+            assert!(c.capacity() >= ways.max(1), "({entries}, {ways})");
+            let t = SimTime::ZERO;
+            assert_eq!(c.lookup(&key(1), 0, t), None, "empty cache misses");
+            assert!(c.insert(&key(1), Action::Allow, 0, t));
+            assert_eq!(c.lookup(&key(1), 0, t), Some(Action::Allow));
+            assert_eq!(c.stats().misses, 1);
+        }
+    }
+
+    #[test]
+    fn slots_are_allocated_by_the_first_insert() {
+        let mut c = MicroflowCache::new(8192, 2, 0.0, 0);
+        assert_eq!(c.capacity(), 8192);
+        assert_eq!(c.lookup(&key(1), 0, SimTime::ZERO), None);
+        assert!(!c.insert(&key(1), Action::Allow, 0, SimTime::ZERO));
+        assert_eq!(c.evict_destination(u32::from_be_bytes([10, 0, 0, 1])), 0);
+        c.clear();
+        assert_eq!(c.occupancy(0), 0);
+        assert!(c.slots.is_empty(), "nothing was ever promoted");
+        c.insert_prob = 1.0;
+        assert!(c.insert(&key(1), Action::Allow, 0, SimTime::ZERO));
+        assert_eq!(c.slots.len(), 8192);
     }
 }
