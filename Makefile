@@ -2,7 +2,7 @@
 
 CARGO ?= cargo
 
-.PHONY: build test audit fmt-check clippy results results-check benchmark benchmark-smoke benchmark-test benchmark-one benchmark-digests benchmark-pair example-fleet clean
+.PHONY: build test audit fmt-check clippy loc results results-check benchmark benchmark-smoke benchmark-test benchmark-one benchmark-digests benchmark-pair example-fleet clean
 
 build:
 	$(CARGO) build --release
@@ -24,6 +24,18 @@ fmt-check:
 # clock / OS-seeded-hasher ban (`clippy.toml`).
 clippy:
 	$(CARGO) clippy --workspace --all-targets -- -D warnings
+
+# Code size: lines under crates/*/src that are neither blank nor a `//`
+# comment (doc comments included), each file cut at its first
+# `#[cfg(test)]`; per crate, then the workspace total.
+loc:
+	@find crates -path 'crates/*/src/*' -name '*.rs' | LC_ALL=C sort | xargs awk ' \
+		FNR == 1 { split(FILENAME, p, "/"); c = p[2]; cut = 0; if (c != last) { order[++n] = c; last = c } } \
+		/^[ \t]*#\[cfg\(test\)\]/ { cut = 1 } \
+		cut || /^[ \t]*$$/ || /^[ \t]*\/\// { next } \
+		{ lines[c]++; total++ } \
+		END { for (i = 1; i <= n; i++) printf "%-12s %6d\n", order[i], lines[order[i]]; \
+			printf "%-12s %6d\n", "total", total }'
 
 # Regenerates every artefact under results/ (the paper's figures and
 # tables, the five scenario BENCH_*.json, the trace snapshot and

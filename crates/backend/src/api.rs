@@ -249,8 +249,9 @@ pub fn process_one(
 pub fn build_backend(config: DpConfig, cost: CostModel) -> Box<dyn DataplaneBackend> {
     match config.backend {
         BackendKind::OvsCache => Box::new(VSwitch::with_cost_model(config, cost)),
-        BackendKind::ExactHash => Box::new(crate::ExactHash::new(config, cost)),
+        BackendKind::ExactHash | BackendKind::NicOffload => {
+            Box::new(crate::ExactTable::new(config, cost))
+        }
         BackendKind::LpmTier => Box::new(crate::LpmTier::new(config, cost)),
-        BackendKind::NicOffload => Box::new(crate::NicOffload::new(config, cost)),
     }
 }

@@ -10,9 +10,13 @@
 //! | backend | architecture | policy-injection surface |
 //! |---|---|---|
 //! | [`BackendKind::OvsCache`] ([`VSwitch`]) | shared EMC + tuple-space megaflow cache + slow path | **full**: mask explosion, EMC thrash, upcall flood, flush storms |
-//! | [`BackendKind::ExactHash`] ([`ExactHash`]) | eBPF/Cilium-style exact-match connection map | per-flow setup cost only — no mask space to explode |
+//! | [`BackendKind::ExactHash`] ([`ExactTable`], refuse when full) | eBPF/Cilium-style exact-match connection map | per-flow setup cost only — no mask space to explode |
 //! | [`BackendKind::LpmTier`] ([`LpmTier`]) | DPDK-style compiled longest-prefix tier, no flow cache | fixed per-packet walk — immune to cache-state attacks |
-//! | [`BackendKind::NicOffload`] ([`NicOffload`]) | bounded SmartNIC offload table + costed host fallback | **partial**: offload-table thrash re-exposes the host CPU |
+//! | [`BackendKind::NicOffload`] ([`ExactTable`], FIFO-evict when full) | bounded SmartNIC offload table + costed host fallback | **partial**: offload-table thrash re-exposes the host CPU |
+//!
+//! The two exact-match kinds are one implementation ([`exact`]): the
+//! same table of `(verdict, last use)` over the same pod table, differing
+//! only in what a full table does with one more flow.
 //!
 //! Every backend charges cycles through the same [`CostModel`] — costs
 //! are a function of the *counted work* each architecture performs
@@ -41,17 +45,14 @@
 
 pub mod api;
 pub mod exact;
-pub mod host;
 pub mod lpm;
-pub mod nic;
 pub mod ovs;
 
 pub use api::{
     build_backend, process_one, DataplaneBackend, DataplaneStats, DefenseAction, BATCH_SIZE,
 };
-pub use exact::ExactHash;
+pub use exact::ExactTable;
 pub use lpm::LpmTier;
-pub use nic::NicOffload;
 
 // Re-exported so backend consumers need only this crate for the common
 // vocabulary types.

@@ -269,6 +269,136 @@ fn verdicts_equal_linear_classification_on_random_policies() {
     });
 }
 
+/// FNV-1a, 64-bit, over `Debug` renderings (the helper the testbed
+/// goldens digest whole reports with).
+struct Fnv(u64);
+
+impl Fnv {
+    fn debug(&mut self, v: &impl std::fmt::Debug) {
+        for b in format!("{v:?}").bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// One scripted run through an exact-match backend, digested: every
+/// packet outcome, policy-update / actuation / restart outcome, the
+/// background deadline after every sweep, and the final snapshot and
+/// attribution. The script crosses the full-table bound of both kinds
+/// (`flow_limit` 64 for `exact_hash`, more than 2 048 distinct flows for
+/// `nic_offload`), re-installs an ACL, quarantines and releases a
+/// destination, idles entries out, crashes, and keeps sending after the
+/// restart.
+fn exact_match_trace_digest(kind: BackendKind) -> u64 {
+    let dp = DpConfig {
+        backend: kind,
+        flow_limit: 64,
+        ..DpConfig::default()
+    };
+    let mut boxed = build_backend(dp, CostModel::default());
+    let be = &mut *boxed;
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    let bystander = u32::from_be_bytes([10, 0, 0, 98]);
+    // Distinct for every `i` below 2^16: a third from denied sources, a
+    // fifth towards the bystander.
+    let flow = |i: u32| {
+        let src = [
+            if i.is_multiple_of(3) { 99 } else { 10 },
+            (i >> 8) as u8,
+            i as u8,
+            1,
+        ];
+        let dst = if i.is_multiple_of(5) { bystander } else { POD };
+        FlowKey::tcp(src, dst.to_be_bytes(), 1000 + (i % 7) as u16, 5201)
+    };
+    let send = |be: &mut dyn DataplaneBackend, h: &mut Fnv, keys: &[FlowKey], now| {
+        let n = be.process_batch(keys, now, &mut |i, o| {
+            h.debug(&(i, o));
+            true
+        });
+        h.debug(&n);
+        be.revalidate(now);
+        h.debug(&be.next_background_event(now));
+    };
+
+    for update in [
+        PolicyUpdate::AttachPod {
+            ip: POD,
+            vport: VPORT,
+        },
+        PolicyUpdate::AttachPod {
+            ip: bystander,
+            vport: 5,
+        },
+        PolicyUpdate::InstallAcl {
+            ip: POD,
+            table: fig2_acl(),
+        },
+    ] {
+        h.debug(&be.apply_update(update, false));
+    }
+
+    // Fill past both bounds, each batch re-sending a few earlier flows:
+    // hits while they are cached, re-faults once replaced or refused.
+    for step in 0..24u32 {
+        let now = SimTime::from_millis(1 + u64::from(step));
+        let mut keys: Vec<FlowKey> = (step * 96..(step + 1) * 96).map(flow).collect();
+        keys.extend((0..8).map(|j| flow(step * 37 + j * 11)));
+        send(be, &mut h, &keys, now);
+    }
+
+    // Re-install the ACL (charged), then quarantine and release the
+    // bystander with traffic towards it in between.
+    let t = SimTime::from_secs(5);
+    let update = PolicyUpdate::InstallAcl {
+        ip: POD,
+        table: fig2_acl(),
+    };
+    h.debug(&be.apply_update(update, true));
+    let recent: Vec<FlowKey> = (2200..2240).map(flow).collect();
+    send(be, &mut h, &recent, t);
+    h.debug(&be.actuate(DefenseAction::Quarantine(bystander)));
+    send(be, &mut h, &recent, t);
+    h.debug(&be.actuate(DefenseAction::ReleaseQuarantine(bystander)));
+    h.debug(&be.actuate(DefenseAction::SetStagedLookup(true)));
+    send(be, &mut h, &recent, t);
+    h.debug(&be.snapshot());
+
+    // Past `idle_timeout` for the first phase only, then for everything.
+    for secs in [12, 16] {
+        let now = SimTime::from_secs(secs);
+        send(be, &mut h, &(3000..3010).map(flow).collect::<Vec<_>>(), now);
+        h.debug(&be.snapshot());
+        h.debug(&be.attribution());
+    }
+
+    // Crash, then traffic over the policy-less restart.
+    h.debug(&be.crash_restart());
+    h.debug(&be.installed_acl_ips());
+    let after: Vec<FlowKey> = (0..200).map(flow).collect();
+    send(be, &mut h, &after, SimTime::from_secs(17));
+    send(be, &mut h, &after, SimTime::from_secs(18));
+    h.debug(&be.snapshot());
+    h.debug(&be.attribution());
+    h.0
+}
+
+/// Captured from the two exact-match kinds while they were still two
+/// separate implementations; the one implementation that replaced them
+/// must keep reproducing both. A mismatch prints the digests computed.
+#[test]
+fn exact_match_backends_reproduce_their_golden_traces() {
+    let goldens = [
+        (BackendKind::ExactHash, 0x4b37_c13a_875f_ca2f),
+        (BackendKind::NicOffload, 0x0d6e_32f1_2d4d_c6b8),
+    ];
+    let got = goldens.map(|(kind, _)| (kind, exact_match_trace_digest(kind)));
+    assert!(
+        got == goldens,
+        "trace digests {got:x?} differ from the goldens {goldens:x?}"
+    );
+}
+
 /// The OVS adapter's snapshot is the inherent getters, field by field —
 /// on a bounded pipeline with a backlog, so no field is trivially zero.
 #[test]

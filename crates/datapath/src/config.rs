@@ -93,8 +93,9 @@ pub struct DpConfig {
     pub idle_timeout: SimTime,
     /// Cadence of the revalidator's idle sweep (OVS sweeps roughly once
     /// a second). Values of zero are clamped to 1 ns by the
-    /// revalidator. Runtime-adjustable via
-    /// [`crate::VSwitch::set_revalidator_interval`].
+    /// revalidator ([`crate::Revalidator::new`]). Fixed at construction;
+    /// sweeps fall on this interval's grid. The exact-match backends
+    /// sweep on the same cadence.
     pub revalidator_interval: SimTime,
     /// Scope of the cache invalidation a policy change triggers. False
     /// (the OVS behaviour the paper attacks) flushes the megaflow cache

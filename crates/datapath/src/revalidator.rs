@@ -51,22 +51,6 @@ impl Revalidator {
         self.idle_timeout
     }
 
-    /// The sweep interval in force.
-    pub fn interval(&self) -> SimTime {
-        self.interval
-    }
-
-    /// Changes the sweep interval at runtime, re-arming `next_due` on
-    /// the new interval's grid: the next deadline becomes the smallest
-    /// whole multiple of `interval` strictly after `now`. Zero is
-    /// clamped to 1 ns, as in [`Revalidator::new`].
-    pub fn set_interval(&mut self, interval: SimTime, now: SimTime) {
-        let interval = interval.max(SimTime::from_nanos(1));
-        self.interval = interval;
-        let periods = now.as_nanos() / interval.as_nanos();
-        self.next_due = SimTime::from_nanos((periods + 1) * interval.as_nanos());
-    }
-
     /// When the next sweep is due. Always a whole multiple of the
     /// interval: a step that overshoots (a long simulation gap, or a
     /// handler drain that ran past the boundary) re-anchors to the
@@ -196,32 +180,6 @@ mod tests {
             r.maybe_sweep(&mut mfc, SimTime::from_secs(s) + SimTime::from_millis(999));
             assert_eq!(r.next_due(), SimTime::from_secs(s + 1));
         }
-    }
-
-    #[test]
-    fn set_interval_rearms_on_the_new_grid() {
-        let mut r = Revalidator::new(SimTime::from_secs(1), SimTime::from_secs(10));
-        let mut mfc = cache_with(1, SimTime::ZERO);
-        assert!(r.maybe_sweep(&mut mfc, SimTime::from_secs(2)).is_some());
-        assert_eq!(r.next_due(), SimTime::from_secs(3));
-        // Shrink to 250 ms at t = 2.1 s: the next deadline is the grid
-        // point 2.25 s, not 2.1 s + 250 ms and not the stale 3 s.
-        r.set_interval(SimTime::from_millis(250), SimTime::from_millis(2_100));
-        assert_eq!(r.interval(), SimTime::from_millis(250));
-        assert_eq!(r.next_due(), SimTime::from_millis(2_250));
-        assert!(r
-            .maybe_sweep(&mut mfc, SimTime::from_millis(2_249))
-            .is_none());
-        assert!(r
-            .maybe_sweep(&mut mfc, SimTime::from_millis(2_250))
-            .is_some());
-        assert_eq!(r.next_due(), SimTime::from_millis(2_500));
-        // Landing exactly on a grid point re-arms to the *next* one.
-        r.set_interval(SimTime::from_secs(1), SimTime::from_secs(4));
-        assert_eq!(r.next_due(), SimTime::from_secs(5));
-        // Growing the interval also re-anchors (no sweep owed at 2.75 s).
-        r.set_interval(SimTime::ZERO, SimTime::from_secs(5));
-        assert_eq!(r.interval(), SimTime::from_nanos(1), "zero clamps");
     }
 
     #[test]

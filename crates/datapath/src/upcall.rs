@@ -36,6 +36,16 @@
 //! packet, the bounded pipeline is observationally identical to the
 //! inline mode — pinned bit-for-bit by
 //! `crates/datapath/tests/upcall_equivalence.rs`.
+//!
+//! Both modes resolve a miss through the same `VSwitch::classify_miss`;
+//! they differ only in when the install lands and which budget pays.
+//! [`PipelineMode::Inline`] stays distinct from a `Bounded` pipeline
+//! with infinite knobs on purpose: at tick granularity an inline miss is
+//! charged to the datapath's budget and installed before the next
+//! packet, a bounded one to the handler's budget at the step-end flush.
+//! The equivalence above holds only at one drain per packet; folding
+//! `Inline` into `Bounded` would change every inline scenario's numbers,
+//! all five benchmark digests among them.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
@@ -81,13 +91,6 @@ pub enum PipelineMode {
     /// Misses are deferred through the bounded handler pipeline and
     /// resolved by [`crate::VSwitch::drain_upcalls`].
     Bounded(UpcallPipelineConfig),
-}
-
-impl PipelineMode {
-    /// True for the bounded pipeline.
-    pub fn is_bounded(&self) -> bool {
-        matches!(self, PipelineMode::Bounded(_))
-    }
 }
 
 /// Tunables of the bounded pipeline.

@@ -355,38 +355,12 @@ impl VSwitch {
         }
     }
 
-    /// Switches the slow-path pipeline mode at runtime. Switching away
-    /// from a bounded pipeline is refused (returns false) while upcalls
-    /// are still queued — the caller must drain first, otherwise the
-    /// pending packets would strand with no handler to resolve them.
-    /// Bounded→Bounded retunes the live queue/budget/quota knobs
-    /// without touching queued work.
-    pub fn set_pipeline(&mut self, mode: PipelineMode) -> bool {
-        if matches!(mode, PipelineMode::Inline)
-            && self.config.pipeline.is_bounded()
-            && self.pipeline.total_depth() > 0
-        {
-            return false;
-        }
-        self.config.pipeline = mode;
-        true
-    }
-
     /// Toggles staged subtable lookup at runtime, retrofitting (or
     /// dropping) the per-subtable stage indexes of the live megaflow
     /// cache.
     pub fn set_staged_lookup(&mut self, enabled: bool) {
         self.config.staged_lookup = enabled;
         self.mfc.set_staged_lookup(enabled);
-    }
-
-    /// Changes the revalidator's sweep cadence at runtime, re-arming
-    /// its next deadline on the new interval's grid (the smallest grid
-    /// point strictly after `now`). The live [`DpConfig`] is kept in
-    /// sync.
-    pub fn set_revalidator_interval(&mut self, interval: SimTime, now: SimTime) {
-        self.config.revalidator_interval = interval;
-        self.revalidator.set_interval(interval, now);
     }
 
     /// Quarantines the destination `ip`: its cached megaflows are
@@ -824,21 +798,9 @@ impl VSwitch {
             };
         }
 
-        // Inline slow path: route on ip_dst, then the pod's ingress ACL.
-        let (action, acl_mask, rules_examined) = match self.pods.get(key.ip_dst) {
-            Some(port) => {
-                let up = port.slowpath.process_upcall(key);
-                (up.action, *up.megaflow.mask(), up.rules_examined)
-            }
-            // Unroutable destination: drop; the megaflow needs only the
-            // destination address to stay sound.
-            None => (Action::Deny, pi_core::FlowMask::WILDCARD, 0),
-        };
-        // Routing consulted the destination IP: pin it exactly.
-        let mut mask = acl_mask;
-        mask.unwildcard(Field::IpDst, Field::IpDst.full_mask());
-        let megaflow = pi_core::MaskedKey::new(*key, mask);
-
+        // Inline slow path: resolved and installed right here, on the
+        // datapath's budget.
+        let (action, megaflow, rules_examined) = self.classify_miss(key);
         let installed = matches!(
             self.mfc.install(megaflow, action, now),
             InstallOutcome::Installed
@@ -858,6 +820,27 @@ impl VSwitch {
         };
         self.stats.upcalls += 1;
         self.finish(action, path, key)
+    }
+
+    /// The slow-path miss both pipelines share: route on `ip_dst`, then
+    /// the pod's ingress ACL. Returns the verdict, the megaflow to
+    /// install and the rules examined. The inline pipeline calls it from
+    /// [`VSwitch::process_with`], the bounded one from
+    /// [`VSwitch::resolve_upcall`]; they differ only in when the install
+    /// lands and which budget pays.
+    fn classify_miss(&self, key: &FlowKey) -> (Action, pi_core::MaskedKey, usize) {
+        let (action, mut mask, rules_examined) = match self.pods.get(key.ip_dst) {
+            Some(port) => {
+                let up = port.slowpath.process_upcall(key);
+                (up.action, *up.megaflow.mask(), up.rules_examined)
+            }
+            // Unroutable destination: drop; the megaflow needs only the
+            // destination address to stay sound.
+            None => (Action::Deny, pi_core::FlowMask::WILDCARD, 0),
+        };
+        // Routing consulted the destination IP: pin it exactly.
+        mask.unwildcard(Field::IpDst, Field::IpDst.full_mask());
+        (action, pi_core::MaskedKey::new(*key, mask), rules_examined)
     }
 
     /// Routes, prices and books a packet resolved on this call; the
@@ -964,16 +947,7 @@ impl VSwitch {
                 },
             };
         }
-        let (action, acl_mask, rules_examined) = match self.pods.get(key.ip_dst) {
-            Some(port) => {
-                let up = port.slowpath.process_upcall(&key);
-                (up.action, *up.megaflow.mask(), up.rules_examined)
-            }
-            None => (Action::Deny, pi_core::FlowMask::WILDCARD, 0),
-        };
-        let mut mask = acl_mask;
-        mask.unwildcard(Field::IpDst, Field::IpDst.full_mask());
-        let megaflow = pi_core::MaskedKey::new(key, mask);
+        let (action, megaflow, rules_examined) = self.classify_miss(&key);
 
         // Predict what the end-of-step flush will do, mirroring
         // `MegaflowCache::install` against the cache *plus* the installs
@@ -1538,27 +1512,14 @@ mod tests {
     }
 
     #[test]
-    fn runtime_quota_and_pipeline_knobs() {
+    fn runtime_quota_and_staged_lookup_knobs() {
         let mut sw = switch_with_fig2_acl();
         // Inline: quota is meaningless.
         assert!(!sw.set_port_quota(Some(4)));
-        // Inline → bounded is always allowed.
-        assert!(sw.set_pipeline(PipelineMode::Bounded(
-            crate::upcall::UpcallPipelineConfig::unbounded(),
-        )));
-        assert!(sw.set_port_quota(Some(4)));
-        match sw.config().pipeline {
-            PipelineMode::Bounded(cfg) => assert_eq!(cfg.port_quota_per_step, Some(4)),
-            PipelineMode::Inline => unreachable!(),
-        }
-        // Queue a miss; bounded → inline must be refused while pending.
-        let t = SimTime::from_millis(1);
-        assert!(sw.process(&pkt([10, 1, 1, 1], 1000), t).path.is_queued());
-        assert!(!sw.set_pipeline(PipelineMode::Inline));
-        sw.drain_upcalls(t, |_| {});
-        assert!(sw.set_pipeline(PipelineMode::Inline));
         assert_eq!(sw.config().pipeline, PipelineMode::Inline);
         // Staged lookup toggles live and tracks the config.
+        let t = SimTime::from_millis(1);
+        assert!(sw.process(&pkt([10, 1, 1, 1], 1000), t).verdict.permits());
         assert!(!sw.config().staged_lookup);
         sw.set_staged_lookup(true);
         assert!(sw.config().staged_lookup);
@@ -1709,8 +1670,8 @@ mod tests {
     }
 
     #[test]
-    fn revalidator_interval_is_configurable_and_rearmable() {
-        // Construction honours DpConfig::revalidator_interval...
+    fn revalidator_interval_is_configurable() {
+        // Construction honours DpConfig::revalidator_interval.
         let mut sw = VSwitch::new(DpConfig {
             revalidator_interval: SimTime::from_millis(250),
             ..DpConfig::default()
@@ -1720,19 +1681,14 @@ mod tests {
         assert!(sw.revalidate(SimTime::from_millis(249)).is_none());
         assert!(sw.revalidate(SimTime::from_millis(250)).is_some());
         assert_eq!(sw.revalidator.next_due(), SimTime::from_millis(500));
-        // ...and the runtime setter re-arms on the new grid, keeping
-        // the live config in sync.
-        sw.set_revalidator_interval(SimTime::from_secs(2), SimTime::from_millis(300));
-        assert_eq!(sw.config().revalidator_interval, SimTime::from_secs(2));
-        assert_eq!(sw.revalidator.next_due(), SimTime::from_secs(2));
-        assert!(sw.revalidate(SimTime::from_millis(1_999)).is_none());
-        assert!(sw.revalidate(SimTime::from_secs(2)).is_some());
-        // The sweep still evicts on the idle-timeout boundary.
+        // The sweep evicts on the idle-timeout boundary, on that grid.
         let p = pkt([10, 1, 1, 1], 1000);
         sw.process(&p, SimTime::from_secs(2));
         assert_eq!(sw.megaflow_count(), 1);
-        assert!(sw.revalidate(SimTime::from_secs(14)).is_some());
-        assert_eq!(sw.megaflow_count(), 0, "idled out under the new grid");
+        assert!(sw.revalidate(SimTime::from_secs(12)).is_some());
+        assert_eq!(sw.megaflow_count(), 1, "idle == timeout survives");
+        assert!(sw.revalidate(SimTime::from_millis(12_250)).is_some());
+        assert_eq!(sw.megaflow_count(), 0, "idled out one grid point later");
     }
 
     #[test]

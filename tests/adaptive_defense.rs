@@ -186,9 +186,12 @@ fn mutating_a_fresh_switch_equals_constructing_with_the_target_config() {
         pipeline: PipelineMode::Bounded(UpcallPipelineConfig::unbounded().with_port_quota(4)),
         ..DpConfig::default()
     };
-    // A: constructed with defaults, mutated to the target at runtime.
-    let mut a = VSwitch::new(DpConfig::default());
-    assert!(a.set_pipeline(target.pipeline));
+    // A: constructed with the target pipeline, staged lookup (the knob
+    // the controller turns) mutated on at runtime.
+    let mut a = VSwitch::new(DpConfig {
+        pipeline: target.pipeline,
+        ..DpConfig::default()
+    });
     a.set_staged_lookup(true);
     pods(&mut a);
     // B: constructed with the target directly.
