@@ -2,7 +2,7 @@
 
 CARGO ?= cargo
 
-.PHONY: build test audit fmt-check clippy loc results results-check benchmark benchmark-smoke benchmark-test benchmark-one benchmark-digests benchmark-pair example-fleet clean
+.PHONY: build test audit fmt-check clippy loc results results-check benchmark benchmark-smoke benchmark-test benchmark-one benchmark-digests benchmark-pair benchmark-layers example-fleet clean
 
 build:
 	$(CARGO) build --release
@@ -134,6 +134,40 @@ benchmark-pair:
 		  side("change", c, n); cm = q(c, n, .5); \
 		  printf "$(W) wall_s: change/parent %.3f, change faster in %d of %d pairs (%d ties), medians %.4f apart, parent IQR %.4f\n", \
 			cm / pm, wins, n, ties, pm - cm, iqr }'
+
+# The per-layer half of a before/after row: N alternated pairs of one
+# traced (`--trace 1`) run per side, the first side swapping every pair,
+# then for each metric in M (default: every metric of the result line)
+# its per-side median and range and the change/parent ratio of the
+# medians. Same prebuilt binaries as `benchmark-pair`; run nothing else
+# meanwhile.
+benchmark-layers:
+	@test -x "$(PARENT)" -a -x "$(CHANGE)" -a -n "$(W)" || { \
+		echo "usage: make benchmark-layers PARENT=<binary> CHANGE=<binary> W=<workload> [M=\"<metric> ...\"] [N=10] [SEED=2018]"; exit 2; }
+	@run() { printf '%s ' "$$1"; "$$2" --workload $(W) --seed $(SEED) --seconds 15 --trace 1 | tail -n 1; }; \
+	i=1; while [ $$i -le $(N) ]; do \
+		if [ $$((i % 2)) -eq 1 ]; then run parent "$(PARENT)"; run change "$(CHANGE)"; \
+		else run change "$(CHANGE)"; run parent "$(PARENT)"; fi; \
+		i=$$((i + 1)); \
+	done | awk -v metrics="$(M)" ' \
+		function median(s, m, n,    i, j, t, v) { for (i = 1; i <= n; i++) v[i] = val[s, m, i]; \
+			for (i = 2; i <= n; i++) { t = v[i]; for (j = i - 1; j > 0 && v[j] > t; j--) v[j + 1] = v[j]; v[j + 1] = t } \
+			lo[s] = v[1]; hi[s] = v[n]; return n % 2 ? v[(n + 1) / 2] : (v[n / 2] + v[n / 2 + 1]) / 2 } \
+		!/"value": / { print "a " $$1 " run printed no result line"; bad = 1; next } \
+		{ side = $$1; runs[side]++ } \
+		nm == 0 { if (metrics != "") nm = split(metrics, name, " "); \
+			else { rest = $$0; while (match(rest, /"[a-z0-9_.]+": [{]"value": /)) { \
+				name[++nm] = substr(rest, RSTART + 1, index(substr(rest, RSTART + 1), "\"") - 1); \
+				rest = substr(rest, RSTART + RLENGTH) } } } \
+		{ for (k = 1; k <= nm; k++) { key = "\"" name[k] "\": {\"value\": "; at = index($$0, key); \
+			if (at) val[side, name[k], runs[side]] = substr($$0, at + length(key)) + 0; else missing[name[k]] = 1 } } \
+		END { if (bad || !runs["parent"] || runs["parent"] != runs["change"]) exit 1; n = runs["parent"]; \
+			printf "$(W), %d traced runs per side: median [min .. max]\n", n; \
+			for (k = 1; k <= nm; k++) { m = name[k]; \
+				if (m in missing) { printf "%-40s not in the result line\n", m; continue } \
+				p = median("parent", m, n); c = median("change", m, n); \
+				printf "%-40s parent %11.5g [%.5g .. %.5g]  change %11.5g [%.5g .. %.5g]", m, p, lo["parent"], hi["parent"], c, lo["change"], hi["change"]; \
+				if (p != 0) printf "  change/parent %.3f", c / p; printf "\n" } }'
 
 example-fleet:
 	$(CARGO) run --release --example fleet_blast_radius

@@ -37,7 +37,7 @@ use std::cmp::Reverse;
 use std::collections::{HashMap, VecDeque};
 
 use pi_classifier::{Action, FlatTable, PolicyUpdate};
-use pi_core::{FlowKey, KeyWords, SimTime};
+use pi_core::{BuildFoldHasher, FlowKey, KeyWords, SimTime};
 use pi_datapath::emc::EmcStats;
 use pi_datapath::{
     BackendKind, CostModel, DpConfig, PathTaken, PodTable, PolicyUpdateOutcome, ProcessOutcome,
@@ -302,7 +302,7 @@ impl DataplaneBackend for ExactTable {
     /// fires; occupancy pressure shows up in `entries` instead. Sorted
     /// by entries descending, then destination.
     fn attribution(&self) -> Vec<MaskAttribution> {
-        let mut per_dst: HashMap<u32, usize> = HashMap::new();
+        let mut per_dst: HashMap<u32, usize, BuildFoldHasher> = HashMap::default();
         for (k, _) in self.table.iter() {
             *per_dst.entry(k.ip_dst).or_default() += 1;
         }

@@ -1,14 +1,20 @@
 //! The compiled slow-path rule index.
 //!
 //! [`RuleIndex`] is an immutable snapshot of a [`FlowTable`] laid out
-//! the way OVS's own classifier is: rules grouped by mask, each group a
-//! hash-sorted slice probed with one [`KeyWords::masked_hash`] and a
-//! binary search, groups visited in descending order of the best
-//! precedence they hold so the walk stops as soon as no later group can
-//! beat the current winner. Rules with identical matchers are resolved
-//! when the index is compiled — only the one with the best
-//! [`Rule::precedence`] can ever win — so a probe finds at most one
-//! rule per group.
+//! the way OVS's own classifier is: rules grouped by mask, each group an
+//! open-addressed hash region probed with one [`KeyWords::masked_hash`],
+//! groups visited in descending order of the best precedence they hold
+//! so the walk stops as soon as no later group can beat the current
+//! winner. Rules with identical matchers are resolved when the index is
+//! compiled — only the one with the best [`Rule::precedence`] can ever
+//! win — so a probe finds at most one rule per group.
+//!
+//! A group's region follows the [`crate::flat`] idiom: a power-of-two
+//! run of `entries` at most 7/8 full, an entry's probe run starting at
+//! `hash & (capacity − 1)` and advancing linearly, each slot tagged
+//! with its hash's [`flat::tag_of`] and `0` when empty. A probe
+//! compares tags and reads a key only on a tag match; the empty slot
+//! that ends every run ends a miss.
 //!
 //! The index answers exactly what [`crate::LinearClassifier`] answers
 //! (pinned by `tests/rule_index_differential.rs`); it only takes less
@@ -25,6 +31,7 @@ use std::cmp::Reverse;
 use pi_core::{FlowKey, FlowMask, KeyWords, MaskWords};
 
 use crate::action::Action;
+use crate::flat;
 use crate::rule::{Rule, RuleId};
 use crate::table::FlowTable;
 
@@ -40,18 +47,31 @@ pub struct Winner {
     pub action: Action,
 }
 
-/// One rule, keyed by the full hash of its canonical (pre-masked) key —
-/// which is the masked hash, under the group's mask, of every packet
-/// the rule matches.
+/// One slot of a group's region: a rule, tagged with the full hash of
+/// its canonical (pre-masked) key — which is the masked hash, under the
+/// group's mask, of every packet the rule matches — or, with tag 0, an
+/// empty slot.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
-    hash: u64,
+    tag: u64,
     key: FlowKey,
     precedence: Precedence,
     action: Action,
 }
 
-/// The rules sharing one mask: `entries[start..end]`, sorted by hash,
+impl Entry {
+    /// An empty slot (only the tag is ever read).
+    fn empty() -> Entry {
+        Entry {
+            tag: 0,
+            key: FlowKey::default(),
+            precedence: (0, Reverse(0)),
+            action: Action::Deny,
+        }
+    }
+}
+
+/// The rules sharing one mask: the region `entries[base..base + cap]`,
 /// matchers distinct.
 #[derive(Debug, Clone)]
 struct Group {
@@ -59,8 +79,8 @@ struct Group {
     words: MaskWords,
     /// The best precedence among the group's rules.
     best: Precedence,
-    start: usize,
-    end: usize,
+    base: usize,
+    cap: usize,
 }
 
 /// A compiled, immutable classifier over a [`FlowTable`] snapshot.
@@ -78,41 +98,38 @@ impl RuleIndex {
         let mut rules: Vec<&Rule> = table.iter().collect();
         rules.sort_unstable_by(|a, b| a.matcher.mask().cmp(b.matcher.mask()));
         let mut groups = Vec::new();
-        let mut entries: Vec<Entry> = Vec::with_capacity(rules.len());
+        let mut entries: Vec<Entry> = Vec::new();
         for run in rules.chunk_by(|a, b| a.matcher.mask() == b.matcher.mask()) {
             let mask = *run[0].matcher.mask();
+            let mut cap = 2;
+            while flat::overloaded(run.len(), cap) {
+                cap *= 2;
+            }
+            let base = entries.len();
+            entries.resize(base + cap, Entry::empty());
+            let region = &mut entries[base..];
             let mut best = run[0].precedence();
-            let start = entries.len();
-            entries.extend(run.iter().map(|r| Entry {
-                hash: KeyWords::of(r.matcher.key()).full_hash(),
-                key: *r.matcher.key(),
-                precedence: r.precedence(),
-                action: r.action,
-            }));
-            // Best precedence first among equal hashes, so of several
-            // rules with one matcher the survivor is the one that wins.
-            entries[start..].sort_unstable_by_key(|e| (e.hash, Reverse(e.precedence)));
-            let mut end = start;
-            for i in start..entries.len() {
-                let e = entries[i];
+            for r in run {
+                let e = Entry {
+                    tag: flat::tag_of(KeyWords::of(r.matcher.key()).full_hash()),
+                    key: *r.matcher.key(),
+                    precedence: r.precedence(),
+                    action: r.action,
+                };
                 best = best.max(e.precedence);
-                let shadowed = entries[start..end]
-                    .iter()
-                    .rev()
-                    .take_while(|kept| kept.hash == e.hash)
-                    .any(|kept| kept.key == e.key);
-                if !shadowed {
-                    entries[end] = e;
-                    end += 1;
+                // Of several rules with one matcher, the one that wins
+                // keeps the slot.
+                match probe(region, e.tag, |kept| kept.key == e.key) {
+                    Ok(i) if region[i].precedence > e.precedence => {}
+                    Ok(i) | Err(i) => region[i] = e,
                 }
             }
-            entries.truncate(end);
             groups.push(Group {
                 mask,
                 words: MaskWords::of(&mask),
                 best,
-                start,
-                end,
+                base,
+                cap,
             });
         }
         groups.sort_unstable_by_key(|g| Reverse(g.best));
@@ -131,12 +148,9 @@ impl RuleIndex {
                 break;
             }
             let hash = words.masked_hash(&group.words);
-            let rules = &self.entries[group.start..group.end];
-            let hit = rules[rules.partition_point(|e| e.hash < hash)..]
-                .iter()
-                .take_while(|e| e.hash == hash)
-                .find(|e| group.mask.key_eq(&e.key, packet));
-            if let Some(e) = hit {
+            let region = &self.entries[group.base..group.base + group.cap];
+            if let Ok(i) = probe(region, hash, |e| group.mask.key_eq(&e.key, packet)) {
+                let e = &region[i];
                 if winner.is_none_or(|w| e.precedence > w.precedence) {
                     winner = Some(e);
                 }
@@ -146,6 +160,32 @@ impl RuleIndex {
             id: RuleId(e.precedence.1 .0),
             action: e.action,
         })
+    }
+}
+
+/// [`flat::probe`] over a region of entries: `Ok(i)` is the first slot
+/// with `hash`'s tag whose entry satisfies `is_match`, `Err(i)` the
+/// empty slot that ends the run. `region` is a power of two long and
+/// never full.
+#[inline]
+// audit: hotpath
+fn probe(
+    region: &[Entry],
+    hash: u64,
+    mut is_match: impl FnMut(&Entry) -> bool,
+) -> Result<usize, usize> {
+    let mask = region.len() - 1;
+    let tag = flat::tag_of(hash);
+    let mut i = (hash as usize) & mask;
+    loop {
+        let e = &region[i];
+        if e.tag == 0 {
+            return Err(i);
+        }
+        if e.tag == tag && is_match(e) {
+            return Ok(i);
+        }
+        i = (i + 1) & mask;
     }
 }
 
@@ -166,6 +206,11 @@ mod tests {
         FlowKey::tcp(ip, [10, 0, 0, 9], 1000, 80)
     }
 
+    /// Occupied slots across every group's region.
+    fn stored(index: &RuleIndex) -> usize {
+        index.entries.iter().filter(|e| e.tag != 0).count()
+    }
+
     #[test]
     fn empty_table_allocates_nothing_and_matches_nothing() {
         let index = RuleIndex::compile(&FlowTable::new());
@@ -180,7 +225,7 @@ mod tests {
             whitelist_with_default_deny(&[slash([10, 0, 0, 0], 8), slash([11, 0, 0, 0], 8)]);
         let index = RuleIndex::compile(&table);
         assert_eq!(index.groups.len(), 2);
-        assert_eq!(index.entries.len(), 3);
+        assert_eq!(stored(&index), 3);
         assert!(index.groups[0].best > index.groups[1].best);
         assert_eq!(
             index.classify(&from([11, 2, 3, 4])),
@@ -202,7 +247,7 @@ mod tests {
         let high = table.insert(slash([10, 0, 0, 0], 8), 7, Action::Allow);
         table.insert(slash([10, 0, 0, 0], 8), 7, Action::Controller);
         let index = RuleIndex::compile(&table);
-        assert_eq!(index.entries.len(), 1);
+        assert_eq!(stored(&index), 1);
         assert_eq!(
             index.classify(&from([10, 9, 9, 9])),
             Some(Winner {

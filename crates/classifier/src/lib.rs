@@ -15,9 +15,10 @@
 //!   hash table ("subtable") per distinct mask, probed **sequentially**.
 //!   Lookup cost is measured in subtables probed, which is exactly the
 //!   quantity the policy-injection attack inflates.
-//! * [`PrefixTrie`] — per-field binary tries that compute the minimal
-//!   number of bits the slow path must un-wildcard to preserve
-//!   correctness; the mechanism behind Fig. 2b's decomposition.
+//! * [`PrefixTrie`] — per-field path-compressed binary tries (OVS's
+//!   shape) that compute the minimal number of bits the slow path must
+//!   un-wildcard to preserve correctness; the mechanism behind Fig. 2b's
+//!   decomposition.
 //! * [`StagedIndex`] — OVS's staged-lookup optimisation (metadata → L2 →
 //!   L3 → L4) modelled for the mitigation ablation.
 //! * [`FlatTable`] — the flat open-addressing store behind stage sets

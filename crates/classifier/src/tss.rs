@@ -68,7 +68,9 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 
-use pi_core::{FlowKey, FlowMask, KeyWords, MaskWords, MaskedKey, HEAD_WORDS, TAIL_WORDS};
+use pi_core::{
+    BuildFoldHasher, FlowKey, FlowMask, KeyWords, MaskWords, MaskedKey, HEAD_WORDS, TAIL_WORDS,
+};
 
 use crate::arena::Arena;
 use crate::flat::{self, MIN_CAPACITY};
@@ -250,14 +252,14 @@ pub struct TupleSpaceSearch<V> {
     /// Hot halves, probe order.
     rows: Vec<ProbeRow>,
     /// mask → index into `subtables`.
-    index: HashMap<FlowMask, usize>,
+    index: HashMap<FlowMask, usize, BuildFoldHasher>,
     /// Every subtable's tags and, parallel to them, payloads.
     arena: Arena<V>,
     compactions: u64,
     /// Interned head mask words; `class_index` finds an id by words and
     /// `free_classes` holds ids whose refcount fell to 0.
     classes: Vec<HeadClass>,
-    class_index: HashMap<[u64; HEAD_WORDS], u32>,
+    class_index: HashMap<[u64; HEAD_WORDS], u32, BuildFoldHasher>,
     free_classes: Vec<u32>,
     /// Scratch of the walk; a `RefCell` because `peek_with` walks `&self`.
     memo: RefCell<HeadMemo>,
@@ -280,11 +282,11 @@ impl<V> TupleSpaceSearch<V> {
         TupleSpaceSearch {
             subtables: Vec::new(),
             rows: Vec::new(),
-            index: HashMap::new(),
+            index: HashMap::default(),
             arena: Arena::new(),
             compactions: 0,
             classes: Vec::new(),
-            class_index: HashMap::new(),
+            class_index: HashMap::default(),
             free_classes: Vec::new(),
             memo: RefCell::default(),
             entry_count: 0,

@@ -9,7 +9,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use pi_classifier::FlowTable;
-use pi_core::MacAddr;
+use pi_core::{BuildFoldHasher, MacAddr};
 
 use crate::compile::PolicyCompiler;
 use crate::policy::{CalicoPolicy, NetworkPolicy, PolicyDialect, SecurityGroup};
@@ -128,9 +128,9 @@ pub struct CompiledPolicy {
 pub struct Cloud {
     tenants: Vec<TenantId>,
     nodes: Vec<NodeId>,
-    pods: HashMap<PodId, Pod>,
+    pods: HashMap<PodId, Pod, BuildFoldHasher>,
     next_pod: u32,
-    next_vport: HashMap<NodeId, u32>,
+    next_vport: HashMap<NodeId, u32, BuildFoldHasher>,
     /// Per-pod compiled-rule cap (a real CMS quota; generous default).
     pub max_rules_per_pod: usize,
     compiler: PolicyCompiler,

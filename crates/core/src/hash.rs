@@ -30,6 +30,14 @@
 //! Hashing is fully deterministic (no per-process random state), which
 //! also makes table iteration order reproducible across runs — a
 //! property the fleet determinism tests rely on.
+//!
+//! The same fold backs the library's `std` maps: [`FoldHasher`] mixes
+//! eight bytes per step and finalizes like [`KeyWords::full_hash`], and
+//! [`BuildFoldHasher`] is the seed-free `S` of every `HashMap<K, V, S>`
+//! and `HashSet<T, S>` outside tests, where `HashMap::new()` would pick
+//! up the OS-seeded SipHash.
+
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::fields::ALL_FIELDS;
 use crate::key::FlowKey;
@@ -184,6 +192,67 @@ impl MaskWords {
     }
 }
 
+/// A seed-free [`Hasher`] over this module's fold: eight input bytes
+/// per `mix` (derived `Hash` impls feed arrays as bytes, and a fold per
+/// byte is slower than SipHash), integers one `mix` each, [`finalize`]
+/// on `finish`.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FoldHasher {
+    h: u64,
+}
+
+impl Hasher for FoldHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            let mut word = [0u8; 8];
+            word.copy_from_slice(chunk);
+            self.h = mix(self.h, u64::from_ne_bytes(word));
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let mut word = [0u8; 8];
+            word[..rest.len()].copy_from_slice(rest);
+            self.h = mix(self.h, u64::from_ne_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.h = mix(self.h, u64::from(i));
+    }
+
+    #[inline]
+    fn write_u16(&mut self, i: u16) {
+        self.h = mix(self.h, u64::from(i));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.h = mix(self.h, u64::from(i));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.h = mix(self.h, i);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.h = mix(self.h, i as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        finalize(self.h)
+    }
+}
+
+/// The seed-free `S` for `std` maps and sets: `HashMap<K, V,
+/// BuildFoldHasher>`, built with `HashMap::default()`.
+pub type BuildFoldHasher = BuildHasherDefault<FoldHasher>;
+
 /// Convenience: the deterministic full-key hash of `key` — what the
 /// exact-match cache indexes by.
 #[inline]
@@ -292,6 +361,28 @@ mod tests {
             low_bits.insert(flow_hash(&k) & 0xff);
         }
         assert!(low_bits.len() > 128, "got {} distinct", low_bits.len());
+    }
+
+    #[test]
+    fn fold_hasher_is_seed_free_and_folds_words() {
+        use std::hash::{BuildHasher, Hash};
+        let build = BuildFoldHasher::default();
+        let mask = FlowMask::exact();
+        assert_eq!(
+            build.hash_one(mask),
+            BuildFoldHasher::default().hash_one(mask)
+        );
+        assert_ne!(build.hash_one(mask), build.hash_one(FlowMask::WILDCARD));
+        // Nine words written as bytes fold like nine `write_u64`s.
+        let words = [3u64, 1, 4, 1, 5, 9, 2, 6, 5];
+        let mut bytes = FoldHasher::default();
+        words.hash(&mut bytes);
+        let mut ints = FoldHasher::default();
+        ints.write_usize(words.len());
+        for w in words {
+            ints.write_u64(w);
+        }
+        assert_eq!(bytes.finish(), ints.finish());
     }
 
     #[test]

@@ -43,7 +43,9 @@ pub mod time;
 pub use addr::MacAddr;
 pub use error::CoreError;
 pub use fields::{Field, FieldSpec, Stage, ALL_FIELDS};
-pub use hash::{flow_hash, KeyWords, MaskWords, HEAD_WORDS, KEY_WORDS, TAIL_WORDS};
+pub use hash::{
+    flow_hash, BuildFoldHasher, KeyWords, MaskWords, HEAD_WORDS, KEY_WORDS, TAIL_WORDS,
+};
 pub use index::IpIndex;
 pub use key::FlowKey;
 pub use mask::{FlowMask, MaskedKey};

@@ -246,3 +246,20 @@ impl PodTable {
         self.quarantined.iter().copied()
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A fleet holds one `Pod` per routed pod on every host (about
+    /// 17 000 in a 128-host fleet), so its size is set-up time and
+    /// resident memory: the slow path's index must stay two `Vec`s.
+    #[test]
+    fn a_pod_stays_within_120_bytes() {
+        assert!(
+            std::mem::size_of::<Pod>() <= 120,
+            "{}",
+            std::mem::size_of::<Pod>()
+        );
+    }
+}

@@ -12,17 +12,19 @@
 //! every upcall `CostModel::per_rule` × the table's rule count — full
 //! flow-table processing, correct and slow, which is why it is cached —
 //! while the host answers from a [`RuleIndex`] compiled once per ACL
-//! install, so a 513-rule whitelist costs the host about what a 2-rule
-//! ACL does. [`pi_classifier::LinearClassifier`] is the reference the
-//! index is tested against, not a second production path. The interesting
-//! part is **un-wildcarding**: after deciding a packet's fate, the slow
+//! install — one hash probe per mask group — so a 513-rule whitelist
+//! costs the host about what a 2-rule ACL does.
+//! [`pi_classifier::LinearClassifier`] is the reference the index is
+//! tested against, not a second production path. The interesting part
+//! is **un-wildcarding**: after deciding a packet's fate, the slow
 //! path computes the *broadest* megaflow that still classifies every
 //! covered packet identically ("OVS … tries to wildcard as many bits as
 //! possible to get the broadest possible rules", §2).
 //!
 //! For each field constrained by some rule:
 //! * if every constraint on the field is a CIDR prefix and the field has
-//!   a trie enabled, the [`pi_classifier::PrefixTrie`] yields the minimal
+//!   a trie enabled, the path-compressed [`pi_classifier::PrefixTrie`]
+//!   (one node per branch or prefix end, not per bit) yields the minimal
 //!   number of leading bits that pins down *which prefixes the value
 //!   falls under* — `common_prefix + 1` for mismatches, the prefix length
 //!   for matches (Fig. 2b's decomposition);
@@ -30,7 +32,11 @@
 //!   (always sound, never minimal).
 //!
 //! Which of the two applies to which field is decided once, in
-//! [`SlowPath::new`]; serving an upcall allocates nothing.
+//! [`SlowPath::new`]; serving an upcall allocates nothing. A port
+//! without an ACL gets [`SlowPath::permissive`], which compiles nothing.
+//! Both the index and the tries are host-side structures only: the
+//! modelled cost, the verdicts and the megaflow masks are what the
+//! linear scan and the bit-at-a-time trie walk give.
 //!
 //! Soundness (pinned by proptest in `tests/megaflow_soundness.rs`): two
 //! packets agreeing on every un-wildcarded bit satisfy exactly the same
@@ -93,9 +99,16 @@ impl SlowPath {
         }
     }
 
-    /// An always-`default_action` slow path (ports without ACLs).
+    /// An always-`default_action` slow path (ports without ACLs): the
+    /// value [`SlowPath::new`] compiles from an empty table, built
+    /// without compiling anything (a fleet attaches one per routed pod).
     pub fn permissive(default_action: Action) -> Self {
-        Self::new(FlowTable::new(), &[], default_action)
+        SlowPath {
+            table: FlowTable::new(),
+            index: RuleIndex::default(),
+            plan: Vec::new(),
+            default_action,
+        }
     }
 
     /// The underlying flow table.
@@ -326,6 +339,17 @@ mod tests {
         assert_eq!(up.action, Action::Allow);
         assert!(up.megaflow.mask().is_wildcard_all());
         assert_eq!(up.rules_examined, 0);
+    }
+
+    #[test]
+    fn permissive_is_what_new_compiles_from_an_empty_table() {
+        for action in [Action::Allow, Action::Deny] {
+            let compiled = SlowPath::new(FlowTable::new(), &[Field::IpSrc, Field::TpDst], action);
+            assert_eq!(
+                format!("{:?}", SlowPath::permissive(action)),
+                format!("{compiled:?}")
+            );
+        }
     }
 
     #[test]

@@ -50,7 +50,7 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use pi_classifier::Action;
-use pi_core::{FlowKey, MaskedKey, SimTime};
+use pi_core::{BuildFoldHasher, FlowKey, MaskedKey, SimTime};
 
 /// The queue id shared by packets whose destination no pod answers for
 /// (they still upcall — and a destination-spray flood lands here).
@@ -239,7 +239,7 @@ pub(crate) struct UpcallQueue {
     installs: Vec<StagedInstall>,
     /// Megaflow → index into `installs` (O(1) dedup; iteration never
     /// touches this map, so its ordering cannot leak).
-    staged_index: HashMap<MaskedKey, usize>,
+    staged_index: HashMap<MaskedKey, usize, BuildFoldHasher>,
     /// Staged installs predicted to create fresh entries.
     staged_fresh: usize,
     stats: UpcallStats,

@@ -14,7 +14,7 @@
 use std::collections::HashMap;
 
 use pi_backend::DataplaneBackend;
-use pi_core::SimTime;
+use pi_core::{BuildFoldHasher, SimTime};
 
 /// Per-destination mask movement within one sample window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,7 +91,7 @@ pub struct TelemetryTap {
     prev_masks: usize,
     prev_policy_updates: u64,
     prev_flushes: u64,
-    prev_attr: HashMap<u32, usize>,
+    prev_attr: HashMap<u32, usize, BuildFoldHasher>,
 }
 
 impl Default for TelemetryTap {
@@ -118,7 +118,7 @@ impl TelemetryTap {
             prev_masks: 0,
             prev_policy_updates: 0,
             prev_flushes: 0,
-            prev_attr: HashMap::new(),
+            prev_attr: HashMap::default(),
         }
     }
 
@@ -156,7 +156,8 @@ impl TelemetryTap {
         // One attribution pass; per-destination growth vs the previous
         // sample's attribution.
         let attribution = switch.attribution();
-        let mut attr_now: HashMap<u32, usize> = HashMap::with_capacity(attribution.len());
+        let mut attr_now: HashMap<u32, usize, BuildFoldHasher> =
+            HashMap::with_capacity_and_hasher(attribution.len(), BuildFoldHasher::default());
         let mut top_offenders = Vec::with_capacity(self.top_k.min(attribution.len()));
         for a in attribution.iter().take(self.top_k) {
             let prev = self.prev_attr.get(&a.ip_dst).copied().unwrap_or(0);

@@ -7,9 +7,9 @@
 //! alarm — and, unlike a global mask limit, attribution names the ACL
 //! to evict.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
-use pi_core::{Field, MaskedKey};
+use pi_core::{BuildFoldHasher, Field, FlowMask, MaskedKey};
 use pi_datapath::VSwitch;
 
 /// Mask accounting for one destination IP.
@@ -29,8 +29,8 @@ pub struct MaskAttribution {
 /// [`detect_offenders`], the `pi_detect` telemetry tap and the
 /// sim/fleet report assembly all share this single pass.
 pub fn attribute_entries(megaflows: impl Iterator<Item = MaskedKey>) -> Vec<MaskAttribution> {
-    let mut per_dst: HashMap<u32, (std::collections::HashSet<pi_core::FlowMask>, usize)> =
-        HashMap::new();
+    let mut per_dst: HashMap<u32, (HashSet<FlowMask, BuildFoldHasher>, usize), BuildFoldHasher> =
+        HashMap::default();
     for mk in megaflows {
         let dst = mk.key().ip_dst;
         // Only fully-pinned destinations are attributable; megaflows

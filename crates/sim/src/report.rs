@@ -73,7 +73,12 @@ pub struct EngineProfile {
     pub flush_items: u64,
     /// Wake-heap pushes (shard deadlines scheduled or re-scheduled).
     pub wake_pushes: u64,
-    /// Wake-heap entries discarded as stale (lazy invalidation churn).
+    /// Wake-heap pops, despite the name: every deadline the executed
+    /// tick takes off the heap — live ones, which re-arm their shard,
+    /// as well as stale ones — plus the stale entries the next-event
+    /// search discards. Stale pops alone are 0 on the benchmark's
+    /// fleet workloads; the name stays while `benchmark/` reports this
+    /// count as `fleet.wake_stale_pops`.
     pub wake_stale_pops: u64,
     /// The first [`FLUSH_LOG_CAP`] flush exchanges as
     /// [`pi_trace::TraceEventKind::FlushExchange`] records (terminal

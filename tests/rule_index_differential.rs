@@ -234,3 +234,68 @@ fn modelled_cost_is_still_the_linear_scan() {
     assert_eq!(CostModel::default().packet_cycles(&outcome.path), 186_120);
     assert_eq!(outcome.cycles, 186_120);
 }
+
+/// `n` /32 rules under one mask — one group of `n` rules — whose
+/// sources satisfy `keep`, plus the default deny.
+fn one_group(n: usize, keep: impl Fn(&FlowKey) -> bool) -> (FlowTable, Vec<FlowKey>) {
+    let mask = FlowMask::default().with_exact(Field::IpSrc);
+    let packets: Vec<FlowKey> = (0u32..)
+        .map(|i| FlowKey::tcp((0x0a00_0000 + i).to_be_bytes(), [10, 1, 0, 10], 7, 80))
+        .filter(|p| keep(&mask.apply(p)))
+        .take(2 * n)
+        .collect();
+    let mut table = FlowTable::new();
+    for (i, p) in packets[..n].iter().enumerate() {
+        table.insert(
+            MaskedKey::new(*p, mask),
+            1 + (i % 3) as u32,
+            ACTIONS[i % ACTIONS.len()],
+        );
+    }
+    table.insert(MaskedKey::wildcard(), 0, Action::Deny);
+    (table, packets)
+}
+
+#[test]
+fn groups_at_every_size_boundary_classify_like_the_scan() {
+    // 1, 2, 3 rules and every 2^k and 2^k + 1 up to 257 (512 is the
+    // whitelist above): the sizes around which a group's region doubles.
+    let sizes = [1, 2, 3]
+        .into_iter()
+        .chain((2..=8).flat_map(|k| [1 << k, (1 << k) + 1]));
+    for n in sizes {
+        let (table, packets) = one_group(n, |_| true);
+        assert_eq!(table.len(), n + 1);
+        let index = RuleIndex::compile(&table);
+        // The group's rules, then as many strangers under its mask.
+        for packet in &packets {
+            assert_eq!(
+                index.classify(packet),
+                linear(&table, packet),
+                "{n}: {packet}"
+            );
+        }
+    }
+}
+
+#[test]
+fn probe_runs_that_wrap_the_region_end_classify_like_the_scan() {
+    // Every key's hash ends in 0b111: the last slot of any region of up
+    // to 8 slots, so the second and later rules of the group — and the
+    // misses under its mask — probe past the end and wrap to slot 0.
+    for n in 2..=6 {
+        let (table, packets) = one_group(n, |k| pi_core::flow_hash(k) & 7 == 7);
+        let index = RuleIndex::compile(&table);
+        for packet in &packets {
+            assert_eq!(
+                index.classify(packet),
+                linear(&table, packet),
+                "{n}: {packet}"
+            );
+        }
+        assert_eq!(
+            index.classify(&packets[n]).map(|w| w.action),
+            Some(Action::Deny)
+        );
+    }
+}
