@@ -105,54 +105,84 @@ benchmark-digests:
 # The before/after procedure for a claimed gain: two *prebuilt* benchmark
 # binaries (one per commit, each built once with its own
 # CARGO_TARGET_DIR), N alternated pairs of the command `BENCHMARK.json`
-# declares, the first side swapping every pair. Prints each run's
-# result-line `wall_s`, then per side the median and quartiles, and the
-# pairs the change won (ties count for neither). Run nothing else
-# meanwhile.
+# declares, the first side swapping every pair. For each metric in M
+# (default `wall_s`; any of the result line's, e.g. M="wall_s setup_s
+# pkt_rate peak_rss_mb") it prints each pair's two values, per side the
+# median and quartiles, and the pairs the change won in the metric's
+# `better` direction (read from BENCHMARK.json; ties count for neither).
+# Then, per side, how many runs failed a check (`"failed"` > 0 on the
+# result line) and which. Run nothing else meanwhile.
 N ?= 10
 SEED ?= 2018
 
+# `run <side> <binary> <trace>`: one run of the command above, printed as
+# one `F <side> <check>` line per failed check (the `FAILED CHECK:` line
+# cut at the first `: ` after the check's name; the benchmark's pins are
+# named `pin: …`), then `<side> <result line>`.
+BENCH_RUN = run() { out=$$("$$2" --workload $(W) --seed $(SEED) --seconds 15 --trace $$3); \
+	printf '%s\n' "$$out" | sed -n 's/^  FAILED CHECK: \(pin: \)\{0,1\}\([^:]*\):.*/F '"$$1"' \1\2/p'; \
+	printf '%s %s\n' "$$1" "$$(printf '%s\n' "$$out" | tail -n 1)"; }; \
+	i=1; while [ $$i -le $(N) ]; do \
+		if [ $$((i % 2)) -eq 1 ]; then run parent "$(PARENT)" $$trace; run change "$(CHANGE)" $$trace; \
+		else run change "$(CHANGE)" $$trace; run parent "$(PARENT)" $$trace; fi; \
+		i=$$((i + 1)); \
+	done
+
+# The awk half both targets share: `F` lines and the result line's
+# `"failed"` count, summed per side and printed by `checks()`.
+BENCH_CHECKS = \
+	$$1 == "F" { fside = $$2; fc = $$0; sub(/^F [a-z]+ /, "", fc); \
+		if (!failures[fside, fc]++) listed[fside, ++listing[fside]] = fc; next } \
+	/"value": / && match($$0, /"failed": [0-9]+/) && substr($$0, RSTART + 10) + 0 > 0 { failing[$$1]++ } \
+	function checks(s, n,    i, c, out) { out = ""; \
+		for (i = 1; i <= listing[s]; i++) { c = listed[s, i]; out = out (i == 1 ? ": " : ", ") c " (" failures[s, c] ")" } \
+		printf "%-7s %d of %d runs correct, %d failed a check%s\n", s, n - failing[s], n, failing[s], out }
+
 benchmark-pair:
 	@test -x "$(PARENT)" -a -x "$(CHANGE)" -a -n "$(W)" || { \
-		echo "usage: make benchmark-pair PARENT=<binary> CHANGE=<binary> W=<workload> [N=10] [SEED=2018]"; exit 2; }
-	@wall() { "$$1" --workload $(W) --seed $(SEED) --seconds 15 --trace 0 \
-		| sed -n '$$s/.*"wall_s": {"value": \([0-9.e-]*\).*/\1/p'; }; \
-	i=1; while [ $$i -le $(N) ]; do \
-		if [ $$((i % 2)) -eq 1 ]; then p=$$(wall "$(PARENT)"); c=$$(wall "$(CHANGE)"); \
-		else c=$$(wall "$(CHANGE)"); p=$$(wall "$(PARENT)"); fi; \
-		echo "$$i $$p $$c"; i=$$((i + 1)); \
-	done | awk ' \
+		echo "usage: make benchmark-pair PARENT=<binary> CHANGE=<binary> W=<workload> [M=\"wall_s ...\"] [N=10] [SEED=2018]"; exit 2; }
+	@trace=0; $(BENCH_RUN) | awk -v metrics="$(or $(M),wall_s)" ' \
 		function q(v, n, f,    h, lo) { h = (n - 1) * f + 1; lo = int(h); \
 			return v[lo] + (h - lo) * (v[lo < n ? lo + 1 : lo] - v[lo]) } \
 		function side(name, v, n,    i, j, t) { \
 			for (i = 2; i <= n; i++) { t = v[i]; for (j = i - 1; j > 0 && v[j] > t; j--) v[j + 1] = v[j]; v[j + 1] = t } \
-			printf "%-7s median %.4f  q1 %.4f  q3 %.4f\n", name, q(v, n, .5), q(v, n, .25), q(v, n, .75) } \
-		NF != 3 { print "pair " $$1 ": a run printed no wall_s"; bad = 1; next } \
-		{ printf "pair %2d  parent %.4f  change %.4f\n", $$1, $$2, $$3; \
-		  n++; p[n] = $$2; c[n] = $$3; wins += ($$3 < $$2); ties += ($$3 == $$2) } \
-		END { if (bad || !n) exit 1; side("parent", p, n); pm = q(p, n, .5); iqr = q(p, n, .75) - q(p, n, .25); \
-		  side("change", c, n); cm = q(c, n, .5); \
-		  printf "$(W) wall_s: change/parent %.3f, change faster in %d of %d pairs (%d ties), medians %.4f apart, parent IQR %.4f\n", \
-			cm / pm, wins, n, ties, pm - cm, iqr }'
+			printf "%-7s median %.6g  q1 %.6g  q3 %.6g\n", name, q(v, n, .5), q(v, n, .25), q(v, n, .75) } \
+		BEGIN { nm = split(metrics, name, " ") } \
+		FNR == NR { if (match($$0, /"name": "[^"]*"/)) last = substr($$0, RSTART + 9, RLENGTH - 10); \
+			if (match($$0, /"better": "[a-z]*"/)) better[last] = substr($$0, RSTART + 11, RLENGTH - 12); next } \
+		$(BENCH_CHECKS) \
+		!/"value": / { print "a " $$1 " run printed no result line"; bad = 1; next } \
+		{ s = $$1; k = ++runs[s]; \
+		  for (j = 1; j <= nm; j++) { key = "\"" name[j] "\": {\"value\": "; at = index($$0, key); \
+			if (at) val[s, j, k] = substr($$0, at + length(key)) + 0; \
+			else { print "pair " k ": the " s " run printed no " name[j]; bad = 1 } } } \
+		END { if (bad || !runs["parent"] || runs["parent"] != runs["change"]) exit 1; n = runs["parent"]; \
+		  for (j = 1; j <= nm; j++) { m = name[j]; dir = (m in better) ? better[m] : "lower"; wins = ties = 0; \
+			printf "%s (%s is better)\n", m, dir; \
+			for (k = 1; k <= n; k++) { p[k] = val["parent", j, k]; c[k] = val["change", j, k]; \
+				printf "pair %2d  parent %.6g  change %.6g\n", k, p[k], c[k]; \
+				wins += (dir == "higher") ? (c[k] > p[k]) : (c[k] < p[k]); ties += (c[k] == p[k]) } \
+			side("parent", p, n); pm = q(p, n, .5); iqr = q(p, n, .75) - q(p, n, .25); \
+			side("change", c, n); cm = q(c, n, .5); gap = pm > cm ? pm - cm : cm - pm; \
+			printf "$(W) %s: change/parent %s, change better in %d of %d pairs (%d ties), medians %.6g apart, parent IQR %.6g\n", \
+				m, pm != 0 ? sprintf("%.3f", cm / pm) : "-", wins, n, ties, gap, iqr } \
+		  checks("parent", n); checks("change", n) }' BENCHMARK.json -
 
 # The per-layer half of a before/after row: N alternated pairs of one
 # traced (`--trace 1`) run per side, the first side swapping every pair,
 # then for each metric in M (default: every metric of the result line)
 # its per-side median and range and the change/parent ratio of the
-# medians. Same prebuilt binaries as `benchmark-pair`; run nothing else
-# meanwhile.
+# medians, and per side the runs that failed a check and which (the
+# traced run adds `ledger sanity` and `traced digest = untraced`). Same
+# prebuilt binaries as `benchmark-pair`; run nothing else meanwhile.
 benchmark-layers:
 	@test -x "$(PARENT)" -a -x "$(CHANGE)" -a -n "$(W)" || { \
 		echo "usage: make benchmark-layers PARENT=<binary> CHANGE=<binary> W=<workload> [M=\"<metric> ...\"] [N=10] [SEED=2018]"; exit 2; }
-	@run() { printf '%s ' "$$1"; "$$2" --workload $(W) --seed $(SEED) --seconds 15 --trace 1 | tail -n 1; }; \
-	i=1; while [ $$i -le $(N) ]; do \
-		if [ $$((i % 2)) -eq 1 ]; then run parent "$(PARENT)"; run change "$(CHANGE)"; \
-		else run change "$(CHANGE)"; run parent "$(PARENT)"; fi; \
-		i=$$((i + 1)); \
-	done | awk -v metrics="$(M)" ' \
+	@trace=1; $(BENCH_RUN) | awk -v metrics="$(M)" ' \
 		function median(s, m, n,    i, j, t, v) { for (i = 1; i <= n; i++) v[i] = val[s, m, i]; \
 			for (i = 2; i <= n; i++) { t = v[i]; for (j = i - 1; j > 0 && v[j] > t; j--) v[j + 1] = v[j]; v[j + 1] = t } \
 			lo[s] = v[1]; hi[s] = v[n]; return n % 2 ? v[(n + 1) / 2] : (v[n / 2] + v[n / 2 + 1]) / 2 } \
+		$(BENCH_CHECKS) \
 		!/"value": / { print "a " $$1 " run printed no result line"; bad = 1; next } \
 		{ side = $$1; runs[side]++ } \
 		nm == 0 { if (metrics != "") nm = split(metrics, name, " "); \
@@ -167,7 +197,8 @@ benchmark-layers:
 				if (m in missing) { printf "%-40s not in the result line\n", m; continue } \
 				p = median("parent", m, n); c = median("change", m, n); \
 				printf "%-40s parent %11.5g [%.5g .. %.5g]  change %11.5g [%.5g .. %.5g]", m, p, lo["parent"], hi["parent"], c, lo["change"], hi["change"]; \
-				if (p != 0) printf "  change/parent %.3f", c / p; printf "\n" } }'
+				if (p != 0) printf "  change/parent %.3f", c / p; printf "\n" } \
+			checks("parent", n); checks("change", n) }'
 
 example-fleet:
 	$(CARGO) run --release --example fleet_blast_radius

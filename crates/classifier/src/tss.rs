@@ -4,20 +4,24 @@
 //! Lookup masks the packet key with each subtable's mask in turn and
 //! probes that subtable's hash; with non-overlapping entries (the
 //! megaflow invariant) the first hit is the answer. Hash lookup is O(1),
-//! but the subtable walk is **linear in the number of distinct masks** —
-//! the algorithmic deficiency the paper exploits (§2: "the TSS algorithm
-//! still has to iterate through all hashes assigned to different masks,
-//! rendering TSS a costly linear search when there are lots of masks").
+//! but the modelled subtable walk is **linear in the number of distinct
+//! masks** — the algorithmic deficiency the paper exploits (§2: "the TSS
+//! algorithm still has to iterate through all hashes assigned to
+//! different masks, rendering TSS a costly linear search when there are
+//! lots of masks"). Every lookup is charged one probe per subtable it
+//! passes; only the host's execution of the walk is sublinear (see
+//! "Gated runs" below).
 //!
 //! The implementation is generic over the entry payload `V` so the same
 //! engine serves as the megaflow cache store (`V = MegaflowEntry`) and as
 //! a general classifier in tests.
 //!
 //! **Hot-path design: modelled linear walk, streamed execution.** The
-//! model is untouched — every lookup still visits the subtables one by
+//! model is untouched — every lookup still passes the subtables one by
 //! one in probe order and reports one probe (and its stage units) per
-//! visit. What changed is what a visit costs the *host*: the walk reads
-//! two sequential streams instead of chasing a pointer per subtable.
+//! subtable passed. What changed is what that costs the *host*: the walk
+//! reads two sequential streams instead of chasing a pointer per
+//! subtable, and steps over whole runs of subtables that cannot match.
 //!
 //! * **Probe-order rows.** `rows` holds one 40-byte `ProbeRow` per
 //!   subtable, *in probe order*: the two L4 mask words, the head-class
@@ -57,6 +61,22 @@
 //!   ([`KeyWords::finish_hash`]). The attack's masks differ mostly in
 //!   their port prefixes, so a probe costs 2 mixes, not 11. The hash
 //!   value is bit-identical to [`KeyWords::masked_hash`].
+//! * **Gated runs.** An entry can match a packet only if their head
+//!   words agree under the entry's class head, and then their head
+//!   states are equal. So a class holding ≥ 2 subtables keeps a counted
+//!   set of its entries' head states (its *gate*, kept by every insert
+//!   and removal in the class), and `runs` cuts the probe order into
+//!   maximal same-class runs, each with its summed stage cost. The walk
+//!   folds the packet's state once per class (as above) and, when the
+//!   gate lacks it, steps over the whole run without reading a row,
+//!   charging the run's rows as probes and its summed cost as stage
+//!   units — exactly what visiting it charges. A state collision only
+//!   lets a run be walked. The attack's 8 192 masks fall into 32 head
+//!   classes (ip_src prefix lengths), so a covert packet's miss folds 32
+//!   states instead of finishing 8 192 hashes. A single-subtable class
+//!   keeps no gate (nothing to skip, nothing to maintain), and with
+//!   staged lookup on — a staged probe may stop early and charge less
+//!   than the run's sum — every row is visited.
 //!
 //! The cold half of a subtable (`Subtable`: the `FlowMask`, hit count,
 //! optional [`StagedIndex`], length) is read only on a tag match, a
@@ -143,6 +163,77 @@ struct HeadClass {
     head: [u64; HEAD_WORDS],
     /// Subtables whose mask has this head; the id is recycled at 0.
     refs: u32,
+    /// While the class holds ≥ 2 subtables: how many of its entries have
+    /// each head state ([`KeyWords::head_state`] under `head`). A packet
+    /// whose state is absent matches none of them, so the walk skips the
+    /// class's runs. `None` for a single-subtable class.
+    gate: Option<HashMap<u64, u32, BuildFoldHasher>>,
+}
+
+impl HeadClass {
+    /// Whether an entry of the class may match a packet whose head state
+    /// is `state` (a state collision only ever answers "maybe").
+    fn admits(&self, state: u64) -> bool {
+        self.gate
+            .as_ref()
+            .is_none_or(|gate| gate.contains_key(&state))
+    }
+
+    /// Counts an inserted entry's (canonical) key.
+    fn count_in(&mut self, key: &FlowKey) {
+        if let Some(gate) = &mut self.gate {
+            let state = KeyWords::of(key).head_state(&self.head);
+            *gate.entry(state).or_insert(0) += 1;
+        }
+    }
+
+    /// Uncounts a removed entry's (canonical) key.
+    fn count_out(&mut self, key: &FlowKey) {
+        if let Some(gate) = &mut self.gate {
+            let state = KeyWords::of(key).head_state(&self.head);
+            if let Some(n) = gate.get_mut(&state) {
+                *n -= 1;
+                if *n == 0 {
+                    gate.remove(&state);
+                }
+            }
+        }
+    }
+}
+
+/// A maximal run of consecutive probe rows of one head class.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    /// Summed [`ProbeRow::cost`] of the run's rows.
+    cost: usize,
+    /// One past the run's last row.
+    end: u32,
+    class: u32,
+}
+
+/// Appends `row`, just appended to the probe order, to the run index.
+fn extend_runs(runs: &mut Vec<Run>, row: &ProbeRow) {
+    let end = runs.last().map_or(0, |run| run.end) + 1;
+    match runs.last_mut() {
+        Some(run) if run.class == row.class => {
+            run.end = end;
+            run.cost += usize::from(row.cost);
+        }
+        _ => runs.push(Run {
+            cost: usize::from(row.cost),
+            end,
+            class: row.class,
+        }),
+    }
+}
+
+/// One class's entry in the per-lookup memo: the packet's head state
+/// under the class and the gate's verdict on it.
+#[derive(Debug, Clone, Copy, Default)]
+struct Memoised {
+    stamp: u32,
+    open: bool,
+    state: u64,
 }
 
 /// Per-lookup memo of [`KeyWords::head_state`] by class id. An entry is
@@ -151,20 +242,20 @@ struct HeadClass {
 #[derive(Debug, Clone, Default)]
 struct HeadMemo {
     stamp: u32,
-    states: Vec<(u32, u64)>,
+    states: Vec<Memoised>,
 }
 
 impl HeadMemo {
     /// Starts a lookup over `classes` class ids; returns its stamp.
     fn begin(&mut self, classes: usize) -> u32 {
         if self.states.len() < classes {
-            self.states.resize(classes, (0, 0));
+            self.states.resize(classes, Memoised::default());
         }
         self.stamp = self.stamp.wrapping_add(1);
         if self.stamp == 0 {
             // Wrapped: states stamped 2^32 lookups ago would read as
             // current again. 0 is never a live stamp.
-            self.states.iter_mut().for_each(|s| s.0 = 0);
+            self.states.iter_mut().for_each(|s| s.stamp = 0);
             self.stamp = 1;
         }
         self.stamp
@@ -230,6 +321,9 @@ pub struct TssStorage {
     /// Probe rows carrying their subtable's only entry's tag — must
     /// equal the number of one-entry subtables.
     pub inline_rows: usize,
+    /// Head classes keeping a gate — must equal the number of classes
+    /// holding ≥ 2 subtables.
+    pub gated_classes: usize,
 }
 
 /// The outcome of a single lookup.
@@ -251,6 +345,8 @@ pub struct TupleSpaceSearch<V> {
     subtables: Vec<Subtable>,
     /// Hot halves, probe order.
     rows: Vec<ProbeRow>,
+    /// `rows` cut into maximal same-class runs, in probe order.
+    runs: Vec<Run>,
     /// mask → index into `subtables`.
     index: HashMap<FlowMask, usize, BuildFoldHasher>,
     /// Every subtable's tags and, parallel to them, payloads.
@@ -282,6 +378,7 @@ impl<V> TupleSpaceSearch<V> {
         TupleSpaceSearch {
             subtables: Vec::new(),
             rows: Vec::new(),
+            runs: Vec::new(),
             index: HashMap::default(),
             arena: Arena::new(),
             compactions: 0,
@@ -375,6 +472,7 @@ impl<V> TupleSpaceSearch<V> {
             head_classes: self.classes.len(),
             compactions: self.compactions,
             inline_rows: self.rows.iter().filter(|row| row.lone_tag != 0).count(),
+            gated_classes: self.classes.iter().filter(|c| c.gate.is_some()).count(),
         }
     }
 
@@ -412,6 +510,7 @@ impl<V> TupleSpaceSearch<V> {
             Ok(slot) => return (row, slot, Some(value)),
             Err(free) => free,
         };
+        self.classes[row.class as usize].count_in(mk.key());
         st.len += 1;
         // Set by the first entry, cleared by the second.
         let lone_tag = if st.len == 1 { flat::tag_of(hash) } else { 0 };
@@ -455,7 +554,7 @@ impl<V> TupleSpaceSearch<V> {
             len: 0,
             row: self.rows.len() as u32,
         });
-        self.rows.push(ProbeRow {
+        let row = ProbeRow {
             tail,
             lone_tag: 0,
             base,
@@ -464,7 +563,9 @@ impl<V> TupleSpaceSearch<V> {
             cap_log2: MIN_CAPACITY.trailing_zeros() as u8,
             cost,
             staged: self.staged_enabled,
-        });
+        };
+        self.rows.push(row);
+        extend_runs(&mut self.runs, &row);
         self.index.insert(mask, sub);
         sub
     }
@@ -472,10 +573,21 @@ impl<V> TupleSpaceSearch<V> {
     /// The class id of `head`, interning it on first use.
     fn intern_class(&mut self, head: [u64; HEAD_WORDS]) -> u32 {
         if let Some(&id) = self.class_index.get(&head) {
-            self.classes[id as usize].refs += 1;
+            let class = &mut self.classes[id as usize];
+            class.refs += 1;
+            if class.refs == 2 {
+                // Called before the new subtable's row exists: the gate
+                // starts from the first subtable's entries.
+                let gate = self.gate_of(id);
+                self.classes[id as usize].gate = Some(gate);
+            }
             return id;
         }
-        let class = HeadClass { head, refs: 1 };
+        let class = HeadClass {
+            head,
+            refs: 1,
+            gate: None,
+        };
         let id = match self.free_classes.pop() {
             Some(id) => {
                 self.classes[id as usize] = class;
@@ -488,6 +600,18 @@ impl<V> TupleSpaceSearch<V> {
         };
         self.class_index.insert(head, id);
         id
+    }
+
+    /// The counted head states of every entry in `class`'s rows.
+    fn gate_of(&self, class: u32) -> HashMap<u64, u32, BuildFoldHasher> {
+        let head = &self.classes[class as usize].head;
+        let mut gate = HashMap::default();
+        for row in self.rows.iter().filter(|row| row.class == class) {
+            for (key, _) in self.arena.slots(row.base, row.cap_log2).iter().flatten() {
+                *gate.entry(KeyWords::of(key).head_state(head)).or_insert(0) += 1;
+            }
+        }
+        gate
     }
 
     /// Reclaims dead regions once they outweigh the live ones: every
@@ -551,6 +675,7 @@ impl<V> TupleSpaceSearch<V> {
         let is_match = |i| flat::key_at(slots, i) == Some(mk.key());
         let slot = flat::probe(tags, entry_hash(mk.key()), is_match).ok()?;
         let (_, removed) = flat::take_at(tags, slots, slot)?;
+        self.classes[row.class as usize].count_out(mk.key());
         self.entry_count -= 1;
         st.len -= 1;
         row.lone_tag = lone_tag_of(st.len, tags);
@@ -579,9 +704,14 @@ impl<V> TupleSpaceSearch<V> {
             self.arena.release(row.cap_log2);
             let class = row.class as usize;
             self.classes[class].refs -= 1;
-            if self.classes[class].refs == 0 {
-                self.class_index.remove(&self.classes[class].head);
-                self.free_classes.push(class as u32);
+            match self.classes[class].refs {
+                0 => {
+                    self.class_index.remove(&self.classes[class].head);
+                    self.free_classes.push(class as u32);
+                }
+                // Back to one subtable: nothing left to skip.
+                1 => self.classes[class].gate = None,
+                _ => {}
             }
             if let Some(moved) = self.subtables.get(sub) {
                 // The subtable formerly last now lives at `sub`.
@@ -594,10 +724,13 @@ impl<V> TupleSpaceSearch<V> {
         self.maybe_compact();
     }
 
-    /// Re-points every subtable at its row after rows moved.
+    /// Re-points every subtable at its row and re-cuts the runs after
+    /// rows moved.
     fn renumber_rows(&mut self) {
+        self.runs.clear();
         for (i, row) in self.rows.iter().enumerate() {
             self.subtables[row.sub as usize].row = i as u32;
+            extend_runs(&mut self.runs, row);
         }
     }
 
@@ -618,53 +751,61 @@ impl<V> TupleSpaceSearch<V> {
         // finds an empty memo to size, never a locked one.
         let mut memo = self.memo.take();
         let stamp = memo.begin(self.classes.len());
-        // The previous row's class and state: runs of masks that differ
-        // only in their ports skip even the memo.
-        let (mut class, mut state) = (u32::MAX, 0);
-        let mut probes = 0;
+        let mut probes = self.rows.len();
         let mut stage_checks = 0;
-        for (visited, row) in self.rows.iter().enumerate() {
-            probes = visited + 1;
-            if row.staged {
-                let (may, stages) = self.staged_probe(row, packet, words);
-                stage_checks += stages;
-                if !may {
-                    continue;
-                }
-            } else {
-                stage_checks += row.cost as usize;
+        let mut start = 0;
+        'runs: for run in &self.runs {
+            let end = run.end as usize;
+            let (state, open) = self.head_state(&mut memo, stamp, run.class, words);
+            // A staged probe may stop early and charge less than the
+            // run's sum, so with staged lookup every row is visited.
+            if !open && !self.staged_enabled {
+                // No entry of the class shares the packet's head: every
+                // probe of the run misses. Charged as if visited.
+                stage_checks += run.cost;
+                start = end;
+                continue;
             }
-            if row.class != class {
-                class = row.class;
-                state = self.head_state(&mut memo, stamp, class, words);
-            }
-            let hash = words.finish_hash(state, &row.tail);
-            let slot = if row.lone_tag != 0 {
-                // A singleton: its entry sits at its ideal slot with an
-                // empty slot behind it, so the row's tag decides the
-                // probe exactly and a miss never reads the arena.
-                let slot = hash as usize & ((1 << row.cap_log2) - 1);
-                if row.lone_tag != flat::tag_of(hash) || !self.matches(row, slot, packet) {
-                    continue;
+            for (at, row) in self.rows[start..end].iter().enumerate() {
+                if row.staged {
+                    let (may, stages) = self.staged_probe(row, packet, words);
+                    stage_checks += stages;
+                    if !may {
+                        continue;
+                    }
+                } else {
+                    stage_checks += row.cost as usize;
                 }
-                slot
-            } else {
-                let tags = self.arena.tags(row.base, row.cap_log2);
-                match flat::probe(tags, hash, |slot| self.matches(row, slot, packet)) {
-                    Ok(slot) => slot,
-                    Err(_) => continue,
+                let hash = words.finish_hash(state, &row.tail);
+                let slot = if row.lone_tag != 0 {
+                    // A singleton: its entry sits at its ideal slot with an
+                    // empty slot behind it, so the row's tag decides the
+                    // probe exactly and a miss never reads the arena.
+                    let slot = hash as usize & ((1 << row.cap_log2) - 1);
+                    if row.lone_tag != flat::tag_of(hash) || !self.matches(row, slot, packet) {
+                        continue;
+                    }
+                    slot
+                } else {
+                    let tags = self.arena.tags(row.base, row.cap_log2);
+                    match flat::probe(tags, hash, |slot| self.matches(row, slot, packet)) {
+                        Ok(slot) => slot,
+                        Err(_) => continue,
+                    }
+                };
+                if on_hit(row, slot) {
+                    probes = start + at + 1;
+                    break 'runs;
                 }
-            };
-            if on_hit(row, slot) {
-                break;
             }
+            start = end;
         }
         self.memo.replace(memo);
         (probes, stage_checks)
     }
 
     // The walk's rare steps, kept out of line so the common one — a
-    // non-staged miss in the class of the row before — stays in registers.
+    // non-staged miss inside a run — stays in registers.
 
     /// Consults `row`'s staged index: `(may_match, stages_examined)`.
     #[inline(never)]
@@ -675,15 +816,27 @@ impl<V> TupleSpaceSearch<V> {
         }
     }
 
-    /// The packet's head state under `class`, folded at most once per
-    /// lookup (`stamp`).
+    /// The packet's head state under `class` and whether the class's
+    /// gate admits it, folded at most once per lookup (`stamp`).
     #[inline(never)]
-    fn head_state(&self, memo: &mut HeadMemo, stamp: u32, class: u32, words: &KeyWords) -> u64 {
+    fn head_state(
+        &self,
+        memo: &mut HeadMemo,
+        stamp: u32,
+        class: u32,
+        words: &KeyWords,
+    ) -> (u64, bool) {
         let memoised = &mut memo.states[class as usize];
-        if memoised.0 != stamp {
-            *memoised = (stamp, words.head_state(&self.classes[class as usize].head));
+        if memoised.stamp != stamp {
+            let class = &self.classes[class as usize];
+            let state = words.head_state(&class.head);
+            *memoised = Memoised {
+                stamp,
+                open: class.admits(state),
+                state,
+            };
         }
-        memoised.1
+        (memoised.state, memoised.open)
     }
 
     /// A tag matched in `slot` of `row`'s region: only now are the
@@ -812,12 +965,14 @@ impl<V> TupleSpaceSearch<V> {
             let (tags, slots) = self.arena.region_mut(row.base, row.cap_log2);
             let mask = st.mask;
             let staged = &mut st.staged;
+            let class = &mut self.classes[row.class as usize];
             let kept = flat::retain_in_place(tags, slots, &mut scratch, |k, v| {
                 let kept = keep(&MaskedKey::new(*k, mask), v);
                 if !kept {
                     if let Some(s) = staged {
                         s.remove(k);
                     }
+                    class.count_out(k);
                 }
                 kept
             });
@@ -851,6 +1006,7 @@ impl<V> TupleSpaceSearch<V> {
     pub fn clear(&mut self) {
         self.subtables.clear();
         self.rows.clear();
+        self.runs.clear();
         self.index.clear();
         self.arena.clear();
         self.classes.clear();
@@ -998,6 +1154,77 @@ mod tests {
         assert_eq!(tss.memo.borrow().stamp, 1, "0 is skipped");
         assert_eq!(tss.lookup(&b).value, Some(&"coarse"));
         assert_eq!(tss.peek(&a).value, None);
+    }
+
+    #[test]
+    fn gated_runs_are_skipped_and_still_charged() {
+        // The attack's geometry: 32 ip_src prefix lengths (heads) × 16
+        // tp_dst prefix lengths (tails), one entry per mask. The entry of
+        // (src, dst) has a 0 at bit `src` of its address and at bit `dst`
+        // of its port, all ones elsewhere, so the packet built the same
+        // way shares its head with class `src` alone and matches only the
+        // entry (src, dst).
+        let at = |src: u8, dst: u8| {
+            let ip = !(1u32 << (32 - src));
+            FlowKey::tcp(ip.to_be_bytes(), [0, 0, 0, 0], 0, !(1u16 << (16 - dst)))
+        };
+        let mask = |src, dst| {
+            FlowMask::default()
+                .with_prefix(Field::IpSrc, src)
+                .with_prefix(Field::TpDst, dst)
+        };
+        let build = |tss: &mut TupleSpaceSearch<(u8, u8)>| {
+            for src in 1..=32 {
+                for dst in 1..=16 {
+                    tss.insert(MaskedKey::new(at(src, dst), mask(src, dst)), (src, dst));
+                }
+            }
+        };
+        let mut tss = TupleSpaceSearch::default();
+        build(&mut tss);
+        let storage = tss.storage();
+        assert_eq!((storage.head_classes, storage.gated_classes), (32, 32));
+        assert_eq!(tss.runs.len(), 32);
+        // What a walk that visits every row charges: probes and units up
+        // to the first mask under which an entry matches.
+        let entries: Vec<MaskedKey> = tss.iter().map(|(mk, _)| mk).collect();
+        let masks = tss.masks();
+        let gate_free = |packet: &FlowKey| {
+            let mut units = 0;
+            for (i, m) in masks.iter().enumerate() {
+                units += StagedIndex::new(m).stage_count().max(1);
+                if entries
+                    .iter()
+                    .any(|e| e.mask() == m && m.key_eq(e.key(), packet))
+                {
+                    return (i + 1, units);
+                }
+            }
+            (512, units)
+        };
+        // All ones: no class's head.
+        let foreign = FlowKey::tcp([255; 4], [0, 0, 0, 0], 0, u16::MAX);
+        let miss = tss.lookup(&foreign);
+        assert_eq!((miss.value, miss.probes), (None, 512));
+        assert_eq!((miss.probes, miss.stage_checks), gate_free(&foreign));
+        assert_eq!(miss.stage_checks, 2 * 512, "two stages per mask");
+        for (src, dst) in [(1, 1), (7, 16), (20, 3), (32, 9), (32, 16)] {
+            let hit = tss.lookup(&at(src, dst));
+            assert_eq!(hit.value, Some(&(src, dst)));
+            assert_eq!((hit.probes, hit.stage_checks), gate_free(&at(src, dst)));
+            assert_eq!(hit.probes, usize::from(src - 1) * 16 + usize::from(dst));
+        }
+        // One head shared, no port matched: the open class is walked,
+        // every other skipped, all 512 charged.
+        let near = at(20, 3).with(Field::TpDst, u64::from(u16::MAX));
+        let out = tss.lookup(&near);
+        assert_eq!((out.value, out.probes, out.stage_checks), (None, 512, 1024));
+        // Staged lookup charges what each probe examines — here only the
+        // L3 stage — so its runs are walked row by row, never skipped.
+        let mut staged = TupleSpaceSearch::default().with_staged_lookup();
+        build(&mut staged);
+        let out = staged.lookup(&foreign);
+        assert_eq!((out.value, out.probes, out.stage_checks), (None, 512, 512));
     }
 
     #[test]

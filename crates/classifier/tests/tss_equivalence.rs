@@ -244,11 +244,29 @@ impl ReferenceTss {
         }
     }
 
-    fn distinct_heads(&self) -> usize {
+    /// The heads present, sorted, one per subtable (repeats kept).
+    fn heads(&self) -> Vec<Vec<u64>> {
         let mut heads: Vec<Vec<u64>> = self.subtables.iter().map(|s| head_of(&s.mask)).collect();
         heads.sort();
+        heads
+    }
+
+    fn distinct_heads(&self) -> usize {
+        let mut heads = self.heads();
         heads.dedup();
         heads.len()
+    }
+
+    /// Heads held by ≥ 2 subtables: the classes the engine gates.
+    fn shared_heads(&self) -> usize {
+        let heads = self.heads();
+        let mut shared = heads
+            .windows(2)
+            .filter(|w| w[0] == w[1])
+            .map(|w| &w[0])
+            .collect::<Vec<_>>();
+        shared.dedup();
+        shared.len()
     }
 
     fn insert(&mut self, mk: &MaskedKey, v: u64) -> Option<u64> {
@@ -416,6 +434,42 @@ fn rand_shared_tail_key(rng: &mut SplitMix64) -> MaskedKey {
     MaskedKey::new(key, mask)
 }
 
+/// Three heads (ip_src /8, /16, /24) × 16 tails (tp_src and tp_dst
+/// prefixes of 4–16 bits), 1–3 entries per mask: the attack's geometry in
+/// miniature, where classes hold many subtables and so are gated.
+fn rand_gated_pool(rng: &mut SplitMix64) -> Vec<MaskedKey> {
+    let mut pool = Vec::new();
+    for _ in 0..4 + rng.gen_range(12) {
+        let mask = FlowMask::default()
+            .with_prefix(Field::IpSrc, 8 * (1 + rng.gen_range(3) as u8))
+            .with_prefix(Field::TpSrc, 4 * (1 + rng.gen_range(4) as u8))
+            .with_prefix(Field::TpDst, 4 * (1 + rng.gen_range(4) as u8));
+        for _ in 0..1 + rng.gen_range(3) {
+            pool.push(MaskedKey::new(rand_gated_packet(rng), mask));
+        }
+    }
+    pool
+}
+
+/// Packets over a handful of sources: under a gated class a packet
+/// shares its head with no entry, one or several.
+fn rand_gated_packet(rng: &mut SplitMix64) -> FlowKey {
+    let sources = [
+        [10, 0, 0, 1],
+        [10, 0, 1, 1],
+        [10, 1, 0, 1],
+        [10, 2, 0, 1],
+        [11, 0, 0, 1],
+    ];
+    let ports = [80u16, 443, 0x8000, 0xffff];
+    FlowKey::tcp(
+        *rng.choose(&sources).unwrap(),
+        [192, 168, 0, 1],
+        *rng.choose(&ports).unwrap(),
+        *rng.choose(&ports).unwrap(),
+    )
+}
+
 /// Every observable of the engine against the reference.
 fn assert_same_state(tss: &TupleSpaceSearch<u64>, reference: &ReferenceTss) {
     assert_eq!(tss.len(), reference.len());
@@ -447,6 +501,12 @@ fn assert_same_state(tss: &TupleSpaceSearch<u64>, reference: &ReferenceTss) {
     // answers correctly, just from the arena.
     let singletons = reference.subtables.iter().filter(|s| s.entries.len() == 1);
     assert_eq!(storage.inline_rows, singletons.count(), "rows with a tag");
+    // A class keeps a gate exactly while it holds ≥ 2 subtables.
+    assert_eq!(
+        storage.gated_classes,
+        reference.shared_heads(),
+        "gated classes"
+    );
 }
 
 /// Differential test: a randomized interleaving of inserts, removes,
@@ -470,6 +530,7 @@ fn flat_subtables_match_hashmap_reference_model() {
         let mut pool = rand_vec(rng, 8, 24, rand_masked_key);
         pool.extend(rand_vec(rng, 4, 12, rand_shared_head_key));
         pool.extend(rand_vec(rng, 4, 12, rand_shared_tail_key));
+        pool.extend(rand_gated_pool(rng));
         let mut reused_class_ids = false;
         for op in 0..400u64 {
             match rng.gen_range(16) {
@@ -482,11 +543,11 @@ fn flat_subtables_match_hashmap_reference_model() {
                     assert_eq!(tss.remove(mk), reference.remove(mk));
                 }
                 9..=12 => {
-                    let pkt = if rng.gen_bool(0.5) {
+                    let pkt = match rng.gen_range(4) {
                         // Probe a witness of a pool entry: likely hit.
-                        rng.choose(&pool).unwrap().witness()
-                    } else {
-                        rand_packet(rng)
+                        0 | 1 => rng.choose(&pool).unwrap().witness(),
+                        2 => rand_packet(rng),
+                        _ => rand_gated_packet(rng),
                     };
                     let out = tss.lookup(&pkt);
                     let got = (out.value.copied(), out.probes, out.stage_checks);
@@ -521,9 +582,21 @@ fn flat_subtables_match_hashmap_reference_model() {
                         assert_eq!(tss.insert(*mk, v), reference.insert(mk, v));
                     }
                     assert_same_state(&tss, &reference);
+                    let lookups = |tss: &mut TupleSpaceSearch<u64>,
+                                   reference: &mut ReferenceTss| {
+                        // A sample of the burst, some of whose inserts grew
+                        // the region: their heads must pass the gate.
+                        for mk in burst.iter().step_by(7) {
+                            let out = tss.lookup(&mk.witness());
+                            let got = (out.value.copied(), out.probes, out.stage_checks);
+                            assert_eq!(got, reference.lookup(&mk.witness()), "burst {mk:?}");
+                        }
+                    };
+                    lookups(&mut tss, &mut reference);
                     for mk in burst.iter().skip(rng.gen_range(4) as usize) {
                         assert_eq!(tss.remove(mk), reference.remove(mk));
                     }
+                    lookups(&mut tss, &mut reference);
                 }
                 _ => {
                     if rng.gen_bool(0.8) {
