@@ -175,6 +175,10 @@ impl CovertSequence {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "a test may hash with `RandomState`"
+)]
 mod tests {
     use super::*;
 

@@ -1,15 +1,14 @@
 //! The self-scan: `pi_audit` run over the workspace that ships it. CI
-//! runs `pi_audit --check`; this keeps the same gate inside
-//! `cargo test` (the root package lists this file as a `[[test]]`, so
-//! tier-1 runs it).
+//! runs `pi_audit --check`; this keeps the same gate inside tier-1
+//! `cargo test` (the root package lists this file as a `[[test]]`).
 
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // test helpers: fail loudly
 
 use pi_audit::{find_workspace_root, scan_file, scan_workspace, FileClass};
 
 fn root() -> std::path::PathBuf {
-    // The manifest dir is `crates/audit` or, run as the root package's
-    // test, the workspace root itself.
+    // Run as the root package's test, the manifest dir is the workspace
+    // root itself; the search also finds it from `crates/audit`.
     find_workspace_root(std::path::Path::new(env!("CARGO_MANIFEST_DIR")))
         .expect("workspace root at or above the manifest dir")
 }

@@ -347,6 +347,10 @@ impl<V> FlatTable<V> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "a test may hash with `RandomState`"
+)]
 mod tests {
     use super::*;
     use pi_core::{flow_hash, for_cases, FlowKey};

@@ -13,6 +13,10 @@
 //! generator (no external dependencies) — each case index is its own
 //! reproducible seed.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a test may hash with `RandomState`"
+)]
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)] // test helpers: fail loudly
 
 use pi_classifier::{

@@ -209,19 +209,14 @@ impl Cloud {
     /// Provisions `count` pods for `tenant`, choosing hosting nodes via
     /// `strategy` — the scheduler knob a fleet-scale experiment turns to
     /// model benign spreading vs an attacker engineering co-location.
-    ///
-    /// # Panics
-    /// Panics if the cloud has no nodes.
+    /// A cloud with no nodes has nowhere to put a pod: it places none
+    /// and returns an empty list.
     pub fn place_pods(
         &mut self,
         tenant: TenantId,
         count: usize,
         strategy: PlacementStrategy,
     ) -> Vec<PodId> {
-        assert!(
-            !self.nodes.is_empty(),
-            "cannot place pods in a node-less cloud"
-        );
         (0..count)
             .map_while(|_| {
                 let node = self.pick_node(tenant, &strategy)?;
@@ -436,6 +431,20 @@ mod tests {
         };
         let err = cloud.apply_k8s_policy(attacker, apod, &policy).unwrap_err();
         assert!(matches!(err, CmsError::TooManyRules { got: 5, limit: 3 }));
+    }
+
+    #[test]
+    fn a_node_less_cloud_places_no_pods() {
+        let mut cloud = Cloud::new();
+        let t = cloud.add_tenant();
+        for strategy in [
+            PlacementStrategy::RoundRobin,
+            PlacementStrategy::BinPacked { capacity: 2 },
+            PlacementStrategy::Colocate(t),
+        ] {
+            assert!(cloud.place_pods(t, 3, strategy).is_empty());
+        }
+        assert!(cloud.pods_of(t).is_empty());
     }
 
     #[test]

@@ -261,6 +261,10 @@ pub fn flow_hash(key: &FlowKey) -> u64 {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "a test may hash with `RandomState`"
+)]
 mod tests {
     use super::*;
     use crate::rng::for_cases;

@@ -8,9 +8,11 @@
 //! nothing is SipHashed and iteration-free lookups repeat bit for bit) —
 //! and cloning it is a `memcpy`. Keys are the pod IPs the builder or the
 //! CMS registered (inputs of the simulation, never adversarial to the
-//! hash), entries are only ever added or re-pointed (a migration
-//! overwrites; pods do not leave a switch or the fleet), so there is no
-//! removal and no tombstone.
+//! hash), and entries are only ever added or re-pointed: an insert on
+//! a present key overwrites it and returns the old value (the fleet
+//! builder's duplicate-pod check), a pod re-attach keeps its entry, and
+//! pods do not leave a switch or the fleet. So there is no removal and
+//! no tombstone.
 
 /// One slot; `value == FREE` marks it unoccupied.
 #[derive(Debug, Clone, Copy)]
@@ -127,7 +129,7 @@ mod tests {
         assert_eq!(t.insert(0x0a00_0001, 0), None);
         assert_eq!(t.get(0), Some(3));
         assert_eq!(t.get(0x0a00_0001), Some(0));
-        assert_eq!(t.insert(0, 5), Some(3), "a migration overwrites");
+        assert_eq!(t.insert(0, 5), Some(3), "an insert re-points a present key");
         assert_eq!(t.get(0), Some(5));
         assert_eq!(t.get(0x0a00_0002), None);
         assert_eq!(t.len(), 2);

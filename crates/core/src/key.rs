@@ -182,6 +182,10 @@ impl fmt::Display for FlowKey {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "a test may hash with `RandomState`"
+)]
 mod tests {
     use super::*;
     use crate::fields::ALL_FIELDS;

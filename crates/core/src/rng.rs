@@ -104,6 +104,10 @@ pub fn for_cases(cases: u64, tag: u64, mut body: impl FnMut(&mut SplitMix64)) {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "a test may hash with `RandomState`"
+)]
 mod tests {
     use super::*;
 

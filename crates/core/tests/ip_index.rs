@@ -2,6 +2,11 @@
 //! every switch (pod lookup) and every shard (routing) — against the
 //! `HashMap<u32, u32>` it replaced, under random operations.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a test may hash with `RandomState`"
+)]
+
 use std::collections::HashMap;
 
 use pi_core::{IpIndex, SplitMix64};
@@ -26,7 +31,7 @@ fn ip_index_agrees_with_a_hash_map_under_random_operations() {
         for step in 0..40_000 {
             let ip = key(&mut rng);
             match rng.gen_range(4) {
-                // Insert, or overwrite as a migration does.
+                // Insert, or re-point a present key.
                 0 | 1 => {
                     let value = rng.gen_range(128) as u32;
                     assert_eq!(

@@ -4,7 +4,7 @@
 //! table in `Cargo.toml` is frozen byte for byte, because dropping a
 //! line that `benchmark/Cargo.lock` records makes the next benchmark
 //! run rewrite that tracked file. The benchmark-only PR of ROADMAP item
-//! 1(a) switches the imports to `pi_sim` and deletes this crate.
+//! 2A switches the imports to `pi_sim` and deletes this crate.
 
 pub use pi_sim::{
     fleet_colocation, fleet_sparse, ColocationParams, EngineProfile, FleetReport, FleetSim,

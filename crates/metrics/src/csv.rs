@@ -28,22 +28,6 @@ impl CsvTable {
         self.rows.push(cells.to_vec());
     }
 
-    /// Convenience for numeric rows.
-    pub fn push_numeric_row(&mut self, cells: &[f64]) {
-        self.push_row(
-            &cells
-                .iter()
-                .map(|v| {
-                    if v.fract() == 0.0 && v.abs() < 1e15 {
-                        format!("{}", *v as i64)
-                    } else {
-                        format!("{v:.4}")
-                    }
-                })
-                .collect::<Vec<_>>(),
-        );
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -129,8 +113,8 @@ mod tests {
     #[test]
     fn csv_round_trip_shape() {
         let mut t = CsvTable::new(&["masks", "throughput"]);
-        t.push_numeric_row(&[512.0, 0.104]);
-        t.push_numeric_row(&[8192.0, 0.0071]);
+        t.push_row(&["512".into(), "0.1040".into()]);
+        t.push_row(&["8192".into(), "0.0071".into()]);
         let csv = t.to_csv();
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines[0], "masks,throughput");

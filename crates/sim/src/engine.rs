@@ -4,20 +4,20 @@
 //! Execution model (conservative parallel discrete-event simulation,
 //! specialised to a constant one-tick fabric latency):
 //!
-//! * each worker owns a disjoint shard set and merges that set's event
-//!   sources — pending cross-host deliveries, topology commands,
-//!   per-shard wake deadlines ([`HostShard::next_wake`]) and the
-//!   global sample grid — into one monotonic tick iterator;
+//! * each worker owns a disjoint shard set and merges that set's three
+//!   event sources — pending cross-host deliveries, per-shard wake
+//!   deadlines ([`HostShard::next_wake`]) and the global sample grid —
+//!   into one monotonic tick iterator;
 //! * an executed tick steps a **due list**, not the shard set: the
-//!   shards named by the commands at the cursor, by the deliveries
-//!   filed for that tick (one ordered lookup) and by the wake deadlines
-//!   that have come due, in ascending shard order. Only a sample tick
-//!   visits every shard. What a shard emits is sparse — one parcel per
-//!   destination it addressed ([`ShardOutput`]) — and the parcel
-//!   buffers, the due list and the per-shard command/inbound scratch
-//!   all live on the worker, so a tick's host cost follows the shards
-//!   that ran and the destinations they addressed, never the fleet
-//!   size, and a steady-state tick allocates nothing. A source that
+//!   shards named by the deliveries filed for that tick (one ordered
+//!   lookup) and by the wake deadlines that have come due, in ascending
+//!   shard order. Only a sample tick visits every shard. What a shard
+//!   emits is sparse — one parcel per destination it addressed
+//!   ([`ShardOutput`]) — and the parcel buffers, the due list and the
+//!   per-shard inbound scratch all live on the worker, so a tick's host
+//!   cost follows the shards that ran and the destinations they
+//!   addressed, never the fleet size, and a steady-state tick allocates
+//!   nothing. A source that
 //!   emits every tick pins its shard "always active": that shard's
 //!   `ticks_stepped` is physics, and only the cost of each such tick is
 //!   the harness's to shrink;
@@ -69,17 +69,7 @@ use pi_traffic::TrafficSource;
 use crate::config::SimConfig;
 use crate::node::NodeCell;
 use crate::report::{EngineProfile, FleetReport, FLUSH_LOG_CAP};
-use crate::shard::{
-    FleetSlot, HostCmd, HostShard, Parcel, ShardInput, ShardOutput, SourceHome, TickCtx,
-};
-
-/// A pod migration scheduled at build time.
-#[derive(Debug, Clone)]
-struct MigrationSpec {
-    at: SimTime,
-    ip: u32,
-    to_host: usize,
-}
+use crate::shard::{FleetSlot, HostShard, Parcel, ShardOutput, SourceHome, TickCtx};
 
 /// What a caller's input to [`FleetBuilder`] can get wrong, reported by
 /// [`FleetBuilder::build`].
@@ -87,7 +77,7 @@ struct MigrationSpec {
 pub enum BuildError {
     /// No host was added.
     NoHosts,
-    /// A pod, source, migration or attachment names a host index that
+    /// A pod, source or attachment names a host index that
     /// [`FleetBuilder::add_host`] never returned.
     NoSuchHost {
         /// The index named.
@@ -101,7 +91,7 @@ pub enum BuildError {
         /// The repeated IP.
         ip: u32,
     },
-    /// An ACL or a migration names an IP no pod was attached with.
+    /// An ACL names an IP no pod was attached with.
     UnattachedPod {
         /// The IP named.
         ip: u32,
@@ -125,7 +115,7 @@ impl std::fmt::Display for BuildError {
             }
             BuildError::UnattachedPod { ip } => write!(
                 f,
-                "an ACL or migration names {}, which no pod was attached with",
+                "an ACL names {}, which no pod was attached with",
                 std::net::Ipv4Addr::from(ip)
             ),
             BuildError::ZeroTick => write!(f, "SimConfig::tick is zero"),
@@ -136,8 +126,8 @@ impl std::fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
-/// Builder for a [`FleetSim`]. The `add_*` / `attach_*` / `schedule_*`
-/// calls only record; [`FleetBuilder::build`] validates everything once.
+/// Builder for a [`FleetSim`]. The `add_*` / `attach_*` calls only
+/// record; [`FleetBuilder::build`] validates everything once.
 pub struct FleetBuilder {
     cfg: SimConfig,
     cost: CostModel,
@@ -146,7 +136,6 @@ pub struct FleetBuilder {
     pods: Vec<(usize, u32, u32)>, // (host, ip, vport)
     acls: Vec<(u32, FlowTable)>,
     sources: Vec<(usize, Box<dyn TrafficSource + Send>)>,
-    migrations: Vec<MigrationSpec>,
     defenses: Vec<(usize, DefenseController)>,
     control_planes: Vec<(usize, ControlPlaneProgram)>,
     faults: Vec<(usize, FaultSchedule)>,
@@ -164,7 +153,6 @@ impl FleetBuilder {
             pods: Vec::new(),
             acls: Vec::new(),
             sources: Vec::new(),
-            migrations: Vec::new(),
             defenses: Vec::new(),
             control_planes: Vec::new(),
             faults: Vec::new(),
@@ -205,8 +193,8 @@ impl FleetBuilder {
         self.pods.push((host, ip, vport));
     }
 
-    /// Installs an ingress ACL at the pod with IP `ip` (on its home
-    /// switch; reinstalled automatically if the pod later migrates).
+    /// Installs an ingress ACL at the pod with IP `ip`, on its home
+    /// switch.
     pub fn install_acl(&mut self, ip: u32, table: FlowTable) {
         self.acls.push((ip, table));
     }
@@ -225,14 +213,6 @@ impl FleetBuilder {
             .iter()
             .map(|(_, source)| source.label().to_string());
         labels.collect()
-    }
-
-    /// Schedules a live migration: at simulated time `at`, the pod at
-    /// `ip` detaches from its current host and re-attaches on
-    /// `to_host` (with its ACL, if any). Traffic in flight is tunnelled
-    /// through the old host's uplink during the switchover.
-    pub fn schedule_migration(&mut self, at: SimTime, ip: u32, to_host: usize) {
-        self.migrations.push(MigrationSpec { at, ip, to_host });
     }
 
     /// Attaches a shard-local closed-loop defense controller to `host`,
@@ -277,8 +257,8 @@ impl FleetBuilder {
         self.reliable_controls.push((host, program, cfg));
     }
 
-    /// The first host index recorded by an `add_*` / `attach_*` /
-    /// `schedule_*` call that [`FleetBuilder::add_host`] never returned.
+    /// The first host index recorded by an `add_*` / `attach_*` call
+    /// that [`FleetBuilder::add_host`] never returned.
     fn unknown_host(&self) -> Option<usize> {
         let n = self.hosts.len();
         let mut named = self
@@ -286,7 +266,6 @@ impl FleetBuilder {
             .iter()
             .map(|p| p.0)
             .chain(self.sources.iter().map(|s| s.0))
-            .chain(self.migrations.iter().map(|m| m.to_host))
             .chain(self.defenses.iter().map(|d| d.0))
             .chain(self.control_planes.iter().map(|c| c.0))
             .chain(self.faults.iter().map(|f| f.0))
@@ -329,12 +308,10 @@ impl FleetBuilder {
                 node.backend_mut().attach_pod(ip, raw);
             }
         }
-        let mut acl_map: BTreeMap<u32, FlowTable> = BTreeMap::new();
         for (ip, table) in self.acls {
             let host = routes.get(ip).ok_or(BuildError::UnattachedPod { ip })? as usize;
-            let ok = nodes[host].backend_mut().install_acl(ip, table.clone());
+            let ok = nodes[host].backend_mut().install_acl(ip, table);
             assert!(ok, "ACL install must succeed on the home switch");
-            acl_map.insert(ip, table);
         }
 
         for (host, controller) in self.defenses {
@@ -384,61 +361,23 @@ impl FleetBuilder {
             per_host_slots[host].push(FleetSlot::new(global, source));
         }
         let source_homes: Arc<[SourceHome]> = source_homes.into();
+        let routes = Arc::new(routes);
 
         let shards: Vec<HostShard> = nodes
             .into_iter()
             .zip(per_host_slots)
             .enumerate()
             .map(|(id, (node, slots))| {
-                HostShard::new(id, node, routes.clone(), Arc::clone(&source_homes), slots)
+                HostShard::new(
+                    id,
+                    node,
+                    Arc::clone(&routes),
+                    Arc::clone(&source_homes),
+                    slots,
+                )
             })
             .collect();
-
-        // Resolve migrations into per-tick command batches.
-        let tick_ns = cfg.tick.as_nanos();
-        let mut next_vport = self.next_vport;
-        let mut location = routes;
-        let mut migrations = self.migrations;
-        migrations.sort_by_key(|m| m.at);
-        let mut commands: Vec<(u64, usize, HostCmd)> = Vec::new();
-        for m in migrations {
-            let tick = m.at.as_nanos() / tick_ns;
-            let from = location
-                .get(m.ip)
-                .ok_or(BuildError::UnattachedPod { ip: m.ip })? as usize;
-            if from == m.to_host {
-                continue;
-            }
-            let vport = next_vport[m.to_host];
-            next_vport[m.to_host] += 1;
-            for shard in 0..n {
-                commands.push((
-                    tick,
-                    shard,
-                    HostCmd::Route {
-                        ip: m.ip,
-                        shard: m.to_host,
-                    },
-                ));
-            }
-            commands.push((tick, from, HostCmd::DetachToUplink { ip: m.ip }));
-            commands.push((
-                tick,
-                m.to_host,
-                HostCmd::AttachLocal {
-                    ip: m.ip,
-                    vport,
-                    acl: acl_map.get(&m.ip).cloned(),
-                },
-            ));
-            location.insert(m.ip, m.to_host as u32);
-        }
-
-        Ok(FleetSim {
-            cfg,
-            shards,
-            commands,
-        })
+        Ok(FleetSim { cfg, shards })
     }
 }
 
@@ -447,8 +386,6 @@ impl FleetBuilder {
 pub struct FleetSim {
     cfg: SimConfig,
     shards: Vec<HostShard>,
-    /// (tick, shard, command), in schedule order.
-    commands: Vec<(u64, usize, HostCmd)>,
 }
 
 /// A delivery in flight: `(destination shard, parcel naming its
@@ -496,14 +433,14 @@ impl Pending {
             .push((local, parcel));
     }
 
-    /// Moves everything filed for tick `e` into its shard's `inbound`,
-    /// naming each receiving shard in `due`.
-    fn deliver(&mut self, e: u64, work: &mut [ShardInput], due: &mut Vec<usize>) {
+    /// Moves everything filed for tick `e` into its shard's inbound
+    /// list, naming each receiving shard in `due`.
+    fn deliver(&mut self, e: u64, inbound: &mut [Vec<Parcel>], due: &mut Vec<usize>) {
         let Some(mut batch) = self.by_tick.remove(&e) else {
             return;
         };
         for (li, parcel) in batch.drain(..) {
-            work[li].inbound.push(parcel);
+            inbound[li].push(parcel);
             due.push(li);
         }
         if self.spare.len() < Self::SPARE_CAP {
@@ -514,7 +451,7 @@ impl Pending {
 
 /// The per-worker state of the event-driven engine: the shards this
 /// worker owns plus their merged event queue — pending deliveries
-/// keyed by tick, the tick-sorted command stream, and a wake heap
+/// keyed by tick and a wake heap
 /// lazily invalidated through `wake_at` (an entry is live only while
 /// it equals the shard's authoritative deadline) — and the scratch an
 /// executed tick works in, kept across ticks so none is allocated.
@@ -529,9 +466,6 @@ struct EventWorker {
     shards: Vec<HostShard>,
     /// Shard id → index into its owner's `shards`.
     local_index: Vec<usize>,
-    /// This worker's shards' commands, tick order.
-    commands: Vec<(u64, usize, HostCmd)>,
-    cmd_cursor: usize,
     pending: Pending,
     wake_at: Vec<u64>,
     heap: BinaryHeap<Reverse<(u64, usize)>>,
@@ -540,9 +474,9 @@ struct EventWorker {
     outbox: Vec<Vec<(u64, Delivery)>>,
     /// Local shards to step this tick, ascending.
     due: Vec<usize>,
-    /// Per local shard: this tick's commands and inbound parcels.
-    /// Empty between ticks.
-    work: Vec<ShardInput>,
+    /// Per local shard: this tick's inbound parcels. Empty between
+    /// ticks.
+    inbound: Vec<Vec<Parcel>>,
     out: ShardOutput,
     /// Harness self-profiling for this worker (heap churn, null
     /// messages) — diagnostic only, never part of the simulated state.
@@ -551,16 +485,13 @@ struct EventWorker {
 
 impl EventWorker {
     /// The earliest tick ≥ `t` at which any owned shard has an event:
-    /// the next sample boundary (global, mandatory), the next command,
-    /// the earliest pending delivery, or the earliest live wake
+    /// the next sample boundary (global, mandatory), the earliest
+    /// pending delivery, or the earliest live wake
     /// deadline. Stale heap entries are discarded on the way.
     // audit: hotpath
     fn next_event(&mut self, t: u64) -> u64 {
         let every = self.ctx.sample_every_ticks;
         let mut e = t + (every - 1 - (t % every));
-        if let Some((ct, _, _)) = self.commands.get(self.cmd_cursor) {
-            e = e.min((*ct).max(t));
-        }
         if let Some(dt) = self.pending.first_tick() {
             e = e.min(dt.max(t));
         }
@@ -587,16 +518,7 @@ impl EventWorker {
         // The due list: every shard one of the merged event sources
         // names at `e`.
         self.due.clear();
-        while let Some((ct, sid, cmd)) = self.commands.get(self.cmd_cursor) {
-            if *ct > e {
-                break;
-            }
-            let li = self.local_index[*sid];
-            self.work[li].cmds.push(cmd.clone());
-            self.due.push(li);
-            self.cmd_cursor += 1;
-        }
-        self.pending.deliver(e, &mut self.work, &mut self.due);
+        self.pending.deliver(e, &mut self.inbound, &mut self.due);
         // Every deadline ≤ e leaves the heap here: the live ones run
         // now and are re-scheduled past `e`, the rest were stale.
         while let Some(&Reverse((wt, li))) = self.heap.peek() {
@@ -622,7 +544,7 @@ impl EventWorker {
         let deliverable = e + 1 < self.ticks;
         for i in 0..self.due.len() {
             let li = self.due[i];
-            self.shards[li].tick(e, now, next, &ctx, &mut self.work[li], &mut self.out);
+            self.shards[li].tick(e, now, next, &ctx, &mut self.inbound[li], &mut self.out);
             let sid = self.shards[li].id;
             for (dst, parcel) in self.out.drain_from(sid) {
                 if !deliverable {
@@ -815,9 +737,9 @@ impl FleetSim {
         // A run of no ticks has no last tick for the event loop to run
         // up to; the reference loop's zero iterations are its answer.
         let (shards, profiles) = if sim.event_driven && ticks > 0 {
-            run_event(self.shards, self.commands, ctx, tick_ns, ticks, workers)
+            run_event(self.shards, ctx, tick_ns, ticks, workers)
         } else {
-            let shards = run_stepped(self.shards, &self.commands, &ctx, tick_ns, ticks);
+            let shards = run_stepped(self.shards, &ctx, tick_ns, ticks);
             (shards, Vec::new())
         };
         FleetReport::assemble(workers, sim.tick, ticks, shards, sim.trace, profiles)
@@ -829,17 +751,12 @@ impl FleetSim {
 /// shards in id order and one profile per worker.
 fn run_event(
     shards: Vec<HostShard>,
-    commands: Vec<(u64, usize, HostCmd)>,
     ctx: TickCtx,
     tick_ns: u64,
     ticks: u64,
     workers: usize,
 ) -> (Vec<HostShard>, Vec<EngineProfile>) {
     let (parts, owner, local_index) = partition(shards, workers);
-    let mut part_cmds: Vec<Vec<(u64, usize, HostCmd)>> = (0..workers).map(|_| Vec::new()).collect();
-    for (tick, shard, cmd) in commands {
-        part_cmds[owner[shard]].push((tick, shard, cmd));
-    }
 
     // One receiver per worker; every peer holds a sender clone.
     // The capacity bounds run-ahead buffering: a worker enqueues at
@@ -853,7 +770,7 @@ fn run_event(
         rxs.push(rx);
     }
     let mut handles = Vec::with_capacity(workers);
-    for (me, ((part, cmds), rx)) in parts.into_iter().zip(part_cmds).zip(rxs).enumerate() {
+    for (me, (part, rx)) in parts.into_iter().zip(rxs).enumerate() {
         let peers: Vec<(usize, SyncSender<Flush>)> = (0..workers)
             .filter(|p| *p != me)
             .map(|p| (p, txs[p].clone()))
@@ -871,11 +788,9 @@ fn run_event(
             tick_ns,
             ticks,
             owner: owner.clone(),
-            work: part.iter().map(|_| ShardInput::default()).collect(),
+            inbound: part.iter().map(|_| Vec::new()).collect(),
             shards: part,
             local_index: local_index.clone(),
-            commands: cmds,
-            cmd_cursor: 0,
             pending: Pending::default(),
             wake_at,
             heap,
@@ -912,29 +827,20 @@ fn run_event(
 /// dropped.
 fn run_stepped(
     mut shards: Vec<HostShard>,
-    commands: &[(u64, usize, HostCmd)],
     ctx: &TickCtx,
     tick_ns: u64,
     ticks: u64,
 ) -> Vec<HostShard> {
-    let mut work: Vec<ShardInput> = shards.iter().map(|_| ShardInput::default()).collect();
+    let mut inbound: Vec<Vec<Parcel>> = shards.iter().map(|_| Vec::new()).collect();
     let mut out = ShardOutput::new(ctx.shards);
     let mut in_flight: Vec<Delivery> = Vec::new();
-    let mut cmd_cursor = 0usize;
     for tick in 0..ticks {
         let now = SimTime::from_nanos(tick * tick_ns);
         let next = SimTime::from_nanos((tick + 1) * tick_ns);
-        while let Some((ct, shard, cmd)) = commands.get(cmd_cursor) {
-            if *ct > tick {
-                break;
-            }
-            work[*shard].cmds.push(cmd.clone());
-            cmd_cursor += 1;
-        }
         for (dst, parcel) in in_flight.drain(..) {
-            work[dst].inbound.push(parcel);
+            inbound[dst].push(parcel);
         }
-        for (shard, input) in shards.iter_mut().zip(&mut work) {
+        for (shard, input) in shards.iter_mut().zip(&mut inbound) {
             shard.tick(tick, now, next, ctx, input, &mut out);
             in_flight.extend(out.drain_from(shard.id));
         }
@@ -1113,7 +1019,7 @@ mod tests {
         };
         let no_such_host = Some(BuildError::NoSuchHost { host: 1, hosts: 1 });
         let unattached = Some(BuildError::UnattachedPod { ip: STRANGER });
-        let cases: [(Spoil, Option<BuildError>); 12] = [
+        let cases: [(Spoil, Option<BuildError>); 10] = [
             (|_| {}, None),
             // Were the second attachment accepted, the switch would keep
             // the first vport while the routing view followed the second.
@@ -1138,10 +1044,6 @@ mod tests {
                 no_such_host,
             ),
             (
-                |b| b.schedule_migration(SimTime::ZERO, POD, 1),
-                no_such_host,
-            ),
-            (
                 |b| b.attach_defense(1, DefenseController::new(Default::default())),
                 no_such_host,
             ),
@@ -1156,10 +1058,6 @@ mod tests {
             ),
             (
                 |b| b.install_acl(STRANGER, whitelist_with_default_deny(&[])),
-                unattached,
-            ),
-            (
-                |b| b.schedule_migration(SimTime::ZERO, STRANGER, 0),
                 unattached,
             ),
         ];
@@ -1220,28 +1118,6 @@ mod tests {
         };
         assert_eq!(run(0), (1, 1));
         assert_eq!(run(8), (2, 2));
-    }
-
-    #[test]
-    fn migration_moves_delivery_to_the_new_host() {
-        let mut b = FleetBuilder::new(small_cfg(4, 2));
-        let h0 = b.add_host(DpConfig::default());
-        let h1 = b.add_host(DpConfig::default());
-        let h2 = b.add_host(DpConfig::default());
-        b.add_pod(h0, ip([10, 0, 0, 1])); // client
-        b.add_pod(h1, ip([10, 1, 0, 1])); // server, will migrate to h2
-        let key = FlowKey::tcp([10, 0, 0, 1], [10, 1, 0, 1], 1000, 80);
-        b.add_source(h0, Box::new(CbrSource::new(key, 1500, 100.0)));
-        b.schedule_migration(SimTime::from_secs(2), ip([10, 1, 0, 1]), h2);
-        let report = b.build().unwrap().run();
-        let totals = &report.source_totals[0];
-        // Nothing is lost across the migration epoch: in-flight packets
-        // tunnel through the old host's uplink.
-        assert!(totals.generated - totals.delivered <= 3, "{totals:?}");
-        assert_eq!(totals.dropped_policy, 0);
-        // The new host's switch did real delivery work after the move.
-        assert!(report.switch_stats[2].packets >= 190, "h2 took over");
-        let _ = h1;
     }
 
     #[test]
@@ -1487,9 +1363,9 @@ mod tests {
     }
 
     /// A scenario exercising every event source at once: cross-host
-    /// traffic, a delayed attack, a migration, a defended host, a
-    /// crash + lossy control channel behind a reliable control plane —
-    /// and one fully idle host the event engine should skip.
+    /// traffic, a delayed attack, a defended host, a crash + lossy
+    /// control channel behind a reliable control plane — and one fully
+    /// idle host the event engine should skip.
     fn rich_fleet(event: bool, workers: usize) -> FleetReport {
         use pi_attack::{AttackSchedule, AttackSpec, CovertSequence};
         use pi_cms::{
@@ -1553,8 +1429,6 @@ mod tests {
                 .upcall_flood(),
             ),
         );
-        // The victim pod migrates mid-run to the idle host.
-        b.schedule_migration(SimTime::from_secs(3), victim, h2);
         b.build().unwrap().run()
     }
 

@@ -18,8 +18,8 @@
 //! queue, [`report`] what a run produces, and [`placement`] the
 //! [`ClusterBuilder`] that keeps a [`pi_cms::Cloud`] and the engine in
 //! step (tenant placement, policy injection through real CMS
-//! admission). [`scenario`] holds all eight experiments — five testbed
-//! builds of one or two hosts, three CMS-placed fleets — each a short
+//! admission). [`scenario`] holds all seven experiments — five testbed
+//! builds of one or two hosts, two CMS-placed fleets — each a short
 //! recipe over one set of shared *parts*: a part is a private function
 //! or constant for a block at least two recipes spell (the pod
 //! addresses, `allow_cluster_to(port)`, the whitelisted clients, the
@@ -56,8 +56,8 @@ pub use report::{
 };
 pub use scenario::{
     adaptive_defense_scenario, crash_recovery_scenario, fig3_scenario, fleet_colocation,
-    fleet_migration, fleet_sparse, measure_backend_capacity, measure_capacity,
-    policy_churn_scenario, upcall_saturation_scenario, AdaptiveDefenseParams, CapacityReport,
-    CapacityWorkload, ColocationParams, CrashRecoveryAttack, CrashRecoveryParams, DefenseMode,
-    Fig3Params, Handles, MigrationParams, PolicyChurnParams, SparseParams, UpcallSaturationParams,
+    fleet_sparse, measure_backend_capacity, measure_capacity, policy_churn_scenario,
+    upcall_saturation_scenario, AdaptiveDefenseParams, CapacityReport, CapacityWorkload,
+    ColocationParams, CrashRecoveryAttack, CrashRecoveryParams, DefenseMode, Fig3Params, Handles,
+    PolicyChurnParams, SparseParams, UpcallSaturationParams,
 };

@@ -9,7 +9,6 @@
 
 use pi_cms::cloud::CompiledPolicy;
 use pi_cms::{Cloud, CmsError, NodeId, PlacementStrategy, Pod, PodId, TenantId};
-use pi_core::SimTime;
 use pi_datapath::DpConfig;
 use pi_traffic::TrafficSource;
 
@@ -100,11 +99,6 @@ impl ClusterBuilder {
         self.fleet.add_source(host, source)
     }
 
-    /// Schedules a live migration of `pod` to `to_host` at `at`.
-    pub fn schedule_migration(&mut self, at: SimTime, pod: &Pod, to_host: usize) {
-        self.fleet.schedule_migration(at, pod.ip, to_host);
-    }
-
     /// Finalises the cluster.
     pub fn build(self) -> Result<FleetSim, BuildError> {
         self.fleet.build()
@@ -128,6 +122,16 @@ mod tests {
         }
         let sim = cb.build().unwrap();
         assert_eq!(sim.host_count(), 3);
+    }
+
+    #[test]
+    fn a_cluster_of_no_hosts_places_nothing_and_does_not_build() {
+        let mut cb = ClusterBuilder::new(SimConfig::default(), 0, DpConfig::default());
+        let t = cb.add_tenant();
+        assert!(cb
+            .place_pods(t, 4, PlacementStrategy::RoundRobin)
+            .is_empty());
+        assert_eq!(cb.build().err(), Some(BuildError::NoHosts));
     }
 
     #[test]

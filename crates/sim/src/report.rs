@@ -24,8 +24,7 @@ pub struct EngineStats {
     /// zero under the tick-stepped reference).
     pub shard_ticks_skipped: u64,
     /// Event-bearing causes consumed across executed ticks: inbound
-    /// fabric epochs, topology commands, sample boundaries, defense
-    /// intervals.
+    /// fabric epochs, sample boundaries, defense intervals.
     pub events_processed: u64,
 }
 

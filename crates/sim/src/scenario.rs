@@ -13,7 +13,7 @@
 //! covert streams. A block only one recipe uses stays inline in it.
 //!
 //! Five recipes are testbed builds (one or two hosts, fixed pod IPs on
-//! [`FleetBuilder`]); three are fleets placed by the CMS through
+//! [`FleetBuilder`]); two are fleets placed by the CMS through
 //! [`ClusterBuilder`]. A `*Params` field exists only where some caller
 //! sets it; every other number is a `const` beside its recipe, `pub`
 //! where an experiment reports it. Every recipe returns the built
@@ -286,11 +286,6 @@ fn covert_streams(
         cb.place_pod_on(pod.tenant, client_host);
         cb.add_source(client_host, Box::new(schedule));
     }
-}
-
-/// The hosts `pods` landed on, in pod order.
-fn hosts_of(pods: &[Pod]) -> Vec<usize> {
-    pods.iter().map(host_of).collect()
 }
 
 // --- Testbed recipes ------------------------------------------------
@@ -900,7 +895,9 @@ pub fn fleet_colocation(params: &ColocationParams) -> (FleetSim, Handles) {
         let named = chatter.named(&format!("background{host}"));
         cb.add_source((host + 1) % hosts, Box::new(named));
     }
-    finish(cb.fleet, hosts_of(&victim_pods), hosts_of(&attacker_pods))
+    let victim_hosts = victim_pods.iter().map(host_of).collect();
+    let attacker_hosts = attacker_pods.iter().map(host_of).collect();
+    finish(cb.fleet, victim_hosts, attacker_hosts)
 }
 
 /// Parameters of the sparse-fleet experiment.
@@ -989,83 +986,6 @@ pub fn fleet_sparse(params: &SparseParams) -> (FleetSim, Handles) {
         cb.place_pod_on(idle_tenant, host);
     }
     finish(cb.fleet, (0..hot).collect(), vec![0])
-}
-
-/// Parameters of the migration experiment.
-#[derive(Debug, Clone)]
-pub struct MigrationParams {
-    /// Fleet size, hosts (victims start on host 0).
-    pub hosts: usize,
-    /// Victim pods co-located with the attacker on host 0.
-    pub victims: usize,
-    /// Covert stream start.
-    pub attack_start: SimTime,
-    /// When the scheduler evacuates the victims off host 0.
-    pub migrate_at: SimTime,
-    /// Run length.
-    pub duration: SimTime,
-    /// Worker threads.
-    pub workers: usize,
-}
-
-impl Default for MigrationParams {
-    fn default() -> Self {
-        MigrationParams {
-            hosts: 4,
-            victims: 3,
-            attack_start: SimTime::from_secs(5),
-            migrate_at: SimTime::from_secs(20),
-            duration: SimTime::from_secs(35),
-            workers: 1,
-        }
-    }
-}
-
-/// Builds the migration experiment — victims rescheduled off a
-/// saturated host mid-run: does moving the tenants away actually
-/// restore service? Everyone starts co-located on host 0 (saturated
-/// iperf victims, the 8192-mask injection); at `migrate_at` the
-/// scheduler live-migrates every victim pod to a clean host, leaving
-/// the attacker alone with its saturated switch.
-pub fn fleet_migration(params: &MigrationParams) -> (FleetSim, Handles) {
-    let spec = AttackSpec::masks_8192();
-    let hosts = params.hosts;
-    assert!(hosts >= 2, "migration needs somewhere to go");
-    let cfg = run_config(params.duration, params.workers);
-    let mut cb = ClusterBuilder::new(cfg, hosts, DpConfig::default());
-    let victim_tenant = cb.add_tenant();
-    let attacker_tenant = cb.add_tenant();
-
-    // Pack victims and attacker together on host 0.
-    let pack = PlacementStrategy::BinPacked {
-        capacity: params.victims + 1,
-    };
-    let victim_pods = cb.place_pods(victim_tenant, params.victims, pack);
-    let attacker = cb.place_pods(attacker_tenant, 1, pack);
-    admit_victims(&mut cb, &victim_pods);
-    inject(&mut cb, &spec, &attacker);
-
-    // Victim clients on the clean hosts — where the evacuation then
-    // spreads the victims themselves; the covert stream from host 1.
-    let clean_host = |i: usize| 1 + i % (hosts - 1);
-    for (i, pod) in victim_pods.iter().enumerate() {
-        victim_iperf(&mut cb, i, pod, clean_host(i), IPERF_RATE_BPS);
-    }
-    covert_streams(
-        &mut cb,
-        &spec,
-        &attacker,
-        hosts,
-        COVERT_BANDWIDTH_BPS,
-        params.attack_start,
-        SimTime::ZERO,
-    );
-    for (i, pod) in victim_pods.iter().enumerate() {
-        cb.schedule_migration(params.migrate_at, pod, clean_host(i));
-    }
-    let attacker_hosts = hosts_of(&attacker);
-    assert_eq!(attacker_hosts, [0], "everyone packs onto host 0");
-    finish(cb.fleet, hosts_of(&victim_pods), attacker_hosts)
 }
 
 // --- Capacity probes ------------------------------------------------

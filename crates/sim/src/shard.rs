@@ -2,10 +2,11 @@
 //! cluster protocol — routing, source accounting, outbox/receipt
 //! production and sampling.
 //!
-//! A shard never touches another shard's memory. Everything it learns
-//! about the rest of the fleet arrives as the tick's inbound
-//! [`Parcel`]s; everything it tells the fleet leaves in its
-//! [`ShardOutput`]. That discipline is what makes
+//! A shard never writes another shard's memory, and what it shares —
+//! the fleet's routing table and source directory — is built once and
+//! never changed. Everything it learns about the rest of the fleet
+//! arrives as the tick's inbound [`Parcel`]s; everything it tells the
+//! fleet leaves in its [`ShardOutput`]. That discipline is what makes
 //! worker-count-independent determinism provable: the merge of the
 //! inbound parcels in sending-shard order, at the top of
 //! [`HostShard::tick`], is the only place cross-host ordering is
@@ -19,8 +20,7 @@
 
 use std::sync::Arc;
 
-use pi_classifier::FlowTable;
-use pi_core::{IpIndex, Port, SimTime};
+use pi_core::{IpIndex, SimTime};
 use pi_metrics::TimeSeries;
 use pi_traffic::{GenPacket, TrafficSource};
 
@@ -86,17 +86,6 @@ pub(crate) struct Parcel {
     pub packets: Vec<NodePacket<usize>>,
     /// Outcome reports for sources homed on the destination.
     pub receipts: Vec<Receipt>,
-}
-
-/// Everything a shard is handed at the start of a tick. The engines
-/// keep one per shard and refill it: [`HostShard::tick`] leaves it
-/// empty with its capacity intact.
-#[derive(Debug, Default)]
-pub(crate) struct ShardInput {
-    /// What other shards sent during the previous tick, in any order.
-    pub inbound: Vec<Parcel>,
-    /// Topology changes taking effect this tick, in schedule order.
-    pub cmds: Vec<HostCmd>,
 }
 
 /// Spare buffers kept per kind; beyond this a recycled `Vec` is freed.
@@ -175,23 +164,6 @@ impl ShardOutput {
             self.spare_receipts.push(parcel.receipts);
         }
     }
-}
-
-/// A topology/routing change applied at a tick boundary (pod
-/// migration). Every shard applies its command list before processing,
-/// so the fleet's view changes atomically between epochs.
-#[derive(Debug, Clone)]
-pub(crate) enum HostCmd {
-    /// Point this shard's routing table for `ip` at `shard`.
-    Route { ip: u32, shard: usize },
-    /// The pod left this host: traffic to `ip` now exits the uplink.
-    DetachToUplink { ip: u32 },
-    /// The pod arrived on this host at `vport`, with its ACL (if any).
-    AttachLocal {
-        ip: u32,
-        vport: u32,
-        acl: Option<FlowTable>,
-    },
 }
 
 /// One local traffic source and its accounting.
@@ -287,8 +259,9 @@ fn settle(
 pub(crate) struct HostShard {
     pub id: usize,
     pub node: NodeCell<usize>,
-    /// Destination IP → home shard, this shard's copy.
-    routes: IpIndex,
+    /// Destination IP → home shard (immutable, fleet-wide, shared by
+    /// every shard).
+    routes: Arc<IpIndex>,
     /// Global source index → where it lives (immutable, fleet-wide,
     /// shared by every shard).
     sources: Arc<[SourceHome]>,
@@ -307,9 +280,9 @@ pub(crate) struct HostShard {
     /// skips provably-idle ones; the stepped engine executes all).
     pub ticks_stepped: u64,
     /// Event-bearing causes observed across executed ticks: inbound
-    /// epochs, topology commands, sample boundaries and defense
-    /// intervals. Depends only on shard-local state and the global
-    /// command/traffic program, so it is worker-count invariant.
+    /// epochs, sample boundaries and defense intervals. Depends only on
+    /// shard-local state and the global traffic program, so it is
+    /// worker-count invariant.
     pub events_processed: u64,
     genbuf: Vec<GenPacket>,
 }
@@ -318,7 +291,7 @@ impl HostShard {
     pub fn new(
         id: usize,
         node: NodeCell<usize>,
-        routes: IpIndex,
+        routes: Arc<IpIndex>,
         sources: Arc<[SourceHome]>,
         slots: Vec<FleetSlot>,
     ) -> Self {
@@ -340,10 +313,12 @@ impl HostShard {
         }
     }
 
-    /// Runs one epoch: commands → receipts → remote arrivals →
-    /// generation → switch processing → feedback → sampling. `input`
-    /// is consumed (its parcel buffers go to `out`'s pool); what the
-    /// tick emits is left in `out` for the engine to drain.
+    /// Runs one epoch: receipts → remote arrivals → generation →
+    /// switch processing → feedback → sampling. `inbound` holds what
+    /// other shards sent during the previous tick, in any order; it is
+    /// left empty with its capacity intact (its parcel buffers go to
+    /// `out`'s pool). What the tick emits is left in `out` for the
+    /// engine to drain.
     // audit: hotpath
     pub fn tick(
         &mut self,
@@ -351,12 +326,10 @@ impl HostShard {
         now: SimTime,
         next: SimTime,
         ctx: &TickCtx,
-        input: &mut ShardInput,
+        inbound: &mut Vec<Parcel>,
         out: &mut ShardOutput,
     ) {
-        let ShardInput { inbound, cmds } = input;
         self.ticks_stepped += 1;
-        self.events_processed += cmds.len() as u64;
         if !inbound.is_empty() {
             self.events_processed += 1;
         }
@@ -365,29 +338,6 @@ impl HostShard {
         }
         if self.node.has_defense() && (tick + 1).is_multiple_of(ctx.defense_every_ticks) {
             self.events_processed += 1;
-        }
-
-        // 0. Topology changes for this epoch.
-        for cmd in cmds.drain(..) {
-            match cmd {
-                HostCmd::Route { ip, shard } => {
-                    self.routes.insert(ip, shard as u32);
-                }
-                HostCmd::DetachToUplink { ip } => {
-                    // attach_pod preserves an installed slow path on
-                    // re-attach; the departed pod's ACL must not keep
-                    // filtering at this host's uplink hop — enforcement
-                    // moves with the pod.
-                    self.node.backend_mut().attach_pod(ip, Port::Uplink.raw());
-                    self.node.backend_mut().remove_acl(ip);
-                }
-                HostCmd::AttachLocal { ip, vport, acl } => {
-                    self.node.backend_mut().attach_pod(ip, vport);
-                    if let Some(table) = acl {
-                        self.node.backend_mut().install_acl(ip, table);
-                    }
-                }
-            }
         }
 
         // 1. Receipts for our sources from last tick's remote outcomes,
@@ -450,6 +400,7 @@ impl HostShard {
             slots,
             ..
         } = self;
+        let routes: &IpIndex = routes;
         node.step(now, ctx.cycles_per_tick, |pkt, routing| {
             let outcome = match routing {
                 Routing::Uplink => match routes.get(pkt.key.ip_dst) {
@@ -521,7 +472,7 @@ impl HostShard {
 
     /// The earliest tick ≥ `from_tick` at which this shard must run
     /// again, assuming nothing arrives from other shards in between
-    /// (arrivals and commands are folded in by the engine). `u64::MAX`
+    /// (arrivals are folded in by the engine). `u64::MAX`
     /// means "never on its own". Each event source maps to the tick
     /// grid the way the tick loop consumes it:
     ///
@@ -569,7 +520,7 @@ impl HostShard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pi_core::FlowKey;
+    use pi_core::{FlowKey, Port};
     use pi_datapath::{CostModel, DpConfig};
     use pi_traffic::CbrSource;
 
@@ -615,7 +566,7 @@ mod tests {
                 Box::new(CbrSource::new(key, 200, 2_000.0)),
             ));
         }
-        HostShard::new(0, node, routes, homes.into(), slots)
+        HostShard::new(0, node, Arc::new(routes), homes.into(), slots)
     }
 
     /// What the rest of the fleet sends shard 0 every tick, deliberately
@@ -646,13 +597,13 @@ mod tests {
         let ctx = ctx();
         let mut shard = shard_zero();
         let mut out = ShardOutput::new(FLEET);
-        let mut input = ShardInput::default();
+        let mut input = Vec::new();
         for tick in 0..10_000u64 {
             let now = SimTime::from_nanos(tick * TICK_NS);
             let next = SimTime::from_nanos((tick + 1) * TICK_NS);
-            input.inbound.extend(inbound());
+            input.extend(inbound());
             shard.tick(tick, now, next, &ctx, &mut input, &mut out);
-            assert!(input.inbound.is_empty() && input.cmds.is_empty());
+            assert!(input.is_empty());
 
             // Three destinations addressed: the receipt for shard 5
             // first (remote arrivals are switched ahead of fresh

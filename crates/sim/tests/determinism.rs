@@ -8,7 +8,7 @@
 //! byte-for-byte as the report gets.
 
 use pi_core::SimTime;
-use pi_sim::{fleet_colocation, fleet_migration, ColocationParams, FleetReport, MigrationParams};
+use pi_sim::{fleet_colocation, ColocationParams, FleetReport};
 
 /// Renders everything except the worker count (which legitimately
 /// differs between the compared runs).
@@ -160,24 +160,5 @@ fn policy_flap_fleet_is_identical_for_1_and_3_workers() {
         blast.degraded_sources.contains(&0),
         "victim degraded: {:?}",
         blast.ratios
-    );
-}
-
-#[test]
-fn migration_run_is_identical_for_1_and_4_workers() {
-    let params = |workers| MigrationParams {
-        hosts: 4,
-        victims: 3,
-        duration: SimTime::from_secs(4),
-        attack_start: SimTime::from_secs(1),
-        migrate_at: SimTime::from_secs(2),
-        workers,
-    };
-    let serial = fleet_migration(&params(1)).0.run();
-    let parallel = fleet_migration(&params(4)).0.run();
-    assert_eq!(
-        fingerprint(&serial),
-        fingerprint(&parallel),
-        "worker count changed migration results"
     );
 }

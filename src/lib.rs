@@ -26,7 +26,7 @@
 //! | [`pi_fault`] | deterministic fault injection, lossy control channels, at-least-once delivery + reconciliation |
 //! | [`pi_metrics`] | time series, CSV, ASCII plots |
 //! | [`pi_trace`] | deterministic structured tracing: causality ids, per-host event rings, Chrome/Prometheus exporters |
-//! | [`pi_sim`] | the simulator: the one sharded event-driven engine, tenant placement, and all eight experiments (testbed and fleet) as recipes over shared parts |
+//! | [`pi_sim`] | the simulator: the one sharded event-driven engine, tenant placement, and all seven experiments (testbed and fleet) as recipes over shared parts |
 //!
 //! ## Quick start
 //!
@@ -95,12 +95,11 @@ pub mod prelude {
     pub use pi_mitigation::{upcall_fair_share_config, MaskBudget};
     pub use pi_sim::{
         adaptive_defense_scenario, crash_recovery_scenario, fig3_scenario, fleet_colocation,
-        fleet_migration, fleet_sparse, measure_backend_capacity, measure_capacity,
-        policy_churn_scenario, upcall_saturation_scenario, AdaptiveDefenseParams, BlastRadius,
-        BuildError, CapacityWorkload, ClusterBuilder, ColocationParams, CrashRecoveryAttack,
+        fleet_sparse, measure_backend_capacity, measure_capacity, policy_churn_scenario,
+        upcall_saturation_scenario, AdaptiveDefenseParams, BlastRadius, BuildError,
+        CapacityWorkload, ClusterBuilder, ColocationParams, CrashRecoveryAttack,
         CrashRecoveryParams, DefenseMode, Fig3Params, FleetBuilder, FleetReport, Handles,
-        MigrationParams, PolicyChurnParams, SimConfig, SimReport, SparseParams,
-        UpcallSaturationParams,
+        PolicyChurnParams, SimConfig, SimReport, SparseParams, UpcallSaturationParams,
     };
     pub use pi_trace::{
         chrome_trace_json, prometheus_snapshot, validate_json, CauseId, TraceConfig, TraceEvent,

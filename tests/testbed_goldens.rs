@@ -173,11 +173,11 @@ fn fig3_keeps_the_fabric_semantics() {
     check("fig3", fig3_scenario(&params).0, 0xca06_ce94_bea4_74ac);
 }
 
-// The three fleet scenarios, captured at `a97e709` (the last commit that
+// The two fleet scenarios, captured at `a97e709` (the last commit that
 // spelled them in a crate of their own, `pi_fleet`) before they became
 // recipes over the shared parts: staggered attackers with background
-// on, a migration inside the window, and the sparse fleet with its
-// attack *on* — the cases the benchmark workloads do not reach.
+// on, and the sparse fleet with its attack *on* — the cases the
+// benchmark workloads do not reach.
 
 #[test]
 fn fleet_colocation_with_stagger_and_background_keeps_its_report() {
@@ -195,23 +195,6 @@ fn fleet_colocation_with_stagger_and_background_keeps_its_report() {
         "fleet_colocation",
         fleet_colocation(&params).0,
         0x40a2_9cc5_643d_1932,
-    );
-}
-
-#[test]
-fn fleet_migration_keeps_its_report() {
-    let params = MigrationParams {
-        hosts: 4,
-        victims: 3,
-        attack_start: SimTime::from_secs(1),
-        migrate_at: SimTime::from_secs(2),
-        duration: SimTime::from_secs(4),
-        ..Default::default()
-    };
-    check(
-        "fleet_migration",
-        fleet_migration(&params).0,
-        0x8f8e_e805_1441_f767,
     );
 }
 
