@@ -287,7 +287,7 @@ mod tests {
         let mut cloud = pi_cms::Cloud::new();
         let attacker = cloud.add_tenant();
         let node = cloud.add_node();
-        let pod = cloud.add_pod(attacker, node);
+        let pod = cloud.add_pod(attacker, node).unwrap();
         let acl = AttackSpec::masks_8192().build_policy();
         let compiled = acl.apply(&cloud, attacker, pod).unwrap();
         // Innocuous: two rules (one allow + default deny).

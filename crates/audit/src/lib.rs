@@ -20,9 +20,10 @@
 //!   modules (engines, reports, exporters, the pod table and its
 //!   index), where iteration order could leak into the byte-identical
 //!   artefacts. *`disallowed-types` is per workspace, not per module.*
-//! * **`cost`** — every `DataplaneBackend` impl file must reference
-//!   `CostModel` charging, so a new backend cannot silently do free
-//!   work. *A rule about what a file must contain, not what it may not.*
+//! * **`cost`** — every `DataplaneBackend` impl file must call
+//!   `CostModel::cycles_of`, the one pricing method, so a new backend
+//!   cannot silently do free work or price it by hand. *A rule about
+//!   what a file must contain, not what it may not.*
 //! * **`lints`** — the root manifest states the bans and every crate
 //!   opts into them (`[lints] workspace = true`). *Cargo does not warn
 //!   about a member that opts out.*

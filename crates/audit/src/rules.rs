@@ -10,7 +10,7 @@
 //! |---|---|---|
 //! | `hotpath` | regions annotated `// audit: hotpath` never allocate (`Vec::new`, `vec![`, `format!`, `String::`, `Box::new`, `.collect()`, `.to_vec()`) | no lint is scoped to an author-annotated region |
 //! | `determinism` | no `HashMap`/`HashSet` in order-sensitive modules (engines, reports, exporters, the pod table and its index), where iteration order could leak into output | `disallowed-types` is workspace-wide; the ban is per module |
-//! | `cost` | every `DataplaneBackend` impl file references `CostModel` charging in its packet/control ops | a "must mention" rule; lints only forbid |
+//! | `cost` | every `DataplaneBackend` impl file calls `CostModel::cycles_of`, the one pricing method | a "must mention" rule; lints only forbid |
 //! | `lints` | the root manifest states the bans and every crate opts into `[workspace.lints]` (checked in [`crate::walk`]) | cargo accepts a member that opts out |
 //! | `directive` | the waiver grammar itself: malformed, unknown-rule, or unused waivers | it is this tool's own grammar |
 //!
@@ -62,25 +62,10 @@ const HOTPATH_TOKENS: [&str; 8] = [
     ".to_vec(",
 ];
 
-/// Evidence that a backend impl charges the shared cost model: the
-/// pricing methods and price-field vocabulary of
-/// `pi_datapath::CostModel`.
-const COST_TOKENS: [&str; 14] = [
-    "packet_cycles",
-    "path_cycles",
-    "control_update_cycles",
-    "handler_cycles",
-    "acl_update_fixed",
-    "flush_per_entry",
-    "restart_fixed",
-    "mfc_install",
-    "upcall_fixed",
-    "per_rule",
-    "per_subtable",
-    "per_stage_hash",
-    "emc_probe",
-    "emc_insert",
-];
+/// Evidence that a backend impl charges the shared cost model: its one
+/// pricing method, `pi_datapath::CostModel::cycles_of`. Reading a price
+/// field by hand is not evidence — that is pricing outside `CostModel`.
+const COST_TOKEN: &str = "cycles_of";
 
 /// How a file participates in its crate — decides which rules apply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -177,14 +162,12 @@ pub fn scan_file(rel_path: &str, class: FileClass, src: &str) -> Vec<Violation> 
         .iter()
         .position(|l| l.contains("impl DataplaneBackend for"))
     {
-        let charges = lines
-            .iter()
-            .any(|l| COST_TOKENS.iter().any(|t| contains_word(l, t)));
+        let charges = lines.iter().any(|l| contains_word(l, COST_TOKEN));
         if !charges {
             push(
                 idx as u32 + 1,
                 RULE_COST,
-                "`DataplaneBackend` impl never references CostModel charging \
+                "`DataplaneBackend` impl never calls `CostModel::cycles_of` \
                  (packet/control ops look free)"
                     .to_string(),
             );

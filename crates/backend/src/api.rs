@@ -19,7 +19,7 @@ use pi_core::{FlowKey, SimTime};
 use pi_datapath::emc::EmcStats;
 use pi_datapath::{
     BackendKind, CostModel, DpConfig, PathTaken, PolicyUpdateOutcome, ProcessOutcome,
-    ResolvedUpcall, RestartOutcome, SwitchStats, UpcallStats, VSwitch,
+    ResolvedUpcall, RestartOutcome, SwitchStats, UpcallStats, VSwitch, Work,
 };
 use pi_mitigation::MaskAttribution;
 use pi_trace::Tracer;
@@ -79,10 +79,9 @@ pub enum DefenseAction {
 ///   the destination pod's ACL (ground truth: linear classification)
 ///   decides; backends differ in *cost* and *cached state*, never in
 ///   policy semantics.
-/// * **Mechanical costing** — every `ProcessOutcome::cycles` and
-///   `PolicyUpdateOutcome::cycles` is derived from counted work units
-///   priced by the shared [`CostModel`]; no backend may invent a flat
-///   "attack effect" constant.
+/// * **Mechanical costing** — every outcome carries the [`Work`] it
+///   counted, and its `cycles` are the shared [`CostModel::cycles_of`]
+///   that work; no backend may invent a flat "attack effect" constant.
 /// * **Determinism** — identical call sequences produce identical
 ///   results; any internal randomness must come from the seeded
 ///   `DpConfig` (the fleet replays nodes across worker counts and pins
@@ -196,8 +195,8 @@ pub trait DataplaneBackend: std::fmt::Debug + Send {
     /// Crashes and restarts the backend process: cached per-flow state,
     /// deferred work, quarantine markings and every installed ACL are
     /// lost (ports revert to allow-all); port attachments and lifetime
-    /// statistics survive. The fixed restart price
-    /// ([`CostModel::restart_fixed`]) is charged by the caller.
+    /// statistics survive. The restart itself (one [`Work::restarts`])
+    /// is charged by the caller.
     fn crash_restart(&mut self) -> RestartOutcome;
 
     /// Destination IPs with an installed (default-deny) ACL, ascending
@@ -226,15 +225,13 @@ pub fn process_one(
     key: &FlowKey,
     now: SimTime,
 ) -> ProcessOutcome {
+    let work = Work::default();
     let mut out = ProcessOutcome {
         verdict: Action::Controller,
         output: None,
-        path: PathTaken::UpcallDropped {
-            probes: 0,
-            stage_checks: 0,
-            emc_probed: false,
-        },
-        cycles: 0,
+        path: PathTaken::UpcallDropped,
+        work,
+        cycles: backend.cost_model().cycles_of(&work),
     };
     backend.process_batch(std::slice::from_ref(key), now, &mut |_, o| {
         out = o;

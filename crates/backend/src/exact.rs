@@ -41,7 +41,7 @@ use pi_core::{BuildFoldHasher, FlowKey, KeyWords, SimTime};
 use pi_datapath::emc::EmcStats;
 use pi_datapath::{
     BackendKind, CostModel, DpConfig, PathTaken, PodTable, PolicyUpdateOutcome, ProcessOutcome,
-    ResolvedUpcall, RestartOutcome, SwitchStats, UpcallStats,
+    ResolvedUpcall, RestartOutcome, SwitchStats, UpcallStats, Work,
 };
 use pi_mitigation::MaskAttribution;
 use pi_trace::Tracer;
@@ -164,6 +164,12 @@ impl ExactTable {
     fn process_with(&mut self, key: &FlowKey, now: SimTime) -> ProcessOutcome {
         self.stats.packets += 1;
         let hash = KeyWords::of(key).full_hash();
+        // Every packet is parsed and probes the table.
+        let work = Work {
+            parses: 1,
+            emc_probes: 1,
+            ..Work::default()
+        };
 
         // Level 1: the table (a NIC hit never touches the host CPU).
         if let Some((action, last_used)) = self.table.get_mut(hash, key) {
@@ -176,7 +182,7 @@ impl ExactTable {
             } else {
                 None
             };
-            return self.finish(action, output, PathTaken::MicroflowHit);
+            return self.finish(action, output, PathTaken::MicroflowHit, work);
         }
         self.emc.misses += 1;
 
@@ -184,12 +190,7 @@ impl ExactTable {
         // refused classification outright.
         if self.pods.is_quarantined(key.ip_dst) {
             self.upcall.quarantine_drops += 1;
-            let path = PathTaken::UpcallDropped {
-                probes: 0,
-                stage_checks: 0,
-                emc_probed: true,
-            };
-            return self.finish(Action::Controller, None, path);
+            return self.finish(Action::Controller, None, PathTaken::UpcallDropped, work);
         }
 
         // Per-flow setup: ground-truth classification, then the install
@@ -198,29 +199,34 @@ impl ExactTable {
         let (action, rules_examined, output) = self.pods.classify(key);
         let installed = self.install(hash, *key, (action, now));
         self.stats.upcalls += 1;
-        let path = PathTaken::Upcall {
-            probes: 0,
-            stage_checks: 0,
-            rules_examined,
-            installed,
-            emc_probed: true,
-            emc_inserted: false,
+        let setup = Work {
+            upcalls: 1,
+            rules: rules_examined as u32,
+            installs: u32::from(installed),
+            ..work
         };
-        self.finish(action, output, path)
+        self.finish(action, output, PathTaken::Upcall, setup)
     }
 
     /// Prices and books one packet. A rendered verdict that delivers
     /// nowhere is a policy drop; a refused miss renders none.
-    fn finish(&mut self, verdict: Action, output: Option<u32>, path: PathTaken) -> ProcessOutcome {
+    fn finish(
+        &mut self,
+        verdict: Action,
+        output: Option<u32>,
+        path: PathTaken,
+        work: Work,
+    ) -> ProcessOutcome {
         if output.is_none() && !path.is_upcall_dropped() {
             self.stats.policy_drops += 1;
         }
-        let cycles = self.cost.packet_cycles(&path);
+        let cycles = self.cost.cycles_of(&work);
         self.stats.cycles += cycles;
         ProcessOutcome {
             verdict,
             output,
             path,
+            work,
             cycles,
         }
     }
@@ -243,8 +249,19 @@ impl DataplaneBackend for ExactTable {
         let change = self.pods.apply(update, &self.config.trie_fields);
         // A fresh attach may shadow a cached unroutable-deny entry.
         let flushed = change.touched.map_or(0, |ip| self.evict_destination(ip));
-        let cycles = charged.then(|| self.cost.control_update_cycles(flushed));
-        change.settle(flushed, true, cycles, &mut self.stats, &self.tracer)
+        let work = charged.then_some(Work {
+            acl_updates: 1,
+            flushed: flushed as u32,
+            ..Work::default()
+        });
+        change.settle(
+            flushed,
+            true,
+            work,
+            &self.cost,
+            &mut self.stats,
+            &self.tracer,
+        )
     }
 
     fn process_batch(
@@ -412,7 +429,7 @@ mod tests {
             assert_eq!(o1.verdict, Action::Allow, "{kind}");
             assert_eq!(o1.output, Some(3), "{kind}");
             let o2 = process_one(&mut be, &p, t);
-            assert!(o2.path.is_microflow(), "{kind}");
+            assert_eq!(o2.path, PathTaken::MicroflowHit, "{kind}");
             assert!(o2.cycles < o1.cycles, "{kind}");
             assert_eq!(be.snapshot().switch.packets, 2, "{kind}");
             assert_eq!(be.snapshot().megaflows, 1, "{kind}");
@@ -430,7 +447,11 @@ mod tests {
             assert_eq!(o.output, None, "{kind}");
             assert_eq!(be.snapshot().switch.policy_drops, 1, "{kind}");
             let o = process_one(&mut be, &bad, SimTime::ZERO);
-            assert!(o.path.is_microflow(), "{kind}: an exact hit next time");
+            assert_eq!(
+                o.path,
+                PathTaken::MicroflowHit,
+                "{kind}: an exact hit next time"
+            );
             assert_eq!(o.verdict, Action::Deny, "{kind}");
             assert_eq!(o.output, None, "{kind}");
         }
@@ -455,7 +476,11 @@ mod tests {
                 "{kind}: only the updated pod's entry"
             );
             let ob = process_one(&mut be, &bystander, t);
-            assert!(ob.path.is_microflow(), "{kind}: bystander keeps its entry");
+            assert_eq!(
+                ob.path,
+                PathTaken::MicroflowHit,
+                "{kind}: bystander keeps its entry"
+            );
         }
     }
 
@@ -499,7 +524,7 @@ mod tests {
                 SimTime::ZERO,
             );
             assert_eq!(o.verdict, Action::Allow, "verdict sound past the limit");
-            assert!(matches!(o.path, PathTaken::Upcall { installed, .. } if installed == (i < 2)));
+            assert!(o.path.is_upcall() && (o.work.installs == 1) == (i < 2));
         }
         assert_eq!(be.snapshot().megaflows, 2, "map bounded by flow_limit");
         assert_eq!(be.snapshot().emc.inserts, 2, "refusals insert nothing");
@@ -554,8 +579,9 @@ mod tests {
             process_one(&mut be, &covert(i), t);
         }
         assert_eq!(be.snapshot().megaflows, OFFLOAD_CAPACITY);
-        assert!(
-            process_one(&mut be, &victim, t).path.is_microflow(),
+        assert_eq!(
+            process_one(&mut be, &victim, t).path,
+            PathTaken::MicroflowHit,
             "re-offloaded flow queues at its new position"
         );
         assert!(

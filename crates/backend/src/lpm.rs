@@ -26,7 +26,7 @@ use pi_classifier::{Action, PolicyUpdate, PrefixTrie};
 use pi_core::{Field, FlowKey, SimTime};
 use pi_datapath::{
     CostModel, DpConfig, PathTaken, PodTable, PolicyUpdateOutcome, ProcessOutcome, ResolvedUpcall,
-    RestartOutcome, SwitchStats, UpcallStats,
+    RestartOutcome, SwitchStats, UpcallStats, Work,
 };
 use pi_mitigation::MaskAttribution;
 use pi_trace::Tracer;
@@ -90,56 +90,56 @@ impl LpmTier {
         // the pipeline here — only the route strides are spent.
         let routable = self.routes.longest_match(key.ip_dst as u64) == Some(32);
         if !routable {
-            let path = fixed_walk(self.route_strides);
-            let cycles = self.cost.packet_cycles(&path);
-            self.stats.cycles += cycles;
-            self.stats.subtable_probes += self.route_strides as u64;
             self.stats.policy_drops += 1;
             self.stats.megaflow_hits += 1;
-            return ProcessOutcome {
-                verdict: Action::Deny,
-                output: None,
-                path,
-                cycles,
-            };
+            let walk = self.route_strides;
+            return self.finish(Action::Deny, None, PathTaken::MegaflowHit, walk);
         }
 
         // Quarantine gate, applied after routing like the OVS upcall
         // gate: the destination's pipeline service is refused.
         if self.pods.is_quarantined(key.ip_dst) {
             self.upcall.quarantine_drops += 1;
-            let path = PathTaken::UpcallDropped {
-                probes: self.route_strides,
-                stage_checks: self.route_strides,
-                emc_probed: false,
-            };
-            let cycles = self.cost.packet_cycles(&path);
-            self.stats.cycles += cycles;
-            self.stats.subtable_probes += self.route_strides as u64;
-            return ProcessOutcome {
-                verdict: Action::Controller,
-                output: None,
-                path,
-                cycles,
-            };
+            let walk = self.route_strides;
+            return self.finish(Action::Controller, None, PathTaken::UpcallDropped, walk);
         }
 
         // Tier 2: the compiled ACL walk — constant strides, verdict from
         // the pod's policy (the compiled tiers are semantically exact).
         let (action, _rules, output) = self.pods.classify(key);
-        let strides = self.strides_per_packet();
-        let path = fixed_walk(strides);
-        let cycles = self.cost.packet_cycles(&path);
-        self.stats.cycles += cycles;
-        self.stats.subtable_probes += strides as u64;
         self.stats.megaflow_hits += 1;
         if output.is_none() {
             self.stats.policy_drops += 1;
         }
+        let walk = self.strides_per_packet();
+        self.finish(action, output, PathTaken::MegaflowHit, walk)
+    }
+
+    /// Prices and books a packet that walked `strides` strides: one
+    /// parse, then `strides` table-index steps priced as subtable
+    /// visits plus `strides` node fetches priced as stage hashes; no
+    /// EMC exists to probe.
+    fn finish(
+        &mut self,
+        verdict: Action,
+        output: Option<u32>,
+        path: PathTaken,
+        strides: usize,
+    ) -> ProcessOutcome {
+        let work = Work {
+            parses: 1,
+            subtables: strides as u32,
+            stage_hashes: strides as u32,
+            ..Work::default()
+        };
+        let cycles = self.cost.cycles_of(&work);
+        self.stats.cycles += cycles;
+        self.stats.subtable_probes += strides as u64;
         ProcessOutcome {
-            verdict: action,
+            verdict,
             output,
             path,
+            work,
             cycles,
         }
     }
@@ -148,18 +148,6 @@ impl LpmTier {
 /// Strides needed to walk one field's compiled tier.
 fn stride_count(field: Field) -> usize {
     field.width().div_ceil(STRIDE_BITS) as usize
-}
-
-/// The fixed compiled walk as a path: `strides` table-index steps priced
-/// `per_subtable` each plus `strides` node fetches priced
-/// `per_stage_hash` each; no EMC exists to probe.
-fn fixed_walk(strides: usize) -> PathTaken {
-    PathTaken::MegaflowHit {
-        probes: strides,
-        stage_checks: strides,
-        emc_probed: false,
-        emc_inserted: false,
-    }
 }
 
 impl DataplaneBackend for LpmTier {
@@ -192,10 +180,12 @@ impl DataplaneBackend for LpmTier {
         // rule-visit per rule. Nothing is flushed — there is no cached
         // state to invalidate, so the trace shows the update with no
         // CacheFlush: the visible proof of this architecture's immunity.
-        let recompiled = if change.applied { rules as u64 } else { 0 };
-        let cycles =
-            charged.then(|| self.cost.control_update_cycles(0) + recompiled * self.cost.per_rule);
-        change.settle(0, true, cycles, &mut self.stats, &self.tracer)
+        let work = charged.then_some(Work {
+            acl_updates: 1,
+            rules: if change.applied { rules as u32 } else { 0 },
+            ..Work::default()
+        });
+        change.settle(0, true, work, &self.cost, &mut self.stats, &self.tracer)
     }
 
     fn process_batch(
@@ -380,6 +370,7 @@ mod tests {
         assert_eq!(o.flushed_megaflows, 0, "nothing cached, nothing flushed");
         let cm = CostModel::default();
         // 2 rules recompiled: the whitelist entry + the default-deny.
-        assert_eq!(o.cycles, cm.control_update_cycles(0) + 2 * cm.per_rule);
+        assert_eq!(o.cycles, cm.acl_update_fixed + 2 * cm.per_rule);
+        assert_eq!((o.work.acl_updates, o.work.rules), (1, 2));
     }
 }

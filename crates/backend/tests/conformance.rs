@@ -17,7 +17,9 @@ use pi_backend::{
 use pi_classifier::table::whitelist_with_default_deny;
 use pi_classifier::{Action, FlowTable, LinearClassifier, PolicyUpdate};
 use pi_core::{Field, FlowKey, FlowMask, MaskedKey, SimTime};
-use pi_datapath::{PipelineMode, UpcallPipelineConfig};
+use pi_datapath::{
+    PathTaken, PipelineMode, PolicyUpdateOutcome, ProcessOutcome, UpcallPipelineConfig, Work,
+};
 
 const POD: u32 = u32::from_be_bytes([10, 0, 0, 99]);
 const VPORT: u32 = 3;
@@ -86,9 +88,13 @@ fn reattach_preserves_the_acl_and_an_unattached_install_is_refused_but_charged()
         let out = be.apply_update(update, true);
         assert!(!out.applied, "{kind}");
         assert_eq!(out.flushed_megaflows, 0, "{kind}");
+        let fixed = Work {
+            acl_updates: 1,
+            ..Work::default()
+        };
         assert_eq!(
             out.cycles,
-            be.cost_model().control_update_cycles(0),
+            be.cost_model().cycles_of(&fixed),
             "{kind}: a refusal pays the fixed handling"
         );
         let after = be.snapshot().switch;
@@ -135,6 +141,7 @@ fn charged_updates_bill_control_cycles_and_free_ones_bill_nothing() {
                 );
                 assert_eq!(after.cycles - before.cycles, out.cycles, "{kind}");
                 assert_eq!(out.cycles > 0, charged, "{kind}: round {round}");
+                assert_eq!(out.cycles, be.cost_model().cycles_of(&out.work), "{kind}");
             }
         }
     });
@@ -269,16 +276,138 @@ fn verdicts_equal_linear_classification_on_random_policies() {
     });
 }
 
+/// Mechanical costing, the contract's second clause: on every
+/// architecture, every packet outcome, resolved upcall and policy
+/// update is charged exactly its counted work — `cycles ==
+/// cost.cycles_of(&work)` — across hits, misses, denials, a bounded
+/// pipeline's queued and resolved halves, quarantine refusals, charged
+/// and free updates with and without flushes, and a crash.
+#[test]
+fn every_outcome_is_charged_exactly_its_work() {
+    for kind in BackendKind::ALL {
+        let dp = DpConfig {
+            backend: kind,
+            pipeline: PipelineMode::Bounded(UpcallPipelineConfig {
+                queue_capacity: 6,
+                handler_cycles_per_step: 200_000,
+                port_quota_per_step: None,
+            }),
+            ..DpConfig::default()
+        };
+        let mut boxed = build_backend(dp, CostModel::default());
+        let be = &mut *boxed;
+        let cost = *be.cost_model();
+        let mut resolved = 0;
+        let check_update = |out: PolicyUpdateOutcome| {
+            assert_eq!(out.cycles, cost.cycles_of(&out.work), "{kind}: {out:?}");
+        };
+        check_update(be.apply_update(
+            PolicyUpdate::AttachPod {
+                ip: POD,
+                vport: VPORT,
+            },
+            false,
+        ));
+        check_update(be.apply_update(
+            PolicyUpdate::InstallAcl {
+                ip: POD,
+                table: fig2_acl(),
+            },
+            true,
+        ));
+        for round in 0..6u8 {
+            let now = SimTime::from_millis(1 + u64::from(round));
+            let mut keys: Vec<FlowKey> = (0..12u8).map(|i| pkt([10, round, i, 1])).collect();
+            keys.extend([
+                pkt(ALLOWED),
+                pkt(ALLOWED),
+                pkt(DENIED),
+                pkt([99, round, 0, 1]),
+            ]);
+            keys.push(FlowKey::tcp(ALLOWED, [172, 16, round, 1], 1000, 80));
+            let n = be.process_batch(&keys, now, &mut |_, o: ProcessOutcome| {
+                assert_eq!(o.cycles, cost.cycles_of(&o.work), "{kind}: {o:?}");
+                true
+            });
+            assert_eq!(n, keys.len(), "{kind}");
+            be.drain_upcalls(now, &mut |r| {
+                let o = r.outcome;
+                assert_eq!(o.cycles, cost.cycles_of(&o.work), "{kind}: resolved {o:?}");
+                resolved += 1;
+            });
+            match round {
+                1 => check_update(be.apply_update(PolicyUpdate::RemoveAcl { ip: POD }, true)),
+                2 => check_update(be.apply_update(
+                    PolicyUpdate::InstallAcl {
+                        ip: POD,
+                        table: fig2_acl(),
+                    },
+                    false,
+                )),
+                3 => {
+                    be.actuate(DefenseAction::Quarantine(POD));
+                }
+                4 => {
+                    be.actuate(DefenseAction::ReleaseQuarantine(POD));
+                    be.crash_restart();
+                }
+                _ => {}
+            }
+        }
+        if kind == BackendKind::OvsCache {
+            assert!(resolved > 0, "resolved upcalls were checked too");
+        }
+    }
+}
+
 /// FNV-1a, 64-bit, over `Debug` renderings (the helper the testbed
 /// goldens digest whole reports with).
 struct Fnv(u64);
 
 impl Fnv {
     fn debug(&mut self, v: &impl std::fmt::Debug) {
-        for b in format!("{v:?}").bytes() {
+        self.str(&format!("{v:?}"));
+    }
+
+    fn str(&mut self, s: &str) {
+        for b in s.bytes() {
             self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
+}
+
+/// A packet outcome as `Debug` rendered it when the goldens below were
+/// captured, while the path carried its own counters: the same values,
+/// read back from the outcome's [`Work`] under their old names.
+fn golden_outcome(o: &ProcessOutcome) -> String {
+    let w = &o.work;
+    let walk = format!("probes: {}, stage_checks: {}", w.subtables, w.stage_hashes);
+    let (probed, inserted) = (w.emc_probes > 0, w.emc_inserts > 0);
+    let path = match o.path {
+        PathTaken::MicroflowHit => "MicroflowHit".to_string(),
+        PathTaken::Upcall => format!(
+            "Upcall {{ {walk}, rules_examined: {}, installed: {}, emc_probed: {probed}, emc_inserted: {inserted} }}",
+            w.rules,
+            w.installs > 0
+        ),
+        PathTaken::UpcallDropped => format!("UpcallDropped {{ {walk}, emc_probed: {probed} }}"),
+        // Never taken by an exact-match backend; a change that takes
+        // one renders differently and misses the golden.
+        other => format!("{other:?}"),
+    };
+    format!(
+        "ProcessOutcome {{ verdict: {:?}, output: {:?}, path: {path}, cycles: {} }}",
+        o.verdict, o.output, o.cycles
+    )
+}
+
+/// A policy-update outcome as `Debug` rendered it when the goldens were
+/// captured, before it carried its [`Work`].
+fn golden_update(o: &PolicyUpdateOutcome) -> String {
+    format!(
+        "PolicyUpdateOutcome {{ applied: {}, flushed_megaflows: {}, scoped: {}, cycles: {} }}",
+        o.applied, o.flushed_megaflows, o.scoped, o.cycles
+    )
 }
 
 /// One scripted run through an exact-match backend, digested: every
@@ -313,7 +442,7 @@ fn exact_match_trace_digest(kind: BackendKind) -> u64 {
     };
     let send = |be: &mut dyn DataplaneBackend, h: &mut Fnv, keys: &[FlowKey], now| {
         let n = be.process_batch(keys, now, &mut |i, o| {
-            h.debug(&(i, o));
+            h.str(&format!("({i}, {})", golden_outcome(&o)));
             true
         });
         h.debug(&n);
@@ -335,7 +464,7 @@ fn exact_match_trace_digest(kind: BackendKind) -> u64 {
             table: fig2_acl(),
         },
     ] {
-        h.debug(&be.apply_update(update, false));
+        h.str(&golden_update(&be.apply_update(update, false)));
     }
 
     // Fill past both bounds, each batch re-sending a few earlier flows:
@@ -354,7 +483,7 @@ fn exact_match_trace_digest(kind: BackendKind) -> u64 {
         ip: POD,
         table: fig2_acl(),
     };
-    h.debug(&be.apply_update(update, true));
+    h.str(&golden_update(&be.apply_update(update, true)));
     let recent: Vec<FlowKey> = (2200..2240).map(flow).collect();
     send(be, &mut h, &recent, t);
     h.debug(&be.actuate(DefenseAction::Quarantine(bystander)));

@@ -43,7 +43,7 @@ fn late_victim_probes(dp: DpConfig, spec: &AttackSpec) -> usize {
     for sport in 0..5_000u16 {
         let mut k = FlowKey::tcp([10, 0, 0, 10], [10, 1, 0, 10], 40_000, 5201);
         k.tp_src = 10_000 + (sport % 50);
-        last = sw.process(&k, SimTime::from_secs(40)).path.probes();
+        last = sw.process(&k, SimTime::from_secs(40)).work.subtables as usize;
     }
     last
 }
@@ -128,7 +128,7 @@ fn adaptive_ablation(cfg: ControllerConfig, spec: &AttackSpec, cpu: u64) -> Adap
     let mut probes = 0;
     for sport in 0..5_000u16 {
         let k = FlowKey::tcp([10, 0, 0, 10], [10, 1, 0, 11], 10_000 + sport, 5201);
-        probes = sw.process(&k, t).path.probes();
+        probes = sw.process(&k, t).work.subtables as usize;
     }
     Adaptive {
         masks: sw.mask_count(),
@@ -264,8 +264,8 @@ pub(crate) fn run() -> pi_core::Result<Output> {
     lpm.attach_pod(u32::from_be_bytes([10, 1, 0, 10]), 1);
     let late_victim = FlowKey::tcp([10, 0, 0, 10], [10, 1, 0, 10], 40_000, 5201);
     let lpm_probes = process_one(&mut *lpm, &late_victim, SimTime::from_secs(40))
-        .path
-        .probes();
+        .work
+        .subtables as usize;
     csv.push_row(&[
         "cache-less compiled".into(),
         lpm_cap.masks.to_string(),

@@ -92,7 +92,7 @@ pub(crate) fn run() -> pi_core::Result<Output> {
     // ^ 11.0.0.99 hits the 8-bit deny subtable *last* in insertion
     //   order; measure with a fresh unique key to defeat the EMC.
     let out = sw.process(&probe, SimTime::from_secs(5));
-    let probes = out.path.probes();
+    let probes = out.work.subtables as usize;
     say!(
         table,
         "\nTSS iterations for a worst-case lookup: {probes} (paper: 8)"

@@ -69,6 +69,8 @@ pub enum CmsError {
         /// Configured maximum.
         limit: usize,
     },
+    /// The node was never registered with [`Cloud::add_node`].
+    NoSuchNode(NodeId),
 }
 
 impl fmt::Display for CmsError {
@@ -85,6 +87,7 @@ impl fmt::Display for CmsError {
             CmsError::TooManyRules { got, limit } => {
                 write!(f, "policy compiles to {got} rules, limit {limit}")
             }
+            CmsError::NoSuchNode(n) => write!(f, "node {} is not registered", n.0),
         }
     }
 }
@@ -161,21 +164,22 @@ impl Cloud {
     }
 
     /// Provisions a pod for `tenant` on `node`, allocating its vport,
-    /// IP (from 10.0.0.0/8) and MAC.
-    pub fn add_pod(&mut self, tenant: TenantId, node: NodeId) -> PodId {
-        self.provision(tenant, node).id
+    /// IP (from 10.0.0.0/8) and MAC. A node [`Cloud::add_node`] never
+    /// registered is refused: nothing is allocated.
+    pub fn add_pod(&mut self, tenant: TenantId, node: NodeId) -> Result<PodId, CmsError> {
+        self.provision(tenant, node).map(|p| p.id)
     }
 
     /// [`Cloud::add_pod`], handing back the pod's whole record.
-    pub fn provision(&mut self, tenant: TenantId, node: NodeId) -> &Pod {
+    pub fn provision(&mut self, tenant: TenantId, node: NodeId) -> Result<&Pod, CmsError> {
+        let next_vport = self
+            .next_vport
+            .get_mut(&node)
+            .ok_or(CmsError::NoSuchNode(node))?;
+        let vport = *next_vport;
+        *next_vport += 1;
         let id = PodId(self.next_pod);
         self.next_pod += 1;
-        let vport = {
-            let v = self.next_vport.entry(node).or_insert(1);
-            let cur = *v;
-            *v += 1;
-            cur
-        };
         // 10.<node>.<pod+1 as 16 bits> — deterministic, collision-free
         // for the scales this workspace simulates, and never a .0 host.
         let ip = 0x0a00_0000 | ((node.0 & 0xff) << 16) | ((id.0 + 1) & 0xffff);
@@ -187,7 +191,7 @@ impl Cloud {
             ip,
             mac: MacAddr::from_id(id.0),
         };
-        self.pods.entry(id).or_insert(pod)
+        Ok(self.pods.entry(id).or_insert(pod))
     }
 
     /// Pod lookup.
@@ -220,12 +224,14 @@ impl Cloud {
         (0..count)
             .map_while(|_| {
                 let node = self.pick_node(tenant, &strategy)?;
-                Some(self.add_pod(tenant, node))
+                self.add_pod(tenant, node).ok()
             })
             .collect()
     }
 
-    /// `None` only in a node-less cloud.
+    /// A registered node for `tenant`'s next pod; `None` exactly when
+    /// the cloud has no nodes. (Co-location targets are registered too:
+    /// [`Cloud::provision`] never places a pod anywhere else.)
     fn pick_node(&self, tenant: TenantId, strategy: &PlacementStrategy) -> Option<NodeId> {
         match strategy {
             // Spread: next pod goes to the least-loaded node (ties by id),
@@ -351,8 +357,8 @@ mod tests {
         let victim = cloud.add_tenant();
         let attacker = cloud.add_tenant();
         let node = cloud.add_node();
-        let vpod = cloud.add_pod(victim, node);
-        let apod = cloud.add_pod(attacker, node);
+        let vpod = cloud.add_pod(victim, node).unwrap();
+        let apod = cloud.add_pod(attacker, node).unwrap();
         (cloud, victim, attacker, vpod, apod)
     }
 
@@ -374,8 +380,8 @@ mod tests {
         let t = cloud.add_tenant();
         let n1 = cloud.add_node();
         let n2 = cloud.add_node();
-        let p1 = cloud.add_pod(t, n1);
-        let p2 = cloud.add_pod(t, n2);
+        let p1 = cloud.add_pod(t, n1).unwrap();
+        let p2 = cloud.add_pod(t, n2).unwrap();
         assert_eq!(cloud.pod(p1).unwrap().vport, 1);
         assert_eq!(cloud.pod(p2).unwrap().vport, 1, "fresh node, fresh vports");
     }
@@ -498,6 +504,31 @@ mod tests {
         let loner = cloud.add_tenant();
         let pods = cloud.place_pods(attacker, 2, PlacementStrategy::Colocate(loner));
         assert_eq!(pods.len(), 2);
+    }
+
+    #[test]
+    fn an_unregistered_node_hosts_nothing_and_colocation_stays_registered() {
+        let mut cloud = Cloud::new();
+        let victim = cloud.add_tenant();
+        let attacker = cloud.add_tenant();
+        let n0 = cloud.add_node();
+        let stray = NodeId(7);
+        assert_eq!(
+            cloud.provision(victim, stray).err(),
+            Some(CmsError::NoSuchNode(stray))
+        );
+        assert!(cloud.pods_of(victim).is_empty(), "nothing allocated");
+        let apods = cloud.place_pods(attacker, 2, PlacementStrategy::Colocate(victim));
+        assert_eq!(apods.len(), 2);
+        for p in apods {
+            assert_eq!(
+                cloud.pod(p).unwrap().node,
+                n0,
+                "only registered nodes host pods"
+            );
+        }
+        assert_eq!(cloud.nodes(), [n0]);
+        assert!(CmsError::NoSuchNode(stray).to_string().contains("node 7"));
     }
 
     #[test]

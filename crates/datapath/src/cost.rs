@@ -1,10 +1,12 @@
 //! The CPU cycle cost model.
 //!
-//! Every fast-path operation the datapath counts (hash probes, stage
-//! checks, rules scanned) is priced in CPU cycles here, and nowhere else.
-//! The simulator multiplies packets/second by these costs against a fixed
-//! cycle budget, so throughput degradation under attack follows from the
-//! data-structure dynamics — there is no "attack effect" constant.
+//! Every operation the datapath counts (hash probes, stage checks, rules
+//! scanned, installs, flushed entries, …) is one term of a [`Work`]
+//! vector, and [`CostModel::cycles_of`] prices it in CPU cycles — here,
+//! and nowhere else. The simulator multiplies packets/second by these
+//! costs against a fixed cycle budget, so throughput degradation under
+//! attack follows from the data-structure dynamics — there is no
+//! "attack effect" constant.
 //!
 //! Calibration targets (the `fig3` rows of `results/summary.md` hold
 //! them): with the default budget of one ~1.2 GHz-effective softirq
@@ -13,9 +15,7 @@
 //! stream of a few Mb/s whose packets each walk ~8192 subtables exhausts
 //! the core (Fig. 3's collapse). The per-term provenance table — which
 //! OVS operation each price stands for and which pinned figure
-//! constrains it — is not written yet: ROADMAP item 5(b).
-
-use crate::vswitch::PathTaken;
+//! constrains it — is not written yet: ROADMAP item 7(c).
 
 /// Per-operation cycle prices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,114 +76,73 @@ impl Default for CostModel {
     }
 }
 
+/// Counted work: one count per [`CostModel`] price. Every charged cycle
+/// in the workspace is [`CostModel::cycles_of`] applied to one of these,
+/// so an outcome's `work` says exactly what its `cycles` paid for.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Work {
+    /// Frames parsed into flow keys ([`CostModel::parse`]).
+    pub parses: u32,
+    /// Microflow-cache probes ([`CostModel::emc_probe`]).
+    pub emc_probes: u32,
+    /// Microflow-cache inserts ([`CostModel::emc_insert`]).
+    pub emc_inserts: u32,
+    /// Subtables visited ([`CostModel::per_subtable`]).
+    pub subtables: u32,
+    /// Stage hashes computed ([`CostModel::per_stage_hash`]).
+    pub stage_hashes: u32,
+    /// Slow-path round trips ([`CostModel::upcall_fixed`]).
+    pub upcalls: u32,
+    /// Rules scanned or recompiled ([`CostModel::per_rule`]).
+    pub rules: u32,
+    /// Megaflow installs ([`CostModel::mfc_install`]).
+    pub installs: u32,
+    /// Control-plane policy updates ([`CostModel::acl_update_fixed`]).
+    pub acl_updates: u32,
+    /// Cached entries torn down by invalidation
+    /// ([`CostModel::flush_per_entry`]).
+    pub flushed: u32,
+    /// Switch crash/restarts ([`CostModel::restart_fixed`]).
+    pub restarts: u32,
+}
+
+impl std::ops::Add for Work {
+    type Output = Work;
+
+    fn add(self, o: Work) -> Work {
+        Work {
+            parses: self.parses + o.parses,
+            emc_probes: self.emc_probes + o.emc_probes,
+            emc_inserts: self.emc_inserts + o.emc_inserts,
+            subtables: self.subtables + o.subtables,
+            stage_hashes: self.stage_hashes + o.stage_hashes,
+            upcalls: self.upcalls + o.upcalls,
+            rules: self.rules + o.rules,
+            installs: self.installs + o.installs,
+            acl_updates: self.acl_updates + o.acl_updates,
+            flushed: self.flushed + o.flushed,
+            restarts: self.restarts + o.restarts,
+        }
+    }
+}
+
 impl CostModel {
-    /// Cycles for a packet that took `path`, excluding parse (charged
-    /// separately because frames may arrive pre-parsed in tests).
-    ///
-    /// Deferred paths ([`PathTaken::UpcallQueued`],
-    /// [`PathTaken::UpcallDropped`]) cover only the fast-path share of
-    /// the miss (EMC probe + failed subtable walk); the handler share is
-    /// priced separately by [`CostModel::handler_cycles`], and the two
-    /// sum to exactly the inline [`PathTaken::Upcall`] cost.
-    pub fn path_cycles(&self, path: &PathTaken) -> u64 {
-        match path {
-            PathTaken::MicroflowHit => self.emc_probe,
-            PathTaken::UpcallQueued {
-                probes,
-                stage_checks,
-                emc_probed,
-                ..
-            }
-            | PathTaken::UpcallDropped {
-                probes,
-                stage_checks,
-                emc_probed,
-            } => {
-                let mut c =
-                    *probes as u64 * self.per_subtable + *stage_checks as u64 * self.per_stage_hash;
-                if *emc_probed {
-                    c += self.emc_probe;
-                }
-                c
-            }
-            PathTaken::MegaflowHit {
-                probes,
-                stage_checks,
-                emc_probed,
-                emc_inserted,
-            } => {
-                let mut c =
-                    *probes as u64 * self.per_subtable + *stage_checks as u64 * self.per_stage_hash;
-                if *emc_probed {
-                    c += self.emc_probe;
-                }
-                if *emc_inserted {
-                    c += self.emc_insert;
-                }
-                c
-            }
-            PathTaken::Upcall {
-                probes,
-                stage_checks,
-                rules_examined,
-                installed,
-                emc_probed,
-                emc_inserted,
-            } => {
-                let mut c = *probes as u64 * self.per_subtable
-                    + *stage_checks as u64 * self.per_stage_hash
-                    + self.upcall_fixed
-                    + *rules_examined as u64 * self.per_rule;
-                if *installed {
-                    c += self.mfc_install;
-                }
-                if *emc_probed {
-                    c += self.emc_probe;
-                }
-                if *emc_inserted {
-                    c += self.emc_insert;
-                }
-                c
-            }
-        }
-    }
-
-    /// Total cycles for a packet: parse + path.
-    pub fn packet_cycles(&self, path: &PathTaken) -> u64 {
-        self.parse + self.path_cycles(path)
-    }
-
-    /// Cycles one control-plane policy update costs the datapath: the
-    /// fixed update handling plus the teardown of every megaflow its
-    /// invalidation flushed. This is the *direct* price of a flush; the
-    /// indirect price — every flushed flow's next packet re-upcalling —
-    /// emerges from the ordinary miss accounting, which is what makes
-    /// the policy-flap storm's amplification honest rather than
-    /// scripted.
-    pub fn control_update_cycles(&self, flushed_megaflows: usize) -> u64 {
-        self.acl_update_fixed + flushed_megaflows as u64 * self.flush_per_entry
-    }
-
-    /// Handler-side cycles of resolving one deferred upcall: the
-    /// slow-path round trip, linear classification, the (batched)
-    /// megaflow install and the EMC promotion. Together with the
-    /// [`PathTaken::UpcallQueued`] fast-path share this equals the
-    /// inline upcall cost — the bounded pipeline moves work, it never
-    /// invents or loses any.
-    pub fn handler_cycles(
-        &self,
-        rules_examined: usize,
-        installed: bool,
-        emc_inserted: bool,
-    ) -> u64 {
-        let mut c = self.upcall_fixed + rules_examined as u64 * self.per_rule;
-        if installed {
-            c += self.mfc_install;
-        }
-        if emc_inserted {
-            c += self.emc_insert;
-        }
-        c
+    /// The one price: cycles for `work`, Σ count × price over the
+    /// terms. A packet, a deferred upcall's handler share, a policy
+    /// update and a restart are all priced here.
+    #[inline]
+    pub fn cycles_of(&self, work: &Work) -> u64 {
+        u64::from(work.parses) * self.parse
+            + u64::from(work.emc_probes) * self.emc_probe
+            + u64::from(work.emc_inserts) * self.emc_insert
+            + u64::from(work.subtables) * self.per_subtable
+            + u64::from(work.stage_hashes) * self.per_stage_hash
+            + u64::from(work.upcalls) * self.upcall_fixed
+            + u64::from(work.rules) * self.per_rule
+            + u64::from(work.installs) * self.mfc_install
+            + u64::from(work.acl_updates) * self.acl_update_fixed
+            + u64::from(work.flushed) * self.flush_per_entry
+            + u64::from(work.restarts) * self.restart_fixed
     }
 }
 
@@ -191,23 +150,29 @@ impl CostModel {
 mod tests {
     use super::*;
 
+    /// A packet's work: one parse, `emc_probes` EMC probes, a walk of
+    /// `subtables` subtables and `stage_hashes` stage hashes.
+    fn walk(emc_probes: u32, subtables: u32, stage_hashes: u32) -> Work {
+        Work {
+            parses: 1,
+            emc_probes,
+            subtables,
+            stage_hashes,
+            ..Work::default()
+        }
+    }
+
     #[test]
     fn emc_hit_is_cheapest() {
         let m = CostModel::default();
-        let emc = m.packet_cycles(&PathTaken::MicroflowHit);
-        let mfc = m.packet_cycles(&PathTaken::MegaflowHit {
-            probes: 1,
-            stage_checks: 1,
-            emc_probed: true,
-            emc_inserted: false,
-        });
-        let upcall = m.packet_cycles(&PathTaken::Upcall {
-            probes: 1,
-            stage_checks: 1,
-            rules_examined: 2,
-            installed: true,
-            emc_probed: true,
-            emc_inserted: true,
+        let emc = m.cycles_of(&walk(1, 0, 0));
+        let mfc = m.cycles_of(&walk(1, 1, 1));
+        let upcall = m.cycles_of(&Work {
+            upcalls: 1,
+            rules: 2,
+            installs: 1,
+            emc_inserts: 1,
+            ..walk(1, 1, 1)
         });
         assert!(emc < mfc);
         assert!(mfc < upcall);
@@ -216,12 +181,12 @@ mod tests {
     #[test]
     fn megaflow_cost_linear_in_probes() {
         let m = CostModel::default();
-        let cost = |probes: usize| {
-            m.path_cycles(&PathTaken::MegaflowHit {
-                probes,
-                stage_checks: probes, // 1 stage per subtable
-                emc_probed: false,
-                emc_inserted: false,
+        // 1 stage per subtable, no parse.
+        let cost = |probes: u32| {
+            m.cycles_of(&Work {
+                subtables: probes,
+                stage_hashes: probes,
+                ..Work::default()
             })
         };
         let c1 = cost(1);
@@ -238,12 +203,7 @@ mod tests {
         // 64-byte frames) exhaust a 1.2 GHz-effective core — the paper's
         // "low-bandwidth (1–2 Mbps) covert packet stream".
         let m = CostModel::default();
-        let per_packet = m.packet_cycles(&PathTaken::MegaflowHit {
-            probes: 8192,
-            stage_checks: 8192,
-            emc_probed: true,
-            emc_inserted: false,
-        });
+        let per_packet = m.cycles_of(&walk(1, 8192, 8192));
         let budget: u64 = 1_200_000_000;
         let pps = budget / per_packet;
         assert!(
@@ -255,64 +215,94 @@ mod tests {
     #[test]
     fn deferred_shares_sum_to_the_inline_upcall_cost() {
         let m = CostModel::default();
-        let inline = m.packet_cycles(&PathTaken::Upcall {
-            probes: 17,
-            stage_checks: 23,
-            rules_examined: 2,
-            installed: true,
-            emc_probed: true,
-            emc_inserted: true,
-        });
-        let queued = m.packet_cycles(&PathTaken::UpcallQueued {
-            probes: 17,
-            stage_checks: 23,
-            emc_probed: true,
-            token: 0,
-        });
-        let handler = m.handler_cycles(2, true, true);
-        assert_eq!(queued + handler, inline);
+        let queued = walk(1, 17, 23);
+        let handler = Work {
+            upcalls: 1,
+            rules: 2,
+            installs: 1,
+            emc_inserts: 1,
+            ..Work::default()
+        };
+        let inline = queued + handler;
+        assert_eq!(
+            m.cycles_of(&queued) + m.cycles_of(&handler),
+            m.cycles_of(&inline)
+        );
         // A dropped upcall is charged exactly the fast-path share.
-        let dropped = m.packet_cycles(&PathTaken::UpcallDropped {
-            probes: 17,
-            stage_checks: 23,
-            emc_probed: true,
-        });
-        assert_eq!(dropped, queued);
+        let dropped = walk(1, 17, 23);
+        assert_eq!(m.cycles_of(&dropped), m.cycles_of(&queued));
+        assert_eq!(
+            m.cycles_of(&inline),
+            m.parse
+                + m.emc_probe
+                + 17 * m.per_subtable
+                + 23 * m.per_stage_hash
+                + m.upcall_fixed
+                + 2 * m.per_rule
+                + m.mfc_install
+                + m.emc_insert
+        );
     }
 
     #[test]
     fn control_update_cost_scales_with_flushed_entries() {
         let m = CostModel::default();
-        assert_eq!(m.control_update_cycles(0), m.acl_update_fixed);
-        assert_eq!(
-            m.control_update_cycles(1_000) - m.control_update_cycles(0),
-            1_000 * m.flush_per_entry
-        );
+        let update = |flushed: u32| {
+            m.cycles_of(&Work {
+                acl_updates: 1,
+                flushed,
+                ..Work::default()
+            })
+        };
+        assert_eq!(update(0), m.acl_update_fixed);
+        assert_eq!(update(1_000) - update(0), 1_000 * m.flush_per_entry);
         // A full-table flush (200 k entries) costs cycles comparable to
         // hundreds of upcalls — expensive, but the dominant damage is
         // the rebuild, which the miss path prices separately.
-        assert!(m.control_update_cycles(200_000) > 100 * m.upcall_fixed);
+        assert!(update(200_000) > 100 * m.upcall_fixed);
     }
 
     #[test]
     fn upcall_includes_linear_scan() {
         let m = CostModel::default();
-        let small = m.path_cycles(&PathTaken::Upcall {
-            probes: 0,
-            stage_checks: 0,
-            rules_examined: 2,
-            installed: false,
-            emc_probed: false,
-            emc_inserted: false,
-        });
-        let big = m.path_cycles(&PathTaken::Upcall {
-            probes: 0,
-            stage_checks: 0,
-            rules_examined: 1000,
-            installed: false,
-            emc_probed: false,
-            emc_inserted: false,
-        });
-        assert_eq!(big - small, 998 * m.per_rule);
+        let scan = |rules: u32| {
+            m.cycles_of(&Work {
+                upcalls: 1,
+                rules,
+                ..Work::default()
+            })
+        };
+        assert_eq!(scan(1000) - scan(2), 998 * m.per_rule);
+    }
+
+    #[test]
+    fn every_term_is_priced_once() {
+        let m = CostModel::default();
+        let one = Work {
+            parses: 1,
+            emc_probes: 1,
+            emc_inserts: 1,
+            subtables: 1,
+            stage_hashes: 1,
+            upcalls: 1,
+            rules: 1,
+            installs: 1,
+            acl_updates: 1,
+            flushed: 1,
+            restarts: 1,
+        };
+        let prices = m.parse
+            + m.emc_probe
+            + m.emc_insert
+            + m.per_subtable
+            + m.per_stage_hash
+            + m.upcall_fixed
+            + m.per_rule
+            + m.mfc_install
+            + m.acl_update_fixed
+            + m.flush_per_entry
+            + m.restart_fixed;
+        assert_eq!(m.cycles_of(&one), prices);
+        assert_eq!(m.cycles_of(&(one + one)), 2 * prices);
     }
 }

@@ -30,8 +30,9 @@
 //! budget, and batched megaflow installs — the machinery a slow-path
 //! DoS saturates.
 //!
-//! The cycle accounting is mechanical — cycles are a linear function of
-//! the counted hash probes, stage checks, rules examined — so throughput
+//! The cycle accounting is mechanical — every outcome carries the
+//! [`Work`] it counted (hash probes, stage checks, rules examined, …) and
+//! its cycles are [`CostModel::cycles_of`] that work — so throughput
 //! collapse in the simulator is a *consequence* of the data structure
 //! dynamics, never scripted.
 
@@ -46,7 +47,7 @@ pub mod upcall;
 pub mod vswitch;
 
 pub use config::{BackendKind, DpConfig};
-pub use cost::CostModel;
+pub use cost::{CostModel, Work};
 pub use emc::MicroflowCache;
 pub use megaflow::{InstallOutcome, MegaflowCache, MegaflowEntry};
 pub use pods::{Pod, PodTable, PolicyChange};

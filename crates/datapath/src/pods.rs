@@ -23,6 +23,7 @@ use pi_classifier::{Action, PolicyUpdate};
 use pi_core::{Field, FlowKey, IpIndex};
 use pi_trace::Tracer;
 
+use crate::cost::{CostModel, Work};
 use crate::slowpath::SlowPath;
 use crate::vswitch::{PolicyUpdateOutcome, SwitchStats};
 
@@ -58,22 +59,26 @@ pub struct PolicyChange {
 
 impl PolicyChange {
     /// Books the update into `stats` and builds its outcome. A table
-    /// change counts one `policy_updates`; `cycles` is `Some` for a
-    /// charged update — added to the switch and control totals and
-    /// traced (with the flush, if any) — and `None` for free build-time
-    /// assembly, which costs and records nothing.
+    /// change counts one `policy_updates`; `work` is `Some` for a
+    /// charged update — priced by `cost`, added to the switch and
+    /// control totals and traced (with the flush, if any) — and `None`
+    /// for free build-time assembly, which costs and records nothing.
     pub fn settle(
         self,
         flushed: usize,
         scoped: bool,
-        cycles: Option<u64>,
+        work: Option<Work>,
+        cost: &CostModel,
         stats: &mut SwitchStats,
         tracer: &Tracer,
     ) -> PolicyUpdateOutcome {
         if self.touched.is_some() {
             stats.policy_updates += 1;
         }
-        if let Some(cycles) = cycles {
+        let charged = work.is_some();
+        let work = work.unwrap_or_default();
+        let cycles = cost.cycles_of(&work);
+        if charged {
             stats.cycles += cycles;
             stats.control_cycles += cycles;
             tracer.emit_policy_update(self.op, cycles, flushed as u32, scoped, self.applied);
@@ -82,7 +87,8 @@ impl PolicyChange {
             applied: self.applied,
             flushed_megaflows: flushed,
             scoped,
-            cycles: cycles.unwrap_or(0),
+            work,
+            cycles,
         }
     }
 }

@@ -52,6 +52,8 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use pi_classifier::Action;
 use pi_core::{BuildFoldHasher, FlowKey, MaskedKey, SimTime};
 
+use crate::cost::Work;
+
 /// The queue id shared by packets whose destination no pod answers for
 /// (they still upcall — and a destination-spray flood lands here).
 pub const UNROUTABLE_QUEUE: u32 = u32::MAX;
@@ -204,12 +206,9 @@ pub(crate) struct PendingUpcall {
     pub hash: u64,
     /// Queue id (destination vport, or [`UNROUTABLE_QUEUE`]).
     pub queue: u32,
-    /// Subtables probed during the missing megaflow lookup.
-    pub probes: usize,
-    /// Stage checks during the missing megaflow lookup.
-    pub stage_checks: usize,
-    /// Whether the microflow cache was probed (and missed) first.
-    pub emc_probed: bool,
+    /// The fast-path work already charged for the miss (parse, EMC
+    /// probe, the failed subtable walk).
+    pub work: Work,
     /// The drain-step counter at enqueue time.
     pub enqueued_step: u64,
 }
@@ -253,16 +252,13 @@ pub(crate) struct UpcallQueue {
 impl UpcallQueue {
     /// Accepts `key` onto `queue` unless it is at `capacity`; returns
     /// the pending token, or `None` on a tail drop.
-    #[allow(clippy::too_many_arguments, reason = "the miss's facts, passed flat")]
     pub fn try_enqueue(
         &mut self,
         queue: u32,
         capacity: usize,
         key: &FlowKey,
         hash: u64,
-        probes: usize,
-        stage_checks: usize,
-        emc_probed: bool,
+        work: Work,
     ) -> Option<u64> {
         let port = self.per_port.entry(queue).or_default();
         // Capacity check before creating any storage, so a tail drop
@@ -285,9 +281,7 @@ impl UpcallQueue {
                 key: *key,
                 hash,
                 queue,
-                probes,
-                stage_checks,
-                emc_probed,
+                work,
                 enqueued_step: self.step,
             });
         self.pending_total += 1;
@@ -477,10 +471,14 @@ mod tests {
     fn capacity_is_per_queue_and_drops_count_per_port() {
         let mut q = UpcallQueue::default();
         for i in 0..3u8 {
-            assert!(q.try_enqueue(1, 2, &key(i), i as u64, 0, 0, true).is_some() == (i < 2));
+            assert!(
+                q.try_enqueue(1, 2, &key(i), i as u64, Work::default())
+                    .is_some()
+                    == (i < 2)
+            );
         }
         // Port 2 has its own capacity.
-        assert!(q.try_enqueue(2, 2, &key(9), 9, 0, 0, true).is_some());
+        assert!(q.try_enqueue(2, 2, &key(9), 9, Work::default()).is_some());
         assert_eq!(q.depth_of(1), 2);
         assert_eq!(q.depth_of(2), 1);
         assert_eq!(q.total_depth(), 3);
@@ -516,8 +514,8 @@ mod tests {
     #[test]
     fn tokens_are_unique_and_fifo_within_a_queue() {
         let mut q = UpcallQueue::default();
-        let a = q.try_enqueue(1, 10, &key(1), 1, 0, 0, true).unwrap();
-        let b = q.try_enqueue(1, 10, &key(2), 2, 0, 0, true).unwrap();
+        let a = q.try_enqueue(1, 10, &key(1), 1, Work::default()).unwrap();
+        let b = q.try_enqueue(1, 10, &key(2), 2, Work::default()).unwrap();
         assert_ne!(a, b);
         assert_eq!(q.pop_from(1).unwrap().token, a);
         assert_eq!(q.pop_from(1).unwrap().token, b);
@@ -528,11 +526,11 @@ mod tests {
     #[test]
     fn service_order_is_deepest_backlog_first_with_id_tiebreak() {
         let mut q = UpcallQueue::default();
-        q.try_enqueue(5, 10, &key(1), 1, 0, 0, true);
+        q.try_enqueue(5, 10, &key(1), 1, Work::default());
         for i in 0..3u8 {
-            q.try_enqueue(2, 10, &key(i), i as u64, 0, 0, true);
+            q.try_enqueue(2, 10, &key(i), i as u64, Work::default());
         }
-        q.try_enqueue(9, 10, &key(4), 4, 0, 0, true);
+        q.try_enqueue(9, 10, &key(4), 4, Work::default());
         // Depths: q2=3, q5=1, q9=1 → deepest first, then id order.
         assert_eq!(q.service_order(), vec![2, 5, 9]);
         // Empty queues never appear.
@@ -584,7 +582,7 @@ mod tests {
     #[test]
     fn capacity_zero_drops_without_leaving_dead_queues() {
         let mut q = UpcallQueue::default();
-        assert!(q.try_enqueue(3, 0, &key(1), 1, 0, 0, true).is_none());
+        assert!(q.try_enqueue(3, 0, &key(1), 1, Work::default()).is_none());
         assert_eq!(q.stats().queue_drops, 1);
         assert!(q.service_order().is_empty());
         assert_eq!(q.total_depth(), 0);
@@ -595,7 +593,7 @@ mod tests {
     #[test]
     fn wait_step_accounting_feeds_mean_latency() {
         let mut q = UpcallQueue::default();
-        q.try_enqueue(1, 10, &key(1), 1, 0, 0, true);
+        q.try_enqueue(1, 10, &key(1), 1, Work::default());
         q.note_resolved(1, 0);
         q.note_resolved(1, 3);
         let s = q.stats();

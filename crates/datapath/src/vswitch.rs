@@ -14,12 +14,12 @@
 //! tenant's ACL are walked by every other tenant's packets.
 
 use pi_classifier::{Action, FlowTable, PolicyUpdate};
-use pi_core::{Field, FlowKey, KeyWords, SimTime, SplitMix64};
+use pi_core::{Field, FlowKey, KeyWords, SimTime};
 use pi_packet::extract_flow_key;
 use pi_trace::Tracer;
 
 use crate::config::DpConfig;
-use crate::cost::CostModel;
+use crate::cost::{CostModel, Work};
 use crate::emc::MicroflowCache;
 use crate::megaflow::{InstallOutcome, MegaflowCache};
 use crate::pods::PodTable;
@@ -28,81 +28,36 @@ use crate::upcall::{
     PendingUpcall, PipelineMode, PortUpcallStats, UpcallQueue, UpcallStats, UNROUTABLE_QUEUE,
 };
 
-/// Which level of the pipeline resolved a packet, with the cost-bearing
-/// counters of that path.
+/// Which level of the pipeline resolved a packet. What the path cost is
+/// the outcome's [`Work`], not part of the level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PathTaken {
     /// Exact-match cache hit.
     MicroflowHit,
-    /// Megaflow (TSS) hit after `probes` subtable visits.
-    MegaflowHit {
-        /// Subtables visited.
-        probes: usize,
-        /// Stage-hash units of work.
-        stage_checks: usize,
-        /// Whether the microflow cache was probed first (and missed).
-        emc_probed: bool,
-        /// Whether the flow was promoted into the microflow cache.
-        emc_inserted: bool,
-    },
+    /// Megaflow (TSS) hit.
+    MegaflowHit,
     /// Full slow-path upcall.
-    Upcall {
-        /// Subtables visited during the (missing) megaflow lookup.
-        probes: usize,
-        /// Stage-hash units of work.
-        stage_checks: usize,
-        /// Rules scanned by linear classification.
-        rules_examined: usize,
-        /// Whether a megaflow was installed (false ⇒ flow limit hit).
-        installed: bool,
-        /// Whether the microflow cache was probed first (and missed).
-        emc_probed: bool,
-        /// Whether the flow was promoted into the microflow cache.
-        emc_inserted: bool,
-    },
+    Upcall,
     /// Megaflow miss deferred into the bounded upcall pipeline
     /// ([`PipelineMode::Bounded`]): the packet sits on its port's upcall
     /// queue until a [`VSwitch::drain_upcalls`] step resolves it. The
     /// outcome's verdict is a placeholder ([`Action::Controller`], "sent
-    /// to the slow path") and its cycles cover only the fast-path share
+    /// to the slow path") and its work covers only the fast-path share
     /// of the miss.
     UpcallQueued {
-        /// Subtables visited during the (missing) megaflow lookup.
-        probes: usize,
-        /// Stage-hash units of work.
-        stage_checks: usize,
-        /// Whether the microflow cache was probed first (and missed).
-        emc_probed: bool,
         /// Handle matching this packet to its later [`ResolvedUpcall`].
         token: u64,
     },
     /// Megaflow miss tail-dropped at a full upcall queue — the
     /// handler-saturation loss the bounded pipeline makes expressible.
     /// No verdict is ever rendered for the packet.
-    UpcallDropped {
-        /// Subtables visited during the (missing) megaflow lookup.
-        probes: usize,
-        /// Stage-hash units of work.
-        stage_checks: usize,
-        /// Whether the microflow cache was probed first (and missed).
-        emc_probed: bool,
-    },
+    UpcallDropped,
 }
 
 impl PathTaken {
-    /// True for the cheapest (microflow) path.
-    pub fn is_microflow(&self) -> bool {
-        matches!(self, PathTaken::MicroflowHit)
-    }
-
-    /// True for a megaflow hit.
-    pub fn is_megaflow(&self) -> bool {
-        matches!(self, PathTaken::MegaflowHit { .. })
-    }
-
     /// True for an upcall.
     pub fn is_upcall(&self) -> bool {
-        matches!(self, PathTaken::Upcall { .. })
+        matches!(self, PathTaken::Upcall)
     }
 
     /// True when the packet was deferred into the upcall pipeline (its
@@ -113,18 +68,7 @@ impl PathTaken {
 
     /// True when the packet was tail-dropped at a full upcall queue.
     pub fn is_upcall_dropped(&self) -> bool {
-        matches!(self, PathTaken::UpcallDropped { .. })
-    }
-
-    /// Subtables probed on this path (0 for a microflow hit).
-    pub fn probes(&self) -> usize {
-        match self {
-            PathTaken::MicroflowHit => 0,
-            PathTaken::MegaflowHit { probes, .. }
-            | PathTaken::Upcall { probes, .. }
-            | PathTaken::UpcallQueued { probes, .. }
-            | PathTaken::UpcallDropped { probes, .. } => *probes,
-        }
+        matches!(self, PathTaken::UpcallDropped)
     }
 }
 
@@ -137,7 +81,9 @@ pub struct ProcessOutcome {
     pub output: Option<u32>,
     /// Which pipeline level resolved the packet.
     pub path: PathTaken,
-    /// CPU cycles charged (parse + path) under the switch's cost model.
+    /// The work this call charged for (parse + path).
+    pub work: Work,
+    /// CPU cycles charged: the switch's [`CostModel::cycles_of`] `work`.
     pub cycles: u64,
 }
 
@@ -149,9 +95,10 @@ pub struct ResolvedUpcall {
     pub token: u64,
     /// The packet the verdict applies to.
     pub key: FlowKey,
-    /// The handler's outcome: a real verdict, the full
-    /// [`PathTaken::Upcall`] path record, and the *handler-side* cycles
-    /// (the fast-path share was already charged at enqueue time).
+    /// The handler's outcome: a real verdict on the
+    /// [`PathTaken::Upcall`] path, with the *handler-side* work and
+    /// cycles (the fast-path share was already charged at enqueue time;
+    /// the two shares sum to the inline upcall's work).
     pub outcome: ProcessOutcome,
 }
 
@@ -235,7 +182,10 @@ pub struct PolicyUpdateOutcome {
     /// Whether the invalidation was scoped to the updated destination
     /// ([`DpConfig::scoped_invalidation`]) rather than a global flush.
     pub scoped: bool,
-    /// Datapath cycles charged for the update.
+    /// The work charged for the update (zero for a free one).
+    pub work: Work,
+    /// Datapath cycles charged for the update: [`CostModel::cycles_of`]
+    /// `work`.
     pub cycles: u64,
 }
 
@@ -279,7 +229,6 @@ pub struct VSwitch {
     stats: SwitchStats,
     /// The bounded upcall pipeline (idle under [`PipelineMode::Inline`]).
     pipeline: UpcallQueue,
-    rng: SplitMix64,
     /// Trace handle (disabled by default — a guaranteed no-op).
     tracer: Tracer,
 }
@@ -304,7 +253,6 @@ impl VSwitch {
             config.staged_lookup,
         );
         let revalidator = Revalidator::new(config.revalidator_interval, config.idle_timeout);
-        let rng = SplitMix64::new(config.seed ^ 0x575);
         VSwitch {
             config,
             cost,
@@ -316,7 +264,6 @@ impl VSwitch {
             cache_dirty: false,
             stats: SwitchStats::default(),
             pipeline: UpcallQueue::default(),
-            rng,
             tracer: Tracer::disabled(),
         }
     }
@@ -408,19 +355,32 @@ impl VSwitch {
     /// caches for the touched destination. `charged` selects between
     /// the two ways an update arrives: the timed control plane
     /// (`pi_cms::ControlPlane`, driven through `pi_sim::NodeCell`)
-    /// pays [`CostModel::control_update_cycles`] — fixed handling plus
-    /// per-flushed-entry teardown — so a flush storm competes with
-    /// packets for the same cycle budget, and is traced; build-time
-    /// topology assembly, before the simulated clock starts, is free.
+    /// pays one ACL update plus the teardown of every flushed entry —
+    /// so a flush storm competes with packets for the same cycle
+    /// budget, and is traced; build-time topology assembly, before the
+    /// simulated clock starts, is free. This is the *direct* price of a
+    /// flush; the indirect price — every flushed flow's next packet
+    /// re-upcalling — emerges from the ordinary miss accounting.
     pub fn apply_update(&mut self, update: PolicyUpdate, charged: bool) -> PolicyUpdateOutcome {
         let change = self.pods.apply(update, &self.config.trie_fields);
         // A fresh attach may shadow a cached unroutable-deny megaflow
         // for `ip`; a re-attach models OVS's port-change revalidation.
         // Either way the (coalesced) invalidation keeps verdicts sound.
         let flushed = change.touched.map_or(0, |ip| self.invalidate_for(ip));
-        let cycles = charged.then(|| self.cost.control_update_cycles(flushed));
+        let work = charged.then_some(Work {
+            acl_updates: 1,
+            flushed: flushed as u32,
+            ..Work::default()
+        });
         let scoped = self.config.scoped_invalidation;
-        change.settle(flushed, scoped, cycles, &mut self.stats, &self.tracer)
+        change.settle(
+            flushed,
+            scoped,
+            work,
+            &self.cost,
+            &mut self.stats,
+            &self.tracer,
+        )
     }
 
     /// Attaches a pod, free: traffic to `ip` is delivered out of
@@ -504,8 +464,8 @@ impl VSwitch {
     /// exists to close). Port attachments survive (the node agent
     /// re-plumbs vports on respawn) and so do the lifetime `stats` —
     /// they are the node agent's accounting, not switch memory. The
-    /// fixed restart price ([`CostModel::restart_fixed`]) is charged by
-    /// the caller against the node's budget, not here.
+    /// restart itself (one [`Work::restarts`]) is charged by the caller
+    /// against the node's budget, not here.
     pub fn crash_restart(&mut self) -> RestartOutcome {
         let flows_lost = self.mfc.len();
         if self.cache_dirty {
@@ -642,11 +602,11 @@ impl VSwitch {
     /// them — what a NIC's per-flow RSS hash gives real OVS. The sharing
     /// stops at the hash on purpose: every packet of the train still
     /// probes the EMC, bumps every counter, is priced by
-    /// [`CostModel::packet_cycles`] and reaches the sink, so the
-    /// modelled work — and the benchmark's per-packet unit costs — are
-    /// those of distinct flows. (Memoising the whole EMC outcome per
-    /// train, OVS's `packet_batch_per_flow`, needs a burst unit cost in
-    /// the benchmark ledger first; ROADMAP item 1(f).)
+    /// [`CostModel::cycles_of`] and reaches the sink, so the modelled
+    /// work — and the benchmark's per-packet unit costs — are those of
+    /// distinct flows. (Memoising the whole EMC outcome per train, OVS's
+    /// `packet_batch_per_flow`, needs a burst unit cost in the benchmark
+    /// ledger first: ROADMAP 2B's `emc_burst_ns`, then item 9(b).)
     ///
     /// Verdicts, stats and cache mutations are **exactly** those of
     /// `keys.len()` sequential [`VSwitch::process`] calls (pinned by
@@ -708,30 +668,32 @@ impl VSwitch {
 
         // Level 1: microflow cache.
         let emc_probed = self.config.emc_enabled;
+        let mut work = Work {
+            parses: 1,
+            emc_probes: u32::from(emc_probed),
+            ..Work::default()
+        };
         if emc_probed {
             if let Some(action) = self.emc.lookup_hashed(hash, key, self.generation, now) {
                 self.stats.microflow_hits += 1;
-                return self.finish(action, PathTaken::MicroflowHit, key);
+                return self.finish(action, PathTaken::MicroflowHit, work, key);
             }
         }
 
         // Level 2: megaflow cache.
         let out = self.mfc.lookup_with(key, words, now);
         self.stats.subtable_probes += out.probes as u64;
+        work.subtables = out.probes as u32;
+        work.stage_hashes = out.stage_checks as u32;
         if let Some(action) = out.value {
             let emc_inserted = emc_probed
                 && self
                     .emc
                     .insert_hashed(hash, key, action, self.generation, now);
             self.cache_dirty |= emc_inserted;
-            let path = PathTaken::MegaflowHit {
-                probes: out.probes,
-                stage_checks: out.stage_checks,
-                emc_probed,
-                emc_inserted,
-            };
+            work.emc_inserts = u32::from(emc_inserted);
             self.stats.megaflow_hits += 1;
-            return self.finish(action, path, key);
+            return self.finish(action, PathTaken::MegaflowHit, work, key);
         }
 
         // Quarantine gate: a miss towards a quarantined destination is
@@ -741,61 +703,26 @@ impl VSwitch {
         // an offender's covert stream of its amplification.
         if self.pods.is_quarantined(key.ip_dst) {
             self.pipeline.note_quarantine_drop();
-            let path = PathTaken::UpcallDropped {
-                probes: out.probes,
-                stage_checks: out.stage_checks,
-                emc_probed,
-            };
-            let cycles = self.cost.packet_cycles(&path);
-            self.stats.cycles += cycles;
-            return ProcessOutcome {
-                verdict: Action::Controller,
-                output: None,
-                path,
-                cycles,
-            };
+            return self.finish(Action::Controller, PathTaken::UpcallDropped, work, key);
         }
 
         // Level 3: the slow path. Under the bounded pipeline the miss is
         // deferred onto the destination port's upcall queue (tail-drop
         // when full); only the fast-path share of the work is charged
-        // here — the handler share lands in `drain_upcalls`.
+        // here — the handler share lands in `drain_upcalls`. The pending
+        // or dropped packet is neither a policy drop nor (yet) an
+        // upcall: it shows up only in the upcall statistics.
         if let PipelineMode::Bounded(cfg) = self.config.pipeline {
             let queue = self
                 .pods
                 .get(key.ip_dst)
                 .map_or(UNROUTABLE_QUEUE, |p| p.vport);
-            let path = match self.pipeline.try_enqueue(
-                queue,
-                crate::upcall::queue_capacity_of(queue, cfg.queue_capacity),
-                key,
-                hash,
-                out.probes,
-                out.stage_checks,
-                emc_probed,
-            ) {
-                Some(token) => PathTaken::UpcallQueued {
-                    probes: out.probes,
-                    stage_checks: out.stage_checks,
-                    emc_probed,
-                    token,
-                },
-                None => PathTaken::UpcallDropped {
-                    probes: out.probes,
-                    stage_checks: out.stage_checks,
-                    emc_probed,
-                },
+            let capacity = crate::upcall::queue_capacity_of(queue, cfg.queue_capacity);
+            let path = match self.pipeline.try_enqueue(queue, capacity, key, hash, work) {
+                Some(token) => PathTaken::UpcallQueued { token },
+                None => PathTaken::UpcallDropped,
             };
-            let cycles = self.cost.packet_cycles(&path);
-            self.stats.cycles += cycles;
-            // Not a policy drop and not (yet) an upcall: the pending /
-            // dropped packet only shows up in the upcall statistics.
-            return ProcessOutcome {
-                verdict: Action::Controller,
-                output: None,
-                path,
-                cycles,
-            };
+            return self.finish(Action::Controller, path, work, key);
         }
 
         // Inline slow path: resolved and installed right here, on the
@@ -810,16 +737,9 @@ impl VSwitch {
                 .emc
                 .insert_hashed(hash, key, action, self.generation, now);
         self.cache_dirty |= installed || emc_inserted;
-        let path = PathTaken::Upcall {
-            probes: out.probes,
-            stage_checks: out.stage_checks,
-            rules_examined,
-            installed,
-            emc_probed,
-            emc_inserted,
-        };
         self.stats.upcalls += 1;
-        self.finish(action, path, key)
+        let handler = handler_work(rules_examined, installed, emc_inserted);
+        self.finish(action, PathTaken::Upcall, work + handler, key)
     }
 
     /// The slow-path miss both pipelines share: route on `ip_dst`, then
@@ -843,23 +763,35 @@ impl VSwitch {
         (action, pi_core::MaskedKey::new(*key, mask), rules_examined)
     }
 
-    /// Routes, prices and books a packet resolved on this call; the
-    /// caller has already counted which level resolved it.
-    fn finish(&mut self, verdict: Action, path: PathTaken, key: &FlowKey) -> ProcessOutcome {
+    /// Routes, prices and books a packet; the caller has already
+    /// counted which level resolved it. A rendered verdict that
+    /// delivers nowhere is a policy drop; a deferred or refused miss
+    /// renders none.
+    // Inlined into each call site so the terms its `work` leaves at
+    // zero fold out of `cycles_of` on the per-packet path.
+    #[inline(always)]
+    fn finish(
+        &mut self,
+        verdict: Action,
+        path: PathTaken,
+        work: Work,
+        key: &FlowKey,
+    ) -> ProcessOutcome {
         let output = if verdict.permits() {
             self.pods.get(key.ip_dst).map(|p| p.vport)
         } else {
             None
         };
-        if output.is_none() {
+        if output.is_none() && !path.is_queued() && !path.is_upcall_dropped() {
             self.stats.policy_drops += 1;
         }
-        let cycles = self.cost.packet_cycles(&path);
+        let cycles = self.cost.cycles_of(&work);
         self.stats.cycles += cycles;
         ProcessOutcome {
             verdict,
             output,
             path,
+            work,
             cycles,
         }
     }
@@ -929,22 +861,18 @@ impl VSwitch {
         let key = pending.key;
         if self.pods.is_quarantined(key.ip_dst) {
             self.pipeline.note_quarantine_drop();
-            let path = PathTaken::UpcallDropped {
-                probes: pending.probes,
-                stage_checks: pending.stage_checks,
-                emc_probed: pending.emc_probed,
-            };
+            // The fast-path share was charged at enqueue; refusing costs
+            // the handler nothing.
+            let outcome = self.finish(
+                Action::Controller,
+                PathTaken::UpcallDropped,
+                Work::default(),
+                &key,
+            );
             return ResolvedUpcall {
                 token: pending.token,
                 key,
-                outcome: ProcessOutcome {
-                    verdict: Action::Controller,
-                    output: None,
-                    path,
-                    // The fast-path share was charged at enqueue;
-                    // refusing costs the handler nothing.
-                    cycles: 0,
-                },
+                outcome,
             };
         }
         let (action, megaflow, rules_examined) = self.classify_miss(&key);
@@ -961,31 +889,13 @@ impl VSwitch {
         // longer clean the moment one exists.
         self.cache_dirty = true;
 
-        let emc_inserted = pending.emc_probed
+        let emc_inserted = pending.work.emc_probes > 0
             && self
                 .emc
                 .insert_hashed(pending.hash, &key, action, self.generation, now);
-        let path = PathTaken::Upcall {
-            probes: pending.probes,
-            stage_checks: pending.stage_checks,
-            rules_examined,
-            installed,
-            emc_probed: pending.emc_probed,
-            emc_inserted,
-        };
         self.stats.upcalls += 1;
-        let output = if action.permits() {
-            self.pods.get(key.ip_dst).map(|p| p.vport)
-        } else {
-            None
-        };
-        if output.is_none() {
-            self.stats.policy_drops += 1;
-        }
-        let cycles = self
-            .cost
-            .handler_cycles(rules_examined, installed, emc_inserted);
-        self.stats.cycles += cycles;
+        let handler = handler_work(rules_examined, installed, emc_inserted);
+        let outcome = self.finish(action, PathTaken::Upcall, handler, &key);
         let wait = self
             .pipeline
             .step()
@@ -995,12 +905,7 @@ impl VSwitch {
         ResolvedUpcall {
             token: pending.token,
             key,
-            outcome: ProcessOutcome {
-                verdict: action,
-                output,
-                path,
-                cycles,
-            },
+            outcome,
         }
     }
 
@@ -1037,11 +942,20 @@ impl VSwitch {
     pub fn upcall_queue_depth(&self) -> usize {
         self.pipeline.total_depth()
     }
+}
 
-    /// Deterministic tie-break helper for tests that need switch-side
-    /// randomness (kept so config seeding covers all state).
-    pub fn rng(&mut self) -> &mut SplitMix64 {
-        &mut self.rng
+/// The handler share of a slow-path miss: the round trip, the linear
+/// scan, the megaflow install and the EMC promotion. The inline
+/// pipeline charges it with the fast-path share; the bounded one
+/// charges it at [`VSwitch::drain_upcalls`] — it moves work, it never
+/// invents or loses any.
+fn handler_work(rules_examined: usize, installed: bool, emc_inserted: bool) -> Work {
+    Work {
+        upcalls: 1,
+        rules: rules_examined as u32,
+        installs: u32::from(installed),
+        emc_inserts: u32::from(emc_inserted),
+        ..Work::default()
     }
 }
 
@@ -1086,7 +1000,7 @@ mod tests {
         assert_eq!(o1.verdict, Action::Allow);
         assert_eq!(o1.output, Some(POD_VPORT));
         let o2 = sw.process(&p, t + SimTime::from_millis(1));
-        assert!(o2.path.is_microflow());
+        assert!(o2.path == PathTaken::MicroflowHit);
         assert!(o2.cycles < o1.cycles);
         let s = sw.stats();
         assert_eq!(s.upcalls, 1);
@@ -1133,7 +1047,7 @@ mod tests {
         // Different host, same /8 and wildcarded ports: EMC misses
         // (different exact key) but the /8 megaflow matches.
         let o = sw.process(&pkt([10, 2, 2, 2], 2000), t);
-        assert!(o.path.is_megaflow());
+        assert!(o.path == PathTaken::MegaflowHit);
         assert_eq!(o.verdict, Action::Allow);
     }
 
@@ -1273,11 +1187,11 @@ mod tests {
         let p = pkt([10, 1, 1, 1], 1000);
         sw.process(&p, SimTime::ZERO);
         let o = sw.process(&p, SimTime::ZERO);
-        assert!(o.path.is_megaflow(), "no EMC ⇒ repeat packets hit MFC");
-        match o.path {
-            PathTaken::MegaflowHit { emc_probed, .. } => assert!(!emc_probed),
-            _ => unreachable!(),
-        }
+        assert!(
+            o.path == PathTaken::MegaflowHit,
+            "no EMC ⇒ repeat packets hit MFC"
+        );
+        assert_eq!(o.work.emc_probes, 0);
     }
 
     fn bounded_switch(cfg: crate::upcall::UpcallPipelineConfig) -> VSwitch {
@@ -1318,7 +1232,7 @@ mod tests {
         assert_eq!(sw.megaflow_count(), 1, "batched install landed at step end");
         // The next packet of the flow is now a cache hit.
         let o2 = sw.process(&p, t + SimTime::from_millis(1));
-        assert!(o2.path.is_microflow());
+        assert!(o2.path == PathTaken::MicroflowHit);
     }
 
     #[test]
@@ -1336,8 +1250,8 @@ mod tests {
         assert!(sw.process(&q, t).path.is_queued(), "install not yet landed");
         let mut installs = Vec::new();
         sw.drain_upcalls(t, |r| {
-            if let PathTaken::Upcall { installed, .. } = r.outcome.path {
-                installs.push(installed);
+            if r.outcome.path.is_upcall() {
+                installs.push(r.outcome.work.installs == 1);
             }
         });
         assert_eq!(installs, vec![true, false], "one fresh install, one dedup");
@@ -1382,7 +1296,7 @@ mod tests {
         // Budget covers exactly one default-cost upcall and overruns:
         // the debt suppresses part of the next step.
         let cost = CostModel::default();
-        let one_upcall = cost.handler_cycles(2, true, true);
+        let one_upcall = cost.cycles_of(&handler_work(2, true, true));
         let mut sw = bounded_switch(crate::upcall::UpcallPipelineConfig {
             queue_capacity: 64,
             handler_cycles_per_step: one_upcall / 2,
@@ -1614,7 +1528,7 @@ mod tests {
         // nothing at all.
         let o = sw.process(&FlowKey::tcp([10, 3, 3, 3], other_ip, 1, 1), t);
         assert!(
-            o.path.is_microflow(),
+            o.path == PathTaken::MicroflowHit,
             "bystander keeps its EMC hit across the unrelated install"
         );
         // The updated pod rebuilds through the slow path as it must —
@@ -1636,6 +1550,13 @@ mod tests {
         let mut sw = switch_with_fig2_acl();
         let pod_ip = u32::from_be_bytes(POD_IP);
         let cost = *sw.cost_model();
+        let update = |flushed: usize| {
+            cost.cycles_of(&Work {
+                acl_updates: 1,
+                flushed: flushed as u32,
+                ..Work::default()
+            })
+        };
         let allow = MaskedKey::new(
             FlowKey::tcp([10, 0, 0, 0], [0, 0, 0, 0], 0, 0),
             FlowMask::default().with_prefix(Field::IpSrc, 8),
@@ -1644,7 +1565,7 @@ mod tests {
         let o = sw.apply_install_acl(pod_ip, whitelist_with_default_deny(&[allow]));
         assert!(o.applied);
         assert_eq!(o.flushed_megaflows, 0);
-        assert_eq!(o.cycles, cost.control_update_cycles(0));
+        assert_eq!(o.cycles, update(0));
         // Populate two megaflows, then flush them through the costed
         // path: the per-entry teardown is charged.
         let t = SimTime::from_millis(1);
@@ -1657,7 +1578,7 @@ mod tests {
         assert!(o2.applied);
         assert!(!o2.scoped);
         assert_eq!(o2.flushed_megaflows, cached);
-        assert_eq!(o2.cycles, cost.control_update_cycles(cached));
+        assert_eq!(o2.cycles, update(cached));
         let s = sw.stats();
         assert_eq!(s.control_cycles, o.cycles + o2.cycles);
         assert_eq!(s.cycles, packet_cycles + s.control_cycles);
@@ -1666,7 +1587,7 @@ mod tests {
         // costs the control-plane round trip.
         let o3 = sw.apply_update(PolicyUpdate::RemoveAcl { ip: 0xdead_beef }, true);
         assert!(!o3.applied);
-        assert_eq!(o3.cycles, cost.control_update_cycles(0));
+        assert_eq!(o3.cycles, update(0));
     }
 
     #[test]
@@ -1721,12 +1642,10 @@ mod tests {
         let to_b = FlowKey::tcp([172, 16, 0, 1], [10, 0, 0, 2], 5, 5);
         let o = sw.process(&to_b, SimTime::ZERO);
         assert!(o.path.is_upcall());
-        match o.path {
-            PathTaken::Upcall { probes, .. } => {
-                assert_eq!(probes, masks_after_attack_on_a, "walked A's masks")
-            }
-            _ => unreachable!(),
-        }
+        assert_eq!(
+            o.work.subtables as usize, masks_after_attack_on_a,
+            "walked A's masks"
+        );
         assert_eq!(o.verdict, Action::Allow);
     }
 }

@@ -13,7 +13,7 @@
 use pi_classifier::table::whitelist_with_default_deny;
 
 use pi_core::{Field, FlowKey, FlowMask, MaskedKey, SimTime, SplitMix64};
-use pi_datapath::{DpConfig, PipelineMode, UpcallPipelineConfig, VSwitch};
+use pi_datapath::{DpConfig, PathTaken, PipelineMode, UpcallPipelineConfig, VSwitch};
 
 const POD_A: [u8; 4] = [10, 0, 0, 99];
 const POD_B: [u8; 4] = [10, 0, 0, 100];
@@ -210,7 +210,10 @@ fn large_batches_equal_sequential_at_fixed_time() {
 
         // Microflow hits must actually occur within batches for the
         // equivalence to mean anything.
-        let emc_hits = got.iter().filter(|o| o.path.is_microflow()).count();
+        let emc_hits = got
+            .iter()
+            .filter(|o| o.path == PathTaken::MicroflowHit)
+            .count();
         assert!(
             emc_hits > 100,
             "want intra-batch EMC traffic, got {emc_hits}"
@@ -252,7 +255,10 @@ fn packet_trains_equal_sequential() {
         let keys = train_sequence(0x7a1 ^ staged as u64);
         assert!(keys.len() > 2_485);
         let (got, ..) = assert_batch_equals_sequential(|| build_switch(staged), &keys);
-        let emc_hits = got.iter().filter(|o| o.path.is_microflow()).count();
+        let emc_hits = got
+            .iter()
+            .filter(|o| o.path == PathTaken::MicroflowHit)
+            .count();
         assert!(emc_hits > 2_000, "trains ride the EMC, got {emc_hits}");
     }
 }
@@ -264,7 +270,7 @@ fn packet_trains_equal_sequential() {
 fn packet_trains_equal_sequential_without_or_with_a_lossy_emc() {
     let keys = train_sequence(0x7a2);
     let (got, ..) = assert_batch_equals_sequential(|| build_switch_with(DpConfig::no_emc()), &keys);
-    assert!(got.iter().all(|o| !o.path.is_microflow()));
+    assert!(got.iter().all(|o| o.path != PathTaken::MicroflowHit));
 
     let lossy = || {
         build_switch_with(DpConfig {
@@ -273,7 +279,10 @@ fn packet_trains_equal_sequential_without_or_with_a_lossy_emc() {
         })
     };
     let (got, ..) = assert_batch_equals_sequential(lossy, &keys);
-    let promoted_late = got.iter().filter(|o| o.path.is_megaflow()).count();
+    let promoted_late = got
+        .iter()
+        .filter(|o| o.path == PathTaken::MegaflowHit)
+        .count();
     assert!(
         promoted_late > 100,
         "want trains whose head was not promoted, got {promoted_late}"

@@ -1,7 +1,7 @@
 //! `PipelineMode::Bounded` under zero capacity pressure (unbounded
 //! queue, infinite handler budget, one drain per packet) must be
 //! observationally identical to `PipelineMode::Inline`: per-packet
-//! verdicts, outputs, resolved paths, total cycles, and every statistics
+//! verdicts, outputs, resolved paths, total work and cycles, and every statistics
 //! counter (`SwitchStats`, `EmcStats`, `MfcStats`, `TssStats`,
 //! megaflow/mask populations). The pipeline only *moves* slow-path work
 //! to a handler step; any divergence under these configs means it
@@ -128,18 +128,23 @@ fn run_differential(staged: bool, flow_limit: usize, seed: u64, sweep: bool) {
                 assert_eq!(r.outcome.verdict, want.verdict, "verdict diverged at {i}");
                 assert_eq!(r.outcome.output, want.output, "routing diverged at {i}");
                 assert_eq!(r.outcome.path, want.path, "resolved path diverged at {i}");
-                // Fast-path share + handler share == inline total.
+                assert!(
+                    matches!(got.path, PathTaken::UpcallQueued { .. }),
+                    "expected queued path, got {:?}",
+                    got.path
+                );
+                // Fast-path share + handler share == inline total: the
+                // pipeline moves work, it never invents or loses any.
+                assert_eq!(
+                    got.work + r.outcome.work,
+                    want.work,
+                    "work split diverged at {i}"
+                );
                 assert_eq!(
                     got.cycles + r.outcome.cycles,
                     want.cycles,
                     "cycle split diverged at {i}"
                 );
-                match got.path {
-                    PathTaken::UpcallQueued { probes, .. } => {
-                        assert_eq!(probes, want.path.probes())
-                    }
-                    other => panic!("expected queued path, got {other:?}"),
-                }
             }
         }
         if sweep && i % 97 == 0 {

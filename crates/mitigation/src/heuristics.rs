@@ -70,8 +70,8 @@ mod tests {
             let mut k = victim_key;
             k.tp_src = 10_000 + sport;
             let o = sw.process(&k, SimTime::from_secs(40));
-            probes_total += o.path.probes();
-            last = o.path.probes();
+            probes_total += o.work.subtables as usize;
+            last = o.work.subtables as usize;
         }
         let _ = probes_total;
         (last, masks)
@@ -120,7 +120,7 @@ mod tests {
                 let mut k = FlowKey::tcp([10, 0, 0, 10], [10, 1, 0, 10], 40_000, 5201);
                 k.tp_src = 10_000 + (sport % 50); // 50 distinct keys, EMC-defeating mix
                 let o = sw.process(&k, SimTime::from_secs(40));
-                last_probes = o.path.probes();
+                last_probes = o.work.subtables as usize;
             }
             last_probes
         };
@@ -146,7 +146,7 @@ mod tests {
         let victim_ip = u32::from_be_bytes([10, 1, 0, 10]);
         let attacker_ip = u32::from_be_bytes([10, 1, 0, 66]);
         let spec = AttackSpec::masks_512(PolicyDialect::Kubernetes);
-        let run = |dp: DpConfig| -> (usize, usize) {
+        let run = |dp: DpConfig| -> (u32, u32) {
             let mut sw = VSwitch::new(dp);
             sw.attach_pod(victim_ip, 1);
             sw.attach_pod(attacker_ip, 2);
@@ -158,14 +158,8 @@ mod tests {
             }
             // A fresh covert scan packet: full walk.
             let o = sw.process(&seq.scan_packet(1_000_000), SimTime::from_secs(50));
-            match o.path {
-                pi_datapath::PathTaken::MegaflowHit {
-                    probes,
-                    stage_checks,
-                    ..
-                } => (probes, stage_checks),
-                other => panic!("expected megaflow hit, got {other:?}"),
-            }
+            assert_eq!(o.path, pi_datapath::PathTaken::MegaflowHit);
+            (o.work.subtables, o.work.stage_hashes)
         };
         let base = DpConfig {
             emc_enabled: false,

@@ -63,12 +63,12 @@ use pi_core::{IpIndex, Port, SimTime};
 use pi_datapath::{CostModel, DpConfig};
 use pi_detect::DefenseController;
 use pi_fault::{FaultSchedule, ReliabilityConfig, ReliableControlPlane};
-use pi_trace::{CauseId, TraceConfig, TraceEvent, TraceEventKind, Tracer};
+use pi_trace::{TraceConfig, Tracer};
 use pi_traffic::TrafficSource;
 
 use crate::config::SimConfig;
 use crate::node::NodeCell;
-use crate::report::{EngineProfile, FleetReport, FLUSH_LOG_CAP};
+use crate::report::{EngineProfile, FleetReport};
 use crate::shard::{FleetSlot, HostShard, Parcel, ShardOutput, SourceHome, TickCtx};
 
 /// What a caller's input to [`FleetBuilder`] can get wrong, reported by
@@ -566,29 +566,12 @@ impl EventWorker {
         }
     }
 
-    /// Records one outgoing flush in the profile. Terminal promises
-    /// (`safe == u64::MAX`) are counted but not logged — they carry no
-    /// meaningful tick.
-    fn note_flush(&mut self, to: usize, safe: u64, items: usize) {
+    /// Records one outgoing flush in the profile.
+    fn note_flush(&mut self, items: usize) {
         self.profile.flushes += 1;
         self.profile.flush_items += items as u64;
         if items == 0 {
             self.profile.null_messages += 1;
-        }
-        if safe != u64::MAX && self.profile.flush_log.len() < FLUSH_LOG_CAP {
-            let seq = self.profile.flush_log.len() as u32;
-            self.profile.flush_log.push(TraceEvent {
-                at_ns: safe.saturating_mul(self.tick_ns),
-                host: self.me as u32,
-                seq,
-                cause: CauseId::NONE,
-                kind: TraceEventKind::FlushExchange {
-                    from: self.me as u32,
-                    to: to as u32,
-                    safe_tick: safe,
-                    items: items as u32,
-                },
-            });
         }
     }
 
@@ -637,7 +620,7 @@ fn worker_event_loop(
             // (ignore peers that already finished and hung up).
             for (p, tx) in &peers {
                 let items = std::mem::take(&mut w.outbox[*p]);
-                w.note_flush(*p, u64::MAX, items.len());
+                w.note_flush(items.len());
                 let _ = tx.send(Flush {
                     from: w.me,
                     safe: u64::MAX,
@@ -648,7 +631,7 @@ fn worker_event_loop(
         }
         for (p, tx) in &peers {
             let items = std::mem::take(&mut w.outbox[*p]);
-            w.note_flush(*p, h + 1, items.len());
+            w.note_flush(items.len());
             let _ = tx.send(Flush {
                 from: w.me,
                 safe: h + 1,

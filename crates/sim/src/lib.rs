@@ -52,7 +52,6 @@ pub use pi_trace::{TraceConfig, TraceEvent, TraceEventKind, TraceReport, Tracer}
 pub use placement::ClusterBuilder;
 pub use report::{
     BlastRadius, EngineProfile, EngineStats, FleetReport, FleetReport as SimReport, SourceTotals,
-    FLUSH_LOG_CAP,
 };
 pub use scenario::{
     adaptive_defense_scenario, crash_recovery_scenario, fig3_scenario, fleet_colocation,

@@ -13,7 +13,7 @@ use std::collections::{BTreeMap, VecDeque};
 use pi_backend::{build_backend, DataplaneBackend, BATCH_SIZE};
 use pi_cms::{ControlPlane, PolicyUpdate};
 use pi_core::{FlowKey, Port, SimTime};
-use pi_datapath::{CostModel, DpConfig, PathTaken};
+use pi_datapath::{CostModel, DpConfig, PathTaken, Work};
 use pi_detect::{DefenseAction, DefenseController, DefenseReport};
 use pi_fault::{ControlChannelStats, FaultPlan, NodeFaultReport, ReliableControlPlane};
 use pi_trace::{TraceEventKind, Tracer};
@@ -386,9 +386,13 @@ impl<T> NodeCell<T> {
             self.acls_lost += outcome.acls_lost as u64;
             self.flows_lost += outcome.flows_lost as u64;
             self.upcalls_lost += outcome.upcalls_lost as u64;
-            // The fixed respawn price lands as cycle debt the first
-            // post-restart ticks must repay.
-            let restart = self.backend.cost_model().restart_fixed;
+            // The respawn lands as cycle debt the first post-restart
+            // ticks must repay.
+            let respawn = Work {
+                restarts: 1,
+                ..Work::default()
+            };
+            let restart = self.backend.cost_model().cycles_of(&respawn);
             self.cycle_carry -= restart as i64;
             self.restart_cycles += restart;
             self.window_cycles += restart;
@@ -491,10 +495,10 @@ impl<T> NodeCell<T> {
                     budget -= outcome.cycles as i64;
                     *window_cycles += outcome.cycles;
                     match outcome.path {
-                        PathTaken::UpcallQueued { token, .. } => {
+                        PathTaken::UpcallQueued { token } => {
                             deferred.insert(token, (pkt.bytes, pkt.source));
                         }
-                        PathTaken::UpcallDropped { .. } => sink(pkt, Routing::UpcallDropped),
+                        PathTaken::UpcallDropped => sink(pkt, Routing::UpcallDropped),
                         _ => {
                             let routing = match outcome.output.map(Port::from_raw) {
                                 Some(Port::Uplink) => Routing::Uplink,

@@ -20,6 +20,10 @@ use crate::{BuildError, FleetBuilder, FleetSim, SimConfig};
 pub struct ClusterBuilder {
     cloud: Cloud,
     pub(crate) fleet: FleetBuilder,
+    /// The first host [`ClusterBuilder::place_pod_on`] was asked for
+    /// that the cluster does not have, for [`ClusterBuilder::build`] to
+    /// report.
+    unknown_host: Option<usize>,
 }
 
 /// The shard hosting `pod` (cloud node *i* is fleet shard *i*).
@@ -28,16 +32,21 @@ pub(crate) fn host_of(pod: &Pod) -> usize {
 }
 
 impl ClusterBuilder {
-    /// A cluster of `hosts` identical hosts.
+    /// A cluster of `hosts` identical hosts. Cloud node *i* is fleet
+    /// shard *i* by construction: both number from 0 in registration
+    /// order, and nothing but this loop registers either.
     pub fn new(cfg: SimConfig, hosts: usize, dp: DpConfig) -> Self {
         let mut cloud = Cloud::new();
         let mut fleet = FleetBuilder::new(cfg);
         for _ in 0..hosts {
-            let node = cloud.add_node();
-            let shard = fleet.add_host(dp.clone());
-            assert_eq!(node.0 as usize, shard, "cloud nodes mirror fleet shards");
+            cloud.add_node();
+            fleet.add_host(dp.clone());
         }
-        ClusterBuilder { cloud, fleet }
+        ClusterBuilder {
+            cloud,
+            fleet,
+            unknown_host: None,
+        }
     }
 
     /// Registers a tenant.
@@ -67,12 +76,22 @@ impl ClusterBuilder {
     }
 
     /// Schedules one pod on an explicit host (a client/probe endpoint
-    /// whose location the experiment controls); a host the cluster does
-    /// not have is [`ClusterBuilder::build`]'s to report.
-    pub fn place_pod_on(&mut self, tenant: TenantId, host: usize) -> Pod {
-        let pod = self.cloud.provision(tenant, NodeId(host as u32)).clone();
-        self.attach(&pod);
-        pod
+    /// whose location the experiment controls). A host the cluster does
+    /// not have places nothing (`None`) and is [`ClusterBuilder::build`]'s
+    /// to report, as [`BuildError::NoSuchHost`].
+    pub fn place_pod_on(&mut self, tenant: TenantId, host: usize) -> Option<Pod> {
+        let node = u32::try_from(host).ok().map(NodeId);
+        match node.and_then(|n| self.cloud.provision(tenant, n).ok()) {
+            Some(pod) => {
+                let pod = pod.clone();
+                self.attach(&pod);
+                Some(pod)
+            }
+            None => {
+                self.unknown_host.get_or_insert(host);
+                None
+            }
+        }
     }
 
     fn attach(&mut self, pod: &Pod) {
@@ -99,9 +118,13 @@ impl ClusterBuilder {
         self.fleet.add_source(host, source)
     }
 
-    /// Finalises the cluster.
+    /// Finalises the cluster, or names the first thing wrong with it.
     pub fn build(self) -> Result<FleetSim, BuildError> {
-        self.fleet.build()
+        let hosts = self.cloud.nodes().len();
+        match self.unknown_host {
+            Some(host) if hosts > 0 => Err(BuildError::NoSuchHost { host, hosts }),
+            _ => self.fleet.build(),
+        }
     }
 }
 
@@ -132,6 +155,19 @@ mod tests {
             .place_pods(t, 4, PlacementStrategy::RoundRobin)
             .is_empty());
         assert_eq!(cb.build().err(), Some(BuildError::NoHosts));
+    }
+
+    #[test]
+    fn a_pod_on_a_host_the_cluster_lacks_is_a_build_error() {
+        let mut cb = ClusterBuilder::new(SimConfig::default(), 2, DpConfig::default());
+        let t = cb.add_tenant();
+        assert_eq!(cb.place_pod_on(t, 1).map(|p| host_of(&p)), Some(1));
+        assert!(cb.place_pod_on(t, 5).is_none());
+        assert!(cb.place_pod_on(t, 9).is_none());
+        assert_eq!(
+            cb.build().err(),
+            Some(BuildError::NoSuchHost { host: 5, hosts: 2 })
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@ use pi_datapath::{SwitchStats, UpcallStats};
 use pi_detect::{DefenseReport, MaskAttribution};
 use pi_fault::NodeFaultReport;
 use pi_metrics::{degradation_ratio, sum_series, TimeSeries};
-use pi_trace::{TraceConfig, TraceEvent, TraceReport};
+use pi_trace::{TraceConfig, TraceReport};
 
 use crate::shard::HostShard;
 
@@ -79,15 +79,7 @@ pub struct EngineProfile {
     /// fleet workloads; the name stays while `benchmark/` reports this
     /// count as `fleet.wake_stale_pops`.
     pub wake_stale_pops: u64,
-    /// The first [`FLUSH_LOG_CAP`] flush exchanges as
-    /// [`pi_trace::TraceEventKind::FlushExchange`] records (terminal
-    /// promises excluded), for ad-hoc export alongside the canonical
-    /// trace.
-    pub flush_log: Vec<TraceEvent>,
 }
-
-/// Cap on [`EngineProfile::flush_log`] entries per worker.
-pub const FLUSH_LOG_CAP: usize = 256;
 
 /// Everything a run produces, single host or fleet.
 #[derive(Debug)]

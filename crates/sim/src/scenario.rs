@@ -260,7 +260,9 @@ fn victim_iperf(
     client_host: usize,
     rate_bps: f64,
 ) {
-    let client = cb.place_pod_on(server.tenant, client_host);
+    let Some(client) = cb.place_pod_on(server.tenant, client_host) else {
+        return; // `build` reports the missing host
+    };
     let key = FlowKey::tcp(client.ip, server.ip, 40_000 + i as u16, VICTIM_PORT);
     let iperf = IperfSource::new(key, 1500, rate_bps).named(&format!("victim{i}"));
     cb.add_source(client_host, Box::new(iperf));
@@ -584,7 +586,7 @@ const BENIGN_PROPAGATION_DELAY: SimTime = SimTime::from_millis(50);
 /// whole EMC. The victim pays one slow-path rebuild per client per flap
 /// (an upcall plus a linear scan of its own whitelist), which exhausts
 /// the shared cycle budget; every flush is also charged its own
-/// teardown cost ([`pi_datapath::CostModel::control_update_cycles`]).
+/// teardown cost ([`pi_datapath::Work::flushed`] entries).
 /// Routine benign churn (install/remove on a background pod once a
 /// second, with a CMS propagation delay) runs in every configuration
 /// so the baseline is live control-plane activity, not silence. The
@@ -888,7 +890,9 @@ pub fn fleet_colocation(params: &ColocationParams) -> (FleetSim, Handles) {
     // Background chatter: one unprotected pod + Poisson source per host.
     let chatty_hosts = if params.background { hosts } else { 0 };
     for host in 0..chatty_hosts {
-        let dst = cb.place_pod_on(bg_tenant, host).ip;
+        let Some(dst) = cb.place_pod_on(bg_tenant, host).map(|p| p.ip) else {
+            continue;
+        };
         let pairs = (0..8u8).map(|i| (u32::from_be_bytes([10, 0, 200, i]), dst));
         let seed = params.seed ^ host as u64;
         let chatter = PoissonFlowSource::new(pairs.collect(), 10.0, 20.0, 200.0, 200, seed);
@@ -963,18 +967,20 @@ pub fn fleet_sparse(params: &SparseParams) -> (FleetSim, Handles) {
     // One victim pod + client pair per hot host, clients staying inside
     // the hot set.
     for i in 0..hot {
-        let pod = cb.place_pod_on(victim_tenant, i);
+        let Some(pod) = cb.place_pod_on(victim_tenant, i) else {
+            continue;
+        };
         admit_victims(&mut cb, std::slice::from_ref(&pod));
         victim_iperf(&mut cb, i, &pod, (i + 1) % hot, params.victim_rate_bps);
     }
 
     // The injected policy on host 0, covert stream from host 1.
-    let attacker = [cb.place_pod_on(attacker_tenant, 0)];
-    inject(&mut cb, &spec, &attacker);
+    let attacker = cb.place_pod_on(attacker_tenant, 0);
+    inject(&mut cb, &spec, attacker.as_slice());
     covert_streams(
         &mut cb,
         &spec,
-        &attacker,
+        attacker.as_slice(),
         hot,
         SPARSE_COVERT_BPS,
         params.attack_start,

@@ -222,20 +222,6 @@ impl Tracer {
         }
     }
 
-    /// Records a cache flush under the active cause and **latches**
-    /// that cause as the rebuild cause: subsequent windows and
-    /// detections are attributed to this flush's update.
-    #[inline]
-    pub fn emit_flush(&self, at_ns: u64, flushed: u32, scoped: bool) {
-        if let Some(mut cell) = self.cell() {
-            let cause = cell.active_cause;
-            if cause.is_some() {
-                cell.rebuild_cause = cause;
-            }
-            cell.push(at_ns, cause, TraceEventKind::CacheFlush { flushed, scoped });
-        }
-    }
-
     /// Snapshots the cell: events in emission order plus the overwrite
     /// count. Empty when disabled.
     pub fn take(&self) -> (Vec<TraceEvent>, u64) {
@@ -256,7 +242,7 @@ mod tests {
         assert!(!t.is_enabled());
         t.emit(0, TraceEventKind::Reconcile { pushes: 1 });
         assert_eq!(t.begin_update(), CauseId::NONE);
-        t.emit_flush(0, 3, true);
+        t.emit_policy_update(0, 0, 3, true, true);
         t.end_update();
         assert_eq!(t.take().0.len(), 0);
     }
@@ -264,19 +250,10 @@ mod tests {
     #[test]
     fn update_scope_attributes_and_flush_latches() {
         let t = Tracer::for_host(TraceConfig::enabled(), 2);
+        t.set_now(1_000_000);
         let id = t.begin_update();
         assert_eq!(id, CauseId::new(2, 0));
-        t.emit(
-            1_000_000,
-            TraceEventKind::PolicyUpdate {
-                op: 0,
-                cycles: 10,
-                flushed: 5,
-                scoped: false,
-                applied: true,
-            },
-        );
-        t.emit_flush(1_000_000, 5, false);
+        t.emit_policy_update(0, 10, 5, false, true);
         t.end_update();
         // Post-update windows inherit the latched rebuild cause...
         t.emit(
@@ -345,12 +322,14 @@ mod tests {
         assert!(panicked.is_err());
         assert!(t.0.as_ref().is_some_and(|c| c.is_poisoned()));
 
+        t.set_now(2);
         let id = t.begin_update();
-        t.emit_flush(2, 4, false);
+        t.emit_policy_update(0, 0, 4, false, true);
         t.end_update();
         let (events, dropped) = t.take();
-        assert_eq!((events.len(), dropped), (2, 0));
-        assert_eq!(events[1].cause, id);
+        // The reconcile, then the update and its flush.
+        assert_eq!((events.len(), dropped), (3, 0));
+        assert_eq!((events[1].cause, events[2].cause), (id, id));
     }
 
     #[test]

@@ -198,19 +198,6 @@ pub enum TraceEventKind {
         /// Queued upcalls discarded.
         upcalls_lost: u32,
     },
-    /// One fleet `Flush` null-message exchange (engine self-profiling;
-    /// recorded in the per-worker engine profile, **not** the canonical
-    /// ring, because its shape depends on worker count).
-    FlushExchange {
-        /// Sending worker.
-        from: u32,
-        /// Receiving worker.
-        to: u32,
-        /// The safe-tick bound the message advances.
-        safe_tick: u64,
-        /// Cross-shard items carried.
-        items: u32,
-    },
 }
 
 impl TraceEventKind {
@@ -227,7 +214,6 @@ impl TraceEventKind {
             TraceEventKind::DefenseTransition { .. } => "defense_transition",
             TraceEventKind::Detection { .. } => "detection",
             TraceEventKind::Crash { .. } => "crash",
-            TraceEventKind::FlushExchange { .. } => "flush_exchange",
         }
     }
 }

@@ -107,17 +107,6 @@ fn push_args(out: &mut String, ev: &TraceEvent) {
                 ", \"acls_lost\": {acls_lost}, \"flows_lost\": {flows_lost}, \"upcalls_lost\": {upcalls_lost}"
             );
         }
-        TraceEventKind::FlushExchange {
-            from,
-            to,
-            safe_tick,
-            items,
-        } => {
-            let _ = write!(
-                out,
-                ", \"from\": {from}, \"to\": {to}, \"safe_tick\": {safe_tick}, \"items\": {items}"
-            );
-        }
     }
     out.push('}');
 }
@@ -190,7 +179,6 @@ pub fn prometheus_snapshot(report: &TraceReport) -> String {
         "defense_transition",
         "detection",
         "crash",
-        "flush_exchange",
     ];
     for kind in kinds {
         let n = report
@@ -239,18 +227,9 @@ mod tests {
     fn sample_report() -> TraceReport {
         let cfg = TraceConfig::enabled();
         let t = Tracer::for_host(cfg, 0);
+        t.set_now(1_000_000);
         t.begin_update();
-        t.emit(
-            1_000_000,
-            TraceEventKind::PolicyUpdate {
-                op: 0,
-                cycles: 9,
-                flushed: 4,
-                scoped: false,
-                applied: true,
-            },
-        );
-        t.emit_flush(1_000_000, 4, false);
+        t.emit_policy_update(0, 9, 4, false, true);
         t.end_update();
         t.emit(
             2_000_000,

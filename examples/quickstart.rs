@@ -26,7 +26,9 @@ fn main() {
     let mut cloud = Cloud::new();
     let attacker = cloud.add_tenant();
     let node = cloud.add_node();
-    let pod = cloud.add_pod(attacker, node);
+    let pod = cloud
+        .add_pod(attacker, node)
+        .expect("the node was just registered");
     let pod_ip = cloud.pod(pod).unwrap().ip;
 
     // ── Step 1: the "seemingly harmless" policy (paper §2) ───────────
@@ -73,8 +75,7 @@ fn main() {
     let victim_like = process_one(&mut *switch, &seq.scan_packet(1), now);
     println!(
         "one fast-path lookup now probes {} subtables ({} cycles vs ~120 before)",
-        victim_like.path.probes(),
-        victim_like.cycles
+        victim_like.work.subtables as usize, victim_like.cycles
     );
 
     // ── Step 5: would the defender have caught it? ───────────────────

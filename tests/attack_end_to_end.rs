@@ -58,7 +58,7 @@ fn cms_accepts_the_attack_policies() {
     let mut cloud = Cloud::new();
     let tenant = cloud.add_tenant();
     let node = cloud.add_node();
-    let pod = cloud.add_pod(tenant, node);
+    let pod = cloud.add_pod(tenant, node).unwrap();
     for spec in [
         AttackSpec::masks_512(PolicyDialect::Kubernetes),
         AttackSpec::masks_512(PolicyDialect::OpenStack),
@@ -190,11 +190,8 @@ fn cross_tenant_probe_amplification() {
     // walk all the attacker's subtables before its upcall.
     let fresh = FlowKey::tcp([172, 16, 0, 9], [10, 1, 0, 10], 999, 80);
     let o = sw.process(&fresh, SimTime::from_secs(30));
-    match o.path {
-        PathTaken::Upcall { probes, .. } => {
-            assert!(probes >= 512, "cross-tenant walk: {probes} probes")
-        }
-        other => panic!("expected upcall, got {other:?}"),
-    }
+    assert!(o.path.is_upcall(), "expected upcall, got {:?}", o.path);
+    let probes = o.work.subtables;
+    assert!(probes >= 512, "cross-tenant walk: {probes} probes");
     assert_eq!(o.verdict, Action::Allow, "victim traffic is still legal");
 }

@@ -115,7 +115,7 @@ fn switch_verdicts_equal_linear_classification() {
         let mut hits = 0usize;
         for key in &packets {
             let out = sw.process(key, t);
-            if out.path.is_microflow() || out.path.is_megaflow() {
+            if matches!(out.path, PathTaken::MicroflowHit | PathTaken::MegaflowHit) {
                 hits += 1;
             }
             assert_eq!(out.verdict, ground_truth(key));

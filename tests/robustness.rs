@@ -62,7 +62,7 @@ fn dpdk_like_emc_still_vulnerable() {
     let n = 500;
     for i in 0..n {
         let o = sw.process(&seq.scan_packet(10_000 + i), t);
-        total_probes += o.path.probes();
+        total_probes += o.work.subtables as usize;
     }
     let avg = total_probes as f64 / n as f64;
     assert!(avg > 450.0, "mean probes {avg} must stay near 512");
@@ -105,7 +105,7 @@ fn emc_thrash_pushes_victim_to_megaflow_path() {
     }
     let mut warm_hits = 0;
     for k in &victim_keys {
-        if sw.process(k, t).path.is_microflow() {
+        if sw.process(k, t).path == PathTaken::MicroflowHit {
             warm_hits += 1;
         }
         t += SimTime::from_micros(10);
@@ -131,7 +131,7 @@ fn emc_thrash_pushes_victim_to_megaflow_path() {
     }
     let mut post_hits = 0;
     for k in &victim_keys {
-        if sw.process(k, t).path.is_microflow() {
+        if sw.process(k, t).path == PathTaken::MicroflowHit {
             post_hits += 1;
         }
         t += SimTime::from_micros(10);

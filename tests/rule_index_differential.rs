@@ -224,14 +224,9 @@ fn modelled_cost_is_still_the_linear_scan() {
     sw.attach_pod(victim, 1);
     assert!(sw.install_acl(victim, table));
     let outcome = sw.process(&clients[0], SimTime::from_millis(1));
-    assert!(matches!(
-        outcome.path,
-        PathTaken::Upcall {
-            rules_examined: 513,
-            ..
-        }
-    ));
-    assert_eq!(CostModel::default().packet_cycles(&outcome.path), 186_120);
+    assert!(outcome.path.is_upcall());
+    assert_eq!(outcome.work.rules, 513);
+    assert_eq!(CostModel::default().cycles_of(&outcome.work), 186_120);
     assert_eq!(outcome.cycles, 186_120);
 }
 
