@@ -2,7 +2,7 @@
 
 CARGO ?= cargo
 
-.PHONY: build test audit fmt-check clippy loc results results-check benchmark benchmark-smoke benchmark-test benchmark-one benchmark-digests benchmark-pair benchmark-layers example-fleet clean
+.PHONY: build test audit fmt-check clippy doc loc results results-check benchmark benchmark-smoke benchmark-test benchmark-one benchmark-digests benchmark-pair benchmark-layers example-fleet clean
 
 build:
 	$(CARGO) build --release
@@ -24,6 +24,11 @@ fmt-check:
 # clock / OS-seeded-hasher ban (`clippy.toml`).
 clippy:
 	$(CARGO) clippy --workspace --all-targets -- -D warnings
+
+# Rustdoc gate: every intra-doc link resolves and no public doc links a
+# private item.
+doc:
+	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --no-deps --workspace
 
 # Code size: lines under crates/*/src that are neither blank nor a `//`
 # comment (doc comments included), each file cut at its first

@@ -131,7 +131,7 @@ fn collect_rs(dir: &Path, visit: &mut impl FnMut(&Path)) -> io::Result<()> {
 const REQUIRED_LINTS: [&str; 4] = ["unsafe_code", "unwrap_used", "expect_used", "panic"];
 
 /// Rule `lints`: the root manifest must state every lint of
-/// [`REQUIRED_LINTS`] under `[workspace.lints.*]`, and every member
+/// `REQUIRED_LINTS` under `[workspace.lints.*]`, and every member
 /// manifest must opt in with `[lints]` / `workspace = true` — which is
 /// what makes those bans reach the crate at all.
 pub fn check_lints(root: &Path, members: &[String]) -> io::Result<Vec<Violation>> {

@@ -139,9 +139,9 @@ fn flap_cell(backend: BackendKind, defended: bool) -> Cell {
             duration: SimTime::from_secs(FLAP_SECS),
             attack_start: SimTime::from_secs(1),
             flap,
-            scoped_invalidation: defended,
             dp: DpConfig {
                 backend,
+                scoped_invalidation: defended,
                 ..DpConfig::default()
             },
             ..Default::default()

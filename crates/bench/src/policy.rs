@@ -29,6 +29,7 @@
 //! Output: `BENCH_policy.json`.
 
 use pi_core::SimTime;
+use pi_datapath::DpConfig;
 use pi_sim::scenario::{BENIGN_UPDATE_PERIOD, FLAP_PERIOD, POLICY_CHURN_CLIENTS};
 use pi_sim::{policy_churn_scenario, PolicyChurnParams};
 
@@ -56,7 +57,10 @@ fn run_mode(mode: &'static str, flap: bool, scoped_invalidation: bool) -> Row {
         duration: SimTime::from_secs(SIM_SECS),
         attack_start: SimTime::from_secs(2),
         flap,
-        scoped_invalidation,
+        dp: DpConfig {
+            scoped_invalidation,
+            ..DpConfig::default()
+        },
         ..Default::default()
     };
     let (sim, handles) = policy_churn_scenario(&params);

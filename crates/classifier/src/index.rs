@@ -12,7 +12,7 @@
 //! A group's region follows the [`crate::flat`] idiom: a power-of-two
 //! run of `entries` at most 7/8 full, an entry's probe run starting at
 //! `hash & (capacity − 1)` and advancing linearly, each slot tagged
-//! with its hash's [`flat::tag_of`] and `0` when empty. A probe
+//! with its hash's `flat::tag_of` and `0` when empty. A probe
 //! compares tags and reads a key only on a tag match; the empty slot
 //! that ends every run ends a miss.
 //!

@@ -33,7 +33,7 @@
 //!   never read, so a miss walk over attack masks reads one stream, not
 //!   two. That is exact, not a filter: a lone entry sits at its ideal
 //!   slot (`hash & (cap − 1)`) and its probe run ends at the next,
-//!   empty, slot, so "the tags differ" is precisely [`flat::probe`]
+//!   empty, slot, so "the tags differ" is precisely `flat::probe`
 //!   returning `Err`; on equality the probe goes on to `matches` at
 //!   that slot as any tag match does. Rows of subtables with 0 or ≥ 2
 //!   entries keep tag 0 (no entry's tag: `tag_of` sets the top bit) and
@@ -80,10 +80,11 @@
 //!
 //! The cold half of a subtable (`Subtable`: the `FlowMask`, hit count,
 //! optional [`StagedIndex`], length) is read only on a tag match, a
-//! staged probe or a write. One private walk serves `lookup_mut_with`,
-//! `peek_with` and `lookup_best_by`. Callers that already hold the
-//! packet's words (the datapath's batch path) use the `*_with` variants
-//! to skip re-extraction; nothing allocates per lookup.
+//! staged probe or a write. One private walk serves `lookup_mut_with`
+//! and `peek_with`, and has one caller shape: it stops at the first hit
+//! and returns it. Callers that already hold the packet's words (the
+//! datapath's batch path) use the `*_with` variants to skip
+//! re-extraction; nothing allocates per lookup.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -734,27 +735,23 @@ impl<V> TupleSpaceSearch<V> {
         }
     }
 
-    /// The one subtable walk behind every lookup flavour: visits the
-    /// rows in probe order and calls `on_hit(row, slot in its region)`
-    /// for each subtable holding a match, stopping when it returns `true`.
-    /// Returns `(probes, stage_checks)`.
+    /// The one subtable walk behind every lookup: visits the rows in
+    /// probe order and stops at the first subtable holding a match —
+    /// entries never overlap, so the first hit is the answer. Returns
+    /// the hit's row and slot in its region, if any, with the walk's
+    /// `probes` and `stage_checks`.
     #[inline]
     // audit: hotpath
     fn walk(
         &self,
         packet: &FlowKey,
         words: &KeyWords,
-        mut on_hit: impl FnMut(&ProbeRow, usize) -> bool,
-    ) -> (usize, usize) {
-        // Taken, not borrowed, for the walk's duration: `on_hit` runs
-        // caller code (`lookup_best_by`'s rank), and a nested walk then
-        // finds an empty memo to size, never a locked one.
-        let mut memo = self.memo.take();
+    ) -> (Option<(ProbeRow, usize)>, usize, usize) {
+        let mut memo = self.memo.borrow_mut();
         let stamp = memo.begin(self.classes.len());
-        let mut probes = self.rows.len();
         let mut stage_checks = 0;
         let mut start = 0;
-        'runs: for run in &self.runs {
+        for run in &self.runs {
             let end = run.end as usize;
             let (state, open) = self.head_state(&mut memo, stamp, run.class, words);
             // A staged probe may stop early and charge less than the
@@ -793,15 +790,11 @@ impl<V> TupleSpaceSearch<V> {
                         Err(_) => continue,
                     }
                 };
-                if on_hit(row, slot) {
-                    probes = start + at + 1;
-                    break 'runs;
-                }
+                return (Some((*row, slot)), start + at + 1, stage_checks);
             }
             start = end;
         }
-        self.memo.replace(memo);
-        (probes, stage_checks)
+        (None, self.rows.len(), stage_checks)
     }
 
     // The walk's rare steps, kept out of line so the common one — a
@@ -857,11 +850,7 @@ impl<V> TupleSpaceSearch<V> {
     /// [`TupleSpaceSearch::peek`] with the packet's words already
     /// extracted (batch callers hash once per packet, not per level).
     pub fn peek_with(&self, packet: &FlowKey, words: &KeyWords) -> LookupOutcome<&V> {
-        let mut found = None;
-        let (probes, stage_checks) = self.walk(packet, words, |row, slot| {
-            found = Some((*row, slot));
-            true
-        });
+        let (found, probes, stage_checks) = self.walk(packet, words);
         LookupOutcome {
             value: found.and_then(|(row, slot)| self.payload(&row, slot)),
             probes,
@@ -877,7 +866,7 @@ impl<V> TupleSpaceSearch<V> {
         self.lookup_mut_with(packet, &KeyWords::of(packet))
     }
 
-    /// [`TupleSpaceSearch::lookup_mut`] with the packet's words already
+    /// `TupleSpaceSearch::lookup_mut` with the packet's words already
     /// extracted — the datapath's hot path.
     // audit: hotpath
     pub fn lookup_mut_with(&mut self, packet: &FlowKey, words: &KeyWords) -> LookupOutcome<&mut V> {
@@ -885,11 +874,7 @@ impl<V> TupleSpaceSearch<V> {
         self.stats.lookups += 1;
         self.lookups_since_resort += 1;
 
-        let mut found = None;
-        let (probes, stage_checks) = self.walk(packet, words, |row, slot| {
-            found = Some((*row, slot));
-            true
-        });
+        let (found, probes, stage_checks) = self.walk(packet, words);
         self.stats.subtables_probed += probes as u64;
         self.stats.stage_checks += stage_checks as u64;
         let value = match found {
@@ -907,7 +892,7 @@ impl<V> TupleSpaceSearch<V> {
         }
     }
 
-    /// Like [`TupleSpaceSearch::lookup_mut`] but returning a shared
+    /// Like `TupleSpaceSearch::lookup_mut` but returning a shared
     /// reference.
     pub fn lookup(&mut self, packet: &FlowKey) -> LookupOutcome<&V> {
         let out = self.lookup_mut(packet);
@@ -927,31 +912,6 @@ impl<V> TupleSpaceSearch<V> {
                     .sort_by_key(|row| std::cmp::Reverse(subtables[row.sub as usize].hits));
                 self.renumber_rows();
             }
-        }
-    }
-
-    /// Scans **all** subtables and returns the best match according to
-    /// `rank` (highest wins) — the priority-aware classifier mode used
-    /// when entries may overlap. Every probe is charged one stage unit.
-    pub fn lookup_best_by<K: Ord>(
-        &self,
-        packet: &FlowKey,
-        mut rank: impl FnMut(&V) -> K,
-    ) -> LookupOutcome<&V> {
-        let mut best: Option<(&V, K)> = None;
-        let (probes, _) = self.walk(packet, &KeyWords::of(packet), |row, slot| {
-            if let Some(v) = self.payload(row, slot) {
-                let k = rank(v);
-                if best.as_ref().map(|(_, bk)| k > *bk).unwrap_or(true) {
-                    best = Some((v, k));
-                }
-            }
-            false
-        });
-        LookupOutcome {
-            value: best.map(|(v, _)| v),
-            probes,
-            stage_checks: probes,
         }
     }
 
@@ -1334,17 +1294,6 @@ mod tests {
         // /1 still probed first (10.0.0.1 matches it: first bit 0).
         assert_eq!(tss.lookup(&key).probes, 1);
         assert_eq!(tss.lookup(&key).value, Some(&1));
-    }
-
-    #[test]
-    fn lookup_best_by_scans_everything() {
-        let mut tss = TupleSpaceSearch::default();
-        tss.insert(prefix_mk([10, 0, 0, 0], 8), 1u32); // low rank
-        tss.insert(prefix_mk([10, 0, 0, 0], 16), 7u32); // high rank
-        let key = FlowKey::tcp([10, 0, 3, 3], [0, 0, 0, 0], 0, 0);
-        let out = tss.lookup_best_by(&key, |v| *v);
-        assert_eq!(out.value, Some(&7));
-        assert_eq!(out.probes, 2, "best-match mode cannot early-exit");
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! Two regimes are pinned:
 //! * **Non-overlapping entries** (the megaflow invariant): first-match
 //!   TSS lookup must equal linear classification.
-//! * **Arbitrary overlapping rules**: priority-aware TSS
-//!   (`lookup_best_by`) must equal linear classification under OVS
-//!   precedence.
+//! * **Arbitrary overlapping rules**: priority resolution over the TSS
+//!   store (every subtable consulted with the packet under its mask)
+//!   must equal linear classification under OVS precedence.
 //!
 //! Cases are drawn from the deterministic in-house [`SplitMix64`]
 //! generator (no external dependencies) — each case index is its own
@@ -104,8 +104,10 @@ fn tss_equals_linear_on_non_overlapping() {
     });
 }
 
-/// Overlapping regime: same rules in both engines; priority-aware
-/// TSS must reproduce linear's precedence choice exactly.
+/// Overlapping regime: same rules in both engines; priority resolution
+/// over the TSS store — every subtable consulted with the packet under
+/// its mask, the highest (priority, earliest id) kept — must reproduce
+/// linear's precedence choice exactly.
 #[test]
 fn priority_tss_equals_linear_on_overlapping() {
     pi_core::for_cases(CASES, 0x12, |rng| {
@@ -133,7 +135,11 @@ fn priority_tss_equals_linear_on_overlapping() {
         }
         let linear = LinearClassifier::new(&table);
         for pkt in &packets {
-            let tss_best = tss.lookup_best_by(pkt, |v| *v).value.copied();
+            let tss_best = tss
+                .masks()
+                .into_iter()
+                .filter_map(|mask| tss.get(&MaskedKey::new(*pkt, mask)).copied())
+                .max();
             let lin_best = linear
                 .classify(pkt)
                 .map(|r| (r.priority, u64::MAX - r.id.0));

@@ -99,11 +99,6 @@ impl std::error::Error for CmsError {}
 pub enum PlacementStrategy {
     /// Spread pods across nodes, least-loaded first.
     RoundRobin,
-    /// Fill each node up to `capacity` pods before opening the next.
-    BinPacked {
-        /// Pods per node before spilling to the next node.
-        capacity: usize,
-    },
     /// Adversarial co-location: place onto the nodes already hosting the
     /// target tenant's pods (the attacker's launch-until-colocated
     /// strategy from the multi-tenant DoS literature).
@@ -241,15 +236,6 @@ impl Cloud {
                 .iter()
                 .copied()
                 .min_by_key(|n| (self.pod_count_on(*n), n.0)),
-            // Pack: fill a node to `capacity` pods before opening the next.
-            PlacementStrategy::BinPacked { capacity } => {
-                let cap = (*capacity).max(1);
-                self.nodes
-                    .iter()
-                    .find(|n| self.pod_count_on(**n) < cap)
-                    .or(self.nodes.last())
-                    .copied()
-            }
             // Adversarial co-location: land on the target tenant's nodes,
             // least-loaded-by-us first (the attacker wants coverage, not
             // density). Falls back to round-robin when the target has no
@@ -445,7 +431,6 @@ mod tests {
         let t = cloud.add_tenant();
         for strategy in [
             PlacementStrategy::RoundRobin,
-            PlacementStrategy::BinPacked { capacity: 2 },
             PlacementStrategy::Colocate(t),
         ] {
             assert!(cloud.place_pods(t, 3, strategy).is_empty());
@@ -465,22 +450,6 @@ mod tests {
         for n in cloud.nodes().to_vec() {
             assert_eq!(cloud.pod_count_on(n), 2, "even spread on {n:?}");
         }
-    }
-
-    #[test]
-    fn bin_packed_placement_fills_in_order() {
-        let mut cloud = Cloud::new();
-        let t = cloud.add_tenant();
-        let n0 = cloud.add_node();
-        let n1 = cloud.add_node();
-        let n2 = cloud.add_node();
-        cloud.place_pods(t, 5, PlacementStrategy::BinPacked { capacity: 2 });
-        assert_eq!(cloud.pod_count_on(n0), 2);
-        assert_eq!(cloud.pod_count_on(n1), 2);
-        assert_eq!(cloud.pod_count_on(n2), 1);
-        // Overflow beyond total capacity lands on the last node.
-        cloud.place_pods(t, 3, PlacementStrategy::BinPacked { capacity: 2 });
-        assert_eq!(cloud.pod_count_on(n2), 4);
     }
 
     #[test]

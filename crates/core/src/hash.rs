@@ -194,7 +194,7 @@ impl MaskWords {
 
 /// A seed-free [`Hasher`] over this module's fold: eight input bytes
 /// per `mix` (derived `Hash` impls feed arrays as bytes, and a fold per
-/// byte is slower than SipHash), integers one `mix` each, [`finalize`]
+/// byte is slower than SipHash), integers one `mix` each, `finalize`
 /// on `finish`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FoldHasher {

@@ -19,7 +19,7 @@ pub const IPPROTO_UDP: u8 = 17;
 /// This mirrors Open vSwitch's `struct flow` restricted to IPv4: switch
 /// metadata (ingress port), the Ethernet header, the IPv4 header fields
 /// that ACLs and routing care about, and the transport ports. A `FlowKey`
-/// is produced once per packet by the parser ([`pi-packet`]'s
+/// is produced once per packet by the parser (`pi_packet`'s
 /// `extract_flow_key`) and then flows through every cache level untouched.
 ///
 /// All multi-byte values are stored in host byte order.

@@ -4,7 +4,7 @@
 //! key to a verdict. Hits bypass the megaflow walk entirely, so whether a
 //! victim's packets stay in here decides whether the attack reaches them:
 //! the covert stream's endless supply of unique keys collides with and
-//! evicts victim entries (§2: the attack "trash[es] the MF with excess
+//! evicts victim entries (§2: the attack "trash\[es\] the MF with excess
 //! entries and masks" — and the exact-match layer above it).
 //!
 //! Entries carry a generation stamp; bumping the switch generation after

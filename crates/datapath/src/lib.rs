@@ -53,9 +53,7 @@ pub use megaflow::{InstallOutcome, MegaflowCache, MegaflowEntry};
 pub use pods::{Pod, PodTable, PolicyChange};
 pub use revalidator::{Revalidator, RevalidatorReport};
 pub use slowpath::SlowPath;
-pub use upcall::{
-    PipelineMode, PortUpcallStats, UpcallPipelineConfig, UpcallStats, UNROUTABLE_QUEUE,
-};
+pub use upcall::{PipelineMode, UpcallPipelineConfig, UpcallStats, UNROUTABLE_QUEUE};
 pub use vswitch::{
     PathTaken, PolicyUpdateOutcome, ProcessOutcome, ResolvedUpcall, RestartOutcome, SwitchStats,
     VSwitch,

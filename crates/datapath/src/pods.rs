@@ -62,7 +62,8 @@ impl PolicyChange {
     /// change counts one `policy_updates`; `work` is `Some` for a
     /// charged update — priced by `cost`, added to the switch and
     /// control totals and traced (with the flush, if any) — and `None`
-    /// for free build-time assembly, which costs and records nothing.
+    /// for free build-time assembly, which costs and records nothing and
+    /// is not priced at all (its `cycles` are 0).
     pub fn settle(
         self,
         flushed: usize,
@@ -75,14 +76,16 @@ impl PolicyChange {
         if self.touched.is_some() {
             stats.policy_updates += 1;
         }
-        let charged = work.is_some();
-        let work = work.unwrap_or_default();
-        let cycles = cost.cycles_of(&work);
-        if charged {
-            stats.cycles += cycles;
-            stats.control_cycles += cycles;
-            tracer.emit_policy_update(self.op, cycles, flushed as u32, scoped, self.applied);
-        }
+        let (work, cycles) = match work {
+            Some(work) => {
+                let cycles = cost.cycles_of(&work);
+                stats.cycles += cycles;
+                stats.control_cycles += cycles;
+                tracer.emit_policy_update(self.op, cycles, flushed as u32, scoped, self.applied);
+                (work, cycles)
+            }
+            None => (Work::default(), 0),
+        };
         PolicyUpdateOutcome {
             applied: self.applied,
             flushed_megaflows: flushed,

@@ -15,7 +15,7 @@
 //! ([`PipelineMode::Inline`]) and the bounded pipeline
 //! ([`PipelineMode::Bounded`]). Under a bounded pipeline:
 //!
-//! * a megaflow miss enqueues a [`PendingUpcall`] on the queue of the
+//! * a megaflow miss enqueues a pending upcall on the queue of the
 //!   packet's destination vport (unroutable packets share
 //!   [`UNROUTABLE_QUEUE`]); a queue at `queue_capacity` tail-drops the
 //!   packet and counts it in [`UpcallStats::queue_drops`];
@@ -183,17 +183,6 @@ impl UpcallStats {
     }
 }
 
-/// Per-port pipeline counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PortUpcallStats {
-    /// Upcalls accepted for this port.
-    pub enqueued: u64,
-    /// Upcalls tail-dropped at this port's full queue.
-    pub queue_drops: u64,
-    /// Upcalls for this port resolved by handlers.
-    pub handled: u64,
-}
-
 /// A megaflow miss waiting for a handler.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PendingUpcall {
@@ -204,8 +193,6 @@ pub(crate) struct PendingUpcall {
     /// The packet's precomputed full hash (for the EMC promotion on
     /// resolution).
     pub hash: u64,
-    /// Queue id (destination vport, or [`UNROUTABLE_QUEUE`]).
-    pub queue: u32,
     /// The fast-path work already charged for the miss (parse, EMC
     /// probe, the failed subtable walk).
     pub work: Work,
@@ -242,7 +229,6 @@ pub(crate) struct UpcallQueue {
     /// Staged installs predicted to create fresh entries.
     staged_fresh: usize,
     stats: UpcallStats,
-    per_port: BTreeMap<u32, PortUpcallStats>,
     next_token: u64,
     /// Completed drain steps (the pipeline's install-latency clock).
     step: u64,
@@ -260,17 +246,14 @@ impl UpcallQueue {
         hash: u64,
         work: Work,
     ) -> Option<u64> {
-        let port = self.per_port.entry(queue).or_default();
         // Capacity check before creating any storage, so a tail drop
         // (including the degenerate capacity-0 config) never leaves an
         // empty queue entry behind.
         if self.queues.get(&queue).map(|q| q.len()).unwrap_or(0) >= capacity {
             self.stats.queue_drops += 1;
-            port.queue_drops += 1;
             return None;
         }
         self.stats.enqueued += 1;
-        port.enqueued += 1;
         let token = self.next_token;
         self.next_token += 1;
         self.queues
@@ -280,7 +263,6 @@ impl UpcallQueue {
                 token,
                 key: *key,
                 hash,
-                queue,
                 work,
                 enqueued_step: self.step,
             });
@@ -346,13 +328,11 @@ impl UpcallQueue {
         self.stats.quarantine_drops += 1;
     }
 
-    /// Records a resolution: per-port counters and the wait-step
-    /// accounting. `wait_steps` is the number of whole drain steps the
-    /// upcall sat queued.
-    pub fn note_resolved(&mut self, queue: u32, wait_steps: u64) {
+    /// Records a resolution and its wait-step accounting. `wait_steps`
+    /// is the number of whole drain steps the upcall sat queued.
+    pub fn note_resolved(&mut self, wait_steps: u64) {
         self.stats.handled += 1;
         self.stats.wait_steps += wait_steps;
-        self.per_port.entry(queue).or_default().handled += 1;
     }
 
     /// True when `mk` is already staged for the end-of-step flush.
@@ -421,10 +401,10 @@ impl UpcallQueue {
     }
 
     /// Crash wipe: every queued upcall and staged install is lost with
-    /// the switch process. Lifetime counters, per-port stats, the token
-    /// sequence and the step clock survive — they model the node
-    /// agent's accounting, not switch memory. Returns the number of
-    /// pending upcalls discarded.
+    /// the switch process. Lifetime counters, the token sequence and
+    /// the step clock survive — they model the node agent's
+    /// accounting, not switch memory. Returns the number of pending
+    /// upcalls discarded.
     pub fn crash_clear(&mut self) -> usize {
         let lost = self.pending_total;
         self.queues.clear();
@@ -452,11 +432,6 @@ impl UpcallQueue {
     pub fn stats(&self) -> UpcallStats {
         self.stats
     }
-
-    /// Per-port counters in ascending queue-id order (deterministic).
-    pub fn port_stats(&self) -> Vec<(u32, PortUpcallStats)> {
-        self.per_port.iter().map(|(q, s)| (*q, *s)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -470,45 +445,25 @@ mod tests {
     #[test]
     fn capacity_is_per_queue_and_drops_count_per_port() {
         let mut q = UpcallQueue::default();
-        for i in 0..3u8 {
-            assert!(
+        // Port 1 takes two and tail-drops the third: the drop is the
+        // refused enqueue on port 1, and the only one counted.
+        let port1: Vec<bool> = (0..3u8)
+            .map(|i| {
                 q.try_enqueue(1, 2, &key(i), i as u64, Work::default())
                     .is_some()
-                    == (i < 2)
-            );
-        }
-        // Port 2 has its own capacity.
+            })
+            .collect();
+        assert_eq!(port1, [true, true, false]);
+        assert_eq!(q.stats().queue_drops, 1);
+        // Port 2 has its own capacity: a full port 1 does not drop it.
         assert!(q.try_enqueue(2, 2, &key(9), 9, Work::default()).is_some());
         assert_eq!(q.depth_of(1), 2);
         assert_eq!(q.depth_of(2), 1);
         assert_eq!(q.total_depth(), 3);
         let s = q.stats();
         assert_eq!(s.enqueued, 3);
-        assert_eq!(s.queue_drops, 1);
+        assert_eq!(s.queue_drops, 1, "port 2 dropped nothing");
         assert_eq!(s.max_depth, 3);
-        let per_port = q.port_stats();
-        assert_eq!(
-            per_port[0],
-            (
-                1,
-                PortUpcallStats {
-                    enqueued: 2,
-                    queue_drops: 1,
-                    handled: 0
-                }
-            )
-        );
-        assert_eq!(
-            per_port[1],
-            (
-                2,
-                PortUpcallStats {
-                    enqueued: 1,
-                    queue_drops: 0,
-                    handled: 0
-                }
-            )
-        );
     }
 
     #[test]
@@ -586,16 +541,18 @@ mod tests {
         assert_eq!(q.stats().queue_drops, 1);
         assert!(q.service_order().is_empty());
         assert_eq!(q.total_depth(), 0);
-        // The per-port drop counter still attributes the loss.
-        assert_eq!(q.port_stats()[0].1.queue_drops, 1);
+        // The refused enqueue still counts as a tail drop, and no
+        // queue kept a slot for it.
+        assert_eq!(q.depth_of(3), 0);
+        assert_eq!(q.stats().enqueued, 0);
     }
 
     #[test]
     fn wait_step_accounting_feeds_mean_latency() {
         let mut q = UpcallQueue::default();
         q.try_enqueue(1, 10, &key(1), 1, Work::default());
-        q.note_resolved(1, 0);
-        q.note_resolved(1, 3);
+        q.note_resolved(0);
+        q.note_resolved(3);
         let s = q.stats();
         assert_eq!(s.wait_steps, 3);
         assert_eq!(s.handled, 2);

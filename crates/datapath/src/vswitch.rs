@@ -24,9 +24,7 @@ use crate::emc::MicroflowCache;
 use crate::megaflow::{InstallOutcome, MegaflowCache};
 use crate::pods::PodTable;
 use crate::revalidator::{Revalidator, RevalidatorReport};
-use crate::upcall::{
-    PendingUpcall, PipelineMode, PortUpcallStats, UpcallQueue, UpcallStats, UNROUTABLE_QUEUE,
-};
+use crate::upcall::{PendingUpcall, PipelineMode, UpcallQueue, UpcallStats, UNROUTABLE_QUEUE};
 
 /// Which level of the pipeline resolved a packet. What the path cost is
 /// the outcome's [`Work`], not part of the level.
@@ -901,7 +899,7 @@ impl VSwitch {
             .step()
             .saturating_sub(1)
             .saturating_sub(pending.enqueued_step);
-        self.pipeline.note_resolved(pending.queue, wait);
+        self.pipeline.note_resolved(wait);
         ResolvedUpcall {
             token: pending.token,
             key,
@@ -930,12 +928,6 @@ impl VSwitch {
     /// [`PipelineMode::Inline`]).
     pub fn upcall_stats(&self) -> UpcallStats {
         self.pipeline.stats()
-    }
-
-    /// Per-port upcall-pipeline counters, ascending queue-id order.
-    /// The [`UNROUTABLE_QUEUE`] id collects destination-less upcalls.
-    pub fn upcall_port_stats(&self) -> Vec<(u32, PortUpcallStats)> {
-        self.pipeline.port_stats()
     }
 
     /// Total pending upcalls across all port queues.

@@ -71,10 +71,9 @@ pub struct ControllerConfig {
     pub enable_staged_lookup: bool,
     /// Quarantine actuator: quarantine destinations the detections
     /// attribute (mask count above the detector's offender threshold).
+    /// Quarantines are lifted on returning to Idle, which keeps the
+    /// loop closed.
     pub quarantine_offenders: bool,
-    /// Whether quarantines are lifted on returning to Idle (true keeps
-    /// the loop closed; false leaves quarantine to the operator).
-    pub release_quarantine_on_idle: bool,
 }
 
 impl Default for ControllerConfig {
@@ -88,7 +87,6 @@ impl Default for ControllerConfig {
             fair_share_quota: Some(8),
             enable_staged_lookup: true,
             quarantine_offenders: true,
-            release_quarantine_on_idle: true,
         }
     }
 }
@@ -445,10 +443,8 @@ impl DefenseController {
         if let Some(saved) = self.saved_staged.take() {
             Self::act(switch, DefenseAction::SetStagedLookup(saved), actions);
         }
-        if self.cfg.release_quarantine_on_idle {
-            for ip in std::mem::take(&mut self.quarantined) {
-                Self::act(switch, DefenseAction::ReleaseQuarantine(ip), actions);
-            }
+        for ip in std::mem::take(&mut self.quarantined) {
+            Self::act(switch, DefenseAction::ReleaseQuarantine(ip), actions);
         }
     }
 }

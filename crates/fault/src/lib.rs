@@ -12,8 +12,7 @@
 //!
 //! * [`FaultSchedule`] / [`FaultPlan`] — a build-time program of
 //!   **switch crash/restart** windows (caches, upcall queues and ACLs
-//!   lost; restart priced through `CostModel::restart_fixed`) and
-//!   **host stalls** (cycle-budget starvation for a window), compiled
+//!   lost; restart priced through `CostModel::restart_fixed`), compiled
 //!   into a cursor the node polls per tick — the same compiled-program
 //!   pattern as `pi_cms::ControlPlane`.
 //! * [`ChannelFaultConfig`] / [`Channel`] — a lossy, delaying,
@@ -35,7 +34,7 @@ pub mod schedule;
 
 pub use channel::{Channel, ChannelFaultConfig, ChannelStats};
 pub use reliable::{ControlChannelStats, ReliabilityConfig, ReliableControlPlane};
-pub use schedule::{CrashSpec, FaultPlan, FaultSchedule, StallSpec};
+pub use schedule::{CrashSpec, FaultPlan, FaultSchedule};
 
 /// Everything that went wrong (and was recovered) at one node over a
 /// run — carried per node by the sim/fleet reports, and folded into
@@ -45,8 +44,6 @@ pub use schedule::{CrashSpec, FaultPlan, FaultSchedule, StallSpec};
 pub struct NodeFaultReport {
     /// Crash/restart cycles the switch went through.
     pub crashes: u64,
-    /// Ticks the host spent with a starved (zero) cycle budget.
-    pub stall_ticks: u64,
     /// Restart cycles charged against the node's budget
     /// (`crashes × CostModel::restart_fixed`).
     pub restart_cycles: u64,
@@ -71,11 +68,10 @@ pub struct NodeFaultReport {
 }
 
 impl NodeFaultReport {
-    /// Total injected fault events: crashes, stall ticks, channel
-    /// drops/duplicates, and deliveries lost to switch downtime.
+    /// Total injected fault events: crashes, channel drops/duplicates,
+    /// and deliveries lost to switch downtime.
     pub fn fault_events(&self) -> u64 {
         self.crashes
-            + self.stall_ticks
             + self.channel.dropped
             + self.channel.duplicated
             + self.channel.acks_dropped

@@ -30,12 +30,11 @@ use pi_trace::{TraceEventKind, Tracer};
 
 use crate::channel::{Channel, ChannelFaultConfig};
 
-/// Retry/backoff and reconciliation knobs.
+/// Retry/backoff and reconciliation knobs. Unacked updates are always
+/// retried and the reconciliation pass always runs: fire-and-forget
+/// delivery is the separate `pi_cms::ControlPlane` driver.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReliabilityConfig {
-    /// Retry unacked updates (at-least-once delivery). Off = fire and
-    /// forget through the (possibly lossy) channel.
-    pub retry: bool,
     /// Ack timeout before the first retry.
     pub retry_timeout: SimTime,
     /// Backoff multiplier per retry (exponential).
@@ -45,9 +44,7 @@ pub struct ReliabilityConfig {
     /// Total send attempts per update (first send included) before
     /// giving up.
     pub max_attempts: u32,
-    /// Run the periodic desired-vs-installed reconciliation pass.
-    pub reconcile: bool,
-    /// Reconciliation cadence.
+    /// Cadence of the desired-vs-installed reconciliation pass.
     pub reconcile_interval: SimTime,
     /// Seed for the retry-jitter stream.
     pub seed: u64,
@@ -56,12 +53,10 @@ pub struct ReliabilityConfig {
 impl Default for ReliabilityConfig {
     fn default() -> Self {
         ReliabilityConfig {
-            retry: true,
             retry_timeout: SimTime::from_millis(50),
             backoff_factor: 2,
             max_backoff: SimTime::from_millis(800),
             max_attempts: 16,
-            reconcile: true,
             reconcile_interval: SimTime::from_millis(500),
             seed: 0x5EED_FA17,
         }
@@ -201,19 +196,17 @@ impl ReliableControlPlane {
     fn send(&mut self, now: SimTime, update: PolicyUpdate) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        if self.cfg.retry {
-            let backoff = self.cfg.retry_timeout;
-            let j = self.jitter(SimTime::from_nanos(backoff.as_nanos() / 4));
-            self.in_flight.insert(
-                seq,
-                InFlight {
-                    update: update.clone(),
-                    next_retry: now + backoff + j,
-                    backoff,
-                    attempts: 1,
-                },
-            );
-        }
+        let backoff = self.cfg.retry_timeout;
+        let j = self.jitter(SimTime::from_nanos(backoff.as_nanos() / 4));
+        self.in_flight.insert(
+            seq,
+            InFlight {
+                update: update.clone(),
+                next_retry: now + backoff + j,
+                backoff,
+                attempts: 1,
+            },
+        );
         self.forward.send(now, (seq, update));
     }
 
@@ -237,38 +230,36 @@ impl ReliableControlPlane {
         }
 
         // Retransmit timed-out in-flight updates.
-        if self.cfg.retry {
-            let due: Vec<u64> = self
-                .in_flight
-                .iter()
-                .filter(|(_, f)| f.next_retry <= now)
-                .map(|(seq, _)| *seq)
-                .collect();
-            for seq in due {
-                let Some(f) = self.in_flight.get(&seq) else {
-                    continue;
-                };
-                if f.attempts >= self.cfg.max_attempts {
-                    self.in_flight.remove(&seq);
-                    self.gave_up += 1;
-                    continue;
-                }
-                let resend = f.update.clone();
-                let backoff = SimTime::from_nanos(
-                    f.backoff
-                        .as_nanos()
-                        .saturating_mul(u64::from(self.cfg.backoff_factor.max(1))),
-                )
-                .min(self.cfg.max_backoff);
-                let j = self.jitter(SimTime::from_nanos(backoff.as_nanos() / 4));
-                if let Some(f) = self.in_flight.get_mut(&seq) {
-                    f.attempts += 1;
-                    f.backoff = backoff;
-                    f.next_retry = now + backoff + j;
-                }
-                self.retries += 1;
-                self.forward.send(now, (seq, resend));
+        let due: Vec<u64> = self
+            .in_flight
+            .iter()
+            .filter(|(_, f)| f.next_retry <= now)
+            .map(|(seq, _)| *seq)
+            .collect();
+        for seq in due {
+            let Some(f) = self.in_flight.get(&seq) else {
+                continue;
+            };
+            if f.attempts >= self.cfg.max_attempts {
+                self.in_flight.remove(&seq);
+                self.gave_up += 1;
+                continue;
             }
+            let resend = f.update.clone();
+            let backoff = SimTime::from_nanos(
+                f.backoff
+                    .as_nanos()
+                    .saturating_mul(u64::from(self.cfg.backoff_factor.max(1))),
+            )
+            .min(self.cfg.max_backoff);
+            let j = self.jitter(SimTime::from_nanos(backoff.as_nanos() / 4));
+            if let Some(f) = self.in_flight.get_mut(&seq) {
+                f.attempts += 1;
+                f.backoff = backoff;
+                f.next_retry = now + backoff + j;
+            }
+            self.retries += 1;
+            self.forward.send(now, (seq, resend));
         }
 
         // Deliveries.
@@ -301,7 +292,7 @@ impl ReliableControlPlane {
 
     /// True when the periodic reconciliation pass should run at `now`.
     pub fn reconcile_due(&self, now: SimTime) -> bool {
-        self.cfg.reconcile && now >= self.next_reconcile
+        now >= self.next_reconcile
     }
 
     /// The CMS's desired ACL state at `now`: the program's installs
@@ -411,9 +402,7 @@ impl ReliableControlPlane {
         if let Some(t) = self.acks.next_delivery() {
             fold(t);
         }
-        if self.cfg.reconcile {
-            fold(self.next_reconcile);
-        }
+        fold(self.next_reconcile);
         next
     }
 
@@ -544,22 +533,6 @@ mod tests {
         let s = rcp.stats();
         assert!(s.lost_to_downtime >= 2, "{s:?}");
         assert!(s.retries > 0, "{s:?}");
-    }
-
-    #[test]
-    fn without_retry_downtime_means_silent_loss() {
-        // Fire-and-forget: the channel's faults land unmitigated.
-        let cfg = ReliabilityConfig {
-            retry: false,
-            reconcile: false,
-            ..ReliabilityConfig::default()
-        };
-        let mut rcp = ReliableControlPlane::new(program(2), cfg, None);
-        let installed = drive(&mut rcp, 400, |t| !(0..=20).contains(&t));
-        assert_eq!(installed, Vec::<u32>::new(), "policies silently gone");
-        let s = rcp.stats();
-        assert_eq!(s.retries, 0);
-        assert_eq!(s.lost_to_downtime, 2);
     }
 
     #[test]

@@ -23,25 +23,12 @@ pub struct CrashSpec {
     pub down_for: SimTime,
 }
 
-/// One host stall: the switch's cycle budget is starved (zero fresh
-/// cycles per tick) while `at ≤ now < at + lasting`. Models a noisy
-/// neighbour or a hypervisor hiccup — packets keep arriving and queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StallSpec {
-    /// When the stall begins.
-    pub at: SimTime,
-    /// How long it lasts.
-    pub lasting: SimTime,
-}
-
-/// A build-time program of faults for one node: crash/restart events,
-/// host-stall windows, and an optional CMS→switch channel fault model
-/// (picked up by the node's reliable control plane, if one is
-/// attached).
+/// A build-time program of faults for one node: crash/restart events
+/// and an optional CMS→switch channel fault model (picked up by the
+/// node's reliable control plane, if one is attached).
 #[derive(Debug, Clone, Default)]
 pub struct FaultSchedule {
     crashes: Vec<CrashSpec>,
-    stalls: Vec<StallSpec>,
     channel: Option<ChannelFaultConfig>,
 }
 
@@ -55,13 +42,6 @@ impl FaultSchedule {
     #[must_use]
     pub fn crash(mut self, at: SimTime, down_for: SimTime) -> Self {
         self.crashes.push(CrashSpec { at, down_for });
-        self
-    }
-
-    /// Schedules a host stall at `at`, lasting `lasting`.
-    #[must_use]
-    pub fn stall(mut self, at: SimTime, lasting: SimTime) -> Self {
-        self.stalls.push(StallSpec { at, lasting });
         self
     }
 
@@ -81,7 +61,6 @@ impl FaultSchedule {
     /// timing; `other`'s channel model wins when both set one).
     pub fn merge(&mut self, other: FaultSchedule) {
         self.crashes.extend(other.crashes);
-        self.stalls.extend(other.stalls);
         if other.channel.is_some() {
             self.channel = other.channel;
         }
@@ -89,35 +68,28 @@ impl FaultSchedule {
 
     /// True when the schedule injects nothing at all.
     pub fn is_empty(&self) -> bool {
-        self.crashes.is_empty() && self.stalls.is_empty() && self.channel.is_none()
+        self.crashes.is_empty() && self.channel.is_none()
     }
 
-    /// Compiles into the runtime cursor: events stably sorted by start
+    /// Compiles into the runtime cursor: crashes stably sorted by start
     /// time (ties keep program order).
     pub fn compile(mut self) -> FaultPlan {
         self.crashes.sort_by_key(|c| c.at);
-        self.stalls.sort_by_key(|s| s.at);
         FaultPlan {
             crashes: self.crashes,
             crash_cursor: 0,
-            stalls: self.stalls,
-            stall_cursor: 0,
-            stalled_until: SimTime::ZERO,
             channel: self.channel,
         }
     }
 }
 
 /// The runtime cursor over a compiled [`FaultSchedule`]. Poll
-/// [`FaultPlan::next_crash`] and [`FaultPlan::stalled`] once per tick
-/// with monotonically non-decreasing `now`.
+/// [`FaultPlan::next_crash`] once per tick with monotonically
+/// non-decreasing `now`.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
     crashes: Vec<CrashSpec>,
     crash_cursor: usize,
-    stalls: Vec<StallSpec>,
-    stall_cursor: usize,
-    stalled_until: SimTime,
     channel: Option<ChannelFaultConfig>,
 }
 
@@ -135,42 +107,17 @@ impl FaultPlan {
         }
     }
 
-    /// True when a stall window covers `now`. Overlapping windows
-    /// merge; the stall holds through the union of their spans.
-    pub fn stalled(&mut self, now: SimTime) -> bool {
-        while let Some(s) = self.stalls.get(self.stall_cursor) {
-            if s.at > now {
-                break;
-            }
-            self.stalled_until = self.stalled_until.max(s.at + s.lasting);
-            self.stall_cursor += 1;
-        }
-        now < self.stalled_until
-    }
-
     /// The channel fault model carried by the schedule, if any.
     pub fn channel_config(&self) -> Option<ChannelFaultConfig> {
         self.channel
     }
 
-    /// The next instant at which this plan affects the node: `now`
-    /// itself while a stall window is open (every stalled tick starves
-    /// the budget and must be stepped), otherwise the earliest pending
-    /// crash or stall start. `None` once the program is exhausted —
+    /// The next instant at which this plan affects the node: the
+    /// earliest pending crash. `None` once the program is exhausted —
     /// polls strictly before the returned time observe and mutate
     /// nothing, so the event-driven engines may skip them.
-    pub fn next_event(&self, now: SimTime) -> Option<SimTime> {
-        if now < self.stalled_until {
-            return Some(now);
-        }
-        let crash = self.crashes.get(self.crash_cursor).map(|c| c.at);
-        let stall = self.stalls.get(self.stall_cursor).map(|s| s.at);
-        match (crash, stall) {
-            (Some(c), Some(s)) => Some(c.min(s)),
-            (Some(c), None) => Some(c),
-            (None, Some(s)) => Some(s),
-            (None, None) => None,
-        }
+    pub fn next_event(&self) -> Option<SimTime> {
+        self.crashes.get(self.crash_cursor).map(|c| c.at)
     }
 }
 
@@ -219,29 +166,12 @@ mod tests {
     }
 
     #[test]
-    fn stall_windows_cover_and_merge() {
-        let mut plan = FaultSchedule::new()
-            .stall(ms(10), ms(5))
-            .stall(ms(12), ms(10)) // overlaps: union is [10, 22)
-            .stall(ms(40), ms(2))
-            .compile();
-        assert!(!plan.stalled(ms(9)));
-        assert!(plan.stalled(ms(10)));
-        assert!(plan.stalled(ms(14)), "first window alone would have ended");
-        assert!(plan.stalled(ms(21)));
-        assert!(!plan.stalled(ms(22)), "window is half-open");
-        assert!(!plan.stalled(ms(39)));
-        assert!(plan.stalled(ms(40)));
-        assert!(!plan.stalled(ms(42)));
-    }
-
-    #[test]
     fn empty_schedule_is_inert() {
         let sched = FaultSchedule::new();
         assert!(sched.is_empty());
         let mut plan = sched.compile();
         assert!(plan.next_crash(SimTime::from_secs(100)).is_none());
-        assert!(!plan.stalled(SimTime::from_secs(100)));
+        assert!(plan.next_event().is_none());
         assert!(plan.channel_config().is_none());
     }
 }

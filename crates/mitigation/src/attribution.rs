@@ -25,9 +25,9 @@ pub struct MaskAttribution {
 
 /// The one-pass attribution core: groups any stream of megaflow masked
 /// keys by destination pod and counts distinct masks and entries per
-/// pod, descending by mask count. [`attribute_masks`],
-/// [`detect_offenders`], the `pi_detect` telemetry tap and the
-/// sim/fleet report assembly all share this single pass.
+/// pod, descending by mask count. [`attribute_masks`], the `pi_detect`
+/// telemetry tap and the sim/fleet report assembly all share this
+/// single pass.
 pub fn attribute_entries(megaflows: impl Iterator<Item = MaskedKey>) -> Vec<MaskAttribution> {
     let mut per_dst: HashMap<u32, (HashSet<FlowMask, BuildFoldHasher>, usize), BuildFoldHasher> =
         HashMap::default();
@@ -61,23 +61,16 @@ pub fn attribute_masks(switch: &VSwitch) -> Vec<MaskAttribution> {
     attribute_entries(switch.megaflows().iter().map(|(mk, _)| mk))
 }
 
-/// Filters an existing attribution down to destinations whose mask
-/// count exceeds `threshold` — so consumers that already hold an
-/// attribution (sim/fleet reports, the telemetry tap) never recompute
-/// the pass.
+/// Filters an attribution down to destinations whose mask count
+/// exceeds `threshold` — the eviction / throttling candidates. Takes
+/// an attribution already made, so consumers that hold one (sim/fleet
+/// reports, the telemetry tap) never recompute the pass.
 pub fn offenders(attribution: &[MaskAttribution], threshold: usize) -> Vec<MaskAttribution> {
     attribution
         .iter()
         .filter(|a| a.masks > threshold)
         .copied()
         .collect()
-}
-
-/// Destinations whose mask count exceeds `threshold` — the eviction /
-/// throttling candidates. One attribution pass with the threshold
-/// applied as a filter.
-pub fn detect_offenders(switch: &VSwitch, threshold: usize) -> Vec<MaskAttribution> {
-    offenders(&attribute_masks(switch), threshold)
 }
 
 #[cfg(test)]
@@ -128,11 +121,12 @@ mod tests {
     #[test]
     fn detection_threshold_separates_tenants() {
         let (sw, _, attacker_ip) = attacked_switch();
-        let offenders = detect_offenders(&sw, 256);
-        assert_eq!(offenders.len(), 1);
-        assert_eq!(offenders[0].ip_dst, attacker_ip);
+        let attribution = attribute_masks(&sw);
+        let named = offenders(&attribution, 256);
+        assert_eq!(named.len(), 1);
+        assert_eq!(named[0].ip_dst, attacker_ip);
         // Everyone is under a permissive threshold.
-        assert!(detect_offenders(&sw, 10_000).is_empty());
+        assert!(offenders(&attribution, 10_000).is_empty());
     }
 
     #[test]
@@ -146,6 +140,6 @@ mod tests {
         let attribution = attribute_masks(&sw);
         assert_eq!(attribution.len(), 1);
         assert_eq!(attribution[0].masks, 1);
-        assert!(detect_offenders(&sw, 64).is_empty());
+        assert!(offenders(&attribution, 64).is_empty());
     }
 }

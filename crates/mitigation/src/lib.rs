@@ -33,9 +33,7 @@ pub mod budget;
 pub mod heuristics;
 pub mod quota;
 
-pub use attribution::{
-    attribute_entries, attribute_masks, detect_offenders, offenders, MaskAttribution,
-};
+pub use attribution::{attribute_entries, attribute_masks, offenders, MaskAttribution};
 pub use budget::{AdmissionDecision, MaskBudget};
 pub use heuristics::{hit_sort_config, staged_config};
 pub use quota::upcall_fair_share_config;

@@ -54,37 +54,39 @@ mod tests {
 
     /// Floods the unroutable queue while a victim pod (starting after
     /// the warm-up) trickles 2 fresh connections per step; returns
-    /// (victim queue drops, victim handled).
+    /// (victim queue drops, victim handled), counted per packet: the
+    /// victim's tail-dropped enqueues and its resolved upcalls.
     fn run(dp: DpConfig, steps: u32) -> (u64, u64) {
+        let victim_ip = u32::from_be_bytes(VICTIM_IP);
         let mut sw = VSwitch::new(dp);
-        sw.attach_pod(u32::from_be_bytes(VICTIM_IP), 1);
+        sw.attach_pod(victim_ip, 1);
         let mut t = SimTime::from_millis(1);
         let mut flood = 0u32;
+        let (mut flood_drops, mut drops, mut handled) = (0u64, 0u64, 0u64);
         for step in 0..steps {
             // 20 flood packets/step to unique unroutable destinations.
             for _ in 0..20 {
                 flood += 1;
                 let dst = [172, 16, (flood >> 8) as u8, flood as u8];
-                sw.process(&FlowKey::tcp([10, 9, 9, 9], dst, 7, 7), t);
+                let out = sw.process(&FlowKey::tcp([10, 9, 9, 9], dst, 7, 7), t);
+                flood_drops += u64::from(out.path.is_upcall_dropped());
             }
             // 2 victim connections/step, each a fresh flow.
             if step >= WARMUP_STEPS {
                 for i in 0..2u32 {
                     let n = step * 2 + i;
                     let src = [10, 2, (n >> 8) as u8, n as u8];
-                    sw.process(&FlowKey::tcp(src, VICTIM_IP, 5000, 80), t);
+                    let out = sw.process(&FlowKey::tcp(src, VICTIM_IP, 5000, 80), t);
+                    drops += u64::from(out.path.is_upcall_dropped());
                 }
             }
-            sw.drain_upcalls(t, |_| {});
+            sw.drain_upcalls(t, |r| handled += u64::from(r.key.ip_dst == victim_ip));
             t += SimTime::from_millis(1);
         }
-        let victim = sw
-            .upcall_port_stats()
-            .into_iter()
-            .find(|(q, _)| *q == 1)
-            .map(|(_, s)| s)
-            .unwrap_or_default();
-        (victim.queue_drops, victim.handled)
+        // Every tail drop the aggregate counts is a flood or a victim
+        // packet's.
+        assert_eq!(sw.upcall_stats().queue_drops, flood_drops + drops);
+        (drops, handled)
     }
 
     /// Base config: bounded pipeline whose handler budget covers ~6

@@ -6,14 +6,14 @@
 //!
 //! * each worker owns a disjoint shard set and merges that set's three
 //!   event sources — pending cross-host deliveries, per-shard wake
-//!   deadlines ([`HostShard::next_wake`]) and the global sample grid —
+//!   deadlines (`HostShard::next_wake`) and the global sample grid —
 //!   into one monotonic tick iterator;
 //! * an executed tick steps a **due list**, not the shard set: the
 //!   shards named by the deliveries filed for that tick (one ordered
 //!   lookup) and by the wake deadlines that have come due, in ascending
 //!   shard order. Only a sample tick visits every shard. What a shard
 //!   emits is sparse — one parcel per destination it addressed
-//!   ([`ShardOutput`]) — and the parcel buffers, the due list and the
+//!   (`ShardOutput`) — and the parcel buffers, the due list and the
 //!   per-shard inbound scratch all live on the worker, so a tick's host
 //!   cost follows the shards that ran and the destinations they
 //!   addressed, never the fleet size, and a steady-state tick allocates
@@ -42,7 +42,7 @@
 //! The tick-stepped reference ([`crate::SimConfig::event_driven`] =
 //! false) is the obviously-correct thing the event loop is pinned
 //! against: one thread, every shard, every tick, in id order, through
-//! the same [`HostShard::tick`] and the same sparse exchange.
+//! the same `HostShard::tick` and the same sparse exchange.
 //!
 //! This is the only engine in the workspace. The single-host testbed of
 //! the paper's Fig. 1 is a one-host build on it, the fleet-scale
@@ -91,7 +91,8 @@ pub enum BuildError {
         /// The repeated IP.
         ip: u32,
     },
-    /// An ACL names an IP no pod was attached with.
+    /// An ACL names an IP no pod was attached with, or the pod's home
+    /// switch refused the install.
     UnattachedPod {
         /// The IP named.
         ip: u32,
@@ -233,11 +234,11 @@ impl FleetBuilder {
         self.control_planes.push((host, program));
     }
 
-    /// Attaches a fault program to `host`: crash/restart events, host
-    /// stalls and the CMS→switch channel fault model. Faults are
-    /// strictly shard-local state (compiled cursors owned by the
-    /// node), so worker-count determinism is preserved even under
-    /// crashes and reordered control channels. Multiple schedules for
+    /// Attaches a fault program to `host`: crash/restart events and the
+    /// CMS→switch channel fault model. Faults are strictly shard-local
+    /// state (compiled cursors owned by the node), so worker-count
+    /// determinism is preserved even under crashes and reordered
+    /// control channels. Multiple schedules for
     /// one host merge.
     pub fn attach_faults(&mut self, host: usize, schedule: FaultSchedule) {
         self.faults.push((host, schedule));
@@ -310,8 +311,9 @@ impl FleetBuilder {
         }
         for (ip, table) in self.acls {
             let host = routes.get(ip).ok_or(BuildError::UnattachedPod { ip })? as usize;
-            let ok = nodes[host].backend_mut().install_acl(ip, table);
-            assert!(ok, "ACL install must succeed on the home switch");
+            if !nodes[host].backend_mut().install_acl(ip, table) {
+                return Err(BuildError::UnattachedPod { ip });
+            }
         }
 
         for (host, controller) in self.defenses {
@@ -837,7 +839,12 @@ mod tests {
     use crate::{EngineStats, SimConfig};
     use pi_classifier::table::whitelist_with_default_deny;
     use pi_core::{Field, FlowKey, FlowMask, MaskedKey};
-    use pi_traffic::CbrSource;
+    use pi_traffic::FanSource;
+
+    /// One flow at a constant rate: a one-key fan, labelled `cbr`.
+    fn cbr(key: FlowKey, bytes: usize, pps: f64) -> Box<FanSource> {
+        Box::new(FanSource::new(vec![key], bytes, pps).named("cbr"))
+    }
 
     fn small_cfg(secs: u64, workers: usize) -> SimConfig {
         SimConfig {
@@ -857,7 +864,7 @@ mod tests {
         let h0 = b.add_host(DpConfig::default());
         b.add_pod(h0, ip([10, 0, 0, 2]));
         let key = FlowKey::tcp([10, 0, 0, 1], [10, 0, 0, 2], 1000, 80);
-        b.add_source(h0, Box::new(CbrSource::new(key, 1500, 1000.0)));
+        b.add_source(h0, cbr(key, 1500, 1000.0));
         let report = b.build().unwrap().run();
         let totals = &report.source_totals[0];
         assert_eq!(totals.generated, 5_000);
@@ -877,7 +884,7 @@ mod tests {
         b.add_pod(h0, ip([10, 0, 0, 1]));
         b.add_pod(h1, ip([10, 1, 0, 1]));
         let key = FlowKey::tcp([10, 0, 0, 1], [10, 1, 0, 1], 1000, 80);
-        b.add_source(h0, Box::new(CbrSource::new(key, 1500, 100.0)));
+        b.add_source(h0, cbr(key, 1500, 100.0));
         let report = b.build().unwrap().run();
         // One tick of fabric latency, one more for the receipt: the
         // tail of the stream may be in flight at the end of the run.
@@ -900,7 +907,7 @@ mod tests {
         );
         b.install_acl(ip([10, 0, 0, 2]), whitelist_with_default_deny(&[allow]));
         let denied = FlowKey::tcp([10, 0, 0, 1], [10, 0, 0, 2], 1, 80);
-        b.add_source(h0, Box::new(CbrSource::new(denied, 64, 100.0)));
+        b.add_source(h0, cbr(denied, 64, 100.0));
         let report = b.build().unwrap().run();
         assert_eq!(report.source_totals[0].delivered, 0);
         assert_eq!(report.source_totals[0].dropped_policy, 200);
@@ -917,7 +924,7 @@ mod tests {
         b.add_pod(h1, ip([10, 1, 0, 1]));
         let key = FlowKey::tcp([10, 0, 0, 1], [10, 1, 0, 1], 1, 80);
         // Offer 12 Mb/s over a 1 Mb/s link.
-        b.add_source(h0, Box::new(CbrSource::new(key, 1500, 1000.0)));
+        b.add_source(h0, cbr(key, 1500, 1000.0));
         let report = b.build().unwrap().run();
         let delivered_bps = report.throughput_bps[0].mean();
         assert!(
@@ -937,7 +944,7 @@ mod tests {
         let h0 = b.add_host(DpConfig::default());
         b.add_pod(h0, ip([10, 0, 0, 2]));
         let key = FlowKey::tcp([10, 0, 0, 1], [10, 0, 0, 2], 1, 80);
-        b.add_source(h0, Box::new(CbrSource::new(key, 64, 10_000.0)));
+        b.add_source(h0, cbr(key, 64, 10_000.0));
         let report = b.build().unwrap().run();
         let t = &report.source_totals[0];
         assert!(t.delivered < t.generated / 2, "most packets must drop");
@@ -952,7 +959,7 @@ mod tests {
         let h0 = b.add_host(DpConfig::default());
         b.add_pod(h0, ip([10, 0, 0, 2]));
         let key = FlowKey::tcp([10, 0, 0, 1], [10, 0, 0, 2], 1, 80);
-        b.add_source(h0, Box::new(CbrSource::new(key, 64, 10.0)));
+        b.add_source(h0, cbr(key, 64, 10.0));
         let report = b.build().unwrap().run();
         // One pod, no ACL: a single ip_dst mask.
         assert_eq!(report.masks[0].last().unwrap().1, 1.0);
@@ -1022,7 +1029,7 @@ mod tests {
             (
                 |b| {
                     let key = FlowKey::tcp([10, 0, 0, 1], [10, 0, 0, 2], 1000, 80);
-                    b.add_source(1, Box::new(CbrSource::new(key, 64, 1.0)));
+                    b.add_source(1, cbr(key, 64, 1.0));
                 },
                 no_such_host,
             ),
@@ -1074,7 +1081,7 @@ mod tests {
             b.add_pod(h0, ip([10, 0, 0, 1]));
             b.add_pod(h1, ip([10, 1, 0, 1]));
             let key = FlowKey::tcp([10, 0, 0, 1], [10, 1, 0, 1], 1000, 80);
-            b.add_source(h0, Box::new(CbrSource::new(key, 1500, 1000.0)));
+            b.add_source(h0, cbr(key, 1500, 1000.0));
             b.build().unwrap().run()
         };
         let ev = run(true);
@@ -1311,9 +1318,9 @@ mod tests {
                     }),
             );
             let key = FlowKey::tcp([10, 1, 0, 2], [10, 0, 0, 2], 1000, 80);
-            b.add_source(h1, Box::new(CbrSource::new(key, 400, 2_000.0)));
+            b.add_source(h1, cbr(key, 400, 2_000.0));
             let probe = FlowKey::tcp([10, 9, 0, 1], [10, 0, 0, 2], 40_000, 80);
-            b.add_source(h1, Box::new(CbrSource::new(probe, 64, 500.0)));
+            b.add_source(h1, cbr(probe, 64, 500.0));
             b.build().unwrap().run()
         };
 
@@ -1385,7 +1392,6 @@ mod tests {
             h0,
             FaultSchedule::new()
                 .crash(SimTime::from_secs(2), SimTime::from_millis(100))
-                .stall(SimTime::from_millis(2_500), SimTime::from_millis(5))
                 .channel(ChannelFaultConfig {
                     drop_p: 0.25,
                     dup_p: 0.25,
@@ -1397,9 +1403,9 @@ mod tests {
         b.attach_defense(h0, DefenseController::with_defaults());
         // Legitimate client, outside-whitelist prober, delayed attack.
         let key = FlowKey::tcp([10, 1, 0, 2], [10, 0, 0, 2], 1000, 80);
-        b.add_source(h1, Box::new(CbrSource::new(key, 400, 2_000.0)));
+        b.add_source(h1, cbr(key, 400, 2_000.0));
         let probe = FlowKey::tcp([10, 9, 0, 1], [10, 0, 0, 2], 40_000, 80);
-        b.add_source(h1, Box::new(CbrSource::new(probe, 64, 500.0)));
+        b.add_source(h1, cbr(probe, 64, 500.0));
         let spec = AttackSpec::masks_512(pi_cms::PolicyDialect::Kubernetes);
         b.add_source(
             h0,
@@ -1508,9 +1514,9 @@ mod tests {
                     }),
             );
             let key = FlowKey::tcp([10, 1, 0, 2], [10, 0, 0, 2], 1000, 80);
-            b.add_source(h1, Box::new(CbrSource::new(key, 400, 2_000.0)));
+            b.add_source(h1, cbr(key, 400, 2_000.0));
             let probe = FlowKey::tcp([10, 9, 0, 1], [10, 0, 0, 2], 40_000, 80);
-            b.add_source(h2, Box::new(CbrSource::new(probe, 64, 500.0)));
+            b.add_source(h2, cbr(probe, 64, 500.0));
             b.build().unwrap().run()
         };
 
@@ -1546,7 +1552,7 @@ mod tests {
         b.add_pod(h0, ip([10, 0, 0, 1]));
         b.add_pod(h1, ip([10, 1, 0, 1])); // attached, never addressed
         let key = FlowKey::tcp([10, 0, 0, 9], [10, 0, 0, 1], 1000, 80);
-        b.add_source(h0, Box::new(CbrSource::new(key, 1500, 1000.0)));
+        b.add_source(h0, cbr(key, 1500, 1000.0));
         let report = b.build().unwrap().run();
         assert_eq!(report.source_totals[0].delivered, 3_000);
         assert!(
@@ -1566,7 +1572,7 @@ mod tests {
             }
             for h in 0..3u8 {
                 let key = FlowKey::tcp([10, h, 0, 1], [10, (h + 1) % 3, 0, 1], 1000 + h as u16, 80);
-                b.add_source(h as usize, Box::new(CbrSource::new(key, 800, 500.0)));
+                b.add_source(h as usize, cbr(key, 800, 500.0));
             }
             b.build().unwrap().run()
         };

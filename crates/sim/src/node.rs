@@ -75,10 +75,10 @@ pub struct NodeCell<T> {
     /// cost charged against the tick's cycle budget. Node-local state,
     /// so any worker count sees the same updates at the same ticks.
     control: Option<ControlPlane>,
-    /// Optional compiled fault program: crash/restart events and host
-    /// stalls injected at tick boundaries. Shard-local like everything
-    /// else, so fault injection cannot disturb the bit-identical
-    /// worker-count invariant.
+    /// Optional compiled fault program: crash/restart events injected
+    /// at tick boundaries. Shard-local like everything else, so fault
+    /// injection cannot disturb the bit-identical worker-count
+    /// invariant.
     faults: Option<FaultPlan>,
     /// Optional at-least-once control-plane layer (acks + retry +
     /// reconciliation) — the hardened alternative to the fire-and-forget
@@ -91,7 +91,6 @@ pub struct NodeCell<T> {
     // Fault bookkeeping (reported via `fault_report`, kept out of
     // `SwitchStats` so the switch-counter contract is untouched).
     crashes: u64,
-    stall_ticks: u64,
     restart_cycles: u64,
     acls_lost: u64,
     flows_lost: u64,
@@ -130,7 +129,6 @@ impl<T> NodeCell<T> {
             reliable: None,
             down_until: None,
             crashes: 0,
-            stall_ticks: 0,
             restart_cycles: 0,
             acls_lost: 0,
             flows_lost: 0,
@@ -165,8 +163,8 @@ impl<T> NodeCell<T> {
         self.tracer.clone()
     }
 
-    /// Attaches a compiled fault program: its crash and stall events
-    /// fire at tick boundaries during [`NodeCell::step`].
+    /// Attaches a compiled fault program: its crash events fire at tick
+    /// boundaries during [`NodeCell::step`].
     pub fn attach_faults(&mut self, plan: FaultPlan) {
         self.faults = Some(plan);
     }
@@ -200,7 +198,6 @@ impl<T> NodeCell<T> {
         };
         Some(NodeFaultReport {
             crashes: self.crashes,
-            stall_ticks: self.stall_ticks,
             restart_cycles: self.restart_cycles,
             acls_lost: self.acls_lost,
             flows_lost: self.flows_lost,
@@ -245,9 +242,10 @@ impl<T> NodeCell<T> {
     /// overrun packet is charged against the next tick.
     ///
     /// Packets are handed to the switch through
-    /// [`VSwitch::process_batch`] in runs of up to
-    /// [`VSwitch::BATCH_SIZE`], so the per-packet hash work is done in
-    /// one pass per run. Budget semantics are unchanged from the
+    /// [`VSwitch::process_batch`](pi_datapath::VSwitch::process_batch)
+    /// in runs of up to
+    /// [`VSwitch::BATCH_SIZE`](pi_datapath::VSwitch::BATCH_SIZE), so
+    /// the per-packet hash work is done in one pass per run. Budget semantics are unchanged from the
     /// packet-at-a-time loop — a packet is processed iff the budget is
     /// still positive when its turn comes (the batch aborts mid-run the
     /// moment the budget goes non-positive), so results are bit-identical
@@ -368,10 +366,8 @@ impl<T> NodeCell<T> {
         mut sink: impl FnMut(NodePacket<T>, Routing),
     ) {
         // Fault events fire first: a crash wipes the switch's soft
-        // state and starts the blackout window; overlapping stall
-        // windows starve the tick's fresh budget.
+        // state and starts the blackout window.
         let mut crashed = false;
-        let mut stalled = false;
         if let Some(plan) = self.faults.as_mut() {
             while let Some(c) = plan.next_crash(now) {
                 crashed = true;
@@ -379,7 +375,6 @@ impl<T> NodeCell<T> {
                 let back_up = c.at + c.down_for;
                 self.down_until = Some(self.down_until.map_or(back_up, |d| d.max(back_up)));
             }
-            stalled = plan.stalled(now);
         }
         if crashed {
             let outcome = self.backend.crash_restart();
@@ -421,17 +416,9 @@ impl<T> NodeCell<T> {
         if !down {
             self.down_until = None;
         }
-        if stalled {
-            self.stall_ticks += 1;
-        }
-        // A stall starves the fresh budget; a blackout window processes
-        // nothing at all. Cycle carry (including restart debt) persists
-        // either way.
-        let fresh = if stalled || down {
-            0
-        } else {
-            cycles_per_tick as i64
-        };
+        // A blackout window processes nothing at all. Cycle carry
+        // (including restart debt) persists through it.
+        let fresh = if down { 0 } else { cycles_per_tick as i64 };
         let mut budget = fresh + self.cycle_carry;
         // Control-plane updates land first (start-of-tick grid) and
         // consume the same datapath budget packets run under — an
@@ -563,11 +550,11 @@ impl<T> NodeCell<T> {
     /// The earliest instant at which an attached driver acts on this
     /// node: a timed control-plane update lands (consumed — and lost —
     /// even mid-blackout), the reliable layer has a delivery, retry,
-    /// ack or reconciliation due, or the fault program crashes or
-    /// stalls the host. `None` when nothing is pending. A
-    /// [`NodeCell::step`] strictly before the returned time observes
-    /// none of these drivers.
-    pub fn next_scheduled_event(&self, now: SimTime) -> Option<SimTime> {
+    /// ack or reconciliation due, or the fault program crashes the
+    /// switch. `None` when nothing is pending. A [`NodeCell::step`]
+    /// strictly before the returned time observes none of these
+    /// drivers.
+    pub fn next_scheduled_event(&self) -> Option<SimTime> {
         let mut next: Option<SimTime> = None;
         let mut fold = |t: SimTime| next = Some(next.map_or(t, |n| n.min(t)));
         if let Some(t) = self.control.as_ref().and_then(|c| c.next_due()) {
@@ -576,7 +563,7 @@ impl<T> NodeCell<T> {
         if let Some(t) = self.reliable.as_ref().and_then(|r| r.next_activity()) {
             fold(t);
         }
-        if let Some(t) = self.faults.as_ref().and_then(|f| f.next_event(now)) {
+        if let Some(t) = self.faults.as_ref().and_then(FaultPlan::next_event) {
             fold(t);
         }
         next
@@ -892,24 +879,6 @@ mod tests {
         n.step(ms(5), 10_000_000, |_, _| got += 1);
         assert_eq!(got, 3, "backlog drains once the switch is back");
         assert!(!n.is_down(ms(5)));
-    }
-
-    #[test]
-    fn stall_starves_the_tick_budget() {
-        use pi_fault::FaultSchedule;
-        let ms = SimTime::from_millis;
-        let mut n = node();
-        n.attach_faults(FaultSchedule::new().stall(ms(1), ms(2)).compile());
-        n.enqueue(pkt([10, 0, 0, 2]), 10);
-        let mut got = 0;
-        n.step(ms(1), 10_000_000, |_, _| got += 1);
-        n.step(ms(2), 10_000_000, |_, _| got += 1);
-        assert_eq!(got, 0, "stalled ticks have no fresh budget");
-        n.step(ms(3), 10_000_000, |_, _| got += 1);
-        assert_eq!(got, 1, "stall over");
-        let rep = n.fault_report(ms(1)).expect("fault program attached");
-        assert_eq!(rep.stall_ticks, 2);
-        assert_eq!(rep.crashes, 0);
     }
 
     #[test]

@@ -170,8 +170,8 @@ pub struct BlastRadius {
     /// Mitigating, with the time mitigations were first applied.
     pub mitigations: Vec<(usize, SimTime)>,
     /// Injected fault events per host (host index, count): crashes,
-    /// stall ticks, control-channel drops/duplicates and deliveries
-    /// lost to switch downtime. Only hosts with a nonzero count.
+    /// control-channel drops/duplicates and deliveries lost to switch
+    /// downtime. Only hosts with a nonzero count.
     pub fault_events: Vec<(usize, u64)>,
     /// Ticks each host spent between a crash and reconciliation
     /// convergence (host index, ticks), summed over recovery episodes.

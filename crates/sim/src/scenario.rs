@@ -538,14 +538,11 @@ pub struct PolicyChurnParams {
     /// Whether the attacker flaps at all (false = the benign baseline:
     /// only routine control-plane churn).
     pub flap: bool,
-    /// Cache-invalidation scope of every policy update on the node
-    /// ([`DpConfig::scoped_invalidation`]) — the ablation knob: global
-    /// flushes are what give the flap its amplification.
-    pub scoped_invalidation: bool,
     /// Victim aggregate rate, packets/second across all clients.
     pub victim_pps: f64,
-    /// Datapath configuration (scoped_invalidation is overridden by
-    /// the field above).
+    /// Datapath configuration. Its [`DpConfig::scoped_invalidation`] is
+    /// the ablation knob: global flushes are what give the flap its
+    /// amplification.
     pub dp: DpConfig,
     /// Optional closed-loop defense (the policy-churn detector's
     /// integration point).
@@ -558,7 +555,6 @@ impl Default for PolicyChurnParams {
             duration: SimTime::from_secs(10),
             attack_start: SimTime::from_secs(2),
             flap: true,
-            scoped_invalidation: false,
             victim_pps: 40_000.0,
             dp: DpConfig::default(),
             defense: None,
@@ -594,10 +590,7 @@ const BENIGN_PROPAGATION_DELAY: SimTime = SimTime::from_millis(50);
 /// updated destination, which is what restores the victim.
 pub fn policy_churn_scenario(params: &PolicyChurnParams) -> (Simulation, Handles) {
     let mut b = FleetBuilder::new(run_config(params.duration, 1));
-    let node = b.add_host(DpConfig {
-        scoped_invalidation: params.scoped_invalidation,
-        ..params.dp.clone()
-    });
+    let node = b.add_host(params.dp.clone());
     b.add_pod(node, VICTIM_IP);
     b.add_pod(node, ATTACKER_IP);
     b.add_pod(node, BACKGROUND_IP);
@@ -1303,7 +1296,10 @@ mod tests {
                 duration: SimTime::from_secs(4),
                 attack_start: SimTime::from_secs(1),
                 flap,
-                scoped_invalidation: scoped,
+                dp: DpConfig {
+                    scoped_invalidation: scoped,
+                    ..DpConfig::default()
+                },
                 ..Default::default()
             };
             let (sim, handles) = policy_churn_scenario(&params);

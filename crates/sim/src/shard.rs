@@ -476,8 +476,8 @@ impl HostShard {
     /// means "never on its own". Each event source maps to the tick
     /// grid the way the tick loop consumes it:
     ///
-    /// * carried work (queued packets, parked upcalls, cycle debt) and
-    ///   stall windows pin the shard busy at `from_tick`;
+    /// * carried work (queued packets, parked upcalls, cycle debt) pins
+    ///   the shard busy at `from_tick`;
     /// * scheduled events (control-plane applies, reliable-layer
     ///   timers, fault starts) are polled against tick-*start* `now`,
     ///   so an event at `T` fires on tick `⌈T/tick_ns⌉`;
@@ -496,7 +496,7 @@ impl HostShard {
         }
         let from = SimTime::from_nanos(from_tick.saturating_mul(tick_ns));
         let mut wake = u64::MAX;
-        if let Some(t) = self.node.next_scheduled_event(from) {
+        if let Some(t) = self.node.next_scheduled_event() {
             wake = wake.min(t.as_nanos().div_ceil(tick_ns));
         }
         if let Some(t) = self.node.next_background_event(from) {
@@ -522,7 +522,7 @@ mod tests {
     use super::*;
     use pi_core::{FlowKey, Port};
     use pi_datapath::{CostModel, DpConfig};
-    use pi_traffic::CbrSource;
+    use pi_traffic::FanSource;
 
     const FLEET: usize = 8;
     const TICK_NS: u64 = 1_000_000;
@@ -563,7 +563,7 @@ mod tests {
             homes.push(SourceHome { shard: 0, slot });
             slots.push(FleetSlot::new(
                 slot + 1,
-                Box::new(CbrSource::new(key, 200, 2_000.0)),
+                Box::new(FanSource::new(vec![key], 200, 2_000.0).named("cbr")),
             ));
         }
         HostShard::new(0, node, Arc::new(routes), homes.into(), slots)

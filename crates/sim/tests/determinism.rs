@@ -138,7 +138,10 @@ fn policy_flap_fleet_is_identical_for_1_and_3_workers() {
         );
         // Bystander on host 2 → host 1.
         let key = FlowKey::tcp([10, 2, 9, 9], [10, 1, 0, 10], 1000, 80);
-        b.add_source(2, Box::new(pi_traffic::CbrSource::new(key, 800, 500.0)));
+        b.add_source(
+            2,
+            Box::new(FanSource::new(vec![key], 800, 500.0).named("cbr")),
+        );
         b.build().unwrap().run()
     };
     let serial = run(1);

@@ -133,6 +133,30 @@ mod tests {
     }
 
     #[test]
+    fn long_run_rate_is_exact() {
+        // 83 333 pps never divides a 1 ms tick: the fractional packets
+        // accumulate, so 10 s emit exactly ⌊83 333 × 10⌋.
+        let mut s = FanSource::new(keys(1), 1500, 83_333.0);
+        assert_eq!(drive(&mut s, 0, 10_000).len(), 833_330);
+    }
+
+    #[test]
+    fn fractional_rates_accumulate() {
+        // 0.5 pps with 1 ms ticks: one packet every 2 s.
+        let mut s = FanSource::new(keys(1), 64, 0.5);
+        assert_eq!(drive(&mut s, 0, 10_000).len(), 5);
+    }
+
+    #[test]
+    fn packets_carry_key_and_size() {
+        let mut s = FanSource::new(keys(1), 777, 10.0);
+        let mut out = Vec::new();
+        s.generate(SimTime::ZERO, SimTime::from_secs(1), &mut out);
+        assert_eq!(out.len(), 10);
+        assert!(out.iter().all(|p| p.bytes == 777 && p.key == keys(1)[0]));
+    }
+
+    #[test]
     fn silent_before_start() {
         let mut s = FanSource::new(keys(4), 64, 1_000.0).starting_at(SimTime::from_secs(1));
         assert!(drive(&mut s, 0, 1_000).is_empty());

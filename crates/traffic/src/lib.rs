@@ -2,8 +2,6 @@
 //!
 //! Deterministic, seeded packet sources for the simulator:
 //!
-//! * [`CbrSource`] — constant-rate packets of one flow (probe traffic,
-//!   covert refresh streams).
 //! * [`IperfSource`] — the paper's victim: a bulk TCP transfer with an
 //!   AIMD congestion response, so sustained loss collapses its rate the
 //!   way a real iperf session would (Fig. 3's victim line).
@@ -16,18 +14,17 @@
 //! * [`FanSource`] — a fixed population of concurrent flows served
 //!   round-robin at a constant aggregate rate (the victim of the
 //!   policy-churn scenarios: every flush forces a rebuild per flow).
+//!   A one-key fan is a constant-rate stream of one flow.
 //!
 //! Every source implements [`TrafficSource`]: the simulator asks for the
 //! packets of each tick interval and feeds delivery/drop counts back.
 
-pub mod cbr;
 pub mod churn;
 pub mod fan;
 pub mod iperf;
 pub mod poisson;
 pub mod source;
 
-pub use cbr::CbrSource;
 pub use churn::ChurnSource;
 pub use fan::FanSource;
 pub use iperf::IperfSource;

@@ -105,7 +105,5 @@ pub mod prelude {
         chrome_trace_json, prometheus_snapshot, validate_json, CauseId, TraceConfig, TraceEvent,
         TraceEventKind, TraceReport, Tracer,
     };
-    pub use pi_traffic::{
-        CbrSource, ChurnSource, FanSource, IperfSource, PoissonFlowSource, TrafficSource,
-    };
+    pub use pi_traffic::{ChurnSource, FanSource, IperfSource, PoissonFlowSource, TrafficSource};
 }

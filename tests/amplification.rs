@@ -70,7 +70,7 @@ fn attribution_still_separates_multi_pod_campaigns() {
     // Each pod is individually over a 256-mask threshold even though
     // the masks are shared — attribution counts per-destination masks,
     // the deployable eviction signal.
-    let offenders = pi_mitigation::detect_offenders(&sw, 256);
+    let offenders = pi_mitigation::offenders(&pi_mitigation::attribute_masks(&sw), 256);
     assert_eq!(offenders.len(), 3, "every attacking pod is named");
     for o in &offenders {
         assert_eq!(o.masks, 512);

@@ -327,7 +327,7 @@ fn ovs_adapter_is_bit_identical_on_the_saturation_workload() {
 fn fleet_worker_count_is_deterministic_for_every_backend() {
     use pi_datapath::BackendKind;
     use pi_sim::{FleetBuilder, SimConfig};
-    use pi_traffic::CbrSource;
+    use pi_traffic::FanSource;
 
     let run = |workers: usize| {
         let cfg = SimConfig {
@@ -349,7 +349,10 @@ fn fleet_worker_count_is_deterministic_for_every_backend() {
         for i in 0..kinds.len() as u8 {
             let next = (i + 1) % kinds.len() as u8;
             let key = FlowKey::tcp([10, i, 0, 1], [10, next, 0, 1], 1000 + i as u16, 80);
-            b.add_source(i as usize, Box::new(CbrSource::new(key, 800, 500.0)));
+            b.add_source(
+                i as usize,
+                Box::new(FanSource::new(vec![key], 800, 500.0).named("cbr")),
+            );
         }
         b.build().unwrap().run()
     };

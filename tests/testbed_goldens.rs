@@ -135,7 +135,7 @@ fn crash_recovery_over_a_lossy_channel_reproduces_the_two_node_engines_report() 
     check(
         "crash_recovery",
         crash_recovery_scenario(&params).0,
-        0x24c0_5bb7_52a3_df8c,
+        0x757a_0fda_7bf1_2143,
     );
 }
 
@@ -150,7 +150,7 @@ fn crash_recovery_under_upcall_flood_reproduces_the_two_node_engines_report() {
     check(
         "crash_recovery_upcall_flood",
         crash_recovery_scenario(&params).0,
-        0x4f1d_96a4_ac00_530b,
+        0xc950_a4bd_88f8_8512,
     );
 }
 

@@ -114,7 +114,10 @@ fn run_fleet(workers: usize, trace: TraceConfig) -> FleetReport {
         Box::new(FanSource::new(keys, 400, 20_000.0).named("victim")),
     );
     let key = FlowKey::tcp([10, 2, 9, 9], [10, 1, 0, 10], 1000, 80);
-    b.add_source(2, Box::new(CbrSource::new(key, 800, 500.0)));
+    b.add_source(
+        2,
+        Box::new(FanSource::new(vec![key], 800, 500.0).named("cbr")),
+    );
     b.build().unwrap().run()
 }
 

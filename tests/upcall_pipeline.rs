@@ -4,7 +4,6 @@
 //! scenario family — upcall-queue tail drops under a paced flood, and
 //! their disappearance under the per-port fair-share quota.
 
-use pi_traffic::CbrSource;
 use policy_injection::prelude::*;
 
 fn ip(a: [u8; 4]) -> u32 {
@@ -44,19 +43,25 @@ fn bounded_zero_pressure_matches_inline_verdicts_and_routing() {
         // Allowed repeats, denied repeats, and fresh-flow churn.
         b.add_source(
             node,
-            Box::new(CbrSource::new(
-                FlowKey::tcp([10, 0, 0, 1], [10, 0, 0, 2], 1000, 80),
-                400,
-                2_000.0,
-            )),
+            Box::new(
+                FanSource::new(
+                    vec![FlowKey::tcp([10, 0, 0, 1], [10, 0, 0, 2], 1000, 80)],
+                    400,
+                    2_000.0,
+                )
+                .named("cbr"),
+            ),
         );
         b.add_source(
             node,
-            Box::new(CbrSource::new(
-                FlowKey::tcp([172, 16, 0, 1], [10, 0, 0, 2], 1000, 80),
-                400,
-                500.0,
-            )),
+            Box::new(
+                FanSource::new(
+                    vec![FlowKey::tcp([172, 16, 0, 1], [10, 0, 0, 2], 1000, 80)],
+                    400,
+                    500.0,
+                )
+                .named("cbr"),
+            ),
         );
         b.add_source(
             node,
