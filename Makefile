@@ -12,8 +12,8 @@ test:
 	$(CARGO) build --release && $(CARGO) test -q
 
 # Workspace invariant linter, for what clippy cannot state: hot-path
-# allocation / order-sensitive maps / cost accounting / workspace-lints
-# opt-in. Exit 1 on any violation.
+# allocation / order-sensitive maps / workspace-lints opt-in. Exit 1 on
+# any violation.
 audit:
 	$(CARGO) run --release -p pi_audit -- --check
 

@@ -356,7 +356,7 @@ mod tests {
 
     #[test]
     fn directives_parse() {
-        let src = "\n// audit: hotpath\nfn f() {}\nlet x = 1; // audit: allow(panics) -- test harness\n// audit: allow-file(cost) -- delegation\n// audit: allow(panics) missing reason\n";
+        let src = "\n// audit: hotpath\nfn f() {}\nlet x = 1; // audit: allow(panics) -- test harness\n// audit: allow-file(determinism) -- delegation\n// audit: allow(panics) missing reason\n";
         let d = lex(src).directives;
         assert_eq!(d.len(), 4);
         assert_eq!(d[0].line, 2);
@@ -371,7 +371,7 @@ mod tests {
         assert_eq!(
             d[2].kind,
             DirectiveKind::AllowFile {
-                rule: "cost".into(),
+                rule: "determinism".into(),
                 reason: "delegation".into()
             }
         );

@@ -4,9 +4,10 @@
 //! (README "Static analysis" has the table): `[workspace.lints]` forbids
 //! `unsafe`, denies `unwrap` / `expect` / `panic!` in library code, and
 //! `clippy.toml`'s `disallowed-types` bans host clocks and OS-seeded
-//! hashers. `pi_audit` keeps the three rules that need a fact clippy has
-//! no way to be told, plus the check that makes the lints reach every
-//! crate. It is a dependency-free analyzer (no syn, no proc-macro,
+//! hashers, and `conformance` checks at run time that every backend
+//! counts and charges each packet. `pi_audit` keeps the two rules that
+//! need a fact clippy has no way to be told, plus the check that makes
+//! the lints reach every crate. It is a dependency-free analyzer (no syn, no proc-macro,
 //! offline-safe): [`lexer`] strips comments, strings and char literals
 //! so a rule never fires on doc text, and [`rules`] matches tokens over
 //! what is left.
@@ -20,10 +21,6 @@
 //!   modules (engines, reports, exporters, the pod table and its
 //!   index), where iteration order could leak into the byte-identical
 //!   artefacts. *`disallowed-types` is per workspace, not per module.*
-//! * **`cost`** — every `DataplaneBackend` impl file must call
-//!   `CostModel::cycles_of`, the one pricing method, so a new backend
-//!   cannot silently do free work or price it by hand. *A rule about
-//!   what a file must contain, not what it may not.*
 //! * **`lints`** — the root manifest states the bans and every crate
 //!   opts into them (`[lints] workspace = true`). *Cargo does not warn
 //!   about a member that opts out.*

@@ -10,7 +10,6 @@
 //! |---|---|---|
 //! | `hotpath` | regions annotated `// audit: hotpath` never allocate (`Vec::new`, `vec![`, `format!`, `String::`, `Box::new`, `.collect()`, `.to_vec()`) | no lint is scoped to an author-annotated region |
 //! | `determinism` | no `HashMap`/`HashSet` in order-sensitive modules (engines, reports, exporters, the pod table and its index), where iteration order could leak into output | `disallowed-types` is workspace-wide; the ban is per module |
-//! | `cost` | every `DataplaneBackend` impl file calls `CostModel::cycles_of`, the one pricing method | a "must mention" rule; lints only forbid |
 //! | `lints` | the root manifest states the bans and every crate opts into `[workspace.lints]` (checked in [`crate::walk`]) | cargo accepts a member that opts out |
 //! | `directive` | the waiver grammar itself: malformed, unknown-rule, or unused waivers | it is this tool's own grammar |
 //!
@@ -25,21 +24,13 @@ use crate::lexer::{lex, DirectiveKind};
 pub const RULE_DETERMINISM: &str = "determinism";
 /// Hot-path allocation rule id.
 pub const RULE_HOTPATH: &str = "hotpath";
-/// Cost-accounting rule id.
-pub const RULE_COST: &str = "cost";
 /// Workspace-lints opt-in rule id.
 pub const RULE_LINTS: &str = "lints";
 /// Directive-grammar rule id (malformed/unknown/unused waivers).
 pub const RULE_DIRECTIVE: &str = "directive";
 
 /// All rule ids, as waivers may name them.
-pub const ALL_RULES: [&str; 5] = [
-    RULE_DETERMINISM,
-    RULE_HOTPATH,
-    RULE_COST,
-    RULE_LINTS,
-    RULE_DIRECTIVE,
-];
+pub const ALL_RULES: [&str; 4] = [RULE_DETERMINISM, RULE_HOTPATH, RULE_LINTS, RULE_DIRECTIVE];
 
 /// File basenames whose iteration order can reach a report or an
 /// exported artefact; `HashMap`/`HashSet` are forbidden there. `pods`
@@ -61,11 +52,6 @@ const HOTPATH_TOKENS: [&str; 8] = [
     ".collect::<",
     ".to_vec(",
 ];
-
-/// Evidence that a backend impl charges the shared cost model: its one
-/// pricing method, `pi_datapath::CostModel::cycles_of`. Reading a price
-/// field by hand is not evidence — that is pricing outside `CostModel`.
-const COST_TOKEN: &str = "cycles_of";
 
 /// How a file participates in its crate — decides which rules apply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -153,24 +139,6 @@ pub fn scan_file(rel_path: &str, class: FileClass, src: &str) -> Vec<Violation> 
                     );
                 }
             }
-        }
-    }
-
-    // Cost accounting: a DataplaneBackend impl file must show evidence
-    // of CostModel charging somewhere in its code.
-    if let Some(idx) = lines
-        .iter()
-        .position(|l| l.contains("impl DataplaneBackend for"))
-    {
-        let charges = lines.iter().any(|l| contains_word(l, COST_TOKEN));
-        if !charges {
-            push(
-                idx as u32 + 1,
-                RULE_COST,
-                "`DataplaneBackend` impl never calls `CostModel::cycles_of` \
-                 (packet/control ops look free)"
-                    .to_string(),
-            );
         }
     }
 

@@ -48,33 +48,6 @@ fn hotpath_region_rejects_allocation_but_cold_code_may_allocate() {
 }
 
 #[test]
-fn backend_impl_without_cost_evidence_is_flagged() {
-    let v = scan_file(
-        "crates/fx/src/free.rs",
-        FileClass::Lib,
-        &fixture("cost_free_backend.rs"),
-    );
-    assert_eq!(rules_of(&v), ["cost"], "{v:?}");
-
-    // Calling the one pricing method clears it.
-    let charged = format!(
-        "{}\nfn price(&self) -> u64 {{ self.cost.cycles_of(&self.work) }}\n",
-        fixture("cost_free_backend.rs")
-    );
-    let v = scan_file("crates/fx/src/free.rs", FileClass::Lib, &charged);
-    assert!(v.is_empty(), "{v:?}");
-
-    // Reading a price field by hand is pricing outside `CostModel`, not
-    // evidence of charging through it.
-    let by_hand = format!(
-        "{}\nfn price(&self) -> u64 {{ self.cost.per_rule }}\n",
-        fixture("cost_free_backend.rs")
-    );
-    let v = scan_file("crates/fx/src/free.rs", FileClass::Lib, &by_hand);
-    assert_eq!(rules_of(&v), ["cost"], "{v:?}");
-}
-
-#[test]
 fn reasoned_waivers_silence_violations() {
     let v = scan_file(
         "crates/fx/src/engine.rs",

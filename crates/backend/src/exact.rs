@@ -41,7 +41,7 @@ use pi_core::{BuildFoldHasher, FlowKey, KeyWords, SimTime};
 use pi_datapath::emc::EmcStats;
 use pi_datapath::{
     BackendKind, CostModel, DpConfig, PathTaken, PodTable, PolicyUpdateOutcome, ProcessOutcome,
-    ResolvedUpcall, RestartOutcome, SwitchStats, UpcallStats, Work,
+    ResolvedUpcall, RestartOutcome, Revalidator, SwitchStats, UpcallStats, Work,
 };
 use pi_mitigation::MaskAttribution;
 use pi_trace::Tracer;
@@ -89,16 +89,16 @@ pub struct ExactTable {
 impl ExactTable {
     /// Builds the kind `config.backend` names: [`BackendKind::NicOffload`]
     /// gets the FIFO-replaced offload table, any other kind the
-    /// `flow_limit`-bounded connection map. Also uses `idle_timeout`,
-    /// `revalidator_interval` and `trie_fields`; the EMC and pipeline
-    /// knobs have no counterpart here.
+    /// `flow_limit`-bounded connection map. Also uses `idle_timeout`
+    /// (swept every [`Revalidator::INTERVAL`]) and `trie_fields`; the
+    /// EMC and pipeline knobs have no counterpart here.
     pub fn new(config: DpConfig, cost: CostModel) -> Self {
         let full = match config.backend {
             BackendKind::NicOffload => FullTable::Fifo(VecDeque::new()),
             _ => FullTable::Refuse,
         };
         ExactTable {
-            next_sweep: config.revalidator_interval.max(SimTime::from_nanos(1)),
+            next_sweep: Revalidator::INTERVAL,
             config,
             cost,
             table: FlatTable::new(),
@@ -287,9 +287,8 @@ impl DataplaneBackend for ExactTable {
         if now < self.next_sweep {
             return;
         }
-        let interval = self.config.revalidator_interval.max(SimTime::from_nanos(1));
         while self.next_sweep <= now {
-            self.next_sweep += interval;
+            self.next_sweep += Revalidator::INTERVAL;
         }
         let idle_timeout = self.config.idle_timeout;
         self.retain(|_, (_, last_used)| *last_used + idle_timeout > now);

@@ -19,7 +19,6 @@ use pi_trace::Tracer;
 
 use crate::api::{DataplaneBackend, DataplaneStats, DefenseAction};
 
-// audit: allow-file(cost) -- pure delegation: VSwitch itself charges every packet/control op through this CostModel (pinned bit-identical by backend_differential.rs)
 impl DataplaneBackend for VSwitch {
     fn config(&self) -> &DpConfig {
         VSwitch::config(self)

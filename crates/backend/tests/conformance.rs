@@ -281,7 +281,11 @@ fn verdicts_equal_linear_classification_on_random_policies() {
 /// update is charged exactly its counted work — `cycles ==
 /// cost.cycles_of(&work)` — across hits, misses, denials, a bounded
 /// pipeline's queued and resolved halves, quarantine refusals, charged
-/// and free updates with and without flushes, and a crash.
+/// and free updates with and without flushes, and a crash. And no
+/// packet is free: each one is parsed once and costs cycles, so a
+/// backend that counts no work cannot pass as `0 == cycles_of(0)`. The
+/// handler half of a resolved upcall parses nothing; its packet was
+/// counted when it was queued.
 #[test]
 fn every_outcome_is_charged_exactly_its_work() {
     for kind in BackendKind::ALL {
@@ -327,12 +331,15 @@ fn every_outcome_is_charged_exactly_its_work() {
             keys.push(FlowKey::tcp(ALLOWED, [172, 16, round, 1], 1000, 80));
             let n = be.process_batch(&keys, now, &mut |_, o: ProcessOutcome| {
                 assert_eq!(o.cycles, cost.cycles_of(&o.work), "{kind}: {o:?}");
+                assert_eq!(o.work.parses, 1, "{kind}: {o:?}");
+                assert!(o.cycles > 0, "{kind}: {o:?}");
                 true
             });
             assert_eq!(n, keys.len(), "{kind}");
             be.drain_upcalls(now, &mut |r| {
                 let o = r.outcome;
                 assert_eq!(o.cycles, cost.cycles_of(&o.work), "{kind}: resolved {o:?}");
+                assert_eq!(o.work.parses, 0, "{kind}: resolved {o:?}");
                 resolved += 1;
             });
             match round {

@@ -58,7 +58,6 @@ fn scaled(cfg: SignalConfig, f: f64) -> SignalConfig {
     SignalConfig {
         abs_min: cfg.abs_min * f,
         dev_floor: cfg.dev_floor * f,
-        ..cfg
     }
 }
 

@@ -24,7 +24,7 @@
 //! Output: `BENCH_fault.json`.
 
 use pi_core::SimTime;
-use pi_fault::{ChannelFaultConfig, NodeFaultReport, ReliabilityConfig};
+use pi_fault::{ChannelFaultConfig, NodeFaultReport};
 use pi_sim::scenario::{
     CRASH_DOWN_FOR, CRASH_RECOVERY_CLIENTS, CRASH_VICTIM_PPS, FLAP_PERIOD, PROBER_PPS,
 };
@@ -54,7 +54,7 @@ fn run_cell(label: &'static str, attack: CrashRecoveryAttack, reliable: bool, cr
         crash,
         crash_at: SimTime::from_secs(CRASH_AT_SECS),
         attack,
-        reliable: reliable.then(ReliabilityConfig::default),
+        reliable,
         // The CMS→switch path of every crash cell is hostile: losses,
         // duplicates and jittered (reordering) delays. Fire-and-forget
         // delivery never even sees it — which is the point.

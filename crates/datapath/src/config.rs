@@ -75,11 +75,8 @@ pub struct DpConfig {
     /// cache-less ablation turns it off).
     pub emc_enabled: bool,
     /// Microflow cache capacity in entries (OVS EMC default: 8192),
-    /// rounded up to a power-of-two number of sets, at least one.
+    /// rounded up to a power-of-two number of 2-way sets, at least one.
     pub emc_entries: usize,
-    /// Set associativity of the microflow cache (OVS: 2-way); 0 is
-    /// taken as 1.
-    pub emc_ways: usize,
     /// Probability of inserting a flow into the microflow cache after a
     /// megaflow hit. OVS-DPDK ships 1/100 to bound insertion overhead;
     /// 1.0 makes small tests deterministic.
@@ -88,15 +85,10 @@ pub struct DpConfig {
     /// `flow-limit`, default 200 000).
     pub flow_limit: usize,
     /// Megaflow idle timeout (OVS default 10 s) — evicted by the
-    /// revalidator if unused this long. Sets the covert refresh
+    /// revalidator if unused this long. The revalidator sweeps once a
+    /// second ([`crate::Revalidator::INTERVAL`]). Sets the covert refresh
     /// bandwidth the attack needs (paper: 1–2 Mb/s).
     pub idle_timeout: SimTime,
-    /// Cadence of the revalidator's idle sweep (OVS sweeps roughly once
-    /// a second). Values of zero are clamped to 1 ns by the
-    /// revalidator ([`crate::Revalidator::new`]). Fixed at construction;
-    /// sweeps fall on this interval's grid. The exact-match backends
-    /// sweep on the same cadence.
-    pub revalidator_interval: SimTime,
     /// Scope of the cache invalidation a policy change triggers. False
     /// (the OVS behaviour the paper attacks) flushes the megaflow cache
     /// wholesale; true evicts only the megaflows pinned to the updated
@@ -137,11 +129,9 @@ impl Default for DpConfig {
         DpConfig {
             emc_enabled: true,
             emc_entries: 8192,
-            emc_ways: 2,
             emc_insert_prob: 1.0,
             flow_limit: 200_000,
             idle_timeout: SimTime::from_secs(10),
-            revalidator_interval: SimTime::from_secs(1),
             scoped_invalidation: false,
             trie_fields: vec![Field::IpSrc, Field::IpDst, Field::TpSrc, Field::TpDst],
             staged_lookup: false,
@@ -180,10 +170,8 @@ mod tests {
         let c = DpConfig::default();
         assert!(c.emc_enabled);
         assert_eq!(c.emc_entries, 8192);
-        assert_eq!(c.emc_ways, 2);
         assert_eq!(c.flow_limit, 200_000);
         assert_eq!(c.idle_timeout, SimTime::from_secs(10));
-        assert_eq!(c.revalidator_interval, SimTime::from_secs(1));
         assert!(!c.scoped_invalidation, "global flush is the OVS default");
         assert!(c.trie_fields.contains(&Field::IpSrc));
         assert!(c.trie_fields.contains(&Field::TpSrc));

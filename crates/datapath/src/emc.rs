@@ -43,31 +43,30 @@ pub struct EmcStats {
     pub skipped_inserts: u64,
 }
 
-/// A fixed-size, `ways`-associative exact-match cache.
+/// A fixed-size, 2-way set-associative exact-match cache (as in OVS).
 #[derive(Debug, Clone)]
 pub struct MicroflowCache {
     slots: Vec<Option<EmcEntry>>,
     sets: usize,
-    ways: usize,
     insert_prob: f64,
     rng: SplitMix64,
     stats: EmcStats,
 }
 
 impl MicroflowCache {
-    /// Creates a cache with `entries` total slots and `ways`
-    /// associativity. `entries` is rounded up so the set count is a
-    /// power of two (index = hash & (sets-1), as in OVS); `ways` is at
-    /// least 1 and there is at least one set, whatever was asked for.
-    /// The slots are allocated by the first insertion: a switch that
-    /// never sees a packet, or never promotes one, holds none.
-    pub fn new(entries: usize, ways: usize, insert_prob: f64, seed: u64) -> Self {
-        let ways = ways.max(1);
-        let sets = entries.div_ceil(ways).next_power_of_two();
+    /// Set associativity.
+    const WAYS: usize = 2;
+
+    /// Creates a cache with `entries` total slots. `entries` is rounded
+    /// up so the set count is a power of two (index = hash & (sets-1),
+    /// as in OVS), and there is at least one set, whatever was asked
+    /// for. The slots are allocated by the first insertion: a switch
+    /// that never sees a packet, or never promotes one, holds none.
+    pub fn new(entries: usize, insert_prob: f64, seed: u64) -> Self {
+        let sets = entries.div_ceil(Self::WAYS).next_power_of_two();
         MicroflowCache {
             slots: Vec::new(),
             sets,
-            ways,
             insert_prob,
             rng: SplitMix64::new(seed),
             stats: EmcStats::default(),
@@ -76,7 +75,7 @@ impl MicroflowCache {
 
     /// Total slot capacity.
     pub fn capacity(&self) -> usize {
-        self.sets * self.ways
+        self.sets * Self::WAYS
     }
 
     /// Live entries under `generation`.
@@ -122,9 +121,9 @@ impl MicroflowCache {
         generation: u64,
         now: SimTime,
     ) -> Option<Action> {
-        let base = self.set_index(hash) * self.ways;
+        let base = self.set_index(hash) * Self::WAYS;
         // No set at all before the first insertion.
-        let Some(set) = self.slots.get_mut(base..base + self.ways) else {
+        let Some(set) = self.slots.get_mut(base..base + Self::WAYS) else {
             self.stats.misses += 1;
             return None;
         };
@@ -162,8 +161,8 @@ impl MicroflowCache {
         if self.slots.is_empty() {
             self.allocate();
         }
-        let base = self.set_index(hash) * self.ways;
-        let set = &mut self.slots[base..base + self.ways];
+        let base = self.set_index(hash) * Self::WAYS;
+        let set = &mut self.slots[base..base + Self::WAYS];
 
         // Same key (refresh) or dead/free slot first.
         let mut victim: Option<usize> = None;
@@ -249,7 +248,7 @@ mod tests {
     }
 
     fn cache() -> MicroflowCache {
-        MicroflowCache::new(64, 2, 1.0, 7)
+        MicroflowCache::new(64, 1.0, 7)
     }
 
     #[test]
@@ -313,7 +312,7 @@ mod tests {
     fn pollution_evicts_under_collision_pressure() {
         // Fill far beyond capacity with unique keys: the victim entry
         // must eventually fall out — the attack's EMC-thrash mechanism.
-        let mut c = MicroflowCache::new(64, 2, 1.0, 7);
+        let mut c = MicroflowCache::new(64, 1.0, 7);
         let t = SimTime::ZERO;
         let victim = key(999_000);
         c.insert(&victim, Action::Allow, 0, t);
@@ -326,8 +325,8 @@ mod tests {
 
     #[test]
     fn lru_way_is_the_one_evicted() {
-        // One set (ways = capacity) makes LRU order fully observable.
-        let mut c = MicroflowCache::new(2, 2, 1.0, 7);
+        // One set (two ways = capacity) makes LRU order fully observable.
+        let mut c = MicroflowCache::new(2, 1.0, 7);
         c.insert(&key(1), Action::Allow, 0, SimTime::from_nanos(1));
         c.insert(&key(2), Action::Allow, 0, SimTime::from_nanos(2));
         // Touch key 1 so key 2 becomes LRU.
@@ -340,7 +339,7 @@ mod tests {
 
     #[test]
     fn probabilistic_insertion_skips_most() {
-        let mut c = MicroflowCache::new(4096, 2, 0.01, 42);
+        let mut c = MicroflowCache::new(4096, 0.01, 42);
         let t = SimTime::ZERO;
         let mut inserted = 0;
         for n in 0..10_000 {
@@ -366,21 +365,21 @@ mod tests {
 
     #[test]
     fn capacity_rounds_to_power_of_two_sets() {
-        let c = MicroflowCache::new(100, 2, 1.0, 0);
+        let c = MicroflowCache::new(100, 1.0, 0);
         assert_eq!(c.capacity() % 2, 0);
         assert!(c.capacity() >= 100);
         assert!((c.capacity() / 2).is_power_of_two());
         // A remainder rounds the set count up, never down.
-        assert_eq!(MicroflowCache::new(3, 2, 1.0, 0).capacity(), 4);
-        assert_eq!(MicroflowCache::new(7, 4, 1.0, 0).capacity(), 8);
+        assert_eq!(MicroflowCache::new(3, 1.0, 0).capacity(), 4);
+        assert_eq!(MicroflowCache::new(5, 1.0, 0).capacity(), 8);
     }
 
     #[test]
     fn any_geometry_builds_a_working_cache() {
-        // Both numbers are `pub` config fields: none may panic.
-        for (entries, ways) in [(0, 0), (0, 2), (1, 4), (3, 2)] {
-            let mut c = MicroflowCache::new(entries, ways, 1.0, 0);
-            assert!(c.capacity() >= ways.max(1), "({entries}, {ways})");
+        // `emc_entries` is a `pub` config field: no value may panic.
+        for entries in [0, 1, 3] {
+            let mut c = MicroflowCache::new(entries, 1.0, 0);
+            assert!(c.capacity() >= 2, "{entries}");
             let t = SimTime::ZERO;
             assert_eq!(c.lookup(&key(1), 0, t), None, "empty cache misses");
             assert!(c.insert(&key(1), Action::Allow, 0, t));
@@ -391,7 +390,7 @@ mod tests {
 
     #[test]
     fn slots_are_allocated_by_the_first_insert() {
-        let mut c = MicroflowCache::new(8192, 2, 0.0, 0);
+        let mut c = MicroflowCache::new(8192, 0.0, 0);
         assert_eq!(c.capacity(), 8192);
         assert_eq!(c.lookup(&key(1), 0, SimTime::ZERO), None);
         assert!(!c.insert(&key(1), Action::Allow, 0, SimTime::ZERO));

@@ -27,22 +27,22 @@ pub struct RevalidatorReport {
 /// Periodic idle-flow eviction.
 #[derive(Debug, Clone)]
 pub struct Revalidator {
-    interval: SimTime,
     idle_timeout: SimTime,
     next_due: SimTime,
 }
 
 impl Revalidator {
-    /// A revalidator sweeping every `interval`, evicting entries idle
-    /// longer than `idle_timeout`. A zero `interval` is clamped to 1 ns
-    /// (a sweep every observation) — it would otherwise wedge the
-    /// catch-up loop in [`Revalidator::maybe_sweep`].
-    pub fn new(interval: SimTime, idle_timeout: SimTime) -> Self {
-        let interval = interval.max(SimTime::from_nanos(1));
+    /// Cadence of the idle sweep (OVS sweeps roughly once a second).
+    /// Sweeps fall on this interval's grid. The exact-match backends
+    /// sweep on the same cadence.
+    pub const INTERVAL: SimTime = SimTime::from_secs(1);
+
+    /// A revalidator sweeping every [`Revalidator::INTERVAL`], evicting
+    /// entries idle longer than `idle_timeout`.
+    pub fn new(idle_timeout: SimTime) -> Self {
         Revalidator {
-            interval,
             idle_timeout,
-            next_due: interval,
+            next_due: Self::INTERVAL,
         }
     }
 
@@ -71,7 +71,7 @@ impl Revalidator {
         }
         // Catch up (a long simulation gap still yields one sweep).
         while self.next_due <= now {
-            self.next_due += self.interval;
+            self.next_due += Self::INTERVAL;
         }
         Some(self.sweep_now(mfc, now))
     }
@@ -111,7 +111,7 @@ mod tests {
 
     #[test]
     fn sweep_fires_on_schedule() {
-        let mut r = Revalidator::new(SimTime::from_secs(1), SimTime::from_secs(10));
+        let mut r = Revalidator::new(SimTime::from_secs(10));
         let mut mfc = cache_with(3, SimTime::ZERO);
         assert!(r.maybe_sweep(&mut mfc, SimTime::from_millis(999)).is_none());
         let report = r.maybe_sweep(&mut mfc, SimTime::from_secs(1)).unwrap();
@@ -125,7 +125,7 @@ mod tests {
 
     #[test]
     fn idle_flows_evicted_after_timeout() {
-        let r = Revalidator::new(SimTime::from_secs(1), SimTime::from_secs(10));
+        let r = Revalidator::new(SimTime::from_secs(10));
         let mut mfc = cache_with(5, SimTime::ZERO);
         // Keep one entry alive at t = 8 s.
         mfc.lookup(
@@ -139,7 +139,7 @@ mod tests {
 
     #[test]
     fn long_gap_yields_single_catchup_sweep() {
-        let mut r = Revalidator::new(SimTime::from_secs(1), SimTime::from_secs(10));
+        let mut r = Revalidator::new(SimTime::from_secs(10));
         let mut mfc = cache_with(2, SimTime::ZERO);
         let report = r.maybe_sweep(&mut mfc, SimTime::from_secs(60)).unwrap();
         assert_eq!(report.evicted_idle, 2);
@@ -153,7 +153,7 @@ mod tests {
         // An entry is kept at *exactly* idle_timeout of idleness and
         // evicted one nanosecond past it — the boundary the covert
         // stream's refresh economics are computed against.
-        let r = Revalidator::new(SimTime::from_secs(1), SimTime::from_secs(10));
+        let r = Revalidator::new(SimTime::from_secs(10));
         let mut mfc = cache_with(1, SimTime::ZERO);
         let at_boundary = r.sweep_now(&mut mfc, SimTime::from_secs(10));
         assert_eq!(at_boundary.evicted_idle, 0, "idle == timeout survives");
@@ -163,7 +163,7 @@ mod tests {
 
     #[test]
     fn next_due_stays_on_the_interval_grid_after_overshoot() {
-        let mut r = Revalidator::new(SimTime::from_secs(1), SimTime::from_secs(10));
+        let mut r = Revalidator::new(SimTime::from_secs(10));
         let mut mfc = cache_with(1, SimTime::ZERO);
         assert_eq!(r.next_due(), SimTime::from_secs(1));
         // A step overshoots the boundary by 0.7 s: the sweep runs, and
@@ -183,19 +183,10 @@ mod tests {
     }
 
     #[test]
-    fn zero_interval_is_clamped_not_wedged() {
-        let mut r = Revalidator::new(SimTime::ZERO, SimTime::from_secs(10));
-        let mut mfc = cache_with(1, SimTime::ZERO);
-        // Must terminate (pre-fix this looped forever) and sweep.
-        assert!(r.maybe_sweep(&mut mfc, SimTime::from_secs(5)).is_some());
-        assert!(r.next_due() > SimTime::from_secs(5));
-    }
-
-    #[test]
     fn refresh_rate_bounds_attacker_bandwidth() {
         // The attack-economics property: refreshing every entry once per
         // idle window keeps all masks alive forever.
-        let mut r = Revalidator::new(SimTime::from_secs(1), SimTime::from_secs(10));
+        let mut r = Revalidator::new(SimTime::from_secs(10));
         let mut mfc = cache_with(50, SimTime::ZERO);
         for sec in 1..=30u64 {
             let now = SimTime::from_secs(sec);

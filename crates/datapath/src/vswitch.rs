@@ -241,7 +241,6 @@ impl VSwitch {
     pub fn with_cost_model(config: DpConfig, cost: CostModel) -> Self {
         let emc = MicroflowCache::new(
             config.emc_entries,
-            config.emc_ways,
             config.emc_insert_prob,
             config.seed ^ 0xe3c,
         );
@@ -250,7 +249,7 @@ impl VSwitch {
             config.subtable_order,
             config.staged_lookup,
         );
-        let revalidator = Revalidator::new(config.revalidator_interval, config.idle_timeout);
+        let revalidator = Revalidator::new(config.idle_timeout);
         VSwitch {
             config,
             cost,
@@ -1580,28 +1579,6 @@ mod tests {
         let o3 = sw.apply_update(PolicyUpdate::RemoveAcl { ip: 0xdead_beef }, true);
         assert!(!o3.applied);
         assert_eq!(o3.cycles, update(0));
-    }
-
-    #[test]
-    fn revalidator_interval_is_configurable() {
-        // Construction honours DpConfig::revalidator_interval.
-        let mut sw = VSwitch::new(DpConfig {
-            revalidator_interval: SimTime::from_millis(250),
-            ..DpConfig::default()
-        });
-        sw.attach_pod(u32::from_be_bytes(POD_IP), POD_VPORT);
-        assert_eq!(sw.revalidator.next_due(), SimTime::from_millis(250));
-        assert!(sw.revalidate(SimTime::from_millis(249)).is_none());
-        assert!(sw.revalidate(SimTime::from_millis(250)).is_some());
-        assert_eq!(sw.revalidator.next_due(), SimTime::from_millis(500));
-        // The sweep evicts on the idle-timeout boundary, on that grid.
-        let p = pkt([10, 1, 1, 1], 1000);
-        sw.process(&p, SimTime::from_secs(2));
-        assert_eq!(sw.megaflow_count(), 1);
-        assert!(sw.revalidate(SimTime::from_secs(12)).is_some());
-        assert_eq!(sw.megaflow_count(), 1, "idle == timeout survives");
-        assert!(sw.revalidate(SimTime::from_millis(12_250)).is_some());
-        assert_eq!(sw.megaflow_count(), 0, "idled out one grid point later");
     }
 
     #[test]

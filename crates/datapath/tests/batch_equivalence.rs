@@ -33,7 +33,6 @@ fn build_switch_with(config: DpConfig) -> VSwitch {
         trie_fields: vec![Field::IpSrc],
         // Small EMC so collisions/evictions happen at test scale.
         emc_entries: 64,
-        emc_ways: 2,
         ..config
     });
     sw.attach_pod(u32::from_be_bytes(POD_A), 1);

@@ -29,7 +29,6 @@ fn build_switch(pipeline: PipelineMode, staged: bool, flow_limit: usize) -> VSwi
         trie_fields: vec![Field::IpSrc],
         staged_lookup: staged,
         emc_entries: 64,
-        emc_ways: 2,
         flow_limit,
         pipeline,
         ..DpConfig::default()

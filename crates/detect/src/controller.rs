@@ -3,12 +3,13 @@
 //! A four-state machine — Idle → Suspect → Mitigating → Cooldown —
 //! driven by the detector bank's latched alarms, with hysteresis at
 //! every edge: escalation needs `confirm_samples` *consecutive*
-//! alarming samples, de-escalation needs `quiet_samples` consecutive
-//! quiet ones (plus a minimum mitigation dwell), and Cooldown re-arms
-//! straight back to Mitigating on any alarm. On entering Mitigating the
-//! controller flips the switch's runtime-mutable knobs — per-port
-//! fair-share upcall quota, staged subtable lookup, offender-port
-//! quarantine — and on returning to Idle it restores what it changed.
+//! alarming samples, de-escalation needs five consecutive quiet ones
+//! (plus a minimum mitigation dwell of ten samples), Cooldown lasts ten
+//! more quiet samples, and Cooldown re-arms straight back to Mitigating
+//! on any alarm. On entering Mitigating the controller flips the
+//! switch's runtime-mutable knobs — per-port fair-share upcall quota,
+//! staged subtable lookup, offender-port quarantine — and on returning
+//! to Idle it restores what it changed.
 
 use pi_backend::DataplaneBackend;
 use pi_core::SimTime;
@@ -16,6 +17,13 @@ use pi_trace::{TraceEventKind, Tracer};
 
 use crate::detector::{DetectionEvent, DetectorBank, DetectorConfig};
 use crate::telemetry::{TelemetrySample, TelemetryTap};
+
+/// Consecutive quiet samples required to leave Mitigating.
+const QUIET_SAMPLES: u32 = 5;
+/// Minimum samples spent Mitigating before Cooldown is reachable.
+const MIN_MITIGATION_SAMPLES: u32 = 10;
+/// Quiet samples spent in Cooldown before reverting to Idle.
+const COOLDOWN_SAMPLES: u32 = 10;
 
 /// One actuation the controller performed (or reverted) — the
 /// backends' actuator vocabulary, re-exported.
@@ -57,12 +65,6 @@ pub struct ControllerConfig {
     /// Consecutive alarming samples (including the one that entered
     /// Suspect) required to escalate Suspect → Mitigating.
     pub confirm_samples: u32,
-    /// Consecutive quiet samples required to leave Mitigating.
-    pub quiet_samples: u32,
-    /// Minimum samples spent Mitigating before Cooldown is reachable.
-    pub min_mitigation_samples: u32,
-    /// Quiet samples spent in Cooldown before reverting to Idle.
-    pub cooldown_samples: u32,
     /// Fair-share actuator: per-port upcall quota to impose while
     /// mitigating (no-op on an inline pipeline).
     pub fair_share_quota: Option<u32>,
@@ -70,7 +72,7 @@ pub struct ControllerConfig {
     /// mitigating.
     pub enable_staged_lookup: bool,
     /// Quarantine actuator: quarantine destinations the detections
-    /// attribute (mask count above the detector's offender threshold).
+    /// attribute (more than 64 masks: [`TelemetrySample::offenders`]).
     /// Quarantines are lifted on returning to Idle, which keeps the
     /// loop closed.
     pub quarantine_offenders: bool,
@@ -81,9 +83,6 @@ impl Default for ControllerConfig {
         ControllerConfig {
             detector: DetectorConfig::default(),
             confirm_samples: 2,
-            quiet_samples: 5,
-            min_mitigation_samples: 10,
-            cooldown_samples: 10,
             fair_share_quota: Some(8),
             enable_staged_lookup: true,
             quarantine_offenders: true,
@@ -277,7 +276,7 @@ impl DefenseController {
         // threshold while the alarm is already latched (mid-populate)
         // must still be quarantined. Same filter the bank applies to
         // event attribution.
-        let offenders = sample.offenders(self.cfg.detector.offender_mask_threshold);
+        let offenders = sample.offenders();
         if self.tracer.is_enabled() {
             for ev in &events {
                 self.tracer.emit(
@@ -325,8 +324,8 @@ impl DefenseController {
                 // The attack may shift targets mid-mitigation: newly
                 // attributed offenders join the quarantine.
                 self.quarantine_new(&mut switch, &offenders, &mut actions);
-                if self.quiet_streak >= self.cfg.quiet_samples
-                    && self.mitigation_dwell >= self.cfg.min_mitigation_samples
+                if self.quiet_streak >= QUIET_SAMPLES
+                    && self.mitigation_dwell >= MIN_MITIGATION_SAMPLES
                 {
                     self.state = DefenseState::Cooldown;
                 }
@@ -335,7 +334,7 @@ impl DefenseController {
                 if alarm {
                     // Mitigations are still in force — just re-arm.
                     self.state = DefenseState::Mitigating;
-                } else if self.quiet_streak >= self.cfg.quiet_samples + self.cfg.cooldown_samples {
+                } else if self.quiet_streak >= QUIET_SAMPLES + COOLDOWN_SAMPLES {
                     self.state = DefenseState::Idle;
                     self.revert_mitigations(&mut switch, &mut actions);
                 }
@@ -480,13 +479,7 @@ mod tests {
     }
 
     fn controller() -> DefenseController {
-        DefenseController::new(ControllerConfig {
-            confirm_samples: 2,
-            quiet_samples: 3,
-            min_mitigation_samples: 4,
-            cooldown_samples: 3,
-            ..ControllerConfig::default()
-        })
+        DefenseController::with_defaults()
     }
 
     #[test]
@@ -511,16 +504,16 @@ mod tests {
         assert!(applied.contains(&DefenseAction::SetPortQuota(Some(8))));
         assert!(applied.contains(&DefenseAction::SetStagedLookup(true)));
         // Attack persists: stays Mitigating.
-        for _ in 0..5 {
+        for _ in 0..10 {
             assert_eq!(feed(&mut c, 500, 400), DefenseState::Mitigating);
         }
-        // Attack stops: quiet_samples(3) to Cooldown (dwell already met),
-        // then cooldown_samples(3) more to Idle, which reverts.
-        for _ in 0..2 {
+        // Attack stops: five quiet samples to Cooldown (the ten-sample
+        // dwell is already met), then ten more to Idle, which reverts.
+        for _ in 0..4 {
             assert_eq!(feed(&mut c, 0, 0), DefenseState::Mitigating);
         }
         assert_eq!(feed(&mut c, 0, 0), DefenseState::Cooldown);
-        for _ in 0..2 {
+        for _ in 0..9 {
             assert_eq!(feed(&mut c, 0, 0), DefenseState::Cooldown);
         }
         assert_eq!(feed(&mut c, 0, 0), DefenseState::Idle);
@@ -603,10 +596,10 @@ mod tests {
         feed(&mut c, 500);
         feed(&mut c, 500);
         assert_eq!(c.state(), DefenseState::Mitigating);
-        for _ in 0..4 {
+        for _ in 0..10 {
             feed(&mut c, 500);
         }
-        for _ in 0..3 {
+        for _ in 0..5 {
             feed(&mut c, 0);
         }
         assert_eq!(c.state(), DefenseState::Cooldown);

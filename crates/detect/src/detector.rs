@@ -1,17 +1,23 @@
 //! Streaming change-point detectors over the telemetry signals.
 //!
-//! Each signal gets an EWMA baseline (mean + mean absolute deviation)
-//! learned during a warm-up window and frozen while the signal is in
-//! alarm — so an ongoing attack is never absorbed into "normal". The
-//! alarm comparator is hysteretic: it arms above
-//! `baseline + k_on·dev` and only disarms below `baseline + k_off·dev`
-//! (k_off < k_on), so a signal dancing around the on-threshold ± ε
-//! cannot flap. An absolute floor (`abs_min`) keeps near-zero baselines
-//! from alarming on noise.
+//! Each signal gets an EWMA baseline (mean + mean absolute deviation,
+//! smoothing factor 0.3) learned during a five-sample warm-up and
+//! frozen while the signal is in alarm — so an ongoing attack is never
+//! absorbed into "normal". The alarm comparator is hysteretic: it arms
+//! above `baseline + k_on·dev` and only disarms below
+//! `baseline + k_off·dev`, with k_on/k_off = 4/2 (6/3 for EMC thrash),
+//! so a signal dancing around the on-threshold ± ε cannot flap. An
+//! absolute floor (`abs_min`) keeps near-zero baselines from alarming
+//! on noise.
 
 use pi_core::SimTime;
 
 use crate::telemetry::TelemetrySample;
+
+/// Samples used to learn the baseline before any alarm may fire.
+const WARMUP_SAMPLES: u32 = 5;
+/// EWMA smoothing factor for baseline mean and deviation.
+const ALPHA: f64 = 0.3;
 
 /// Which telemetry signal a detector watches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,15 +67,22 @@ impl Signal {
             Signal::PolicyChurn => s.policy_updates as f64,
         }
     }
+
+    /// `(k_on, k_off)`: arm when `value > baseline + k_on·dev`, disarm
+    /// when `value ≤ baseline + k_off·dev`. EMC thrash is the noisiest
+    /// signal and gets the widest band.
+    fn hysteresis(&self) -> (f64, f64) {
+        match self {
+            Signal::EmcThrash => (6.0, 3.0),
+            _ => (4.0, 2.0),
+        }
+    }
 }
 
-/// Per-signal detector tuning.
+/// Per-signal detector tuning; the hysteresis band is fixed per
+/// [`Signal`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SignalConfig {
-    /// Arm when `value > baseline + k_on·dev` (and ≥ `abs_min`).
-    pub k_on: f64,
-    /// Disarm when `value ≤ baseline + k_off·dev` (or < `abs_min`).
-    pub k_off: f64,
     /// Deviation floor: `dev` is clamped up to this, so a flat warm-up
     /// baseline still leaves headroom for benign jitter.
     pub dev_floor: f64,
@@ -80,10 +93,6 @@ pub struct SignalConfig {
 /// Detector bank tuning.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DetectorConfig {
-    /// Samples used to learn the baseline before any alarm may fire.
-    pub warmup_samples: u32,
-    /// EWMA smoothing factor for baseline mean and deviation.
-    pub alpha: f64,
     /// Probe-depth tuning.
     pub probe_depth: SignalConfig,
     /// Mask-growth tuning.
@@ -96,44 +105,28 @@ pub struct DetectorConfig {
     pub emc_thrash: SignalConfig,
     /// Policy-churn tuning.
     pub policy_churn: SignalConfig,
-    /// Destinations with *more than* this many masks are named as
-    /// offenders (event attribution and the quarantine actuator share
-    /// the filter: [`crate::TelemetrySample::offenders`]).
-    pub offender_mask_threshold: usize,
 }
 
 impl Default for DetectorConfig {
     fn default() -> Self {
         DetectorConfig {
-            warmup_samples: 5,
-            alpha: 0.3,
             probe_depth: SignalConfig {
-                k_on: 4.0,
-                k_off: 2.0,
                 dev_floor: 2.0,
                 abs_min: 12.0,
             },
             mask_growth: SignalConfig {
-                k_on: 4.0,
-                k_off: 2.0,
                 dev_floor: 8.0,
                 abs_min: 48.0,
             },
             upcall_backlog: SignalConfig {
-                k_on: 4.0,
-                k_off: 2.0,
                 dev_floor: 8.0,
                 abs_min: 48.0,
             },
             upcall_drops: SignalConfig {
-                k_on: 4.0,
-                k_off: 2.0,
                 dev_floor: 0.5,
                 abs_min: 4.0,
             },
             emc_thrash: SignalConfig {
-                k_on: 6.0,
-                k_off: 3.0,
                 dev_floor: 0.05,
                 abs_min: 0.2,
             },
@@ -143,12 +136,9 @@ impl Default for DetectorConfig {
             // window keeps slow rollouts (a policy a second against a
             // 100 ms window) below the radar.
             policy_churn: SignalConfig {
-                k_on: 4.0,
-                k_off: 2.0,
                 dev_floor: 0.5,
                 abs_min: 4.0,
             },
-            offender_mask_threshold: 64,
         }
     }
 }
@@ -170,9 +160,8 @@ impl DetectorConfig {
 /// One signal's EWMA baseline + hysteretic change-point comparator.
 #[derive(Debug, Clone)]
 pub struct ChangePointDetector {
+    signal: Signal,
     cfg: SignalConfig,
-    alpha: f64,
-    warmup: u32,
     seen: u32,
     mean: f64,
     dev: f64,
@@ -180,12 +169,11 @@ pub struct ChangePointDetector {
 }
 
 impl ChangePointDetector {
-    /// A detector with the given tuning.
-    pub fn new(cfg: SignalConfig, alpha: f64, warmup: u32) -> Self {
+    /// A detector for `signal` with the given tuning.
+    pub fn new(signal: Signal, cfg: SignalConfig) -> Self {
         ChangePointDetector {
+            signal,
             cfg,
-            alpha,
-            warmup,
             seen: 0,
             mean: 0.0,
             dev: 0.0,
@@ -200,7 +188,8 @@ impl ChangePointDetector {
 
     /// The value the signal must exceed to arm right now.
     pub(crate) fn on_threshold(&self) -> f64 {
-        (self.mean + self.cfg.k_on * self.dev.max(self.cfg.dev_floor)).max(self.cfg.abs_min)
+        let (k_on, _) = self.signal.hysteresis();
+        (self.mean + k_on * self.dev.max(self.cfg.dev_floor)).max(self.cfg.abs_min)
     }
 
     /// The value the signal must fall below to disarm. Deliberately
@@ -209,7 +198,8 @@ impl ChangePointDetector {
     /// off ⇒ flapping at the floor ± ε). With `k_off < k_on` and a
     /// positive `dev_floor`, off < on always holds.
     pub(crate) fn off_threshold(&self) -> f64 {
-        self.mean + self.cfg.k_off * self.dev.max(self.cfg.dev_floor)
+        let (_, k_off) = self.signal.hysteresis();
+        self.mean + k_off * self.dev.max(self.cfg.dev_floor)
     }
 
     /// Feeds one sample value; returns true on the *rising edge* (the
@@ -217,7 +207,7 @@ impl ChangePointDetector {
     /// signal is quiet — an ongoing attack never becomes "normal".
     pub fn observe(&mut self, value: f64) -> bool {
         self.seen = self.seen.saturating_add(1);
-        if self.seen <= self.warmup {
+        if self.seen <= WARMUP_SAMPLES {
             self.learn(value);
             return false;
         }
@@ -241,7 +231,7 @@ impl ChangePointDetector {
             self.dev = 0.0;
             return;
         }
-        let a = self.alpha;
+        let a = ALPHA;
         self.dev = (1.0 - a) * self.dev + a * (value - self.mean).abs();
         self.mean = (1.0 - a) * self.mean + a * value;
     }
@@ -267,16 +257,14 @@ pub struct DetectionEvent {
 /// All six signal detectors over one switch's telemetry stream.
 #[derive(Debug, Clone)]
 pub struct DetectorBank {
-    cfg: DetectorConfig,
     detectors: [ChangePointDetector; 6],
 }
 
 impl DetectorBank {
     /// A bank with the given tuning.
     pub fn new(cfg: DetectorConfig) -> Self {
-        let mk = |s: Signal| ChangePointDetector::new(cfg.signal(s), cfg.alpha, cfg.warmup_samples);
+        let mk = |s: Signal| ChangePointDetector::new(s, cfg.signal(s));
         DetectorBank {
-            cfg,
             detectors: [
                 mk(Signal::ProbeDepth),
                 mk(Signal::MaskGrowth),
@@ -296,7 +284,7 @@ impl DetectorBank {
             let value = signal.value(sample);
             let threshold = det.on_threshold();
             if det.observe(value) {
-                let offenders = sample.offenders(self.cfg.offender_mask_threshold);
+                let offenders = sample.offenders();
                 events.push(DetectionEvent {
                     at: sample.at,
                     signal: *signal,
@@ -322,14 +310,11 @@ mod tests {
 
     fn detector(abs_min: f64) -> ChangePointDetector {
         ChangePointDetector::new(
+            Signal::ProbeDepth,
             SignalConfig {
-                k_on: 4.0,
-                k_off: 2.0,
                 dev_floor: 1.0,
                 abs_min,
             },
-            0.3,
-            5,
         )
     }
 

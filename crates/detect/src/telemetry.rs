@@ -65,14 +65,18 @@ pub struct TelemetrySample {
     pub top_offenders: Vec<OffenderDelta>,
 }
 
+/// Destinations with *more than* this many masks are named as
+/// offenders.
+const OFFENDER_MASK_THRESHOLD: usize = 64;
+
 impl TelemetrySample {
-    /// Destinations whose current mask count exceeds `threshold` — the
-    /// single offender filter shared by the detector bank's event
-    /// attribution and the controller's quarantine actuator.
-    pub fn offenders(&self, threshold: usize) -> Vec<u32> {
+    /// Destinations whose current mask count exceeds 64 — the single
+    /// offender filter shared by the detector bank's event attribution
+    /// and the controller's quarantine actuator.
+    pub fn offenders(&self) -> Vec<u32> {
         self.top_offenders
             .iter()
-            .filter(|o| o.masks > threshold)
+            .filter(|o| o.masks > OFFENDER_MASK_THRESHOLD)
             .map(|o| o.ip_dst)
             .collect()
     }

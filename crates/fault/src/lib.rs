@@ -23,7 +23,7 @@
 //!   [`pi_cms::ControlPlaneProgram`]: sequence-numbered updates, acks
 //!   (through the same lossy channel), per-update timeout with
 //!   exponential backoff + jittered retry, receiver-side duplicate
-//!   suppression, and a periodic **reconciliation loop** that diffs the
+//!   suppression, and a 500 ms **reconciliation loop** that diffs the
 //!   CMS's desired ACL state against the switch's reported installed
 //!   state and re-pushes the difference — turning a crash from silent
 //!   policy loss into bounded-time convergence.
@@ -33,7 +33,7 @@ pub mod reliable;
 pub mod schedule;
 
 pub use channel::{Channel, ChannelFaultConfig, ChannelStats};
-pub use reliable::{ControlChannelStats, ReliabilityConfig, ReliableControlPlane};
+pub use reliable::{ControlChannelStats, ReliableControlPlane};
 pub use schedule::{CrashSpec, FaultPlan, FaultSchedule};
 
 /// Everything that went wrong (and was recovered) at one node over a

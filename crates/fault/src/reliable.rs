@@ -7,12 +7,13 @@
 //!
 //! * every update carries a **sequence number** and is held in flight
 //!   until **acked** (acks traverse the same lossy channel back);
-//! * a missing ack triggers **retry** after a per-update timeout with
-//!   exponential backoff and SplitMix64 jitter (capped);
+//! * a missing ack triggers **retry** after a 50 ms timeout that doubles
+//!   per retry up to 800 ms, plus up to a quarter of SplitMix64 jitter;
+//!   an update is given up after 16 sends;
 //! * the receiver keeps an **applied-seq set** (the node agent's
 //!   durable journal — it survives switch restarts), so duplicated
 //!   deliveries are suppressed but still acked;
-//! * a periodic **reconciliation** pass diffs the CMS's desired ACL
+//! * a **reconciliation** pass every 500 ms diffs the CMS's desired ACL
 //!   state (replayed from the program) against the switch's reported
 //!   installed state and re-pushes the difference — this is what turns
 //!   a crash that wiped every ACL into bounded-time convergence.
@@ -30,38 +31,19 @@ use pi_trace::{TraceEventKind, Tracer};
 
 use crate::channel::{Channel, ChannelFaultConfig};
 
-/// Retry/backoff and reconciliation knobs. Unacked updates are always
-/// retried and the reconciliation pass always runs: fire-and-forget
-/// delivery is the separate `pi_cms::ControlPlane` driver.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReliabilityConfig {
-    /// Ack timeout before the first retry.
-    pub retry_timeout: SimTime,
-    /// Backoff multiplier per retry (exponential).
-    pub backoff_factor: u32,
-    /// Backoff cap.
-    pub max_backoff: SimTime,
-    /// Total send attempts per update (first send included) before
-    /// giving up.
-    pub max_attempts: u32,
-    /// Cadence of the desired-vs-installed reconciliation pass.
-    pub reconcile_interval: SimTime,
-    /// Seed for the retry-jitter stream.
-    pub seed: u64,
-}
-
-impl Default for ReliabilityConfig {
-    fn default() -> Self {
-        ReliabilityConfig {
-            retry_timeout: SimTime::from_millis(50),
-            backoff_factor: 2,
-            max_backoff: SimTime::from_millis(800),
-            max_attempts: 16,
-            reconcile_interval: SimTime::from_millis(500),
-            seed: 0x5EED_FA17,
-        }
-    }
-}
+/// Ack timeout before the first retry.
+const RETRY_TIMEOUT: SimTime = SimTime::from_millis(50);
+/// Backoff multiplier per retry (exponential).
+const BACKOFF_FACTOR: u64 = 2;
+/// Backoff cap.
+const MAX_BACKOFF: SimTime = SimTime::from_millis(800);
+/// Total send attempts per update (first send included) before giving
+/// up.
+const MAX_ATTEMPTS: u32 = 16;
+/// Cadence of the desired-vs-installed reconciliation pass.
+const RECONCILE_INTERVAL: SimTime = SimTime::from_millis(500);
+/// Seed for the retry-jitter stream.
+const JITTER_SEED: u64 = 0x5EED_FA17;
 
 /// Delivery counters for one node's reliable control channel.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -78,7 +60,7 @@ pub struct ControlChannelStats {
     pub acks_dropped: u64,
     /// Retransmissions (sends beyond each update's first).
     pub retries: u64,
-    /// Updates abandoned after `max_attempts` sends.
+    /// Updates abandoned after 16 sends.
     pub gave_up: u64,
     /// Deliveries suppressed by the receiver's applied-seq set.
     pub dup_suppressed: u64,
@@ -109,7 +91,6 @@ struct InFlight {
 /// [`ReliableControlPlane::reconcile`].
 #[derive(Debug, Clone)]
 pub struct ReliableControlPlane {
-    cfg: ReliabilityConfig,
     updates: Vec<ScheduledUpdate>,
     cursor: usize,
     next_seq: u64,
@@ -138,11 +119,7 @@ impl ReliableControlPlane {
     /// the given fault model (`None` = perfect channel). The ack
     /// direction gets an independent random stream derived from the
     /// forward seed.
-    pub fn new(
-        program: ControlPlaneProgram,
-        cfg: ReliabilityConfig,
-        channel: Option<ChannelFaultConfig>,
-    ) -> Self {
+    pub fn new(program: ControlPlaneProgram, channel: Option<ChannelFaultConfig>) -> Self {
         let fwd_cfg = channel.unwrap_or_default();
         let ack_cfg = ChannelFaultConfig {
             seed: SplitMix64::new(fwd_cfg.seed).fork().next_u64(),
@@ -153,9 +130,8 @@ impl ReliableControlPlane {
         let mut compiled = program.updates().to_vec();
         compiled.sort_by_key(|u| u.applies_at);
         ReliableControlPlane {
-            rng: SplitMix64::new(cfg.seed),
-            next_reconcile: cfg.reconcile_interval,
-            cfg,
+            rng: SplitMix64::new(JITTER_SEED),
+            next_reconcile: RECONCILE_INTERVAL,
             updates: compiled,
             cursor: 0,
             next_seq: 0,
@@ -196,7 +172,7 @@ impl ReliableControlPlane {
     fn send(&mut self, now: SimTime, update: PolicyUpdate) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let backoff = self.cfg.retry_timeout;
+        let backoff = RETRY_TIMEOUT;
         let j = self.jitter(SimTime::from_nanos(backoff.as_nanos() / 4));
         self.in_flight.insert(
             seq,
@@ -240,18 +216,14 @@ impl ReliableControlPlane {
             let Some(f) = self.in_flight.get(&seq) else {
                 continue;
             };
-            if f.attempts >= self.cfg.max_attempts {
+            if f.attempts >= MAX_ATTEMPTS {
                 self.in_flight.remove(&seq);
                 self.gave_up += 1;
                 continue;
             }
             let resend = f.update.clone();
-            let backoff = SimTime::from_nanos(
-                f.backoff
-                    .as_nanos()
-                    .saturating_mul(u64::from(self.cfg.backoff_factor.max(1))),
-            )
-            .min(self.cfg.max_backoff);
+            let backoff = SimTime::from_nanos(f.backoff.as_nanos().saturating_mul(BACKOFF_FACTOR))
+                .min(MAX_BACKOFF);
             let j = self.jitter(SimTime::from_nanos(backoff.as_nanos() / 4));
             if let Some(f) = self.in_flight.get_mut(&seq) {
                 f.attempts += 1;
@@ -323,7 +295,7 @@ impl ReliableControlPlane {
     /// (crash or lost update) closes a recovery episode.
     pub fn reconcile(&mut self, now: SimTime, installed: &[u32]) -> usize {
         while self.next_reconcile <= now {
-            self.next_reconcile += self.cfg.reconcile_interval;
+            self.next_reconcile += RECONCILE_INTERVAL;
         }
         self.reconcile_checks += 1;
         let desired = self.desired_acls(now);
@@ -477,7 +449,7 @@ mod tests {
 
     #[test]
     fn perfect_channel_delivers_on_time_and_acks_drain() {
-        let mut rcp = ReliableControlPlane::new(program(3), ReliabilityConfig::default(), None);
+        let mut rcp = ReliableControlPlane::new(program(3), None);
         assert_eq!(rcp.pending(), 3);
         let installed = drive(&mut rcp, 10, |_| true);
         assert_eq!(installed, vec![1, 2, 3]);
@@ -497,7 +469,7 @@ mod tests {
             jitter: ms(3),
             seed: 21,
         };
-        let mut rcp = ReliableControlPlane::new(program(8), ReliabilityConfig::default(), Some(ch));
+        let mut rcp = ReliableControlPlane::new(program(8), Some(ch));
         let installed = drive(&mut rcp, 20_000, |_| true);
         assert_eq!(installed, (1..=8).collect::<Vec<u32>>(), "all converge");
         let s = rcp.stats();
@@ -516,7 +488,7 @@ mod tests {
             seed: 5,
             ..ChannelFaultConfig::default()
         };
-        let mut rcp = ReliableControlPlane::new(program(4), ReliabilityConfig::default(), Some(ch));
+        let mut rcp = ReliableControlPlane::new(program(4), Some(ch));
         let installed = drive(&mut rcp, 500, |_| true);
         assert_eq!(installed, vec![1, 2, 3, 4]);
         let s = rcp.stats();
@@ -526,7 +498,7 @@ mod tests {
 
     #[test]
     fn downtime_discards_unacked_and_retry_recovers() {
-        let mut rcp = ReliableControlPlane::new(program(2), ReliabilityConfig::default(), None);
+        let mut rcp = ReliableControlPlane::new(program(2), None);
         // Switch down over the window in which both updates fall due.
         let installed = drive(&mut rcp, 400, |t| !(0..=20).contains(&t));
         assert_eq!(installed, vec![1, 2], "retry re-delivered after restart");
@@ -537,11 +509,7 @@ mod tests {
 
     #[test]
     fn reconcile_repushes_after_crash_and_records_recovery() {
-        let cfg = ReliabilityConfig {
-            reconcile_interval: ms(100),
-            ..ReliabilityConfig::default()
-        };
-        let mut rcp = ReliableControlPlane::new(program(2), cfg, None);
+        let mut rcp = ReliableControlPlane::new(program(2), None);
         // Deliver both updates normally.
         let mut installed = drive(&mut rcp, 10, |_| true);
         assert_eq!(installed, vec![1, 2]);
@@ -550,13 +518,14 @@ mod tests {
         rcp.on_switch_crash(ms(20));
         assert!(rcp.diverged());
         // First reconcile pass after the crash re-pushes the diff.
-        assert!(rcp.reconcile_due(ms(100)));
-        let pushes = rcp.reconcile(ms(100), &installed);
+        assert!(!rcp.reconcile_due(ms(499)));
+        assert!(rcp.reconcile_due(ms(500)));
+        let pushes = rcp.reconcile(ms(500), &installed);
         assert_eq!(pushes, 2);
-        assert!(!rcp.reconcile_due(ms(150)));
+        assert!(!rcp.reconcile_due(ms(750)));
         // The re-pushes arrive through poll (dedup set does NOT block
         // them: fresh seqs).
-        for t in 100..=110 {
+        for t in 500..=510 {
             for update in rcp.poll(ms(t), true) {
                 if let PolicyUpdate::InstallAcl { ip, .. } = update {
                     installed.push(ip);
@@ -566,11 +535,15 @@ mod tests {
         installed.sort_unstable();
         assert_eq!(installed, vec![1, 2]);
         // Next pass finds no diff: the recovery episode closes.
-        assert!(rcp.reconcile_due(ms(200)));
-        assert_eq!(rcp.reconcile(ms(200), &installed), 0);
+        assert!(rcp.reconcile_due(ms(1000)));
+        assert_eq!(rcp.reconcile(ms(1000), &installed), 0);
         assert!(!rcp.diverged());
         assert_eq!(rcp.recoveries(), 1);
-        assert_eq!(rcp.recovery_time(), ms(180), "crash 20ms → converged 200ms");
+        assert_eq!(
+            rcp.recovery_time(),
+            ms(980),
+            "crash 20ms → converged 1000ms"
+        );
         let s = rcp.stats();
         assert_eq!(s.reconcile_pushes, 2);
         assert_eq!(s.reconcile_checks, 2);
@@ -580,19 +553,15 @@ mod tests {
     fn reconcile_removes_acls_the_program_no_longer_wants() {
         let mut p = program(1);
         p.remove_acl(ms(5), 1);
-        let cfg = ReliabilityConfig {
-            reconcile_interval: ms(50),
-            ..ReliabilityConfig::default()
-        };
-        let mut rcp = ReliableControlPlane::new(p, cfg, None);
+        let mut rcp = ReliableControlPlane::new(p, None);
         // Let the program's own updates issue and land first.
         let _ = drive(&mut rcp, 10, |_| true);
         // Pretend the switch reports ip 1 and a stale ip 9 installed.
-        assert!(rcp.desired_acls(ms(50)).is_empty());
-        let pushes = rcp.reconcile(ms(50), &[1, 9]);
+        assert!(rcp.desired_acls(ms(500)).is_empty());
+        let pushes = rcp.reconcile(ms(500), &[1, 9]);
         assert_eq!(pushes, 2, "both stale installs must be removed");
         let removed: Vec<u32> = rcp
-            .poll(ms(50), true)
+            .poll(ms(500), true)
             .into_iter()
             .filter_map(|u| match u {
                 PolicyUpdate::RemoveAcl { ip } => Some(ip),
@@ -604,11 +573,7 @@ mod tests {
 
     #[test]
     fn crash_with_no_desired_state_is_not_a_divergence() {
-        let mut rcp = ReliableControlPlane::new(
-            ControlPlaneProgram::new(),
-            ReliabilityConfig::default(),
-            None,
-        );
+        let mut rcp = ReliableControlPlane::new(ControlPlaneProgram::new(), None);
         rcp.on_switch_crash(ms(10));
         assert!(!rcp.diverged());
     }
@@ -620,18 +585,14 @@ mod tests {
             seed: 2,
             ..ChannelFaultConfig::default()
         };
-        let cfg = ReliabilityConfig {
-            max_attempts: 3,
-            retry_timeout: ms(5),
-            max_backoff: ms(10),
-            ..ReliabilityConfig::default()
-        };
-        let mut rcp = ReliableControlPlane::new(program(1), cfg, Some(ch));
-        let installed = drive(&mut rcp, 500, |_| true);
+        let mut rcp = ReliableControlPlane::new(program(1), Some(ch));
+        // 16 sends: the backoffs 50, 100, 200, 400 and twelve of 800 ms
+        // sum to 10.35 s, and the jitter adds at most a quarter more.
+        let installed = drive(&mut rcp, 14_000, |_| true);
         assert!(installed.is_empty());
         let s = rcp.stats();
         assert_eq!(s.gave_up, 1, "{s:?}");
-        assert_eq!(s.retries, 2, "attempts beyond the first: {s:?}");
+        assert_eq!(s.retries, 15, "attempts beyond the first: {s:?}");
         assert_eq!(rcp.in_flight.len(), 0);
     }
 
@@ -645,8 +606,7 @@ mod tests {
             seed: 77,
         };
         let run = || {
-            let mut rcp =
-                ReliableControlPlane::new(program(6), ReliabilityConfig::default(), Some(ch));
+            let mut rcp = ReliableControlPlane::new(program(6), Some(ch));
             let installed = drive(&mut rcp, 2_000, |t| !(100..=140).contains(&t));
             (installed, rcp.stats())
         };

@@ -6,13 +6,11 @@ use pi_trace::TraceConfig;
 /// Global knobs of a simulation run.
 ///
 /// The defaults model the paper's demo environment: a software switch
-/// driven by one effective datapath core, a 1 Gb/s fabric, millisecond
-/// scheduling granularity, per-second reporting (Fig. 3's sampling).
+/// driven by one effective datapath core. The rest of that environment
+/// is fixed: a 1 ms scheduling tick, a 1 Gb/s fabric, per-second
+/// reporting (Fig. 3's sampling) and a 100 ms defense control loop.
 #[derive(Debug, Clone, Copy)]
 pub struct SimConfig {
-    /// Scheduling quantum. Packets generated within a tick are processed
-    /// within that tick's budget.
-    pub tick: SimTime,
     /// Total simulated time.
     pub duration: SimTime,
     /// Datapath CPU budget per node, cycles/second. Default models a
@@ -21,15 +19,6 @@ pub struct SimConfig {
     pub cpu_cycles_per_sec: u64,
     /// Ingress queue capacity per node, packets (NIC ring + backlog).
     pub queue_capacity: usize,
-    /// Fabric link rate between nodes, bits/second.
-    pub link_bps: f64,
-    /// Reporting interval for the time series.
-    pub sample_interval: SimTime,
-    /// Cadence of the per-node defense control loop (telemetry sample +
-    /// detector + state machine), for nodes with an attached
-    /// [`pi_detect::DefenseController`]. Faster than `sample_interval`
-    /// by default: detection latency is a measured quantity.
-    pub defense_interval: SimTime,
     /// Use the event-driven core: ticks on which a node provably has no
     /// work (empty queues, no scheduled control/fault/maintenance
     /// events, no active source) are skipped instead of stepped. The
@@ -50,13 +39,9 @@ pub struct SimConfig {
 impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
-            tick: SimTime::from_millis(1),
             duration: SimTime::from_secs(150),
             cpu_cycles_per_sec: 1_200_000_000,
             queue_capacity: 8_192,
-            link_bps: 1e9,
-            sample_interval: SimTime::from_secs(1),
-            defense_interval: SimTime::from_millis(100),
             event_driven: true,
             trace: TraceConfig::default(),
             workers: 1,
@@ -65,24 +50,18 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
+    /// Scheduling quantum. Packets generated within a tick are processed
+    /// within that tick's budget.
+    pub(crate) const TICK: SimTime = SimTime::from_millis(1);
+
     /// Cycles available per tick.
     pub fn cycles_per_tick(&self) -> u64 {
-        (self.cpu_cycles_per_sec as f64 * self.tick.as_secs_f64()).round() as u64
-    }
-
-    /// Link bytes available per tick.
-    pub fn link_bytes_per_tick(&self) -> f64 {
-        self.link_bps / 8.0 * self.tick.as_secs_f64()
+        (self.cpu_cycles_per_sec as f64 * Self::TICK.as_secs_f64()).round() as u64
     }
 
     /// Number of whole ticks in the run.
     pub fn tick_count(&self) -> u64 {
-        self.duration.as_nanos() / self.tick.as_nanos()
-    }
-
-    /// Ticks between defense control-loop iterations (at least one).
-    pub fn defense_every_ticks(&self) -> u64 {
-        (self.defense_interval.as_nanos() / self.tick.as_nanos()).max(1)
+        self.duration.as_nanos() / Self::TICK.as_nanos()
     }
 }
 
@@ -94,9 +73,11 @@ mod tests {
     fn derived_quantities() {
         let c = SimConfig::default();
         assert_eq!(c.cycles_per_tick(), 1_200_000);
-        assert_eq!(c.link_bytes_per_tick(), 125_000.0);
         assert_eq!(c.tick_count(), 150_000);
-        assert_eq!(c.defense_every_ticks(), 100);
+        let ctx = crate::shard::TickCtx::new(&c, 1);
+        assert_eq!(ctx.link_bytes_per_tick, 125_000.0);
+        assert_eq!(ctx.sample_every_ticks, 1_000);
+        assert_eq!(ctx.defense_every_ticks, 100);
     }
 
     #[test]

@@ -62,7 +62,7 @@ use pi_cms::ControlPlaneProgram;
 use pi_core::{IpIndex, Port, SimTime};
 use pi_datapath::{CostModel, DpConfig};
 use pi_detect::DefenseController;
-use pi_fault::{FaultSchedule, ReliabilityConfig, ReliableControlPlane};
+use pi_fault::{FaultSchedule, ReliableControlPlane};
 use pi_trace::{TraceConfig, Tracer};
 use pi_traffic::TrafficSource;
 
@@ -97,8 +97,6 @@ pub enum BuildError {
         /// The IP named.
         ip: u32,
     },
-    /// [`SimConfig::tick`] is zero: every per-tick quantity divides by it.
-    ZeroTick,
     /// [`SimConfig::queue_capacity`] is zero: no host could accept a
     /// packet.
     ZeroQueueCapacity,
@@ -119,7 +117,6 @@ impl std::fmt::Display for BuildError {
                 "an ACL names {}, which no pod was attached with",
                 std::net::Ipv4Addr::from(ip)
             ),
-            BuildError::ZeroTick => write!(f, "SimConfig::tick is zero"),
             BuildError::ZeroQueueCapacity => write!(f, "SimConfig::queue_capacity is zero"),
         }
     }
@@ -140,7 +137,7 @@ pub struct FleetBuilder {
     defenses: Vec<(usize, DefenseController)>,
     control_planes: Vec<(usize, ControlPlaneProgram)>,
     faults: Vec<(usize, FaultSchedule)>,
-    reliable_controls: Vec<(usize, ControlPlaneProgram, ReliabilityConfig)>,
+    reliable_controls: Vec<(usize, ControlPlaneProgram)>,
 }
 
 impl FleetBuilder {
@@ -217,7 +214,7 @@ impl FleetBuilder {
     }
 
     /// Attaches a shard-local closed-loop defense controller to `host`,
-    /// run every [`crate::SimConfig::defense_interval`]. Controllers
+    /// run every 100 ms of simulated time. Controllers
     /// are strictly shard-local state, so worker-count determinism is
     /// preserved.
     pub fn attach_defense(&mut self, host: usize, controller: DefenseController) {
@@ -247,15 +244,10 @@ impl FleetBuilder {
     /// Attaches an at-least-once control plane to `host`: `program`'s
     /// updates travel through the host's faulty channel (from its
     /// [`FaultSchedule`], perfect if none) with acks, retry/backoff
-    /// and periodic reconciliation per `cfg`. Multiple programs for
-    /// one host merge; the last `cfg` wins.
-    pub fn attach_reliable_control_plane(
-        &mut self,
-        host: usize,
-        program: ControlPlaneProgram,
-        cfg: ReliabilityConfig,
-    ) {
-        self.reliable_controls.push((host, program, cfg));
+    /// and periodic reconciliation. Multiple programs for one host
+    /// merge.
+    pub fn attach_reliable_control_plane(&mut self, host: usize, program: ControlPlaneProgram) {
+        self.reliable_controls.push((host, program));
     }
 
     /// The first host index recorded by an `add_*` / `attach_*` call
@@ -278,9 +270,6 @@ impl FleetBuilder {
     pub fn build(self) -> Result<FleetSim, BuildError> {
         let n = self.hosts.len();
         let cfg = self.cfg;
-        if cfg.tick == SimTime::ZERO {
-            return Err(BuildError::ZeroTick);
-        }
         if cfg.queue_capacity == 0 {
             return Err(BuildError::ZeroQueueCapacity);
         }
@@ -330,19 +319,15 @@ impl FleetBuilder {
         for (host, schedule) in self.faults {
             fault_schedules.entry(host).or_default().merge(schedule);
         }
-        let mut reliable: BTreeMap<usize, (ControlPlaneProgram, ReliabilityConfig)> =
-            BTreeMap::new();
-        for (host, program, rcfg) in self.reliable_controls {
-            let entry = reliable.entry(host).or_default();
-            entry.0.merge(program);
-            entry.1 = rcfg;
+        let mut reliable: BTreeMap<usize, ControlPlaneProgram> = BTreeMap::new();
+        for (host, program) in self.reliable_controls {
+            reliable.entry(host).or_default().merge(program);
         }
-        for (host, (program, rcfg)) in reliable {
+        for (host, program) in reliable {
             // The reliable layer sends through the host's faulty
             // channel, if its schedule models one.
             let channel = fault_schedules.get(&host).and_then(|s| s.channel_config());
-            nodes[host]
-                .attach_reliable_control_plane(ReliableControlPlane::new(program, rcfg, channel));
+            nodes[host].attach_reliable_control_plane(ReliableControlPlane::new(program, channel));
         }
         for (host, schedule) in fault_schedules {
             nodes[host].attach_faults(schedule.compile());
@@ -717,7 +702,7 @@ impl FleetSim {
         let hosts = self.shards.len();
         let workers = sim.workers.clamp(1, hosts.max(1));
         let ctx = TickCtx::new(&sim, hosts);
-        let tick_ns = sim.tick.as_nanos();
+        let tick_ns = SimConfig::TICK.as_nanos();
         let ticks = sim.tick_count();
         // A run of no ticks has no last tick for the event loop to run
         // up to; the reference loop's zero iterations are its answer.
@@ -727,7 +712,7 @@ impl FleetSim {
             let shards = run_stepped(self.shards, &ctx, tick_ns, ticks);
             (shards, Vec::new())
         };
-        FleetReport::assemble(workers, sim.tick, ticks, shards, sim.trace, profiles)
+        FleetReport::assemble(workers, ticks, shards, sim.trace, profiles)
     }
 }
 
@@ -915,21 +900,19 @@ mod tests {
 
     #[test]
     fn link_capacity_caps_cross_host_throughput() {
-        let mut cfg = small_cfg(3, 1);
-        cfg.link_bps = 1e6; // 1 Mb/s fabric
-        let mut b = FleetBuilder::new(cfg);
+        let mut b = FleetBuilder::new(small_cfg(3, 1));
         let h0 = b.add_host(DpConfig::default());
         let h1 = b.add_host(DpConfig::default());
         b.add_pod(h0, ip([10, 0, 0, 1]));
         b.add_pod(h1, ip([10, 1, 0, 1]));
         let key = FlowKey::tcp([10, 0, 0, 1], [10, 1, 0, 1], 1, 80);
-        // Offer 12 Mb/s over a 1 Mb/s link.
-        b.add_source(h0, cbr(key, 1500, 1000.0));
+        // Offer 1.5 Gb/s over the 1 Gb/s fabric.
+        b.add_source(h0, cbr(key, 1500, 125_000.0));
         let report = b.build().unwrap().run();
         let delivered_bps = report.throughput_bps[0].mean();
         assert!(
-            delivered_bps < 1.1e6,
-            "delivered {delivered_bps} over a 1 Mb/s link"
+            (0.9e9..1.1e9).contains(&delivered_bps),
+            "delivered {delivered_bps} over a 1 Gb/s link"
         );
         assert!(report.source_totals[0].dropped_capacity > 0);
     }
@@ -1043,7 +1026,7 @@ mod tests {
             ),
             (|b| b.attach_faults(1, Default::default()), no_such_host),
             (
-                |b| b.attach_reliable_control_plane(1, Default::default(), Default::default()),
+                |b| b.attach_reliable_control_plane(1, Default::default()),
                 no_such_host,
             ),
             (
@@ -1055,11 +1038,6 @@ mod tests {
             assert_eq!(build(small_cfg(1, 1), spoil), want, "case {i}");
         }
 
-        let zero_tick = SimConfig {
-            tick: SimTime::ZERO,
-            ..small_cfg(1, 1)
-        };
-        assert_eq!(build(zero_tick, |_| {}), Some(BuildError::ZeroTick));
         let zero_queue = SimConfig {
             queue_capacity: 0,
             ..small_cfg(1, 1)
@@ -1273,7 +1251,7 @@ mod tests {
         use pi_cms::{
             Cidr, ControlPlaneProgram, IngressRule, NetworkPolicy, PolicyCompiler, Protocol,
         };
-        use pi_fault::{ChannelFaultConfig, FaultSchedule, ReliabilityConfig};
+        use pi_fault::{ChannelFaultConfig, FaultSchedule};
 
         let run = |kind: BackendKind, workers: usize| {
             let dp = DpConfig {
@@ -1304,7 +1282,7 @@ mod tests {
             // At-least-once delivery over a hostile channel (loss,
             // duplication, jittered delays → reordering), plus a
             // mid-run crash that wipes the installed ACL.
-            b.attach_reliable_control_plane(h0, program, ReliabilityConfig::default());
+            b.attach_reliable_control_plane(h0, program);
             b.attach_faults(
                 h0,
                 FaultSchedule::new()
@@ -1362,7 +1340,7 @@ mod tests {
             Cidr, ControlPlaneProgram, IngressRule, NetworkPolicy, PolicyCompiler, Protocol,
         };
         use pi_detect::DefenseController;
-        use pi_fault::{ChannelFaultConfig, FaultSchedule, ReliabilityConfig};
+        use pi_fault::{ChannelFaultConfig, FaultSchedule};
 
         let mut cfg = small_cfg(4, workers);
         cfg.event_driven = event;
@@ -1387,7 +1365,7 @@ mod tests {
             victim,
             PolicyCompiler.compile_k8s(&policy),
         );
-        b.attach_reliable_control_plane(h0, program, ReliabilityConfig::default());
+        b.attach_reliable_control_plane(h0, program);
         b.attach_faults(
             h0,
             FaultSchedule::new()
@@ -1470,7 +1448,7 @@ mod tests {
         use pi_cms::{
             Cidr, ControlPlaneProgram, IngressRule, NetworkPolicy, PolicyCompiler, Protocol,
         };
-        use pi_fault::{ChannelFaultConfig, FaultSchedule, ReliabilityConfig};
+        use pi_fault::{ChannelFaultConfig, FaultSchedule};
 
         let run = |kind: BackendKind, workers: usize| {
             let dp = DpConfig {
@@ -1500,7 +1478,7 @@ mod tests {
                 victim,
                 PolicyCompiler.compile_k8s(&policy),
             );
-            b.attach_reliable_control_plane(h0, program, ReliabilityConfig::default());
+            b.attach_reliable_control_plane(h0, program);
             b.attach_faults(
                 h0,
                 FaultSchedule::new()

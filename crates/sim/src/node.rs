@@ -18,6 +18,8 @@ use pi_detect::{DefenseAction, DefenseController, DefenseReport};
 use pi_fault::{ControlChannelStats, FaultPlan, NodeFaultReport, ReliableControlPlane};
 use pi_trace::{TraceEventKind, Tracer};
 
+use crate::config::SimConfig;
+
 /// A packet sitting in a node's ingress queue, tagged with an opaque
 /// source handle `T` (the engine uses its global source index) so
 /// delivery outcomes can be fed back.
@@ -183,16 +185,16 @@ impl<T> NodeCell<T> {
     }
 
     /// The node's fault/recovery counters, present when a fault program
-    /// or a reliable control plane is attached. `tick` converts the
-    /// reliable layer's recovery time into ticks.
-    pub fn fault_report(&self, tick: SimTime) -> Option<NodeFaultReport> {
+    /// or a reliable control plane is attached. The reliable layer's
+    /// recovery time is reported in ticks.
+    pub fn fault_report(&self) -> Option<NodeFaultReport> {
         if self.faults.is_none() && self.reliable.is_none() {
             return None;
         }
         let (channel, recovery_ticks) = match &self.reliable {
             Some(r) => (
                 r.stats(),
-                r.recovery_time().as_nanos() / tick.as_nanos().max(1),
+                r.recovery_time().as_nanos() / SimConfig::TICK.as_nanos(),
             ),
             None => (ControlChannelStats::default(), 0),
         };
@@ -854,7 +856,7 @@ mod tests {
         let mut got = Vec::new();
         n.step(ms(5), 10_000_000, |_, r| got.push(r));
         assert_eq!(got, vec![Routing::Local(1)], "deny rule vanished");
-        let rep = n.fault_report(ms(1)).expect("fault program attached");
+        let rep = n.fault_report().expect("fault program attached");
         assert_eq!(rep.crashes, 1);
         assert_eq!(rep.acls_lost, 1);
         assert!(rep.restart_cycles > 0, "respawn price charged");
@@ -885,7 +887,7 @@ mod tests {
     fn fire_and_forget_update_dies_in_the_blackout_reliable_survives() {
         use pi_classifier::table::whitelist_with_default_deny;
         use pi_cms::ControlPlaneProgram;
-        use pi_fault::{FaultSchedule, ReliabilityConfig, ReliableControlPlane};
+        use pi_fault::{FaultSchedule, ReliableControlPlane};
         let ms = SimTime::from_millis;
         let pod = u32::from_be_bytes([10, 0, 0, 2]);
         let program = || {
@@ -912,15 +914,11 @@ mod tests {
         // At-least-once: the delivery is discarded while down, but the
         // unacked update retries until the restarted switch applies it.
         let mut n = node();
-        n.attach_reliable_control_plane(ReliableControlPlane::new(
-            program(),
-            ReliabilityConfig::default(),
-            None,
-        ));
+        n.attach_reliable_control_plane(ReliableControlPlane::new(program(), None));
         n.attach_faults(FaultSchedule::new().crash(ms(2), ms(5)).compile());
         drive(&mut n);
         assert_eq!(n.backend().installed_acl_ips(), vec![pod]);
-        let rep = n.fault_report(ms(1)).expect("reliable layer attached");
+        let rep = n.fault_report().expect("reliable layer attached");
         assert!(rep.channel.applied >= 1);
         assert!(rep.channel.lost_to_downtime >= 1);
     }

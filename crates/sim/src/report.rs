@@ -186,7 +186,6 @@ pub struct BlastRadius {
 impl FleetReport {
     pub(crate) fn assemble(
         workers: usize,
-        tick: SimTime,
         total_ticks: u64,
         shards: Vec<HostShard>,
         trace_cfg: TraceConfig,
@@ -220,7 +219,7 @@ impl FleetReport {
         for mut shard in shards {
             let snapshot = shard.node.backend().snapshot();
             stats.push(snapshot.switch);
-            faults.push(shard.node.fault_report(tick));
+            faults.push(shard.node.fault_report());
             upcall.push(snapshot.upcall);
             attribution.push(shard.node.backend().attribution());
             defense.push(shard.node.take_defense_report());

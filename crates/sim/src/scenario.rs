@@ -36,7 +36,7 @@ use pi_cms::{
 use pi_core::{FlowKey, SimTime};
 use pi_datapath::{BackendKind, CostModel, DpConfig, PipelineMode, UpcallPipelineConfig};
 use pi_detect::{ControllerConfig, DefenseController};
-use pi_fault::{ChannelFaultConfig, FaultSchedule, ReliabilityConfig};
+use pi_fault::{ChannelFaultConfig, FaultSchedule};
 use pi_traffic::{ChurnSource, FanSource, IperfSource, PoissonFlowSource};
 
 use crate::placement::host_of;
@@ -301,8 +301,6 @@ pub struct Fig3Params {
     pub attack_start: SimTime,
     /// Datapath configuration for both nodes.
     pub dp: DpConfig,
-    /// Whether to add background pod-to-pod chatter.
-    pub background: bool,
     /// Optional closed-loop defense: one controller per node with this
     /// tuning (the adaptive counterpart of the static `dp` knobs).
     pub defense: Option<ControllerConfig>,
@@ -314,7 +312,6 @@ impl Default for Fig3Params {
             duration: SimTime::from_secs(150),
             attack_start: SimTime::from_secs(60),
             dp: DpConfig::default(),
-            background: true,
             defense: None,
         }
     }
@@ -353,11 +350,9 @@ pub fn fig3_scenario(params: &Fig3Params) -> (Simulation, Handles) {
     b.add_source(client_node, Box::new(attack));
 
     // Background chatter to the unprotected pod.
-    if params.background {
-        let pairs = (0..16u8).map(|i| (u32::from_be_bytes([10, 0, 1, i]), BACKGROUND_IP));
-        let chatter = PoissonFlowSource::new(pairs.collect(), 20.0, 30.0, 200.0, 200, 2018);
-        b.add_source(client_node, Box::new(chatter.named("background")));
-    }
+    let pairs = (0..16u8).map(|i| (u32::from_be_bytes([10, 0, 1, i]), BACKGROUND_IP));
+    let chatter = PoissonFlowSource::new(pairs.collect(), 20.0, 30.0, 200.0, 200, 2018);
+    b.add_source(client_node, Box::new(chatter.named("background")));
     if let Some(ctrl) = &params.defense {
         b.attach_defense(client_node, DefenseController::new(*ctrl));
         b.attach_defense(server_node, DefenseController::new(*ctrl));
@@ -668,10 +663,10 @@ pub struct CrashRecoveryParams {
     pub crash_at: SimTime,
     /// The attack riding the recovery window.
     pub attack: CrashRecoveryAttack,
-    /// `Some` = the CMS sends through the at-least-once layer (acks +
-    /// retry + reconciliation); `None` = fire-and-forget delivery, the
+    /// `true` = the CMS sends through the at-least-once layer (acks +
+    /// retry + reconciliation); `false` = fire-and-forget delivery, the
     /// vulnerable baseline.
-    pub reliable: Option<ReliabilityConfig>,
+    pub reliable: bool,
     /// CMS→switch channel fault model (drops/duplicates/delay), if any.
     pub channel: Option<ChannelFaultConfig>,
 }
@@ -683,7 +678,7 @@ impl Default for CrashRecoveryParams {
             crash: true,
             crash_at: SimTime::from_secs(4),
             attack: CrashRecoveryAttack::PolicyFlap,
-            reliable: None,
+            reliable: false,
             channel: None,
         }
     }
@@ -713,7 +708,7 @@ const PROBER_START: SimTime = SimTime::from_secs(1);
 /// until the controller re-pushes flows), so the prober's packets —
 /// denied from t = 0 — suddenly *deliver*: each one is a wrong verdict,
 /// a security hole the report makes countable. Under fire-and-forget
-/// control (`reliable: None`) the hole stays open for the rest of the
+/// control (`reliable: false`) the hole stays open for the rest of the
 /// run: the install was consumed long ago and nothing ever re-sends it.
 /// The at-least-once layer closes it — reconciliation diffs desired
 /// against installed state and re-pushes the ACL within a bounded
@@ -768,9 +763,10 @@ pub fn crash_recovery_scenario(params: &CrashRecoveryParams) -> (Simulation, Han
             params.duration,
         ));
     }
-    match &params.reliable {
-        Some(rcfg) => b.attach_reliable_control_plane(node, program, *rcfg),
-        None => b.attach_control_plane(node, program),
+    if params.reliable {
+        b.attach_reliable_control_plane(node, program);
+    } else {
+        b.attach_control_plane(node, program);
     }
     if flood {
         b.add_source(node, Box::new(upcall_flood(params.crash_at)));
@@ -814,9 +810,7 @@ pub struct ColocationParams {
     pub duration: SimTime,
     /// Datapath configuration for every host.
     pub dp: DpConfig,
-    /// Add background pod-to-pod chatter on every host.
-    pub background: bool,
-    /// Seed for background workloads.
+    /// Seed for the background chatter every host carries.
     pub seed: u64,
     /// Worker threads.
     pub workers: usize,
@@ -834,7 +828,6 @@ impl Default for ColocationParams {
             victim_rate_bps: IPERF_RATE_BPS,
             duration: SimTime::from_secs(30),
             dp: DpConfig::default(),
-            background: true,
             seed: 2018,
             workers: 1,
         }
@@ -881,8 +874,7 @@ pub fn fleet_colocation(params: &ColocationParams) -> (FleetSim, Handles) {
     );
 
     // Background chatter: one unprotected pod + Poisson source per host.
-    let chatty_hosts = if params.background { hosts } else { 0 };
-    for host in 0..chatty_hosts {
+    for host in 0..hosts {
         let Some(dst) = cb.place_pod_on(bg_tenant, host).map(|p| p.ip) else {
             continue;
         };
@@ -1370,7 +1362,7 @@ mod tests {
 
     #[test]
     fn crash_opens_a_verdict_hole_and_reliable_delivery_closes_it() {
-        let run = |crash: bool, reliable: Option<ReliabilityConfig>| {
+        let run = |crash: bool, reliable: bool| {
             let params = CrashRecoveryParams {
                 duration: SimTime::from_secs(8),
                 crash_at: SimTime::from_secs(3),
@@ -1383,7 +1375,7 @@ mod tests {
         };
 
         // Never crashed: the deny rule holds for the whole run.
-        let (report, h) = run(false, None);
+        let (report, h) = run(false, false);
         assert_eq!(
             report.source_totals[h.source("prober")].delivered,
             0,
@@ -1396,7 +1388,7 @@ mod tests {
 
         // Crash + fire-and-forget: the install was consumed long ago,
         // nothing re-sends it — the hole stays open to the end.
-        let (report, h) = run(true, None);
+        let (report, h) = run(true, false);
         let wrong_off = report.source_totals[h.source("prober")].delivered;
         assert!(wrong_off > 3_000, "hole stays open: {wrong_off}");
         let faults = report.faults[h.attacker_hosts[0]]
@@ -1407,7 +1399,7 @@ mod tests {
 
         // Crash + at-least-once: reconciliation re-pushes the ACL
         // within a bounded window, even with the flap riding recovery.
-        let (report, h) = run(true, Some(ReliabilityConfig::default()));
+        let (report, h) = run(true, true);
         let wrong_on = report.source_totals[h.source("prober")].delivered;
         assert!(
             wrong_on < wrong_off / 5,

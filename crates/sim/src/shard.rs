@@ -27,6 +27,16 @@ use pi_traffic::{GenPacket, TrafficSource};
 use crate::config::SimConfig;
 use crate::node::{NodeCell, NodePacket, Routing};
 
+/// Fabric link rate between nodes, bits/second.
+const LINK_BPS: f64 = 1e9;
+/// Reporting interval for the time series.
+const SAMPLE_INTERVAL: SimTime = SimTime::from_secs(1);
+/// Cadence of the per-node defense control loop (telemetry sample +
+/// detector + state machine), for nodes with an attached
+/// [`pi_detect::DefenseController`]. Faster than the sample interval:
+/// detection latency is a measured quantity.
+const DEFENSE_INTERVAL: SimTime = SimTime::from_millis(100);
+
 /// Fixed per-tick parameters shared by every shard.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct TickCtx {
@@ -46,12 +56,12 @@ impl TickCtx {
         TickCtx {
             shards,
             cycles_per_tick: sim.cycles_per_tick(),
-            link_bytes_per_tick: sim.link_bytes_per_tick(),
+            link_bytes_per_tick: LINK_BPS / 8.0 * SimConfig::TICK.as_secs_f64(),
             queue_capacity: sim.queue_capacity,
-            sample_every_ticks: (sim.sample_interval.as_nanos() / sim.tick.as_nanos()).max(1),
-            window_secs: sim.sample_interval.as_secs_f64(),
+            sample_every_ticks: SAMPLE_INTERVAL.as_nanos() / SimConfig::TICK.as_nanos(),
+            window_secs: SAMPLE_INTERVAL.as_secs_f64(),
             cpu_cycles_per_sec: sim.cpu_cycles_per_sec,
-            defense_every_ticks: sim.defense_every_ticks(),
+            defense_every_ticks: DEFENSE_INTERVAL.as_nanos() / SimConfig::TICK.as_nanos(),
         }
     }
 }

@@ -8,7 +8,7 @@
 //! and defense timelines, and every sampled series point.
 
 use pi_core::SimTime;
-use pi_fault::{ChannelFaultConfig, ReliabilityConfig};
+use pi_fault::ChannelFaultConfig;
 use pi_sim::{
     crash_recovery_scenario, fig3_scenario, policy_churn_scenario, upcall_saturation_scenario,
     CrashRecoveryAttack, CrashRecoveryParams, Fig3Params, PolicyChurnParams, SimReport,
@@ -91,7 +91,7 @@ fn crash_recovery_matches_the_stepped_reference() {
         duration: SimTime::from_secs(6),
         crash_at: SimTime::from_secs(2),
         attack: CrashRecoveryAttack::PolicyFlap,
-        reliable: Some(ReliabilityConfig::default()),
+        reliable: true,
         channel: Some(ChannelFaultConfig {
             drop_p: 0.2,
             dup_p: 0.1,

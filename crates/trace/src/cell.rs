@@ -22,7 +22,6 @@ pub struct TraceCell {
     now_ns: u64,
     active_cause: CauseId,
     rebuild_cause: CauseId,
-    capacity: usize,
     ring: Vec<TraceEvent>,
     start: usize,
     /// Events overwritten after the ring filled.
@@ -30,8 +29,8 @@ pub struct TraceCell {
 }
 
 impl TraceCell {
-    /// A fresh cell for `host` with room for `capacity` events.
-    pub fn new(host: u32, capacity: usize) -> Self {
+    /// A fresh cell for `host` with room for 65 536 events.
+    pub fn new(host: u32) -> Self {
         TraceCell {
             host,
             seq: 0,
@@ -39,8 +38,7 @@ impl TraceCell {
             now_ns: 0,
             active_cause: CauseId::NONE,
             rebuild_cause: CauseId::NONE,
-            capacity: capacity.max(1),
-            ring: Vec::with_capacity(capacity.max(1)),
+            ring: Vec::with_capacity(TraceConfig::CAPACITY),
             start: 0,
             dropped: 0,
         }
@@ -56,11 +54,11 @@ impl TraceCell {
             kind,
         };
         self.seq = self.seq.wrapping_add(1);
-        if self.ring.len() < self.capacity {
+        if self.ring.len() < TraceConfig::CAPACITY {
             self.ring.push(ev);
         } else {
             self.ring[self.start] = ev;
-            self.start = (self.start + 1) % self.capacity;
+            self.start = (self.start + 1) % TraceConfig::CAPACITY;
             self.dropped += 1;
         }
     }
@@ -98,10 +96,7 @@ impl Tracer {
     /// A tracer for `host` under `cfg` — disabled unless `cfg.enabled`.
     pub fn for_host(cfg: TraceConfig, host: u32) -> Self {
         if cfg.enabled {
-            Tracer(Some(Arc::new(Mutex::new(TraceCell::new(
-                host,
-                cfg.capacity,
-            )))))
+            Tracer(Some(Arc::new(Mutex::new(TraceCell::new(host)))))
         } else {
             Tracer(None)
         }
@@ -334,20 +329,15 @@ mod tests {
 
     #[test]
     fn ring_overwrites_oldest_and_counts_drops() {
-        let t = Tracer::for_host(
-            TraceConfig {
-                enabled: true,
-                capacity: 4,
-            },
-            0,
-        );
-        for i in 0..10u64 {
+        let t = Tracer::for_host(TraceConfig::enabled(), 0);
+        let cap = TraceConfig::CAPACITY as u64;
+        for i in 0..cap + 6 {
             t.emit_uncaused(i, TraceEventKind::Reconcile { pushes: i as u32 });
         }
         let (events, dropped) = t.take();
         assert_eq!(dropped, 6);
-        assert_eq!(events.len(), 4);
+        assert_eq!(events.len(), TraceConfig::CAPACITY);
         assert_eq!(events[0].at_ns, 6);
-        assert_eq!(events[3].at_ns, 9);
+        assert_eq!(events[TraceConfig::CAPACITY - 1].at_ns, cap + 5);
     }
 }

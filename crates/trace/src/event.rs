@@ -4,31 +4,20 @@
 /// Trace layer configuration. `Copy` so it can live inside the sim
 /// configs without churn; `Default` is **disabled** — tracing is
 /// strictly opt-in and a disabled tracer is a guaranteed no-op.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TraceConfig {
     /// Whether any events are recorded at all.
     pub enabled: bool,
-    /// Ring capacity **per host**. When a host's ring is full the
-    /// oldest event is overwritten and `dropped` is incremented.
-    pub capacity: usize,
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        TraceConfig {
-            enabled: false,
-            capacity: 65_536,
-        }
-    }
 }
 
 impl TraceConfig {
-    /// An enabled config with the default per-host capacity.
+    /// Ring capacity **per host**. When a host's ring is full the
+    /// oldest event is overwritten and `dropped` is incremented.
+    pub(crate) const CAPACITY: usize = 65_536;
+
+    /// An enabled config.
     pub fn enabled() -> Self {
-        TraceConfig {
-            enabled: true,
-            ..Self::default()
-        }
+        TraceConfig { enabled: true }
     }
 }
 

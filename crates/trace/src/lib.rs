@@ -19,7 +19,7 @@
 //!    total order independent of worker count — the fleet's
 //!    bit-identical guarantee extends to traces.
 //! 3. **Allocation-free steady state.** The ring is preallocated at
-//!    [`TraceConfig::capacity`] and overwrites its oldest events when
+//!    65 536 events per host and overwrites its oldest events when
 //!    full (`dropped` counts the overwritten ones); every
 //!    [`TraceEvent`] is `Copy`.
 //!

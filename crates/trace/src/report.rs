@@ -24,8 +24,9 @@ pub struct TraceReport {
 
 impl TraceReport {
     /// Merges the given tracers' rings into canonical order. Returns an
-    /// empty report when tracing was disabled.
-    pub fn collect(cfg: TraceConfig, tracers: &[Tracer]) -> Self {
+    /// empty report when tracing was disabled: a disabled tracer holds
+    /// no ring, so the config itself decides nothing here.
+    pub fn collect(_cfg: TraceConfig, tracers: &[Tracer]) -> Self {
         let mut events = Vec::new();
         let mut dropped = 0;
         for t in tracers {
@@ -37,7 +38,7 @@ impl TraceReport {
         TraceReport {
             events,
             dropped,
-            capacity: cfg.capacity,
+            capacity: TraceConfig::CAPACITY,
         }
     }
 

@@ -88,9 +88,7 @@ pub mod prelude {
         ControllerConfig, DefenseController, DefenseReport, DefenseState, DetectionEvent,
         DetectorConfig, TelemetryTap,
     };
-    pub use pi_fault::{
-        ChannelFaultConfig, FaultSchedule, NodeFaultReport, ReliabilityConfig, ReliableControlPlane,
-    };
+    pub use pi_fault::{ChannelFaultConfig, FaultSchedule, NodeFaultReport, ReliableControlPlane};
     pub use pi_metrics::{ascii_plot, CsvTable, Summary, TimeSeries};
     pub use pi_mitigation::{upcall_fair_share_config, MaskBudget};
     pub use pi_sim::{

@@ -140,7 +140,6 @@ fn victim_collapse_is_attack_gated_and_deterministic() {
     let params = Fig3Params {
         duration: SimTime::from_secs(24),
         attack_start: SimTime::from_secs(12),
-        background: false,
         ..Fig3Params::default()
     };
     let run = || {

@@ -65,8 +65,7 @@ fn duplicated_delivery_applies_updates_exactly_once() {
         for (i, ip) in pods.iter().enumerate() {
             be.attach_pod(u32::from_be_bytes(*ip), 1 + i as u32);
         }
-        let mut rcp =
-            ReliableControlPlane::new(program.clone(), ReliabilityConfig::default(), channel);
+        let mut rcp = ReliableControlPlane::new(program.clone(), channel);
         drive(&mut rcp, be.as_mut(), 0, 1_000);
         // Dirty the cache with one whitelisted connection to pod 0,
         // so the 1.5 s install has real state to invalidate.
@@ -140,11 +139,9 @@ fn restart_plus_reconciliation_preserves_semantics_verdict_for_verdict() {
         program.install_acl(SimTime::from_millis(10), victim, victim_table());
 
         let mut healthy = make();
-        let mut healthy_rcp =
-            ReliableControlPlane::new(program.clone(), ReliabilityConfig::default(), None);
+        let mut healthy_rcp = ReliableControlPlane::new(program.clone(), None);
         let mut recovered = make();
-        let mut recovered_rcp =
-            ReliableControlPlane::new(program, ReliabilityConfig::default(), None);
+        let mut recovered_rcp = ReliableControlPlane::new(program, None);
 
         drive(&mut healthy_rcp, healthy.as_mut(), 0, 500);
         drive(&mut recovered_rcp, recovered.as_mut(), 0, 500);

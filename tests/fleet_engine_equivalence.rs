@@ -39,7 +39,6 @@ fn sparse_fleet(event_driven: bool, workers: usize) -> FleetReport {
     };
     let mut b = FleetBuilder::new(SimConfig {
         duration: SimTime::from_millis(2_500),
-        sample_interval: SimTime::from_millis(250),
         event_driven,
         workers,
         ..SimConfig::default()

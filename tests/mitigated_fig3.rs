@@ -8,7 +8,6 @@ fn short_params() -> Fig3Params {
     Fig3Params {
         duration: SimTime::from_secs(24),
         attack_start: SimTime::from_secs(12),
-        background: false,
         ..Fig3Params::default()
     }
 }

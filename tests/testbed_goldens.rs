@@ -122,7 +122,7 @@ fn crash_recovery_over_a_lossy_channel_reproduces_the_two_node_engines_report() 
         duration: SimTime::from_secs(6),
         crash_at: SimTime::from_secs(2),
         attack: CrashRecoveryAttack::PolicyFlap,
-        reliable: Some(ReliabilityConfig::default()),
+        reliable: true,
         channel: Some(ChannelFaultConfig {
             drop_p: 0.2,
             dup_p: 0.1,
@@ -185,7 +185,6 @@ fn fleet_colocation_with_stagger_and_background_keeps_its_report() {
         hosts: 4,
         victims: 4,
         attackers: 2,
-        background: true,
         attack_start: SimTime::from_secs(1),
         stagger: SimTime::from_secs(1),
         duration: SimTime::from_secs(4),

@@ -103,7 +103,7 @@ fn run_fleet(workers: usize, trace: TraceConfig) -> FleetReport {
             far_table.clone(),
         );
     }
-    b.attach_reliable_control_plane(1, program, ReliabilityConfig::default());
+    b.attach_reliable_control_plane(1, program);
 
     // Victim fan from host 1, bystander chatter from host 2.
     let keys: Vec<FlowKey> = (0..clients)
